@@ -39,6 +39,7 @@ from .recovery import (
 )
 from .stats import DegenerateDataError, gaussianity_check, hurst_estimate, variance_profile
 from .storage import (
+    ArtifactError,
     load_ensemble,
     read_json,
     write_ensemble_binary,
@@ -183,70 +184,43 @@ def _derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def _criterion(name: str, statistic: float, threshold: float, passed) -> dict:
+    return {"name": name, "passed": bool(passed), "statistic": statistic, "threshold": threshold}
+
+
 def cmd_verify_intrep(cfg: ExperimentConfig, out: Path) -> int:
     t0 = time.time()
     ir = cfg.intrep
+    tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
     checks = []
     for hi, hv in enumerate(ir.hursts):
         h = HurstParam(hv)
         for ti, theta in enumerate(ir.variance_masses):
             rc = RepConfig(h, seed=_derived_seed(cfg.seed, 1, hi, ti), grid=ir.grid)
-            pe = simulate_via_integral([theta], rc, ir.n_samples, jobs=cfg.jobs)
+            pe = simulate_via_integral([theta], rc, ir.n_samples)
             var = float(np.mean(pe.paths[:, 0] ** 2))
             want = theta ** (2 * hv)
             rel = abs(var - want) / want
-            checks.append(
-                {
-                    "name": f"variance_H{hv}_theta{theta}",
-                    "passed": bool(rel <= ir.variance_rel_tol),
-                    "statistic": rel,
-                    "threshold": ir.variance_rel_tol,
-                }
-            )
+            checks.append(_criterion(f"variance_H{hv}_theta{theta}", rel, tol, rel <= tol))
         rc = RepConfig(h, seed=_derived_seed(cfg.seed, 2, hi), grid=ir.grid)
-        pe = simulate_via_integral(ir.masses, rc, ir.n_samples, jobs=cfg.jobs)
+        pe = simulate_via_integral(ir.masses, rc, ir.n_samples)
         emp = (pe.paths.T @ pe.paths) / pe.n_samples
         want = fbm_covariance(ir.masses, h)
         se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / pe.n_samples)
         worst = float(np.max(np.abs(emp - want) / se))
-        checks.append(
-            {
-                "name": f"covariance_H{hv}",
-                "passed": bool(worst <= ir.covariance_se_mult),
-                "statistic": worst,
-                "threshold": ir.covariance_se_mult,
-            }
+        checks.append(_criterion(f"covariance_H{hv}", worst, se_mult, worst <= se_mult))
+        base_err, fine_err = (
+            float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
+            for spec in (ir.grid, ir.grid.refine_overall(2))
         )
-        base_err = float(
-            np.max(np.abs(discretized_covariance(ir.masses, h, ir.grid) - want))
-        )
-        fine_err = float(
-            np.max(
-                np.abs(discretized_covariance(ir.masses, h, ir.grid.refine_overall(2)) - want)
-            )
-        )
-        checks.append(
-            {
-                "name": f"refinement_H{hv}",
-                "passed": bool(fine_err < base_err),
-                "statistic": fine_err,
-                "threshold": base_err,
-            }
-        )
+        checks.append(_criterion(f"refinement_H{hv}", fine_err, base_err, fine_err < base_err))
     pe = half_case_simulate(ir.masses, seed=_derived_seed(cfg.seed, 3), n_samples=ir.n_samples)
     emp = (pe.paths.T @ pe.paths) / pe.n_samples
     m = np.asarray(ir.masses)
     want = np.minimum(m[:, None], m[None, :])
     se = np.sqrt((np.outer(m, m) + want**2) / pe.n_samples)
     worst = float(np.max(np.abs(emp - want) / np.where(se > 0, se, 1.0)))
-    checks.append(
-        {
-            "name": "half_case_covariance",
-            "passed": bool(worst <= ir.covariance_se_mult),
-            "statistic": worst,
-            "threshold": ir.covariance_se_mult,
-        }
-    )
+    checks.append(_criterion("half_case_covariance", worst, se_mult, worst <= se_mult))
     verdict = all(c["passed"] for c in checks)
     write_json(
         {"verdict": "pass" if verdict else "fail", "criteria": checks},
@@ -334,7 +308,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"sifbm: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ArtifactError, FileNotFoundError) as exc:
         print(f"sifbm: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

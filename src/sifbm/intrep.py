@@ -1,17 +1,23 @@
 """Discretized moving-average representation of the projected field.
 
-Along a flow with time-change values theta_1 <= ... <= theta_k, each sample
-draws one vector of Brownian increments dW ~ N(0, du) on a truncated grid and
-sets
+Along a flow with time-change values theta_1 <= ... <= theta_k, the
+representation on a truncated, singularity-refined grid of cells is
 
     path(i) = C(H) * sum_cells  ( |theta_i - u|^{H-1/2} - |u|^{H-1/2} ) dW(u),
 
-with u the cell midpoints.  The printed moving-average kernel only reproduces
-the target variance up to a constant, so the normalization C(H) is computed
-from the same quadrature on a unit-mass grid, which makes the variance of a
-single-mass simulation exactly theta^{2H} by scaling.  One Brownian motion
-drives every point of a masses list; it is never reused across calls, so the
-representation stays per-flow.
+with u the cell midpoints and dW ~ N(0, du).  The printed moving-average
+kernel only reproduces the target variance up to a constant, so the
+normalization C(H) is computed from the same quadrature on a unit-mass grid,
+which makes the variance of a single-mass simulation exactly theta^{2H} by
+scaling.  The cell sum is exactly N(0, C(H)^2 K diag(widths) K^T), so the
+quadrature enters only through ``discretized_covariance``: samples are exact
+draws from that law through a factor over the distinct positive masses, not
+one normal per cell.  One Brownian motion drives every point of a masses
+list; it is never reused across calls, so the representation stays per-flow.
+
+Stream contract: sample i takes its normals from the SFC64 stream keyed
+(seed, i // STREAM_BLOCK), so the first n samples of a call are the same for
+every larger n (prefix-stable).
 
 H = 1/2 is a separate path: the kernel degenerates there, but splitting the
 integration line into negative and positive parts leaves the indicator kernel
@@ -21,7 +27,6 @@ exactly from cumulative increments at the mass points.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +34,12 @@ import numpy as np
 from .flows import PathEnsemble
 from .gaussian import HurstParam
 
-_BLOCK = 64  # samples per fill block; fixed so bits do not depend on jobs
+# Rows per random stream.  Part of the stream contract: changing it changes
+# every draw, so it is a constant and not a parameter.
+STREAM_BLOCK = 256
+# Eigenvalues of the discretized covariance below this fraction of the largest
+# are round-off of a rank-deficient matrix and are clipped to zero.
+_EIG_CLIP = 1e-12
 
 
 class HalfCaseError(ValueError):
@@ -204,10 +214,6 @@ class RepConfig:
     seed: int
     grid: GridSpec = GridSpec()
 
-    @property
-    def normalization(self) -> float:
-        return normalization_const(self.hurst, self.grid)
-
 
 def _validate_masses(masses) -> np.ndarray:
     masses = np.asarray(masses, dtype=float)
@@ -220,57 +226,28 @@ def _validate_masses(masses) -> np.ndarray:
     return masses
 
 
-def _sample_rng(seed: int, i: int) -> np.random.Generator:
-    # SFC64 has the best normal-fill throughput here; the stream contract
-    # only needs deterministic derivation from (seed, sample index)
-    return np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,)))
-    )
+def _block_normals(seed: int, n_rows: int, width: int) -> np.ndarray:
+    """Standard normals of shape (n_rows, width) under the stream contract."""
+    z = np.empty((n_rows, width))
+    for block, lo in enumerate(range(0, n_rows, STREAM_BLOCK)):
+        rng = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
+        )
+        rng.standard_normal(out=z[lo : lo + STREAM_BLOCK])
+    return z
 
 
-def simulate_via_integral(
-    masses, cfg: RepConfig, n_samples: int, jobs: int = 1
-) -> PathEnsemble:
-    """Draw paths of the discretized representation along a masses list.
-
-    Each sample uses one Brownian increment vector across all masses; the
-    increment stream for sample i derives from (cfg.seed, i), so output is
-    bit-identical for any worker count.
-    """
+def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> PathEnsemble:
+    """Draw paths of the discretized representation along a masses list:
+    one normal per distinct positive mass from the streams of cfg.seed,
+    through ``discretized_factor``.  Equal masses give bit-equal columns."""
     masses = _validate_masses(masses)
-    if cfg.hurst.is_half:
-        raise HalfCaseError()
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if float(masses.max()) == 0.0:
-        paths = np.zeros((n_samples, masses.size))
-        return PathEnsemble(masses, paths, cfg.hurst)
-    grid = build_kernel_grid(masses, cfg.grid)
-    c = cfg.normalization
-    mids, widths = grid.midpoints, grid.widths
-    kmat = np.empty((masses.size, grid.n_cells))
-    for i, m in enumerate(masses):
-        kmat[i] = mvn_kernel(float(m), mids, cfg.hurst)
-    kmat *= c
-    sqrt_w = np.sqrt(widths)
-    out = np.empty((n_samples, masses.size))
-
-    def fill(lo: int):
-        hi = min(lo + _BLOCK, n_samples)
-        buf = np.empty(grid.n_cells)
-        for i in range(lo, hi):
-            _sample_rng(cfg.seed, i).standard_normal(out=buf)
-            np.multiply(buf, sqrt_w, out=buf)
-            out[i] = kmat @ buf
-
-    starts = range(0, n_samples, _BLOCK)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
-    return PathEnsemble(masses, out, cfg.hurst)
+    distinct, inverse = np.unique(masses, return_inverse=True)
+    f = discretized_factor(distinct, cfg.hurst, cfg.grid)
+    paths = _block_normals(cfg.seed, n_samples, f.shape[1]) @ f.T
+    return PathEnsemble(masses, paths[:, inverse], cfg.hurst)
 
 
 def half_case_simulate(masses, seed: int, n_samples: int) -> PathEnsemble:
@@ -280,23 +257,12 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> PathEnsemble:
     masses = _validate_masses(masses)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    inc_vars = np.diff(np.concatenate([[0.0], masses]))
-    sds = np.sqrt(inc_vars)
-    out = np.empty((n_samples, masses.size))
-    for i in range(n_samples):
-        z = _sample_rng(seed, i).standard_normal(masses.size)
-        out[i] = np.cumsum(sds * z)
-    return PathEnsemble(masses, out, HurstParam(0.5))
+    sds = np.sqrt(np.diff(masses, prepend=0.0))
+    paths = np.cumsum(_block_normals(seed, n_samples, masses.size) * sds, axis=1)
+    return PathEnsemble(masses, paths, HurstParam(0.5))
 
 
-def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:
-    """The exact covariance implied by the discretization (no sampling):
-    C(H)^2 * K diag(widths) K^T.  This is what the sample covariance of
-    ``simulate_via_integral`` converges to, so quadrature/truncation accuracy
-    can be audited without Monte Carlo noise."""
-    masses = _validate_masses(masses)
-    if float(masses.max()) == 0.0:
-        return np.zeros((masses.size, masses.size))
+def _kernel_covariance(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
     grid = build_kernel_grid(masses, spec)
     mids, widths = grid.midpoints, grid.widths
     kmat = np.empty((masses.size, grid.n_cells))
@@ -304,6 +270,35 @@ def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -
         kmat[i] = mvn_kernel(float(m), mids, h)
     c2 = normalization_const(h, spec) ** 2
     return c2 * (kmat * widths) @ kmat.T
+
+
+def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:
+    """The exact covariance implied by the discretization (no sampling):
+    C(H)^2 * K diag(widths) K^T.  This is the law ``simulate_via_integral``
+    draws from, so quadrature/truncation accuracy can be audited without
+    Monte Carlo noise."""
+    masses = _validate_masses(masses)
+    if float(masses.max()) == 0.0:
+        return np.zeros((masses.size, masses.size))
+    return _kernel_covariance(masses, h, spec)
+
+
+def discretized_factor(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:
+    """F of shape (k, d), d the number of distinct positive masses, with
+    F F^T = discretized_covariance(masses): an eigendecomposition factor over
+    the distinct positive masses with round-off eigenvalues clipped to 0,
+    whose rows are mapped onto the masses (equal masses get bit-equal rows,
+    zero masses zero rows)."""
+    masses = _validate_masses(masses)
+    if h.is_half:
+        raise HalfCaseError()
+    distinct, inverse = np.unique(masses, return_inverse=True)
+    positive = distinct > 0
+    fd = np.zeros((distinct.size, int(np.count_nonzero(positive))))
+    if positive.any():
+        lam, vec = np.linalg.eigh(_kernel_covariance(distinct[positive], h, spec))
+        fd[positive] = vec * np.sqrt(np.where(lam > _EIG_CLIP * lam[-1], lam, 0.0))
+    return fd[inverse]
 
 
 def fbm_covariance(masses, h: HurstParam) -> np.ndarray:

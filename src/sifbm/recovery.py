@@ -34,6 +34,7 @@ import numpy as np
 from .flows import Flow, predicted_increment_moment, project, time_change
 from .gaussian import HurstParam, SampleEnsemble, covariance_from_measures
 from .rects import (
+    MAX_UNION_PARTS,
     LeftNeighborhood,
     Rect,
     left_nbhd_measure,
@@ -169,8 +170,11 @@ def psi_on_C(table: PreMeasureTable, c: LeftNeighborhood) -> float:
 
 
 def psi_on_C_with_se(table: PreMeasureTable, c: LeftNeighborhood) -> tuple[float, float]:
-    if len(c.subtracted) > 20:
-        raise ValueError("inclusion-exclusion capped at 20 subtracted boxes")
+    if len(c.subtracted) > MAX_UNION_PARTS:
+        raise ValueError(
+            f"inclusion-exclusion capped at {MAX_UNION_PARTS} subtracted boxes, "
+            f"got {len(c.subtracted)}"
+        )
     terms = _alternating_terms(c)
     miss = table.missing(r for _, r in terms)
     if miss:

@@ -23,6 +23,12 @@ from .stats import VarianceProfile
 
 MAGIC = b"SIFB"
 VERSION = 1
+_HEADER = struct.Struct("<4sBQQ")  # magic, version, rows, columns: 21 bytes
+
+
+class ArtifactError(ValueError):
+    """A data artifact is malformed or does not fit the configuration; the
+    message starts with the artifact's path."""
 
 
 def rect_to_json(r: Rect):
@@ -57,31 +63,37 @@ def write_ensemble_binary(e: SampleEnsemble, path):
 def write_matrix_binary(mat: np.ndarray, path):
     mat = np.ascontiguousarray(mat, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([VERSION]))
-        fh.write(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
+        fh.write(_HEADER.pack(MAGIC, VERSION, mat.shape[0], mat.shape[1]))
         fh.write(mat.tobytes())
 
 
 def read_matrix_binary(path) -> np.ndarray:
+    """Parse a SIFB file; any malformed input raises ``ArtifactError``."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a SIFB ensemble file")
-    if raw[4] != VERSION:
-        raise ValueError(f"{path}: unsupported version {raw[4]}")
-    rows, cols = struct.unpack("<QQ", raw[5:21])
-    data = np.frombuffer(raw[21:], dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated payload")
-    return data.reshape(rows, cols).copy()
+        raise ArtifactError(f"{path}: not a SIFB ensemble file")
+    if len(raw) < _HEADER.size:
+        raise ArtifactError(f"{path}: truncated header, {len(raw)} of {_HEADER.size} bytes")
+    _, version, rows, cols = _HEADER.unpack_from(raw)
+    if version != VERSION:
+        raise ArtifactError(f"{path}: unsupported version {version}")
+    payload = len(raw) - _HEADER.size
+    if payload != 8 * rows * cols:
+        raise ArtifactError(
+            f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles"
+        )
+    try:
+        return np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(rows, cols).copy()
+    except ValueError:
+        raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
 
 
 def load_ensemble(binary_path, indices, seed: int, hurst: HurstParam) -> SampleEnsemble:
     samples = read_matrix_binary(binary_path)
     if samples.shape[1] != len(indices):
-        raise ValueError(
-            f"ensemble has {samples.shape[1]} columns but the configuration "
-            f"builds {len(indices)} indices; config and artifact disagree"
+        raise ArtifactError(
+            f"{binary_path}: ensemble has {samples.shape[1]} columns but the "
+            f"configuration builds {len(indices)} indices; config and artifact disagree"
         )
     return SampleEnsemble(tuple(indices), samples, seed, hurst)
 

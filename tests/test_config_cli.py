@@ -5,12 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sifbm.cli import main
 from sifbm.config import ConfigError, canonical_hash, load_config
 from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm.rects import EMPTY, rect
 from sifbm.storage import (
+    ArtifactError,
     flow_from_json,
     flow_to_json,
     read_ensemble_csv,
@@ -96,6 +98,45 @@ class TestStorage:
         p.write_bytes(b"nope" + bytes(20))
         with pytest.raises(ValueError, match="not a SIFB"):
             read_matrix_binary(p)
+
+    @pytest.mark.parametrize("size", [4, 12, 21, 30])
+    def test_binary_truncated_named(self, tmp_path, size):
+        p = tmp_path / "m.sifb"
+        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(ArtifactError, match="truncated") as ei:
+            read_matrix_binary(p)
+        assert str(p) in str(ei.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=64),
+            # a valid magic, so the fuzz reaches the header and payload checks
+            st.builds(
+                lambda version, rows, cols, payload: b"SIFB"
+                + bytes([version])
+                + rows.to_bytes(8, "little")
+                + cols.to_bytes(8, "little")
+                + payload,
+                st.sampled_from([0, 1, 2]),
+                st.integers(0, 2**64 - 1) | st.integers(0, 4),
+                st.integers(0, 2**64 - 1) | st.integers(0, 4),
+                st.binary(max_size=160),
+            ),
+        )
+    )
+    def test_binary_any_bytes_parse_or_artifact_error(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz.sifb"
+        p.write_bytes(raw)
+        try:
+            mat = read_matrix_binary(p)
+        except ArtifactError as exc:
+            assert str(p) in str(exc)
+        else:
+            assert raw[:5] == b"SIFB\x01"
+            assert mat.dtype == np.float64 and mat.ndim == 2
+            assert 21 + 8 * mat.size == len(raw)
 
     def test_flow_json_round_trip(self):
         f = flows_through(rect(2, 1), points=5)
@@ -186,6 +227,17 @@ class TestCli:
         path, _ = make_config(tmp_path)
         assert main(["characterize", "--config", str(path)]) == 1
 
+    def test_truncated_ensemble_exits_1(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        ens = out / "ensemble.sifb"
+        ens.write_bytes(ens.read_bytes()[:12])
+        capsys.readouterr()
+        assert main(["project", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ensemble.sifb" in err and "truncated header" in err
+
     def test_simulate_deterministic(self, tmp_path):
         path, raw = make_config(tmp_path)
         out = tmp_path / "out"
@@ -203,6 +255,14 @@ class TestCli:
         one = (out / "ensemble.sifb").read_bytes()
         assert main(["simulate", "--config", str(path), "--jobs", "8"]) == 0
         assert (out / "ensemble.sifb").read_bytes() == one
+
+    def test_verify_intrep_jobs_invariant(self, tmp_path):
+        path, _ = make_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify-intrep", "--config", str(path), "--jobs", "1"]) == 0
+        one = (out / "intrep.json").read_bytes()
+        assert main(["verify-intrep", "--config", str(path), "--jobs", "8"]) == 0
+        assert (out / "intrep.json").read_bytes() == one
 
     def test_seed_changes_artifacts(self, tmp_path):
         path, _ = make_config(tmp_path)

@@ -7,6 +7,7 @@ tolerances; the acceptance suite exercises the default grid.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sifbm.flows import flows_through, project, required_flow_indices, time_change
 from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
@@ -14,8 +15,10 @@ from sifbm.intrep import (
     GridSpec,
     HalfCaseError,
     RepConfig,
+    STREAM_BLOCK,
     build_kernel_grid,
     discretized_covariance,
+    discretized_factor,
     fbm_covariance,
     half_case_simulate,
     mvn_kernel,
@@ -153,11 +156,19 @@ class TestSimulate:
         with pytest.raises(HalfCaseError):
             simulate_via_integral([1.0], cfg, 10)
 
-    def test_deterministic_and_jobs_invariant(self):
+    def test_deterministic(self):
         cfg = RepConfig(HurstParam(0.35), seed=9, grid=GridSpec(cells_per_mass=64, refine_factor=2))
-        a = simulate_via_integral([0.5, 1.0], cfg, 300, jobs=1)
-        b = simulate_via_integral([0.5, 1.0], cfg, 300, jobs=4)
+        a = simulate_via_integral([0.5, 1.0], cfg, 300)
+        b = simulate_via_integral([0.5, 1.0], cfg, 300)
         assert np.array_equal(a.paths, b.paths)
+
+    def test_prefix_stable_across_block_boundary(self):
+        assert 300 < 2 * STREAM_BLOCK < 700
+        cfg = RepConfig(HurstParam(0.35), seed=9, grid=GridSpec(cells_per_mass=64, refine_factor=2))
+        a = simulate_via_integral([0.0, 0.5, 1.0], cfg, 300)
+        b = simulate_via_integral([0.0, 0.5, 1.0], cfg, 700)
+        assert np.array_equal(a.paths, b.paths[:300])
+        assert np.all(b.paths[:, 0] == 0.0)
 
     def test_covariance_matches_fbm(self):
         h = HurstParam(0.3)
@@ -172,13 +183,13 @@ class TestSimulate:
 
     def test_single_brownian_drives_whole_flow(self):
         # same seed, nested mass lists: shared masses see the same increments
-        # (bit-level column equality is not guaranteed across different gemv
-        # shapes, so compare at fp-roundoff tolerance)
+        # (bit-level equality across different lists is not guaranteed, since
+        # the factor is recomputed, so compare at fp-roundoff tolerance)
         cfg = RepConfig(HurstParam(0.3), seed=6, grid=COARSE)
         a = simulate_via_integral([0.5, 1.0], cfg, 20)
         b = simulate_via_integral([0.5, 1.0, 1.0], cfg, 20)
         assert np.allclose(a.paths[:, 0], b.paths[:, 0], rtol=1e-10, atol=1e-12)
-        assert np.allclose(b.paths[:, 1], b.paths[:, 2], rtol=1e-10, atol=1e-12)
+        assert np.array_equal(b.paths[:, 1], b.paths[:, 2])
 
 
 class TestDiscretizedCovariance:
@@ -200,6 +211,31 @@ class TestDiscretizedCovariance:
             got = discretized_covariance(masses, h, spec)
             errs.append(float(np.max(np.abs(got - want))))
         assert errs[0] > errs[1] > errs[2]
+
+
+# nondecreasing mass lists with zeros and repeats: a few levels, each repeated
+_LEVELS = st.sampled_from([0.0, 0.0, 0.125, 0.3, 0.5, 0.77, 1.0, 1.5])
+
+
+class TestDiscretizedFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        masses=st.lists(_LEVELS, min_size=1, max_size=7).map(sorted),
+        # HurstParam admits H in (0, 1/2]; 1/2 itself has no kernel
+        hv=st.floats(0.1, 0.5, exclude_max=True),
+    )
+    def test_reproduces_discretized_covariance(self, masses, hv):
+        h = HurstParam(hv)
+        sigma = discretized_covariance(masses, h, COARSE)
+        f = discretized_factor(masses, h, COARSE)
+        assert f.shape == (len(masses), len(set(masses) - {0.0}))
+        assert np.max(np.abs(f @ f.T - sigma)) <= 1e-10 * np.max(np.abs(sigma))
+        m = np.asarray(masses)
+        for i in range(m.size):
+            for j in range(i + 1, m.size):
+                if m[i] == m[j]:
+                    assert np.array_equal(f[i], f[j])
+        assert np.all(f[m == 0.0] == 0.0)
 
 
 class TestHalfCase:
@@ -225,6 +261,11 @@ class TestHalfCase:
         a = half_case_simulate([0.5, 1.0], seed=11, n_samples=40)
         b = half_case_simulate([0.5, 1.0], seed=11, n_samples=40)
         assert np.array_equal(a.paths, b.paths)
+
+    def test_prefix_stable_across_block_boundary(self):
+        a = half_case_simulate([0.5, 1.0], seed=11, n_samples=300)
+        b = half_case_simulate([0.5, 1.0], seed=11, n_samples=700)
+        assert np.array_equal(a.paths, b.paths[:300])
 
 
 class TestCrossValidation:
