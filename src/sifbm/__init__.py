@@ -5,6 +5,12 @@ representation."""
 
 __version__ = "0.1.0"
 
+# numpy >= 2 loads these submodules on first attribute access.  The package
+# uses both (np.random for every random stream; np.unique reads np.ma), so
+# they load with the package rather than inside the first command run.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .gaussian import (
     HurstParam,
     SampleEnsemble,

@@ -19,7 +19,7 @@ from .flows import ElementaryFlow, SimpleFlow, make_elementary_flow, required_fl
 from .gaussian import HurstParam
 from .intrep import GridSpec
 from .recovery import CoverFamily, Thresholds, tiling_cover
-from .rects import LeftNeighborhood, Rect, rect_intersection
+from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect, rect_intersection, signed_terms
 
 
 class ConfigError(ValueError):
@@ -97,21 +97,12 @@ def _segment_flow(spec: dict, dim: int, where: str) -> ElementaryFlow:
 def cover_closure_rects(covers: CoverFamily) -> set[Rect]:
     """Every box the inclusion-exclusion extension of the cover pieces can
     look up: intersections of each base with subsets of its subtracted boxes."""
-    import itertools
-
-    out: set[Rect] = set()
-    for el in covers.elements:
-        boxes = [el.base, *el.subtracted]
-        for k in range(1, len(boxes) + 1):
-            for combo in itertools.combinations(boxes, k):
-                if el.base not in combo:
-                    combo = (el.base, *combo)
-                inter = combo[0]
-                for r in combo[1:]:
-                    inter = rect_intersection(inter, r)
-                if not inter.is_empty:
-                    out.add(inter)
-    return out
+    return {
+        box
+        for el in covers.elements
+        for box in [el.base] + [rect_intersection(el.base, r) for _, r in signed_terms(el.subtracted)]
+        if not box.is_empty
+    }
 
 
 @dataclass(frozen=True)
@@ -232,6 +223,11 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
                 Rect(_corner(s, dim, f"covers.elements[{i}].subtract"))
                 for s in el.get("subtract", [])
             )
+            if len(subs) > MAX_UNION_PARTS:
+                raise ConfigError(
+                    f"field 'covers.elements[{i}].subtract' has {len(subs)} boxes, "
+                    f"more than the inclusion-exclusion cap of {MAX_UNION_PARTS}"
+                )
             els.append(LeftNeighborhood(base, subs))
         try:
             covers = CoverFamily(tuple(els))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import HurstParam, SampleEnsemble, additive_extend, required_union_indices
-from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, union_measure
+from .gaussian import HurstParam, SampleEnsemble, additive_extend
+from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, signed_terms, union_measure
 
 DEFAULT_FLOW_POINTS = 64
 
@@ -177,7 +177,7 @@ def required_flow_indices(f: Flow) -> set[Rect]:
     out: set[Rect] = set()
     _, values = f.grid_and_values()
     for v in values:
-        out |= required_union_indices(v)
+        out |= {r for _, r in signed_terms(v.parts)}
     return out
 
 
@@ -209,13 +209,13 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
     combination and deviate from the power law exactly where the branches
     interact, so the expansion is the correct prediction to test against.
     """
-    from .gaussian import build_cov_matrix, union_expansion
+    from .gaussian import build_cov_matrix
 
     if isinstance(f, ElementaryFlow):
         th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
     _, values = f.grid_and_values()
-    expansions = [union_expansion(v) for v in values]
+    expansions = [signed_terms(v.parts) for v in values]
     boxes = sorted(
         {b for ex in expansions for _, b in ex if not b.is_empty},
         key=lambda r: r.corner,

@@ -13,20 +13,12 @@ execution order or worker count.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rects import (
-    EMPTY,
-    Rect,
-    RectUnion,
-    rect_intersection,
-    rect_measure,
-    symdiff_measure,
-)
+from .rects import Rect, RectUnion, corner_array, rect_measure, signed_terms, symdiff_measure
 
 # Jitter multipliers tried in order, scaled by max(diag).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -93,19 +85,23 @@ class CovMatrix:
 
 
 def build_cov_matrix(indices, h: HurstParam) -> CovMatrix:
-    """Dense symmetric covariance over an ordered index list."""
+    """Dense symmetric covariance over an ordered index list, computed on the
+    (n, N) corner array: m(U n V) is the product over axes of corner minima,
+    multiplied in the same axis order as ``rect_measure``."""
     indices = tuple(indices)
     if not indices:
         raise ValueError("index list must be non-empty")
     n = len(indices)
-    meas = np.array([rect_measure(u) for u in indices])
+    meas = np.ones(n)
+    inter = np.ones((n, n))
+    for c in corner_array(indices).T:
+        meas *= c
+        inter *= np.minimum.outer(c, c)
     p = h.two_h
-    mat = np.empty((n, n))
-    for i in range(n):
-        mat[i, i] = meas[i] ** p
-        for j in range(i):
-            sd = max(meas[i] + meas[j] - 2.0 * rect_measure(rect_intersection(indices[i], indices[j])), 0.0)
-            mat[i, j] = mat[j, i] = 0.5 * (meas[i] ** p + meas[j] ** p - sd**p)
+    sd = np.maximum(np.add.outer(meas, meas) - 2.0 * inter, 0.0)
+    mp = meas**p
+    mat = 0.5 * (np.add.outer(mp, mp) - sd**p)
+    np.fill_diagonal(mat, mp)
     return CovMatrix(indices, mat, h)
 
 
@@ -217,26 +213,6 @@ def empirical_covariance(e: SampleEnsemble) -> np.ndarray:
     return (e.samples.T @ e.samples) / e.n_samples
 
 
-def union_expansion(target: RectUnion) -> list[tuple[float, Rect]]:
-    """Inclusion-exclusion expansion of a finite union into signed box terms."""
-    from .rects import MAX_UNION_PARTS
-
-    parts = target.parts
-    if len(parts) > MAX_UNION_PARTS:
-        raise ValueError(
-            f"inclusion-exclusion capped at {MAX_UNION_PARTS} parts, got {len(parts)}"
-        )
-    terms = []
-    for k in range(1, len(parts) + 1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for combo in itertools.combinations(parts, k):
-            inter = combo[0]
-            for r in combo[1:]:
-                inter = rect_intersection(inter, r)
-            terms.append((sign, inter))
-    return terms
-
-
 def additive_extend(e: SampleEnsemble, target: RectUnion) -> np.ndarray:
     """Per-sample value of the field on a finite union of boxes,
     X_{union} = sum over non-empty part subsets of (-1)^{|S|+1} X_{intersection S}.
@@ -245,7 +221,7 @@ def additive_extend(e: SampleEnsemble, target: RectUnion) -> np.ndarray:
     """
     if target.is_empty:
         return np.zeros(e.n_samples)
-    terms = union_expansion(target)
+    terms = signed_terms(target.parts)
     pos = {u: i for i, u in enumerate(e.indices)}
     missing = sorted(
         {r for _, r in terms if r not in pos and not r.is_empty},
@@ -259,7 +235,3 @@ def additive_extend(e: SampleEnsemble, target: RectUnion) -> np.ndarray:
             out += sign * e.samples[:, pos[r]]
     return out
 
-
-def required_union_indices(target: RectUnion) -> set[Rect]:
-    """All box columns additive_extend will need for this union."""
-    return {r for _, r in union_expansion(target) if not r.is_empty}

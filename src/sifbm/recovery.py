@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import Flow, predicted_increment_moment, project, time_change
-from .gaussian import HurstParam, SampleEnsemble, covariance_from_measures
+from .gaussian import HurstParam, SampleEnsemble
 from .rects import (
-    MAX_UNION_PARTS,
     LeftNeighborhood,
     Rect,
+    corner_array,
     left_nbhd_measure,
     rect_contains,
     rect_intersection,
@@ -44,6 +44,7 @@ from .rects import (
     region_disjoint_ae,
     region_equal_ae,
     region_subset_ae,
+    signed_terms,
     _arrangement_for,
 )
 from .stats import gaussianity_check, variance_profile
@@ -151,31 +152,15 @@ def _psi_entry(e: SampleEnsemble, u: Rect, h: HurstParam) -> PsiEntry:
     return PsiEntry(value, "empirical", stderr=stderr, n_samples=n)
 
 
-def _alternating_terms(c: LeftNeighborhood) -> list[tuple[float, Rect]]:
-    """Signed box terms of psi(C): psi(U) - sum psi(U n U_i) + ..."""
-    terms = [(1.0, c.base)]
-    for k in range(1, len(c.subtracted) + 1):
-        sign = -1.0 if k % 2 == 1 else 1.0
-        for combo in itertools.combinations(c.subtracted, k):
-            inter = c.base
-            for r in combo:
-                inter = rect_intersection(inter, r)
-            terms.append((sign, inter))
-    return terms
-
-
 def psi_on_C(table: PreMeasureTable, c: LeftNeighborhood) -> float:
     """Inclusion-exclusion extension of the pre-measure to a left-neighborhood."""
     return psi_on_C_with_se(table, c)[0]
 
 
 def psi_on_C_with_se(table: PreMeasureTable, c: LeftNeighborhood) -> tuple[float, float]:
-    if len(c.subtracted) > MAX_UNION_PARTS:
-        raise ValueError(
-            f"inclusion-exclusion capped at {MAX_UNION_PARTS} subtracted boxes, "
-            f"got {len(c.subtracted)}"
-        )
-    terms = _alternating_terms(c)
+    terms = [(1.0, c.base)] + [
+        (-sign, rect_intersection(c.base, r)) for sign, r in signed_terms(c.subtracted)
+    ]
     miss = table.missing(r for _, r in terms)
     if miss:
         raise MissingPsiError(miss)
@@ -630,35 +615,34 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
 
 
 def _covariance_criterion(e, table, h, thr) -> CriterionResult:
-    idx = list(e.indices)
+    # usable pairs: both boxes and their intersection have recovered entries
+    idx = table.indices()
+    pos = {u: i for i, u in enumerate(e.indices)}
+    x = e.samples[:, [pos[u] for u in idx]]
     n = e.n_samples
-    emp = (e.samples.T @ e.samples) / n
+    emp = (x.T @ x) / n
     diag = np.diag(emp)
-    total, ok = 0, 0
-    worst = 0.0
-    # pairs are usable only when the recovered measure knows both boxes and
-    # their intersection (always true for analytic tables)
-    table_set = set(table.indices()) if not table.is_analytic else None
-    for i, u in enumerate(idx):
-        for j in range(i, len(idx)):
-            v = idx[j]
-            inter = rect_intersection(u, v)
-            if table_set is not None and (
-                u not in table_set or v not in table_set or (not inter.is_empty and inter not in table_set)
-            ):
-                continue
-            mu, mv = table.psi(u), table.psi(v)
-            mi = 0.0 if inter.is_empty else table.psi(inter)
-            pred = covariance_from_measures(mu, mv, max(mu + mv - 2 * mi, 0.0), h)
-            se = np.sqrt((diag[i] * diag[j] + emp[i, j] ** 2) / n)
-            total += 1
-            dev = abs(emp[i, j] - pred)
-            if se > 0:
-                worst = max(worst, dev / se)
-                if dev <= thr.covariance_se_mult * se:
-                    ok += 1
-            else:
-                ok += 1 if dev == 0 else 0
+    corners = corner_array(idx)
+    t, dim = corners.shape
+    inter = np.minimum(corners[:, None], corners[None, :]).reshape(t * t, dim)
+    # table row of each pairwise intersection, -1 where the table lacks it
+    distinct, ids = np.unique(np.concatenate([corners, inter]), axis=0, return_inverse=True)
+    ids = ids.ravel()
+    row = np.full(len(distinct), -1)
+    row[ids[:t]] = np.arange(t)
+    k = row[ids[t:]].reshape(t, t)
+    i, j = np.nonzero(np.triu(k >= 0))
+    psi = np.array([table.psi(u) for u in idx])
+    mu, mv, mi = psi[i], psi[j], psi[k[i, j]]
+    p = h.two_h
+    pred = 0.5 * (mu**p + mv**p - np.maximum(mu + mv - 2 * mi, 0.0) ** p)
+    se = np.sqrt((diag[i] * diag[j] + emp[i, j] ** 2) / n)
+    dev = np.abs(emp[i, j] - pred)
+    banded = se > 0
+    total = len(i)
+    ok = int(np.count_nonzero(dev[banded] <= thr.covariance_se_mult * se[banded]))
+    ok += int(np.count_nonzero(dev[~banded] == 0))
+    worst = float(np.max(dev[banded] / se[banded], initial=0.0))
     if total == 0:
         return CriterionResult(
             "covariance_comparison", False, 0.0, thr.covariance_pass_fraction,

@@ -1,5 +1,5 @@
 """Rectangle index family: origin-anchored boxes in R^N_+, their finite unions,
-left-neighborhoods U \\ (U_1 u ... u U_n), and the Lebesgue reference measure.
+left-neighborhoods U \\ (U_1 u ... u U_n), and their Lebesgue measure.
 
 Every set handled here is a finite boolean combination of boxes [0, t].  All
 measure queries reduce to inclusion-exclusion over corner minima, and all
@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Exact subset enumeration is 2^k; beyond this the family is refused rather
 # than silently approximated.
@@ -86,6 +88,20 @@ def rect_measure(r: Rect) -> float:
     return out
 
 
+def corner_array(rects: Sequence[Rect]) -> np.ndarray:
+    """(n, N) array of upper corners, the empty set as the zero corner (it
+    has measure 0, as does its intersection with every box).  Mixed
+    dimensions raise; an all-empty list gives width 1."""
+    dims = {r.dim for r in rects if not r.is_empty}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
+    out = np.zeros((len(rects), dims.pop() if dims else 1))
+    for i, r in enumerate(rects):
+        if not r.is_empty:
+            out[i] = r.corner
+    return out
+
+
 def rect_intersection(a: Rect, b: Rect) -> Rect:
     """Componentwise minimum of corners; empty if either operand is empty."""
     if a.is_empty or b.is_empty:
@@ -139,6 +155,32 @@ class RectUnion:
         return f"RectUnion({list(self.parts)})"
 
 
+def signed_terms(parts: Sequence[Rect]) -> list[tuple[float, Rect]]:
+    """Inclusion-exclusion expansion: (sign, intersection of S) for every
+    non-empty subset S of the parts, sign = (-1)^{|S|+1}, in
+    ``itertools.combinations`` order (all singletons, then all pairs, ...).
+
+    The one place subsets are enumerated: exact, capped at MAX_UNION_PARTS
+    parts, and every part must share one dimension.
+    """
+    parts = tuple(parts)
+    if len(parts) > MAX_UNION_PARTS:
+        raise ValueError(
+            f"inclusion-exclusion capped at {MAX_UNION_PARTS} parts, got {len(parts)}"
+        )
+    for r in parts[1:]:
+        _check_same_dim(parts[0], r)
+    terms = []
+    for k in range(1, len(parts) + 1):
+        sign = 1.0 if k % 2 == 1 else -1.0
+        for combo in itertools.combinations(parts, k):
+            inter = combo[0]
+            for r in combo[1:]:
+                inter = rect_intersection(inter, r)
+            terms.append((sign, inter))
+    return terms
+
+
 def union_measure(parts: RectUnion | Sequence[Rect]) -> float:
     """Measure of a finite union by inclusion-exclusion over all non-empty
     subsets (exact; at most MAX_UNION_PARTS parts)."""
@@ -146,22 +188,9 @@ def union_measure(parts: RectUnion | Sequence[Rect]) -> float:
         rects = parts.parts
     else:
         rects = tuple(p for p in parts if not p.is_empty)
-    if not rects:
-        return 0.0
-    if len(rects) > MAX_UNION_PARTS:
-        raise ValueError(
-            f"inclusion-exclusion capped at {MAX_UNION_PARTS} parts, got {len(rects)}"
-        )
-    for r in rects[1:]:
-        _check_same_dim(rects[0], r)
     total = 0.0
-    for k in range(1, len(rects) + 1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for combo in itertools.combinations(rects, k):
-            inter = combo[0]
-            for r in combo[1:]:
-                inter = rect_intersection(inter, r)
-            total += sign * rect_measure(inter)
+    for sign, inter in signed_terms(rects):
+        total += sign * rect_measure(inter)
     return max(total, 0.0)
 
 
@@ -206,26 +235,6 @@ def left_nbhd_measure(c: LeftNeighborhood) -> float:
         return base_m
     clipped = [rect_intersection(c.base, s) for s in c.subtracted]
     return max(base_m - union_measure(clipped), 0.0)
-
-
-@dataclass(frozen=True)
-class LebesgueMeasure:
-    """The reference Radon measure: Lebesgue product measure on boxes.
-
-    Kept as a type so a different reference measure could be slotted in; only
-    the Lebesgue rule is implemented.
-    """
-
-    dimension: int
-
-    def __call__(self, s) -> float:
-        if isinstance(s, Rect):
-            return rect_measure(s)
-        if isinstance(s, RectUnion):
-            return union_measure(s)
-        if isinstance(s, LeftNeighborhood):
-            return left_nbhd_measure(s)
-        raise TypeError(f"cannot measure object of type {type(s).__name__}")
 
 
 # ---------------------------------------------------------------------------

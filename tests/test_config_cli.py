@@ -193,6 +193,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="flows\\[0\\]"):
             load_config(path)
 
+    def test_cover_subtract_cap_named(self, tmp_path):
+        path, raw = make_config(tmp_path)
+        subs = [[2.0, 0.1 * k] for k in range(1, 22)]
+        raw["covers"] = {"elements": [{"base": [2.0, 2.0], "subtract": subs}]}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="covers.elements\\[0\\].subtract"):
+            load_config(path)
+
     def test_seed_override_changes_hash(self, tmp_path):
         path, _ = make_config(tmp_path)
         a = load_config(path)

@@ -18,7 +18,15 @@ from sifbm.gaussian import (
     empirical_covariance,
     sample_ensemble,
 )
-from sifbm.rects import EMPTY, Rect, RectUnion, rect, rect_intersection, rect_measure
+from sifbm.rects import (
+    EMPTY,
+    DimensionMismatchError,
+    Rect,
+    RectUnion,
+    rect,
+    rect_intersection,
+    rect_measure,
+)
 
 corners2 = st.tuples(
     st.floats(0, 5, allow_nan=False, allow_infinity=False),
@@ -26,6 +34,15 @@ corners2 = st.tuples(
 )
 rects2 = corners2.map(Rect)
 hursts = st.floats(0.05, 0.5, allow_nan=False).map(HurstParam)
+
+
+@st.composite
+def index_lists(draw):
+    """1..12 indices of one dimension in 1..3: boxes, degenerate boxes, EMPTY."""
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 4, allow_nan=False)
+    box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
+    return draw(st.lists(box, min_size=1, max_size=12))
 
 
 class TestHurstParam:
@@ -94,6 +111,19 @@ class TestCovMatrix:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             build_cov_matrix([], HurstParam(0.3))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            build_cov_matrix([rect(1, 1), EMPTY, rect(1, 1, 1)], HurstParam(0.3))
+
+    @given(index_lists(), hursts)
+    @settings(max_examples=200)
+    def test_matches_scalar_covariance(self, idx, h):
+        # corner-array assembly against the scalar per-pair reference
+        got = build_cov_matrix(idx, h).matrix
+        want = np.array([[covariance(u, v, h) for v in idx] for u in idx])
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.diag(want))
 
     def test_psd_random_sets(self):
         rng = np.random.default_rng(99)

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sifbm.flows import flows_through, required_flow_indices
 from sifbm.gaussian import (
@@ -12,6 +14,7 @@ from sifbm.gaussian import (
     SampleEnsemble,
     build_cov_matrix,
     cholesky,
+    covariance_from_measures,
     sample_ensemble,
 )
 from sifbm.recovery import (
@@ -34,6 +37,7 @@ from sifbm.recovery import (
     tiling_cover,
     verify_extension,
     verify_extension_details,
+    _covariance_criterion,
 )
 from sifbm.rects import (
     EMPTY,
@@ -436,3 +440,58 @@ class TestCharacterize:
             "extension",
             "covariance_comparison",
         }
+
+
+def covariance_criterion_reference(e, table, h, mult):
+    """(entries, entries within band): every ensemble-column pair, kept when
+    both boxes and their intersection are in the table."""
+    emp = (e.samples.T @ e.samples) / e.n_samples
+    diag = np.diag(emp)
+    table_set = set(table.indices())
+    total = ok = 0
+    for i, u in enumerate(e.indices):
+        for j in range(i, len(e.indices)):
+            v = e.indices[j]
+            inter = rect_intersection(u, v)
+            if u not in table_set or v not in table_set or inter not in table_set:
+                continue
+            mu, mv, mi = table.psi(u), table.psi(v), table.psi(inter)
+            pred = covariance_from_measures(mu, mv, max(mu + mv - 2 * mi, 0.0), h)
+            se = np.sqrt((diag[i] * diag[j] + emp[i, j] ** 2) / e.n_samples)
+            dev = abs(emp[i, j] - pred)
+            total += 1
+            ok += bool(dev <= mult * se) if se > 0 else bool(dev == 0)
+    return total, ok
+
+
+@st.composite
+def criterion_cases(draw):
+    """Distinct boxes of one dimension in 1..3 on a grid with zero (so
+    intersections and degenerate boxes are common), a non-empty subset of
+    them as the table, a sample seed and H."""
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+    boxes = draw(st.lists(st.tuples(*[coord] * dim).map(Rect), min_size=1, max_size=14, unique=True))
+    keep = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
+    table_idx = [b for b, k in zip(boxes, keep) if k] or boxes[:1]
+    return boxes, table_idx, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.05, 0.5))
+
+
+class TestCovarianceCriterion:
+    @given(criterion_cases(), st.floats(0.5, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_pair_reference(self, case, mult):
+        boxes, table_idx, seed, hv = case
+        h = HurstParam(hv)
+        # independent columns scaled to the box measure: diagonal entries
+        # match their prediction, nested pairs do not
+        scale = np.sqrt([rect_measure(b) for b in boxes])
+        samples = np.random.default_rng(seed).standard_normal((200, len(boxes))) * scale
+        e = SampleEnsemble(tuple(boxes), samples, seed, h)
+        table = PreMeasureTable.from_ensemble(e, indices=table_idx)
+        thr = Thresholds(covariance_se_mult=mult)
+        got = _covariance_criterion(e, table, h, thr)
+        total, ok = covariance_criterion_reference(e, table, h, mult)
+        assert f"fraction of {total} entries" in got.detail
+        assert got.statistic == ok / total
+        assert got.passed == (ok / total >= thr.covariance_pass_fraction)

@@ -1,6 +1,6 @@
 """Rectangle family: measures, inclusion-exclusion, and exact predicates."""
 
-
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from sifbm.rects import (
     LeftNeighborhood,
     Rect,
     RectUnion,
-    LebesgueMeasure,
+    corner_array,
     left_nbhd_measure,
     rect,
     rect_contains,
@@ -23,6 +23,7 @@ from sifbm.rects import (
     region_disjoint_ae,
     region_equal_ae,
     region_subset_ae,
+    signed_terms,
     symdiff_measure,
     union_measure,
 )
@@ -32,6 +33,18 @@ corners2 = st.tuples(
     st.floats(0, 10, allow_nan=False, allow_infinity=False),
 )
 rects2 = corners2.map(Rect)
+
+# Coordinates from a small grid (zero included, so degenerate boxes and shared
+# faces are common) mixed with arbitrary floats.
+coords = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 3, allow_nan=False)
+
+
+@st.composite
+def box_families(draw, max_parts=5):
+    """Families of 0..max_parts boxes of one dimension in 1..3, with EMPTY."""
+    dim = draw(st.integers(1, 3))
+    box = st.tuples(*[coords] * dim).map(Rect) | st.just(EMPTY)
+    return draw(st.lists(box, max_size=max_parts))
 
 
 class TestRectBasics:
@@ -180,13 +193,42 @@ class TestRectUnionCanonical:
         assert u.parts == (rect(1, 2),)
 
 
-class TestLebesgueMeasure:
-    def test_dispatch(self):
-        m = LebesgueMeasure(2)
-        assert m(rect(2, 2)) == 4.0
-        assert m(RectUnion((rect(1, 2), rect(2, 1)))) == pytest.approx(3.0)
-        assert m(LeftNeighborhood(rect(2, 2), (rect(1, 2), rect(2, 1)))) == pytest.approx(1.0)
-        assert m(EMPTY) == 0.0
+class TestSignedTerms:
+    def test_combinations_order_and_signs(self):
+        a, b, c = rect(1, 3), rect(2, 2), rect(3, 1)
+        want = [(1.0, a), (1.0, b), (1.0, c)]
+        want += [(-1.0, rect_intersection(x, y)) for x, y in itertools.combinations((a, b, c), 2)]
+        want += [(1.0, rect(1, 1))]
+        assert signed_terms([a, b, c]) == want
+
+    def test_no_parts(self):
+        assert signed_terms([]) == []
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            signed_terms([rect(1, 1), EMPTY, rect(1, 1, 1)])
+
+    @given(box_families())
+    def test_measure_sum_matches_cell_volumes(self, parts):
+        # inclusion-exclusion against the exact cell decomposition
+        total = sum(sign * rect_measure(r) for sign, r in signed_terms(parts))
+        arr = CellArrangement(parts)
+        cells = arr.cells(parts)
+        want = sum(arr.cell_volume(c) for c in cells)
+        assert total == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestCornerArray:
+    def test_empty_is_zero_corner(self):
+        got = corner_array([rect(1, 2), EMPTY, rect(0, 3)])
+        assert np.array_equal(got, [[1.0, 2.0], [0.0, 0.0], [0.0, 3.0]])
+
+    def test_all_empty(self):
+        assert np.array_equal(corner_array([EMPTY, EMPTY]), np.zeros((2, 1)))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            corner_array([rect(1, 1), rect(1, 1, 1)])
 
 
 class TestRegionPredicates:

@@ -1,5 +1,10 @@
 """Hurst estimation, Gaussianity z-tests, and variance profiles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +88,13 @@ class TestGaussianity:
         assert not rep.passed
         assert abs(rep.skewness_z) > 4
 
+    def test_bernoulli_closed_form(self):
+        # Bernoulli(1/4): skewness 2/sqrt(3), excess kurtosis -2/3
+        x = np.array([0.0, 0.0, 0.0, 1.0] * 300)
+        rep = gaussianity_check(x)
+        assert rep.skewness_z * np.sqrt(6.0 / x.size) == pytest.approx(2 / np.sqrt(3), abs=1e-12)
+        assert rep.excess_kurtosis_z * np.sqrt(24.0 / x.size) == pytest.approx(-2 / 3, abs=1e-12)
+
     def test_constant_rejected(self):
         with pytest.raises(DegenerateDataError):
             gaussianity_check(np.ones(2000))
@@ -90,6 +102,16 @@ class TestGaussianity:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             gaussianity_check(np.random.default_rng(0).standard_normal(100))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, sifbm; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestVarianceProfile:
