@@ -3,8 +3,8 @@ characterize / report, driven by one JSON config.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a verification
 criterion failed.  Artifacts land in the config's output directory (or
-$SIFBM_OUT when set) together with a per-command manifest carrying the
-canonical config hash, seed, library versions, and wall time.
+$SIFBM_OUT when set) with a per-command manifest: config hash, seed,
+versions, wall time, and for simulate the fields its ensemble is drawn from.
 """
 
 from __future__ import annotations
@@ -14,34 +14,23 @@ import os
 import platform
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
-from .flows import time_change
-from .gaussian import build_cov_matrix, cholesky, sample_ensemble, HurstParam
-from .intrep import (
-    RepConfig,
-    discretized_covariance,
-    fbm_covariance,
-    half_case_simulate,
-    simulate_via_integral,
-)
-from .recovery import (
-    CharacterizationReport,
-    PreMeasureTable,
-    _additivity_criterion,
-    _extension_criterion,
-    _psi_criteria,
-    characterize,
-)
+from .config import ConfigError, ExperimentConfig, canonical_hash, load_config
+from .flows import predicted_increment_moment, project, time_change
+from .gaussian import ResolutionError, build_cov_matrix, cholesky, sample_ensemble
+from .intrep import verify_intrep
+from .recovery import CharacterizationReport, characterize, recover_measure
 from .stats import DegenerateDataError, gaussianity_check, hurst_estimate, variance_profile
 from .storage import (
     ArtifactError,
     load_ensemble,
     read_json,
+    rect_to_json,
     write_ensemble_binary,
     write_ensemble_csv,
     write_json,
@@ -54,12 +43,14 @@ EXIT_CRITERION = 2
 
 ENSEMBLE_BIN = "ensemble.sifb"
 ENSEMBLE_CSV = "ensemble.csv"
+SIMULATE_MANIFEST = "manifest_simulate.json"
 
 REPORT_FILES = {
     "project": "projections.json",
     "recover-measure": "recovery.json",
     "verify-intrep": "intrep.json",
     "characterize": "characterization.json",
+    "report": "summary.json",
 }
 
 
@@ -70,60 +61,78 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What a command produced: ``note`` is its status line unless
+    ``failed`` names failed criteria of its verdict."""
+
+    note: str = "pass"
+    files: tuple[str, ...] = ()
+    report: dict | None = None
+    failed: tuple[str, ...] = ()
+    manifest: dict = field(default_factory=dict)
+
+
+def _verdict(report: CharacterizationReport, **extra) -> Outcome:
+    return Outcome(report={**report.to_dict(), **extra}, failed=tuple(report.failed))
+
+
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(os.environ.get("SIFBM_OUT", cfg.output_dir))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_manifest(cfg: ExperimentConfig, out: Path, command: str, artifacts, t0: float):
-    write_json(
-        {
-            "command": command,
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
-            "versions": {
-                "sifbm": __version__,
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-            },
-            "wall_time_s": round(time.time() - t0, 3),
-            "artifacts": sorted(artifacts),
-        },
-        out / f"manifest_{command.replace('-', '_')}.json",
-    )
+def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
+    """The config fields an ensemble is drawn from: ``simulate`` records them
+    in its manifest, and every command that reads the ensemble checks them."""
+    return {
+        "hurst": cfg.hurst.value,
+        "seed": cfg.seed,
+        "n_samples": cfg.n_samples,
+        "indices_sha256": canonical_hash([rect_to_json(u) for u in idx]),
+    }
 
 
 def _load_ensemble(cfg: ExperimentConfig, out: Path):
-    path = out / ENSEMBLE_BIN
+    path, manifest = out / ENSEMBLE_BIN, out / SIMULATE_MANIFEST
     if not path.exists():
         raise FileNotFoundError(
-            f"missing input artifact {path}; run 'sifbm simulate' with this "
-            f"config first"
+            f"missing input artifact {path}; run 'sifbm simulate' with this config first"
         )
-    return load_ensemble(path, cfg.ensemble_indices(), cfg.seed, cfg.hurst)
+    idx = cfg.ensemble_indices()
+    want = _simulation_record(cfg, idx)
+    try:
+        got = read_json(manifest)["simulation"]
+        stale = next((k for k in want if got[k] != want[k]), None)
+    except (OSError, ValueError, LookupError, TypeError):
+        raise ArtifactError(
+            f"{manifest}: no simulation record; rerun 'sifbm simulate' with this config"
+        ) from None
+    if stale:
+        raise ArtifactError(
+            f"{path}: simulated with {stale} {got[stale]!r}, but the config gives "
+            f"{want[stale]!r}; rerun 'sifbm simulate' with this config"
+        )
+    return load_ensemble(path, idx, cfg.seed, cfg.hurst)
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    t0 = time.time()
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
     idx = cfg.ensemble_indices()
     factor = cholesky(build_cov_matrix(idx, cfg.hurst))
     e = sample_ensemble(factor, cfg.n_samples, seed=cfg.seed, jobs=cfg.jobs)
     write_ensemble_csv(e, out / ENSEMBLE_CSV)
     write_ensemble_binary(e, out / ENSEMBLE_BIN)
-    _write_manifest(cfg, out, "simulate", [ENSEMBLE_CSV, ENSEMBLE_BIN], t0)
-    print(f"simulate: {e.n_samples} samples over {len(idx)} indices "
-          f"(jitter {factor.jitter:g}) -> {out}")
-    return EXIT_OK
+    return Outcome(
+        note=f"{e.n_samples} samples over {len(idx)} indices (jitter {factor.jitter:g})",
+        files=(ENSEMBLE_CSV, ENSEMBLE_BIN),
+        manifest={"simulation": _simulation_record(cfg, idx)},
+    )
 
 
-def cmd_project(cfg: ExperimentConfig, out: Path) -> int:
-    from .flows import predicted_increment_moment, project
-
-    t0 = time.time()
+def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _load_ensemble(cfg, out)
-    artifacts = []
-    report = {}
+    files, report = [], {}
     for name, f in zip(cfg.flow_names, cfg.flows):
         pe = project(e, f)
         tc = time_change(f)
@@ -132,7 +141,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> int:
         )
         fname = f"profile_{name}.csv"
         write_profile_csv(vp, out / fname)
-        artifacts.append(fname)
+        files.append(fname)
         entry = {
             "fraction_within_band": vp.fraction_within(cfg.thresholds.profile_se_mult),
             "n_pairs": len(vp.rows),
@@ -150,132 +159,57 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> int:
                 "passed": g.passed,
             }
         report[name] = entry
-    write_json(report, out / REPORT_FILES["project"])
-    artifacts.append(REPORT_FILES["project"])
-    _write_manifest(cfg, out, "project", artifacts, t0)
-    print(f"project: {len(cfg.flows)} flows -> {out}")
-    return EXIT_OK
+    return Outcome(note=f"{len(cfg.flows)} flows", files=tuple(files), report=report)
 
 
-def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> int:
-    t0 = time.time()
+def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _load_ensemble(cfg, out)
-    table = PreMeasureTable.from_ensemble(e, indices=cfg.table_indices)
-    thr = cfg.thresholds
-    criteria = list(_psi_criteria(table, thr))
-    criteria.append(_additivity_criterion(table, thr))
-    criteria.append(_extension_criterion(table, cfg.covers, thr))
-    report = CharacterizationReport(tuple(criteria))
-    payload = report.to_dict()
-    payload["psi"] = {
-        repr(list(u.corner)): {
-            "value": table.entry(u).value,
-            "stderr": table.entry(u).stderr,
-        }
+    report, table = recover_measure(e, cfg.covers, cfg.thresholds, cfg.table_indices)
+    psi = {
+        repr(list(u.corner)): {"value": table.entry(u).value, "stderr": table.entry(u).stderr}
         for u in table.indices()
     }
-    write_json(payload, out / REPORT_FILES["recover-measure"])
-    _write_manifest(cfg, out, "recover-measure", [REPORT_FILES["recover-measure"]], t0)
-    print(f"recover-measure: {'pass' if report.verdict else 'FAIL'} -> {out}")
-    return EXIT_OK if report.verdict else EXIT_CRITERION
+    return _verdict(report, psi=psi)
 
 
-def _derived_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
+def cmd_verify_intrep(cfg: ExperimentConfig, out: Path) -> Outcome:
+    return _verdict(verify_intrep(cfg.intrep, cfg.seed))
 
 
-def _criterion(name: str, statistic: float, threshold: float, passed) -> dict:
-    return {"name": name, "passed": bool(passed), "statistic": statistic, "threshold": threshold}
-
-
-def cmd_verify_intrep(cfg: ExperimentConfig, out: Path) -> int:
-    t0 = time.time()
-    ir = cfg.intrep
-    tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
-    checks = []
-    for hi, hv in enumerate(ir.hursts):
-        h = HurstParam(hv)
-        for ti, theta in enumerate(ir.variance_masses):
-            rc = RepConfig(h, seed=_derived_seed(cfg.seed, 1, hi, ti), grid=ir.grid)
-            pe = simulate_via_integral([theta], rc, ir.n_samples)
-            var = float(np.mean(pe.paths[:, 0] ** 2))
-            want = theta ** (2 * hv)
-            rel = abs(var - want) / want
-            checks.append(_criterion(f"variance_H{hv}_theta{theta}", rel, tol, rel <= tol))
-        rc = RepConfig(h, seed=_derived_seed(cfg.seed, 2, hi), grid=ir.grid)
-        pe = simulate_via_integral(ir.masses, rc, ir.n_samples)
-        emp = (pe.paths.T @ pe.paths) / pe.n_samples
-        want = fbm_covariance(ir.masses, h)
-        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / pe.n_samples)
-        worst = float(np.max(np.abs(emp - want) / se))
-        checks.append(_criterion(f"covariance_H{hv}", worst, se_mult, worst <= se_mult))
-        base_err, fine_err = (
-            float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
-            for spec in (ir.grid, ir.grid.refine_overall(2))
-        )
-        checks.append(_criterion(f"refinement_H{hv}", fine_err, base_err, fine_err < base_err))
-    pe = half_case_simulate(ir.masses, seed=_derived_seed(cfg.seed, 3), n_samples=ir.n_samples)
-    emp = (pe.paths.T @ pe.paths) / pe.n_samples
-    m = np.asarray(ir.masses)
-    want = np.minimum(m[:, None], m[None, :])
-    se = np.sqrt((np.outer(m, m) + want**2) / pe.n_samples)
-    worst = float(np.max(np.abs(emp - want) / np.where(se > 0, se, 1.0)))
-    checks.append(_criterion("half_case_covariance", worst, se_mult, worst <= se_mult))
-    verdict = all(c["passed"] for c in checks)
-    write_json(
-        {"verdict": "pass" if verdict else "fail", "criteria": checks},
-        out / REPORT_FILES["verify-intrep"],
-    )
-    _write_manifest(cfg, out, "verify-intrep", [REPORT_FILES["verify-intrep"]], t0)
-    print(f"verify-intrep: {'pass' if verdict else 'FAIL'} -> {out}")
-    return EXIT_OK if verdict else EXIT_CRITERION
-
-
-def cmd_characterize(cfg: ExperimentConfig, out: Path) -> int:
-    t0 = time.time()
+def cmd_characterize(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _load_ensemble(cfg, out)
     report = characterize(
-        e,
-        list(cfg.flows),
-        cfg.hurst,
-        cfg.covers,
-        thresholds=cfg.thresholds,
-        table_indices=cfg.table_indices,
+        e, list(cfg.flows), cfg.hurst, cfg.covers, cfg.thresholds, cfg.table_indices
     )
-    write_json(report.to_dict(), out / REPORT_FILES["characterize"])
-    _write_manifest(cfg, out, "characterize", [REPORT_FILES["characterize"]], t0)
-    status = "pass" if report.verdict else f"FAIL ({', '.join(report.failed)})"
-    print(f"characterize: {status} -> {out}")
-    return EXIT_OK if report.verdict else EXIT_CRITERION
+    return _verdict(report)
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
-    t0 = time.time()
-    summary, all_pass, found = {}, True, False
+def cmd_report(cfg: ExperimentConfig, out: Path) -> Outcome:
+    summary, failed = {}, []
     for command, fname in REPORT_FILES.items():
         path = out / fname
+        if command == "report":
+            continue
         if not path.exists():
             summary[command] = {"status": "missing"}
             continue
-        found = True
-        payload = read_json(path)
-        verdict = payload.get("verdict")
-        if verdict is None:
-            summary[command] = {"status": "informational"}
-            continue
-        summary[command] = {"status": verdict}
-        if verdict != "pass":
-            all_pass = False
-    if not found:
-        print(f"report: no verification artifacts in {out}", file=sys.stderr)
-        return EXIT_USAGE
-    write_json(
-        {"overall": "pass" if all_pass else "fail", "commands": summary},
-        out / "summary.json",
+        try:
+            payload = read_json(path)
+            if "verdict" not in payload:
+                summary[command] = {"status": "informational"}
+                continue
+            names = [c["name"] for c in payload["criteria"] if not c["passed"]]
+        except (ValueError, LookupError, TypeError):
+            raise ArtifactError(f"{path}: malformed report; rerun 'sifbm {command}'") from None
+        summary[command] = {"status": payload["verdict"], "failed": names}
+        if payload["verdict"] != "pass":
+            failed.append(command)
+    if all(s["status"] == "missing" for s in summary.values()):
+        raise FileNotFoundError(f"no verification artifacts in {out}")
+    return Outcome(
+        report={"overall": "fail" if failed else "pass", "commands": summary},
+        failed=tuple(failed),
     )
-    _write_manifest(cfg, out, "report", ["summary.json"], t0)
-    print(f"report: {'pass' if all_pass else 'FAIL'} -> {out / 'summary.json'}")
-    return EXIT_OK if all_pass else EXIT_CRITERION
 
 
 COMMANDS = {
@@ -286,6 +220,36 @@ COMMANDS = {
     "characterize": cmd_characterize,
     "report": cmd_report,
 }
+
+
+def run(command: str, cfg: ExperimentConfig, out: Path) -> int:
+    """Run one command and write what every command leaves: its report
+    file, its manifest and a status line.  Returns the exit code."""
+    t0 = time.time()
+    res = COMMANDS[command](cfg, out)
+    files = list(res.files)
+    if res.report is not None:
+        write_json(res.report, out / REPORT_FILES[command])
+        files.append(REPORT_FILES[command])
+    write_json(
+        {
+            "command": command,
+            "config_hash": cfg.config_hash(),
+            "seed": cfg.seed,
+            "versions": {
+                "sifbm": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+            "wall_time_s": round(time.time() - t0, 3),
+            "artifacts": sorted(files),
+            **res.manifest,
+        },
+        out / f"manifest_{command.replace('-', '_')}.json",
+    )
+    status = f"FAIL ({', '.join(res.failed)})" if res.failed else res.note
+    print(f"{command}: {status} -> {out}")
+    return EXIT_CRITERION if res.failed else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -303,12 +267,11 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     try:
         cfg = load_config(args.config, seed_override=args.seed, jobs=args.jobs)
-        out = _outdir(cfg)
-        return COMMANDS[args.command](cfg, out)
+        return run(args.command, cfg, _outdir(cfg))
     except ConfigError as exc:
         print(f"sifbm: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArtifactError, FileNotFoundError) as exc:
+    except (ArtifactError, FileNotFoundError, ResolutionError) as exc:
         print(f"sifbm: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

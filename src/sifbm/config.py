@@ -17,7 +17,7 @@ import numpy as np
 
 from .flows import ElementaryFlow, SimpleFlow, make_elementary_flow, required_flow_indices
 from .gaussian import HurstParam
-from .intrep import GridSpec
+from .intrep import GridSpec, IntRepConfig
 from .recovery import CoverFamily, Thresholds, tiling_cover
 from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect, rect_intersection, signed_terms
 
@@ -103,17 +103,6 @@ def cover_closure_rects(covers: CoverFamily) -> set[Rect]:
         for box in [el.base] + [rect_intersection(el.base, r) for _, r in signed_terms(el.subtracted)]
         if not box.is_empty
     }
-
-
-@dataclass(frozen=True)
-class IntRepConfig:
-    masses: tuple[float, ...]               # one flow's time-change values
-    variance_masses: tuple[float, ...]      # single-mass variance checks
-    hursts: tuple[float, ...]
-    n_samples: int
-    grid: GridSpec
-    variance_rel_tol: float = 0.03
-    covariance_se_mult: float = 3.0
 
 
 @dataclass(frozen=True)
@@ -249,9 +238,14 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     )
     for hv in intrep.hursts:
         try:
-            HurstParam(hv)
+            h = HurstParam(hv)
         except ValueError as exc:
             raise ConfigError(f"field 'integral_rep.hursts': {exc}") from exc
+        if h.is_half:
+            raise ConfigError(
+                "field 'integral_rep.hursts': the kernel vanishes at H = 1/2, "
+                "which half_case_covariance already checks"
+            )
 
     thr_spec = _get(resolved, "thresholds", dict, "", default={})
     try:

@@ -6,9 +6,13 @@ The covariance of the field over box indices is
 
 with m Lebesgue measure, (+) the symmetric difference, H in (0, 1/2], and the
 convention 0^{2H} = 0.  At H = 1/2 this reduces to m(U n V).  Ensembles are
-drawn by Cholesky factorization with a recorded jitter ladder; each sample row
-has its own counter-derived random stream so output is bit-identical for any
-execution order or worker count.
+drawn by Cholesky factorization with a recorded jitter ladder.
+
+Stream contract (``block_draw``, shared with the moving-average draws of
+``sifbm.intrep``): rows come in fixed blocks of STREAM_BLOCK, each with its
+own SFC64 stream keyed (seed, block), and every block is a full-size matrix
+product.  So output is bit-identical for any worker count, and the first n
+rows of a draw are the same for every larger draw (prefix-stable).
 """
 
 from __future__ import annotations
@@ -23,9 +27,14 @@ from .rects import Rect, RectUnion, corner_array, rect_measure, signed_terms, sy
 # Jitter multipliers tried in order, scaled by max(diag).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-# Rows per sampling block; fixed so BLAS call shapes (and hence bits) do not
-# depend on the worker count.
-_BLOCK = 256
+# Rows per random stream and per matrix product.  Part of the stream
+# contract: changing it changes every draw, so it is a constant and not a
+# parameter.
+STREAM_BLOCK = 256
+
+
+class ResolutionError(ValueError):
+    """Too few samples, or too coarse a grid, for the computation asked of it."""
 
 
 class NotPSDError(ValueError):
@@ -173,34 +182,37 @@ class SampleEnsemble:
             raise MissingIndexError([u]) from None
 
 
-def _row_rng(seed: int, row: int) -> np.random.Generator:
-    # Philox keyed by (seed, row): counter-based, order-independent streams.
-    key = np.random.SeedSequence(seed, spawn_key=(row,)).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """Rows z @ right with z standard normal under the stream contract.
+
+    Each block draws a full STREAM_BLOCK x right.shape[0] normal matrix from
+    its own stream and multiplies all of it, so the product runs the same
+    BLAS kernel whatever n_rows is; a trailing partial block keeps its first
+    rows.  Blocks run on ``jobs`` threads."""
+    out = np.empty((n_rows, right.shape[1]))
+
+    def fill(block: int):
+        lo = block * STREAM_BLOCK
+        hi = min(lo + STREAM_BLOCK, n_rows)
+        stream = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
+        z = np.random.Generator(stream).standard_normal((STREAM_BLOCK, right.shape[0]))
+        out[lo:hi] = (z @ right)[: hi - lo]
+
+    blocks = range(-(-n_rows // STREAM_BLOCK))
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            list(ex.map(fill, blocks))
+    else:
+        for block in blocks:
+            fill(block)
+    return out
 
 
 def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
-    """Draw rows L @ z with z standard normal from per-row derived streams."""
+    """Draw rows L @ z with z standard normal from the streams of ``seed``."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    k = len(factor.indices)
-    lt = factor.lower.T.copy()  # (k, k), right operand of row-block matmuls
-    out = np.empty((n_samples, k))
-
-    def fill(lo: int):
-        hi = min(lo + _BLOCK, n_samples)
-        z = np.empty((hi - lo, k))
-        for i in range(lo, hi):
-            _row_rng(seed, i).standard_normal(out=z[i - lo])
-        out[lo:hi] = z @ lt
-
-    starts = range(0, n_samples, _BLOCK)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs)
     out[:, factor.zero_variance] = 0.0
     return SampleEnsemble(factor.indices, out, int(seed), factor.hurst)
 

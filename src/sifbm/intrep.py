@@ -15,9 +15,9 @@ draws from that law through a factor over the distinct positive masses, not
 one normal per cell.  One Brownian motion drives every point of a masses
 list; it is never reused across calls, so the representation stays per-flow.
 
-Stream contract: sample i takes its normals from the SFC64 stream keyed
-(seed, i // STREAM_BLOCK), so the first n samples of a call are the same for
-every larger n (prefix-stable).
+Normals come from ``gaussian.block_draw`` under its stream contract: blocks
+of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
+are the same for every larger n (prefix-stable).
 
 H = 1/2 is a separate path: the kernel degenerates there, but splitting the
 integration line into negative and positive parts leaves the indicator kernel
@@ -27,16 +27,14 @@ exactly from cumulative increments at the mass points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .flows import PathEnsemble
-from .gaussian import HurstParam
+from .gaussian import HurstParam, ResolutionError, block_draw
+from .recovery import CharacterizationReport, CriterionResult
 
-# Rows per random stream.  Part of the stream contract: changing it changes
-# every draw, so it is a constant and not a parameter.
-STREAM_BLOCK = 256
 # Eigenvalues of the discretized covariance below this fraction of the largest
 # are round-off of a rank-deficient matrix and are clipped to zero.
 _EIG_CLIP = 1e-12
@@ -70,13 +68,7 @@ class GridSpec:
 
     def refine(self, factor: int = 2) -> "GridSpec":
         """Denser cells at the same truncation (quadrature-only refinement)."""
-        return GridSpec(
-            self.truncation_factor,
-            self.margin,
-            self.cells_per_mass * factor,
-            self.refine_factor,
-            self.refine_radius_frac,
-        )
+        return replace(self, cells_per_mass=self.cells_per_mass * factor)
 
     def refine_overall(self, factor: int = 2) -> "GridSpec":
         """Halve the step and widen the truncation window together.
@@ -86,12 +78,11 @@ class GridSpec:
         the truncation surplus have opposite signs); refining both is what
         drives the discretized covariance to the closed form.
         """
-        return GridSpec(
-            self.truncation_factor * factor,
-            self.margin * factor,
-            self.cells_per_mass * factor,
-            self.refine_factor,
-            self.refine_radius_frac,
+        return replace(
+            self,
+            truncation_factor=self.truncation_factor * factor,
+            margin=self.margin * factor,
+            cells_per_mass=self.cells_per_mass * factor,
         )
 
 
@@ -199,7 +190,7 @@ def normalization_const(h: HurstParam, grid: KernelGrid | GridSpec) -> float:
     # needs dense refinement; past 5% the constant would no longer track the
     # simulation quadrature it is meant to cancel against.
     if err > 5e-2:
-        raise ValueError(
+        raise ResolutionError(
             f"normalization quadrature not converged: refinement changes the "
             f"integral by {err:.2e} relative (grid too coarse near the "
             f"singularities for H={h.value})"
@@ -218,6 +209,19 @@ class RepConfig:
     grid: GridSpec = GridSpec()
 
 
+@dataclass(frozen=True)
+class IntRepConfig:
+    """What ``verify_intrep`` checks, at which sizes and against which bands."""
+
+    masses: tuple[float, ...]               # one flow's time-change values
+    variance_masses: tuple[float, ...]      # single-mass variance checks
+    hursts: tuple[float, ...]
+    n_samples: int
+    grid: GridSpec
+    variance_rel_tol: float = 0.03
+    covariance_se_mult: float = 3.0
+
+
 def _validate_masses(masses) -> np.ndarray:
     masses = np.asarray(masses, dtype=float)
     if masses.ndim != 1 or masses.size == 0:
@@ -229,17 +233,6 @@ def _validate_masses(masses) -> np.ndarray:
     return masses
 
 
-def _block_normals(seed: int, n_rows: int, width: int) -> np.ndarray:
-    """Standard normals of shape (n_rows, width) under the stream contract."""
-    z = np.empty((n_rows, width))
-    for block, lo in enumerate(range(0, n_rows, STREAM_BLOCK)):
-        rng = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
-        )
-        rng.standard_normal(out=z[lo : lo + STREAM_BLOCK])
-    return z
-
-
 def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> PathEnsemble:
     """Draw paths of the discretized representation along a masses list:
     one normal per distinct positive mass from the streams of cfg.seed,
@@ -249,7 +242,7 @@ def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> PathEnsembl
         raise ValueError("n_samples must be >= 1")
     distinct, inverse = np.unique(masses, return_inverse=True)
     f = discretized_factor(distinct, cfg.hurst, cfg.grid)
-    paths = _block_normals(cfg.seed, n_samples, f.shape[1]) @ f.T
+    paths = block_draw(cfg.seed, n_samples, f.T)
     return PathEnsemble(masses, paths[:, inverse], cfg.hurst)
 
 
@@ -261,7 +254,7 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> PathEnsemble:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sds = np.sqrt(np.diff(masses, prepend=0.0))
-    paths = np.cumsum(_block_normals(seed, n_samples, masses.size) * sds, axis=1)
+    paths = np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
     return PathEnsemble(masses, paths, HurstParam(0.5))
 
 
@@ -311,3 +304,57 @@ def fbm_covariance(masses, h: HurstParam) -> np.ndarray:
     return 0.5 * (
         t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p
     )
+
+
+def _derived_seed(seed: int, *key: int) -> int:
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def _worst_sigma(paths: np.ndarray, want: np.ndarray) -> float:
+    """Largest |sample second moment - want| in plug-in standard errors
+    sqrt((want_ii want_jj + want_ij^2) / n); a zero band divides by 1."""
+    n = paths.shape[0]
+    emp = (paths.T @ paths) / n
+    d = np.diag(want)
+    se = np.sqrt((np.outer(d, d) + want**2) / n)
+    return float(np.max(np.abs(emp - want) / np.where(se > 0, se, 1.0)))
+
+
+def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
+    """Verdict on the moving-average representation: per H, single-mass
+    variances against theta^{2H}, the covariance along ``ir.masses`` against
+    the closed form, and a refinement that reduces the discretization error;
+    then the H = 1/2 Brownian covariance.  Every draw has its own seed,
+    derived from ``seed`` and its position in this list."""
+    tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
+    out = []
+    for hi, hv in enumerate(ir.hursts):
+        h = HurstParam(hv)
+        for ti, theta in enumerate(ir.variance_masses):
+            rc = RepConfig(h, seed=_derived_seed(seed, 1, hi, ti), grid=ir.grid)
+            pe = simulate_via_integral([theta], rc, ir.n_samples)
+            var = float(np.mean(pe.paths[:, 0] ** 2))
+            want = theta ** (2 * hv)
+            rel = abs(var - want) / want
+            name = f"variance_H{hv}_theta{theta}"
+            detail = f"relative error of the sample variance against {want:.6g}"
+            out.append(CriterionResult(name, rel <= tol, rel, tol, detail))
+        rc = RepConfig(h, seed=_derived_seed(seed, 2, hi), grid=ir.grid)
+        pe = simulate_via_integral(ir.masses, rc, ir.n_samples)
+        want = fbm_covariance(ir.masses, h)
+        worst = _worst_sigma(pe.paths, want)
+        detail = "worst sample covariance entry against fBm, in standard errors"
+        out.append(CriterionResult(f"covariance_H{hv}", worst <= se_mult, worst, se_mult, detail))
+        base_err, fine_err = (
+            float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
+            for spec in (ir.grid, ir.grid.refine_overall(2))
+        )
+        detail = "max covariance error of the doubled grid, against the grid's own"
+        passed = fine_err < base_err
+        out.append(CriterionResult(f"refinement_H{hv}", passed, fine_err, base_err, detail))
+    pe = half_case_simulate(ir.masses, seed=_derived_seed(seed, 3), n_samples=ir.n_samples)
+    m = np.asarray(ir.masses)
+    worst = _worst_sigma(pe.paths, np.minimum(m[:, None], m[None, :]))
+    detail = "worst sample covariance entry against min(s, t), in standard errors"
+    out.append(CriterionResult("half_case_covariance", worst <= se_mult, worst, se_mult, detail))
+    return CharacterizationReport(tuple(out))

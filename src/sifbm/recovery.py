@@ -14,8 +14,9 @@ flow characterization of the field:
      are measurable (additive inside/outside splits), and the analytic
      variance of set differences is outer-continuous along shrinking
      sequences.
-  5. ``characterize`` bundles these checks with flow variance profiles and
-     Gaussianity diagnostics into a single pass/fail report.
+  5. ``recover_measure`` bundles the recovery, additivity and extension
+     checks into a pass/fail report; ``characterize`` adds flow variance
+     profiles, Gaussianity diagnostics and the covariance comparison.
 
 Empirical psi entries carry delta-method standard errors:
 d psi / d s = (1/(2H)) s^{1/(2H)-1} applied to the standard error of the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import Flow, predicted_increment_moment, project, time_change
-from .gaussian import HurstParam, SampleEnsemble
+from .gaussian import HurstParam, ResolutionError, SampleEnsemble
 from .rects import (
     LeftNeighborhood,
     Rect,
@@ -133,7 +134,9 @@ def estimate_psi(e: SampleEnsemble, u: Rect, h: HurstParam) -> float:
 
 def _psi_entry(e: SampleEnsemble, u: Rect, h: HurstParam) -> PsiEntry:
     if e.n_samples < 100:
-        raise ValueError("need at least 100 samples to estimate the pre-measure")
+        raise ResolutionError(
+            f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}"
+        )
     col = e.column(u)
     sq = col**2
     s = float(np.mean(sq))
@@ -659,6 +662,23 @@ def _covariance_criterion(e, table, h, thr) -> CriterionResult:
     )
 
 
+def recover_measure(
+    e: SampleEnsemble,
+    covers: CoverFamily,
+    thresholds: Thresholds | None = None,
+    table_indices=None,
+) -> tuple[CharacterizationReport, PreMeasureTable]:
+    """Measure-recovery verdict: psi recovery and monotonicity,
+    inclusion-exclusion additivity and outer-measure extension, together
+    with the recovered table they were computed from."""
+    thr = thresholds or Thresholds()
+    table = PreMeasureTable.from_ensemble(e, indices=table_indices)
+    criteria = _psi_criteria(table, thr)
+    criteria.append(_additivity_criterion(table, thr))
+    criteria.append(_extension_criterion(table, covers, thr))
+    return CharacterizationReport(tuple(criteria)), table
+
+
 def characterize(
     e: SampleEnsemble,
     flows: list[Flow],
@@ -670,19 +690,15 @@ def characterize(
     """Full verdict: does the ensemble behave like the exact field with
     parameter h over this index family?
 
-    Runs flow variance profiles, Gaussianity z-tests, pre-measure recovery
-    and monotonicity, inclusion-exclusion additivity, outer-measure
-    extension, and the final covariance comparison against the covariance
-    rebuilt from the recovered measure.
+    Runs flow variance profiles and Gaussianity z-tests, the
+    ``recover_measure`` criteria, and the final covariance comparison against
+    the covariance rebuilt from the recovered measure.
     """
     if e.n_samples < 1000:
-        raise ValueError("characterize needs at least 1000 samples")
+        raise ResolutionError(f"characterize needs at least 1000 samples, got {e.n_samples}")
     thr = thresholds or Thresholds()
-    table = PreMeasureTable.from_ensemble(e, indices=table_indices)
-    criteria = []
-    criteria += _flow_criteria(e, flows, h, thr)
-    criteria += _psi_criteria(table, thr)
-    criteria.append(_additivity_criterion(table, thr))
-    criteria.append(_extension_criterion(table, covers, thr))
+    recovered, table = recover_measure(e, covers, thr, table_indices)
+    criteria = _flow_criteria(e, flows, h, thr)
+    criteria += recovered.criteria
     criteria.append(_covariance_criterion(e, table, h, thr))
     return CharacterizationReport(tuple(criteria))

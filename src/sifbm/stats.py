@@ -48,15 +48,6 @@ class VarianceProfile:
         )
         return ok / len(self.rows) if self.rows else 1.0
 
-    def max_deviation_sigmas(self) -> float:
-        out = 0.0
-        for r in self.rows:
-            if r.stderr > 0:
-                out = max(out, abs(r.observed - r.predicted) / r.stderr)
-            elif r.observed != r.predicted:
-                return np.inf
-        return out
-
 
 def variance_profile(
     paths: np.ndarray,

@@ -1,4 +1,4 @@
-"""Artifact formats: ensemble CSV and binary, flow JSON, profile CSV.
+"""Artifact formats: ensemble CSV and binary, profile CSV, JSON reports.
 
 The binary ensemble format is magic bytes "SIFB", one version byte, two
 little-endian uint64 counts (rows, columns), then row-major little-endian
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import ElementaryFlow, SimpleFlow
 from .gaussian import HurstParam, SampleEnsemble
 from .rects import EMPTY, Rect
 from .stats import VarianceProfile
@@ -96,30 +95,6 @@ def load_ensemble(binary_path, indices, seed: int, hurst: HurstParam) -> SampleE
             f"configuration builds {len(indices)} indices; config and artifact disagree"
         )
     return SampleEnsemble(tuple(indices), samples, seed, hurst)
-
-
-def flow_to_json(f) -> dict:
-    if isinstance(f, ElementaryFlow):
-        return {
-            "grid": [float(t) for t in f.grid],
-            "corners": [rect_to_json(v) for v in f.values],
-        }
-    if isinstance(f, SimpleFlow):
-        return {
-            "breakpoints": f.breakpoints,
-            "segments": [flow_to_json(s) for s in f.segments],
-        }
-    raise TypeError(f"not a flow: {type(f).__name__}")
-
-
-def flow_from_json(obj):
-    from .flows import make_elementary_flow
-
-    if "segments" in obj:
-        segs = tuple(flow_from_json(s) for s in obj["segments"])
-        return SimpleFlow(segs)
-    corners = [None if c is None else tuple(c) for c in obj["corners"]]
-    return make_elementary_flow(obj["grid"], corners)
 
 
 def write_profile_csv(profile: VarianceProfile, path):

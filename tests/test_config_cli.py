@@ -1,7 +1,9 @@
 """Config parsing, artifact formats, manifest hashing, and CLI exit codes."""
 
+import ast
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +15,12 @@ from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemb
 from sifbm.rects import EMPTY, rect
 from sifbm.storage import (
     ArtifactError,
-    flow_from_json,
-    flow_to_json,
     read_ensemble_csv,
     read_matrix_binary,
     write_ensemble_binary,
     write_ensemble_csv,
     write_matrix_binary,
 )
-from sifbm.flows import flows_through, SimpleFlow, make_elementary_flow
 
 BASE_CONFIG = {
     "dimension": 2,
@@ -137,25 +136,6 @@ class TestStorage:
             assert raw[:5] == b"SIFB\x01"
             assert mat.dtype == np.float64 and mat.ndim == 2
             assert 21 + 8 * mat.size == len(raw)
-
-    def test_flow_json_round_trip(self):
-        f = flows_through(rect(2, 1), points=5)
-        back = flow_from_json(flow_to_json(f))
-        assert np.array_equal(back.grid, f.grid)
-        assert back.values == f.values
-
-    def test_simple_flow_json_round_trip(self):
-        g1 = np.linspace(0, 0.5, 3)
-        g2 = np.linspace(0.5, 1, 3)
-        sf = SimpleFlow(
-            (
-                make_elementary_flow(g1, [(2 * t, t) for t in g1]),
-                make_elementary_flow(g2, [(t - 0.5, 2 * (t - 0.5)) for t in g2]),
-            )
-        )
-        back = flow_from_json(flow_to_json(sf))
-        assert isinstance(back, SimpleFlow)
-        assert back.breakpoints == sf.breakpoints
 
 
 class TestConfig:
@@ -306,7 +286,7 @@ class TestCli:
         assert set(manifest["artifacts"]) == {"ensemble.csv", "ensemble.sifb"}
         assert manifest["config_hash"] == load_config(path).config_hash()
 
-    def test_characterize_pipeline_and_discrimination(self, tmp_path):
+    def test_characterize_pipeline_and_discrimination(self, tmp_path, capsys):
         # small but statistically meaningful end-to-end run
         path, raw = make_config(tmp_path, n_samples=4000)
         out = tmp_path / "out"
@@ -314,15 +294,79 @@ class TestCli:
         assert main(["characterize", "--config", str(path)]) == 0
         rep = json.loads((out / "characterization.json").read_text())
         assert rep["verdict"] == "pass"
-        # same artifacts, mismatched hypothesis H: variance profile must fail
+        # same artifacts, mismatched hypothesis H: a stale artifact, named
         raw2 = copy.deepcopy(raw)
         raw2["hurst"] = 0.45
         path2 = tmp_path / "config2.json"
         path2.write_text(json.dumps(raw2))
-        assert main(["characterize", "--config", str(path2)]) == 2
+        capsys.readouterr()
+        assert main(["characterize", "--config", str(path2)]) == 1
+        assert "hurst" in capsys.readouterr().err
+        # independent columns of the same shape: variance profile must fail
+        ens = out / "ensemble.sifb"
+        shape = read_matrix_binary(ens).shape
+        write_matrix_binary(np.random.default_rng(5).standard_normal(shape), ens)
+        assert main(["characterize", "--config", str(path)]) == 2
         rep2 = json.loads((out / "characterization.json").read_text())
         failed = {c["name"] for c in rep2["criteria"] if not c["passed"]}
         assert "variance_profile" in failed
+
+    def test_stale_or_unrecorded_ensemble_exits_1(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        for field, value in (("seed", 8), ("n_samples", 401)):
+            stale = make_config(tmp_path, **{field: value})[0]
+            capsys.readouterr()
+            assert main(["project", "--config", str(stale)]) == 1
+            assert f"simulated with {field}" in capsys.readouterr().err
+        make_config(tmp_path)  # the matching config again
+        (out / "manifest_simulate.json").unlink()
+        assert main(["project", "--config", str(path)]) == 1
+        assert "manifest_simulate.json" in capsys.readouterr().err
+
+    def test_half_hurst_in_intrep_exits_1(self, tmp_path, capsys):
+        ir = {**BASE_CONFIG["integral_rep"], "hursts": [0.5]}
+        path, _ = make_config(tmp_path, integral_rep=ir)
+        assert main(["verify-intrep", "--config", str(path)]) == 1
+        assert "integral_rep.hursts" in capsys.readouterr().err
+
+    def test_grid_too_coarse_for_normalization_exits_1(self, tmp_path, capsys):
+        ir = {
+            **BASE_CONFIG["integral_rep"],
+            "hursts": [0.05],
+            "grid": {"cells_per_mass": 16, "refine_factor": 1},
+        }
+        path, _ = make_config(tmp_path, integral_rep=ir)
+        assert main(["verify-intrep", "--config", str(path)]) == 1
+        assert "normalization quadrature not converged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, n_samples, floor",
+        [("characterize", 999, 1000), ("recover-measure", 99, 100)],
+    )
+    def test_too_few_samples_exits_1(self, tmp_path, capsys, command, n_samples, floor):
+        path, _ = make_config(tmp_path, n_samples=n_samples)
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 1
+        assert f"at least {floor} samples" in capsys.readouterr().err
+
+    def test_verdict_reports_share_one_schema(self, tmp_path):
+        path, _ = make_config(tmp_path, n_samples=4000)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        for command, fname in (
+            ("recover-measure", "recovery.json"),
+            ("verify-intrep", "intrep.json"),
+            ("characterize", "characterization.json"),
+        ):
+            assert main([command, "--config", str(path)]) == 0
+            rep = json.loads((out / fname).read_text())
+            assert rep["verdict"] == "pass"
+            assert rep["criteria"]
+            for c in rep["criteria"]:
+                assert set(c) == {"name", "passed", "statistic", "threshold", "detail"}
 
     def test_recover_measure(self, tmp_path):
         path, _ = make_config(tmp_path, n_samples=4000)
@@ -350,6 +394,36 @@ class TestCli:
         assert summary["overall"] == "pass"
         assert summary["commands"]["characterize"]["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"verdict": "pass"', '{"verdict": "pass"}', '{"verdict": "pass", "criteria": [1]}'],
+    )
+    def test_report_on_malformed_report_exits_1(self, tmp_path, capsys, text):
+        path, _ = make_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "characterization.json").write_text(text)
+        assert main(["report", "--config", str(path)]) == 1
+        assert "characterization.json: malformed report" in capsys.readouterr().err
+
     def test_report_without_artifacts_exits_1(self, tmp_path):
         path, _ = make_config(tmp_path)
         assert main(["report", "--config", str(path)]) == 1
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_imports_no_private_names():
+    # the CLI is a thin layer: it may use only the public surface of sifbm
+    src = Path(__file__).resolve().parents[1] / "src" / "sifbm" / "cli.py"
+    private = [
+        f"{'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(src.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "sifbm")
+        for alias in node.names
+        if _private(alias.name) or any(map(_private, (node.module or "").split(".")))
+    ]
+    assert private == []

@@ -1,11 +1,15 @@
 """Covariance construction, factorization, and exact-sampler statistics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sifbm.config import load_config
 from sifbm.gaussian import (
+    STREAM_BLOCK,
     CholeskyFactor,
     HurstParam,
     MissingIndexError,
@@ -195,6 +199,17 @@ class TestSampling:
         a = sample_ensemble(f, 10, seed=11)
         b = sample_ensemble(f, 1000, seed=11)
         assert np.array_equal(a.samples, b.samples[:10])
+
+    def test_prefix_stable_across_block_boundary_at_demo_width(self):
+        # the trailing partial block must give the same bits as a full one,
+        # although BLAS picks its kernel by the shape of the product
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+        idx = cfg.ensemble_indices()
+        assert len(idx) == 266 and 300 < 2 * STREAM_BLOCK < 700
+        f = cholesky(build_cov_matrix(idx, cfg.hurst))
+        a = sample_ensemble(f, 300, seed=7)
+        b = sample_ensemble(f, 700, seed=7)
+        assert np.array_equal(a.samples, b.samples[:300])
 
     def test_zero_matrix_factor(self):
         f = cholesky(build_cov_matrix([rect(0, 1), rect(0, 2)], HurstParam(0.3)))

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sifbm.flows import flows_through, project, required_flow_indices, time_change
-from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
+from sifbm.gaussian import STREAM_BLOCK, HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm.intrep import (
     GridSpec,
     HalfCaseError,
     RepConfig,
-    STREAM_BLOCK,
     build_kernel_grid,
     discretized_covariance,
     discretized_factor,
@@ -169,6 +168,14 @@ class TestSimulate:
         b = simulate_via_integral([0.0, 0.5, 1.0], cfg, 700)
         assert np.array_equal(a.paths, b.paths[:300])
         assert np.all(b.paths[:, 0] == 0.0)
+
+    def test_prefix_stable_at_64_masses(self):
+        masses = np.linspace(0.1, 1.0, 64)
+        cfg = RepConfig(HurstParam(0.3), seed=5, grid=GridSpec(cells_per_mass=64, refine_factor=2))
+        for n, m in ((10, 300), (300, 700), (257, 1000)):
+            a = simulate_via_integral(masses, cfg, n)
+            b = simulate_via_integral(masses, cfg, m)
+            assert np.array_equal(a.paths, b.paths[:n]), (n, m)
 
     def test_covariance_matches_fbm(self):
         h = HurstParam(0.3)

@@ -34,6 +34,7 @@ from sifbm.recovery import (
     outer_measure_details,
     psi_on_C,
     psi_on_C_with_se,
+    recover_measure,
     tiling_cover,
     verify_extension,
     verify_extension_details,
@@ -440,6 +441,18 @@ class TestCharacterize:
             "extension",
             "covariance_comparison",
         }
+
+    def test_composes_flow_recovery_and_covariance_criteria(self):
+        e, flows = battery_and_indices(self.H, 2_000, 107, self.LATTICE)
+        rep = self._run(e, flows)
+        recovered, table = recover_measure(e, self.COVERS, table_indices=self.LATTICE)
+        assert table.indices() == self.LATTICE
+        assert [c.name for c in rep.criteria] == (
+            ["variance_profile", "gaussianity"]
+            + [c.name for c in recovered.criteria]
+            + ["covariance_comparison"]
+        )
+        assert rep.criteria[2:-1] == recovered.criteria
 
 
 def covariance_criterion_reference(e, table, h, mult):
