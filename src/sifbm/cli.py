@@ -32,7 +32,6 @@ from .storage import (
     read_json,
     rect_to_json,
     write_ensemble_binary,
-    write_ensemble_csv,
     write_json,
     write_profile_csv,
 )
@@ -42,7 +41,6 @@ EXIT_USAGE = 1
 EXIT_CRITERION = 2
 
 ENSEMBLE_BIN = "ensemble.sifb"
-ENSEMBLE_CSV = "ensemble.csv"
 SIMULATE_MANIFEST = "manifest_simulate.json"
 
 REPORT_FILES = {
@@ -121,11 +119,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
     idx = cfg.ensemble_indices()
     factor = cholesky(build_cov_matrix(idx, cfg.hurst))
     e = sample_ensemble(factor, cfg.n_samples, seed=cfg.seed, jobs=cfg.jobs)
-    write_ensemble_csv(e, out / ENSEMBLE_CSV)
     write_ensemble_binary(e, out / ENSEMBLE_BIN)
     return Outcome(
         note=f"{e.n_samples} samples over {len(idx)} indices (jitter {factor.jitter:g})",
-        files=(ENSEMBLE_CSV, ENSEMBLE_BIN),
+        files=(ENSEMBLE_BIN,),
         manifest={"simulation": _simulation_record(cfg, idx)},
     )
 
@@ -195,14 +192,17 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> Outcome:
             continue
         try:
             payload = read_json(path)
-            if "verdict" not in payload:
+            if not isinstance(payload, dict):
+                raise TypeError
+            if command == "project":  # the one report without a verdict
                 summary[command] = {"status": "informational"}
                 continue
+            verdict = payload["verdict"]
             names = [c["name"] for c in payload["criteria"] if not c["passed"]]
         except (ValueError, LookupError, TypeError):
             raise ArtifactError(f"{path}: malformed report; rerun 'sifbm {command}'") from None
-        summary[command] = {"status": payload["verdict"], "failed": names}
-        if payload["verdict"] != "pass":
+        summary[command] = {"status": verdict, "failed": names}
+        if verdict != "pass":
             failed.append(command)
     if all(s["status"] == "missing" for s in summary.values()):
         raise FileNotFoundError(f"no verification artifacts in {out}")

@@ -1,10 +1,8 @@
-"""Artifact formats: ensemble CSV and binary, profile CSV, JSON reports.
+"""Artifact formats: binary ensemble, profile CSV, JSON reports.
 
 The binary ensemble format is magic bytes "SIFB", one version byte, two
 little-endian uint64 counts (rows, columns), then row-major little-endian
-float64 samples.  The CSV twin carries one column per index with the
-serialized corner as header (JSON array; the empty set is null) and one row
-per sample.
+float64 samples.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .gaussian import HurstParam, SampleEnsemble
-from .rects import EMPTY, Rect
+from .rects import Rect
 from .stats import VarianceProfile
 
 MAGIC = b"SIFB"
@@ -34,27 +32,6 @@ def rect_to_json(r: Rect):
     return None if r.is_empty else list(r.corner)
 
 
-def rect_from_json(obj) -> Rect:
-    return EMPTY if obj is None else Rect(tuple(obj))
-
-
-def write_ensemble_csv(e: SampleEnsemble, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(json.dumps(rect_to_json(u)) for u in e.indices)
-        for row in e.samples:
-            w.writerow(repr(float(x)) for x in row)
-
-
-def read_ensemble_csv(path) -> tuple[tuple[Rect, ...], np.ndarray]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        indices = tuple(rect_from_json(json.loads(h)) for h in header)
-        rows = [[float(x) for x in row] for row in r]
-    return indices, np.asarray(rows)
-
-
 def write_ensemble_binary(e: SampleEnsemble, path):
     write_matrix_binary(e.samples, path)
 
@@ -63,11 +40,12 @@ def write_matrix_binary(mat: np.ndarray, path):
     mat = np.ascontiguousarray(mat, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, mat.shape[0], mat.shape[1]))
-        fh.write(mat.tobytes())
+        fh.write(memoryview(mat))
 
 
 def read_matrix_binary(path) -> np.ndarray:
-    """Parse a SIFB file; any malformed input raises ``ArtifactError``."""
+    """Parse a SIFB file into a read-only view of its bytes; any malformed
+    input raises ``ArtifactError``."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ArtifactError(f"{path}: not a SIFB ensemble file")
@@ -82,7 +60,7 @@ def read_matrix_binary(path) -> np.ndarray:
             f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles"
         )
     try:
-        return np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(rows, cols).copy()
+        return np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(rows, cols)
     except ValueError:
         raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
 

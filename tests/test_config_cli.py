@@ -8,17 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sifbm.cli import main
 from sifbm.config import ConfigError, canonical_hash, load_config
 from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm.rects import EMPTY, rect
 from sifbm.storage import (
+    _HEADER,
+    MAGIC,
+    VERSION,
     ArtifactError,
-    read_ensemble_csv,
     read_matrix_binary,
     write_ensemble_binary,
-    write_ensemble_csv,
     write_matrix_binary,
 )
 
@@ -68,20 +70,44 @@ class TestStorage:
         f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
         return sample_ensemble(f, n, seed=3)
 
-    def test_csv_round_trip(self, tmp_path):
-        e = self._ensemble()
-        p = tmp_path / "e.csv"
-        write_ensemble_csv(e, p)
-        idx, samples = read_ensemble_csv(p)
-        assert idx == e.indices
-        assert np.array_equal(samples, e.samples)
-
     def test_binary_round_trip(self, tmp_path):
         e = self._ensemble()
         p = tmp_path / "e.sifb"
         write_ensemble_binary(e, p)
         got = read_matrix_binary(p)
         assert np.array_equal(got, e.samples)
+        assert not got.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=hnp.arrays(
+            np.float32,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats(width=32),
+        ),
+        layout=st.sampled_from(["C", "F", "sliced", "float32", ">f8"]),
+    )
+    def test_binary_write_matches_reference_bytes(self, tmp_path_factory, base, layout):
+        wide = base.astype(np.float64)
+        if layout == "C":
+            m = wide
+        elif layout == "F":
+            m = np.asfortranarray(wide)
+        elif layout == "sliced":
+            padded = np.zeros((wide.shape[0], 2 * wide.shape[1]))
+            padded[:, ::2] = wide
+            m = padded[:, ::2]
+        elif layout == "float32":
+            m = base
+        else:
+            m = wide.astype(">f8")
+        p = tmp_path_factory.getbasetemp() / "prop.sifb"
+        write_matrix_binary(m, p)
+        want = _HEADER.pack(MAGIC, VERSION, *m.shape) + np.asarray(m, "<f8").tobytes()
+        assert p.read_bytes() == want
+        got = read_matrix_binary(p)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert np.array_equal(got, wide, equal_nan=True)
 
     def test_binary_header(self, tmp_path):
         p = tmp_path / "m.sifb"
@@ -231,10 +257,14 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path)]) == 0
         first = (out / "ensemble.sifb").read_bytes()
-        first_csv = (out / "ensemble.csv").read_bytes()
         assert main(["simulate", "--config", str(path)]) == 0
         assert (out / "ensemble.sifb").read_bytes() == first
-        assert (out / "ensemble.csv").read_bytes() == first_csv
+
+    def test_simulate_writes_no_csv(self, tmp_path):
+        path, _ = make_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert not (out / "ensemble.csv").exists()
 
     def test_simulate_jobs_invariant(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -283,7 +313,7 @@ class TestCli:
         manifest = json.loads((out / "manifest_simulate.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 7
-        assert set(manifest["artifacts"]) == {"ensemble.csv", "ensemble.sifb"}
+        assert set(manifest["artifacts"]) == {"ensemble.sifb"}
         assert manifest["config_hash"] == load_config(path).config_hash()
 
     def test_characterize_pipeline_and_discrimination(self, tmp_path, capsys):
@@ -396,7 +426,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"verdict": "pass"', '{"verdict": "pass"}', '{"verdict": "pass", "criteria": [1]}'],
+        [
+            '{"verdict": "pass"',
+            '{"verdict": "pass"}',
+            '{"verdict": "pass", "criteria": [1]}',
+            "[1]",
+            "{}",
+        ],
     )
     def test_report_on_malformed_report_exits_1(self, tmp_path, capsys, text):
         path, _ = make_config(tmp_path)
