@@ -22,20 +22,19 @@ COMMANDS = ["simulate", "project", "recover-measure", "verify-intrep", "characte
 
 def run(argv):
     config_path = Path(argv[1]) if len(argv) > 1 and not argv[1].startswith("-") else Path("configs/demo.json")
-    quick = "--quick" in argv
     raw = json.loads(config_path.read_text())
-    if quick:
-        raw["n_samples"] = 4000
-        raw["output_dir"] = raw.get("output_dir", "out/demo") + "_quick"
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(raw, fh)
-            config_path = Path(fh.name)
-    worst = 0
-    for cmd in COMMANDS:
-        code = main([cmd, "--config", str(config_path)])
-        worst = max(worst, code)
-        if code == 1:
-            return code
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--quick" in argv:
+            raw["n_samples"] = 4000
+            raw["output_dir"] = raw.get("output_dir", "out/demo") + "_quick"
+            config_path = Path(tmp) / "quick.json"
+            config_path.write_text(json.dumps(raw))
+        worst = 0
+        for cmd in COMMANDS:
+            code = main([cmd, "--config", str(config_path)])
+            worst = max(worst, code)
+            if code == 1:
+                return code
     return worst
 
 

@@ -18,7 +18,6 @@ from .gaussian import (
     build_cov_matrix,
     cholesky,
     covariance,
-    empirical_covariance,
     sample_ensemble,
 )
 from .flows import (

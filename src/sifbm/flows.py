@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import HurstParam, SampleEnsemble, additive_extend
+from .gaussian import HurstParam, SampleEnsemble, additive_extend, build_cov_matrix
 from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, signed_terms, union_measure
 
 DEFAULT_FLOW_POINTS = 64
@@ -209,8 +209,6 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
     combination and deviate from the power law exactly where the branches
     interact, so the expansion is the correct prediction to test against.
     """
-    from .gaussian import build_cov_matrix
-
     if isinstance(f, ElementaryFlow):
         th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
@@ -239,20 +237,12 @@ def project(e: SampleEnsemble, f: Flow) -> PathEnsemble:
     the additive inclusion-exclusion extension, so every intersection of
     accumulated parts must be present in the ensemble.
     """
-    from .gaussian import MissingIndexError
-
     tc = time_change(f)
     if isinstance(f, ElementaryFlow):
-        pos = {u: i for i, u in enumerate(e.indices)}
-        missing = sorted(
-            {v for v in f.values if not v.is_empty and v not in pos},
-            key=lambda r: r.corner,
-        )
-        if missing:
-            raise MissingIndexError(missing)
-        cols = np.empty((e.n_samples, len(f.values)))
-        for j, v in enumerate(f.values):
-            cols[:, j] = 0.0 if v.is_empty else e.samples[:, pos[v]]
+        nonempty = [j for j, v in enumerate(f.values) if not v.is_empty]
+        cols = np.zeros((e.n_samples, len(f.values)))
+        for j, col in zip(nonempty, e.positions([f.values[j] for j in nonempty])):
+            cols[:, j] = e.samples[:, col]
         return PathEnsemble(tc.values, cols, e.hurst, grid=f.grid)
     grid, values = f.grid_and_values()
     cols = np.empty((e.n_samples, len(values)))

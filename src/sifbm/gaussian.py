@@ -18,7 +18,8 @@ rows of a draw are the same for every larger draw (prefix-stable).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,11 +176,22 @@ class SampleEnsemble:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
+    @cached_property
+    def _position(self) -> dict[Rect, int]:
+        # the first occurrence of a repeated index wins
+        return {u: i for i, u in reversed(list(enumerate(self.indices)))}
+
+    def positions(self, rects: list[Rect]) -> list[int]:
+        """Column of each box, in order.  Raises MissingIndexError naming
+        every absent box, sorted by corner."""
+        pos = self._position
+        missing = {r for r in rects if r not in pos}
+        if missing:
+            raise MissingIndexError(sorted(missing, key=lambda r: r.corner))
+        return [pos[r] for r in rects]
+
     def column(self, u: Rect) -> np.ndarray:
-        try:
-            return self.samples[:, self.indices.index(u)]
-        except ValueError:
-            raise MissingIndexError([u]) from None
+        return self.samples[:, self.positions([u])[0]]
 
 
 def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> np.ndarray:
@@ -217,14 +229,6 @@ def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int
     return SampleEnsemble(factor.indices, out, int(seed), factor.hurst)
 
 
-def empirical_covariance(e: SampleEnsemble) -> np.ndarray:
-    """Raw second-moment matrix.  The field is centered by construction, so
-    the mean is not subtracted (subtracting would only add estimator noise)."""
-    if e.n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    return (e.samples.T @ e.samples) / e.n_samples
-
-
 def additive_extend(e: SampleEnsemble, target: RectUnion) -> np.ndarray:
     """Per-sample value of the field on a finite union of boxes,
     X_{union} = sum over non-empty part subsets of (-1)^{|S|+1} X_{intersection S}.
@@ -233,17 +237,9 @@ def additive_extend(e: SampleEnsemble, target: RectUnion) -> np.ndarray:
     """
     if target.is_empty:
         return np.zeros(e.n_samples)
-    terms = signed_terms(target.parts)
-    pos = {u: i for i, u in enumerate(e.indices)}
-    missing = sorted(
-        {r for _, r in terms if r not in pos and not r.is_empty},
-        key=lambda r: r.corner,
-    )
-    if missing:
-        raise MissingIndexError(missing)
+    terms = [(sign, r) for sign, r in signed_terms(target.parts) if not r.is_empty]
     out = np.zeros(e.n_samples)
-    for sign, r in terms:
-        if not r.is_empty:
-            out += sign * e.samples[:, pos[r]]
+    for (sign, _), j in zip(terms, e.positions([r for _, r in terms])):
+        out += sign * e.samples[:, j]
     return out
 

@@ -35,6 +35,7 @@ import numpy as np
 from .flows import Flow, predicted_increment_moment, project, time_change
 from .gaussian import HurstParam, ResolutionError, SampleEnsemble
 from .rects import (
+    CellArrangement,
     LeftNeighborhood,
     Rect,
     corner_array,
@@ -46,7 +47,7 @@ from .rects import (
     region_equal_ae,
     region_subset_ae,
     signed_terms,
-    _arrangement_for,
+    symdiff_measure,
 )
 from .stats import gaussianity_check, variance_profile
 
@@ -293,18 +294,16 @@ def outer_measure_details(
 ) -> OuterMeasureResult:
     if isinstance(target, Rect) and target.is_empty:
         return OuterMeasureResult(0.0, (), 0.0)
-    arr = _arrangement_for(target, list(covers.elements))
-    cells = sorted(c for c in arr.cells(target) if arr.cell_volume(c) > 0.0)
-    if not cells:
+    arr = CellArrangement([target, covers.elements])
+    inside = arr.mask(target)
+    if not inside.any():
         return OuterMeasureResult(0.0, (), 0.0)
-    cell_bit = {c: 1 << i for i, c in enumerate(cells)}
-    universe = (1 << len(cells)) - 1
+    # bit i of an element's mask: it covers the i-th target cell
+    universe = (1 << int(inside.sum())) - 1
     masks, costs, ses = [], [], []
     for el in covers.elements:
-        bits = 0
-        for c in arr.cells(el):
-            bits |= cell_bit.get(c, 0)
-        masks.append(bits)
+        bits = np.packbits(arr.mask(el)[inside], bitorder="little")
+        masks.append(int.from_bytes(bits.tobytes(), "little"))
         value, se = psi_on_C_with_se(table, el)
         costs.append(value)
         ses.append(se)
@@ -394,8 +393,6 @@ def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
 
 
 def symdiff_pow(a: Rect, b: Rect, h: HurstParam) -> float:
-    from .rects import symdiff_measure
-
     return symdiff_measure(a, b) ** h.two_h
 
 
@@ -510,36 +507,37 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
     return out
 
 
+def _containment(indices) -> np.ndarray:
+    """inside[a, b]: box a lies in box b."""
+    c = corner_array(indices)
+    return np.all(c[:, None] <= c[None], axis=2)
+
+
 def _psi_criteria(table, thr) -> list[CriterionResult]:
     worst_rel, worst_detail = 0.0, ""
     recovery_pass = True
-    for u in table.indices():
+    idx = table.indices()
+    entries = [table.entry(u) for u in idx]
+    for u, entry in zip(idx, entries):
         m = rect_measure(u)
         if m < thr.psi_floor:
             continue
-        entry = table.entry(u)
         tol = max(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * entry.stderr)
         rel = abs(entry.value - m) / m
         if abs(entry.value - m) > tol:
             recovery_pass = False
         if rel > worst_rel:
             worst_rel, worst_detail = rel, repr(u)
-    mono_pass = True
-    worst_viol = 0.0
-    idx = table.indices()
-    for u, v in itertools.combinations(idx, 2):
-        if rect_contains(v, u):
-            small, big = u, v
-        elif rect_contains(u, v):
-            small, big = v, u
-        else:
-            continue
-        es, eb = table.entry(small), table.entry(big)
-        slack = thr.monotonicity_se_mult * float(np.hypot(es.stderr, eb.stderr))
-        viol = es.value - eb.value - slack
-        if viol > 0:
-            mono_pass = False
-            worst_viol = max(worst_viol, viol)
+    # every comparable pair once, the smaller box first
+    inside = _containment(idx)
+    a, b = np.nonzero(np.triu(inside | inside.T, 1))
+    small, big = np.where(inside[a, b], a, b), np.where(inside[a, b], b, a)
+    value = np.array([en.value for en in entries])
+    se = np.array([en.stderr for en in entries])
+    slack = thr.monotonicity_se_mult * np.hypot(se[small], se[big])
+    viol = value[small] - value[big] - slack
+    mono_pass = not np.any(viol > 0)
+    worst_viol = float(np.max(viol, initial=0.0))
     return [
         CriterionResult(
             "psi_recovery",
@@ -559,13 +557,12 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
 
 
 def _comparable_pairs(indices, limit=20):
-    pairs = []
-    for u, v in itertools.combinations(indices, 2):
-        if rect_contains(v, u) and rect_measure(u) > 0 and rect_measure(v) > rect_measure(u):
-            pairs.append((u, v))
-        if len(pairs) >= limit:
-            break
-    return pairs
+    """The first ``limit`` pairs (u, v), in ``itertools.combinations`` order,
+    with u inside v and 0 < m(u) < m(v)."""
+    m = np.array([rect_measure(u) for u in indices])
+    ok = _containment(indices) & (m[:, None] > 0) & (m[None] > m[:, None])
+    a, b = np.nonzero(np.triu(ok, 1))
+    return [(indices[i], indices[j]) for i, j in zip(a[:limit], b[:limit])]
 
 
 def _additivity_criterion(table, thr) -> CriterionResult:
@@ -592,10 +589,13 @@ def _additivity_criterion(table, thr) -> CriterionResult:
 
 def _extension_criterion(table, covers, thr) -> CriterionResult:
     worst, detail, passed, count = 0.0, "", True, 0
-    for u in table.indices():
+    idx = table.indices()
+    arr = CellArrangement([idx, covers.elements])
+    uncovered = ~arr.mask(covers.elements)
+    for u in idx:
         if rect_measure(u) < thr.psi_floor:
             continue
-        if not region_subset_ae(u, list(covers.elements)):
+        if np.any(arr.mask(u) & uncovered):
             continue
         resid, se = verify_extension_details(table, covers, u)
         tol = (
@@ -620,8 +620,7 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
 def _covariance_criterion(e, table, h, thr) -> CriterionResult:
     # usable pairs: both boxes and their intersection have recovered entries
     idx = table.indices()
-    pos = {u: i for i, u in enumerate(e.indices)}
-    x = e.samples[:, [pos[u] for u in idx]]
+    x = e.samples[:, e.positions(idx)]
     n = e.n_samples
     emp = (x.T @ x) / n
     diag = np.diag(emp)

@@ -2,9 +2,11 @@
 left-neighborhoods U \\ (U_1 u ... u U_n), and their Lebesgue measure.
 
 Every set handled here is a finite boolean combination of boxes [0, t].  All
-measure queries reduce to inclusion-exclusion over corner minima, and all
-containment/disjointness predicates are decided exactly (up to Lebesgue-null
-boundaries) on the cell arrangement induced by the corner coordinates.
+measure queries reduce to inclusion-exclusion over corner minima.  For the
+containment, disjointness and equality predicates, the corner coordinates cut
+R^N_+ into a grid of cells, and each region becomes a boolean mask over those
+cells; the predicates are array expressions on the masks, exact up to
+Lebesgue-null boundaries.
 """
 
 from __future__ import annotations
@@ -241,9 +243,9 @@ def left_nbhd_measure(c: LeftNeighborhood) -> float:
 # Exact (up to null sets) predicates on boolean combinations of boxes.
 #
 # The corner coordinates of all boxes involved induce a grid of open cells;
-# each cell lies entirely inside or outside every box, so membership of a
-# region is a per-cell boolean.  Null cells are ignored throughout, which is
-# the right notion for measure-style set functions.
+# each cell lies entirely inside or outside every box, so a region is a
+# boolean mask over the cells.  Every cell has positive volume, so comparing
+# masks is comparing sets up to null sets.
 # ---------------------------------------------------------------------------
 
 Region = Rect | RectUnion | LeftNeighborhood
@@ -264,73 +266,51 @@ def _region_rects(region: Region | Iterable[Region]) -> list[Rect]:
 
 
 class CellArrangement:
-    """Grid-cell decomposition of R^N_+ induced by a family of box corners."""
+    """Grid-cell decomposition of R^N_+ induced by the box corners of some
+    regions.  The cells are the open boxes between consecutive edges on each
+    axis, in C order; ``upper`` holds their upper corners, shape
+    (n_cells, N), and ``volumes`` their volumes."""
 
-    def __init__(self, rects: Iterable[Rect]):
-        rects = [r for r in rects if not r.is_empty]
-        if not rects:
-            self.dim = 0
-            self.axes = []
-            return
-        dims = {len(r.corner) for r in rects}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
-        self.dim = dims.pop()
-        self.axes = []
-        for i in range(self.dim):
-            vals = sorted({r.corner[i] for r in rects} | {0.0})
-            self.axes.append(vals)
+    def __init__(self, regions: Region | Iterable[Region]):
+        corners = corner_array(_region_rects(regions))
+        edges = [np.unique(np.append(col, 0.0)) for col in corners.T]
+        grids = np.meshgrid(*(e[1:] for e in edges), indexing="ij")
+        self.upper = np.stack([g.ravel() for g in grids], axis=1)
+        volumes = np.ones(())
+        for e in edges:
+            volumes = np.multiply.outer(volumes, np.diff(e))
+        self.volumes = volumes.ravel()
 
-    def _cell_in_rect(self, cell: tuple[int, ...], r: Rect) -> bool:
-        # cell k on axis i is the open interval (axes[i][k], axes[i][k+1])
-        return all(self.axes[i][k + 1] <= r.corner[i] for i, k in enumerate(cell))
-
-    def cells(self, region: Region | Iterable[Region]) -> frozenset[tuple[int, ...]]:
-        """Positive-volume cells whose interior lies in the region."""
-        out = set()
-        for cell in itertools.product(*(range(len(a) - 1) for a in self.axes)):
-            if self._cell_member(cell, region):
-                out.add(cell)
-        return frozenset(out)
-
-    def _cell_member(self, cell, region) -> bool:
+    def mask(self, region: Region | Iterable[Region]) -> np.ndarray:
+        """bool[n_cells]: the cells whose interior lies in the region.  Every
+        box of the region must be among those the arrangement was built on."""
         if isinstance(region, Rect):
-            return (not region.is_empty) and self._cell_in_rect(cell, region)
+            if region.is_empty:
+                return np.zeros(len(self.volumes), dtype=bool)
+            return np.all(self.upper <= region.corner, axis=1)
         if isinstance(region, RectUnion):
-            return any(self._cell_in_rect(cell, p) for p in region.parts)
+            return self.mask(region.parts)
         if isinstance(region, LeftNeighborhood):
-            if region.base.is_empty or not self._cell_in_rect(cell, region.base):
-                return False
-            return not any(self._cell_in_rect(cell, s) for s in region.subtracted)
-        return any(self._cell_member(cell, r) for r in region)
-
-    def cell_volume(self, cell: tuple[int, ...]) -> float:
-        out = 1.0
-        for i, k in enumerate(cell):
-            out *= self.axes[i][k + 1] - self.axes[i][k]
+            return self.mask(region.base) & ~self.mask(region.subtracted)
+        out = np.zeros(len(self.volumes), dtype=bool)
+        for r in region:
+            out |= self.mask(r)
         return out
-
-
-def _arrangement_for(*regions) -> CellArrangement:
-    rects = []
-    for reg in regions:
-        rects.extend(_region_rects(reg))
-    return CellArrangement(rects)
 
 
 def region_subset_ae(inner: Region | Iterable[Region], outer: Region | Iterable[Region]) -> bool:
     """True if inner is contained in outer up to a Lebesgue-null set."""
-    arr = _arrangement_for(inner, outer)
-    return arr.cells(inner) <= arr.cells(outer)
+    arr = CellArrangement([inner, outer])
+    return not np.any(arr.mask(inner) & ~arr.mask(outer))
 
 
 def region_disjoint_ae(a: Region | Iterable[Region], b: Region | Iterable[Region]) -> bool:
     """True if a and b overlap only on a Lebesgue-null set."""
-    arr = _arrangement_for(a, b)
-    return not (arr.cells(a) & arr.cells(b))
+    arr = CellArrangement([a, b])
+    return not np.any(arr.mask(a) & arr.mask(b))
 
 
 def region_equal_ae(a: Region | Iterable[Region], b: Region | Iterable[Region]) -> bool:
     """True if a and b differ only by a Lebesgue-null set."""
-    arr = _arrangement_for(a, b)
-    return arr.cells(a) == arr.cells(b)
+    arr = CellArrangement([a, b])
+    return np.array_equal(arr.mask(a), arr.mask(b))

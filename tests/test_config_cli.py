@@ -2,7 +2,9 @@
 
 import ast
 import copy
+import importlib.util
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -451,15 +453,39 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def test_cli_imports_no_private_names():
-    # the CLI is a thin layer: it may use only the public surface of sifbm
-    src = Path(__file__).resolve().parents[1] / "src" / "sifbm" / "cli.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "sifbm"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_imports_no_private_names(module):
+    # every module uses only the public surface of the others
     private = [
         f"{'.' * node.level}{node.module or ''} import {alias.name}"
-        for node in ast.walk(ast.parse(src.read_text()))
+        for node in ast.walk(ast.parse((SRC / module).read_text()))
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "sifbm")
         for alias in node.names
         if _private(alias.name) or any(map(_private, (node.module or "").split(".")))
     ]
     assert private == []
+
+
+def test_full_pipeline_quick_leaves_no_temp_files(monkeypatch, tmp_path):
+    # the script binds sifbm.cli.main at import, so load it after patching
+    calls = []
+
+    def fake_main(argv):
+        cfg = json.loads(Path(argv[2]).read_text())
+        calls.append((argv[0], cfg["n_samples"]))
+        return 0
+
+    monkeypatch.setattr("sifbm.cli.main", fake_main)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    root = SRC.parents[1]
+    spec = importlib.util.spec_from_file_location("full_pipeline", root / "scripts" / "full_pipeline.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(["full_pipeline.py", str(root / "configs" / "demo.json"), "--quick"]) == 0
+    assert calls == [(cmd, 4000) for cmd in script.COMMANDS]
+    assert list(tmp_path.iterdir()) == []

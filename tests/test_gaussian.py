@@ -19,7 +19,6 @@ from sifbm.gaussian import (
     build_cov_matrix,
     cholesky,
     covariance,
-    empirical_covariance,
     sample_ensemble,
 )
 from sifbm.rects import (
@@ -233,37 +232,33 @@ class TestSampling:
         cm = build_cov_matrix(idx, HurstParam(0.35))
         n = 20_000
         e = sample_ensemble(cholesky(cm), n, seed=2024)
-        emp = empirical_covariance(e)
+        emp = e.samples.T @ e.samples / n
         c = cm.matrix
         se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c**2) / n)
         frac = np.mean(np.abs(emp - c) <= 3 * se)
         assert frac >= 0.99
 
 
-class TestEmpiricalCovariance:
-    def test_zero_ensemble(self):
-        e = SampleEnsemble((rect(1, 1),), np.zeros((10, 1)), 0, HurstParam(0.3))
-        assert np.all(empirical_covariance(e) == 0.0)
+class TestPositions:
+    def _ensemble(self):
+        idx = (rect(1, 2), rect(2, 1), rect(1, 2), rect(1, 1))
+        return SampleEnsemble(idx, np.arange(8.0).reshape(2, 4), 0, HurstParam(0.3))
 
-    def test_too_few_samples(self):
-        e = SampleEnsemble((rect(1, 1),), np.zeros((1, 1)), 0, HurstParam(0.3))
-        with pytest.raises(ValueError):
-            empirical_covariance(e)
+    def test_first_occurrence_of_a_repeated_index(self):
+        e = self._ensemble()
+        assert e.positions([rect(1, 1), rect(1, 2), rect(2, 1)]) == [3, 0, 1]
+        assert np.array_equal(e.column(rect(1, 2)), e.samples[:, 0])
 
-    def test_clt_convergence_single_index(self):
-        f = cholesky(build_cov_matrix([rect(1, 1)], HurstParam(0.25)))
-        n = 40_000
-        e = sample_ensemble(f, n, seed=77)
-        assert abs(empirical_covariance(e)[0, 0] - 1.0) <= 3 / np.sqrt(n) * np.sqrt(2)
+    def test_missing_boxes_named_once_and_sorted(self):
+        e = self._ensemble()
+        with pytest.raises(MissingIndexError) as ei:
+            e.positions([rect(3, 1), rect(1, 2), rect(0, 5), rect(3, 1)])
+        assert ei.value.missing == [rect(0, 5), rect(3, 1)]
 
-    def test_duplicated_columns_symmetric(self):
-        s = np.random.default_rng(0).standard_normal((50, 1))
-        e = SampleEnsemble(
-            (rect(1, 1), rect(1, 1)), np.hstack([s, s]), 0, HurstParam(0.3)
-        )
-        emp = empirical_covariance(e)
-        assert np.array_equal(emp[0], emp[1])
-        assert np.array_equal(emp[:, 0], emp[:, 1])
+    def test_column_of_missing_box(self):
+        with pytest.raises(MissingIndexError) as ei:
+            self._ensemble().column(EMPTY)
+        assert ei.value.missing == [EMPTY]
 
 
 class TestAdditiveExtend:

@@ -23,6 +23,7 @@ from sifbm.recovery import (
     CoverFamily,
     MissingPsiError,
     PreMeasureTable,
+    PsiEntry,
     Thresholds,
     additivity_se,
     characterize,
@@ -38,7 +39,9 @@ from sifbm.recovery import (
     tiling_cover,
     verify_extension,
     verify_extension_details,
+    _comparable_pairs,
     _covariance_criterion,
+    _psi_criteria,
 )
 from sifbm.rects import (
     EMPTY,
@@ -46,6 +49,7 @@ from sifbm.rects import (
     Rect,
     left_nbhd_measure,
     rect,
+    rect_contains,
     rect_intersection,
     rect_measure,
 )
@@ -508,3 +512,57 @@ class TestCovarianceCriterion:
         assert f"fraction of {total} entries" in got.detail
         assert got.statistic == ok / total
         assert got.passed == (ok / total >= thr.covariance_pass_fraction)
+
+
+def pair_scan_reference(table, mult, limit):
+    """The per-pair scans over itertools.combinations that the containment
+    matrix replaced: (comparable pairs, monotonicity passed, worst violation)."""
+    idx = table.indices()
+    pairs = []
+    for u, v in itertools.combinations(idx, 2):
+        if rect_contains(v, u) and rect_measure(u) > 0 and rect_measure(v) > rect_measure(u):
+            pairs.append((u, v))
+        if len(pairs) >= limit:
+            break
+    passed, worst = True, 0.0
+    for u, v in itertools.combinations(idx, 2):
+        if rect_contains(v, u):
+            small, big = u, v
+        elif rect_contains(u, v):
+            small, big = v, u
+        else:
+            continue
+        es, eb = table.entry(small), table.entry(big)
+        viol = es.value - eb.value - mult * float(np.hypot(es.stderr, eb.stderr))
+        if viol > 0:
+            passed, worst = False, max(worst, viol)
+    return pairs, passed, worst
+
+
+@st.composite
+def psi_tables(draw):
+    """A table over distinct boxes of one dimension in 1..3 (EMPTY and
+    degenerate boxes included), psi = m(U) times a factor in [0.5, 1.5], so
+    nested pairs can violate monotonicity, with standard errors in [0, 0.3]."""
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 2, allow_nan=False)
+    box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
+    boxes = draw(st.lists(box, max_size=14, unique=True))
+    entries = {
+        u: PsiEntry(
+            rect_measure(u) * draw(st.floats(0.5, 1.5)), "empirical", draw(st.floats(0, 0.3))
+        )
+        for u in boxes
+    }
+    return PreMeasureTable(HurstParam(0.3), entries)
+
+
+class TestPairScans:
+    @given(psi_tables(), st.floats(0, 4), st.integers(1, 25))
+    @settings(deadline=None)
+    def test_match_per_pair_reference(self, table, mult, limit):
+        pairs, passed, worst = pair_scan_reference(table, mult, limit)
+        assert _comparable_pairs(table.indices(), limit) == pairs
+        mono = _psi_criteria(table, Thresholds(monotonicity_se_mult=mult))[1]
+        assert mono.name == "psi_monotonicity"
+        assert (mono.passed, mono.statistic) == (passed, worst)

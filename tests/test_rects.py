@@ -1,10 +1,11 @@
 """Rectangle family: measures, inclusion-exclusion, and exact predicates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sifbm.rects import (
@@ -213,8 +214,7 @@ class TestSignedTerms:
         # inclusion-exclusion against the exact cell decomposition
         total = sum(sign * rect_measure(r) for sign, r in signed_terms(parts))
         arr = CellArrangement(parts)
-        cells = arr.cells(parts)
-        want = sum(arr.cell_volume(c) for c in cells)
+        want = arr.volumes[arr.mask(parts)].sum()
         assert total == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -255,7 +255,7 @@ class TestRegionPredicates:
     def test_cell_volumes_tile_measure(self):
         rects = [rect(1, 2), rect(2, 1), rect(1.5, 1.5)]
         arr = CellArrangement(rects)
-        total = sum(arr.cell_volume(c) for c in arr.cells(RectUnion(tuple(rects))))
+        total = arr.volumes[arr.mask(RectUnion(tuple(rects)))].sum()
         assert total == pytest.approx(union_measure(rects), rel=1e-12)
 
     def test_exhaustive_vs_pointwise_membership(self):
@@ -263,14 +263,91 @@ class TestRegionPredicates:
         rng = np.random.default_rng(7)
         base = rect(2, 2)
         c = LeftNeighborhood(base, (rect(1.2, 2), rect(2, 0.7)))
-        arr = CellArrangement([base, *c.subtracted])
-        cells = arr.cells(c)
+        arr = CellArrangement(c)
+        inside = arr.mask(c)
         for _ in range(200):
             p = rng.uniform(0.001, 2.0, 2)
             in_c = np.all(p <= base.corner) and not any(
                 np.all(p <= s.corner) for s in c.subtracted
             )
-            cell = tuple(
-                int(np.searchsorted(arr.axes[i], p[i]) - 1) for i in range(2)
-            )
-            assert (cell in cells) == bool(in_c)
+            # cells run in C order, so the first cell whose upper corner is
+            # >= p on every axis is the one containing p
+            cell = np.flatnonzero(np.all(arr.upper >= p, axis=1))[0]
+            assert inside[cell] == bool(in_c)
+
+
+def boxes_of(region):
+    """Every non-empty box a region is built from."""
+    if isinstance(region, Rect):
+        return [] if region.is_empty else [region]
+    if isinstance(region, RectUnion):
+        return list(region.parts)
+    if isinstance(region, LeftNeighborhood):
+        return boxes_of(region.base) + list(region.subtracted)
+    return [b for r in region for b in boxes_of(r)]
+
+
+def member(p, region) -> bool:
+    """Pointwise membership straight from each region's definition."""
+    if isinstance(region, Rect):
+        return not region.is_empty and all(x <= c for x, c in zip(p, region.corner))
+    if isinstance(region, RectUnion):
+        return any(member(p, q) for q in region.parts)
+    if isinstance(region, LeftNeighborhood):
+        return member(p, region.base) and not any(member(p, q) for q in region.subtracted)
+    return any(member(p, r) for r in region)
+
+
+@st.composite
+def region_families(draw):
+    """1..3 regions of one dimension in 1..3: boxes (EMPTY and degenerate
+    ones included), unions, left-neighborhoods and lists of those."""
+    dim = draw(st.integers(1, 3))
+    box = st.tuples(*[coords] * dim).map(Rect) | st.just(EMPTY)
+    boxes = st.lists(box, max_size=3)
+    region = (
+        box
+        | boxes.map(lambda ps: RectUnion(tuple(ps)))
+        | st.builds(lambda b, subs: LeftNeighborhood(b, tuple(subs)), box, boxes)
+    )
+    return draw(st.lists(region | st.lists(region, max_size=3), min_size=1, max_size=3))
+
+
+class TestCellMasks:
+    @given(region_families())
+    @settings(deadline=None)
+    def test_mask_matches_pointwise_oracle(self, regions):
+        arr = CellArrangement(regions)
+        corners = [b.corner for b in boxes_of(regions)]
+        dim = len(corners[0]) if corners else 1
+        edges = [sorted({c[i] for c in corners} | {0.0}) for i in range(dim)]
+        cells = list(itertools.product(*(range(len(e) - 1) for e in edges)))
+        upper = [[edges[i][k + 1] for i, k in enumerate(cell)] for cell in cells]
+        widths = [[edges[i][k + 1] - edges[i][k] for i, k in enumerate(cell)] for cell in cells]
+        mids = [[(edges[i][k] + edges[i][k + 1]) / 2 for i, k in enumerate(cell)] for cell in cells]
+        assert np.array_equal(arr.upper, np.reshape(upper, (len(cells), dim)))
+        assert np.array_equal(arr.volumes, [math.prod(w) for w in widths])
+        for region in [*regions, regions]:
+            want = [member(p, region) for p in mids]
+            assert np.array_equal(arr.mask(region), np.array(want, dtype=bool))
+
+    @given(region_families())
+    @settings(deadline=None)
+    def test_mask_volume_is_measure(self, regions):
+        arr = CellArrangement(regions)
+        for region in regions:
+            got = arr.volumes[arr.mask(region)].sum()
+            if isinstance(region, Rect):
+                want = rect_measure(region)
+            elif isinstance(region, RectUnion):
+                want = union_measure(region)
+            elif isinstance(region, LeftNeighborhood):
+                want = left_nbhd_measure(region)
+            else:
+                continue
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_no_boxes_no_cells(self):
+        arr = CellArrangement([EMPTY, RectUnion(())])
+        assert arr.mask([EMPTY, LeftNeighborhood(EMPTY)]).shape == (0,)
+        assert region_equal_ae(EMPTY, RectUnion(()))
