@@ -10,8 +10,9 @@ field changes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,21 +32,29 @@ def _get(d: dict, key: str, kind, where: str, default=None, required=False):
         if required:
             raise ConfigError(f"missing required field '{where}{key}'")
         return default
-    val = d[key]
+    return _typed(d[key], kind, f"{where}{key}")
+
+
+def _typed(val, kind, name: str):
     if kind is float and isinstance(val, int):
         val = float(val)
     if not isinstance(val, kind):
         raise ConfigError(
-            f"field '{where}{key}' must be {getattr(kind, '__name__', kind)}, "
+            f"field '{name}' must be {getattr(kind, '__name__', kind)}, "
             f"got {type(val).__name__}"
         )
     return val
 
 
+def _items(d: dict, key: str, kind, where: str, default=None, required=False) -> tuple:
+    vals = _get(d, key, list, where, default=default, required=required)
+    return tuple(_typed(v, kind, f"{where}{key}[{i}]") for i, v in enumerate(vals))
+
+
 def _corner(obj, n, where) -> tuple[float, ...]:
     if not isinstance(obj, list) or len(obj) != n:
         raise ConfigError(f"field '{where}' must be a list of {n} coordinates")
-    return tuple(float(x) for x in obj)
+    return tuple(_typed(x, float, f"{where}[{i}]") for i, x in enumerate(obj))
 
 
 def _build_flow(spec: dict, dim: int, where: str):
@@ -61,26 +70,26 @@ def _build_flow(spec: dict, dim: int, where: str):
             return SimpleFlow(built)
         except ValueError as exc:
             raise ConfigError(f"field '{where}segments': {exc}") from exc
-    return _segment_flow({**spec, "span": spec.get("span", [0.0, 1.0])}, dim, where)
+    return _segment_flow(spec, dim, where)
 
 
 def _segment_flow(spec: dict, dim: int, where: str) -> ElementaryFlow:
     kind = _get(spec, "kind", str, where, required=True)
-    span = spec.get("span", [0.0, 1.0])
-    if not isinstance(span, list) or len(span) != 2 or not span[0] < span[1]:
+    span = _items(spec, "span", float, where, default=[0.0, 1.0])
+    if len(span) != 2 or not span[0] < span[1]:
         raise ConfigError(f"field '{where}span' must be [a, b] with a < b")
     points = _get(spec, "points", int, where, default=64)
     if points < 2:
         raise ConfigError(f"field '{where}points' must be >= 2")
     to = _corner(_get(spec, "to", list, where, required=True), dim, f"{where}to")
-    a, b = float(span[0]), float(span[1])
+    a, b = span
     grid = np.linspace(a, b, points)
     frac = (grid - a) / (b - a)
     frac[-1] = 1.0
     if kind == "linear":
         corners = [tuple(f * c for c in to) for f in frac]
     elif kind == "power":
-        exps = _get(spec, "exponents", list, where, required=True)
+        exps = _items(spec, "exponents", float, where, required=True)
         if len(exps) != dim or any(e <= 0 for e in exps):
             raise ConfigError(
                 f"field '{where}exponents' must be {dim} positive exponents"
@@ -168,14 +177,12 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     lattice: list[Rect] = []
     if "lattice" in idx_spec:
         lat = idx_spec["lattice"]
-        shape = _get(lat, "shape", list, "indices.lattice.", required=True)
-        spacing = _get(lat, "spacing", list, "indices.lattice.", default=[1.0] * dim)
+        shape = _items(lat, "shape", int, "indices.lattice.", required=True)
+        spacing = _items(lat, "spacing", float, "indices.lattice.", default=[1.0] * dim)
         if len(shape) != dim or len(spacing) != dim:
             raise ConfigError("field 'indices.lattice': shape/spacing must match dimension")
-        import itertools as it
-
-        for combo in it.product(*(range(1, int(s) + 1) for s in shape)):
-            lattice.append(Rect(tuple(c * float(sp) for c, sp in zip(combo, spacing))))
+        for combo in itertools.product(*(range(1, s + 1) for s in shape)):
+            lattice.append(Rect(tuple(c * sp for c, sp in zip(combo, spacing))))
     elif "corners" in idx_spec:
         for i, c in enumerate(idx_spec["corners"]):
             lattice.append(Rect(_corner(c, dim, f"indices.corners[{i}]")))
@@ -197,7 +204,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     elif "tiling" in cov_spec:
         t = cov_spec["tiling"]
         corner = _corner(_get(t, "corner", list, "covers.tiling.", required=True), dim, "covers.tiling.corner")
-        divisions = _get(t, "divisions", list, "covers.tiling.", required=True)
+        divisions = _items(t, "divisions", int, "covers.tiling.", required=True)
         if len(divisions) != dim:
             raise ConfigError("field 'covers.tiling.divisions' must match dimension")
         try:
@@ -226,15 +233,15 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         raise ConfigError("field 'covers' needs 'tiling' or 'elements'")
 
     ir = _get(resolved, "integral_rep", dict, "", default={})
-    grid_spec = _parse_grid(ir.get("grid", {}))
+    where = "integral_rep."
     intrep = IntRepConfig(
-        masses=tuple(float(m) for m in ir.get("masses", [0.8, 0.9, 1.0])),
-        variance_masses=tuple(float(m) for m in ir.get("variance_masses", [0.25, 1.0, 4.0])),
-        hursts=tuple(float(h) for h in ir.get("hursts", [0.2, 0.35])),
-        n_samples=int(ir.get("n_samples", n_samples)),
-        grid=grid_spec,
-        variance_rel_tol=float(ir.get("variance_rel_tol", 0.03)),
-        covariance_se_mult=float(ir.get("covariance_se_mult", 3.0)),
+        masses=_items(ir, "masses", float, where, default=[0.8, 0.9, 1.0]),
+        variance_masses=_items(ir, "variance_masses", float, where, default=[0.25, 1.0, 4.0]),
+        hursts=_items(ir, "hursts", float, where, default=[0.2, 0.35]),
+        n_samples=_get(ir, "n_samples", int, where, default=n_samples),
+        grid=_parse_grid(_get(ir, "grid", dict, where, default={})),
+        variance_rel_tol=_get(ir, "variance_rel_tol", float, where, default=0.03),
+        covariance_se_mult=_get(ir, "covariance_se_mult", float, where, default=3.0),
     )
     for hv in intrep.hursts:
         try:
@@ -249,7 +256,9 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
     thr_spec = _get(resolved, "thresholds", dict, "", default={})
     try:
-        thresholds = Thresholds.from_dict(thr_spec)
+        thresholds = Thresholds.from_dict(
+            {key: _get(thr_spec, key, float, "thresholds.") for key in thr_spec}
+        )
     except TypeError as exc:
         raise ConfigError(f"field 'thresholds': unknown key ({exc})") from exc
 
@@ -271,14 +280,12 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
 
 def _parse_grid(spec: dict) -> GridSpec:
+    values = {
+        f.name: _get(spec, f.name, type(f.default), "integral_rep.grid.", default=f.default)
+        for f in fields(GridSpec)
+    }
     try:
-        return GridSpec(
-            truncation_factor=float(spec.get("truncation_factor", 50.0)),
-            margin=float(spec.get("margin", 1.0)),
-            cells_per_mass=int(spec.get("cells_per_mass", 4096)),
-            refine_factor=int(spec.get("refine_factor", 8)),
-            refine_radius_frac=float(spec.get("refine_radius_frac", 0.01)),
-        )
+        return GridSpec(**values)
     except ValueError as exc:
         raise ConfigError(f"field 'integral_rep.grid': {exc}") from exc
 

@@ -8,8 +8,8 @@ flow characterization of the field:
   2. psi extends to left-neighborhoods C = U \\ (U_1 u ... u U_n) by
      inclusion-exclusion, and is additive on disjoint pieces.
   3. A finite cover family yields an outer measure: the minimum of
-     sum psi(C_i) over sub-families covering the target (exhaustive search
-     with branch-and-bound pruning, family capped at 16 elements).
+     sum psi(C_i) over sub-families covering the target (every sub-family
+     enumerated as arrays, family capped at 16 elements).
   4. The outer measure extends psi (outer(U) = psi(U) on boxes), box indices
      are measurable (additive inside/outside splits), and the analytic
      variance of set differences is outer-continuous along shrinking
@@ -248,39 +248,32 @@ class OuterMeasureResult:
     stderr: float
 
 
-def _outer_measure_search(costs, masks, universe) -> tuple[float, tuple[int, ...]]:
-    """Minimum-cost covering subset, exhaustively with branch-and-bound when
-    all costs are non-negative.  Equal-cost ties break to the
-    lexicographically smallest index tuple."""
+def _outer_measure_search(costs, cover) -> tuple[float, tuple[int, ...]]:
+    """Minimum-cost covering sub-family, over all 2^n of them: row i of
+    ``cover`` marks the target cells element i covers, and bit i of a
+    sub-family's number says it takes element i.  Summed costs add in index
+    order.  Equal-cost ties break to the lexicographically smallest index
+    tuple."""
     n = len(costs)
-    can_prune = all(c >= 0 for c in costs)
-    best: list = [np.inf, None]
-
-    order = list(range(n))
-
-    def consider(cost, chosen):
-        if cost < best[0] or (cost == best[0] and (best[1] is None or chosen < best[1])):
-            best[0], best[1] = cost, chosen
-
-    def dfs(i, mask, cost, chosen):
-        if mask & universe == universe:
-            consider(cost, tuple(chosen))
-            if can_prune:
-                return  # adding more non-negative pieces cannot help
-        if i == n:
-            return
-        if can_prune and cost > best[0]:
-            return
-        # include element i first: keeps lexicographically smaller subsets early
-        chosen.append(order[i])
-        dfs(i + 1, mask | masks[i], cost + costs[i], chosen)
-        chosen.pop()
-        dfs(i + 1, mask, cost, chosen)
-
-    dfs(0, 0, 0.0, [])
-    if best[1] is None:
+    # each cell's family: the set of elements covering it, as a bitmask
+    families = np.unique(cover.T @ (1 << np.arange(n)))
+    if families[0] == 0:
         raise CoverError("no sub-family of the covers contains the target")
-    return best[0], best[1]
+    total = np.zeros(1)
+    for c in costs:
+        total = np.concatenate([total, total + c])
+    subsets = np.arange(1 << n)
+    covering = np.ones(1 << n, dtype=bool)
+    for fam in families:
+        covering &= (subsets & fam) != 0
+    best = total[covering].min()
+    ties = subsets[covering & (total == best)]
+    # sorted index tuples, padded with -1 so a tuple sorts before its extensions
+    members = (ties[:, None] >> np.arange(n)) & 1 == 1
+    tuples = np.sort(np.where(members, np.arange(n), n), axis=1)
+    tuples[tuples == n] = -1
+    first = np.lexsort(tuples.T[::-1])[0]
+    return best, tuple(int(i) for i in np.flatnonzero(members[first]))
 
 
 def outer_measure(table: PreMeasureTable, covers: CoverFamily, target) -> float:
@@ -298,16 +291,9 @@ def outer_measure_details(
     inside = arr.mask(target)
     if not inside.any():
         return OuterMeasureResult(0.0, (), 0.0)
-    # bit i of an element's mask: it covers the i-th target cell
-    universe = (1 << int(inside.sum())) - 1
-    masks, costs, ses = [], [], []
-    for el in covers.elements:
-        bits = np.packbits(arr.mask(el)[inside], bitorder="little")
-        masks.append(int.from_bytes(bits.tobytes(), "little"))
-        value, se = psi_on_C_with_se(table, el)
-        costs.append(value)
-        ses.append(se)
-    value, chosen = _outer_measure_search(costs, masks, universe)
+    cover = np.array([arr.mask(el)[inside] for el in covers.elements])
+    costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
+    value, chosen = _outer_measure_search(costs, cover)
     stderr = float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))
     return OuterMeasureResult(float(value), tuple(chosen), stderr)
 

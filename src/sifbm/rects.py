@@ -244,8 +244,10 @@ def left_nbhd_measure(c: LeftNeighborhood) -> float:
 #
 # The corner coordinates of all boxes involved induce a grid of open cells;
 # each cell lies entirely inside or outside every box, so a region is a
-# boolean mask over the cells.  Every cell has positive volume, so comparing
-# masks is comparing sets up to null sets.
+# boolean mask over the cells.  Consecutive edges differ, so every cell has
+# positive width on each axis and positive Lebesgue measure (its float volume
+# may still underflow to 0.0), and comparing masks is comparing sets up to
+# null sets.
 # ---------------------------------------------------------------------------
 
 Region = Rect | RectUnion | LeftNeighborhood

@@ -19,45 +19,39 @@ class DegenerateDataError(ValueError):
     """Input carries no usable variation (constant paths, constant theta)."""
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    s: float
-    t: float
-    theta_s: float
-    theta_t: float
-    predicted: float
-    observed: float
-    stderr: float
+PROFILE_DTYPE = np.dtype(
+    [(name, np.float64) for name in
+     ("s", "t", "theta_s", "theta_t", "predicted", "observed", "stderr")]
+)
 
 
 @dataclass(frozen=True)
 class VarianceProfile:
     """Increment second moments against the |theta_t - theta_s|^{2H} law.
 
-    ``stderr`` is the chi-square plug-in standard error observed*sqrt(2/n).
+    ``rows`` is a read-only ``PROFILE_DTYPE`` array, one row per grid pair
+    (s, t) with s before t, in row-major pair order.  ``stderr`` is the
+    chi-square plug-in standard error observed*sqrt(2/n).
     """
 
-    rows: tuple[ProfileRow, ...]
+    rows: np.ndarray
     n_samples: int
     hurst: HurstParam
 
     def fraction_within(self, k: float = 4.0) -> float:
         """Fraction of pairs with |observed - predicted| <= k * stderr."""
-        ok = sum(
-            1 for r in self.rows if abs(r.observed - r.predicted) <= k * r.stderr
-        )
-        return ok / len(self.rows) if self.rows else 1.0
+        r = self.rows
+        ok = np.count_nonzero(np.abs(r["observed"] - r["predicted"]) <= k * r["stderr"])
+        return float(ok / len(r)) if len(r) else 1.0
 
 
 def variance_profile(
     paths: np.ndarray,
     tc: TimeChange,
     h: HurstParam,
-    max_pairs: int | None = None,
     predicted: np.ndarray | None = None,
 ) -> VarianceProfile:
-    """All grid pairs (or a deterministic subsample) with predicted vs
-    observed increment second moments.
+    """All grid pairs with predicted vs observed increment second moments.
 
     The default prediction is the time-changed power law
     |theta_t - theta_s|^{2H}; pass ``predicted`` (a full pairwise matrix) for
@@ -72,31 +66,19 @@ def variance_profile(
     # second-moment matrix gives every pairwise increment moment at once:
     # E[(X_t - X_s)^2] = M_tt + M_ss - 2 M_ts
     m = (paths.T @ paths) / n
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        stride = int(np.ceil(len(pairs) / max_pairs))
-        pairs = pairs[::stride]
-    rows = []
-    grid = tc.grid
-    p = h.two_h
-    for i, j in pairs:
-        observed = max(m[i, i] + m[j, j] - 2.0 * m[i, j], 0.0)
-        if predicted is not None:
-            pred = float(predicted[i, j])
-        else:
-            pred = abs(theta[j] - theta[i]) ** p
-        rows.append(
-            ProfileRow(
-                s=float(grid[i]),
-                t=float(grid[j]),
-                theta_s=float(theta[i]),
-                theta_t=float(theta[j]),
-                predicted=pred,
-                observed=float(observed),
-                stderr=float(observed * np.sqrt(2.0 / n)),
-            )
-        )
-    return VarianceProfile(tuple(rows), n, h)
+    d = np.diag(m)
+    i, j = np.triu_indices(k, 1)
+    rows = np.empty(len(i), PROFILE_DTYPE)
+    rows["s"], rows["t"] = tc.grid[i], tc.grid[j]
+    rows["theta_s"], rows["theta_t"] = theta[i], theta[j]
+    if predicted is not None:
+        rows["predicted"] = predicted[i, j]
+    else:
+        rows["predicted"] = np.abs(theta[j] - theta[i]) ** h.two_h
+    rows["observed"] = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
+    rows["stderr"] = rows["observed"] * np.sqrt(2.0 / n)
+    rows.flags.writeable = False
+    return VarianceProfile(rows, n, h)
 
 
 def hurst_estimate(paths: np.ndarray, tc: TimeChange) -> float:

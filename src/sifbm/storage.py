@@ -78,12 +78,9 @@ def load_ensemble(binary_path, indices, seed: int, hurst: HurstParam) -> SampleE
 def write_profile_csv(profile: VarianceProfile, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["s", "t", "theta_s", "theta_t", "predicted", "observed", "stderr"])
-        for r in profile.rows:
-            w.writerow(
-                repr(v)
-                for v in (r.s, r.t, r.theta_s, r.theta_t, r.predicted, r.observed, r.stderr)
-            )
+        w.writerow(profile.rows.dtype.names)
+        # the csv module writes Python floats with repr, so values round-trip
+        w.writerows(profile.rows.tolist())
 
 
 def write_json(obj, path):

@@ -357,6 +357,45 @@ class TestCli:
         assert main(["project", "--config", str(path)]) == 1
         assert "manifest_simulate.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, path, value, field",
+        [
+            ("project", ("thresholds", "profile_se_mult"), "abc", "thresholds.profile_se_mult"),
+            ("recover-measure", ("thresholds", "psi_floor"), None, "thresholds.psi_floor"),
+            ("verify-intrep", ("integral_rep", "variance_rel_tol"), "abc",
+             "integral_rep.variance_rel_tol"),
+            ("verify-intrep", ("integral_rep", "covariance_se_mult"), None,
+             "integral_rep.covariance_se_mult"),
+            ("verify-intrep", ("integral_rep", "masses", 1), "a", "integral_rep.masses[1]"),
+            ("verify-intrep", ("integral_rep", "variance_masses"), 1.0,
+             "integral_rep.variance_masses"),
+            ("verify-intrep", ("integral_rep", "hursts", 0), None, "integral_rep.hursts[0]"),
+            ("verify-intrep", ("integral_rep", "n_samples"), "4000", "integral_rep.n_samples"),
+            ("verify-intrep", ("integral_rep", "grid", "margin"), None,
+             "integral_rep.grid.margin"),
+            ("simulate", ("indices", "lattice", "shape", 0), "2", "indices.lattice.shape[0]"),
+            ("simulate", ("indices", "lattice", "spacing", 1), None,
+             "indices.lattice.spacing[1]"),
+            ("simulate", ("covers", "tiling", "divisions", 0), None,
+             "covers.tiling.divisions[0]"),
+            ("project", ("flows", 0, "to", 0), "a", "flows[0].to[0]"),
+            ("project", ("flows", 1, "segments", 0, "span"), ["a", "b"],
+             "flows[1].segments[0].span[0]"),
+            ("project", ("flows", 0),
+             {"kind": "power", "to": [2.0, 2.0], "exponents": ["a", 1.0], "points": 8},
+             "flows[0].exponents[0]"),
+        ],
+    )
+    def test_bad_numeric_field_is_config_error(self, tmp_path, capsys, command, path, value, field):
+        raw = node = copy.deepcopy({**BASE_CONFIG, "thresholds": {}})
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config, _ = make_config(tmp_path, **raw)
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and f"'{field}'" in err
+
     def test_half_hurst_in_intrep_exits_1(self, tmp_path, capsys):
         ir = {**BASE_CONFIG["integral_rep"], "hursts": [0.5]}
         path, _ = make_config(tmp_path, integral_rep=ir)
@@ -468,6 +507,19 @@ def test_module_imports_no_private_names(module):
         if _private(alias.name) or any(map(_private, (node.module or "").split(".")))
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_imports_at_top_level(module):
+    # an import inside a function body hides a dependency of the module
+    local = [
+        f"{fn.name} line {node.lineno}"
+        for fn in ast.walk(ast.parse((SRC / module).read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
 
 
 def test_full_pipeline_quick_leaves_no_temp_files(monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sifbm.flows import flows_through, required_flow_indices
@@ -41,6 +41,7 @@ from sifbm.recovery import (
     verify_extension_details,
     _comparable_pairs,
     _covariance_criterion,
+    _outer_measure_search,
     _psi_criteria,
 )
 from sifbm.rects import (
@@ -192,6 +193,75 @@ def brute_force_cover_min(table, covers, target_rect, n_pts=4000, seed=0):
                 cost = sum(psi_on_C(table, covers.elements[i]) for i in combo)
                 best = min(best, cost)
     return best
+
+
+def branch_and_bound_search(costs, masks, universe):
+    """The recursive reference the array search replaced: bit c of masks[i]
+    says element i covers target cell c; prunes when all costs are
+    non-negative; equal-cost ties break to the lexicographically smallest
+    index tuple."""
+    n = len(costs)
+    can_prune = all(c >= 0 for c in costs)
+    best = [np.inf, None]
+
+    def consider(cost, chosen):
+        if cost < best[0] or (cost == best[0] and (best[1] is None or chosen < best[1])):
+            best[0], best[1] = cost, chosen
+
+    def dfs(i, mask, cost, chosen):
+        if mask & universe == universe:
+            consider(cost, tuple(chosen))
+            if can_prune:
+                return
+        if i == n:
+            return
+        if can_prune and cost > best[0]:
+            return
+        chosen.append(i)
+        dfs(i + 1, mask | masks[i], cost + costs[i], chosen)
+        chosen.pop()
+        dfs(i + 1, mask, cost, chosen)
+
+    dfs(0, 0, 0.0, [])
+    if best[1] is None:
+        raise CoverError("no sub-family of the covers contains the target")
+    return best[0], best[1]
+
+
+@st.composite
+def cover_instances(draw):
+    """Costs from a small pool (negative, zero and repeated values) or
+    continuous, and a random cover matrix whose cells may have no element."""
+    n = draw(st.integers(1, 12))
+    cells = draw(st.integers(1, 8))
+    pool = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    cost = pool | st.floats(-2.0, 5.0, allow_nan=False)
+    costs = draw(st.lists(cost, min_size=n, max_size=n))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    bits = draw(st.lists(st.floats(0, 1), min_size=n * cells, max_size=n * cells))
+    return costs, np.array(bits).reshape(n, cells) < density
+
+
+class TestOuterMeasureSearch:
+    @given(cover_instances())
+    # an element covering no cell still counts: a negative cost lowers the
+    # value, and a zero cost wins the tie-break
+    @example(instance=([1.0, -0.5], np.array([[True], [False]])))
+    @example(instance=([0.0, 1.0], np.array([[False], [True]])))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_branch_and_bound(self, instance):
+        costs, cover = instance
+        masks = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in cover]
+        universe = (1 << cover.shape[1]) - 1
+        try:
+            want = branch_and_bound_search(costs, masks, universe)
+        except CoverError:
+            with pytest.raises(CoverError):
+                _outer_measure_search(costs, cover)
+            return
+        value, chosen = _outer_measure_search(costs, cover)
+        assert (value, chosen) == want
+        assert type(chosen[0]) is int
 
 
 class TestOuterMeasure:

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sifbm.rects import (
@@ -315,6 +316,7 @@ def region_families(draw):
 
 class TestCellMasks:
     @given(region_families())
+    @example(regions=[Rect((0.0, 5e-324)), Rect((0.5, 0.0))])
     @settings(deadline=None)
     def test_mask_matches_pointwise_oracle(self, regions):
         arr = CellArrangement(regions)
@@ -324,7 +326,11 @@ class TestCellMasks:
         cells = list(itertools.product(*(range(len(e) - 1) for e in edges)))
         upper = [[edges[i][k + 1] for i, k in enumerate(cell)] for cell in cells]
         widths = [[edges[i][k + 1] - edges[i][k] for i, k in enumerate(cell)] for cell in cells]
-        mids = [[(edges[i][k] + edges[i][k + 1]) / 2 for i, k in enumerate(cell)] for cell in cells]
+        # exact midpoints: a float one can round onto a cell edge
+        mids = [
+            [(Fraction(edges[i][k]) + Fraction(edges[i][k + 1])) / 2 for i, k in enumerate(cell)]
+            for cell in cells
+        ]
         assert np.array_equal(arr.upper, np.reshape(upper, (len(cells), dim)))
         assert np.array_equal(arr.volumes, [math.prod(w) for w in widths])
         for region in [*regions, regions]:
