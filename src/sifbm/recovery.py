@@ -268,12 +268,7 @@ def _outer_measure_search(costs, cover) -> tuple[float, tuple[int, ...]]:
         covering &= (subsets & fam) != 0
     best = total[covering].min()
     ties = subsets[covering & (total == best)]
-    # sorted index tuples, padded with -1 so a tuple sorts before its extensions
-    members = (ties[:, None] >> np.arange(n)) & 1 == 1
-    tuples = np.sort(np.where(members, np.arange(n), n), axis=1)
-    tuples[tuples == n] = -1
-    first = np.lexsort(tuples.T[::-1])[0]
-    return best, tuple(int(i) for i in np.flatnonzero(members[first]))
+    return best, min(tuple(i for i in range(n) if s >> i & 1) for s in ties.tolist())
 
 
 def outer_measure(table: PreMeasureTable, covers: CoverFamily, target) -> float:
