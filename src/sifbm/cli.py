@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_hash, load_config
-from .flows import predicted_increment_moment, project, time_change
+from .flows import TimeChange, predicted_increment_moment, project
 from .gaussian import ResolutionError, build_cov_matrix, cholesky, sample_ensemble
 from .intrep import verify_intrep
 from .recovery import CharacterizationReport, characterize, recover_measure
@@ -132,10 +132,9 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
     files, report = [], {}
     for name, f in zip(cfg.flow_names, cfg.flows):
         pe = project(e, f)
-        tc = time_change(f)
-        vp = variance_profile(
-            pe.paths, tc, cfg.hurst, predicted=predicted_increment_moment(f, cfg.hurst)
-        )
+        tc = TimeChange(pe.grid, pe.theta)
+        predicted = predicted_increment_moment(f, cfg.hurst, pe.theta)
+        vp = variance_profile(pe.paths, tc, cfg.hurst, predicted=predicted)
         fname = f"profile_{name}.csv"
         write_profile_csv(vp, out / fname)
         files.append(fname)

@@ -36,9 +36,10 @@ def _get(d: dict, key: str, kind, where: str, default=None, required=False):
 
 
 def _typed(val, kind, name: str):
-    if kind is float and isinstance(val, int):
+    if kind is float and type(val) is int:
         val = float(val)
-    if not isinstance(val, kind):
+    # JSON true/false parse to bool, a subclass of int, but are never numbers
+    if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(
             f"field '{name}' must be {getattr(kind, '__name__', kind)}, "
             f"got {type(val).__name__}"
@@ -58,6 +59,7 @@ def _corner(obj, n, where) -> tuple[float, ...]:
 
 
 def _build_flow(spec: dict, dim: int, where: str):
+    _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
     if kind == "simple":
         segs = _get(spec, "segments", list, where, required=True)
@@ -74,6 +76,7 @@ def _build_flow(spec: dict, dim: int, where: str):
 
 
 def _segment_flow(spec: dict, dim: int, where: str) -> ElementaryFlow:
+    _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
     span = _items(spec, "span", float, where, default=[0.0, 1.0])
     if len(span) != 2 or not span[0] < span[1]:
@@ -163,8 +166,9 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     dim = _get(resolved, "dimension", int, "", required=True)
     if dim < 1:
         raise ConfigError("field 'dimension' must be >= 1")
+    hurst = _get(resolved, "hurst", float, "", required=True)
     try:
-        hurst = HurstParam(_get(resolved, "hurst", float, "", required=True))
+        hurst = HurstParam(hurst)
     except ValueError as exc:
         raise ConfigError(f"field 'hurst': {exc}") from exc
     seed = _get(resolved, "seed", int, "", required=True)
@@ -176,7 +180,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     idx_spec = _get(resolved, "indices", dict, "", required=True)
     lattice: list[Rect] = []
     if "lattice" in idx_spec:
-        lat = idx_spec["lattice"]
+        lat = _get(idx_spec, "lattice", dict, "indices.")
         shape = _items(lat, "shape", int, "indices.lattice.", required=True)
         spacing = _items(lat, "spacing", float, "indices.lattice.", default=[1.0] * dim)
         if len(shape) != dim or len(spacing) != dim:
@@ -184,7 +188,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         for combo in itertools.product(*(range(1, s + 1) for s in shape)):
             lattice.append(Rect(tuple(c * sp for c, sp in zip(combo, spacing))))
     elif "corners" in idx_spec:
-        for i, c in enumerate(idx_spec["corners"]):
+        for i, c in enumerate(_get(idx_spec, "corners", list, "indices.")):
             lattice.append(Rect(_corner(c, dim, f"indices.corners[{i}]")))
     else:
         raise ConfigError("field 'indices' needs either 'lattice' or 'corners'")
@@ -202,7 +206,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         corner = tuple(float(x) for x in lattice[-1].corner) if lattice else (1.0,) * dim
         covers = tiling_cover(corner, (2,) * dim)
     elif "tiling" in cov_spec:
-        t = cov_spec["tiling"]
+        t = _get(cov_spec, "tiling", dict, "covers.")
         corner = _corner(_get(t, "corner", list, "covers.tiling.", required=True), dim, "covers.tiling.corner")
         divisions = _items(t, "divisions", int, "covers.tiling.", required=True)
         if len(divisions) != dim:
@@ -213,11 +217,13 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
             raise ConfigError(f"field 'covers.tiling': {exc}") from exc
     elif "elements" in cov_spec:
         els = []
-        for i, el in enumerate(cov_spec["elements"]):
-            base = Rect(_corner(el["base"], dim, f"covers.elements[{i}].base"))
+        for i, el in enumerate(_get(cov_spec, "elements", list, "covers.")):
+            where = f"covers.elements[{i}]."
+            _typed(el, dict, where[:-1])
+            base = Rect(_corner(_get(el, "base", list, where, required=True), dim, f"{where}base"))
             subs = tuple(
-                Rect(_corner(s, dim, f"covers.elements[{i}].subtract"))
-                for s in el.get("subtract", [])
+                Rect(_corner(s, dim, f"{where}subtract"))
+                for s in _get(el, "subtract", list, where, default=[])
             )
             if len(subs) > MAX_UNION_PARTS:
                 raise ConfigError(

@@ -152,7 +152,10 @@ def time_change(f: Flow) -> TimeChange:
     """Measure of the flow value at each grid point."""
     if isinstance(f, ElementaryFlow):
         return TimeChange(f.grid, np.array([rect_measure(v) for v in f.values]))
-    grid, values = f.grid_and_values()
+    return _union_time_change(*f.grid_and_values())
+
+
+def _union_time_change(grid: np.ndarray, values: list[RectUnion]) -> TimeChange:
     return TimeChange(grid, np.array([union_measure(v) for v in values]))
 
 
@@ -199,7 +202,7 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
+def predicted_increment_moment(f: Flow, h: HurstParam, theta=None) -> np.ndarray:
     """E[(X^f_t - X^f_s)^2] for the exact field, over all grid pairs.
 
     Elementary flows obey the time-changed power law
@@ -208,9 +211,12 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
     values; their increment moments follow from the covariance of that signed
     combination and deviate from the power law exactly where the branches
     interact, so the expansion is the correct prediction to test against.
+
+    ``theta`` is the flow's time change when the caller already has it
+    (``PathEnsemble.theta``); elementary flows then do not compute it again.
     """
     if isinstance(f, ElementaryFlow):
-        th = time_change(f).values
+        th = time_change(f).values if theta is None else theta
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
     _, values = f.grid_and_values()
     expansions = [signed_terms(v.parts) for v in values]
@@ -237,15 +243,14 @@ def project(e: SampleEnsemble, f: Flow) -> PathEnsemble:
     the additive inclusion-exclusion extension, so every intersection of
     accumulated parts must be present in the ensemble.
     """
-    tc = time_change(f)
     if isinstance(f, ElementaryFlow):
         nonempty = [j for j, v in enumerate(f.values) if not v.is_empty]
         cols = np.zeros((e.n_samples, len(f.values)))
         for j, col in zip(nonempty, e.positions([f.values[j] for j in nonempty])):
             cols[:, j] = e.samples[:, col]
-        return PathEnsemble(tc.values, cols, e.hurst, grid=f.grid)
+        return PathEnsemble(time_change(f).values, cols, e.hurst, grid=f.grid)
     grid, values = f.grid_and_values()
     cols = np.empty((e.n_samples, len(values)))
     for j, v in enumerate(values):
         cols[:, j] = additive_extend(e, v)
-    return PathEnsemble(tc.values, cols, e.hurst, grid=grid)
+    return PathEnsemble(_union_time_change(grid, values).values, cols, e.hurst, grid=grid)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow, predicted_increment_moment, project, time_change
+from .flows import Flow, TimeChange, predicted_increment_moment, project
 from .gaussian import HurstParam, ResolutionError, SampleEnsemble
 from .rects import (
     CellArrangement,
@@ -280,6 +280,15 @@ def outer_measure(table: PreMeasureTable, covers: CoverFamily, target) -> float:
 def outer_measure_details(
     table: PreMeasureTable, covers: CoverFamily, target
 ) -> OuterMeasureResult:
+    return _outer_measure_details(_cover_costs(table, covers), covers, target)
+
+
+def _cover_costs(table, covers) -> list[tuple[float, float]]:
+    """``psi_on_C_with_se`` of each cover element, in element order."""
+    return [psi_on_C_with_se(table, el) for el in covers.elements]
+
+
+def _outer_measure_details(costs, covers, target) -> OuterMeasureResult:
     if isinstance(target, Rect) and target.is_empty:
         return OuterMeasureResult(0.0, (), 0.0)
     arr = CellArrangement([target, covers.elements])
@@ -287,8 +296,8 @@ def outer_measure_details(
     if not inside.any():
         return OuterMeasureResult(0.0, (), 0.0)
     cover = np.array([arr.mask(el)[inside] for el in covers.elements])
-    costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
-    value, chosen = _outer_measure_search(costs, cover)
+    psi, ses = zip(*costs)
+    value, chosen = _outer_measure_search(psi, cover)
     stderr = float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))
     return OuterMeasureResult(float(value), tuple(chosen), stderr)
 
@@ -301,7 +310,11 @@ def verify_extension(table: PreMeasureTable, covers: CoverFamily, u: Rect) -> fl
 
 def verify_extension_details(table, covers, u: Rect) -> tuple[float, float]:
     """(residual, propagated stderr of outer(u) and psi(u) combined)."""
-    det = outer_measure_details(table, covers, u)
+    return _extension_residual(table, _cover_costs(table, covers), covers, u)
+
+
+def _extension_residual(table, costs, covers, u: Rect) -> tuple[float, float]:
+    det = _outer_measure_details(costs, covers, u)
     entry = table.entry(u)
     resid = abs(det.value - entry.value)
     return resid, float(np.hypot(det.stderr, entry.stderr))
@@ -453,8 +466,9 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
     gauss_worst, gauss_detail = 0.0, ""
     for fi, f in enumerate(flows):
         pe = project(e, f)
-        tc = time_change(f)
-        vp = variance_profile(pe.paths, tc, h, predicted=predicted_increment_moment(f, h))
+        tc = TimeChange(pe.grid, pe.theta)
+        predicted = predicted_increment_moment(f, h, pe.theta)
+        vp = variance_profile(pe.paths, tc, h, predicted=predicted)
         frac = vp.fraction_within(thr.profile_se_mult)
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"flow {fi}"
@@ -569,32 +583,33 @@ def _additivity_criterion(table, thr) -> CriterionResult:
 
 
 def _extension_criterion(table, covers, thr) -> CriterionResult:
-    worst, detail, passed, count = 0.0, "", True, 0
     idx = table.indices()
     arr = CellArrangement([idx, covers.elements])
     uncovered = ~arr.mask(covers.elements)
-    for u in idx:
-        if rect_measure(u) < thr.psi_floor:
-            continue
-        if np.any(arr.mask(u) & uncovered):
-            continue
-        resid, se = verify_extension_details(table, covers, u)
+    targets = [
+        u for u in idx
+        if rect_measure(u) >= thr.psi_floor and not np.any(arr.mask(u) & uncovered)
+    ]
+    if not targets:
+        return CriterionResult(
+            "extension", False, np.inf, 0.0, "no coverable index to test"
+        )
+    costs = _cover_costs(table, covers)
+    worst, detail, passed = 0.0, "", True
+    for u in targets:
+        resid, se = _extension_residual(table, costs, covers, u)
         tol = (
             thr.analytic_tol * max(1.0, table.psi(u))
             if table.is_analytic
             else thr.extension_se_mult * se
         )
-        count += 1
         if resid > tol:
             passed = False
         if resid > worst:
             worst, detail = resid, repr(u)
-    if count == 0:
-        return CriterionResult(
-            "extension", False, np.inf, 0.0, "no coverable index to test"
-        )
     return CriterionResult(
-        "extension", passed, worst, 0.0, f"worst residual over {count} targets ({detail})"
+        "extension", passed, worst, 0.0,
+        f"worst residual over {len(targets)} targets ({detail})",
     )
 
 

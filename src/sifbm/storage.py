@@ -7,7 +7,6 @@ float64 samples.
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from pathlib import Path
@@ -21,6 +20,9 @@ from .stats import VarianceProfile
 MAGIC = b"SIFB"
 VERSION = 1
 _HEADER = struct.Struct("<4sBQQ")  # magic, version, rows, columns: 21 bytes
+# Profile rows formatted at a time: holds the text of a few thousand rows,
+# not of the whole profile, at any moment
+PROFILE_BLOCK_ROWS = 4096
 
 
 class ArtifactError(ValueError):
@@ -76,11 +78,24 @@ def load_ensemble(binary_path, indices, seed: int, hurst: HurstParam) -> SampleE
 
 
 def write_profile_csv(profile: VarianceProfile, path):
+    """A header line, then one line per grid pair: comma-separated ``repr``
+    of each float, so values round-trip, and CRLF line ends.  The bytes are
+    those the csv module writes, as no field holds a comma or a quote.
+
+    In each block of ``PROFILE_BLOCK_ROWS`` rows, each column formats each
+    distinct float64 bit pattern once (bits, not values: -0.0 and 0.0 format
+    differently)."""
+    rows = profile.rows
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(profile.rows.dtype.names)
-        # the csv module writes Python floats with repr, so values round-trip
-        w.writerows(profile.rows.tolist())
+        fh.write(",".join(rows.dtype.names) + "\r\n")
+        for start in range(0, len(rows), PROFILE_BLOCK_ROWS):
+            block = rows[start:start + PROFILE_BLOCK_ROWS]
+            cols = []
+            for name in rows.dtype.names:
+                bits, inverse = np.unique(block[name].view(np.uint64), return_inverse=True)
+                text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+                cols.append(text[inverse].tolist())
+            fh.writelines(",".join(line) + "\r\n" for line in zip(*cols))
 
 
 def write_json(obj, path):

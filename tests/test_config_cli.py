@@ -384,6 +384,11 @@ class TestCli:
             ("project", ("flows", 0),
              {"kind": "power", "to": [2.0, 2.0], "exponents": ["a", 1.0], "points": 8},
              "flows[0].exponents[0]"),
+            # JSON booleans are Python ints, but never numbers in a config
+            ("simulate", ("n_samples",), True, "n_samples"),
+            ("recover-measure", ("thresholds", "psi_floor"), True, "thresholds.psi_floor"),
+            ("verify-intrep", ("integral_rep", "grid", "cells_per_mass"), False,
+             "integral_rep.grid.cells_per_mass"),
         ],
     )
     def test_bad_numeric_field_is_config_error(self, tmp_path, capsys, command, path, value, field):
@@ -395,6 +400,25 @@ class TestCli:
         assert main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sifbm: config error:") and f"'{field}'" in err
+
+    def test_cover_element_without_base_is_config_error(self, tmp_path, capsys):
+        covers = {"elements": [{"subtract": [[1.0, 1.0]]}]}
+        path, _ = make_config(tmp_path, covers=covers)
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "'covers.elements[0].base'" in err
+
+    def test_corners_not_a_list_is_config_error(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path, indices={"corners": 5})
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "'indices.corners'" in err
+
+    def test_flow_given_as_number_is_config_error(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path, flows=[5, BASE_CONFIG["flows"][1]])
+        assert main(["project", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "'flows[0]'" in err
 
     def test_half_hurst_in_intrep_exits_1(self, tmp_path, capsys):
         ir = {**BASE_CONFIG["integral_rep"], "hursts": [0.5]}

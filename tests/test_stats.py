@@ -9,18 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sifbm.flows import TimeChange, flows_through, project, time_change, required_flow_indices
 from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm.rects import rect
-from sifbm.storage import write_profile_csv
+from sifbm.storage import PROFILE_BLOCK_ROWS, write_profile_csv
 from sifbm.stats import (
     PROFILE_DTYPE,
     DegenerateDataError,
     GaussianityReport,
+    VarianceProfile,
     gaussianity_check,
     hurst_estimate,
     variance_profile,
@@ -151,6 +152,41 @@ def write_rows_csv(rows, path):
             w.writerow(repr(v) for v in r)
 
 
+def write_profile_reference(rows, path):
+    """The csv-module profile writer that formatting each distinct float once
+    replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(rows.dtype.names)
+        w.writerows(rows.tolist())
+
+
+# Values the dedup must keep apart or format specially: both zeros, NaNs
+# with other payloads and signs, infinities and the extreme subnormals.
+SPECIAL_FLOATS = [0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324, 2.2250738585072014e-308]
+SPECIAL_FLOATS += np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001], np.uint64
+).view(np.float64).tolist()
+
+
+@st.composite
+def profile_records(draw):
+    """``PROFILE_DTYPE`` records of any float64s, repeats from a small pool
+    mixed in, and a column holding both 0.0 and -0.0 whenever there are two
+    rows."""
+    n = draw(st.integers(0, 40))
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    pool = draw(st.lists(floats, min_size=1, max_size=4)) + SPECIAL_FLOATS
+    flat = draw(hnp.arrays(np.float64, (n, 7), elements=floats | st.sampled_from(pool)))
+    if n >= 2:
+        col = draw(st.integers(0, 6))
+        i, j = draw(st.permutations(range(n)))[:2]
+        flat[i, col], flat[j, col] = 0.0, -0.0
+    rows = np.empty(n, PROFILE_DTYPE)
+    rows.view(np.float64).reshape(n, 7)[:] = flat
+    return rows
+
+
 @st.composite
 def profile_inputs(draw):
     """Paths, a nondecreasing time change (ties included) and, half the time,
@@ -199,6 +235,30 @@ class TestVarianceProfile:
             write_profile_csv(vp, new)
             write_rows_csv(scalar_profile(paths, tc, h, predicted), old)
             assert new.read_bytes() == old.read_bytes()
+
+    @given(profile_records())
+    @example(np.zeros(0, PROFILE_DTYPE))
+    @example(np.array([(0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0)], PROFILE_DTYPE))
+    @settings(deadline=None, max_examples=200)
+    def test_csv_bytes_match_csv_module(self, rows):
+        with tempfile.TemporaryDirectory() as d:
+            new, ref = Path(d) / "new.csv", Path(d) / "ref.csv"
+            write_profile_csv(VarianceProfile(rows, 10, HurstParam(0.3)), new)
+            write_profile_reference(rows, ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_csv_bytes_match_csv_module_across_blocks(self, tmp_path):
+        # blocks format their distinct values apart: repeats, both zeros and
+        # NaN straddle the block boundaries
+        n = 2 * PROFILE_BLOCK_ROWS + 3
+        pool = np.array(SPECIAL_FLOATS + [0.1, 1 / 3, 2.0])
+        flat = np.random.default_rng(5).choice(pool, size=(n, 7))
+        flat[:, 4] = np.random.default_rng(6).standard_normal(n)
+        rows = np.empty(n, PROFILE_DTYPE)
+        rows.view(np.float64).reshape(n, 7)[:] = flat
+        write_profile_csv(VarianceProfile(rows, 10, HurstParam(0.3)), tmp_path / "new.csv")
+        write_profile_reference(rows, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_constant_flow_all_zero(self):
         tc = TimeChange(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
