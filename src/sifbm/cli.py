@@ -133,8 +133,9 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
     for name, f in zip(cfg.flow_names, cfg.flows):
         pe = project(e, f)
         tc = TimeChange(pe.grid, pe.theta)
-        predicted = predicted_increment_moment(f, cfg.hurst, pe.theta)
-        vp = variance_profile(pe.paths, tc, cfg.hurst, predicted=predicted)
+        vp = variance_profile(
+            pe.paths, tc, cfg.hurst, predicted=predicted_increment_moment(f, cfg.hurst)
+        )
         fname = f"profile_{name}.csv"
         write_profile_csv(vp, out / fname)
         files.append(fname)

@@ -202,7 +202,7 @@ class PathEnsemble:
         return self.paths.shape[0]
 
 
-def predicted_increment_moment(f: Flow, h: HurstParam, theta=None) -> np.ndarray:
+def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
     """E[(X^f_t - X^f_s)^2] for the exact field, over all grid pairs.
 
     Elementary flows obey the time-changed power law
@@ -211,12 +211,9 @@ def predicted_increment_moment(f: Flow, h: HurstParam, theta=None) -> np.ndarray
     values; their increment moments follow from the covariance of that signed
     combination and deviate from the power law exactly where the branches
     interact, so the expansion is the correct prediction to test against.
-
-    ``theta`` is the flow's time change when the caller already has it
-    (``PathEnsemble.theta``); elementary flows then do not compute it again.
     """
     if isinstance(f, ElementaryFlow):
-        th = time_change(f).values if theta is None else theta
+        th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
     _, values = f.grid_and_values()
     expansions = [signed_terms(v.parts) for v in values]

@@ -280,26 +280,38 @@ def outer_measure(table: PreMeasureTable, covers: CoverFamily, target) -> float:
 def outer_measure_details(
     table: PreMeasureTable, covers: CoverFamily, target
 ) -> OuterMeasureResult:
-    return _outer_measure_details(_cover_costs(table, covers), covers, target)
+    return _outer_measures(table, covers, [target])[0]
 
 
-def _cover_costs(table, covers) -> list[tuple[float, float]]:
-    """``psi_on_C_with_se`` of each cover element, in element order."""
-    return [psi_on_C_with_se(table, el) for el in covers.elements]
+def _outer_measures(table, covers, targets) -> list[OuterMeasureResult]:
+    """``outer_measure_details`` of each target.  The cover elements' costs
+    are looked up once, and only if some target is not null."""
+    cover_masks = [_target_cover(covers, t) for t in targets]
+    null = OuterMeasureResult(0.0, (), 0.0)
+    if all(cover is None for cover in cover_masks):
+        return [null] * len(targets)
+    costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
+    results = []
+    for cover in cover_masks:
+        if cover is None:
+            results.append(null)
+            continue
+        value, chosen = _outer_measure_search(costs, cover)
+        stderr = float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))
+        results.append(OuterMeasureResult(float(value), tuple(chosen), stderr))
+    return results
 
 
-def _outer_measure_details(costs, covers, target) -> OuterMeasureResult:
+def _target_cover(covers, target) -> np.ndarray | None:
+    """Row i marks the target's cells that cover element i covers; None for
+    a null target."""
     if isinstance(target, Rect) and target.is_empty:
-        return OuterMeasureResult(0.0, (), 0.0)
+        return None
     arr = CellArrangement([target, covers.elements])
     inside = arr.mask(target)
     if not inside.any():
-        return OuterMeasureResult(0.0, (), 0.0)
-    cover = np.array([arr.mask(el)[inside] for el in covers.elements])
-    psi, ses = zip(*costs)
-    value, chosen = _outer_measure_search(psi, cover)
-    stderr = float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))
-    return OuterMeasureResult(float(value), tuple(chosen), stderr)
+        return None
+    return np.array([arr.mask(el)[inside] for el in covers.elements])
 
 
 def verify_extension(table: PreMeasureTable, covers: CoverFamily, u: Rect) -> float:
@@ -310,11 +322,10 @@ def verify_extension(table: PreMeasureTable, covers: CoverFamily, u: Rect) -> fl
 
 def verify_extension_details(table, covers, u: Rect) -> tuple[float, float]:
     """(residual, propagated stderr of outer(u) and psi(u) combined)."""
-    return _extension_residual(table, _cover_costs(table, covers), covers, u)
+    return _extension_residual(table, outer_measure_details(table, covers, u), u)
 
 
-def _extension_residual(table, costs, covers, u: Rect) -> tuple[float, float]:
-    det = _outer_measure_details(costs, covers, u)
+def _extension_residual(table, det: OuterMeasureResult, u: Rect) -> tuple[float, float]:
     entry = table.entry(u)
     resid = abs(det.value - entry.value)
     return resid, float(np.hypot(det.stderr, entry.stderr))
@@ -348,8 +359,8 @@ def measurability_check(
             f"{MAX_COVER_ELEMENTS}-element search cap"
         )
     split = CoverFamily(tuple(pieces))
-    both = outer_measure(table, split, [a_inside, b_outside])
-    return abs(both - outer_measure(table, split, a_inside) - outer_measure(table, split, b_outside))
+    both, a, b = _outer_measures(table, split, [[a_inside, b_outside], a_inside, b_outside])
+    return abs(both.value - a.value - b.value)
 
 
 def _nonnull(c: LeftNeighborhood) -> bool:
@@ -467,8 +478,7 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
     for fi, f in enumerate(flows):
         pe = project(e, f)
         tc = TimeChange(pe.grid, pe.theta)
-        predicted = predicted_increment_moment(f, h, pe.theta)
-        vp = variance_profile(pe.paths, tc, h, predicted=predicted)
+        vp = variance_profile(pe.paths, tc, h, predicted=predicted_increment_moment(f, h))
         frac = vp.fraction_within(thr.profile_se_mult)
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"flow {fi}"
@@ -588,16 +598,15 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
     uncovered = ~arr.mask(covers.elements)
     targets = [
         u for u in idx
-        if rect_measure(u) >= thr.psi_floor and not np.any(arr.mask(u) & uncovered)
+        if not (rect_measure(u) < thr.psi_floor or np.any(arr.mask(u) & uncovered))
     ]
     if not targets:
         return CriterionResult(
             "extension", False, np.inf, 0.0, "no coverable index to test"
         )
-    costs = _cover_costs(table, covers)
     worst, detail, passed = 0.0, "", True
-    for u in targets:
-        resid, se = _extension_residual(table, costs, covers, u)
+    for u, det in zip(targets, _outer_measures(table, covers, targets)):
+        resid, se = _extension_residual(table, det, u)
         tol = (
             thr.analytic_tol * max(1.0, table.psi(u))
             if table.is_analytic

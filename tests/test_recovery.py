@@ -276,6 +276,16 @@ class TestOuterMeasure:
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
         assert outer_measure(t, covers, EMPTY) == 0.0
 
+    def test_null_target_needs_no_cover_costs(self):
+        # a null target is 0 before any cover element is looked up, so a
+        # table without the covers' entries still answers it
+        t = PreMeasureTable(HurstParam(0.3), {})
+        covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
+        assert outer_measure(t, covers, EMPTY) == 0.0
+        assert outer_measure(t, covers, rect(0, 1)) == 0.0
+        with pytest.raises(MissingPsiError):
+            outer_measure(t, covers, rect(1, 1))
+
     def test_redundant_expensive_piece_ignored(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         target = rect(2, 1)
