@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_hash, load_config
 from .flows import TimeChange, predicted_increment_moment, project
-from .gaussian import ResolutionError, build_cov_matrix, cholesky, sample_ensemble
+from .gaussian import ResolutionError, build_cov_matrix, cholesky, ensemble_blocks
 from .intrep import verify_intrep
 from .recovery import CharacterizationReport, characterize, recover_measure
 from .stats import DegenerateDataError, gaussianity_check, hurst_estimate, variance_profile
@@ -118,10 +118,10 @@ def _load_ensemble(cfg: ExperimentConfig, out: Path):
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
     idx = cfg.ensemble_indices()
     factor = cholesky(build_cov_matrix(idx, cfg.hurst))
-    e = sample_ensemble(factor, cfg.n_samples, seed=cfg.seed, jobs=cfg.jobs)
-    write_ensemble_binary(e, out / ENSEMBLE_BIN)
+    blocks = ensemble_blocks(factor, cfg.n_samples, seed=cfg.seed, jobs=cfg.jobs)
+    write_ensemble_binary(blocks, out / ENSEMBLE_BIN, (cfg.n_samples, len(idx)))
     return Outcome(
-        note=f"{e.n_samples} samples over {len(idx)} indices (jitter {factor.jitter:g})",
+        note=f"{cfg.n_samples} samples over {len(idx)} indices (jitter {factor.jitter:g})",
         files=(ENSEMBLE_BIN,),
         manifest={"simulation": _simulation_record(cfg, idx)},
     )

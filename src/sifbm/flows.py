@@ -12,6 +12,7 @@ that time change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,24 +63,24 @@ class SimpleFlow:
     def breakpoints(self) -> list[float]:
         return [self.segments[0].a] + [s.b for s in self.segments]
 
-    def grid_and_values(self) -> tuple[np.ndarray, list[RectUnion]]:
-        """Merged grid with one accumulated union per point (shared
-        breakpoints appear once, valued by the later segment)."""
+    def grid_and_values(self) -> tuple[np.ndarray, tuple[RectUnion, ...]]:
+        """Merged grid, read-only and built once per flow, with one accumulated
+        union per point (shared breakpoints appear once, valued by the later segment)."""
+        return self._merged
+
+    @cached_property
+    def _merged(self) -> tuple[np.ndarray, tuple[RectUnion, ...]]:
         grid: list[float] = []
         values: list[RectUnion] = []
-        accumulated: list[Rect] = []
-        for si, seg in enumerate(self.segments):
-            for gi, t in enumerate(seg.grid):
-                if si > 0 and gi == 0:
-                    # breakpoint already emitted by the previous segment;
-                    # re-emitting would duplicate the grid point
-                    if grid and grid[-1] == t:
-                        values[-1] = RectUnion((seg.values[gi], *accumulated))
-                        continue
-                grid.append(float(t))
-                values.append(RectUnion((seg.values[gi], *accumulated)))
-            accumulated.append(seg.values[-1])
-        return np.asarray(grid), values
+        for i, seg in enumerate(self.segments):
+            if grid:  # the previous segment's end point is this one's start
+                del grid[-1], values[-1]
+            ends = [s.values[-1] for s in self.segments[:i]]
+            grid += seg.grid.tolist()
+            values += [RectUnion((v, *ends)) for v in seg.values]
+        grid_array = np.asarray(grid)
+        grid_array.flags.writeable = False
+        return grid_array, tuple(values)
 
 
 Flow = ElementaryFlow | SimpleFlow
@@ -152,10 +153,7 @@ def time_change(f: Flow) -> TimeChange:
     """Measure of the flow value at each grid point."""
     if isinstance(f, ElementaryFlow):
         return TimeChange(f.grid, np.array([rect_measure(v) for v in f.values]))
-    return _union_time_change(*f.grid_and_values())
-
-
-def _union_time_change(grid: np.ndarray, values: list[RectUnion]) -> TimeChange:
+    grid, values = f.grid_and_values()
     return TimeChange(grid, np.array([union_measure(v) for v in values]))
 
 
@@ -177,11 +175,7 @@ def required_flow_indices(f: Flow) -> set[Rect]:
     """Every ensemble column a projection of this flow will read."""
     if isinstance(f, ElementaryFlow):
         return {v for v in f.values if not v.is_empty}
-    out: set[Rect] = set()
-    _, values = f.grid_and_values()
-    for v in values:
-        out |= {r for _, r in signed_terms(v.parts)}
-    return out
+    return {r for v in f.grid_and_values()[1] for _, r in signed_terms(v.parts)}
 
 
 @dataclass(frozen=True)
@@ -250,4 +244,4 @@ def project(e: SampleEnsemble, f: Flow) -> PathEnsemble:
     cols = np.empty((e.n_samples, len(values)))
     for j, v in enumerate(values):
         cols[:, j] = additive_extend(e, v)
-    return PathEnsemble(_union_time_change(grid, values).values, cols, e.hurst, grid=grid)
+    return PathEnsemble(time_change(f).values, cols, e.hurst, grid=grid)

@@ -8,15 +8,18 @@ with m Lebesgue measure, (+) the symmetric difference, H in (0, 1/2], and the
 convention 0^{2H} = 0.  At H = 1/2 this reduces to m(U n V).  Ensembles are
 drawn by Cholesky factorization with a recorded jitter ladder.
 
-Stream contract (``block_draw``, shared with the moving-average draws of
+Stream contract (``draw_blocks``, shared with the moving-average draws of
 ``sifbm.intrep``): rows come in fixed blocks of STREAM_BLOCK, each with its
 own SFC64 stream keyed (seed, block), and every block is a full-size matrix
 product.  So output is bit-identical for any worker count, and the first n
 rows of a draw are the same for every larger draw (prefix-stable).
+``sifbm simulate`` streams the blocks to disk: its peak memory is a few blocks
+plus the n_indices^2 covariance and factor, whatever n_samples is.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,38 +197,52 @@ class SampleEnsemble:
         return self.samples[:, self.positions([u])[0]]
 
 
-def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> np.ndarray:
-    """Rows z @ right with z standard normal under the stream contract.
+def draw_blocks(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=()) -> Iterator[np.ndarray]:
+    """Rows z @ right, z standard normal, under the stream contract: blocks of
+    at most STREAM_BLOCK rows in order, with columns ``zero`` set to 0.
 
     Each block draws a full STREAM_BLOCK x right.shape[0] normal matrix from
     its own stream and multiplies all of it, so the product runs the same
     BLAS kernel whatever n_rows is; a trailing partial block keeps its first
-    rows.  Blocks run on ``jobs`` threads."""
-    out = np.empty((n_rows, right.shape[1]))
+    rows.  Blocks run on ``jobs`` threads, at most ``jobs`` in flight."""
+    if n_rows < 1:
+        raise ValueError("n_samples must be >= 1")
 
-    def fill(block: int):
-        lo = block * STREAM_BLOCK
-        hi = min(lo + STREAM_BLOCK, n_rows)
+    def draw(block: int) -> np.ndarray:
         stream = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
         z = np.random.Generator(stream).standard_normal((STREAM_BLOCK, right.shape[0]))
-        out[lo:hi] = (z @ right)[: hi - lo]
+        rows = (z @ right)[: n_rows - block * STREAM_BLOCK]
+        rows[:, zero] = 0.0
+        return rows
+
+    def windowed():
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            window = [ex.submit(draw, block) for block in blocks[:jobs]]
+            for block in blocks[jobs:]:
+                yield window.pop(0).result()
+                window.append(ex.submit(draw, block))
+            yield from (future.result() for future in window)
 
     blocks = range(-(-n_rows // STREAM_BLOCK))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
+    return map(draw, blocks) if jobs == 1 else windowed()
+
+
+def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=()) -> np.ndarray:
+    """All rows of ``draw_blocks`` in one array."""
+    out = np.empty((n_rows, right.shape[1]))
+    for block, rows in enumerate(draw_blocks(seed, n_rows, right, jobs, zero)):
+        out[block * STREAM_BLOCK:(block + 1) * STREAM_BLOCK] = rows
     return out
+
+
+def ensemble_blocks(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> Iterator[np.ndarray]:
+    """The rows of ``sample_ensemble``, drawn block by block as they are read."""
+    return draw_blocks(seed, n_samples, factor.lower.T.copy(), jobs, np.flatnonzero(factor.zero_variance))
 
 
 def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
     """Draw rows L @ z with z standard normal from the streams of ``seed``."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs)
-    out[:, factor.zero_variance] = 0.0
+    out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs, np.flatnonzero(factor.zero_variance))
     return SampleEnsemble(factor.indices, out, int(seed), factor.hurst)
 
 

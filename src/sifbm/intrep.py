@@ -238,8 +238,6 @@ def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> PathEnsembl
     one normal per distinct positive mass from the streams of cfg.seed,
     through ``discretized_factor``.  Equal masses give bit-equal columns."""
     masses = _validate_masses(masses)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     distinct, inverse = np.unique(masses, return_inverse=True)
     f = discretized_factor(distinct, cfg.hurst, cfg.grid)
     paths = block_draw(cfg.seed, n_samples, f.T)
@@ -251,8 +249,6 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> PathEnsemble:
     increments at the mass points (the indicator-kernel limit of the
     representation on the positive half-line)."""
     masses = _validate_masses(masses)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     sds = np.sqrt(np.diff(masses, prepend=0.0))
     paths = np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
     return PathEnsemble(masses, paths, HurstParam(0.5))

@@ -2,12 +2,14 @@
 
 The binary ensemble format is magic bytes "SIFB", one version byte, two
 little-endian uint64 counts (rows, columns), then row-major little-endian
-float64 samples.
+float64 samples.  ``write_ensemble_binary`` writes it block by block as the
+draw arrives, so ``sifbm simulate`` never holds the whole ensemble.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -34,15 +36,31 @@ def rect_to_json(r: Rect):
     return None if r.is_empty else list(r.corner)
 
 
-def write_ensemble_binary(e: SampleEnsemble, path):
-    write_matrix_binary(e.samples, path)
+def write_ensemble_binary(blocks, path, shape):
+    """Write row blocks as one (rows, columns) ``shape`` matrix through a file that
+    replaces ``path`` after the last block; blocks that miss ``shape`` raise."""
+    rows, cols = shape
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, rows, cols))
+            written = 0
+            for block in blocks:
+                block = np.ascontiguousarray(block, dtype="<f8")
+                if block.shape[1:] != (cols,):
+                    raise ValueError(f"{path}: block of shape {block.shape}, header has {cols} columns")
+                written += len(block)
+                fh.write(memoryview(block))
+        if written != rows:
+            raise ValueError(f"{path}: blocks hold {written} rows, header has {rows}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_matrix_binary(mat: np.ndarray, path):
-    mat = np.ascontiguousarray(mat, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, mat.shape[0], mat.shape[1]))
-        fh.write(memoryview(mat))
+    write_ensemble_binary((mat,), path, np.shape(mat))
 
 
 def read_matrix_binary(path) -> np.ndarray:

@@ -5,6 +5,8 @@ import copy
 import importlib.util
 import json
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sifbm.cli
 from sifbm.cli import main
 from sifbm.config import ConfigError, canonical_hash, load_config
-from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
+from sifbm.gaussian import (
+    STREAM_BLOCK,
+    HurstParam,
+    build_cov_matrix,
+    cholesky,
+    ensemble_blocks,
+    sample_ensemble,
+)
 from sifbm.rects import EMPTY, rect
 from sifbm.storage import (
     _HEADER,
@@ -67,18 +77,72 @@ def make_config(tmp_path, **overrides):
 
 
 class TestStorage:
+    def _factor(self):
+        return cholesky(build_cov_matrix([EMPTY, rect(1, 1), rect(2, 1)], HurstParam(0.3)))
+
     def _ensemble(self, n=20):
-        idx = [EMPTY, rect(1, 1), rect(2, 1)]
-        f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
-        return sample_ensemble(f, n, seed=3)
+        return sample_ensemble(self._factor(), n, seed=3)
 
     def test_binary_round_trip(self, tmp_path):
         e = self._ensemble()
         p = tmp_path / "e.sifb"
-        write_ensemble_binary(e, p)
+        write_ensemble_binary(ensemble_blocks(self._factor(), 20, seed=3), p, e.samples.shape)
         got = read_matrix_binary(p)
         assert np.array_equal(got, e.samples)
         assert not got.flags.writeable
+
+    def test_failed_stream_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        p = tmp_path / "ensemble.sifb"
+        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        before = p.read_bytes()
+
+        def failing():
+            yield from [np.zeros((4, 3)), np.ones((4, 3))]
+            raise RuntimeError("draw failed")
+
+        with pytest.raises(RuntimeError, match="draw failed"):
+            write_ensemble_binary(failing(), p, (12, 3))
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["ensemble.sifb"]
+
+    @pytest.mark.parametrize(
+        "shapes, match",
+        [([(2, 3), (1, 3)], "3 rows, header has 4"),
+         ([(2, 3), (2, 3), (1, 3)], "5 rows, header has 4"),
+         ([(2, 3), (2, 2)], "header has 3 columns"),
+         ([(4,)], "header has 3 columns")],
+    )
+    def test_blocks_must_fill_the_header(self, tmp_path, shapes, match):
+        p = tmp_path / "ensemble.sifb"
+        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match=match):
+            write_ensemble_binary((np.zeros(s) for s in shapes), p, (4, 3))
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["ensemble.sifb"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corners=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=5),
+        with_empty=st.booleans(),
+        duplicate=st.booleans(),
+        n=st.sampled_from([1, 255, 256, 257, 3 * STREAM_BLOCK + 5]),
+        jobs=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.sampled_from([0.2, 0.5]),
+    )
+    def test_streamed_bytes_match_in_memory_ensemble(
+        self, tmp_path_factory, corners, with_empty, duplicate, n, jobs, seed, h
+    ):
+        # the empty box gives a zero-variance column; a duplicated index
+        # makes the covariance singular, so the factor needs jitter
+        idx = [rect(*c) for c in corners]
+        idx += [EMPTY] * with_empty + idx[:1] * duplicate
+        factor = cholesky(build_cov_matrix(idx, HurstParam(h)))
+        p = tmp_path_factory.getbasetemp() / "stream.sifb"
+        write_ensemble_binary(ensemble_blocks(factor, n, seed, jobs), p, (n, len(idx)))
+        ref = sample_ensemble(factor, n, seed).samples.astype("<f8").tobytes()
+        assert p.read_bytes() == _HEADER.pack(MAGIC, VERSION, n, len(idx)) + ref
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -261,6 +325,32 @@ class TestCli:
         first = (out / "ensemble.sifb").read_bytes()
         assert main(["simulate", "--config", str(path)]) == 0
         assert (out / "ensemble.sifb").read_bytes() == first
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_simulate_memory_stays_below_the_ensemble(self, tmp_path, monkeypatch, jobs):
+        # simulate streams its draw: the traced peak stays a few blocks,
+        # not the matrix.  A writer slower than the draw keeps blocks waiting,
+        # so a --jobs 2 draw that did not bound its blocks in flight would
+        # hold most of the matrix.
+        path, _ = make_config(tmp_path, n_samples=64 * STREAM_BLOCK)
+        write = sifbm.cli.write_ensemble_binary
+
+        def slow(blocks):
+            for block in blocks:
+                time.sleep(0.002)
+                yield block
+
+        monkeypatch.setattr(
+            sifbm.cli, "write_ensemble_binary", lambda blocks, *rest: write(slow(blocks), *rest)
+        )
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(path), "--jobs", str(jobs)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = read_matrix_binary(tmp_path / "out" / "ensemble.sifb")
+        assert peak < matrix.nbytes / 4
 
     def test_simulate_writes_no_csv(self, tmp_path):
         path, _ = make_config(tmp_path)

@@ -131,6 +131,24 @@ class TestSimpleFlow:
         # last value is union of both segment endpoints
         assert values[-1] == RectUnion((rect(2, 0.5), rect(0.5, 2)))
 
+    def test_grid_and_values_built_once(self, monkeypatch):
+        # required_flow_indices, project and predicted_increment_moment all
+        # read the merged grid; only the first call may build unions
+        import sifbm.flows as flows
+
+        sf = self._two_segment()
+        grid, values = sf.grid_and_values()
+        assert not grid.flags.writeable and isinstance(values, tuple)
+
+        def no_new_union(*args):
+            raise AssertionError("grid_and_values built a new RectUnion")
+
+        monkeypatch.setattr(flows, "RectUnion", no_new_union)
+        again = sf.grid_and_values()
+        assert again[0] is grid and again[1] is values
+        required_flow_indices(sf)
+        time_change(sf)
+
     def test_time_change_nondecreasing(self):
         tc = time_change(self._two_segment())
         assert np.all(np.diff(tc.values) >= 0)
