@@ -102,15 +102,13 @@ class TimeChange:
         if vals.size and vals[0] < 0:
             raise ValueError("time change must be non-negative")
         scale = float(vals.max()) if vals.size else 0.0
-        out = vals.copy()
-        for i in range(1, out.size):
-            if out[i] < out[i - 1]:
-                if out[i - 1] - out[i] > 1e-12 * max(scale, 1.0):
-                    raise ValueError(
-                        f"time change decreases at grid point {i}: "
-                        f"{out[i - 1]} -> {out[i]}"
-                    )
-                out[i] = out[i - 1]
+        out = np.maximum.accumulate(vals)
+        drops = np.flatnonzero(out[:-1] - vals[1:] > 1e-12 * max(scale, 1.0))
+        if drops.size:
+            i = int(drops[0]) + 1
+            raise ValueError(
+                f"time change decreases at grid point {i}: {out[i - 1]} -> {vals[i]}"
+            )
         object.__setattr__(self, "values", out)
         self.grid.flags.writeable = False
         self.values.flags.writeable = False

@@ -15,6 +15,12 @@ draws from that law through a factor over the distinct positive masses, not
 one normal per cell.  One Brownian motion drives every point of a masses
 list; it is never reused across calls, so the representation stays per-flow.
 
+A kernel grid depends on the masses and the ``GridSpec`` only, not on H, so
+``build_kernel_grid`` builds each one once per (masses, spec) and process:
+the per-H normalization, the variance checks and the covariance audits reuse
+it.  The cache holds at most 16 grids (their read-only edges; midpoints and
+widths are recomputed on use), the most recently used ones.
+
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
 are the same for every larger n (prefix-stable).
@@ -27,6 +33,7 @@ exactly from cumulative increments at the mass points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,7 +120,13 @@ class KernelGrid:
 
 
 def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> KernelGrid:
-    masses = [float(m) for m in masses]
+    """The grid for a masses list, built once per (masses, spec) and process;
+    a list, a tuple and an array of the same masses share one grid."""
+    return _kernel_grid(tuple(float(m) for m in masses), spec)
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_grid(masses: tuple[float, ...], spec: GridSpec) -> KernelGrid:
     max_mass = max(masses)
     if max_mass <= 0:
         raise ValueError("grid needs at least one positive mass")
@@ -123,33 +136,39 @@ def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> KernelGrid:
     n_base = int(round((u_max - u_min) / step))
     base = np.linspace(u_min, u_max, n_base + 1)
     crit = np.array(sorted({0.0} | {m for m in masses if m > 0}))
-    edges = np.unique(np.concatenate([base, crit]))
+    # insert the singular points into the sorted base, skipping those on it
+    at = np.searchsorted(base, crit)
+    new = base[at] != crit
+    edges = np.insert(base, at[new], crit[new])
+    # a cell [lo, hi] is near c when lo <= c + radius and hi >= c - radius;
+    # for each c those cells are one run, and the runs are merged by counting
     radius = spec.refine_radius_frac * max_mass
-    lo, hi = edges[:-1], edges[1:]
-    near = np.zeros(lo.size, dtype=bool)
-    for c in crit:
-        near |= (lo <= c + radius) & (hi >= c - radius)
-    counts = np.where(near, spec.refine_factor, 1)
-    # emit, per cell, the sub-edges lo + (hi-lo) * j/count for j = 1..count,
-    # then pin each cell's final sub-edge to the original (exact) edge
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    j = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts) + 1
-    out = np.empty(offsets[-1] + 1)
-    out[0] = edges[0]
-    out[1:] = np.repeat(lo, counts) + np.repeat((hi - lo) / counts, counts) * j
-    out[offsets[1:]] = hi
+    first = np.maximum(np.searchsorted(edges, crit - radius) - 1, 0)
+    stop = np.minimum(np.searchsorted(edges, crit + radius, side="right"), edges.size - 1)
+    depth = np.zeros(edges.size, dtype=np.intp)
+    np.add.at(depth, first, 1)
+    np.add.at(depth, stop, -1)
+    near = np.flatnonzero(np.cumsum(depth[:-1]))
+    # split each near cell at lo + (hi - lo) / refine_factor * j for
+    # j = 1..refine_factor-1; every cell keeps its exact edges
+    j = np.arange(1, spec.refine_factor)
+    lo, hi = edges[near], edges[near + 1]
+    sub = lo[:, None] + ((hi - lo) / spec.refine_factor)[:, None] * j
+    out = np.insert(edges, np.repeat(near + 1, j.size), sub.ravel())
     return KernelGrid(out, spec, max_mass)
 
 
-def mvn_kernel(mass: float, u, h: HurstParam):
-    """Moving-average kernel |mass - u|^{H-1/2} - |u|^{H-1/2}.
+def mvn_kernel(mass, u, h: HurstParam):
+    """Moving-average kernel |mass - u|^{H-1/2} - |u|^{H-1/2}, broadcast over
+    an array of masses (``masses[:, None]`` gives one row per mass, with
+    |u|^{H-1/2} computed once).
 
     Evaluate only away from the singularities u = 0 and u = mass; grids built
     here guarantee a half-cell offset.
     """
     if h.is_half:
         raise HalfCaseError()
-    if mass < 0:
+    if np.any(np.asarray(mass) < 0):
         raise ValueError("mass must be non-negative")
     a = h.value - 0.5
     u = np.asarray(u, dtype=float)
@@ -256,12 +275,9 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> PathEnsemble:
 
 def _kernel_covariance(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
     grid = build_kernel_grid(masses, spec)
-    mids, widths = grid.midpoints, grid.widths
-    kmat = np.empty((masses.size, grid.n_cells))
-    for i, m in enumerate(masses):
-        kmat[i] = mvn_kernel(float(m), mids, h)
+    kmat = mvn_kernel(masses[:, None], grid.midpoints, h)
     c2 = normalization_const(h, spec) ** 2
-    return c2 * (kmat * widths) @ kmat.T
+    return c2 * (kmat * grid.widths) @ kmat.T
 
 
 def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:

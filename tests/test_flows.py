@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sifbm.flows import (
@@ -88,6 +88,51 @@ class TestTimeChange:
     def test_macroscopic_decrease_rejected(self):
         with pytest.raises(ValueError, match="decreases"):
             TimeChange(np.array([0.0, 1.0]), np.array([2.0, 1.0]))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1e-13, 0.25, 1.0 / 3.0, 2.5]),
+                st.sampled_from([0.0, 0.0, -1e-14, -9e-13, -1.1e-12, -3e-12, -0.5]),
+            ),
+            max_size=10,
+        ).map(lambda pairs: np.cumsum([s for s, _ in pairs]) + [n for _, n in pairs])
+    )
+    # on a tie of signed zeros the loop kept the later value
+    @example(np.array([0.0, -0.0, -1e-300, 0.5]))
+    @example(np.array([-0.0, 0.0, -1e-300]))
+    @example(np.array([1.0, 1.0 - 1e-13, 1.0 - 5e-13, 1.0 - 2e-12]))
+    def test_snap_matches_loop(self, values):
+        # the running-maximum snap against the loop it replaced: the same
+        # bits, or the same error at the same grid point
+        grid = np.arange(values.size, dtype=float)
+        try:
+            want = _loop_time_change(values)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                TimeChange(grid, values)
+            assert str(got.value) == str(exc)
+        else:
+            got = TimeChange(grid, values).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _loop_time_change(values) -> np.ndarray:
+    """The snap loop ``TimeChange`` used before its running-maximum form."""
+    vals = np.asarray(values, dtype=float)
+    if vals.size and vals[0] < 0:
+        raise ValueError("time change must be non-negative")
+    scale = float(vals.max()) if vals.size else 0.0
+    out = vals.copy()
+    for i in range(1, out.size):
+        if out[i] < out[i - 1]:
+            if out[i - 1] - out[i] > 1e-12 * max(scale, 1.0):
+                raise ValueError(
+                    f"time change decreases at grid point {i}: "
+                    f"{out[i - 1]} -> {out[i]}"
+                )
+            out[i] = out[i - 1]
+    return out
 
 
 class TestFlowsThrough:

@@ -7,13 +7,15 @@ tolerances; the acceptance suite exercises the default grid.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sifbm.flows import flows_through, project, required_flow_indices, time_change
 from sifbm.gaussian import STREAM_BLOCK, HurstParam, build_cov_matrix, cholesky, sample_ensemble
+from sifbm import intrep
 from sifbm.intrep import (
     GridSpec,
     HalfCaseError,
+    IntRepConfig,
     RepConfig,
     build_kernel_grid,
     discretized_covariance,
@@ -23,10 +25,66 @@ from sifbm.intrep import (
     mvn_kernel,
     normalization_const,
     simulate_via_integral,
+    verify_intrep,
 )
 from sifbm.rects import rect
 
 COARSE = GridSpec(cells_per_mass=512)
+
+
+def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
+    """The np.unique grid builder that ``build_kernel_grid`` replaced."""
+    masses = [float(m) for m in masses]
+    max_mass = max(masses)
+    u_min = -spec.truncation_factor * max_mass
+    u_max = (1.0 + spec.margin) * max_mass
+    step = max_mass / spec.cells_per_mass
+    n_base = int(round((u_max - u_min) / step))
+    base = np.linspace(u_min, u_max, n_base + 1)
+    crit = np.array(sorted({0.0} | {m for m in masses if m > 0}))
+    edges = np.unique(np.concatenate([base, crit]))
+    radius = spec.refine_radius_frac * max_mass
+    lo, hi = edges[:-1], edges[1:]
+    near = np.zeros(lo.size, dtype=bool)
+    for c in crit:
+        near |= (lo <= c + radius) & (hi >= c - radius)
+    counts = np.where(near, spec.refine_factor, 1)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    j = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts) + 1
+    out = np.empty(offsets[-1] + 1)
+    out[0] = edges[0]
+    out[1:] = np.repeat(lo, counts) + np.repeat((hi - lo) / counts, counts) * j
+    out[offsets[1:]] = hi
+    return out
+
+
+def _loop_kernel_covariance(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """``discretized_covariance`` with one ``mvn_kernel`` call per mass."""
+    grid = build_kernel_grid(masses, spec)
+    kmat = np.empty((len(masses), grid.n_cells))
+    for i, m in enumerate(masses):
+        kmat[i] = mvn_kernel(float(m), grid.midpoints, h)
+    c2 = _loop_normalization_const(h, spec) ** 2
+    return c2 * (kmat * grid.widths) @ kmat.T
+
+
+def _loop_normalization_const(h: HurstParam, spec: GridSpec) -> float:
+    g = build_kernel_grid([1.0], spec)
+    k = mvn_kernel(1.0, g.midpoints, h)
+    return float(np.sum(k * k * g.widths)) ** -0.5
+
+
+# grid masses: zero, repeats, dyadic values on base edges, and values off them
+_GRID_MASSES = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.3, 0.5, 0.5, 0.77, 1.0, 1.0, 1.5, 2.0])
+# dyadic steps and radii put c +- radius on base edges for dyadic masses
+_GRID_SPECS = st.builds(
+    GridSpec,
+    truncation_factor=st.sampled_from([0.5, 2.0, 50.0]),
+    margin=st.sampled_from([0.25, 1.0, 3.0]),
+    cells_per_mass=st.sampled_from([8, 16, 64, 256]),
+    refine_factor=st.sampled_from([1, 2, 3, 8]),
+    refine_radius_frac=st.sampled_from([0.0, 0.01, 1 / 64, 1 / 16, 1 / 8, 0.3, 100.0]),
+)
 
 
 class TestKernel:
@@ -84,6 +142,66 @@ class TestGrid:
         base_step = 1.0 / COARSE.cells_per_mass
         near = np.abs(fine.midpoints) < 0.01
         assert np.all(fine.widths[near] < base_step)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        masses=st.lists(_GRID_MASSES, min_size=1, max_size=6).map(sorted).filter(
+            lambda m: m[-1] > 0
+        ),
+        spec=_GRID_SPECS,
+    )
+    # zero and duplicate masses; dyadic masses on base edges
+    @example(masses=[0.0, 0.0, 0.5, 0.5, 1.0], spec=GridSpec(cells_per_mass=16))
+    # c - radius and c + radius exactly on base edges (step and radius 1/16)
+    @example(masses=[0.5, 1.0], spec=GridSpec(cells_per_mass=16, refine_radius_frac=1 / 16))
+    # overlapping windows, and no subdivision at all
+    @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_radius_frac=0.3))
+    @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_factor=1))
+    # windows past both ends of the grid
+    @example(masses=[1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
+                                         cells_per_mass=8, refine_radius_frac=100.0))
+    def test_matches_unique_builder(self, masses, spec):
+        got = build_kernel_grid(masses, spec).edges
+        want = _unique_kernel_edges(masses, spec)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestGridCache:
+    def test_same_key_same_grid(self):
+        spec = GridSpec(cells_per_mass=64)
+        g = build_kernel_grid([0.5, 1.0], spec)
+        assert build_kernel_grid([0.5, 1.0], spec) is g
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0] = 0.0
+
+    def test_sequence_types_share_one_entry(self):
+        spec = GridSpec(cells_per_mass=48)
+        intrep._kernel_grid.cache_clear()
+        g = build_kernel_grid([0.5, 1.0], spec)
+        assert build_kernel_grid((0.5, 1.0), spec) is g
+        assert build_kernel_grid(np.array([0.5, 1.0]), spec) is g
+        assert intrep._kernel_grid.cache_info().currsize == 1
+
+    def test_size_bounded(self):
+        maxsize = intrep._kernel_grid.cache_info().maxsize
+        assert maxsize == 16
+        for k in range(2 * maxsize):
+            build_kernel_grid([1.0 + k / 8], GridSpec(cells_per_mass=8))
+            assert intrep._kernel_grid.cache_info().currsize <= maxsize
+
+    def test_verify_intrep_cold_equals_warm(self):
+        ir = IntRepConfig(
+            masses=(0.5, 0.75, 1.0),
+            variance_masses=(0.25, 1.0),
+            hursts=(0.3, 0.35),
+            n_samples=300,
+            grid=GridSpec(cells_per_mass=64, refine_factor=2),
+        )
+        first = verify_intrep(ir, seed=3).to_dict()
+        intrep._NORMALIZATION_CACHE.clear()
+        intrep._kernel_grid.cache_clear()
+        assert verify_intrep(ir, seed=3).to_dict() == first
 
 
 class TestNormalization:
@@ -222,6 +340,27 @@ class TestDiscretizedCovariance:
 
 # nondecreasing mass lists with zeros and repeats: a few levels, each repeated
 _LEVELS = st.sampled_from([0.0, 0.0, 0.125, 0.3, 0.5, 0.77, 1.0, 1.5])
+
+
+class TestBroadcastKernel:
+    @pytest.mark.parametrize("hv", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize(
+        "masses", [[1.0], [0.25, 1.0, 4.0], [0.5, 0.75, 0.75, 1.0], [0.125, 0.3, 0.77, 1.5]]
+    )
+    def test_matches_per_mass_loop(self, masses, hv):
+        h = HurstParam(hv)
+        spec = GridSpec(cells_per_mass=256)
+        want = _loop_kernel_covariance(masses, h, spec)
+        assert normalization_const(h, spec) == _loop_normalization_const(h, spec)
+        assert np.array_equal(discretized_covariance(masses, h, spec), want)
+        distinct, inverse = np.unique(masses, return_inverse=True)
+        lam, vec = np.linalg.eigh(_loop_kernel_covariance(distinct, h, spec))
+        fd = vec * np.sqrt(np.where(lam > 1e-12 * lam[-1], lam, 0.0))
+        assert np.array_equal(discretized_factor(masses, h, spec), fd[inverse])
+
+    def test_negative_mass_in_array_rejected(self):
+        with pytest.raises(ValueError, match="mass must be non-negative"):
+            mvn_kernel(np.array([[0.5], [-1.0]]), np.linspace(-1.0, 1.0, 5), HurstParam(0.3))
 
 
 class TestDiscretizedFactor:
