@@ -11,9 +11,11 @@ the checkout's short commit hash, with ``-dirty`` when its tree has
 uncommitted changes.  The file holds each workload's reported metrics
 (``wall_s`` and ``setup_s`` are medians over the run's repetitions,
 ``peak_rss_mb`` their maximum), whether its outputs were correct and how
-many operations failed, the tier-1 wall time and summary line, the core
-count and the numpy and Python versions.  Exit 1 when a workload's outputs
-were incorrect or tier-1 did not pass; the file is written either way.
+many operations failed, the tier-1 wall time and summary line,
+``src_lines`` (the total line count of the checkout's ``src/sifbm/*.py``,
+as ``wc -l`` counts it), the core count and the numpy and Python versions.
+Exit 1 when a workload's outputs were incorrect or tier-1 did not pass; the
+file is written either way.
 """
 
 import argparse
@@ -62,6 +64,10 @@ def run_tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "sifbm").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=HERE)
@@ -89,6 +95,7 @@ def main(argv=None) -> int:
         "benchmark": {"seed": args.seed, "seconds": seconds, "trace": 0},
         "workloads": workloads,
         "tier1": tier1,
+        "src_lines": src_lines(root),
         "host": {
             "cores": os.cpu_count(),
             "numpy": np.__version__,

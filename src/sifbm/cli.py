@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_hash, load_config
-from .flows import TimeChange, predicted_increment_moment, project
 from .gaussian import ResolutionError, build_cov_matrix, cholesky, ensemble_blocks
 from .intrep import verify_intrep
 from .recovery import CharacterizationReport, characterize, recover_measure
-from .stats import DegenerateDataError, gaussianity_check, hurst_estimate, variance_profile
+from .stats import DegenerateDataError, flow_statistics, gaussianity_check, hurst_estimate
 from .storage import (
     ArtifactError,
     load_ensemble,
@@ -131,11 +130,8 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _load_ensemble(cfg, out)
     files, report = [], {}
     for name, f in zip(cfg.flow_names, cfg.flows):
-        pe = project(e, f)
-        tc = TimeChange(pe.grid, pe.theta)
-        vp = variance_profile(
-            pe.paths, tc, cfg.hurst, predicted=predicted_increment_moment(f, cfg.hurst)
-        )
+        fs = flow_statistics(e, f, cfg.hurst)
+        vp = fs.profile
         fname = f"profile_{name}.csv"
         write_profile_csv(vp, out / fname)
         files.append(fname)
@@ -144,12 +140,11 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
             "n_pairs": len(vp.rows),
         }
         try:
-            entry["hurst_estimate"] = hurst_estimate(pe.paths, tc)
+            entry["hurst_estimate"] = hurst_estimate(fs.moments, e.n_samples, fs.time_change)
         except (DegenerateDataError, ValueError) as exc:
             entry["hurst_estimate_error"] = str(exc)
-        end = pe.paths[:, -1]
-        if np.std(end) > 0 and e.n_samples >= 1000:
-            g = gaussianity_check(end, z_limit=cfg.thresholds.gaussianity_z)
+        if np.std(fs.end) > 0 and e.n_samples >= 1000:
+            g = gaussianity_check(fs.end, z_limit=cfg.thresholds.gaussianity_z)
             entry["gaussianity"] = {
                 "skewness_z": g.skewness_z,
                 "excess_kurtosis_z": g.excess_kurtosis_z,

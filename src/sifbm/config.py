@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .flows import ElementaryFlow, SimpleFlow, make_elementary_flow, required_flow_indices
+from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
 from .intrep import GridSpec, IntRepConfig
 from .recovery import CoverFamily, Thresholds, tiling_cover
@@ -145,7 +145,7 @@ class ExperimentConfig:
         column any configured flow projection will read."""
         out = set(self.table_indices)
         for f in self.flows:
-            out |= required_flow_indices(f)
+            out.update(flow_weights(f)[0])
         return sorted(out, key=lambda r: r.corner)
 
     def config_hash(self) -> str:

@@ -7,6 +7,11 @@ live among finite unions of boxes.  The time change of a flow is the measure
 of its value at each grid point; projecting an exact field ensemble onto a
 flow yields, in law, a one-parameter fractional Brownian motion evaluated at
 that time change.
+
+Every value along a flow is a fixed signed combination of box values, so a
+flow reads the field through one weight matrix A_f (``flow_weights``): the
+projection of an ensemble is X_B A_f, with X_B its columns at the flow's
+boxes, and every second moment along the flow is a quadratic form in A_f.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import HurstParam, SampleEnsemble, additive_extend, build_cov_matrix
+from .gaussian import HurstParam, SampleEnsemble, build_cov_matrix
 from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, signed_terms, union_measure
 
 DEFAULT_FLOW_POINTS = 64
@@ -41,6 +46,10 @@ class ElementaryFlow:
     @property
     def b(self) -> float:
         return float(self.grid[-1])
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[Rect, ...], np.ndarray]:
+        return _signed_weights([() if v.is_empty else (v,) for v in self.values])
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,10 @@ class SimpleFlow:
         grid_array = np.asarray(grid)
         grid_array.flags.writeable = False
         return grid_array, tuple(values)
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[Rect, ...], np.ndarray]:
+        return _signed_weights([v.parts for v in self._merged[1]])
 
 
 Flow = ElementaryFlow | SimpleFlow
@@ -169,29 +182,25 @@ def flows_through(u: Rect, points: int = DEFAULT_FLOW_POINTS) -> ElementaryFlow:
     return ElementaryFlow(grid, tuple(values))
 
 
-def required_flow_indices(f: Flow) -> set[Rect]:
-    """Every ensemble column a projection of this flow will read."""
-    if isinstance(f, ElementaryFlow):
-        return {v for v in f.values if not v.is_empty}
-    return {r for v in f.grid_and_values()[1] for _, r in signed_terms(v.parts)}
+def flow_weights(f: Flow) -> tuple[tuple[Rect, ...], np.ndarray]:
+    """The boxes a flow reads, sorted by corner, and its read-only weight
+    matrix A (one row per box, one column per grid point), built once per
+    flow: the field along the flow is X_B A.  An elementary flow puts one +1
+    per non-empty value; a simple flow takes the inclusion-exclusion signs
+    of each accumulated union (``signed_terms``)."""
+    return f._weights
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Sampled paths along a flow: one row per field realization."""
-
-    theta: np.ndarray         # time-change values, one per grid point
-    paths: np.ndarray         # (n_samples, n_points)
-    hurst: HurstParam
-    grid: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.theta.flags.writeable = False
-        self.paths.flags.writeable = False
-
-    @property
-    def n_samples(self) -> int:
-        return self.paths.shape[0]
+def _signed_weights(parts_per_point) -> tuple[tuple[Rect, ...], np.ndarray]:
+    expansions = [signed_terms(parts) for parts in parts_per_point]
+    boxes = sorted({b for ex in expansions for _, b in ex}, key=lambda r: r.corner)
+    pos = {b: i for i, b in enumerate(boxes)}
+    weights = np.zeros((len(boxes), len(expansions)))
+    for j, ex in enumerate(expansions):
+        for sign, b in ex:
+            weights[pos[b], j] += sign
+    weights.flags.writeable = False
+    return tuple(boxes), weights
 
 
 def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
@@ -200,46 +209,23 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
     Elementary flows obey the time-changed power law
     |theta_t - theta_s|^{2H}.  Simple flows take values among finite unions,
     where the field is the additive inclusion-exclusion combination of box
-    values; their increment moments follow from the covariance of that signed
-    combination and deviate from the power law exactly where the branches
-    interact, so the expansion is the correct prediction to test against.
+    values; their second moments are A^T C_B A, which deviates from the power
+    law exactly where the branches interact, so it is the correct prediction
+    to test against.
     """
     if isinstance(f, ElementaryFlow):
         th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
-    _, values = f.grid_and_values()
-    expansions = [signed_terms(v.parts) for v in values]
-    boxes = sorted(
-        {b for ex in expansions for _, b in ex if not b.is_empty},
-        key=lambda r: r.corner,
-    )
-    pos = {b: i for i, b in enumerate(boxes)}
-    weights = np.zeros((len(values), len(boxes)))
-    for i, ex in enumerate(expansions):
-        for sign, b in ex:
-            if not b.is_empty:
-                weights[i, pos[b]] += sign
-    cov = build_cov_matrix(boxes, h).matrix
-    second = weights @ cov @ weights.T
+    boxes, a = flow_weights(f)
+    second = a.T @ build_cov_matrix(boxes, h).matrix @ a
     d = np.diag(second)
     return np.maximum(d[:, None] + d[None, :] - 2.0 * second, 0.0)
 
 
-def project(e: SampleEnsemble, f: Flow) -> PathEnsemble:
-    """Evaluate each sample of the field along the flow.
+def project(e: SampleEnsemble, f: Flow) -> np.ndarray:
+    """Each sample of the field along the flow, (n_samples, n_points): X_B A.
 
-    Elementary flows read stored columns directly; simple flows go through
-    the additive inclusion-exclusion extension, so every intersection of
-    accumulated parts must be present in the ensemble.
-    """
-    if isinstance(f, ElementaryFlow):
-        nonempty = [j for j, v in enumerate(f.values) if not v.is_empty]
-        cols = np.zeros((e.n_samples, len(f.values)))
-        for j, col in zip(nonempty, e.positions([f.values[j] for j in nonempty])):
-            cols[:, j] = e.samples[:, col]
-        return PathEnsemble(time_change(f).values, cols, e.hurst, grid=f.grid)
-    grid, values = f.grid_and_values()
-    cols = np.empty((e.n_samples, len(values)))
-    for j, v in enumerate(values):
-        cols[:, j] = additive_extend(e, v)
-    return PathEnsemble(time_change(f).values, cols, e.hurst, grid=grid)
+    Every box the flow reads, intersections of accumulated union parts
+    included, must be an ensemble column."""
+    boxes, a = flow_weights(f)
+    return e.samples[:, e.positions(boxes)] @ a

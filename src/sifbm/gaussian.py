@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rects import Rect, RectUnion, corner_array, rect_measure, signed_terms, symdiff_measure
+from .rects import Rect, corner_array, rect_measure, symdiff_measure
 
 # Jitter multipliers tried in order, scaled by max(diag).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -244,19 +244,4 @@ def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int
     """Draw rows L @ z with z standard normal from the streams of ``seed``."""
     out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs, np.flatnonzero(factor.zero_variance))
     return SampleEnsemble(factor.indices, out, int(seed), factor.hurst)
-
-
-def additive_extend(e: SampleEnsemble, target: RectUnion) -> np.ndarray:
-    """Per-sample value of the field on a finite union of boxes,
-    X_{union} = sum over non-empty part subsets of (-1)^{|S|+1} X_{intersection S}.
-
-    Every intersection must be present as an ensemble column.
-    """
-    if target.is_empty:
-        return np.zeros(e.n_samples)
-    terms = [(sign, r) for sign, r in signed_terms(target.parts) if not r.is_empty]
-    out = np.zeros(e.n_samples)
-    for (sign, _), j in zip(terms, e.positions([r for _, r in terms])):
-        out += sign * e.samples[:, j]
-    return out
 

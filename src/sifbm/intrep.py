@@ -15,11 +15,12 @@ draws from that law through a factor over the distinct positive masses, not
 one normal per cell.  One Brownian motion drives every point of a masses
 list; it is never reused across calls, so the representation stays per-flow.
 
-A kernel grid depends on the masses and the ``GridSpec`` only, not on H, so
-``build_kernel_grid`` builds each one once per (masses, spec) and process:
-the per-H normalization, the variance checks and the covariance audits reuse
-it.  The cache holds at most 16 grids (their read-only edges; midpoints and
-widths are recomputed on use), the most recently used ones.
+A kernel grid depends on the distinct positive masses and the ``GridSpec``
+only, not on H, so ``build_kernel_grid`` builds each one once per (distinct
+positive masses, spec) and process: the per-H normalization, the variance
+checks and the covariance audits reuse it.  The cache holds at most 16 grids
+(their read-only edges; midpoints and widths are recomputed on use), the most
+recently used ones.
 
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
@@ -38,7 +39,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flows import PathEnsemble
 from .gaussian import HurstParam, ResolutionError, block_draw
 from .recovery import CharacterizationReport, CriterionResult
 
@@ -120,22 +120,24 @@ class KernelGrid:
 
 
 def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> KernelGrid:
-    """The grid for a masses list, built once per (masses, spec) and process;
-    a list, a tuple and an array of the same masses share one grid."""
-    return _kernel_grid(tuple(float(m) for m in masses), spec)
+    """The grid for a masses list, built once per (distinct positive masses,
+    spec) and process, since those are all it depends on: zeros, repeats and
+    the sequence type do not make a second grid."""
+    positive = tuple(sorted({float(m) for m in masses if m > 0}))
+    if not positive:
+        raise ValueError("grid needs at least one positive mass")
+    return _kernel_grid(positive, spec)
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_grid(masses: tuple[float, ...], spec: GridSpec) -> KernelGrid:
-    max_mass = max(masses)
-    if max_mass <= 0:
-        raise ValueError("grid needs at least one positive mass")
+def _kernel_grid(positive: tuple[float, ...], spec: GridSpec) -> KernelGrid:
+    max_mass = positive[-1]
     u_min = -spec.truncation_factor * max_mass
     u_max = (1.0 + spec.margin) * max_mass
     step = max_mass / spec.cells_per_mass
     n_base = int(round((u_max - u_min) / step))
     base = np.linspace(u_min, u_max, n_base + 1)
-    crit = np.array(sorted({0.0} | {m for m in masses if m > 0}))
+    crit = np.array((0.0, *positive))
     # insert the singular points into the sorted base, skipping those on it
     at = np.searchsorted(base, crit)
     new = base[at] != crit
@@ -252,25 +254,25 @@ def _validate_masses(masses) -> np.ndarray:
     return masses
 
 
-def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> PathEnsemble:
-    """Draw paths of the discretized representation along a masses list:
-    one normal per distinct positive mass from the streams of cfg.seed,
-    through ``discretized_factor``.  Equal masses give bit-equal columns."""
+def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> np.ndarray:
+    """Draw paths of the discretized representation along a masses list,
+    (n_samples, len(masses)): one normal per distinct positive mass from the
+    streams of cfg.seed, through ``discretized_factor``.  Equal masses give
+    bit-equal columns."""
     masses = _validate_masses(masses)
     distinct, inverse = np.unique(masses, return_inverse=True)
     f = discretized_factor(distinct, cfg.hurst, cfg.grid)
     paths = block_draw(cfg.seed, n_samples, f.T)
-    return PathEnsemble(masses, paths[:, inverse], cfg.hurst)
+    return paths[:, inverse]
 
 
-def half_case_simulate(masses, seed: int, n_samples: int) -> PathEnsemble:
+def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
     """H = 1/2 path: W([0, theta_i]) from exact cumulative Gaussian
     increments at the mass points (the indicator-kernel limit of the
     representation on the positive half-line)."""
     masses = _validate_masses(masses)
     sds = np.sqrt(np.diff(masses, prepend=0.0))
-    paths = np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
-    return PathEnsemble(masses, paths, HurstParam(0.5))
+    return np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
 
 
 def _kernel_covariance(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
@@ -344,17 +346,17 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
         h = HurstParam(hv)
         for ti, theta in enumerate(ir.variance_masses):
             rc = RepConfig(h, seed=_derived_seed(seed, 1, hi, ti), grid=ir.grid)
-            pe = simulate_via_integral([theta], rc, ir.n_samples)
-            var = float(np.mean(pe.paths[:, 0] ** 2))
+            paths = simulate_via_integral([theta], rc, ir.n_samples)
+            var = float(np.mean(paths[:, 0] ** 2))
             want = theta ** (2 * hv)
             rel = abs(var - want) / want
             name = f"variance_H{hv}_theta{theta}"
             detail = f"relative error of the sample variance against {want:.6g}"
             out.append(CriterionResult(name, rel <= tol, rel, tol, detail))
         rc = RepConfig(h, seed=_derived_seed(seed, 2, hi), grid=ir.grid)
-        pe = simulate_via_integral(ir.masses, rc, ir.n_samples)
+        paths = simulate_via_integral(ir.masses, rc, ir.n_samples)
         want = fbm_covariance(ir.masses, h)
-        worst = _worst_sigma(pe.paths, want)
+        worst = _worst_sigma(paths, want)
         detail = "worst sample covariance entry against fBm, in standard errors"
         out.append(CriterionResult(f"covariance_H{hv}", worst <= se_mult, worst, se_mult, detail))
         base_err, fine_err = (
@@ -364,9 +366,9 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
         detail = "max covariance error of the doubled grid, against the grid's own"
         passed = fine_err < base_err
         out.append(CriterionResult(f"refinement_H{hv}", passed, fine_err, base_err, detail))
-    pe = half_case_simulate(ir.masses, seed=_derived_seed(seed, 3), n_samples=ir.n_samples)
+    paths = half_case_simulate(ir.masses, seed=_derived_seed(seed, 3), n_samples=ir.n_samples)
     m = np.asarray(ir.masses)
-    worst = _worst_sigma(pe.paths, np.minimum(m[:, None], m[None, :]))
+    worst = _worst_sigma(paths, np.minimum(m[:, None], m[None, :]))
     detail = "worst sample covariance entry against min(s, t), in standard errors"
     out.append(CriterionResult("half_case_covariance", worst <= se_mult, worst, se_mult, detail))
     return CharacterizationReport(tuple(out))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow, TimeChange, predicted_increment_moment, project
+from .flows import Flow
 from .gaussian import HurstParam, ResolutionError, SampleEnsemble
 from .rects import (
     CellArrangement,
@@ -49,7 +49,7 @@ from .rects import (
     signed_terms,
     symdiff_measure,
 )
-from .stats import gaussianity_check, variance_profile
+from .stats import flow_statistics, gaussianity_check
 
 MAX_COVER_ELEMENTS = 16
 
@@ -95,7 +95,7 @@ class PreMeasureTable:
     def from_ensemble(cls, e: SampleEnsemble, indices=None) -> "PreMeasureTable":
         table = cls(e.hurst)
         for u in indices if indices is not None else e.indices:
-            table._entries[u] = _psi_entry(e, u, e.hurst)
+            table._entries[u] = psi_entry(e, u, e.hurst)
         return table
 
     @property
@@ -128,12 +128,9 @@ class PreMeasureTable:
         )
 
 
-def estimate_psi(e: SampleEnsemble, u: Rect, h: HurstParam) -> float:
-    """Plug-in recovery of the measure of a box: (mean of X_U^2)^{1/(2H)}."""
-    return _psi_entry(e, u, h).value
-
-
-def _psi_entry(e: SampleEnsemble, u: Rect, h: HurstParam) -> PsiEntry:
+def psi_entry(e: SampleEnsemble, u: Rect, h: HurstParam) -> PsiEntry:
+    """Plug-in recovery of the measure of a box, (mean of X_U^2)^{1/(2H)},
+    with its delta-method standard error."""
     if e.n_samples < 100:
         raise ResolutionError(
             f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}"
@@ -156,12 +153,9 @@ def _psi_entry(e: SampleEnsemble, u: Rect, h: HurstParam) -> PsiEntry:
     return PsiEntry(value, "empirical", stderr=stderr, n_samples=n)
 
 
-def psi_on_C(table: PreMeasureTable, c: LeftNeighborhood) -> float:
-    """Inclusion-exclusion extension of the pre-measure to a left-neighborhood."""
-    return psi_on_C_with_se(table, c)[0]
-
-
 def psi_on_C_with_se(table: PreMeasureTable, c: LeftNeighborhood) -> tuple[float, float]:
+    """Inclusion-exclusion extension of the pre-measure to a left-neighborhood,
+    with the standard errors of its terms added in quadrature."""
     terms = [(1.0, c.base)] + [
         (-sign, rect_intersection(c.base, r)) for sign, r in signed_terms(c.subtracted)
     ]
@@ -192,10 +186,10 @@ def check_additivity(
         raise ValueError("union_expr does not equal c1 u c2 (up to null sets)")
     inter = c1.intersect(c2)
     return abs(
-        psi_on_C(table, union_expr)
-        - psi_on_C(table, c1)
-        - psi_on_C(table, c2)
-        + psi_on_C(table, inter)
+        psi_on_C_with_se(table, union_expr)[0]
+        - psi_on_C_with_se(table, c1)[0]
+        - psi_on_C_with_se(table, c2)[0]
+        + psi_on_C_with_se(table, inter)[0]
     )
 
 
@@ -271,15 +265,12 @@ def _outer_measure_search(costs, cover) -> tuple[float, tuple[int, ...]]:
     return best, min(tuple(i for i in range(n) if s >> i & 1) for s in ties.tolist())
 
 
-def outer_measure(table: PreMeasureTable, covers: CoverFamily, target) -> float:
-    """Finite-cover outer measure of the target region: the minimum over
-    covering sub-families of the summed pre-measure of the pieces."""
-    return outer_measure_details(table, covers, target).value
-
-
 def outer_measure_details(
     table: PreMeasureTable, covers: CoverFamily, target
 ) -> OuterMeasureResult:
+    """Finite-cover outer measure of the target region: the minimum over
+    covering sub-families of the summed pre-measure of the pieces, with the
+    chosen sub-family and its propagated standard error."""
     return _outer_measures(table, covers, [target])[0]
 
 
@@ -314,14 +305,10 @@ def _target_cover(covers, target) -> np.ndarray | None:
     return np.array([arr.mask(el)[inside] for el in covers.elements])
 
 
-def verify_extension(table: PreMeasureTable, covers: CoverFamily, u: Rect) -> float:
-    """Residual |outer(u) - psi(u)|: the finite shadow of the statement that
-    the outer measure extends the pre-measure on boxes."""
-    return abs(outer_measure(table, covers, u) - table.psi(u))
-
-
 def verify_extension_details(table, covers, u: Rect) -> tuple[float, float]:
-    """(residual, propagated stderr of outer(u) and psi(u) combined)."""
+    """(|outer(u) - psi(u)|, propagated stderr of outer(u) and psi(u)
+    combined): the finite shadow of the statement that the outer measure
+    extends the pre-measure on boxes."""
     return _extension_residual(table, outer_measure_details(table, covers, u), u)
 
 
@@ -386,7 +373,7 @@ def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
         if prev is not None and not rect_contains(prev, r):
             raise ValueError("corner sequence is not componentwise nonincreasing")
         prev = r
-    values = np.array([symdiff_pow(r, u, h) for r in seq])
+    values = np.array([symdiff_measure(r, u) ** h.two_h for r in seq])
     if np.any(np.diff(values) > 0):
         raise AssertionError("analytic variance sequence failed to be nonincreasing")
     if rect_measure(u) == 0.0 and seq:
@@ -395,10 +382,6 @@ def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
         if max(seq[-1].corner) <= gap_scale:
             assert values[-1] <= 1e-6
     return values
-
-
-def symdiff_pow(a: Rect, b: Rect, h: HurstParam) -> float:
-    return symdiff_measure(a, b) ** h.two_h
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +459,11 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
     worst_frac, worst_detail = 1.0, ""
     gauss_worst, gauss_detail = 0.0, ""
     for fi, f in enumerate(flows):
-        pe = project(e, f)
-        tc = TimeChange(pe.grid, pe.theta)
-        vp = variance_profile(pe.paths, tc, h, predicted=predicted_increment_moment(f, h))
-        frac = vp.fraction_within(thr.profile_se_mult)
+        fs = flow_statistics(e, f, h)
+        frac = fs.profile.fraction_within(thr.profile_se_mult)
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"flow {fi}"
-        end = pe.paths[:, -1]
-        mid = pe.paths[:, pe.paths.shape[1] // 2]
-        for label, series in (("end value", end), ("half increment", end - mid)):
+        for label, series in (("end value", fs.end), ("half increment", fs.half_increment)):
             if np.std(series) == 0:
                 continue
             rep = gaussianity_check(series, z_limit=thr.gaussianity_z)

@@ -2,7 +2,9 @@
 
 Everything here treats the field as centered, so "variance" means the raw
 second moment throughout; mean-subtraction would only add estimator noise and
-would hide mean-corruption defects.
+would hide mean-corruption defects.  The profile and the Hurst regression
+read a flow's second-moment matrix M (M_st = mean of X_s X_t over samples),
+which ``flow_statistics`` computes once per flow from the ensemble.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import TimeChange
-from .gaussian import HurstParam
+from .flows import Flow, TimeChange, predicted_increment_moment, project, time_change
+from .gaussian import HurstParam, SampleEnsemble
 
 
 class DegenerateDataError(ValueError):
@@ -46,26 +48,25 @@ class VarianceProfile:
 
 
 def variance_profile(
-    paths: np.ndarray,
+    m: np.ndarray,
+    n: int,
     tc: TimeChange,
     h: HurstParam,
     predicted: np.ndarray | None = None,
 ) -> VarianceProfile:
-    """All grid pairs with predicted vs observed increment second moments.
+    """All grid pairs with predicted vs observed increment second moments,
+    from the second-moment matrix ``m`` of ``n`` samples along the grid.
 
     The default prediction is the time-changed power law
     |theta_t - theta_s|^{2H}; pass ``predicted`` (a full pairwise matrix) for
     flows whose values are unions, where the additive-expansion moment is the
     correct law.
     """
-    paths = np.asarray(paths)
-    n, k = paths.shape
+    k = m.shape[0]
     if k < 2:
         raise ValueError("need a grid of length >= 2")
     theta = tc.values
-    # second-moment matrix gives every pairwise increment moment at once:
     # E[(X_t - X_s)^2] = M_tt + M_ss - 2 M_ts
-    m = (paths.T @ paths) / n
     d = np.diag(m)
     i, j = np.triu_indices(k, 1)
     rows = np.empty(len(i), PROFILE_DTYPE)
@@ -81,35 +82,53 @@ def variance_profile(
     return VarianceProfile(rows, n, h)
 
 
-def hurst_estimate(paths: np.ndarray, tc: TimeChange) -> float:
+def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:
     """Slope/2 of log increment second moment against log theta increment,
-    over consecutive grid pairs.
+    over consecutive grid pairs, from the second-moment matrix ``m`` of
+    ``n`` samples along the grid.
 
     Regresses on the time change, not the raw grid, so the estimate is
     invariant under reparameterizing the flow.
     """
-    paths = np.asarray(paths)
-    n, k = paths.shape
     if n < 1000:
         raise ValueError("need at least 1000 samples for a stable estimate")
     theta = np.asarray(tc.values)
     if len(np.unique(theta)) < 8:
         raise DegenerateDataError("need at least 8 distinct time-change values")
-    xs, ys = [], []
-    for i in range(k - 1):
-        dtheta = theta[i + 1] - theta[i]
-        if dtheta <= 0:
-            continue
-        inc = paths[:, i + 1] - paths[:, i]
-        v = float(np.mean(inc**2))
-        if v <= 0:
-            raise DegenerateDataError("zero variance increment")
-        xs.append(np.log(dtheta))
-        ys.append(np.log(v))
-    if len(xs) < 2:
+    dtheta = np.diff(theta)
+    keep = dtheta > 0
+    d = np.diag(m)
+    v = (d[:-1] + d[1:] - 2.0 * np.diagonal(m, 1))[keep]
+    if np.any(v <= 0):
+        raise DegenerateDataError("zero variance increment")
+    if v.size < 2:
         raise DegenerateDataError("no usable increments (constant time change)")
-    slope = np.polyfit(xs, ys, 1)[0]
+    slope = np.polyfit(np.log(dtheta[keep]), np.log(v), 1)[0]
     return float(slope / 2.0)
+
+
+@dataclass(frozen=True)
+class FlowStatistics:
+    """An ensemble along one flow: its second-moment matrix, the variance
+    profile read from it, and the two series the Gaussianity check tests."""
+
+    moments: np.ndarray         # M = paths^T paths / n
+    time_change: TimeChange
+    profile: VarianceProfile
+    end: np.ndarray             # the field at the last grid point
+    half_increment: np.ndarray  # the last value minus the middle one
+
+
+def flow_statistics(e: SampleEnsemble, f: Flow, h: HurstParam) -> FlowStatistics:
+    """Project ``e`` on ``f``; the second-moment matrix of the paths is
+    formed once, and every increment moment along the flow is read from it."""
+    paths = project(e, f)
+    n = e.n_samples
+    m = (paths.T @ paths) / n
+    tc = time_change(f)
+    profile = variance_profile(m, n, tc, h, predicted=predicted_increment_moment(f, h))
+    end = paths[:, -1].copy()  # not a view: the paths are freed on return
+    return FlowStatistics(m, tc, profile, end, end - paths[:, paths.shape[1] // 2])
 
 
 @dataclass(frozen=True)

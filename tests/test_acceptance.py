@@ -15,12 +15,9 @@ import pytest
 from sifbm.cli import main
 from sifbm.flows import (
     SimpleFlow,
+    flow_weights,
     flows_through,
     make_elementary_flow,
-    predicted_increment_moment,
-    project,
-    required_flow_indices,
-    time_change,
 )
 from sifbm.gaussian import (
     HurstParam,
@@ -41,12 +38,11 @@ from sifbm.recovery import (
     PreMeasureTable,
     characterize,
     check_additivity,
-    estimate_psi,
     measurability_check,
     outer_continuity_check,
-    psi_on_C,
+    psi_entry,
+    psi_on_C_with_se,
     tiling_cover,
-    verify_extension,
     verify_extension_details,
 )
 from sifbm.rects import (
@@ -57,7 +53,7 @@ from sifbm.rects import (
     rect_intersection,
     rect_measure,
 )
-from sifbm.stats import gaussianity_check, variance_profile
+from sifbm.stats import flow_statistics, gaussianity_check
 
 
 @contextmanager
@@ -127,20 +123,14 @@ def test_criterion_03_flow_projection_law():
         for hv, seed in ((0.2, 301), (0.35, 302), (0.5, 303)):
             idx = set()
             for f in battery:
-                idx |= required_flow_indices(f)
+                idx.update(flow_weights(f)[0])
             e = exact_ensemble(idx, hv, n, seed)
             h = HurstParam(hv)
             for fi, f in enumerate(battery):
-                pe = project(e, f)
-                tc = time_change(f)
-                vp = variance_profile(
-                    pe.paths, tc, h, predicted=predicted_increment_moment(f, h)
-                )
-                frac = vp.fraction_within(4.0)
+                fs = flow_statistics(e, f, h)
+                frac = fs.profile.fraction_within(4.0)
                 assert frac >= 0.95, f"H={hv} flow {fi}: only {frac:.3f} within band"
-                end = pe.paths[:, -1]
-                mid = pe.paths[:, pe.paths.shape[1] // 2]
-                for series in (end, end - mid):
+                for series in (fs.end, fs.half_increment):
                     if np.std(series) == 0:
                         continue
                     rep = gaussianity_check(series)
@@ -161,7 +151,7 @@ def test_criterion_04_psi_recovery():
             m = rect_measure(u)
             if m < 0.1:
                 continue
-            got = estimate_psi(e, u, h)
+            got = psi_entry(e, u, h).value
             assert abs(got - m) / m <= 0.05, f"{u!r}: {got} vs {m}"
         for u, v in itertools.combinations(lattice, 2):
             eu, ev = table.entry(u), table.entry(v)
@@ -182,7 +172,7 @@ def test_criterion_05_inclusion_exclusion_and_additivity():
             )
             c = LeftNeighborhood(base, subs)
             want = left_nbhd_measure(c)
-            got = psi_on_C(table, c)
+            got, _ = psi_on_C_with_se(table, c)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         count = 0
         while count < 50:
@@ -207,7 +197,7 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         u = rect(2, 2)
         for divs in ((2, 2), (4, 4)):
             covers = tiling_cover((2, 2), divs)
-            resid = verify_extension(analytic, covers, u)
+            resid, _ = verify_extension_details(analytic, covers, u)
             assert resid <= 1e-12, f"analytic tiling {divs}: residual {resid}"
         # empirical table over the coarse-tiling closure
         lattice = [rect(i, j) for i in (1, 2) for j in (1, 2)]
@@ -257,15 +247,15 @@ def test_criterion_08_integral_representation():
             h = HurstParam(hv)
             for ti, theta in enumerate((0.25, 1.0, 4.0)):
                 cfg = RepConfig(h, seed=801 + 10 * hi + ti, grid=spec)
-                pe = simulate_via_integral([theta], cfg, n)
-                var = float(np.mean(pe.paths[:, 0] ** 2))
+                paths = simulate_via_integral([theta], cfg, n)
+                var = float(np.mean(paths[:, 0] ** 2))
                 want = theta ** (2 * hv)
                 rel = abs(var - want) / want
                 assert rel <= 0.03, f"H={hv} theta={theta}: variance off by {rel:.4f}"
             masses = [0.8, 0.9, 1.0]
             cfg = RepConfig(h, seed=851 + hi, grid=spec)
-            pe = simulate_via_integral(masses, cfg, n)
-            emp = (pe.paths.T @ pe.paths) / n
+            paths = simulate_via_integral(masses, cfg, n)
+            emp = (paths.T @ paths) / n
             want = fbm_covariance(masses, h)
             se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
             worst = float(np.max(np.abs(emp - want) / se))
@@ -278,8 +268,8 @@ def test_criterion_08_integral_representation():
                 f"H={hv}: refinement did not reduce error ({base_err} -> {fine_err})"
             )
         masses = [0.25, 0.7, 1.6]
-        pe = half_case_simulate(masses, seed=871, n_samples=n)
-        emp = (pe.paths.T @ pe.paths) / n
+        paths = half_case_simulate(masses, seed=871, n_samples=n)
+        emp = (paths.T @ paths) / n
         m = np.asarray(masses)
         want = np.minimum(m[:, None], m[None, :])
         se = np.sqrt((np.outer(m, m) + want**2) / n)
@@ -309,7 +299,7 @@ def test_criterion_09_characterization_discrimination():
         covers = tiling_cover((3, 3), (3, 3))
         idx = set(lattice)
         for f in battery:
-            idx |= required_flow_indices(f)
+            idx.update(flow_weights(f)[0])
         idx = sorted(idx, key=lambda r: r.corner)
         base_factor = cholesky(build_cov_matrix(idx, h))
         wrong_factor = cholesky(build_cov_matrix(idx, HurstParam(hv + 0.15)))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sifbm.flows import (
@@ -10,20 +10,23 @@ from sifbm.flows import (
     FlowMonotonicityError,
     SimpleFlow,
     TimeChange,
+    flow_weights,
     flows_through,
     make_elementary_flow,
+    predicted_increment_moment,
     project,
-    required_flow_indices,
     time_change,
 )
 from sifbm.gaussian import (
     HurstParam,
     MissingIndexError,
+    SampleEnsemble,
     build_cov_matrix,
     cholesky,
     sample_ensemble,
 )
-from sifbm.rects import EMPTY, Rect, RectUnion, rect, rect_intersection
+from sifbm.rects import EMPTY, Rect, RectUnion, rect, rect_intersection, signed_terms
+from sifbm.stats import flow_statistics
 
 
 def diag_flow(points=9, scale=1.0):
@@ -177,8 +180,9 @@ class TestSimpleFlow:
         assert values[-1] == RectUnion((rect(2, 0.5), rect(0.5, 2)))
 
     def test_grid_and_values_built_once(self, monkeypatch):
-        # required_flow_indices, project and predicted_increment_moment all
-        # read the merged grid; only the first call may build unions
+        # flow_weights, time_change and so project and
+        # predicted_increment_moment all read the merged grid; only the first
+        # call may build unions
         import sifbm.flows as flows
 
         sf = self._two_segment()
@@ -191,7 +195,7 @@ class TestSimpleFlow:
         monkeypatch.setattr(flows, "RectUnion", no_new_union)
         again = sf.grid_and_values()
         assert again[0] is grid and again[1] is values
-        required_flow_indices(sf)
+        flow_weights(sf)
         time_change(sf)
 
     def test_time_change_nondecreasing(self):
@@ -214,7 +218,7 @@ class TestSimpleFlow:
 
 class TestProjection:
     def _exact_ensemble(self, flow, h=0.35, n=200, seed=5, extra=()):
-        idx = sorted(required_flow_indices(flow) | set(extra), key=lambda r: r.corner)
+        idx = sorted(set(flow_weights(flow)[0]) | set(extra), key=lambda r: r.corner)
         f = cholesky(build_cov_matrix(idx, HurstParam(h)))
         return sample_ensemble(f, n, seed=seed)
 
@@ -222,16 +226,16 @@ class TestProjection:
         u = rect(1, 1)
         f = make_elementary_flow([0, 1], [u, u])
         e = self._exact_ensemble(f)
-        pe = project(e, f)
-        assert np.array_equal(pe.paths[:, 0], e.column(u))
-        assert np.array_equal(pe.paths[:, 1], e.column(u))
+        paths = project(e, f)
+        assert np.array_equal(paths[:, 0], e.column(u))
+        assert np.array_equal(paths[:, 1], e.column(u))
 
     def test_flows_through_endpoint_matches_column(self):
         u = rect(2, 1)
         f = flows_through(u, points=8)
         e = self._exact_ensemble(f)
-        pe = project(e, f)
-        assert np.array_equal(pe.paths[:, -1], e.column(u))
+        paths = project(e, f)
+        assert np.array_equal(paths[:, -1], e.column(u))
 
     def test_missing_index_listed(self):
         f = diag_flow(5)
@@ -247,11 +251,11 @@ class TestProjection:
         h = 0.3
         f = diag_flow(9)
         e = self._exact_ensemble(f, h=h, n=20_000, seed=31)
-        pe = project(e, f)
+        paths = project(e, f)
         tc = time_change(f)
-        n = pe.n_samples
+        n = len(paths)
         for i, j in [(0, 8), (2, 6), (4, 8)]:
-            inc = pe.paths[:, j] - pe.paths[:, i]
+            inc = paths[:, j] - paths[:, i]
             obs = float(np.mean(inc**2))
             want = abs(tc.values[j] - tc.values[i]) ** (2 * h)
             assert abs(obs - want) <= 4 * obs * np.sqrt(2 / n)
@@ -262,14 +266,17 @@ class TestProjection:
         g2 = np.linspace(0.5, 1, 3)
         seg2 = make_elementary_flow(g2, [(2 * (t - 0.5), 4 * (t - 0.5)) for t in g2])
         sf = SimpleFlow((seg1, seg2))
-        e = self._exact_ensemble(sf, n=50)
-        pe = project(e, sf)
+        # small-integer samples: every summation order is exact
+        idx = flow_weights(sf)[0]
+        x = np.random.default_rng(5).integers(-8, 9, (50, len(idx))).astype(float)
+        e = SampleEnsemble(idx, x, 5, HurstParam(0.35))
+        paths = project(e, sf)
         # per-sample oracle at the final point: X_A + X_B - X_{AnB}
         a, b = rect(2, 0.5), rect(1, 2)
         want = (
             e.column(a) + e.column(b) - e.column(rect_intersection(a, b))
         )
-        assert np.allclose(pe.paths[:, -1], want, rtol=0, atol=0)
+        assert np.allclose(paths[:, -1], want, rtol=0, atol=0)
 
     def test_breakpoint_continuity_with_last_segment(self):
         # at a shared breakpoint, projection equals the later segment's value
@@ -280,12 +287,10 @@ class TestProjection:
         seg2 = make_elementary_flow(g2, [(t - 0.5, 3 * (t - 0.5)) for t in g2])
         sf = SimpleFlow((seg1, seg2))
         e = self._exact_ensemble(sf, n=40)
-        pe = project(e, sf)
+        paths = project(e, sf)
         grid, values = sf.grid_and_values()
         k = int(np.flatnonzero(grid == 0.5)[0])
-        from sifbm.gaussian import additive_extend
-
-        assert np.array_equal(pe.paths[:, k], additive_extend(e, values[k]))
+        assert np.array_equal(paths[:, k], additive_extend(e, values[k]))
 
     def test_simple_flow_increment_moment_prediction(self):
         # the power law does not govern union-valued increments; the additive
@@ -301,14 +306,14 @@ class TestProjection:
         seg2 = make_elementary_flow(g2, [(2 * (t - 0.5), 4 * (t - 0.5)) for t in g2])
         sf = SimpleFlow((seg1, seg2))
         e = self._exact_ensemble(sf, h=h, n=20_000, seed=77)
-        pe = project(e, sf)
+        paths = project(e, sf)
         pred = predicted_increment_moment(sf, e.hurst)
         tc = time_change(sf)
-        n = pe.n_samples
+        n = len(paths)
         deviates_from_power_law = False
-        for i in range(pe.paths.shape[1]):
-            for j in range(i + 1, pe.paths.shape[1]):
-                inc = pe.paths[:, j] - pe.paths[:, i]
+        for i in range(paths.shape[1]):
+            for j in range(i + 1, paths.shape[1]):
+                inc = paths[:, j] - paths[:, i]
                 obs = float(np.mean(inc**2))
                 assert abs(obs - pred[i, j]) <= 4 * obs * np.sqrt(2 / n) + 1e-12
                 power = abs(tc.values[j] - tc.values[i]) ** (2 * h)
@@ -334,4 +339,111 @@ class TestProjection:
         e = self._exact_ensemble(fine)
         pc = project(e, coarse)
         pf = project(e, fine)
-        assert np.array_equal(pc.paths, pf.paths[:, ::2])
+        assert np.array_equal(pc, pf[:, ::2])
+
+
+# The projection that flow_weights replaced, kept as the reference: stored
+# columns copied for an elementary flow, and for a simple flow each union
+# value summed from its inclusion-exclusion terms in ``signed_terms`` order.
+
+
+def additive_extend(e, target: RectUnion) -> np.ndarray:
+    if target.is_empty:
+        return np.zeros(e.n_samples)
+    terms = [(sign, r) for sign, r in signed_terms(target.parts) if not r.is_empty]
+    out = np.zeros(e.n_samples)
+    for (sign, _), j in zip(terms, e.positions([r for _, r in terms])):
+        out += sign * e.samples[:, j]
+    return out
+
+
+def column_projection(e, f) -> np.ndarray:
+    if isinstance(f, ElementaryFlow):
+        nonempty = [j for j, v in enumerate(f.values) if not v.is_empty]
+        cols = np.zeros((e.n_samples, len(f.values)))
+        for j, col in zip(nonempty, e.positions([f.values[j] for j in nonempty])):
+            cols[:, j] = e.samples[:, col]
+        return cols
+    _, values = f.grid_and_values()
+    return np.column_stack([additive_extend(e, v) for v in values])
+
+
+def required_boxes(f) -> set:
+    """Every column the reference projection reads."""
+    if isinstance(f, ElementaryFlow):
+        return {v for v in f.values if not v.is_empty}
+    return {r for v in f.grid_and_values()[1] for _, r in signed_terms(v.parts)}
+
+
+@st.composite
+def lattice_path(draw, dim: int, k: int) -> list:
+    """k corners on the integer lattice, nondecreasing in every coordinate
+    (zero coordinates give degenerate boxes), with an empty prefix."""
+    corner = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    path = []
+    for _ in range(k):
+        path.append(tuple(corner))
+        steps = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+        corner = [c + s for c, s in zip(corner, steps)]
+    empty = draw(st.integers(0, k - 1))
+    return [None] * empty + path[empty:]
+
+
+@st.composite
+def lattice_flows(draw, kinds=("elementary", "simple")):
+    """An elementary flow, or a simple flow of one to three chained segments
+    on the grids [i, i + 1]."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(kinds))
+    segments = []
+    for i in range(1 if kind == "elementary" else draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 6))
+        segments.append(make_elementary_flow(np.linspace(i, i + 1, k), draw(lattice_path(dim, k))))
+    return segments[0] if kind == "elementary" else SimpleFlow(tuple(segments))
+
+
+class TestFlowWeights:
+    @given(lattice_flows(), st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_column_projection(self, f, hv, seed):
+        boxes, a = flow_weights(f)
+        assert set(boxes) == required_boxes(f) and len(boxes) == len(set(boxes))
+        assert list(boxes) == sorted(boxes, key=lambda r: r.corner)
+        assert not a.flags.writeable and flow_weights(f)[1] is a
+        # the flow's columns among one it does not read, in a shuffled order
+        rng = np.random.default_rng(seed)
+        idx = [*boxes, Rect((9.0,) * len(boxes[0].corner))]
+        idx = [idx[i] for i in rng.permutation(len(idx))]
+        n = 40
+        e = SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), seed, HurstParam(hv))
+        want = column_projection(e, f)
+        got = project(e, f)
+        if isinstance(f, ElementaryFlow):
+            assert np.array_equal(got, want)
+        else:  # the product sums a union's terms in its own order
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        fs = flow_statistics(e, f, HurstParam(hv))
+        gram = (want.T @ want) / n
+        x = e.samples[:, e.positions(boxes)]
+        m = a.T @ ((x.T @ x) / n) @ a
+        assert np.max(np.abs(m - gram)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.max(np.abs(fs.moments - gram)) <= 1e-12 * np.max(np.abs(gram))
+        mid = want.shape[1] // 2
+        assert np.allclose(fs.end, want[:, -1], rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        assert np.allclose(
+            fs.half_increment, want[:, -1] - want[:, mid],
+            rtol=0, atol=1e-12 * np.max(np.abs(want)),
+        )
+
+    @given(lattice_flows(kinds=("elementary",)), st.sampled_from([0.1, 0.25, 0.4, 0.5]))
+    @settings(deadline=None, max_examples=150)
+    def test_elementary_second_moments_are_power_law(self, f, hv):
+        # A^T C_B A gives E[(X_t - X_s)^2] = |theta_t - theta_s|^{2H} along
+        # every elementary flow, with no sampling
+        h = HurstParam(hv)
+        boxes, a = flow_weights(f)
+        second = a.T @ build_cov_matrix(boxes, h).matrix @ a
+        d = np.diag(second)
+        inc = d[:, None] + d[None, :] - 2.0 * second
+        want = predicted_increment_moment(f, h)
+        assert np.max(np.abs(inc - want)) <= 1e-12 * d.max()

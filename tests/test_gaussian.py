@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sifbm.config import load_config
+from sifbm.flows import SimpleFlow, make_elementary_flow, project
 from sifbm.gaussian import (
     STREAM_BLOCK,
     CholeskyFactor,
@@ -15,7 +16,6 @@ from sifbm.gaussian import (
     MissingIndexError,
     NotPSDError,
     SampleEnsemble,
-    additive_extend,
     build_cov_matrix,
     cholesky,
     covariance,
@@ -25,7 +25,6 @@ from sifbm.rects import (
     EMPTY,
     DimensionMismatchError,
     Rect,
-    RectUnion,
     rect,
     rect_intersection,
     rect_measure,
@@ -261,7 +260,16 @@ class TestPositions:
         assert ei.value.missing == [EMPTY]
 
 
+def union_flow(*parts: Rect) -> SimpleFlow:
+    """A simple flow whose last value is the union of the parts: segment i
+    holds part i over its whole span."""
+    return SimpleFlow(tuple(make_elementary_flow([i, i + 1], [p, p]) for i, p in enumerate(parts)))
+
+
 class TestAdditiveExtend:
+    """The field on a finite union of boxes is the inclusion-exclusion sum of
+    its box columns; ``project`` reads it at a union-valued flow point."""
+
     def _ensemble(self):
         a, b = rect(1, 2), rect(2, 1)
         ab = rect_intersection(a, b)
@@ -271,17 +279,21 @@ class TestAdditiveExtend:
 
     def test_single_part_passthrough(self):
         e, a, *_ = self._ensemble()
-        got = additive_extend(e, RectUnion((a,)))
+        got = project(e, union_flow(a))[:, -1]
         assert np.array_equal(got, e.column(a))
 
     def test_duplicate_part_idempotent(self):
         e, a, *_ = self._ensemble()
-        got = additive_extend(e, RectUnion((a, a)))
+        got = project(e, union_flow(a, a))[:, -1]
         assert np.array_equal(got, e.column(a))
 
     def test_two_part_expansion(self):
-        e, a, b, ab = self._ensemble()
-        got = additive_extend(e, RectUnion((a, b)))
+        # small-integer samples: every summation order is exact
+        a, b = rect(1, 2), rect(2, 1)
+        ab = rect_intersection(a, b)
+        x = np.random.default_rng(9).integers(-8, 9, (500, 3)).astype(float)
+        e = SampleEnsemble((a, b, ab), x, 9, HurstParam(0.3))
+        got = project(e, union_flow(a, b))[:, -1]
         want = e.column(a) + e.column(b) - e.column(ab)
         assert np.allclose(got, want, atol=0, rtol=0)
 
@@ -290,9 +302,9 @@ class TestAdditiveExtend:
         f = cholesky(build_cov_matrix([a, b], HurstParam(0.3)))
         e = sample_ensemble(f, 10, seed=4)
         with pytest.raises(MissingIndexError) as ei:
-            additive_extend(e, RectUnion((a, b)))
+            project(e, union_flow(a, b))
         assert rect_intersection(a, b) in ei.value.missing
 
     def test_empty_union_is_zero(self):
         e, *_ = self._ensemble()
-        assert np.all(additive_extend(e, RectUnion(())) == 0.0)
+        assert np.all(project(e, union_flow(EMPTY)) == 0.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sifbm.flows import flows_through, project, required_flow_indices, time_change
+from sifbm.flows import flow_weights, flows_through, project, time_change
 from sifbm.gaussian import STREAM_BLOCK, HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm import intrep
 from sifbm.intrep import (
@@ -190,6 +190,19 @@ class TestGridCache:
             build_kernel_grid([1.0 + k / 8], GridSpec(cells_per_mass=8))
             assert intrep._kernel_grid.cache_info().currsize <= maxsize
 
+    def test_zeros_and_repeats_share_one_grid(self):
+        # discretized_covariance asks for the grid of the whole list and
+        # discretized_factor for that of its distinct positive masses
+        h, masses = HurstParam(0.3), (0.0, 0.5, 0.5, 1.0)
+        normalization_const(h, COARSE)  # its unit-mass grids are not counted
+        intrep._kernel_grid.cache_clear()
+        discretized_covariance(masses, h, COARSE)
+        discretized_factor(masses, h, COARSE)
+        info = intrep._kernel_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        with pytest.raises(ValueError, match="at least one positive mass"):
+            build_kernel_grid([0.0, 0.0], COARSE)
+
     def test_verify_intrep_cold_equals_warm(self):
         ir = IntRepConfig(
             masses=(0.5, 0.75, 1.0),
@@ -253,14 +266,14 @@ class TestNormalization:
 class TestSimulate:
     def test_zero_mass_paths_zero(self):
         cfg = RepConfig(HurstParam(0.3), seed=1, grid=COARSE)
-        pe = simulate_via_integral([0.0], cfg, 50)
-        assert np.all(pe.paths == 0.0)
+        paths = simulate_via_integral([0.0], cfg, 50)
+        assert np.all(paths == 0.0)
 
     def test_unit_variance(self):
         cfg = RepConfig(HurstParam(0.3), seed=2, grid=COARSE)
         n = 20_000
-        pe = simulate_via_integral([1.0], cfg, n)
-        var = float(np.mean(pe.paths[:, 0] ** 2))
+        paths = simulate_via_integral([1.0], cfg, n)
+        var = float(np.mean(paths[:, 0] ** 2))
         assert var == pytest.approx(1.0, rel=0.03)
 
     def test_decreasing_masses_rejected(self):
@@ -277,15 +290,15 @@ class TestSimulate:
         cfg = RepConfig(HurstParam(0.35), seed=9, grid=GridSpec(cells_per_mass=64, refine_factor=2))
         a = simulate_via_integral([0.5, 1.0], cfg, 300)
         b = simulate_via_integral([0.5, 1.0], cfg, 300)
-        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a, b)
 
     def test_prefix_stable_across_block_boundary(self):
         assert 300 < 2 * STREAM_BLOCK < 700
         cfg = RepConfig(HurstParam(0.35), seed=9, grid=GridSpec(cells_per_mass=64, refine_factor=2))
         a = simulate_via_integral([0.0, 0.5, 1.0], cfg, 300)
         b = simulate_via_integral([0.0, 0.5, 1.0], cfg, 700)
-        assert np.array_equal(a.paths, b.paths[:300])
-        assert np.all(b.paths[:, 0] == 0.0)
+        assert np.array_equal(a, b[:300])
+        assert np.all(b[:, 0] == 0.0)
 
     def test_prefix_stable_at_64_masses(self):
         masses = np.linspace(0.1, 1.0, 64)
@@ -293,15 +306,15 @@ class TestSimulate:
         for n, m in ((10, 300), (300, 700), (257, 1000)):
             a = simulate_via_integral(masses, cfg, n)
             b = simulate_via_integral(masses, cfg, m)
-            assert np.array_equal(a.paths, b.paths[:n]), (n, m)
+            assert np.array_equal(a, b[:n]), (n, m)
 
     def test_covariance_matches_fbm(self):
         h = HurstParam(0.3)
         cfg = RepConfig(h, seed=4, grid=COARSE)
         masses = [0.5, 0.75, 1.0]
         n = 20_000
-        pe = simulate_via_integral(masses, cfg, n)
-        emp = (pe.paths.T @ pe.paths) / n
+        paths = simulate_via_integral(masses, cfg, n)
+        emp = (paths.T @ paths) / n
         want = fbm_covariance(masses, h)
         se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
         assert np.all(np.abs(emp - want) <= 4 * se)
@@ -313,8 +326,8 @@ class TestSimulate:
         cfg = RepConfig(HurstParam(0.3), seed=6, grid=COARSE)
         a = simulate_via_integral([0.5, 1.0], cfg, 20)
         b = simulate_via_integral([0.5, 1.0, 1.0], cfg, 20)
-        assert np.allclose(a.paths[:, 0], b.paths[:, 0], rtol=1e-10, atol=1e-12)
-        assert np.array_equal(b.paths[:, 1], b.paths[:, 2])
+        assert np.allclose(a[:, 0], b[:, 0], rtol=1e-10, atol=1e-12)
+        assert np.array_equal(b[:, 1], b[:, 2])
 
 
 class TestDiscretizedCovariance:
@@ -386,32 +399,32 @@ class TestDiscretizedFactor:
 
 class TestHalfCase:
     def test_zero_mass(self):
-        pe = half_case_simulate([0.0], seed=1, n_samples=20)
-        assert np.all(pe.paths == 0.0)
+        paths = half_case_simulate([0.0], seed=1, n_samples=20)
+        assert np.all(paths == 0.0)
 
     def test_unit_variance(self):
         n = 20_000
-        pe = half_case_simulate([1.0], seed=2, n_samples=n)
-        var = float(np.mean(pe.paths[:, 0] ** 2))
+        paths = half_case_simulate([1.0], seed=2, n_samples=n)
+        var = float(np.mean(paths[:, 0] ** 2))
         assert var == pytest.approx(1.0, rel=0.03)
 
     def test_covariance_is_min(self):
         n = 20_000
         s, t = 0.4, 1.3
-        pe = half_case_simulate([s, t], seed=3, n_samples=n)
-        cov = float(np.mean(pe.paths[:, 0] * pe.paths[:, 1]))
+        paths = half_case_simulate([s, t], seed=3, n_samples=n)
+        cov = float(np.mean(paths[:, 0] * paths[:, 1]))
         se = np.sqrt((s * t + s**2) / n)
         assert abs(cov - s) <= 3 * se
 
     def test_deterministic(self):
         a = half_case_simulate([0.5, 1.0], seed=11, n_samples=40)
         b = half_case_simulate([0.5, 1.0], seed=11, n_samples=40)
-        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a, b)
 
     def test_prefix_stable_across_block_boundary(self):
         a = half_case_simulate([0.5, 1.0], seed=11, n_samples=300)
         b = half_case_simulate([0.5, 1.0], seed=11, n_samples=700)
-        assert np.array_equal(a.paths, b.paths[:300])
+        assert np.array_equal(a, b[:300])
 
 
 class TestCrossValidation:
@@ -422,13 +435,13 @@ class TestCrossValidation:
         n = 20_000
         f = flows_through(rect(1.2, 0.9), points=8)
         tc = time_change(f)
-        idx = sorted(required_flow_indices(f), key=lambda r: r.corner)
+        idx = flow_weights(f)[0]
         e = sample_ensemble(cholesky(build_cov_matrix(idx, HurstParam(h))), n, seed=51)
         proj = project(e, f)
         cfg = RepConfig(HurstParam(h), seed=52, grid=COARSE)
         rep = simulate_via_integral(tc.values, cfg, n)
         for j in (1, 4, 7):
-            inc_a = proj.paths[:, j] - proj.paths[:, 0]
-            inc_b = rep.paths[:, j] - rep.paths[:, 0]
+            inc_a = proj[:, j] - proj[:, 0]
+            inc_b = rep[:, j] - rep[:, 0]
             ratio = float(np.mean(inc_a**2) / np.mean(inc_b**2))
             assert 0.9 <= ratio <= 1.1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sifbm.flows import flows_through, required_flow_indices
+from sifbm.flows import flow_weights, flows_through
 from sifbm.gaussian import (
     HurstParam,
     SampleEnsemble,
@@ -28,16 +28,13 @@ from sifbm.recovery import (
     additivity_se,
     characterize,
     check_additivity,
-    estimate_psi,
     measurability_check,
     outer_continuity_check,
-    outer_measure,
     outer_measure_details,
-    psi_on_C,
+    psi_entry,
     psi_on_C_with_se,
     recover_measure,
     tiling_cover,
-    verify_extension,
     verify_extension_details,
     _comparable_pairs,
     _covariance_criterion,
@@ -68,32 +65,32 @@ def exact_ensemble(indices, h, n, seed):
 class TestEstimatePsi:
     def test_degenerate_column_zero(self):
         e = exact_ensemble([rect(0, 1), rect(1, 1)], 0.3, 200, seed=1)
-        assert estimate_psi(e, rect(0, 1), HurstParam(0.3)) == 0.0
+        assert psi_entry(e, rect(0, 1), HurstParam(0.3)).value == 0.0
 
     def test_recovers_unit_measure(self):
         h = 0.35
         e = exact_ensemble([rect(1, 1)], h, 20_000, seed=12)
-        got = estimate_psi(e, rect(1, 1), HurstParam(h))
+        got = psi_entry(e, rect(1, 1), HurstParam(h)).value
         assert got == pytest.approx(1.0, rel=0.05)
 
     def test_scaling_homogeneity(self):
         h = HurstParam(0.25)
         e = exact_ensemble([rect(1, 1)], h.value, 500, seed=3)
-        base = estimate_psi(e, rect(1, 1), h)
+        base = psi_entry(e, rect(1, 1), h).value
         c = 1.9
         scaled = SampleEnsemble(e.indices, c * e.samples, e.seed, e.hurst)
-        got = estimate_psi(scaled, rect(1, 1), h)
+        got = psi_entry(scaled, rect(1, 1), h).value
         assert got == pytest.approx(c ** (1 / h.value) * base, rel=1e-9)
 
     def test_small_sample_rejected(self):
         e = exact_ensemble([rect(1, 1)], 0.3, 50, seed=1)
         with pytest.raises(ValueError):
-            estimate_psi(e, rect(1, 1), HurstParam(0.3))
+            psi_entry(e, rect(1, 1), HurstParam(0.3))
 
     def test_zero_variance_on_nondegenerate_warns(self):
         e = SampleEnsemble((rect(1, 1),), np.zeros((200, 1)), 0, HurstParam(0.3))
         with pytest.warns(UserWarning, match="zero empirical variance"):
-            got = estimate_psi(e, rect(1, 1), HurstParam(0.3))
+            got = psi_entry(e, rect(1, 1), HurstParam(0.3)).value
         assert got == 0.0
 
 
@@ -101,18 +98,18 @@ class TestPsiOnC:
     def test_self_subtraction_cancels(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         u = rect(2, 1)
-        assert psi_on_C(t, LeftNeighborhood(u, (u,))) == 0.0
+        assert psi_on_C_with_se(t, LeftNeighborhood(u, (u,)))[0] == 0.0
 
     def test_corner_cell(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         c = LeftNeighborhood(rect(2, 2), (rect(1, 2), rect(2, 1)))
         # 4 - 2 - 2 + 1
-        assert psi_on_C(t, c) == pytest.approx(1.0)
+        assert psi_on_C_with_se(t, c)[0] == pytest.approx(1.0)
 
     def test_no_subtraction(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         u = rect(1.5, 2)
-        assert psi_on_C(t, LeftNeighborhood(u)) == rect_measure(u)
+        assert psi_on_C_with_se(t, LeftNeighborhood(u))[0] == rect_measure(u)
 
     def test_matches_lebesgue_on_random_neighborhoods(self):
         t = PreMeasureTable.analytic(HurstParam(0.2), 2)
@@ -124,14 +121,14 @@ class TestPsiOnC:
             )
             c = LeftNeighborhood(base, subs)
             want = left_nbhd_measure(c)
-            assert psi_on_C(t, c) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert psi_on_C_with_se(t, c)[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_missing_entries_listed(self):
         e = exact_ensemble([rect(1, 2), rect(2, 1)], 0.3, 200, seed=5)
         t = PreMeasureTable.from_ensemble(e)
         c = LeftNeighborhood(rect(1, 2), (rect(2, 1),))
         with pytest.raises(MissingPsiError) as ei:
-            psi_on_C(t, c)
+            psi_on_C_with_se(t, c)
         assert rect(1, 1) in ei.value.missing
 
 
@@ -190,7 +187,7 @@ def brute_force_cover_min(table, covers, target_rect, n_pts=4000, seed=0):
             else:
                 covered = bool(np.all(member[:, list(combo)].any(axis=1)))
             if covered:
-                cost = sum(psi_on_C(table, covers.elements[i]) for i in combo)
+                cost = sum(psi_on_C_with_se(table, covers.elements[i])[0] for i in combo)
                 best = min(best, cost)
     return best
 
@@ -269,22 +266,22 @@ class TestOuterMeasure:
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         u = rect(2, 1.5)
         covers = CoverFamily((LeftNeighborhood(u),))
-        assert outer_measure(t, covers, u) == pytest.approx(rect_measure(u))
+        assert outer_measure_details(t, covers, u).value == pytest.approx(rect_measure(u))
 
     def test_empty_target(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        assert outer_measure(t, covers, EMPTY) == 0.0
+        assert outer_measure_details(t, covers, EMPTY).value == 0.0
 
     def test_null_target_needs_no_cover_costs(self):
         # a null target is 0 before any cover element is looked up, so a
         # table without the covers' entries still answers it
         t = PreMeasureTable(HurstParam(0.3), {})
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        assert outer_measure(t, covers, EMPTY) == 0.0
-        assert outer_measure(t, covers, rect(0, 1)) == 0.0
+        assert outer_measure_details(t, covers, EMPTY).value == 0.0
+        assert outer_measure_details(t, covers, rect(0, 1)).value == 0.0
         with pytest.raises(MissingPsiError):
-            outer_measure(t, covers, rect(1, 1))
+            outer_measure_details(t, covers, rect(1, 1))
 
     def test_redundant_expensive_piece_ignored(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
@@ -294,7 +291,7 @@ class TestOuterMeasure:
             LeftNeighborhood(rect(2, 1), (rect(1, 1),)),
             LeftNeighborhood(rect(5, 5)),  # covers everything, costs 25
         )
-        got = outer_measure(t, CoverFamily(tiles), target)
+        got = outer_measure_details(t, CoverFamily(tiles), target).value
         assert got == pytest.approx(2.0)
 
     def test_matches_brute_force_oracle(self):
@@ -302,7 +299,7 @@ class TestOuterMeasure:
         target = rect(2, 2)
         covers = tiling_cover((2, 2), (2, 2))
         extra = CoverFamily(covers.elements + (LeftNeighborhood(rect(2, 2)),))
-        got = outer_measure(t, extra, target)
+        got = outer_measure_details(t, extra, target).value
         want = brute_force_cover_min(t, extra, target)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -310,13 +307,13 @@ class TestOuterMeasure:
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
         with pytest.raises(CoverError):
-            outer_measure(t, covers, rect(3, 3))
+            outer_measure_details(t, covers, rect(3, 3))
 
     def test_monotone_in_target(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         covers = tiling_cover((3, 3), (3, 3))
-        small = outer_measure(t, covers, rect(1.5, 1.5))
-        big = outer_measure(t, covers, rect(2.5, 2.5))
+        small = outer_measure_details(t, covers, rect(1.5, 1.5)).value
+        big = outer_measure_details(t, covers, rect(2.5, 2.5)).value
         assert small <= big
 
     def test_subadditive_over_unions(self):
@@ -324,8 +321,10 @@ class TestOuterMeasure:
         covers = tiling_cover((3, 3), (3, 3))
         a = LeftNeighborhood(rect(2, 1))
         b = LeftNeighborhood(rect(1, 2))
-        both = outer_measure(t, covers, [a, b])
-        assert both <= outer_measure(t, covers, a) + outer_measure(t, covers, b) + 1e-12
+        both, one, other = (
+            outer_measure_details(t, covers, target).value for target in ([a, b], a, b)
+        )
+        assert both <= one + other + 1e-12
 
     def test_tie_break_deterministic(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
@@ -346,14 +345,14 @@ class TestVerifyExtension:
     def test_self_cover(self):
         t = PreMeasureTable.analytic(HurstParam(0.3), 2)
         u = rect(2, 2)
-        assert verify_extension(t, CoverFamily((LeftNeighborhood(u),)), u) == 0.0
+        assert verify_extension_details(t, CoverFamily((LeftNeighborhood(u),)), u)[0] == 0.0
 
     def test_tilings_two_granularities(self):
         t = PreMeasureTable.analytic(HurstParam(0.25), 2)
         u = rect(2, 2)
         for divs in ((2, 2), (3, 3)):
             covers = tiling_cover((2, 2), divs)
-            assert verify_extension(t, covers, u) <= 1e-12
+            assert verify_extension_details(t, covers, u)[0] <= 1e-12
 
     def test_empirical_within_tolerance(self):
         h = 0.35
@@ -457,7 +456,7 @@ def battery_and_indices(h, n, seed, lattice_pts):
     ]
     idx = set(lattice_pts)
     for f in flows:
-        idx |= required_flow_indices(f)
+        idx.update(flow_weights(f)[0])
     e = exact_ensemble(sorted(idx, key=lambda r: r.corner), h, n, seed)
     return e, flows
 

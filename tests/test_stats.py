@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sifbm.flows import TimeChange, flows_through, project, time_change, required_flow_indices
+from sifbm.flows import TimeChange, flow_weights, flows_through, project, time_change
 from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm.rects import rect
 from sifbm.storage import PROFILE_BLOCK_ROWS, write_profile_csv
@@ -30,10 +30,14 @@ from sifbm.stats import (
 
 def exact_projection(h, points=16, n=20_000, seed=100, corner=(1.0, 1.0)):
     f = flows_through(rect(*corner), points=points)
-    idx = sorted(required_flow_indices(f), key=lambda r: r.corner)
-    fac = cholesky(build_cov_matrix(idx, HurstParam(h)))
+    fac = cholesky(build_cov_matrix(flow_weights(f)[0], HurstParam(h)))
     e = sample_ensemble(fac, n, seed=seed)
     return project(e, f), time_change(f)
+
+
+def moments(paths):
+    """The second-moment matrix of the paths and their count."""
+    return (paths.T @ paths) / len(paths), len(paths)
 
 
 def fbm_paths(h, theta, n, seed):
@@ -51,37 +55,87 @@ def fbm_paths(h, theta, n, seed):
 
 class TestHurstEstimate:
     def test_recovers_h_030(self):
-        pe, tc = exact_projection(0.3, points=64)
-        est = hurst_estimate(pe.paths, tc)
+        paths, tc = exact_projection(0.3, points=64)
+        est = hurst_estimate(*moments(paths), tc)
         assert est == pytest.approx(0.30, abs=0.05)
 
     def test_recovers_h_050_brownian(self):
         theta = np.linspace(0, 1, 64) ** 2
         paths = fbm_paths(0.5, theta, 20_000, seed=8)
         tc = TimeChange(np.linspace(0, 1, 64), theta)
-        assert hurst_estimate(paths, tc) == pytest.approx(0.50, abs=0.05)
+        assert hurst_estimate(*moments(paths), tc) == pytest.approx(0.50, abs=0.05)
 
     def test_constant_paths_rejected(self):
         tc = TimeChange(np.linspace(0, 1, 16), np.linspace(0, 1, 16))
         with pytest.raises(DegenerateDataError):
-            hurst_estimate(np.zeros((2000, 16)), tc)
+            hurst_estimate(np.zeros((16, 16)), 2000, tc)
 
     def test_scale_invariant(self):
-        pe, tc = exact_projection(0.25, points=16, n=2000)
-        a = hurst_estimate(pe.paths, tc)
-        b = hurst_estimate(3.7 * pe.paths, tc)
+        paths, tc = exact_projection(0.25, points=16, n=2000)
+        a = hurst_estimate(*moments(paths), tc)
+        b = hurst_estimate(*moments(3.7 * paths), tc)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_grid_reparameterization_invariant(self):
         # the regression uses theta, so relabeling the grid changes nothing
-        pe, tc = exact_projection(0.35, points=16, n=2000)
+        paths, tc = exact_projection(0.35, points=16, n=2000)
         warped = TimeChange(np.exp(tc.grid), tc.values)
-        assert hurst_estimate(pe.paths, tc) == hurst_estimate(pe.paths, warped)
+        assert hurst_estimate(*moments(paths), tc) == hurst_estimate(*moments(paths), warped)
 
     def test_too_few_distinct_theta(self):
         tc = TimeChange(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
         with pytest.raises(DegenerateDataError):
-            hurst_estimate(np.random.default_rng(0).standard_normal((2000, 4)), tc)
+            hurst_estimate(*moments(np.random.default_rng(0).standard_normal((2000, 4))), tc)
+
+
+def loop_hurst(paths, tc):
+    """The per-increment loop over paths that reading the moment matrix
+    replaced."""
+    theta = np.asarray(tc.values)
+    if len(np.unique(theta)) < 8:
+        raise DegenerateDataError("need at least 8 distinct time-change values")
+    xs, ys = [], []
+    for i in range(paths.shape[1] - 1):
+        dtheta = theta[i + 1] - theta[i]
+        if dtheta <= 0:
+            continue
+        v = float(np.mean((paths[:, i + 1] - paths[:, i]) ** 2))
+        if v <= 0:
+            raise DegenerateDataError("zero variance increment")
+        xs.append(np.log(dtheta))
+        ys.append(np.log(v))
+    if len(xs) < 2:
+        raise DegenerateDataError("no usable increments (constant time change)")
+    return float(np.polyfit(xs, ys, 1)[0] / 2.0)
+
+
+@st.composite
+def hurst_inputs(draw):
+    """Gaussian paths with random column scales, and a nondecreasing time
+    change with ties, sometimes too few distinct values."""
+    k = draw(st.integers(4, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(hnp.arrays(np.float64, k, elements=st.floats(0.1, 10)))
+    paths = rng.standard_normal((1000, k)) * scales
+    steps = draw(hnp.arrays(np.float64, k, elements=st.sampled_from([0.0, 0.5]) | st.floats(0.01, 3)))
+    # equal positive steps leave the regression slope undefined
+    positive = steps[1:][steps[1:] > 0]
+    assume(positive.size == 0 or np.ptp(np.log(positive)) > 0.1)
+    return paths, TimeChange(np.arange(float(k)), np.cumsum(steps))
+
+
+class TestHurstMoments:
+    @given(hurst_inputs())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_loop_reference(self, args):
+        paths, tc = args
+        try:
+            want = loop_hurst(paths, tc)
+        except DegenerateDataError as exc:
+            with pytest.raises(DegenerateDataError, match=str(exc)):
+                hurst_estimate(*moments(paths), tc)
+            return
+        assert hurst_estimate(*moments(paths), tc) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestGaussianity:
@@ -207,7 +261,7 @@ class TestVarianceProfile:
     @settings(deadline=None)
     def test_matches_scalar_reference(self, args):
         paths, tc, h, predicted = args
-        vp = variance_profile(paths, tc, h, predicted=predicted)
+        vp = variance_profile(*moments(paths), tc, h, predicted=predicted)
         want = scalar_profile(paths, tc, h, predicted)
         assert vp.rows.dtype == PROFILE_DTYPE and not vp.rows.flags.writeable
         assert len(vp.rows) == len(want)
@@ -229,7 +283,7 @@ class TestVarianceProfile:
         paths, tc, h, predicted = args
         if predicted is None:
             predicted = np.zeros((paths.shape[1],) * 2)
-        vp = variance_profile(paths, tc, h, predicted=predicted)
+        vp = variance_profile(*moments(paths), tc, h, predicted=predicted)
         with tempfile.TemporaryDirectory() as d:
             new, old = Path(d) / "new.csv", Path(d) / "old.csv"
             write_profile_csv(vp, new)
@@ -263,20 +317,20 @@ class TestVarianceProfile:
     def test_constant_flow_all_zero(self):
         tc = TimeChange(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         paths = np.tile(np.random.default_rng(1).standard_normal((500, 1)), (1, 2))
-        vp = variance_profile(paths, tc, HurstParam(0.3))
+        vp = variance_profile(*moments(paths), tc, HurstParam(0.3))
         assert np.all(vp.rows["predicted"] == 0) and np.all(vp.rows["observed"] == 0)
         assert vp.fraction_within() == 1.0
 
     def test_exact_field_within_bands(self):
-        pe, tc = exact_projection(0.35, points=24, corner=(2.0, 1.5))
-        vp = variance_profile(pe.paths, tc, HurstParam(0.35))
+        paths, tc = exact_projection(0.35, points=24, corner=(2.0, 1.5))
+        vp = variance_profile(*moments(paths), tc, HurstParam(0.35))
         assert vp.fraction_within(4.0) >= 0.95
 
     def test_brownian_linear_theta(self):
         theta = np.linspace(0, 1, 16)
         paths = fbm_paths(0.5, theta, 20_000, seed=17)
         tc = TimeChange(theta, theta)
-        vp = variance_profile(paths, tc, HurstParam(0.5))
+        vp = variance_profile(*moments(paths), tc, HurstParam(0.5))
         r = vp.rows
         assert r["predicted"] == pytest.approx(np.abs(r["theta_t"] - r["theta_s"]))
         assert vp.fraction_within(4.0) >= 0.95
@@ -284,12 +338,12 @@ class TestVarianceProfile:
     def test_predicted_zero_iff_theta_equal(self):
         tc = TimeChange(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]))
         paths = np.random.default_rng(0).standard_normal((100, 3))
-        vp = variance_profile(paths, tc, HurstParam(0.3))
+        vp = variance_profile(*moments(paths), tc, HurstParam(0.3))
         r = vp.rows
         assert np.array_equal(r["predicted"] == 0, r["theta_s"] == r["theta_t"])
 
     def test_wrong_h_detected(self):
         # data at H=0.2 against a prediction at H=0.45 blows the bands
-        pe, tc = exact_projection(0.2, points=16, corner=(2.0, 2.0))
-        vp = variance_profile(pe.paths, tc, HurstParam(0.45))
+        paths, tc = exact_projection(0.2, points=16, corner=(2.0, 2.0))
+        vp = variance_profile(*moments(paths), tc, HurstParam(0.45))
         assert vp.fraction_within(4.0) < 0.95
