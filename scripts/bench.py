@@ -11,7 +11,8 @@ the checkout's short commit hash, with ``-dirty`` when its tree has
 uncommitted changes.  The file holds each workload's reported metrics
 (``wall_s`` and ``setup_s`` are medians over the run's repetitions,
 ``peak_rss_mb`` their maximum), whether its outputs were correct and how
-many operations failed, the tier-1 wall time and summary line,
+many operations failed, the tier-1 wall time and summary line, its ten
+slowest test phases as pytest's ``--durations=10`` reports them,
 ``src_lines`` (the total line count of the checkout's ``src/sifbm/*.py``,
 as ``wc -l`` counts it), the core count and the numpy and Python versions.
 Exit 1 when a workload's outputs were incorrect or tier-1 did not pass; the
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -30,6 +32,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
+# one line of pytest's --durations report: "2.95s call     tests/x.py::test_y"
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*)$")
 
 
 def git(root: Path, *args) -> str:
@@ -55,13 +59,18 @@ def run_tier1(root: Path) -> dict:
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10"],
         cwd=root, env=env, capture_output=True, text=True,
     )
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
+    slowest = [
+        {"s": float(m[1]), "phase": m[2], "test": m[3]}
+        for m in map(DURATION.match, lines) if m
+    ]
     return {"wall_s": round(wall, 2), "exit_code": proc.returncode,
-            "summary": lines[-1] if lines else ""}
+            "summary": lines[-1] if lines else "", "slowest": slowest}
 
 
 def src_lines(root: Path) -> int:

@@ -158,8 +158,8 @@ def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _load_ensemble(cfg, out)
     report, table = recover_measure(e, cfg.covers, cfg.thresholds, cfg.table_indices)
     psi = {
-        repr(list(u.corner)): {"value": table.entry(u).value, "stderr": table.entry(u).stderr}
-        for u in table.indices()
+        repr(list(u.corner)): {"value": v, "stderr": se}
+        for u, v, se in zip(table.boxes, table.value.tolist(), table.stderr.tolist())
     }
     return _verdict(report, psi=psi)
 

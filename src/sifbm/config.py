@@ -20,7 +20,7 @@ from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flo
 from .gaussian import HurstParam
 from .intrep import GridSpec, IntRepConfig
 from .recovery import CoverFamily, Thresholds, tiling_cover
-from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect, rect_intersection, signed_terms
+from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect
 
 
 class ConfigError(ValueError):
@@ -110,10 +110,7 @@ def cover_closure_rects(covers: CoverFamily) -> set[Rect]:
     """Every box the inclusion-exclusion extension of the cover pieces can
     look up: intersections of each base with subsets of its subtracted boxes."""
     return {
-        box
-        for el in covers.elements
-        for box in [el.base] + [rect_intersection(el.base, r) for _, r in signed_terms(el.subtracted)]
-        if not box.is_empty
+        box for el in covers.elements for _, box in el.signed_boxes() if not box.is_empty
     }
 
 

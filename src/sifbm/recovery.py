@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,10 @@ from .rects import (
     corner_array,
     left_nbhd_measure,
     rect_contains,
-    rect_intersection,
     rect_measure,
     region_disjoint_ae,
     region_equal_ae,
     region_subset_ae,
-    signed_terms,
     symdiff_measure,
 )
 from .stats import flow_statistics, gaussianity_check
@@ -67,106 +66,69 @@ class CoverError(ValueError):
 
 
 @dataclass(frozen=True)
-class PsiEntry:
-    value: float
-    provenance: str  # "analytic" | "empirical"
-    stderr: float = 0.0
-    n_samples: int | None = None
-
-
 class PreMeasureTable:
-    """Map from boxes to recovered pre-measure values.
+    """Recovered pre-measure over a box list: ``value[i]`` is psi of
+    ``boxes[i]`` and ``stderr[i]`` its delta-method standard error.
+    ``boxes=None`` is the analytic table: Lebesgue measure, with zero error,
+    on every box."""
 
-    Analytic tables evaluate Lebesgue measure on demand; empirical tables
-    hold plug-in estimates from an ensemble, with standard errors, and refuse
-    lookups they do not contain.
-    """
-
-    def __init__(self, hurst: HurstParam, entries=None, analytic_dim: int | None = None):
-        self.hurst = hurst
-        self._entries: dict[Rect, PsiEntry] = dict(entries or {})
-        self._analytic_dim = analytic_dim
+    boxes: tuple[Rect, ...] | None = None
+    value: np.ndarray | None = None
+    stderr: np.ndarray | None = None
 
     @classmethod
-    def analytic(cls, hurst: HurstParam, dimension: int) -> "PreMeasureTable":
-        return cls(hurst, analytic_dim=dimension)
-
-    @classmethod
-    def from_ensemble(cls, e: SampleEnsemble, indices=None) -> "PreMeasureTable":
-        table = cls(e.hurst)
-        for u in indices if indices is not None else e.indices:
-            table._entries[u] = psi_entry(e, u, e.hurst)
-        return table
-
-    @property
-    def is_analytic(self) -> bool:
-        return self._analytic_dim is not None
-
-    def indices(self) -> list[Rect]:
-        return list(self._entries)
-
-    def entry(self, u: Rect) -> PsiEntry:
-        if u.is_empty:
-            return PsiEntry(0.0, "analytic")
-        got = self._entries.get(u)
-        if got is None:
-            if self._analytic_dim is None:
-                raise MissingPsiError([u])
-            got = PsiEntry(rect_measure(u), "analytic")
-            self._entries[u] = got
-        return got
-
-    def psi(self, u: Rect) -> float:
-        return self.entry(u).value
-
-    def missing(self, rects) -> list[Rect]:
-        if self._analytic_dim is not None:
-            return []
-        return sorted(
-            {r for r in rects if not r.is_empty and r not in self._entries},
-            key=lambda r: r.corner,
-        )
-
-
-def psi_entry(e: SampleEnsemble, u: Rect, h: HurstParam) -> PsiEntry:
-    """Plug-in recovery of the measure of a box, (mean of X_U^2)^{1/(2H)},
-    with its delta-method standard error."""
-    if e.n_samples < 100:
-        raise ResolutionError(
-            f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}"
-        )
-    col = e.column(u)
-    sq = col**2
-    s = float(np.mean(sq))
-    n = e.n_samples
-    if s == 0.0:
-        if not u.is_empty and rect_measure(u) > 0:
-            warnings.warn(
-                f"zero empirical variance for non-degenerate index {u!r}",
-                stacklevel=3,
+    def from_ensemble(cls, e: SampleEnsemble, boxes=None) -> "PreMeasureTable":
+        """Plug-in recovery of each box, (mean of X_U^2)^{1/(2H)}, from the
+        ensemble's columns (all of them by default), repeated boxes once."""
+        if e.n_samples < 100:
+            raise ResolutionError(
+                f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}"
             )
-        return PsiEntry(0.0, "empirical", stderr=0.0, n_samples=n)
-    inv = 1.0 / h.two_h
-    value = s**inv
-    se_s = float(np.std(sq, ddof=1)) / np.sqrt(n)
-    stderr = inv * s ** (inv - 1.0) * se_s
-    return PsiEntry(value, "empirical", stderr=stderr, n_samples=n)
+        boxes = tuple(dict.fromkeys(e.indices if boxes is None else boxes))
+        # one contiguous row per box, so each row reduces as its column did
+        sq = np.ascontiguousarray(e.samples[:, e.positions(boxes)].T) ** 2
+        s = np.mean(sq, axis=1)
+        flat = [u for u, z in zip(boxes, s == 0.0) if z and rect_measure(u) > 0]
+        if flat:
+            warnings.warn(f"zero empirical variance for non-degenerate indices {flat}", stacklevel=2)
+        inv = 1.0 / e.hurst.two_h
+        # Python's float pow: numpy's array power differs from it in the last
+        # bit for about one value in twenty
+        value = np.array([x**inv for x in s.tolist()])
+        slope = np.array([x ** (inv - 1.0) for x in s.tolist()])
+        se_s = np.std(sq, axis=1, ddof=1) / np.sqrt(e.n_samples)
+        return cls(boxes, value, inv * slope * se_s)
+
+    @cached_property
+    def _position(self) -> dict[Rect, int]:
+        return {u: i for i, u in enumerate(self.boxes)}
+
+    def lookup(self, rects) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, standard error) of each box: 0 with 0 error on the empty
+        set.  Raises MissingPsiError naming every other box the table lacks,
+        sorted by corner."""
+        rects = list(rects)
+        if self.boxes is None:
+            return np.array([rect_measure(r) for r in rects]), np.zeros(len(rects))
+        pos = self._position
+        missing = {r for r in rects if not r.is_empty and r not in pos}
+        if missing:
+            raise MissingPsiError(sorted(missing, key=lambda r: r.corner))
+        # the empty set reads the 0 appended after the last box
+        at = [-1 if r.is_empty else pos[r] for r in rects]
+        return np.append(self.value, 0.0)[at], np.append(self.stderr, 0.0)[at]
 
 
 def psi_on_C_with_se(table: PreMeasureTable, c: LeftNeighborhood) -> tuple[float, float]:
     """Inclusion-exclusion extension of the pre-measure to a left-neighborhood,
     with the standard errors of its terms added in quadrature."""
-    terms = [(1.0, c.base)] + [
-        (-sign, rect_intersection(c.base, r)) for sign, r in signed_terms(c.subtracted)
-    ]
-    miss = table.missing(r for _, r in terms)
-    if miss:
-        raise MissingPsiError(miss)
+    signs, boxes = zip(*c.signed_boxes())
+    value, stderr = table.lookup(boxes)
+    # summed in term order over Python floats, whose bits the reports carry
     total, var = 0.0, 0.0
-    for sign, r in terms:
-        entry = table.entry(r)
-        total += sign * entry.value
-        var += entry.stderr**2
+    for sign, v, se in zip(signs, value.tolist(), stderr.tolist()):
+        total += sign * v
+        var += se**2
     return total, float(np.sqrt(var))
 
 
@@ -175,8 +137,9 @@ def check_additivity(
     c1: LeftNeighborhood,
     c2: LeftNeighborhood,
     union_expr: LeftNeighborhood,
-) -> float:
-    """Residual |psi(c1 u c2) - psi(c1) - psi(c2) + psi(c1 n c2)|.
+) -> tuple[float, float]:
+    """Residual |psi(c1 u c2) - psi(c1) - psi(c2) + psi(c1 n c2)|, with the
+    standard errors of the four pieces added in quadrature.
 
     The caller supplies the union as a left-neighborhood; it is verified (up
     to null sets) to actually equal c1 u c2.  The intersection is computed in
@@ -184,18 +147,10 @@ def check_additivity(
     """
     if not region_equal_ae([c1, c2], union_expr):
         raise ValueError("union_expr does not equal c1 u c2 (up to null sets)")
-    inter = c1.intersect(c2)
-    return abs(
-        psi_on_C_with_se(table, union_expr)[0]
-        - psi_on_C_with_se(table, c1)[0]
-        - psi_on_C_with_se(table, c2)[0]
-        + psi_on_C_with_se(table, inter)[0]
-    )
-
-
-def additivity_se(table, c1, c2, union_expr) -> float:
-    parts = [union_expr, c1, c2, c1.intersect(c2)]
-    return float(np.sqrt(sum(psi_on_C_with_se(table, p)[1] ** 2 for p in parts)))
+    parts = [psi_on_C_with_se(table, p) for p in (union_expr, c1, c2, c1.intersect(c2))]
+    (union, _), (a, _), (b, _), (inter, _) = parts
+    resid = abs(union - a - b + inter)
+    return resid, float(np.sqrt(sum(se**2 for _, se in parts)))
 
 
 @dataclass(frozen=True)
@@ -313,9 +268,9 @@ def verify_extension_details(table, covers, u: Rect) -> tuple[float, float]:
 
 
 def _extension_residual(table, det: OuterMeasureResult, u: Rect) -> tuple[float, float]:
-    entry = table.entry(u)
-    resid = abs(det.value - entry.value)
-    return resid, float(np.hypot(det.stderr, entry.stderr))
+    (value,), (stderr,) = table.lookup([u])
+    resid = abs(det.value - float(value))
+    return resid, float(np.hypot(det.stderr, stderr))
 
 
 def measurability_check(
@@ -410,7 +365,6 @@ class Thresholds:
     extension_se_mult: float = 3.0
     covariance_se_mult: float = 3.0
     covariance_pass_fraction: float = 0.99
-    analytic_tol: float = 1e-12
 
     @classmethod
     def from_dict(cls, overrides: dict | None) -> "Thresholds":
@@ -498,26 +452,20 @@ def _containment(indices) -> np.ndarray:
 
 
 def _psi_criteria(table, thr) -> list[CriterionResult]:
-    worst_rel, worst_detail = 0.0, ""
-    recovery_pass = True
-    idx = table.indices()
-    entries = [table.entry(u) for u in idx]
-    for u, entry in zip(idx, entries):
-        m = rect_measure(u)
-        if m < thr.psi_floor:
-            continue
-        tol = max(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * entry.stderr)
-        rel = abs(entry.value - m) / m
-        if abs(entry.value - m) > tol:
-            recovery_pass = False
-        if rel > worst_rel:
-            worst_rel, worst_detail = rel, repr(u)
+    value, se = table.value, table.stderr
+    # recovery, on the boxes of measure at least psi_floor
+    m = np.array([rect_measure(u) for u in table.boxes])
+    tested = m >= thr.psi_floor
+    err = np.abs(value - m)
+    tol = np.maximum(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * se)
+    recovery_pass = not np.any(tested & (err > tol))
+    rel = np.divide(err, m, out=np.zeros_like(m), where=tested)
+    worst_rel = float(np.max(rel, initial=0.0))
+    worst_detail = repr(table.boxes[np.argmax(rel)]) if worst_rel > 0 else ""
     # every comparable pair once, the smaller box first
-    inside = _containment(idx)
+    inside = _containment(table.boxes)
     a, b = np.nonzero(np.triu(inside | inside.T, 1))
     small, big = np.where(inside[a, b], a, b), np.where(inside[a, b], b, a)
-    value = np.array([en.value for en in entries])
-    se = np.array([en.stderr for en in entries])
     slack = thr.monotonicity_se_mult * np.hypot(se[small], se[big])
     viol = value[small] - value[big] - slack
     mono_pass = not np.any(viol > 0)
@@ -551,18 +499,13 @@ def _comparable_pairs(indices, limit=20):
 
 def _additivity_criterion(table, thr) -> CriterionResult:
     worst, detail, passed, count = 0.0, "", True, 0
-    for u, v in _comparable_pairs(table.indices()):
+    for u, v in _comparable_pairs(table.boxes):
         c1 = LeftNeighborhood(v, (u,))
         c2 = LeftNeighborhood(u)
         union_expr = LeftNeighborhood(v)
-        resid = check_additivity(table, c1, c2, union_expr)
-        tol = (
-            thr.analytic_tol * max(1.0, table.psi(v))
-            if table.is_analytic
-            else thr.additivity_se_mult * additivity_se(table, c1, c2, union_expr)
-        )
+        resid, se = check_additivity(table, c1, c2, union_expr)
         count += 1
-        if resid > tol:
+        if resid > thr.additivity_se_mult * se:
             passed = False
         if resid > worst:
             worst, detail = resid, f"{u!r} inside {v!r}"
@@ -572,11 +515,10 @@ def _additivity_criterion(table, thr) -> CriterionResult:
 
 
 def _extension_criterion(table, covers, thr) -> CriterionResult:
-    idx = table.indices()
-    arr = CellArrangement([idx, covers.elements])
+    arr = CellArrangement([table.boxes, covers.elements])
     uncovered = ~arr.mask(covers.elements)
     targets = [
-        u for u in idx
+        u for u in table.boxes
         if not (rect_measure(u) < thr.psi_floor or np.any(arr.mask(u) & uncovered))
     ]
     if not targets:
@@ -586,12 +528,7 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
     worst, detail, passed = 0.0, "", True
     for u, det in zip(targets, _outer_measures(table, covers, targets)):
         resid, se = _extension_residual(table, det, u)
-        tol = (
-            thr.analytic_tol * max(1.0, table.psi(u))
-            if table.is_analytic
-            else thr.extension_se_mult * se
-        )
-        if resid > tol:
+        if resid > thr.extension_se_mult * se:
             passed = False
         if resid > worst:
             worst, detail = resid, repr(u)
@@ -603,7 +540,7 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
 
 def _covariance_criterion(e, table, h, thr) -> CriterionResult:
     # usable pairs: both boxes and their intersection have recovered entries
-    idx = table.indices()
+    idx = table.boxes
     x = e.samples[:, e.positions(idx)]
     n = e.n_samples
     emp = (x.T @ x) / n
@@ -618,7 +555,7 @@ def _covariance_criterion(e, table, h, thr) -> CriterionResult:
     row[ids[:t]] = np.arange(t)
     k = row[ids[t:]].reshape(t, t)
     i, j = np.nonzero(np.triu(k >= 0))
-    psi = np.array([table.psi(u) for u in idx])
+    psi = table.value
     mu, mv, mi = psi[i], psi[j], psi[k[i, j]]
     p = h.two_h
     pred = 0.5 * (mu**p + mv**p - np.maximum(mu + mv - 2 * mi, 0.0) ** p)
@@ -655,7 +592,7 @@ def recover_measure(
     inclusion-exclusion additivity and outer-measure extension, together
     with the recovered table they were computed from."""
     thr = thresholds or Thresholds()
-    table = PreMeasureTable.from_ensemble(e, indices=table_indices)
+    table = PreMeasureTable.from_ensemble(e, table_indices)
     criteria = _psi_criteria(table, thr)
     criteria.append(_additivity_criterion(table, thr))
     criteria.append(_extension_criterion(table, covers, thr))

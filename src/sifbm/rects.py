@@ -226,6 +226,14 @@ class LeftNeighborhood:
     def subtract_rect(self, r: Rect) -> "LeftNeighborhood":
         return LeftNeighborhood(self.base, self.subtracted + (r,))
 
+    def signed_boxes(self) -> list[tuple[float, Rect]]:
+        """Inclusion-exclusion expansion 1_C = sum of sign * 1_box: the base
+        with sign +1, then the base intersected with each ``signed_terms``
+        intersection of the subtracted boxes, with the opposite sign."""
+        return [(1.0, self.base)] + [
+            (-sign, rect_intersection(self.base, r)) for sign, r in signed_terms(self.subtracted)
+        ]
+
     def __repr__(self):
         return f"LeftNeighborhood({self.base!r} minus {list(self.subtracted)})"
 

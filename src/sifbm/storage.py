@@ -64,25 +64,32 @@ def write_matrix_binary(mat: np.ndarray, path):
 
 
 def read_matrix_binary(path) -> np.ndarray:
-    """Parse a SIFB file into a read-only view of its bytes; any malformed
-    input raises ``ArtifactError``."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ArtifactError(f"{path}: not a SIFB ensemble file")
-    if len(raw) < _HEADER.size:
-        raise ArtifactError(f"{path}: truncated header, {len(raw)} of {_HEADER.size} bytes")
-    _, version, rows, cols = _HEADER.unpack_from(raw)
-    if version != VERSION:
-        raise ArtifactError(f"{path}: unsupported version {version}")
-    payload = len(raw) - _HEADER.size
-    if payload != 8 * rows * cols:
-        raise ArtifactError(
-            f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles"
-        )
-    try:
-        return np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(rows, cols)
-    except ValueError:
-        raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
+    """Parse a SIFB file into a read-only, aligned float64 array; any
+    malformed input raises ``ArtifactError``.  The file size must match the
+    header before the array is allocated."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if head[:4] != MAGIC:
+            raise ArtifactError(f"{path}: not a SIFB ensemble file")
+        if len(head) < _HEADER.size:
+            raise ArtifactError(f"{path}: truncated header, {len(head)} of {_HEADER.size} bytes")
+        _, version, rows, cols = _HEADER.unpack(head)
+        if version != VERSION:
+            raise ArtifactError(f"{path}: unsupported version {version}")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != 8 * rows * cols:
+            raise ArtifactError(
+                f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles"
+            )
+        try:
+            out = np.empty((rows, cols), "<f8")
+        except ValueError:
+            raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
+        got = fh.readinto(out)
+    if got != payload:
+        raise ArtifactError(f"{path}: truncated payload, {got} bytes for {rows} x {cols} doubles")
+    out.flags.writeable = False
+    return out
 
 
 def load_ensemble(binary_path, indices, seed: int, hurst: HurstParam) -> SampleEnsemble:

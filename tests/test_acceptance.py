@@ -40,7 +40,6 @@ from sifbm.recovery import (
     check_additivity,
     measurability_check,
     outer_continuity_check,
-    psi_entry,
     psi_on_C_with_se,
     tiling_cover,
     verify_extension_details,
@@ -145,25 +144,23 @@ def test_criterion_04_psi_recovery():
         hv, n = 0.35, 20_000
         lattice = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
         e = exact_ensemble(lattice, hv, n, seed=401)
-        h = HurstParam(hv)
         table = PreMeasureTable.from_ensemble(e)
         for u in lattice:
             m = rect_measure(u)
             if m < 0.1:
                 continue
-            got = psi_entry(e, u, h).value
+            (got,), _ = table.lookup([u])
             assert abs(got - m) / m <= 0.05, f"{u!r}: {got} vs {m}"
         for u, v in itertools.combinations(lattice, 2):
-            eu, ev = table.entry(u), table.entry(v)
+            (pu, pv), (su, sv) = table.lookup([u, v])
             if all(a <= b for a, b in zip(u.corner, v.corner)):
-                slack = 3 * float(np.hypot(eu.stderr, ev.stderr))
-                assert eu.value <= ev.value + slack, f"monotonicity broke at {u!r} <= {v!r}"
+                slack = 3 * float(np.hypot(su, sv))
+                assert pu <= pv + slack, f"monotonicity broke at {u!r} <= {v!r}"
 
 
 def test_criterion_05_inclusion_exclusion_and_additivity():
     with criterion(5, "inclusion-exclusion matches Lebesgue (1e-12); additivity exact"):
-        h = HurstParam(0.3)
-        table = PreMeasureTable.analytic(h, 2)
+        table = PreMeasureTable()
         rng = np.random.default_rng(505)
         for _ in range(100):
             base = Rect(tuple(rng.uniform(0.5, 3, 2)))
@@ -184,7 +181,7 @@ def test_criterion_05_inclusion_exclusion_and_additivity():
                 continue
             c1 = LeftNeighborhood(big, (small,))
             c2 = LeftNeighborhood(small)
-            resid = check_additivity(table, c1, c2, LeftNeighborhood(big))
+            resid, _ = check_additivity(table, c1, c2, LeftNeighborhood(big))
             assert resid <= 1e-12 * max(1.0, rect_measure(big))
             count += 1
 
@@ -193,7 +190,7 @@ def test_criterion_06_outer_measure_extension_and_measurability():
     label = "outer measure extends psi (1e-12 analytic, 3 SE empirical); measurable splits"
     with criterion(6, label):
         h = HurstParam(0.3)
-        analytic = PreMeasureTable.analytic(h, 2)
+        analytic = PreMeasureTable()
         u = rect(2, 2)
         for divs in ((2, 2), (4, 4)):
             covers = tiling_cover((2, 2), divs)

@@ -31,6 +31,7 @@ from sifbm.storage import (
     MAGIC,
     VERSION,
     ArtifactError,
+    load_ensemble,
     read_matrix_binary,
     write_ensemble_binary,
     write_matrix_binary,
@@ -76,6 +77,14 @@ def make_config(tmp_path, **overrides):
     return path, raw
 
 
+def frombuffer_reference(path) -> np.ndarray:
+    """The parse ``read_matrix_binary`` replaced: a view of the file's bytes
+    at the 21-byte header offset, so its data is not 8-byte aligned."""
+    raw = Path(path).read_bytes()
+    _, _, rows, cols = _HEADER.unpack_from(raw)
+    return np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(rows, cols)
+
+
 class TestStorage:
     def _factor(self):
         return cholesky(build_cov_matrix([EMPTY, rect(1, 1), rect(2, 1)], HurstParam(0.3)))
@@ -90,6 +99,17 @@ class TestStorage:
         got = read_matrix_binary(p)
         assert np.array_equal(got, e.samples)
         assert not got.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (257, 5)])
+    def test_loaded_samples_aligned_and_bit_equal_to_frombuffer(self, tmp_path, shape):
+        # arbitrary bit patterns, NaNs and infinities included
+        bits = np.random.default_rng(11).integers(0, 2**64, shape, dtype=np.uint64)
+        p = tmp_path / "e.sifb"
+        write_matrix_binary(bits.view(np.float64), p)
+        idx = [rect(i + 1, 1) for i in range(shape[1])]
+        got = load_ensemble(p, idx, 11, HurstParam(0.3)).samples
+        assert got.flags.aligned and not got.flags.writeable
+        assert got.tobytes() == frombuffer_reference(p).tobytes()
 
     def test_failed_stream_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "ensemble.sifb"
@@ -490,6 +510,12 @@ class TestCli:
         assert main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sifbm: config error:") and f"'{field}'" in err
+
+    def test_removed_analytic_tol_is_config_error(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path, thresholds={"analytic_tol": 1e-12})
+        assert main(["recover-measure", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "analytic_tol" in err
 
     def test_cover_element_without_base_is_config_error(self, tmp_path, capsys):
         covers = {"elements": [{"subtract": [[1.0, 1.0]]}]}
