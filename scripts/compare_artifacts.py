@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Check that two source trees write the same artifacts.
+
+Usage: python scripts/compare_artifacts.py BASE CHANGE [--seed 7]
+
+BASE and CHANGE are checkouts of this repository (a ``git archive`` or
+``git clone`` of each commit).  For each of ``configs/demo.json``,
+``benchmark/configs/wide.json`` and ``benchmark/configs/intrep_coarse.json``
+it runs the six commands, in pipeline order, under each tree's ``src/``: one
+fresh interpreter per command, one BLAS thread, the config read from that
+tree, the outputs in a temporary directory.  Then it compares:
+
+- the exit code of every command;
+- every artifact other than the manifests, byte for byte;
+- the manifests as JSON, with ``wall_time_s`` removed.
+
+Prints one line per difference and exits 1 if there is any, else prints a
+summary line and exits 0.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = ("configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json")
+COMMANDS = ("simulate", "project", "recover-measure", "verify-intrep", "characterize", "report")
+ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_pipeline(tree: Path, config: str, seed: int, out: Path) -> list[int]:
+    """Exit code of each command, run in a fresh interpreter on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), SIFBM_OUT=str(out), **ONE_THREAD)
+    codes = []
+    for command in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sifbm.cli", command, "--config", config, "--seed", str(seed)],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+        codes.append(proc.returncode)
+    return codes
+
+
+def manifest(path: Path) -> dict:
+    data = json.loads(path.read_text())
+    data.pop("wall_time_s", None)
+    return data
+
+
+def compare(base: Path, change: Path) -> list[str]:
+    """One line per artifact that differs between two output directories."""
+    diffs = []
+    names = {p.name for p in base.iterdir()} | {p.name for p in change.iterdir()}
+    for name in sorted(names):
+        a, b = base / name, change / name
+        if not (a.exists() and b.exists()):
+            diffs.append(f"{name}: only in {'BASE' if a.exists() else 'CHANGE'}")
+        elif name.startswith("manifest_"):
+            if manifest(a) != manifest(b):
+                diffs.append(f"{name}: manifests differ beyond wall_time_s")
+        elif a.read_bytes() != b.read_bytes():
+            diffs.append(f"{name}: bytes differ")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    diffs, n_files = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in CONFIGS:
+            outs = [Path(tmp) / side / Path(config).stem for side in ("base", "change")]
+            codes = [
+                run_pipeline(tree.resolve(), config, args.seed, out)
+                for tree, out in zip((args.base, args.change), outs)
+            ]
+            for command, a, b in zip(COMMANDS, *codes):
+                if a != b:
+                    diffs.append(f"{config}: {command} exits {a} in BASE, {b} in CHANGE")
+            diffs += [f"{config}: {line}" for line in compare(*outs)]
+            n_files += len(list(outs[1].iterdir()))
+            print(f"{config}: exit codes {codes[1]}", file=sys.stderr)
+    for line in diffs:
+        print(line)
+    if diffs:
+        return 1
+    print(f"no differences: {len(CONFIGS)} configs, {len(COMMANDS)} commands, {n_files} artifacts")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
-from .intrep import GridSpec, IntRepConfig
+from .intrep import GridSpec, IntRepConfig, validate_masses
 from .recovery import CoverFamily, Thresholds, tiling_cover
 from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect
 
@@ -44,6 +44,9 @@ def _typed(val, kind, name: str):
             f"field '{name}' must be {getattr(kind, '__name__', kind)}, "
             f"got {type(val).__name__}"
         )
+    # Python's json module reads NaN and Infinity, which JSON does not have
+    if kind is float and not np.isfinite(val):
+        raise ConfigError(f"field '{name}' must be a finite number, got {val}")
     return val
 
 
@@ -58,6 +61,14 @@ def _corner(obj, n, where) -> tuple[float, ...]:
     return tuple(_typed(x, float, f"{where}[{i}]") for i, x in enumerate(obj))
 
 
+def _built(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a ConfigError naming the field."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"field '{where}': {exc}") from exc
+
+
 def _build_flow(spec: dict, dim: int, where: str):
     _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
@@ -68,10 +79,7 @@ def _build_flow(spec: dict, dim: int, where: str):
         built = tuple(
             _segment_flow(s, dim, f"{where}segments[{i}].") for i, s in enumerate(segs)
         )
-        try:
-            return SimpleFlow(built)
-        except ValueError as exc:
-            raise ConfigError(f"field '{where}segments': {exc}") from exc
+        return _built(f"{where}segments", SimpleFlow, built)
     return _segment_flow(spec, dim, where)
 
 
@@ -100,10 +108,7 @@ def _segment_flow(spec: dict, dim: int, where: str) -> ElementaryFlow:
         corners = [tuple(f ** e * c for e, c in zip(exps, to)) for f in frac]
     else:
         raise ConfigError(f"field '{where}kind' unknown flow kind {kind!r}")
-    try:
-        return make_elementary_flow(grid, corners)
-    except ValueError as exc:
-        raise ConfigError(f"field '{where}': {exc}") from exc
+    return _built(where, make_elementary_flow, grid, corners)
 
 
 def cover_closure_rects(covers: CoverFamily) -> set[Rect]:
@@ -163,11 +168,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     dim = _get(resolved, "dimension", int, "", required=True)
     if dim < 1:
         raise ConfigError("field 'dimension' must be >= 1")
-    hurst = _get(resolved, "hurst", float, "", required=True)
-    try:
-        hurst = HurstParam(hurst)
-    except ValueError as exc:
-        raise ConfigError(f"field 'hurst': {exc}") from exc
+    hurst = _built("hurst", HurstParam, _get(resolved, "hurst", float, "", required=True))
     seed = _get(resolved, "seed", int, "", required=True)
     n_samples = _get(resolved, "n_samples", int, "", required=True)
     if n_samples < 1:
@@ -183,10 +184,12 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         if len(shape) != dim or len(spacing) != dim:
             raise ConfigError("field 'indices.lattice': shape/spacing must match dimension")
         for combo in itertools.product(*(range(1, s + 1) for s in shape)):
-            lattice.append(Rect(tuple(c * sp for c, sp in zip(combo, spacing))))
+            corner = tuple(c * sp for c, sp in zip(combo, spacing))
+            lattice.append(_built("indices.lattice.spacing", Rect, corner))
     elif "corners" in idx_spec:
         for i, c in enumerate(_get(idx_spec, "corners", list, "indices.")):
-            lattice.append(Rect(_corner(c, dim, f"indices.corners[{i}]")))
+            where = f"indices.corners[{i}]"
+            lattice.append(_built(where, Rect, _corner(c, dim, where)))
     else:
         raise ConfigError("field 'indices' needs either 'lattice' or 'corners'")
 
@@ -208,18 +211,16 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         divisions = _items(t, "divisions", int, "covers.tiling.", required=True)
         if len(divisions) != dim:
             raise ConfigError("field 'covers.tiling.divisions' must match dimension")
-        try:
-            covers = tiling_cover(corner, divisions)
-        except ValueError as exc:
-            raise ConfigError(f"field 'covers.tiling': {exc}") from exc
+        covers = _built("covers.tiling", tiling_cover, corner, divisions)
     elif "elements" in cov_spec:
         els = []
         for i, el in enumerate(_get(cov_spec, "elements", list, "covers.")):
             where = f"covers.elements[{i}]."
             _typed(el, dict, where[:-1])
-            base = Rect(_corner(_get(el, "base", list, where, required=True), dim, f"{where}base"))
+            base = _corner(_get(el, "base", list, where, required=True), dim, f"{where}base")
+            base = _built(f"{where}base", Rect, base)
             subs = tuple(
-                Rect(_corner(s, dim, f"{where}subtract"))
+                _built(f"{where}subtract", Rect, _corner(s, dim, f"{where}subtract"))
                 for s in _get(el, "subtract", list, where, default=[])
             )
             if len(subs) > MAX_UNION_PARTS:
@@ -228,10 +229,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
                     f"more than the inclusion-exclusion cap of {MAX_UNION_PARTS}"
                 )
             els.append(LeftNeighborhood(base, subs))
-        try:
-            covers = CoverFamily(tuple(els))
-        except ValueError as exc:
-            raise ConfigError(f"field 'covers.elements': {exc}") from exc
+        covers = _built("covers.elements", CoverFamily, tuple(els))
     else:
         raise ConfigError("field 'covers' needs 'tiling' or 'elements'")
 
@@ -246,12 +244,11 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         variance_rel_tol=_get(ir, "variance_rel_tol", float, where, default=0.03),
         covariance_se_mult=_get(ir, "covariance_se_mult", float, where, default=3.0),
     )
+    _built("integral_rep.masses", validate_masses, intrep.masses)
+    if any(m <= 0 for m in intrep.variance_masses):
+        raise ConfigError("field 'integral_rep.variance_masses' entries must be > 0")
     for hv in intrep.hursts:
-        try:
-            h = HurstParam(hv)
-        except ValueError as exc:
-            raise ConfigError(f"field 'integral_rep.hursts': {exc}") from exc
-        if h.is_half:
+        if _built("integral_rep.hursts", HurstParam, hv).is_half:
             raise ConfigError(
                 "field 'integral_rep.hursts': the kernel vanishes at H = 1/2, "
                 "which half_case_covariance already checks"
@@ -287,10 +284,7 @@ def _parse_grid(spec: dict) -> GridSpec:
         f.name: _get(spec, f.name, type(f.default), "integral_rep.grid.", default=f.default)
         for f in fields(GridSpec)
     }
-    try:
-        return GridSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(f"field 'integral_rep.grid': {exc}") from exc
+    return _built("integral_rep.grid", GridSpec, **values)
 
 
 def load_config(path, seed_override: int | None = None, jobs: int = 1) -> ExperimentConfig:

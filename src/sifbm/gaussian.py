@@ -74,17 +74,18 @@ class HurstParam:
         return self.value == 0.5
 
 
-def covariance_from_measures(m_u: float, m_v: float, m_symdiff: float, h: HurstParam) -> float:
-    """Covariance given the three measure values (0^{2H} := 0)."""
+def covariance_from_measures(m_u, m_v, m_symdiff, h: HurstParam):
+    """Covariance given the three measure values (0^{2H} := 0), over arrays
+    that broadcast; a negative symmetric-difference round-off counts as 0."""
     p = h.two_h
-    return 0.5 * (m_u**p + m_v**p - max(m_symdiff, 0.0) ** p)
+    return 0.5 * (m_u**p + m_v**p - np.maximum(m_symdiff, 0.0) ** p)
 
 
 def covariance(u: Rect, v: Rect, h: HurstParam) -> float:
     """Covariance of the field at two box indices."""
-    return covariance_from_measures(
+    return float(covariance_from_measures(
         rect_measure(u), rect_measure(v), symdiff_measure(u, v), h
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,8 @@ def build_cov_matrix(indices, h: HurstParam) -> CovMatrix:
     for c in corner_array(indices).T:
         meas *= c
         inter *= np.minimum.outer(c, c)
-    p = h.two_h
-    sd = np.maximum(np.add.outer(meas, meas) - 2.0 * inter, 0.0)
-    mp = meas**p
-    mat = 0.5 * (np.add.outer(mp, mp) - sd**p)
-    np.fill_diagonal(mat, mp)
+    # the diagonal's symmetric difference is exactly 0, so its entries are m^{2H}
+    mat = covariance_from_measures(meas[:, None], meas, np.add.outer(meas, meas) - 2.0 * inter, h)
     return CovMatrix(indices, mat, h)
 
 

@@ -20,7 +20,8 @@ only, not on H, so ``build_kernel_grid`` builds each one once per (distinct
 positive masses, spec) and process: the per-H normalization, the variance
 checks and the covariance audits reuse it.  The cache holds at most 16 grids
 (their read-only edges; midpoints and widths are recomputed on use), the most
-recently used ones.
+recently used ones.  ``normalization_const`` is computed once per (H, spec)
+and process, in a ``functools.cache`` that ``cache_clear`` empties.
 
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import HurstParam, ResolutionError, block_draw
+from .gaussian import HurstParam, ResolutionError, block_draw, covariance_from_measures
 from .recovery import CharacterizationReport, CriterionResult
 
 # Eigenvalues of the discretized covariance below this fraction of the largest
@@ -177,16 +178,14 @@ def mvn_kernel(mass, u, h: HurstParam):
     return np.abs(mass - u) ** a - np.abs(u) ** a
 
 
-_NORMALIZATION_CACHE: dict[tuple[float, GridSpec], float] = {}
-
-
 def _unit_integral(h: HurstParam, spec: GridSpec) -> float:
     g = build_kernel_grid([1.0], spec)
     k = mvn_kernel(1.0, g.midpoints, h)
     return float(np.sum(k * k * g.widths))
 
 
-def normalization_const(h: HurstParam, grid: KernelGrid | GridSpec) -> float:
+@functools.cache
+def normalization_const(h: HurstParam, spec: GridSpec) -> float:
     """C(H) = (integral of the squared unit-mass kernel)^{-1/2}, computed by
     the same midpoint quadrature the simulation uses (unit-mass grid of the
     same spec), so single-mass variances come out exact by scaling.
@@ -196,14 +195,9 @@ def normalization_const(h: HurstParam, grid: KernelGrid | GridSpec) -> float:
     instead of returning the constant.  The bound is loose on purpose: the
     constant cancels against the same quadrature in the simulation, so a
     refinement error below it does not bias single-mass variances, and coarse
-    grids (small H, few cells per mass) stay usable.
+    grids (small H, few cells per mass) stay usable.  Each (h, spec) is
+    computed once per process; a raised error is not cached.
     """
-    spec = grid.spec if isinstance(grid, KernelGrid) else grid
-    key = (h.value, spec)
-    if key in _NORMALIZATION_CACHE:
-        return _NORMALIZATION_CACHE[key]
-    if h.is_half:
-        raise HalfCaseError()
     integral = _unit_integral(h, spec)
     refined = _unit_integral(h, spec.refine(2))
     err = abs(integral - refined) / refined
@@ -216,18 +210,7 @@ def normalization_const(h: HurstParam, grid: KernelGrid | GridSpec) -> float:
             f"integral by {err:.2e} relative (grid too coarse near the "
             f"singularities for H={h.value})"
         )
-    value = integral**-0.5
-    _NORMALIZATION_CACHE[key] = value
-    return value
-
-
-@dataclass(frozen=True)
-class RepConfig:
-    """Simulation configuration for the moving-average representation."""
-
-    hurst: HurstParam
-    seed: int
-    grid: GridSpec = GridSpec()
+    return integral**-0.5
 
 
 @dataclass(frozen=True)
@@ -243,7 +226,9 @@ class IntRepConfig:
     covariance_se_mult: float = 3.0
 
 
-def _validate_masses(masses) -> np.ndarray:
+def validate_masses(masses) -> np.ndarray:
+    """The masses as a float array; ValueError unless one flow's time-change
+    values: non-empty, non-negative and nondecreasing."""
     masses = np.asarray(masses, dtype=float)
     if masses.ndim != 1 or masses.size == 0:
         raise ValueError("masses must be a non-empty 1-d sequence")
@@ -254,15 +239,17 @@ def _validate_masses(masses) -> np.ndarray:
     return masses
 
 
-def simulate_via_integral(masses, cfg: RepConfig, n_samples: int) -> np.ndarray:
+def simulate_via_integral(
+    masses, seed: int, n_samples: int, h: HurstParam, spec: GridSpec = GridSpec()
+) -> np.ndarray:
     """Draw paths of the discretized representation along a masses list,
     (n_samples, len(masses)): one normal per distinct positive mass from the
-    streams of cfg.seed, through ``discretized_factor``.  Equal masses give
-    bit-equal columns."""
-    masses = _validate_masses(masses)
+    streams of ``seed``, through ``discretized_factor`` on ``spec``.  Equal
+    masses give bit-equal columns."""
+    masses = validate_masses(masses)
     distinct, inverse = np.unique(masses, return_inverse=True)
-    f = discretized_factor(distinct, cfg.hurst, cfg.grid)
-    paths = block_draw(cfg.seed, n_samples, f.T)
+    f = discretized_factor(distinct, h, spec)
+    paths = block_draw(seed, n_samples, f.T)
     return paths[:, inverse]
 
 
@@ -270,7 +257,7 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
     """H = 1/2 path: W([0, theta_i]) from exact cumulative Gaussian
     increments at the mass points (the indicator-kernel limit of the
     representation on the positive half-line)."""
-    masses = _validate_masses(masses)
+    masses = validate_masses(masses)
     sds = np.sqrt(np.diff(masses, prepend=0.0))
     return np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
 
@@ -287,7 +274,7 @@ def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -
     C(H)^2 * K diag(widths) K^T.  This is the law ``simulate_via_integral``
     draws from, so quadrature/truncation accuracy can be audited without
     Monte Carlo noise."""
-    masses = _validate_masses(masses)
+    masses = validate_masses(masses)
     if float(masses.max()) == 0.0:
         return np.zeros((masses.size, masses.size))
     return _kernel_covariance(masses, h, spec)
@@ -299,7 +286,7 @@ def discretized_factor(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np
     the distinct positive masses with round-off eigenvalues clipped to 0,
     whose rows are mapped onto the masses (equal masses get bit-equal rows,
     zero masses zero rows)."""
-    masses = _validate_masses(masses)
+    masses = validate_masses(masses)
     if h.is_half:
         raise HalfCaseError()
     distinct, inverse = np.unique(masses, return_inverse=True)
@@ -313,11 +300,8 @@ def discretized_factor(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np
 
 def fbm_covariance(masses, h: HurstParam) -> np.ndarray:
     """Closed-form one-parameter fBm covariance at the mass points."""
-    t = _validate_masses(masses)
-    p = h.two_h
-    return 0.5 * (
-        t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p
-    )
+    t = validate_masses(masses)
+    return covariance_from_measures(t[:, None], t, np.abs(t[:, None] - t), h)
 
 
 def _derived_seed(seed: int, *key: int) -> int:
@@ -345,16 +329,14 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
     for hi, hv in enumerate(ir.hursts):
         h = HurstParam(hv)
         for ti, theta in enumerate(ir.variance_masses):
-            rc = RepConfig(h, seed=_derived_seed(seed, 1, hi, ti), grid=ir.grid)
-            paths = simulate_via_integral([theta], rc, ir.n_samples)
+            paths = simulate_via_integral([theta], _derived_seed(seed, 1, hi, ti), ir.n_samples, h, ir.grid)
             var = float(np.mean(paths[:, 0] ** 2))
             want = theta ** (2 * hv)
             rel = abs(var - want) / want
             name = f"variance_H{hv}_theta{theta}"
             detail = f"relative error of the sample variance against {want:.6g}"
             out.append(CriterionResult(name, rel <= tol, rel, tol, detail))
-        rc = RepConfig(h, seed=_derived_seed(seed, 2, hi), grid=ir.grid)
-        paths = simulate_via_integral(ir.masses, rc, ir.n_samples)
+        paths = simulate_via_integral(ir.masses, _derived_seed(seed, 2, hi), ir.n_samples, h, ir.grid)
         want = fbm_covariance(ir.masses, h)
         worst = _worst_sigma(paths, want)
         detail = "worst sample covariance entry against fBm, in standard errors"

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .flows import Flow
-from .gaussian import HurstParam, ResolutionError, SampleEnsemble
+from .gaussian import HurstParam, ResolutionError, SampleEnsemble, covariance_from_measures
 from .rects import (
     CellArrangement,
     LeftNeighborhood,
@@ -230,34 +230,26 @@ def outer_measure_details(
 
 
 def _outer_measures(table, covers, targets) -> list[OuterMeasureResult]:
-    """``outer_measure_details`` of each target.  The cover elements' costs
-    are looked up once, and only if some target is not null."""
-    cover_masks = [_target_cover(covers, t) for t in targets]
+    """``outer_measure_details`` of each target, on one cell arrangement of
+    all targets and the covers: row i of ``cover`` marks the cells cover
+    element i covers.  The cover elements' costs are looked up once, and only
+    if some target is not null."""
+    arr = CellArrangement([targets, covers.elements])
+    insides = [arr.mask(t) for t in targets]
     null = OuterMeasureResult(0.0, (), 0.0)
-    if all(cover is None for cover in cover_masks):
+    if not any(inside.any() for inside in insides):
         return [null] * len(targets)
+    cover = np.array([arr.mask(el) for el in covers.elements])
     costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
     results = []
-    for cover in cover_masks:
-        if cover is None:
+    for inside in insides:
+        if not inside.any():
             results.append(null)
             continue
-        value, chosen = _outer_measure_search(costs, cover)
+        value, chosen = _outer_measure_search(costs, cover[:, inside])
         stderr = float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))
         results.append(OuterMeasureResult(float(value), tuple(chosen), stderr))
     return results
-
-
-def _target_cover(covers, target) -> np.ndarray | None:
-    """Row i marks the target's cells that cover element i covers; None for
-    a null target."""
-    if isinstance(target, Rect) and target.is_empty:
-        return None
-    arr = CellArrangement([target, covers.elements])
-    inside = arr.mask(target)
-    if not inside.any():
-        return None
-    return np.array([arr.mask(el)[inside] for el in covers.elements])
 
 
 def verify_extension_details(table, covers, u: Rect) -> tuple[float, float]:
@@ -557,8 +549,7 @@ def _covariance_criterion(e, table, h, thr) -> CriterionResult:
     i, j = np.nonzero(np.triu(k >= 0))
     psi = table.value
     mu, mv, mi = psi[i], psi[j], psi[k[i, j]]
-    p = h.two_h
-    pred = 0.5 * (mu**p + mv**p - np.maximum(mu + mv - 2 * mi, 0.0) ** p)
+    pred = covariance_from_measures(mu, mv, mu + mv - 2 * mi, h)
     se = np.sqrt((diag[i] * diag[j] + emp[i, j] ** 2) / n)
     dev = np.abs(emp[i, j] - pred)
     banded = se > 0

@@ -28,7 +28,6 @@ from sifbm.gaussian import (
 )
 from sifbm.intrep import (
     GridSpec,
-    RepConfig,
     discretized_covariance,
     fbm_covariance,
     half_case_simulate,
@@ -243,15 +242,13 @@ def test_criterion_08_integral_representation():
         for hi, hv in enumerate((0.2, 0.35)):
             h = HurstParam(hv)
             for ti, theta in enumerate((0.25, 1.0, 4.0)):
-                cfg = RepConfig(h, seed=801 + 10 * hi + ti, grid=spec)
-                paths = simulate_via_integral([theta], cfg, n)
+                paths = simulate_via_integral([theta], 801 + 10 * hi + ti, n, h, spec)
                 var = float(np.mean(paths[:, 0] ** 2))
                 want = theta ** (2 * hv)
                 rel = abs(var - want) / want
                 assert rel <= 0.03, f"H={hv} theta={theta}: variance off by {rel:.4f}"
             masses = [0.8, 0.9, 1.0]
-            cfg = RepConfig(h, seed=851 + hi, grid=spec)
-            paths = simulate_via_integral(masses, cfg, n)
+            paths = simulate_via_integral(masses, 851 + hi, n, h, spec)
             emp = (paths.T @ paths) / n
             want = fbm_covariance(masses, h)
             se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)

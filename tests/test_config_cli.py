@@ -499,6 +499,29 @@ class TestCli:
             ("recover-measure", ("thresholds", "psi_floor"), True, "thresholds.psi_floor"),
             ("verify-intrep", ("integral_rep", "grid", "cells_per_mass"), False,
              "integral_rep.grid.cells_per_mass"),
+            # a number that no box, masses list or band admits
+            ("simulate", ("indices", "lattice", "spacing", 0), -1.0, "indices.lattice.spacing"),
+            ("simulate", ("indices",), {"corners": [[1.0, 1.0], [2.0, -1.0]]},
+             "indices.corners[1]"),
+            ("simulate", ("covers",), {"elements": [{"base": [-1.0, 2.0]}]},
+             "covers.elements[0].base"),
+            ("simulate", ("covers",), {"elements": [{"base": [2.0, 2.0], "subtract": [[1.0, -1.0]]}]},
+             "covers.elements[0].subtract"),
+            ("verify-intrep", ("integral_rep", "masses"), [1.0, 0.5], "integral_rep.masses"),
+            ("verify-intrep", ("integral_rep", "masses"), [], "integral_rep.masses"),
+            ("verify-intrep", ("integral_rep", "variance_masses"), [-1.0],
+             "integral_rep.variance_masses"),
+            ("verify-intrep", ("integral_rep", "variance_masses"), [0.0],
+             "integral_rep.variance_masses"),
+            # json.dumps writes NaN, which json.load reads back
+            ("verify-intrep", ("integral_rep", "grid", "truncation_factor"), float("nan"),
+             "integral_rep.grid.truncation_factor"),
+            ("characterize", ("thresholds", "profile_se_mult"), float("nan"),
+             "thresholds.profile_se_mult"),
+            ("verify-intrep", ("integral_rep", "variance_rel_tol"), float("nan"),
+             "integral_rep.variance_rel_tol"),
+            ("verify-intrep", ("integral_rep", "masses"), [float("nan"), 1.0],
+             "integral_rep.masses[0]"),
         ],
     )
     def test_bad_numeric_field_is_config_error(self, tmp_path, capsys, command, path, value, field):

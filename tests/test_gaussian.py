@@ -21,10 +21,12 @@ from sifbm.gaussian import (
     covariance,
     sample_ensemble,
 )
+from sifbm.intrep import fbm_covariance
 from sifbm.rects import (
     EMPTY,
     DimensionMismatchError,
     Rect,
+    corner_array,
     rect,
     rect_intersection,
     rect_measure,
@@ -126,6 +128,28 @@ class TestCovMatrix:
         want = np.array([[covariance(u, v, h) for v in idx] for u in idx])
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.diag(want))
+
+    @given(index_lists(), hursts)
+    @settings(max_examples=200)
+    def test_matches_inline_formulas(self, idx, h):
+        # the inline assembly that the broadcast covariance_from_measures
+        # replaced, with its diagonal written as m^{2H}
+        meas = np.ones(len(idx))
+        inter = np.ones((len(idx), len(idx)))
+        for c in corner_array(idx).T:
+            meas *= c
+            inter *= np.minimum.outer(c, c)
+        p = h.two_h
+        sd = np.maximum(np.add.outer(meas, meas) - 2.0 * inter, 0.0)
+        mp = meas**p
+        want = 0.5 * (np.add.outer(mp, mp) - sd**p)
+        np.fill_diagonal(want, mp)
+        assert np.array_equal(build_cov_matrix(idx, h).matrix, want)
+        # and fbm_covariance's, with the sorted box measures as one flow's
+        # time-change values
+        t = np.array(sorted(rect_measure(u) for u in idx))
+        want = 0.5 * (t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p)
+        assert np.array_equal(fbm_covariance(t, h), want)
 
     def test_psd_random_sets(self):
         rng = np.random.default_rng(99)

@@ -16,7 +16,6 @@ from sifbm.intrep import (
     GridSpec,
     HalfCaseError,
     IntRepConfig,
-    RepConfig,
     build_kernel_grid,
     discretized_covariance,
     discretized_factor,
@@ -212,7 +211,7 @@ class TestGridCache:
             grid=GridSpec(cells_per_mass=64, refine_factor=2),
         )
         first = verify_intrep(ir, seed=3).to_dict()
-        intrep._NORMALIZATION_CACHE.clear()
+        normalization_const.cache_clear()
         intrep._kernel_grid.cache_clear()
         assert verify_intrep(ir, seed=3).to_dict() == first
 
@@ -259,61 +258,58 @@ class TestNormalization:
 
     def test_too_coarse_rejected(self):
         h = HurstParam(0.1)
-        with pytest.raises(ValueError, match="not converged"):
-            normalization_const(h, GridSpec(cells_per_mass=8, refine_factor=1))
+        # functools.cache stores no exception, so a second call raises again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not converged"):
+                normalization_const(h, GridSpec(cells_per_mass=8, refine_factor=1))
 
 
 class TestSimulate:
     def test_zero_mass_paths_zero(self):
-        cfg = RepConfig(HurstParam(0.3), seed=1, grid=COARSE)
-        paths = simulate_via_integral([0.0], cfg, 50)
+        paths = simulate_via_integral([0.0], 1, 50, HurstParam(0.3), COARSE)
         assert np.all(paths == 0.0)
 
     def test_unit_variance(self):
-        cfg = RepConfig(HurstParam(0.3), seed=2, grid=COARSE)
         n = 20_000
-        paths = simulate_via_integral([1.0], cfg, n)
+        paths = simulate_via_integral([1.0], 2, n, HurstParam(0.3), COARSE)
         var = float(np.mean(paths[:, 0] ** 2))
         assert var == pytest.approx(1.0, rel=0.03)
 
     def test_decreasing_masses_rejected(self):
-        cfg = RepConfig(HurstParam(0.3), seed=1, grid=COARSE)
         with pytest.raises(ValueError, match="nondecreasing"):
-            simulate_via_integral([1.0, 0.5], cfg, 10)
+            simulate_via_integral([1.0, 0.5], 1, 10, HurstParam(0.3), COARSE)
 
     def test_half_redirects(self):
-        cfg = RepConfig(HurstParam(0.5), seed=1, grid=COARSE)
         with pytest.raises(HalfCaseError):
-            simulate_via_integral([1.0], cfg, 10)
+            simulate_via_integral([1.0], 1, 10, HurstParam(0.5), COARSE)
 
     def test_deterministic(self):
-        cfg = RepConfig(HurstParam(0.35), seed=9, grid=GridSpec(cells_per_mass=64, refine_factor=2))
-        a = simulate_via_integral([0.5, 1.0], cfg, 300)
-        b = simulate_via_integral([0.5, 1.0], cfg, 300)
+        h, spec = HurstParam(0.35), GridSpec(cells_per_mass=64, refine_factor=2)
+        a = simulate_via_integral([0.5, 1.0], 9, 300, h, spec)
+        b = simulate_via_integral([0.5, 1.0], 9, 300, h, spec)
         assert np.array_equal(a, b)
 
     def test_prefix_stable_across_block_boundary(self):
         assert 300 < 2 * STREAM_BLOCK < 700
-        cfg = RepConfig(HurstParam(0.35), seed=9, grid=GridSpec(cells_per_mass=64, refine_factor=2))
-        a = simulate_via_integral([0.0, 0.5, 1.0], cfg, 300)
-        b = simulate_via_integral([0.0, 0.5, 1.0], cfg, 700)
+        h, spec = HurstParam(0.35), GridSpec(cells_per_mass=64, refine_factor=2)
+        a = simulate_via_integral([0.0, 0.5, 1.0], 9, 300, h, spec)
+        b = simulate_via_integral([0.0, 0.5, 1.0], 9, 700, h, spec)
         assert np.array_equal(a, b[:300])
         assert np.all(b[:, 0] == 0.0)
 
     def test_prefix_stable_at_64_masses(self):
         masses = np.linspace(0.1, 1.0, 64)
-        cfg = RepConfig(HurstParam(0.3), seed=5, grid=GridSpec(cells_per_mass=64, refine_factor=2))
+        h, spec = HurstParam(0.3), GridSpec(cells_per_mass=64, refine_factor=2)
         for n, m in ((10, 300), (300, 700), (257, 1000)):
-            a = simulate_via_integral(masses, cfg, n)
-            b = simulate_via_integral(masses, cfg, m)
+            a = simulate_via_integral(masses, 5, n, h, spec)
+            b = simulate_via_integral(masses, 5, m, h, spec)
             assert np.array_equal(a, b[:n]), (n, m)
 
     def test_covariance_matches_fbm(self):
         h = HurstParam(0.3)
-        cfg = RepConfig(h, seed=4, grid=COARSE)
         masses = [0.5, 0.75, 1.0]
         n = 20_000
-        paths = simulate_via_integral(masses, cfg, n)
+        paths = simulate_via_integral(masses, 4, n, h, COARSE)
         emp = (paths.T @ paths) / n
         want = fbm_covariance(masses, h)
         se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
@@ -323,9 +319,9 @@ class TestSimulate:
         # same seed, nested mass lists: shared masses see the same increments
         # (bit-level equality across different lists is not guaranteed, since
         # the factor is recomputed, so compare at fp-roundoff tolerance)
-        cfg = RepConfig(HurstParam(0.3), seed=6, grid=COARSE)
-        a = simulate_via_integral([0.5, 1.0], cfg, 20)
-        b = simulate_via_integral([0.5, 1.0, 1.0], cfg, 20)
+        h = HurstParam(0.3)
+        a = simulate_via_integral([0.5, 1.0], 6, 20, h, COARSE)
+        b = simulate_via_integral([0.5, 1.0, 1.0], 6, 20, h, COARSE)
         assert np.allclose(a[:, 0], b[:, 0], rtol=1e-10, atol=1e-12)
         assert np.array_equal(b[:, 1], b[:, 2])
 
@@ -438,8 +434,7 @@ class TestCrossValidation:
         idx = flow_weights(f)[0]
         e = sample_ensemble(cholesky(build_cov_matrix(idx, HurstParam(h))), n, seed=51)
         proj = project(e, f)
-        cfg = RepConfig(HurstParam(h), seed=52, grid=COARSE)
-        rep = simulate_via_integral(tc.values, cfg, n)
+        rep = simulate_via_integral(tc.values, 52, n, HurstParam(h), COARSE)
         for j in (1, 4, 7):
             inc_a = proj[:, j] - proj[:, 0]
             inc_b = rep[:, j] - rep[:, 0]

@@ -38,10 +38,12 @@ from sifbm.recovery import (
     _comparable_pairs,
     _covariance_criterion,
     _outer_measure_search,
+    _outer_measures,
     _psi_criteria,
 )
 from sifbm.rects import (
     EMPTY,
+    CellArrangement,
     LeftNeighborhood,
     Rect,
     left_nbhd_measure,
@@ -331,6 +333,72 @@ class TestOuterMeasureSearch:
         value, chosen = _outer_measure_search(costs, cover)
         assert (value, chosen) == want
         assert type(chosen[0]) is int
+
+
+def per_target_outer_measures(table, covers, targets) -> list[tuple]:
+    """The per-target path that one shared cell arrangement replaced: each
+    target gets its own arrangement with the covers, and a null target
+    (empty or of measure 0) is (0, (), 0) without one."""
+
+    def target_cover(target):
+        if isinstance(target, Rect) and target.is_empty:
+            return None
+        arr = CellArrangement([target, covers.elements])
+        inside = arr.mask(target)
+        if not inside.any():
+            return None
+        return np.array([arr.mask(el)[inside] for el in covers.elements])
+
+    cover_masks = [target_cover(t) for t in targets]
+    if all(cover is None for cover in cover_masks):
+        return [(0.0, (), 0.0)] * len(targets)
+    costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
+    out = []
+    for cover in cover_masks:
+        if cover is None:
+            out.append((0.0, (), 0.0))
+            continue
+        value, chosen = _outer_measure_search(costs, cover)
+        out.append((float(value), tuple(chosen), float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))))
+    return out
+
+
+@st.composite
+def outer_measure_cases(draw):
+    """Cover pieces and targets on a coarse grid with zero, as in
+    ``criterion_cases``: targets are boxes (degenerate ones included), the
+    empty set, left-neighborhoods and unions of these; a seed for the table."""
+    dim = draw(st.integers(1, 3))
+    box = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])] * dim).map(Rect)
+    nbhd = st.builds(LeftNeighborhood, box, st.lists(box, max_size=2).map(tuple))
+    elements = draw(st.lists(nbhd, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        elements.append(LeftNeighborhood(Rect((2.0,) * dim)))
+    region = box | st.just(EMPTY) | nbhd
+    targets = draw(st.lists(region | st.lists(region, min_size=1, max_size=3), min_size=1, max_size=5))
+    return CoverFamily(tuple(elements)), targets, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSharedArrangement:
+    @given(outer_measure_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_target_arrangements(self, case):
+        covers, targets, seed = case
+        boxes = tuple(dict.fromkeys(
+            b for el in covers.elements for _, b in el.signed_boxes() if not b.is_empty
+        ))
+        rng = np.random.default_rng(seed)
+        # signed and tied costs, and non-zero standard errors
+        value = rng.choice([-0.5, 0.0, 0.5, 1.0, 2.5], len(boxes))
+        table = PreMeasureTable(boxes, value, rng.uniform(0.0, 0.1, len(boxes)))
+        try:
+            want = per_target_outer_measures(table, covers, targets)
+        except CoverError:
+            with pytest.raises(CoverError):
+                _outer_measures(table, covers, targets)
+            return
+        got = _outer_measures(table, covers, targets)
+        assert [(r.value, r.chosen, r.stderr) for r in got] == want
 
 
 class TestOuterMeasure:
