@@ -12,7 +12,9 @@ tree, the outputs in a temporary directory.  Then it compares:
 
 - the exit code of every command;
 - every artifact other than the manifests, byte for byte;
-- the manifests as JSON, with ``wall_time_s`` removed.
+- the manifests as JSON, with ``wall_time_s`` removed;
+- CHANGE's ``ensemble.sifb`` against the one a ``simulate --jobs 2`` run
+  under CHANGE writes, byte for byte: the data must not depend on --jobs.
 
 Prints one line per difference and exits 1 if there is any, else prints a
 summary line and exits 0.
@@ -28,20 +30,23 @@ from pathlib import Path
 
 CONFIGS = ("configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json")
 COMMANDS = ("simulate", "project", "recover-measure", "verify-intrep", "characterize", "report")
+ENSEMBLE = "ensemble.sifb"
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_pipeline(tree: Path, config: str, seed: int, out: Path) -> list[int]:
-    """Exit code of each command, run in a fresh interpreter on ``tree``."""
+def run_command(tree: Path, command: str, config: str, seed: int, out: Path, *extra: str) -> int:
+    """Exit code of one command, run in a fresh interpreter on ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), SIFBM_OUT=str(out), **ONE_THREAD)
-    codes = []
-    for command in COMMANDS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "sifbm.cli", command, "--config", config, "--seed", str(seed)],
-            cwd=tree, env=env, capture_output=True, text=True,
-        )
-        codes.append(proc.returncode)
-    return codes
+    proc = subprocess.run(
+        [sys.executable, "-m", "sifbm.cli", command, "--config", config, "--seed", str(seed), *extra],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode
+
+
+def run_pipeline(tree: Path, config: str, seed: int, out: Path) -> list[int]:
+    """Exit code of each command, in pipeline order."""
+    return [run_command(tree, command, config, seed, out) for command in COMMANDS]
 
 
 def manifest(path: Path) -> dict:
@@ -84,13 +89,18 @@ def main(argv=None) -> int:
                 if a != b:
                     diffs.append(f"{config}: {command} exits {a} in BASE, {b} in CHANGE")
             diffs += [f"{config}: {line}" for line in compare(*outs)]
+            jobs_out = Path(tmp) / "jobs2" / Path(config).stem
+            run_command(args.change.resolve(), "simulate", config, args.seed, jobs_out, "--jobs", "2")
+            ensembles = [out / ENSEMBLE for out in (outs[1], jobs_out)]
+            if not all(p.exists() for p in ensembles) or len({p.read_bytes() for p in ensembles}) != 1:
+                diffs.append(f"{config}: {ENSEMBLE} of simulate --jobs 2 differs from --jobs 1 in CHANGE")
             n_files += len(list(outs[1].iterdir()))
             print(f"{config}: exit codes {codes[1]}", file=sys.stderr)
     for line in diffs:
         print(line)
     if diffs:
         return 1
-    print(f"no differences: {len(CONFIGS)} configs, {len(COMMANDS)} commands, {n_files} artifacts")
+    print(f"no differences: {len(CONFIGS)} configs, {len(COMMANDS)} commands, {n_files} artifacts, --jobs 2 ensembles equal")
     return 0
 
 

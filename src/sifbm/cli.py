@@ -111,7 +111,7 @@ def _load_ensemble(cfg: ExperimentConfig, out: Path):
             f"{path}: simulated with {stale} {got[stale]!r}, but the config gives "
             f"{want[stale]!r}; rerun 'sifbm simulate' with this config"
         )
-    return load_ensemble(path, idx, cfg.seed, cfg.hurst)
+    return load_ensemble(path, idx, cfg.hurst)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:

@@ -27,12 +27,15 @@ class ConfigError(ValueError):
     """Configuration is structurally or semantically invalid."""
 
 
-def _get(d: dict, key: str, kind, where: str, default=None, required=False):
+def _get(d: dict, key: str, kind, where: str, default=None, required=False, least=None):
     if key not in d:
         if required:
             raise ConfigError(f"missing required field '{where}{key}'")
         return default
-    return _typed(d[key], kind, f"{where}{key}")
+    val = _typed(d[key], kind, f"{where}{key}")
+    if least is not None and val < least:
+        raise ConfigError(f"field '{where}{key}' must be >= {least}")
+    return val
 
 
 def _typed(val, kind, name: str):
@@ -48,6 +51,13 @@ def _typed(val, kind, name: str):
     if kind is float and not np.isfinite(val):
         raise ConfigError(f"field '{name}' must be a finite number, got {val}")
     return val
+
+
+def _only(d: dict, keys, where: str):
+    """Reject a key of ``d`` outside ``keys``, the keys its reader reads."""
+    extra = sorted(set(d) - set(keys))
+    if extra:
+        raise ConfigError(f"field '{where}{extra[0]}': unknown key")
 
 
 def _items(d: dict, key: str, kind, where: str, default=None, required=False) -> tuple:
@@ -73,6 +83,7 @@ def _build_flow(spec: dict, dim: int, where: str):
     _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
     if kind == "simple":
+        _only(spec, ("name", "kind", "segments"), where)
         segs = _get(spec, "segments", list, where, required=True)
         if not segs:
             raise ConfigError(f"field '{where}segments' must be non-empty")
@@ -80,18 +91,18 @@ def _build_flow(spec: dict, dim: int, where: str):
             _segment_flow(s, dim, f"{where}segments[{i}].") for i, s in enumerate(segs)
         )
         return _built(f"{where}segments", SimpleFlow, built)
-    return _segment_flow(spec, dim, where)
+    return _segment_flow(spec, dim, where, "name")
 
 
-def _segment_flow(spec: dict, dim: int, where: str) -> ElementaryFlow:
+def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> ElementaryFlow:
     _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
+    power = ("exponents",) if kind == "power" else ()
+    _only(spec, ("kind", "span", "points", "to", *named, *power), where)
     span = _items(spec, "span", float, where, default=[0.0, 1.0])
     if len(span) != 2 or not span[0] < span[1]:
         raise ConfigError(f"field '{where}span' must be [a, b] with a < b")
-    points = _get(spec, "points", int, where, default=64)
-    if points < 2:
-        raise ConfigError(f"field '{where}points' must be >= 2")
+    points = _get(spec, "points", int, where, default=64, least=2)
     to = _corner(_get(spec, "to", list, where, required=True), dim, f"{where}to")
     a, b = span
     grid = np.linspace(a, b, points)
@@ -121,7 +132,6 @@ def cover_closure_rects(covers: CoverFamily) -> set[Rect]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dimension: int
     hurst: HurstParam
     seed: int
     n_samples: int
@@ -162,23 +172,23 @@ def canonical_hash(obj) -> str:
 def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
+    _only(raw, ("dimension", "hurst", "seed", "n_samples", "output_dir", "indices", "flows",
+                "covers", "integral_rep", "thresholds"), "")
     resolved = dict(raw)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
-    dim = _get(resolved, "dimension", int, "", required=True)
-    if dim < 1:
-        raise ConfigError("field 'dimension' must be >= 1")
+    dim = _get(resolved, "dimension", int, "", required=True, least=1)
     hurst = _built("hurst", HurstParam, _get(resolved, "hurst", float, "", required=True))
-    seed = _get(resolved, "seed", int, "", required=True)
-    n_samples = _get(resolved, "n_samples", int, "", required=True)
-    if n_samples < 1:
-        raise ConfigError("field 'n_samples' must be >= 1")
+    seed = _get(resolved, "seed", int, "", required=True, least=0)
+    n_samples = _get(resolved, "n_samples", int, "", required=True, least=1)
     output_dir = _get(resolved, "output_dir", str, "", default="out")
 
     idx_spec = _get(resolved, "indices", dict, "", required=True)
+    _only(idx_spec, ("lattice",) if "lattice" in idx_spec else ("corners",), "indices.")
     lattice: list[Rect] = []
     if "lattice" in idx_spec:
         lat = _get(idx_spec, "lattice", dict, "indices.")
+        _only(lat, ("shape", "spacing"), "indices.lattice.")
         shape = _items(lat, "shape", int, "indices.lattice.", required=True)
         spacing = _items(lat, "spacing", float, "indices.lattice.", default=[1.0] * dim)
         if len(shape) != dim or len(spacing) != dim:
@@ -206,17 +216,21 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         corner = tuple(float(x) for x in lattice[-1].corner) if lattice else (1.0,) * dim
         covers = tiling_cover(corner, (2,) * dim)
     elif "tiling" in cov_spec:
+        _only(cov_spec, ("tiling",), "covers.")
         t = _get(cov_spec, "tiling", dict, "covers.")
+        _only(t, ("corner", "divisions"), "covers.tiling.")
         corner = _corner(_get(t, "corner", list, "covers.tiling.", required=True), dim, "covers.tiling.corner")
         divisions = _items(t, "divisions", int, "covers.tiling.", required=True)
         if len(divisions) != dim:
             raise ConfigError("field 'covers.tiling.divisions' must match dimension")
         covers = _built("covers.tiling", tiling_cover, corner, divisions)
     elif "elements" in cov_spec:
+        _only(cov_spec, ("elements",), "covers.")
         els = []
         for i, el in enumerate(_get(cov_spec, "elements", list, "covers.")):
             where = f"covers.elements[{i}]."
             _typed(el, dict, where[:-1])
+            _only(el, ("base", "subtract"), where)
             base = _corner(_get(el, "base", list, where, required=True), dim, f"{where}base")
             base = _built(f"{where}base", Rect, base)
             subs = tuple(
@@ -235,11 +249,12 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
     ir = _get(resolved, "integral_rep", dict, "", default={})
     where = "integral_rep."
+    _only(ir, [f.name for f in fields(IntRepConfig)], where)
     intrep = IntRepConfig(
         masses=_items(ir, "masses", float, where, default=[0.8, 0.9, 1.0]),
         variance_masses=_items(ir, "variance_masses", float, where, default=[0.25, 1.0, 4.0]),
         hursts=_items(ir, "hursts", float, where, default=[0.2, 0.35]),
-        n_samples=_get(ir, "n_samples", int, where, default=n_samples),
+        n_samples=_get(ir, "n_samples", int, where, default=n_samples, least=1),
         grid=_parse_grid(_get(ir, "grid", dict, where, default={})),
         variance_rel_tol=_get(ir, "variance_rel_tol", float, where, default=0.03),
         covariance_se_mult=_get(ir, "covariance_se_mult", float, where, default=3.0),
@@ -255,15 +270,10 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
             )
 
     thr_spec = _get(resolved, "thresholds", dict, "", default={})
-    try:
-        thresholds = Thresholds.from_dict(
-            {key: _get(thr_spec, key, float, "thresholds.") for key in thr_spec}
-        )
-    except TypeError as exc:
-        raise ConfigError(f"field 'thresholds': unknown key ({exc})") from exc
+    _only(thr_spec, [f.name for f in fields(Thresholds)], "thresholds.")
+    thresholds = Thresholds(**{key: _get(thr_spec, key, float, "thresholds.") for key in thr_spec})
 
     return ExperimentConfig(
-        dimension=dim,
         hurst=hurst,
         seed=seed,
         n_samples=n_samples,
@@ -280,6 +290,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
 
 def _parse_grid(spec: dict) -> GridSpec:
+    _only(spec, [f.name for f in fields(GridSpec)], "integral_rep.grid.")
     values = {
         f.name: _get(spec, f.name, type(f.default), "integral_rep.grid.", default=f.default)
         for f in fields(GridSpec)

@@ -39,14 +39,6 @@ class ElementaryFlow:
     def __post_init__(self):
         self.grid.flags.writeable = False
 
-    @property
-    def a(self) -> float:
-        return float(self.grid[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.grid[-1])
-
     @cached_property
     def _weights(self) -> tuple[tuple[Rect, ...], np.ndarray]:
         return _signed_weights([() if v.is_empty else (v,) for v in self.values])
@@ -63,14 +55,8 @@ class SimpleFlow:
         if not self.segments:
             raise ValueError("simple flow needs at least one segment")
         for prev, nxt in zip(self.segments[:-1], self.segments[1:]):
-            if prev.b != nxt.a:
-                raise ValueError(
-                    f"segment grids must chain: {prev.b} != {nxt.a}"
-                )
-
-    @property
-    def breakpoints(self) -> list[float]:
-        return [self.segments[0].a] + [s.b for s in self.segments]
+            if prev.grid[-1] != nxt.grid[0]:
+                raise ValueError(f"segment grids must chain: {prev.grid[-1]} != {nxt.grid[0]}")
 
     def grid_and_values(self) -> tuple[np.ndarray, tuple[RectUnion, ...]]:
         """Merged grid, read-only and built once per flow, with one accumulated

@@ -167,7 +167,6 @@ class SampleEnsemble:
 
     indices: tuple[Rect, ...]
     samples: np.ndarray  # (n_samples, n_indices)
-    seed: int
     hurst: HurstParam
 
     def __post_init__(self):
@@ -241,5 +240,5 @@ def ensemble_blocks(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int
 def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
     """Draw rows L @ z with z standard normal from the streams of ``seed``."""
     out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs, np.flatnonzero(factor.zero_variance))
-    return SampleEnsemble(factor.indices, out, int(seed), factor.hurst)
+    return SampleEnsemble(factor.indices, out, factor.hurst)
 

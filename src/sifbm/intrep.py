@@ -101,8 +101,6 @@ class KernelGrid:
     every singularity."""
 
     edges: np.ndarray
-    spec: GridSpec
-    max_mass: float
 
     def __post_init__(self):
         self.edges.flags.writeable = False
@@ -158,7 +156,7 @@ def _kernel_grid(positive: tuple[float, ...], spec: GridSpec) -> KernelGrid:
     lo, hi = edges[near], edges[near + 1]
     sub = lo[:, None] + ((hi - lo) / spec.refine_factor)[:, None] * j
     out = np.insert(edges, np.repeat(near + 1, j.size), sub.ravel())
-    return KernelGrid(out, spec, max_mass)
+    return KernelGrid(out)
 
 
 def mvn_kernel(mass, u, h: HurstParam):

@@ -220,20 +220,13 @@ def _outer_measure_search(costs, cover) -> tuple[float, tuple[int, ...]]:
     return best, min(tuple(i for i in range(n) if s >> i & 1) for s in ties.tolist())
 
 
-def outer_measure_details(
-    table: PreMeasureTable, covers: CoverFamily, target
-) -> OuterMeasureResult:
-    """Finite-cover outer measure of the target region: the minimum over
+def outer_measures(table, covers, targets) -> list[OuterMeasureResult]:
+    """Finite-cover outer measure of each target region: the minimum over
     covering sub-families of the summed pre-measure of the pieces, with the
-    chosen sub-family and its propagated standard error."""
-    return _outer_measures(table, covers, [target])[0]
-
-
-def _outer_measures(table, covers, targets) -> list[OuterMeasureResult]:
-    """``outer_measure_details`` of each target, on one cell arrangement of
-    all targets and the covers: row i of ``cover`` marks the cells cover
-    element i covers.  The cover elements' costs are looked up once, and only
-    if some target is not null."""
+    chosen sub-family and its propagated standard error.  All targets and the
+    covers share one cell arrangement (row i of ``cover`` marks the cells
+    cover element i covers); the covers' costs are looked up once, if any
+    target is not null."""
     arr = CellArrangement([targets, covers.elements])
     insides = [arr.mask(t) for t in targets]
     null = OuterMeasureResult(0.0, (), 0.0)
@@ -252,14 +245,10 @@ def _outer_measures(table, covers, targets) -> list[OuterMeasureResult]:
     return results
 
 
-def verify_extension_details(table, covers, u: Rect) -> tuple[float, float]:
+def extension_residual(table, det: OuterMeasureResult, u: Rect) -> tuple[float, float]:
     """(|outer(u) - psi(u)|, propagated stderr of outer(u) and psi(u)
-    combined): the finite shadow of the statement that the outer measure
-    extends the pre-measure on boxes."""
-    return _extension_residual(table, outer_measure_details(table, covers, u), u)
-
-
-def _extension_residual(table, det: OuterMeasureResult, u: Rect) -> tuple[float, float]:
+    combined), with ``det`` the outer measure of u: the finite shadow of the
+    statement that the outer measure extends the pre-measure on boxes."""
     (value,), (stderr,) = table.lookup([u])
     resid = abs(det.value - float(value))
     return resid, float(np.hypot(det.stderr, stderr))
@@ -293,7 +282,7 @@ def measurability_check(
             f"{MAX_COVER_ELEMENTS}-element search cap"
         )
     split = CoverFamily(tuple(pieces))
-    both, a, b = _outer_measures(table, split, [[a_inside, b_outside], a_inside, b_outside])
+    both, a, b = outer_measures(table, split, [[a_inside, b_outside], a_inside, b_outside])
     return abs(both.value - a.value - b.value)
 
 
@@ -357,10 +346,6 @@ class Thresholds:
     extension_se_mult: float = 3.0
     covariance_se_mult: float = 3.0
     covariance_pass_fraction: float = 0.99
-
-    @classmethod
-    def from_dict(cls, overrides: dict | None) -> "Thresholds":
-        return cls(**(overrides or {}))
 
 
 @dataclass(frozen=True)
@@ -518,8 +503,8 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
             "extension", False, np.inf, 0.0, "no coverable index to test"
         )
     worst, detail, passed = 0.0, "", True
-    for u, det in zip(targets, _outer_measures(table, covers, targets)):
-        resid, se = _extension_residual(table, det, u)
+    for u, det in zip(targets, outer_measures(table, covers, targets)):
+        resid, se = extension_residual(table, det, u)
         if resid > thr.extension_se_mult * se:
             passed = False
         if resid > worst:

@@ -29,7 +29,7 @@ PROFILE_DTYPE = np.dtype(
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Increment second moments against the |theta_t - theta_s|^{2H} law.
+    """Increment second moments against their predicted law.
 
     ``rows`` is a read-only ``PROFILE_DTYPE`` array, one row per grid pair
     (s, t) with s before t, in row-major pair order.  ``stderr`` is the
@@ -37,8 +37,6 @@ class VarianceProfile:
     """
 
     rows: np.ndarray
-    n_samples: int
-    hurst: HurstParam
 
     def fraction_within(self, k: float = 4.0) -> float:
         """Fraction of pairs with |observed - predicted| <= k * stderr."""
@@ -47,20 +45,11 @@ class VarianceProfile:
         return float(ok / len(r)) if len(r) else 1.0
 
 
-def variance_profile(
-    m: np.ndarray,
-    n: int,
-    tc: TimeChange,
-    h: HurstParam,
-    predicted: np.ndarray | None = None,
-) -> VarianceProfile:
+def variance_profile(m: np.ndarray, n: int, tc: TimeChange, predicted: np.ndarray) -> VarianceProfile:
     """All grid pairs with predicted vs observed increment second moments,
-    from the second-moment matrix ``m`` of ``n`` samples along the grid.
-
-    The default prediction is the time-changed power law
-    |theta_t - theta_s|^{2H}; pass ``predicted`` (a full pairwise matrix) for
-    flows whose values are unions, where the additive-expansion moment is the
-    correct law.
+    from the second-moment matrix ``m`` of ``n`` samples along the grid and
+    the full pairwise matrix ``predicted`` of the law under test
+    (``flows.predicted_increment_moment`` for the exact field).
     """
     k = m.shape[0]
     if k < 2:
@@ -72,14 +61,11 @@ def variance_profile(
     rows = np.empty(len(i), PROFILE_DTYPE)
     rows["s"], rows["t"] = tc.grid[i], tc.grid[j]
     rows["theta_s"], rows["theta_t"] = theta[i], theta[j]
-    if predicted is not None:
-        rows["predicted"] = predicted[i, j]
-    else:
-        rows["predicted"] = np.abs(theta[j] - theta[i]) ** h.two_h
+    rows["predicted"] = predicted[i, j]
     rows["observed"] = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
     rows["stderr"] = rows["observed"] * np.sqrt(2.0 / n)
     rows.flags.writeable = False
-    return VarianceProfile(rows, n, h)
+    return VarianceProfile(rows)
 
 
 def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:
@@ -126,7 +112,7 @@ def flow_statistics(e: SampleEnsemble, f: Flow, h: HurstParam) -> FlowStatistics
     n = e.n_samples
     m = (paths.T @ paths) / n
     tc = time_change(f)
-    profile = variance_profile(m, n, tc, h, predicted=predicted_increment_moment(f, h))
+    profile = variance_profile(m, n, tc, predicted_increment_moment(f, h))
     end = paths[:, -1].copy()  # not a view: the paths are freed on return
     return FlowStatistics(m, tc, profile, end, end - paths[:, paths.shape[1] // 2])
 
@@ -136,7 +122,6 @@ class GaussianityReport:
     skewness_z: float
     excess_kurtosis_z: float
     passed: bool
-    n: int
 
 
 def gaussianity_check(samples: np.ndarray, z_limit: float = 4.0) -> GaussianityReport:
@@ -158,5 +143,4 @@ def gaussianity_check(samples: np.ndarray, z_limit: float = 4.0) -> GaussianityR
         skewness_z=float(skew_z),
         excess_kurtosis_z=float(kurt_z),
         passed=bool(abs(skew_z) < z_limit and abs(kurt_z) < z_limit),
-        n=n,
     )

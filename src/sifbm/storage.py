@@ -59,10 +59,6 @@ def write_ensemble_binary(blocks, path, shape):
         raise
 
 
-def write_matrix_binary(mat: np.ndarray, path):
-    write_ensemble_binary((mat,), path, np.shape(mat))
-
-
 def read_matrix_binary(path) -> np.ndarray:
     """Parse a SIFB file into a read-only, aligned float64 array; any
     malformed input raises ``ArtifactError``.  The file size must match the
@@ -92,14 +88,14 @@ def read_matrix_binary(path) -> np.ndarray:
     return out
 
 
-def load_ensemble(binary_path, indices, seed: int, hurst: HurstParam) -> SampleEnsemble:
+def load_ensemble(binary_path, indices, hurst: HurstParam) -> SampleEnsemble:
     samples = read_matrix_binary(binary_path)
     if samples.shape[1] != len(indices):
         raise ArtifactError(
             f"{binary_path}: ensemble has {samples.shape[1]} columns but the "
             f"configuration builds {len(indices)} indices; config and artifact disagree"
         )
-    return SampleEnsemble(tuple(indices), samples, seed, hurst)
+    return SampleEnsemble(tuple(indices), samples, hurst)
 
 
 def write_profile_csv(profile: VarianceProfile, path):

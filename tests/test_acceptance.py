@@ -37,11 +37,12 @@ from sifbm.recovery import (
     PreMeasureTable,
     characterize,
     check_additivity,
+    extension_residual,
     measurability_check,
     outer_continuity_check,
+    outer_measures,
     psi_on_C_with_se,
     tiling_cover,
-    verify_extension_details,
 )
 from sifbm.rects import (
     LeftNeighborhood,
@@ -193,14 +194,14 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         u = rect(2, 2)
         for divs in ((2, 2), (4, 4)):
             covers = tiling_cover((2, 2), divs)
-            resid, _ = verify_extension_details(analytic, covers, u)
+            resid, _ = extension_residual(analytic, outer_measures(analytic, covers, [u])[0], u)
             assert resid <= 1e-12, f"analytic tiling {divs}: residual {resid}"
         # empirical table over the coarse-tiling closure
         lattice = [rect(i, j) for i in (1, 2) for j in (1, 2)]
         e = exact_ensemble(lattice, h.value, 20_000, seed=601)
         table = PreMeasureTable.from_ensemble(e)
         covers = tiling_cover((2, 2), (2, 2))
-        resid, se = verify_extension_details(table, covers, u)
+        resid, se = extension_residual(table, outer_measures(table, covers, [u])[0], u)
         assert resid <= 3 * se, f"empirical extension: {resid} > 3*{se}"
         # 25 disjoint inside/outside pairs across the boundary of [0,(2,2)]
         covers44 = tiling_cover((4, 4), (4, 4))
@@ -272,13 +273,11 @@ def test_criterion_08_integral_representation():
 
 def _corrupt(e: SampleEnsemble, mode: str, rng) -> SampleEnsemble:
     if mode == "independent":
-        return SampleEnsemble(
-            e.indices, rng.standard_normal(e.samples.shape), e.seed, e.hurst
-        )
+        return SampleEnsemble(e.indices, rng.standard_normal(e.samples.shape), e.hurst)
     if mode == "mean_shift":
         shifted = e.samples.copy()
         shifted[:, e.indices.index(rect(2, 2))] += 0.5
-        return SampleEnsemble(e.indices, shifted, e.seed, e.hurst)
+        return SampleEnsemble(e.indices, shifted, e.hurst)
     raise ValueError(mode)
 
 
@@ -303,7 +302,7 @@ def test_criterion_09_characterization_discrimination():
             rep = characterize(exact, battery, h, covers, table_indices=lattice)
             assert rep.verdict, f"seed {seed}: exact input failed {rep.failed}"
             wrong_h = sample_ensemble(wrong_factor, n, seed=seed)
-            wrong_h = SampleEnsemble(wrong_h.indices, wrong_h.samples, seed, h)
+            wrong_h = SampleEnsemble(wrong_h.indices, wrong_h.samples, h)
             rep = characterize(wrong_h, battery, h, covers, table_indices=lattice)
             assert not rep.verdict and "variance_profile" in rep.failed, (
                 f"seed {seed}: H-shift not caught ({rep.failed})"

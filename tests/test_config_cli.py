@@ -34,7 +34,6 @@ from sifbm.storage import (
     load_ensemble,
     read_matrix_binary,
     write_ensemble_binary,
-    write_matrix_binary,
 )
 
 BASE_CONFIG = {
@@ -105,15 +104,15 @@ class TestStorage:
         # arbitrary bit patterns, NaNs and infinities included
         bits = np.random.default_rng(11).integers(0, 2**64, shape, dtype=np.uint64)
         p = tmp_path / "e.sifb"
-        write_matrix_binary(bits.view(np.float64), p)
+        write_ensemble_binary((bits.view(np.float64),), p, shape)
         idx = [rect(i + 1, 1) for i in range(shape[1])]
-        got = load_ensemble(p, idx, 11, HurstParam(0.3)).samples
+        got = load_ensemble(p, idx, HurstParam(0.3)).samples
         assert got.flags.aligned and not got.flags.writeable
         assert got.tobytes() == frombuffer_reference(p).tobytes()
 
     def test_failed_stream_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "ensemble.sifb"
-        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
         before = p.read_bytes()
 
         def failing():
@@ -134,7 +133,7 @@ class TestStorage:
     )
     def test_blocks_must_fill_the_header(self, tmp_path, shapes, match):
         p = tmp_path / "ensemble.sifb"
-        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
         before = p.read_bytes()
         with pytest.raises(ValueError, match=match):
             write_ensemble_binary((np.zeros(s) for s in shapes), p, (4, 3))
@@ -188,7 +187,7 @@ class TestStorage:
         else:
             m = wide.astype(">f8")
         p = tmp_path_factory.getbasetemp() / "prop.sifb"
-        write_matrix_binary(m, p)
+        write_ensemble_binary((m,), p, m.shape)
         want = _HEADER.pack(MAGIC, VERSION, *m.shape) + np.asarray(m, "<f8").tobytes()
         assert p.read_bytes() == want
         got = read_matrix_binary(p)
@@ -197,7 +196,7 @@ class TestStorage:
 
     def test_binary_header(self, tmp_path):
         p = tmp_path / "m.sifb"
-        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
         raw = p.read_bytes()
         assert raw[:4] == b"SIFB"
         assert raw[4] == 1
@@ -213,7 +212,7 @@ class TestStorage:
     @pytest.mark.parametrize("size", [4, 12, 21, 30])
     def test_binary_truncated_named(self, tmp_path, size):
         p = tmp_path / "m.sifb"
-        write_matrix_binary(np.arange(6.0).reshape(2, 3), p)
+        write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
         p.write_bytes(p.read_bytes()[:size])
         with pytest.raises(ArtifactError, match="truncated") as ei:
             read_matrix_binary(p)
@@ -254,7 +253,7 @@ class TestConfig:
     def test_parses(self, tmp_path):
         path, _ = make_config(tmp_path)
         cfg = load_config(path)
-        assert cfg.dimension == 2
+        assert all(len(u.corner) == 2 for u in cfg.lattice_indices)
         assert cfg.hurst.value == 0.3
         assert len(cfg.lattice_indices) == 4
         assert len(cfg.flows) == 2
@@ -447,7 +446,7 @@ class TestCli:
         # independent columns of the same shape: variance profile must fail
         ens = out / "ensemble.sifb"
         shape = read_matrix_binary(ens).shape
-        write_matrix_binary(np.random.default_rng(5).standard_normal(shape), ens)
+        write_ensemble_binary((np.random.default_rng(5).standard_normal(shape),), ens, shape)
         assert main(["characterize", "--config", str(path)]) == 2
         rep2 = json.loads((out / "characterization.json").read_text())
         failed = {c["name"] for c in rep2["criteria"] if not c["passed"]}
@@ -522,6 +521,11 @@ class TestCli:
              "integral_rep.variance_rel_tol"),
             ("verify-intrep", ("integral_rep", "masses"), [float("nan"), 1.0],
              "integral_rep.masses[0]"),
+            # no sample to draw: checked at load time like the top-level n_samples
+            ("verify-intrep", ("integral_rep", "n_samples"), 0, "integral_rep.n_samples"),
+            ("verify-intrep", ("integral_rep", "n_samples"), -5, "integral_rep.n_samples"),
+            # SeedSequence takes no negative seed
+            ("simulate", ("seed",), -3, "seed"),
         ],
     )
     def test_bad_numeric_field_is_config_error(self, tmp_path, capsys, command, path, value, field):
@@ -533,6 +537,50 @@ class TestCli:
         assert main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sifbm: config error:") and f"'{field}'" in err
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        path, _ = make_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "'seed'" in err
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("output_dri",), "out", "output_dri"),
+            (("indices", "lattice", "spacin"), [1.0, 1.0], "indices.lattice.spacin"),
+            (("indices", "corners"), [[1.0, 1.0]], "indices.corners"),
+            (("flows", 0, "pionts"), 8, "flows[0].pionts"),
+            (("flows", 0, "exponents"), [2.0, 1.0], "flows[0].exponents"),
+            (("flows", 1, "points"), 4, "flows[1].points"),
+            (("flows", 1, "segments", 0, "name"), "a", "flows[1].segments[0].name"),
+            (("covers", "tiling", "divsions"), [2, 2], "covers.tiling.divsions"),
+            (("covers",), {"elements": [{"base": [2.0, 2.0], "subtarct": []}]},
+             "covers.elements[0].subtarct"),
+            (("integral_rep", "varaince_rel_tol"), 0.1, "integral_rep.varaince_rel_tol"),
+            (("integral_rep", "grid", "cells_per_mas"), 256, "integral_rep.grid.cells_per_mas"),
+            (("thresholds", "psi_flor"), 0.1, "thresholds.psi_flor"),
+        ],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, path, value, field):
+        # misspelled keys, and keys valid elsewhere that this object does not
+        # read (a linear flow's exponents, corners beside a lattice)
+        raw = node = copy.deepcopy({**BASE_CONFIG, "thresholds": {}})
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config, _ = make_config(tmp_path, **raw)
+        assert main(["simulate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and f"'{field}': unknown key" in err
+
+    @pytest.mark.parametrize(
+        "config", ["configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json"]
+    )
+    def test_shipped_configs_carry_no_unknown_key(self, config):
+        # every key of every shipped config is read; BASE_CONFIG and the
+        # acceptance config are loaded by the tests that use them
+        load_config(SRC.parents[1] / config)
 
     def test_removed_analytic_tol_is_config_error(self, tmp_path, capsys):
         path, _ = make_config(tmp_path, thresholds={"analytic_tol": 1e-12})

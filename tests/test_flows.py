@@ -168,10 +168,6 @@ class TestSimpleFlow:
         seg2 = make_elementary_flow(g2, [((t - 0.5) * 1.0, (t - 0.5) * 4.0) for t in g2])
         return SimpleFlow((seg1, seg2))
 
-    def test_breakpoints(self):
-        sf = self._two_segment()
-        assert sf.breakpoints == [0.0, 0.5, 1.0]
-
     def test_values_accumulate(self):
         sf = self._two_segment()
         grid, values = sf.grid_and_values()
@@ -269,7 +265,7 @@ class TestProjection:
         # small-integer samples: every summation order is exact
         idx = flow_weights(sf)[0]
         x = np.random.default_rng(5).integers(-8, 9, (50, len(idx))).astype(float)
-        e = SampleEnsemble(idx, x, 5, HurstParam(0.35))
+        e = SampleEnsemble(idx, x, HurstParam(0.35))
         paths = project(e, sf)
         # per-sample oracle at the final point: X_A + X_B - X_{AnB}
         a, b = rect(2, 0.5), rect(1, 2)
@@ -415,7 +411,7 @@ class TestFlowWeights:
         idx = [*boxes, Rect((9.0,) * len(boxes[0].corner))]
         idx = [idx[i] for i in rng.permutation(len(idx))]
         n = 40
-        e = SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), seed, HurstParam(hv))
+        e = SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), HurstParam(hv))
         want = column_projection(e, f)
         got = project(e, f)
         if isinstance(f, ElementaryFlow):

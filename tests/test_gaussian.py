@@ -265,7 +265,7 @@ class TestSampling:
 class TestPositions:
     def _ensemble(self):
         idx = (rect(1, 2), rect(2, 1), rect(1, 2), rect(1, 1))
-        return SampleEnsemble(idx, np.arange(8.0).reshape(2, 4), 0, HurstParam(0.3))
+        return SampleEnsemble(idx, np.arange(8.0).reshape(2, 4), HurstParam(0.3))
 
     def test_first_occurrence_of_a_repeated_index(self):
         e = self._ensemble()
@@ -316,7 +316,7 @@ class TestAdditiveExtend:
         a, b = rect(1, 2), rect(2, 1)
         ab = rect_intersection(a, b)
         x = np.random.default_rng(9).integers(-8, 9, (500, 3)).astype(float)
-        e = SampleEnsemble((a, b, ab), x, 9, HurstParam(0.3))
+        e = SampleEnsemble((a, b, ab), x, HurstParam(0.3))
         got = project(e, union_flow(a, b))[:, -1]
         want = e.column(a) + e.column(b) - e.column(ab)
         assert np.allclose(got, want, atol=0, rtol=0)

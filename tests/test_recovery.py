@@ -28,17 +28,16 @@ from sifbm.recovery import (
     Thresholds,
     characterize,
     check_additivity,
+    extension_residual,
     measurability_check,
     outer_continuity_check,
-    outer_measure_details,
+    outer_measures,
     psi_on_C_with_se,
     recover_measure,
     tiling_cover,
-    verify_extension_details,
     _comparable_pairs,
     _covariance_criterion,
     _outer_measure_search,
-    _outer_measures,
     _psi_criteria,
 )
 from sifbm.rects import (
@@ -105,7 +104,7 @@ def psi_ensembles(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sd = np.sqrt([rect_measure(u) for u in boxes]) * np.logical_not(zeroed)
     samples = scale * rng.standard_normal((n, len(boxes))) * sd
-    e = SampleEnsemble(tuple(boxes), samples, 0, HurstParam(draw(st.sampled_from([0.1, 0.3, 0.5]))))
+    e = SampleEnsemble(tuple(boxes), samples, HurstParam(draw(st.sampled_from([0.1, 0.3, 0.5]))))
     want = draw(st.none() | st.lists(st.sampled_from(boxes), max_size=10))
     return e, want
 
@@ -126,7 +125,7 @@ class TestEstimatePsi:
         e = exact_ensemble([rect(1, 1)], h.value, 500, seed=3)
         base = psi_of(e, rect(1, 1))
         c = 1.9
-        scaled = SampleEnsemble(e.indices, c * e.samples, e.seed, e.hurst)
+        scaled = SampleEnsemble(e.indices, c * e.samples, e.hurst)
         got = psi_of(scaled, rect(1, 1))
         assert got == pytest.approx(c ** (1 / h.value) * base, rel=1e-9)
 
@@ -136,7 +135,7 @@ class TestEstimatePsi:
             psi_of(e, rect(1, 1))
 
     def test_zero_variance_on_nondegenerate_warns(self):
-        e = SampleEnsemble((rect(1, 1),), np.zeros((200, 1)), 0, HurstParam(0.3))
+        e = SampleEnsemble((rect(1, 1),), np.zeros((200, 1)), HurstParam(0.3))
         with pytest.warns(UserWarning, match="zero empirical variance"):
             got = psi_of(e, rect(1, 1))
         assert got == 0.0
@@ -395,9 +394,9 @@ class TestSharedArrangement:
             want = per_target_outer_measures(table, covers, targets)
         except CoverError:
             with pytest.raises(CoverError):
-                _outer_measures(table, covers, targets)
+                outer_measures(table, covers, targets)
             return
-        got = _outer_measures(table, covers, targets)
+        got = outer_measures(table, covers, targets)
         assert [(r.value, r.chosen, r.stderr) for r in got] == want
 
 
@@ -406,22 +405,22 @@ class TestOuterMeasure:
         t = PreMeasureTable()
         u = rect(2, 1.5)
         covers = CoverFamily((LeftNeighborhood(u),))
-        assert outer_measure_details(t, covers, u).value == pytest.approx(rect_measure(u))
+        assert outer_measures(t, covers, [u])[0].value == pytest.approx(rect_measure(u))
 
     def test_empty_target(self):
         t = PreMeasureTable()
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        assert outer_measure_details(t, covers, EMPTY).value == 0.0
+        assert outer_measures(t, covers, [EMPTY])[0].value == 0.0
 
     def test_null_target_needs_no_cover_costs(self):
         # a null target is 0 before any cover element is looked up, so a
         # table without the covers' entries still answers it
         t = PreMeasureTable((), np.zeros(0), np.zeros(0))
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        assert outer_measure_details(t, covers, EMPTY).value == 0.0
-        assert outer_measure_details(t, covers, rect(0, 1)).value == 0.0
+        assert outer_measures(t, covers, [EMPTY])[0].value == 0.0
+        assert outer_measures(t, covers, [rect(0, 1)])[0].value == 0.0
         with pytest.raises(MissingPsiError):
-            outer_measure_details(t, covers, rect(1, 1))
+            outer_measures(t, covers, [rect(1, 1)])[0]
 
     def test_redundant_expensive_piece_ignored(self):
         t = PreMeasureTable()
@@ -431,7 +430,7 @@ class TestOuterMeasure:
             LeftNeighborhood(rect(2, 1), (rect(1, 1),)),
             LeftNeighborhood(rect(5, 5)),  # covers everything, costs 25
         )
-        got = outer_measure_details(t, CoverFamily(tiles), target).value
+        got = outer_measures(t, CoverFamily(tiles), [target])[0].value
         assert got == pytest.approx(2.0)
 
     def test_matches_brute_force_oracle(self):
@@ -439,7 +438,7 @@ class TestOuterMeasure:
         target = rect(2, 2)
         covers = tiling_cover((2, 2), (2, 2))
         extra = CoverFamily(covers.elements + (LeftNeighborhood(rect(2, 2)),))
-        got = outer_measure_details(t, extra, target).value
+        got = outer_measures(t, extra, [target])[0].value
         want = brute_force_cover_min(t, extra, target)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -447,13 +446,13 @@ class TestOuterMeasure:
         t = PreMeasureTable()
         covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
         with pytest.raises(CoverError):
-            outer_measure_details(t, covers, rect(3, 3))
+            outer_measures(t, covers, [rect(3, 3)])[0]
 
     def test_monotone_in_target(self):
         t = PreMeasureTable()
         covers = tiling_cover((3, 3), (3, 3))
-        small = outer_measure_details(t, covers, rect(1.5, 1.5)).value
-        big = outer_measure_details(t, covers, rect(2.5, 2.5)).value
+        small = outer_measures(t, covers, [rect(1.5, 1.5)])[0].value
+        big = outer_measures(t, covers, [rect(2.5, 2.5)])[0].value
         assert small <= big
 
     def test_subadditive_over_unions(self):
@@ -462,7 +461,7 @@ class TestOuterMeasure:
         a = LeftNeighborhood(rect(2, 1))
         b = LeftNeighborhood(rect(1, 2))
         both, one, other = (
-            outer_measure_details(t, covers, target).value for target in ([a, b], a, b)
+            outer_measures(t, covers, [target])[0].value for target in ([a, b], a, b)
         )
         assert both <= one + other + 1e-12
 
@@ -470,7 +469,7 @@ class TestOuterMeasure:
         t = PreMeasureTable()
         u = rect(1, 1)
         covers = CoverFamily((LeftNeighborhood(u), LeftNeighborhood(u)))
-        det = outer_measure_details(t, covers, u)
+        det = outer_measures(t, covers, [u])[0]
         assert det.chosen == (0,)
 
     def test_family_cap(self):
@@ -485,14 +484,15 @@ class TestVerifyExtension:
     def test_self_cover(self):
         t = PreMeasureTable()
         u = rect(2, 2)
-        assert verify_extension_details(t, CoverFamily((LeftNeighborhood(u),)), u)[0] == 0.0
+        covers = CoverFamily((LeftNeighborhood(u),))
+        assert extension_residual(t, outer_measures(t, covers, [u])[0], u)[0] == 0.0
 
     def test_tilings_two_granularities(self):
         t = PreMeasureTable()
         u = rect(2, 2)
         for divs in ((2, 2), (3, 3)):
             covers = tiling_cover((2, 2), divs)
-            assert verify_extension_details(t, covers, u)[0] <= 1e-12
+            assert extension_residual(t, outer_measures(t, covers, [u])[0], u)[0] <= 1e-12
 
     def test_empirical_within_tolerance(self):
         h = 0.35
@@ -501,7 +501,7 @@ class TestVerifyExtension:
         t = PreMeasureTable.from_ensemble(e)
         covers = tiling_cover((2, 2), (2, 2))
         u = rect(2, 2)
-        resid, se = verify_extension_details(t, covers, u)
+        resid, se = extension_residual(t, outer_measures(t, covers, [u])[0], u)
         assert resid <= 3 * se
 
 
@@ -630,7 +630,7 @@ class TestCharacterize:
         e, flows = battery_and_indices(self.H, 4_000, 103, self.LATTICE)
         rng = np.random.default_rng(5)
         noise = rng.standard_normal(e.samples.shape)
-        bad = SampleEnsemble(e.indices, noise, e.seed, e.hurst)
+        bad = SampleEnsemble(e.indices, noise, e.hurst)
         rep = self._run(bad, flows)
         assert not rep.verdict
         assert "variance_profile" in rep.failed
@@ -640,7 +640,7 @@ class TestCharacterize:
         shifted = e.samples.copy()
         col = e.indices.index(rect(2, 2))
         shifted[:, col] += 0.5
-        bad = SampleEnsemble(e.indices, shifted, e.seed, e.hurst)
+        bad = SampleEnsemble(e.indices, shifted, e.hurst)
         rep = self._run(bad, flows)
         assert not rep.verdict
         assert "psi_recovery" in rep.failed
@@ -723,7 +723,7 @@ class TestCovarianceCriterion:
         # match their prediction, nested pairs do not
         scale = np.sqrt([rect_measure(b) for b in boxes])
         samples = np.random.default_rng(seed).standard_normal((200, len(boxes))) * scale
-        e = SampleEnsemble(tuple(boxes), samples, seed, h)
+        e = SampleEnsemble(tuple(boxes), samples, h)
         table = PreMeasureTable.from_ensemble(e, table_idx)
         thr = Thresholds(covariance_se_mult=mult)
         got = _covariance_criterion(e, table, h, thr)

@@ -13,7 +13,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sifbm.flows import TimeChange, flow_weights, flows_through, project, time_change
+from sifbm.flows import (
+    TimeChange,
+    flow_weights,
+    flows_through,
+    make_elementary_flow,
+    predicted_increment_moment,
+    project,
+    time_change,
+)
 from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm.rects import rect
 from sifbm.storage import PROFILE_BLOCK_ROWS, write_profile_csv
@@ -197,6 +205,43 @@ def scalar_profile(paths, tc, h, predicted=None):
     return rows
 
 
+def default_branch_rows(m, n, tc, h):
+    """The rows ``variance_profile`` built when it was passed no prediction,
+    before the prediction became required: the power law
+    |theta_t - theta_s|^{2H} on each grid pair, in array arithmetic."""
+    theta = tc.values
+    d = np.diag(m)
+    i, j = np.triu_indices(m.shape[0], 1)
+    rows = np.empty(len(i), PROFILE_DTYPE)
+    rows["s"], rows["t"] = tc.grid[i], tc.grid[j]
+    rows["theta_s"], rows["theta_t"] = theta[i], theta[j]
+    rows["predicted"] = np.abs(theta[j] - theta[i]) ** h.two_h
+    rows["observed"] = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
+    rows["stderr"] = rows["observed"] * np.sqrt(2.0 / n)
+    return rows
+
+
+def power_law(tc, h):
+    """|theta_t - theta_s|^{2H} over all grid pairs: the exact field's
+    increment moments along an elementary flow with time change ``tc``."""
+    theta = tc.values
+    return np.abs(theta[:, None] - theta[None, :]) ** h.two_h
+
+
+@st.composite
+def elementary_flows(draw):
+    """An elementary flow in 1-3 dimensions on a random increasing grid: its
+    corners grow coordinatewise by steps from a small pool or any size, so
+    values repeat or stay degenerate, after an empty prefix of any length."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 12))
+    step = st.sampled_from([0.0, 0.25]) | st.floats(0, 2)
+    corners = np.cumsum(draw(hnp.arrays(np.float64, (k, dim), elements=step)), axis=0)
+    empty = draw(st.integers(0, k - 1))
+    grid = np.cumsum(draw(hnp.arrays(np.float64, k, elements=st.floats(0.01, 1))))
+    return make_elementary_flow(grid, [None] * empty + [tuple(c) for c in corners[empty:].tolist()])
+
+
 def write_rows_csv(rows, path):
     """The per-row profile writer the record-array writer replaced."""
     with open(path, "w", newline="") as fh:
@@ -261,7 +306,7 @@ class TestVarianceProfile:
     @settings(deadline=None)
     def test_matches_scalar_reference(self, args):
         paths, tc, h, predicted = args
-        vp = variance_profile(*moments(paths), tc, h, predicted=predicted)
+        vp = variance_profile(*moments(paths), tc, power_law(tc, h) if predicted is None else predicted)
         want = scalar_profile(paths, tc, h, predicted)
         assert vp.rows.dtype == PROFILE_DTYPE and not vp.rows.flags.writeable
         assert len(vp.rows) == len(want)
@@ -277,13 +322,26 @@ class TestVarianceProfile:
             ok = sum(1 for r in want if abs(r[5] - r[4]) <= k * r[6])
             assert type(frac) is float and frac == ok / len(want)
 
+    @given(elementary_flows(), st.floats(0.01, 0.5), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_flow_prediction_matches_default_branch(self, f, hv, n, seed):
+        # an elementary flow's own law is the power law, so the required
+        # prediction leaves every profile row as the default branch built it
+        h = HurstParam(hv)
+        tc = time_change(f)
+        paths = np.random.default_rng(seed).standard_normal((n, len(f.grid)))
+        m = moments(paths)[0]
+        got = variance_profile(m, n, tc, predicted_increment_moment(f, h)).rows
+        want = default_branch_rows(m, n, tc, h)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @given(profile_inputs())
     @settings(deadline=None, max_examples=50)
     def test_csv_bytes_match_per_row_writer(self, args):
         paths, tc, h, predicted = args
         if predicted is None:
             predicted = np.zeros((paths.shape[1],) * 2)
-        vp = variance_profile(*moments(paths), tc, h, predicted=predicted)
+        vp = variance_profile(*moments(paths), tc, predicted)
         with tempfile.TemporaryDirectory() as d:
             new, old = Path(d) / "new.csv", Path(d) / "old.csv"
             write_profile_csv(vp, new)
@@ -297,7 +355,7 @@ class TestVarianceProfile:
     def test_csv_bytes_match_csv_module(self, rows):
         with tempfile.TemporaryDirectory() as d:
             new, ref = Path(d) / "new.csv", Path(d) / "ref.csv"
-            write_profile_csv(VarianceProfile(rows, 10, HurstParam(0.3)), new)
+            write_profile_csv(VarianceProfile(rows), new)
             write_profile_reference(rows, ref)
             assert new.read_bytes() == ref.read_bytes()
 
@@ -310,27 +368,28 @@ class TestVarianceProfile:
         flat[:, 4] = np.random.default_rng(6).standard_normal(n)
         rows = np.empty(n, PROFILE_DTYPE)
         rows.view(np.float64).reshape(n, 7)[:] = flat
-        write_profile_csv(VarianceProfile(rows, 10, HurstParam(0.3)), tmp_path / "new.csv")
+        write_profile_csv(VarianceProfile(rows), tmp_path / "new.csv")
         write_profile_reference(rows, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_constant_flow_all_zero(self):
         tc = TimeChange(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         paths = np.tile(np.random.default_rng(1).standard_normal((500, 1)), (1, 2))
-        vp = variance_profile(*moments(paths), tc, HurstParam(0.3))
+        vp = variance_profile(*moments(paths), tc, power_law(tc, HurstParam(0.3)))
         assert np.all(vp.rows["predicted"] == 0) and np.all(vp.rows["observed"] == 0)
         assert vp.fraction_within() == 1.0
 
     def test_exact_field_within_bands(self):
         paths, tc = exact_projection(0.35, points=24, corner=(2.0, 1.5))
-        vp = variance_profile(*moments(paths), tc, HurstParam(0.35))
+        f = flows_through(rect(2.0, 1.5), points=24)
+        vp = variance_profile(*moments(paths), tc, predicted_increment_moment(f, HurstParam(0.35)))
         assert vp.fraction_within(4.0) >= 0.95
 
     def test_brownian_linear_theta(self):
         theta = np.linspace(0, 1, 16)
         paths = fbm_paths(0.5, theta, 20_000, seed=17)
         tc = TimeChange(theta, theta)
-        vp = variance_profile(*moments(paths), tc, HurstParam(0.5))
+        vp = variance_profile(*moments(paths), tc, power_law(tc, HurstParam(0.5)))
         r = vp.rows
         assert r["predicted"] == pytest.approx(np.abs(r["theta_t"] - r["theta_s"]))
         assert vp.fraction_within(4.0) >= 0.95
@@ -338,12 +397,13 @@ class TestVarianceProfile:
     def test_predicted_zero_iff_theta_equal(self):
         tc = TimeChange(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]))
         paths = np.random.default_rng(0).standard_normal((100, 3))
-        vp = variance_profile(*moments(paths), tc, HurstParam(0.3))
+        vp = variance_profile(*moments(paths), tc, power_law(tc, HurstParam(0.3)))
         r = vp.rows
         assert np.array_equal(r["predicted"] == 0, r["theta_s"] == r["theta_t"])
 
     def test_wrong_h_detected(self):
         # data at H=0.2 against a prediction at H=0.45 blows the bands
         paths, tc = exact_projection(0.2, points=16, corner=(2.0, 2.0))
-        vp = variance_profile(*moments(paths), tc, HurstParam(0.45))
+        f = flows_through(rect(2.0, 2.0), points=16)
+        vp = variance_profile(*moments(paths), tc, predicted_increment_moment(f, HurstParam(0.45)))
         assert vp.fraction_within(4.0) < 0.95
