@@ -11,7 +11,9 @@ fresh interpreter per command, one BLAS thread, the config read from that
 tree, the outputs in a temporary directory.  Then it compares:
 
 - the exit code of every command;
-- every artifact other than the manifests, byte for byte;
+- every artifact other than the manifests, byte for byte; a CSV or JSON
+  artifact that differs is listed with the largest relative difference of
+  its numbers, so a change that moves only the last bits shows as such;
 - the manifests as JSON, with ``wall_time_s`` removed;
 - CHANGE's ``ensemble.sifb`` against the one a ``simulate --jobs 2`` run
   under CHANGE writes, byte for byte: the data must not depend on --jobs.
@@ -21,7 +23,9 @@ summary line and exits 0.
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,8 +71,61 @@ def compare(base: Path, change: Path) -> list[str]:
             if manifest(a) != manifest(b):
                 diffs.append(f"{name}: manifests differ beyond wall_time_s")
         elif a.read_bytes() != b.read_bytes():
-            diffs.append(f"{name}: bytes differ")
+            diffs.append(f"{name}: bytes differ{numeric_gap(a, b)}")
     return diffs
+
+
+def tokens(path: Path) -> list:
+    """The fields of a CSV artifact, or the keys and values of a JSON one in
+    sorted-key order, each a float where it is a number and text otherwise."""
+    def token(x):
+        if isinstance(x, bool) or x is None:
+            return json.dumps(x)
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            return x
+
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [token(x) for row in csv.reader(fh) for x in row]
+    out = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            for k in sorted(x):
+                out.append(k)
+                walk(x[k])
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+        else:
+            out.append(token(x))
+
+    walk(json.loads(path.read_text()))
+    return out
+
+
+def numeric_gap(a: Path, b: Path) -> str:
+    """For CSV and JSON artifacts, the largest relative difference of their
+    numbers, |x - y| / max(|x|, |y|), or a note that more than numbers differ."""
+    if a.suffix not in (".csv", ".json"):
+        return ""
+    try:
+        ta, tb = tokens(a), tokens(b)
+    except ValueError:
+        return " (not parseable)"
+    if len(ta) != len(tb) or any(
+        isinstance(x, str) != isinstance(y, str) or (isinstance(x, str) and x != y)
+        for x, y in zip(ta, tb)
+    ):
+        return " (more than numbers differ)"
+    gap = 0.0
+    for x, y in zip(ta, tb):
+        if isinstance(x, float) and x != y and not (math.isnan(x) and math.isnan(y)):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            gap = math.inf if math.isnan(rel) else max(gap, rel)
+    return f" (largest relative difference of numbers {gap:.3g})"
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,7 @@ from .stats import DegenerateDataError, flow_statistics, gaussianity_check, hurs
 from .storage import (
     ArtifactError,
     load_ensemble,
+    read_ensemble_blocks,
     read_json,
     rect_to_json,
     write_ensemble_binary,
@@ -91,7 +92,9 @@ def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
     }
 
 
-def _load_ensemble(cfg: ExperimentConfig, out: Path):
+def _checked_ensemble(cfg: ExperimentConfig, out: Path):
+    """The stored ensemble's path and the indices it holds, once the simulate
+    manifest shows it was drawn from this config."""
     path, manifest = out / ENSEMBLE_BIN, out / SIMULATE_MANIFEST
     if not path.exists():
         raise FileNotFoundError(
@@ -111,7 +114,12 @@ def _load_ensemble(cfg: ExperimentConfig, out: Path):
             f"{path}: simulated with {stale} {got[stale]!r}, but the config gives "
             f"{want[stale]!r}; rerun 'sifbm simulate' with this config"
         )
-    return load_ensemble(path, idx, cfg.hurst)
+    return path, idx
+
+
+def _load_ensemble(cfg: ExperimentConfig, out: Path):
+    path, idx = _checked_ensemble(cfg, out)
+    return load_ensemble(path, idx, cfg.hurst, cfg.n_samples)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
@@ -127,10 +135,11 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 
 def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
-    e = _load_ensemble(cfg, out)
+    path, idx = _checked_ensemble(cfg, out)
+    n = cfg.n_samples
+    stats = flow_statistics(read_ensemble_blocks(path, (n, len(idx))), idx, cfg.flows, cfg.hurst)
     files, report = [], {}
-    for name, f in zip(cfg.flow_names, cfg.flows):
-        fs = flow_statistics(e, f, cfg.hurst)
+    for name, fs in zip(cfg.flow_names, stats):
         vp = fs.profile
         fname = f"profile_{name}.csv"
         write_profile_csv(vp, out / fname)
@@ -140,10 +149,10 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
             "n_pairs": len(vp.rows),
         }
         try:
-            entry["hurst_estimate"] = hurst_estimate(fs.moments, e.n_samples, fs.time_change)
+            entry["hurst_estimate"] = hurst_estimate(fs.moments, n, fs.time_change)
         except (DegenerateDataError, ValueError) as exc:
             entry["hurst_estimate_error"] = str(exc)
-        if np.std(fs.end) > 0 and e.n_samples >= 1000:
+        if np.std(fs.end) > 0 and n >= 1000:
             g = gaussianity_check(fs.end, z_limit=cfg.thresholds.gaussianity_z)
             entry["gaussianity"] = {
                 "skewness_z": g.skewness_z,

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import HurstParam, SampleEnsemble, build_cov_matrix
+from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix
 from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, signed_terms, union_measure
 
 DEFAULT_FLOW_POINTS = 64
@@ -212,6 +212,13 @@ def project(e: SampleEnsemble, f: Flow) -> np.ndarray:
     """Each sample of the field along the flow, (n_samples, n_points): X_B A.
 
     Every box the flow reads, intersections of accumulated union parts
-    included, must be an ensemble column."""
+    included, must be an ensemble column.  The product runs one
+    STREAM_BLOCK-row block at a time, as ``stats.flow_statistics`` runs it on
+    a stream of blocks, so the two give the same bits whatever kernel the
+    BLAS picks for a block's shape."""
     boxes, a = flow_weights(f)
-    return e.samples[:, e.positions(boxes)] @ a
+    cols = e.positions(boxes)
+    out = np.empty((e.n_samples, a.shape[1]))
+    for start in range(0, e.n_samples, STREAM_BLOCK):
+        out[start:start + STREAM_BLOCK] = e.samples[start:start + STREAM_BLOCK, cols] @ a
+    return out

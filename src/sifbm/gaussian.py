@@ -193,6 +193,11 @@ class SampleEnsemble:
     def column(self, u: Rect) -> np.ndarray:
         return self.samples[:, self.positions([u])[0]]
 
+    def row_blocks(self) -> Iterator[np.ndarray]:
+        """The samples as views of at most STREAM_BLOCK rows, in order: the
+        blocks ``storage.read_ensemble_blocks`` reads from a stored ensemble."""
+        return (self.samples[i:i + STREAM_BLOCK] for i in range(0, self.n_samples, STREAM_BLOCK))
+
 
 def draw_blocks(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=()) -> Iterator[np.ndarray]:
     """Rows z @ right, z standard normal, under the stream contract: blocks of

@@ -389,8 +389,7 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
     out = []
     worst_frac, worst_detail = 1.0, ""
     gauss_worst, gauss_detail = 0.0, ""
-    for fi, f in enumerate(flows):
-        fs = flow_statistics(e, f, h)
+    for fi, fs in enumerate(flow_statistics(e.row_blocks(), e.indices, flows, h)):
         frac = fs.profile.fraction_within(thr.profile_se_mult)
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"flow {fi}"

@@ -4,7 +4,8 @@ Everything here treats the field as centered, so "variance" means the raw
 second moment throughout; mean-subtraction would only add estimator noise and
 would hide mean-corruption defects.  The profile and the Hurst regression
 read a flow's second-moment matrix M (M_st = mean of X_s X_t over samples),
-which ``flow_statistics`` computes once per flow from the ensemble.
+which ``flow_statistics`` accumulates for every flow in one pass over the
+ensemble's row blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow, TimeChange, predicted_increment_moment, project, time_change
+from .flows import TimeChange, flow_weights, predicted_increment_moment, project, time_change
 from .gaussian import HurstParam, SampleEnsemble
 
 
@@ -105,16 +106,40 @@ class FlowStatistics:
     half_increment: np.ndarray  # the last value minus the middle one
 
 
-def flow_statistics(e: SampleEnsemble, f: Flow, h: HurstParam) -> FlowStatistics:
-    """Project ``e`` on ``f``; the second-moment matrix of the paths is
-    formed once, and every increment moment along the flow is read from it."""
-    paths = project(e, f)
-    n = e.n_samples
-    m = (paths.T @ paths) / n
-    tc = time_change(f)
-    profile = variance_profile(m, n, tc, predicted_increment_moment(f, h))
-    end = paths[:, -1].copy()  # not a view: the paths are freed on return
-    return FlowStatistics(m, tc, profile, end, end - paths[:, paths.shape[1] // 2])
+def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistics]:
+    """One ``FlowStatistics`` per flow from one pass over ``blocks``, the row
+    blocks of an ensemble over ``indices`` (``SampleEnsemble.row_blocks``,
+    ``storage.read_ensemble_blocks``).
+
+    Each block P_b = X_b A_f is formed by ``project``, which multiplies a
+    whole ensemble in the same blocks; P_b^T P_b is added into the flow's
+    moment matrix, divided by the row count once at the end, and every
+    increment moment along the flow is read from it.  Beyond one block and
+    the k x k moment matrices, only the end and middle columns are held: no
+    (n, n_indices) or (n, k) array is formed."""
+    indices = tuple(indices)
+    points = [flow_weights(f)[1].shape[1] for f in flows]
+    sums = [np.zeros((k, k)) for k in points]
+    ends, mids = [[] for _ in flows], [[] for _ in flows]
+    n = 0
+    for block in blocks:
+        view = SampleEnsemble(indices, block, h)
+        n += view.n_samples
+        for f, m, end, mid in zip(flows, sums, ends, mids):
+            p = project(view, f)
+            m += p.T @ p
+            end.append(p[:, -1].copy())  # copies: the block's paths are freed
+            mid.append(p[:, p.shape[1] // 2].copy())
+    if n == 0:
+        raise ValueError("no samples to project")
+    out = []
+    for f, m, end, mid in zip(flows, sums, ends, mids):
+        m /= n
+        tc = time_change(f)
+        profile = variance_profile(m, n, tc, predicted_increment_moment(f, h))
+        end = np.concatenate(end)
+        out.append(FlowStatistics(m, tc, profile, end, end - np.concatenate(mid)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 The binary ensemble format is magic bytes "SIFB", one version byte, two
 little-endian uint64 counts (rows, columns), then row-major little-endian
 float64 samples.  ``write_ensemble_binary`` writes it block by block as the
-draw arrives, so ``sifbm simulate`` never holds the whole ensemble.
+draw arrives, so ``sifbm simulate`` never holds the whole ensemble, and
+``read_ensemble_blocks`` reads it back the same way for ``sifbm project``.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .gaussian import HurstParam, SampleEnsemble
+from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble
 from .rects import Rect
 from .stats import VarianceProfile
 
@@ -59,42 +61,71 @@ def write_ensemble_binary(blocks, path, shape):
         raise
 
 
-def read_matrix_binary(path) -> np.ndarray:
-    """Parse a SIFB file into a read-only, aligned float64 array; any
-    malformed input raises ``ArtifactError``.  The file size must match the
-    header before the array is allocated."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if head[:4] != MAGIC:
-            raise ArtifactError(f"{path}: not a SIFB ensemble file")
-        if len(head) < _HEADER.size:
-            raise ArtifactError(f"{path}: truncated header, {len(head)} of {_HEADER.size} bytes")
-        _, version, rows, cols = _HEADER.unpack(head)
-        if version != VERSION:
-            raise ArtifactError(f"{path}: unsupported version {version}")
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if payload != 8 * rows * cols:
-            raise ArtifactError(
-                f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles"
-            )
-        try:
-            out = np.empty((rows, cols), "<f8")
-        except ValueError:
-            raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
-        got = fh.readinto(out)
-    if got != payload:
+def _check_header(fh, path, shape=(None, None)) -> tuple[int, int]:
+    """Read and check the header of the SIFB file open as ``fh``: magic,
+    version, and a payload size that fits it, so no array is allocated before
+    the file is known to hold it; then the (rows, columns) ``shape`` expected,
+    where given.  Returns (rows, columns); any mismatch raises
+    ``ArtifactError``."""
+    head = fh.read(_HEADER.size)
+    if head[:4] != MAGIC:
+        raise ArtifactError(f"{path}: not a SIFB ensemble file")
+    if len(head) < _HEADER.size:
+        raise ArtifactError(f"{path}: truncated header, {len(head)} of {_HEADER.size} bytes")
+    _, version, rows, cols = _HEADER.unpack(head)
+    if version != VERSION:
+        raise ArtifactError(f"{path}: unsupported version {version}")
+    payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if payload != 8 * rows * cols:
+        raise ArtifactError(f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles")
+    want_rows, want_cols = shape
+    if want_cols is not None and cols != want_cols:
+        raise ArtifactError(
+            f"{path}: ensemble has {cols} columns but the configuration builds "
+            f"{want_cols} indices; config and artifact disagree"
+        )
+    if want_rows is not None and rows != want_rows:
+        raise ArtifactError(
+            f"{path}: ensemble has {rows} rows but the configuration's n_samples is "
+            f"{want_rows}; config and artifact disagree"
+        )
+    return rows, cols
+
+
+def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
+    """The next ``rows`` rows of ``fh`` as a read-only, aligned float64 array."""
+    try:
+        out = np.empty((rows, cols), "<f8")
+    except ValueError:
+        raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
+    got = fh.readinto(out)
+    if got != out.nbytes:
         raise ArtifactError(f"{path}: truncated payload, {got} bytes for {rows} x {cols} doubles")
     out.flags.writeable = False
     return out
 
 
-def load_ensemble(binary_path, indices, hurst: HurstParam) -> SampleEnsemble:
-    samples = read_matrix_binary(binary_path)
-    if samples.shape[1] != len(indices):
-        raise ArtifactError(
-            f"{binary_path}: ensemble has {samples.shape[1]} columns but the "
-            f"configuration builds {len(indices)} indices; config and artifact disagree"
-        )
+def read_matrix_binary(path, shape=(None, None)) -> np.ndarray:
+    """Parse a SIFB file into a read-only, aligned float64 array; any
+    malformed input, or a (rows, columns) other than ``shape`` where given,
+    raises ``ArtifactError``."""
+    with open(path, "rb") as fh:
+        return _read_rows(fh, path, *_check_header(fh, path, shape))
+
+
+def read_ensemble_blocks(path, shape) -> Iterator[np.ndarray]:
+    """The rows of a SIFB ensemble of (rows, columns) ``shape`` in order, as
+    read-only blocks of at most STREAM_BLOCK rows, read as they are
+    consumed: the whole matrix is never held.  The header is checked as by
+    ``read_matrix_binary`` when the first block is asked for."""
+    with open(path, "rb") as fh:
+        rows, cols = _check_header(fh, path, shape)
+        for start in range(0, rows, STREAM_BLOCK):
+            yield _read_rows(fh, path, min(STREAM_BLOCK, rows - start), cols)
+
+
+def load_ensemble(binary_path, indices, hurst: HurstParam, n_samples: int) -> SampleEnsemble:
+    samples = read_matrix_binary(binary_path, (n_samples, len(indices)))
     return SampleEnsemble(tuple(indices), samples, hurst)
 
 

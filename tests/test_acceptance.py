@@ -125,8 +125,7 @@ def test_criterion_03_flow_projection_law():
                 idx.update(flow_weights(f)[0])
             e = exact_ensemble(idx, hv, n, seed)
             h = HurstParam(hv)
-            for fi, f in enumerate(battery):
-                fs = flow_statistics(e, f, h)
+            for fi, fs in enumerate(flow_statistics(e.row_blocks(), e.indices, battery, h)):
                 frac = fs.profile.fraction_within(4.0)
                 assert frac >= 0.95, f"H={hv} flow {fi}: only {frac:.3f} within band"
                 for series in (fs.end, fs.half_increment):

@@ -32,6 +32,7 @@ from sifbm.storage import (
     VERSION,
     ArtifactError,
     load_ensemble,
+    read_ensemble_blocks,
     read_matrix_binary,
     write_ensemble_binary,
 )
@@ -106,7 +107,7 @@ class TestStorage:
         p = tmp_path / "e.sifb"
         write_ensemble_binary((bits.view(np.float64),), p, shape)
         idx = [rect(i + 1, 1) for i in range(shape[1])]
-        got = load_ensemble(p, idx, HurstParam(0.3)).samples
+        got = load_ensemble(p, idx, HurstParam(0.3), shape[0]).samples
         assert got.flags.aligned and not got.flags.writeable
         assert got.tobytes() == frombuffer_reference(p).tobytes()
 
@@ -193,6 +194,35 @@ class TestStorage:
         got = read_matrix_binary(p)
         assert got.dtype == np.float64 and not got.flags.writeable
         assert np.array_equal(got, wide, equal_nan=True)
+
+    def test_blocks_read_in_order_and_short_read_named(self, tmp_path):
+        m = np.arange(3 * STREAM_BLOCK + 5, dtype=float).reshape(-1, 1) * [1.0, -1.0]
+        p = tmp_path / "m.sifb"
+        write_ensemble_binary((m,), p, m.shape)
+        blocks = list(read_ensemble_blocks(p, m.shape))
+        assert [len(b) for b in blocks] == [STREAM_BLOCK] * 3 + [5]
+        assert all(not b.flags.writeable and b.flags.aligned for b in blocks)
+        assert np.concatenate(blocks).tobytes() == m.tobytes()
+        # a file that shrinks after its header was checked
+        stream = read_ensemble_blocks(p, m.shape)
+        next(stream)
+        with open(p, "r+b") as fh:
+            fh.truncate(_HEADER.size + 8 * m.shape[1] * STREAM_BLOCK + 8)
+        with pytest.raises(ArtifactError, match="truncated payload") as ei:
+            list(stream)
+        assert str(p) in str(ei.value)
+
+    @pytest.mark.parametrize(
+        "shape, match", [((4, 3), "2 rows but the configuration's n_samples is 4"),
+                         ((2, 2), "3 columns but the configuration builds 2")],
+    )
+    def test_shape_checked_against_config(self, tmp_path, shape, match):
+        p = tmp_path / "m.sifb"
+        write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
+        for read in (read_matrix_binary, lambda p, shape: next(read_ensemble_blocks(p, shape))):
+            with pytest.raises(ArtifactError, match=match) as ei:
+                read(p, shape)
+            assert str(p) in str(ei.value)
 
     def test_binary_header(self, tmp_path):
         p = tmp_path / "m.sifb"
@@ -465,6 +495,59 @@ class TestCli:
         (out / "manifest_simulate.json").unlink()
         assert main(["project", "--config", str(path)]) == 1
         assert "manifest_simulate.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["project", "recover-measure", "characterize"])
+    def test_wrong_row_count_exits_1(self, tmp_path, capsys, command):
+        # a whole-rows cut with a valid header, under a manifest that
+        # records the config's n_samples
+        path, _ = make_config(tmp_path, n_samples=2000)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        ens = out / "ensemble.sifb"
+        cut = read_matrix_binary(ens)[:1200]
+        write_ensemble_binary((cut,), ens, cut.shape)
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(ens) in err and "1200 rows" in err and "n_samples is 2000" in err
+        assert not list(out.glob("profile_*.csv")) and len(list(out.glob("*.json"))) == 1
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [(lambda raw: raw[:_HEADER.size], "truncated payload"),
+         (lambda raw: raw[:-4], "truncated payload"),
+         (lambda raw: raw + bytes(8), "truncated payload"),
+         (lambda raw: b"nope" + raw[4:], "not a SIFB")],
+    )
+    def test_malformed_ensemble_project_writes_nothing(self, tmp_path, capsys, damage, message):
+        path, _ = make_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        ens = out / "ensemble.sifb"
+        ens.write_bytes(damage(ens.read_bytes()))
+        capsys.readouterr()
+        assert main(["project", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(q.name for q in out.iterdir()) == ["ensemble.sifb", "manifest_simulate.json"]
+
+    def test_project_memory_flat_in_n_samples(self, tmp_path):
+        # project streams the stored ensemble: from n to 8n samples its traced
+        # peak grows by the end and half-increment series, a few blocks, not by
+        # the (n, n_indices) matrix and its per-flow copies
+        lattice = {"lattice": {"shape": [8, 8], "spacing": [1.0, 1.0]}}
+        peaks = []
+        for n in (4 * STREAM_BLOCK, 32 * STREAM_BLOCK):
+            (tmp_path / str(n)).mkdir()
+            path, _ = make_config(tmp_path / str(n), n_samples=n, indices=lattice)
+            assert main(["simulate", "--config", str(path)]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["project", "--config", str(path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block = STREAM_BLOCK * len(load_config(path).ensemble_indices()) * 8
+        assert peaks[1] - peaks[0] < 4 * block
 
     @pytest.mark.parametrize(
         "command, path, value, field",

@@ -18,6 +18,7 @@ from sifbm.flows import (
     time_change,
 )
 from sifbm.gaussian import (
+    STREAM_BLOCK,
     HurstParam,
     MissingIndexError,
     SampleEnsemble,
@@ -27,6 +28,7 @@ from sifbm.gaussian import (
 )
 from sifbm.rects import EMPTY, Rect, RectUnion, rect, rect_intersection, signed_terms
 from sifbm.stats import flow_statistics
+from sifbm.storage import read_ensemble_blocks, write_ensemble_binary
 
 
 def diag_flow(points=9, scale=1.0):
@@ -418,7 +420,7 @@ class TestFlowWeights:
             assert np.array_equal(got, want)
         else:  # the product sums a union's terms in its own order
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        fs = flow_statistics(e, f, HurstParam(hv))
+        (fs,) = flow_statistics(e.row_blocks(), e.indices, [f], HurstParam(hv))
         gram = (want.T @ want) / n
         x = e.samples[:, e.positions(boxes)]
         m = a.T @ ((x.T @ x) / n) @ a
@@ -443,3 +445,66 @@ class TestFlowWeights:
         inc = d[:, None] + d[None, :] - 2.0 * second
         want = predicted_increment_moment(f, h)
         assert np.max(np.abs(inc - want)) <= 1e-12 * d.max()
+
+
+# The whole-ensemble statistics that the block stream replaced, kept as the
+# reference: every path at once, then its moment matrix and the two series.
+
+
+def whole_ensemble_statistics(e, f):
+    paths = project(e, f)
+    mid = paths.shape[1] // 2
+    return (paths.T @ paths) / e.n_samples, paths[:, -1], paths[:, -1] - paths[:, mid]
+
+
+class TestStreamedFlowStatistics:
+    @given(
+        flows=st.lists(lattice_flows(), min_size=1, max_size=3),
+        n=st.sampled_from([1, 255, 256, 257, 3 * STREAM_BLOCK + 5]),
+        hv=st.sampled_from([0.1, 0.3, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_block_sums_match_whole_ensemble(self, tmp_path_factory, flows, n, hv, seed):
+        rng = np.random.default_rng(seed)
+        idx = sorted({b for f in flows for b in flow_weights(f)[0]}, key=lambda r: (len(r.corner), r.corner))
+        idx = [*idx, Rect((99.0,))]  # a column no flow reads
+        idx = [idx[i] for i in rng.permutation(len(idx))]
+        e = SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), HurstParam(hv))
+        streamed = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
+        assert len(streamed) == len(flows)
+        for f, fs in zip(flows, streamed):
+            gram, end, half = whole_ensemble_statistics(e, f)
+            assert np.max(np.abs(fs.moments - gram)) <= 1e-12 * np.max(np.abs(gram))
+            assert fs.end.tobytes() == end.tobytes()
+            assert fs.half_increment.tobytes() == half.tobytes()
+        # the same blocks read from a stored ensemble give the same bits
+        p = tmp_path_factory.getbasetemp() / "flows.sifb"
+        write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
+        stored = flow_statistics(read_ensemble_blocks(p, (n, len(idx))), e.indices, flows, e.hurst)
+        for a, b in zip(streamed, stored):
+            assert a.moments.tobytes() == b.moments.tobytes()
+            assert a.profile.rows.tobytes() == b.profile.rows.tobytes()
+            assert a.end.tobytes() == b.end.tobytes()
+            assert a.half_increment.tobytes() == b.half_increment.tobytes()
+
+    @pytest.mark.parametrize("n", [257, 3 * STREAM_BLOCK + 5, 3000])
+    def test_project_multiplies_in_stream_blocks(self, n):
+        # a three-branch flow sums up to seven signed terms per point, so the
+        # bits of X_B A depend on the kernel the BLAS picks for the product's
+        # shape; project must pick the one a row block gets
+        grids = [np.linspace(i / 3, (i + 1) / 3, 24) for i in range(3)]
+        ends = [(8.0, 1.0), (1.0, 8.0), (5.0, 5.0)]
+        sf = SimpleFlow(tuple(
+            make_elementary_flow(g, [tuple(t * c for c in end) for t in np.linspace(0, 1, len(g))])
+            for g, end in zip(grids, ends)
+        ))
+        boxes = flow_weights(sf)[0]
+        e = SampleEnsemble(boxes, np.random.default_rng(n).standard_normal((n, len(boxes))), HurstParam(0.3))
+        blocks = [project(SampleEnsemble(boxes, b, e.hurst), sf) for b in e.row_blocks()]
+        assert project(e, sf).tobytes() == np.concatenate(blocks).tobytes()
+
+    def test_no_rows_rejected(self):
+        f = diag_flow(4)
+        with pytest.raises(ValueError, match="no samples"):
+            flow_statistics(iter(()), flow_weights(f)[0], [f], HurstParam(0.3))
