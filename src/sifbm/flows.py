@@ -220,5 +220,12 @@ def project(e: SampleEnsemble, f: Flow) -> np.ndarray:
     cols = e.positions(boxes)
     out = np.empty((e.n_samples, a.shape[1]))
     for start in range(0, e.n_samples, STREAM_BLOCK):
-        out[start:start + STREAM_BLOCK] = e.samples[start:start + STREAM_BLOCK, cols] @ a
+        out[start:start + STREAM_BLOCK] = block_paths(e.samples[start:start + STREAM_BLOCK], cols, a)
     return out
+
+
+def block_paths(rows: np.ndarray, cols: list[int], a: np.ndarray) -> np.ndarray:
+    """The field along a flow in one row block, rows[:, cols] @ A, with
+    ``cols`` the ensemble columns of the flow's boxes and A its weights: the
+    one product ``project`` and ``stats.flow_statistics`` form."""
+    return rows[:, cols] @ a

@@ -18,10 +18,17 @@ list; it is never reused across calls, so the representation stays per-flow.
 A kernel grid depends on the distinct positive masses and the ``GridSpec``
 only, not on H, so ``build_kernel_grid`` builds each one once per (distinct
 positive masses, spec) and process: the per-H normalization, the variance
-checks and the covariance audits reuse it.  The cache holds at most 16 grids
-(their read-only edges; midpoints and widths are recomputed on use), the most
-recently used ones.  ``normalization_const`` is computed once per (H, spec)
-and process, in a ``functools.cache`` that ``cache_clear`` empties.
+checks and the covariance audits reuse it.  The cache holds the read-only
+edges of at most 16 grids, the most recently used ones.
+``normalization_const`` is computed once per (H, spec) and process, in a
+``functools.cache`` that ``cache_clear`` empties.
+
+Every kernel integral, the normalization's included, is one blocked sum:
+K diag(widths) K^T is added up over consecutive blocks of CELL_BLOCK cells,
+each block's midpoints and widths taken from a slice of the edges, so no
+(masses, cells) array is formed and memory beyond the grid stays one block
+whatever the cell count.  CELL_BLOCK is part of the quadrature's definition,
+as STREAM_BLOCK is part of the draw's: the block sums fix its rounding.
 
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
@@ -46,6 +53,9 @@ from .recovery import CharacterizationReport, CriterionResult
 # Eigenvalues of the discretized covariance below this fraction of the largest
 # are round-off of a rank-deficient matrix and are clipped to zero.
 _EIG_CLIP = 1e-12
+
+# Cells per block of the kernel quadrature's sum; see the module docstring.
+CELL_BLOCK = 8192
 
 
 class HalfCaseError(ValueError):
@@ -73,6 +83,8 @@ class GridSpec:
             raise ValueError("truncation bounds must be positive")
         if self.cells_per_mass < 8 or self.refine_factor < 1:
             raise ValueError("grid resolution parameters out of range")
+        if self.refine_radius_frac < 0:
+            raise ValueError(f"refine_radius_frac must be >= 0, got {self.refine_radius_frac}")
 
     def refine(self, factor: int = 2) -> "GridSpec":
         """Denser cells at the same truncation (quadrature-only refinement)."""
@@ -96,9 +108,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class KernelGrid:
-    """Concrete integration cells.  Singular points (0 and every mass) sit on
-    cell edges, so midpoint evaluation stays at least half a cell away from
-    every singularity."""
+    """Concrete integration cells, given by their read-only edges.  Singular
+    points (0 and every mass) sit on cell edges, so midpoint evaluation stays
+    at least half a cell away from every singularity."""
 
     edges: np.ndarray
 
@@ -106,15 +118,8 @@ class KernelGrid:
         self.edges.flags.writeable = False
 
     @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
-    @property
     def n_cells(self) -> int:
+        """The cell count, which ``benchmark/tracing.py`` reads."""
         return self.edges.size - 1
 
 
@@ -176,10 +181,20 @@ def mvn_kernel(mass, u, h: HurstParam):
     return np.abs(mass - u) ** a - np.abs(u) ** a
 
 
+def _kernel_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """K diag(widths) K^T on the grid of ``masses``, summed over blocks of
+    CELL_BLOCK cells in order."""
+    edges = build_kernel_grid(masses, spec).edges
+    gram = np.zeros((masses.size, masses.size))
+    for start in range(0, edges.size - 1, CELL_BLOCK):
+        e = edges[start:start + CELL_BLOCK + 1]
+        k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
+        gram += (k * np.diff(e)) @ k.T
+    return gram
+
+
 def _unit_integral(h: HurstParam, spec: GridSpec) -> float:
-    g = build_kernel_grid([1.0], spec)
-    k = mvn_kernel(1.0, g.midpoints, h)
-    return float(np.sum(k * k * g.widths))
+    return float(_kernel_gram(np.ones(1), h, spec)[0, 0])
 
 
 @functools.cache
@@ -261,10 +276,7 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
 
 
 def _kernel_covariance(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    grid = build_kernel_grid(masses, spec)
-    kmat = mvn_kernel(masses[:, None], grid.midpoints, h)
-    c2 = normalization_const(h, spec) ** 2
-    return c2 * (kmat * grid.widths) @ kmat.T
+    return normalization_const(h, spec) ** 2 * _kernel_gram(masses, h, spec)
 
 
 def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import TimeChange, flow_weights, predicted_increment_moment, project, time_change
+from .flows import TimeChange, block_paths, flow_weights, predicted_increment_moment, time_change
 from .gaussian import HurstParam, SampleEnsemble
 
 
@@ -111,22 +111,24 @@ def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistic
     blocks of an ensemble over ``indices`` (``SampleEnsemble.row_blocks``,
     ``storage.read_ensemble_blocks``).
 
-    Each block P_b = X_b A_f is formed by ``project``, which multiplies a
-    whole ensemble in the same blocks; P_b^T P_b is added into the flow's
-    moment matrix, divided by the row count once at the end, and every
-    increment moment along the flow is read from it.  Beyond one block and
-    the k x k moment matrices, only the end and middle columns are held: no
-    (n, n_indices) or (n, k) array is formed."""
+    Each flow's columns B_f and weights A_f are looked up once.  Each block
+    P_b = X_b[:, B_f] A_f is formed by ``block_paths``, as ``project`` forms
+    a whole ensemble's in the same blocks; P_b^T P_b is added into the
+    flow's moment matrix, divided by the row count once at the end, and
+    every increment moment along the flow is read from it.  Beyond one block
+    and the k x k moment matrices, only the end and middle columns are held:
+    no (n, n_indices) or (n, k) array is formed."""
     indices = tuple(indices)
-    points = [flow_weights(f)[1].shape[1] for f in flows]
-    sums = [np.zeros((k, k)) for k in points]
+    # the ensemble's column lookup, with no rows
+    layout = SampleEnsemble(indices, np.empty((0, len(indices))), h)
+    reads = [(layout.positions(boxes), a) for boxes, a in map(flow_weights, flows)]
+    sums = [np.zeros((a.shape[1], a.shape[1])) for _, a in reads]
     ends, mids = [[] for _ in flows], [[] for _ in flows]
     n = 0
     for block in blocks:
-        view = SampleEnsemble(indices, block, h)
-        n += view.n_samples
-        for f, m, end, mid in zip(flows, sums, ends, mids):
-            p = project(view, f)
+        n += block.shape[0]
+        for (cols, a), m, end, mid in zip(reads, sums, ends, mids):
+            p = block_paths(block, cols, a)
             m += p.T @ p
             end.append(p[:, -1].copy())  # copies: the block's paths are freed
             mid.append(p[:, p.shape[1] // 2].copy())

@@ -621,6 +621,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("sifbm: config error:") and f"'{field}'" in err
 
+    def test_negative_refine_radius_is_config_error(self, tmp_path, capsys):
+        # a negative window used to refine nearly the cells of its absolute
+        # value: 14,224 cells at -0.3 against 14,236 at +0.3 and 13,324 at 0
+        # (one unit mass, 256 cells per mass, refine_factor 4)
+        ir = copy.deepcopy(BASE_CONFIG["integral_rep"])
+        ir["grid"]["refine_radius_frac"] = -0.3
+        path, _ = make_config(tmp_path, integral_rep=ir)
+        assert main(["verify-intrep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error: field 'integral_rep.grid': refine_radius_frac")
+
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         path, _ = make_config(tmp_path)
         assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 1

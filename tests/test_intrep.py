@@ -5,6 +5,8 @@ Unit tests run on a coarsened grid spec with correspondingly relaxed
 tolerances; the acceptance suite exercises the default grid.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,7 @@ from sifbm.flows import flow_weights, flows_through, project, time_change
 from sifbm.gaussian import STREAM_BLOCK, HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm import intrep
 from sifbm.intrep import (
+    CELL_BLOCK,
     GridSpec,
     HalfCaseError,
     IntRepConfig,
@@ -57,20 +60,39 @@ def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
     return out
 
 
+def _cells(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and widths of the cells between ``edges``."""
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+
+
+def _loop_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """K diag(widths) K^T with one ``mvn_kernel`` call per mass, summed over
+    the quadrature's blocks of CELL_BLOCK cells."""
+    edges = build_kernel_grid(masses, spec).edges
+    gram = np.zeros((len(masses), len(masses)))
+    for start in range(0, edges.size - 1, CELL_BLOCK):
+        mids, widths = _cells(edges[start:start + CELL_BLOCK + 1])
+        kmat = np.empty((len(masses), mids.size))
+        for i, m in enumerate(masses):
+            kmat[i] = mvn_kernel(float(m), mids, h)
+        gram += (kmat * widths) @ kmat.T
+    return gram
+
+
 def _loop_kernel_covariance(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """``discretized_covariance`` with one ``mvn_kernel`` call per mass."""
-    grid = build_kernel_grid(masses, spec)
-    kmat = np.empty((len(masses), grid.n_cells))
-    for i, m in enumerate(masses):
-        kmat[i] = mvn_kernel(float(m), grid.midpoints, h)
-    c2 = _loop_normalization_const(h, spec) ** 2
-    return c2 * (kmat * grid.widths) @ kmat.T
+    return _loop_normalization_const(h, spec) ** 2 * _loop_gram(masses, h, spec)
 
 
 def _loop_normalization_const(h: HurstParam, spec: GridSpec) -> float:
-    g = build_kernel_grid([1.0], spec)
-    k = mvn_kernel(1.0, g.midpoints, h)
-    return float(np.sum(k * k * g.widths)) ** -0.5
+    return float(_loop_gram([1.0], h, spec)[0, 0]) ** -0.5
+
+
+def _whole_grid_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """K diag(widths) K^T in one product over every cell of the grid."""
+    mids, widths = _cells(build_kernel_grid(masses, spec).edges)
+    kmat = mvn_kernel(np.asarray(masses, dtype=float)[:, None], mids, h)
+    return (kmat * widths) @ kmat.T
 
 
 # grid masses: zero, repeats, dyadic values on base edges, and values off them
@@ -125,8 +147,7 @@ class TestGrid:
             assert np.min(np.abs(g.edges - s)) == 0.0
 
     def test_midpoints_off_singularities(self):
-        g = build_kernel_grid([0.25, 1.0], COARSE)
-        mids, widths = g.midpoints, g.widths
+        mids, widths = _cells(build_kernel_grid([0.25, 1.0], COARSE).edges)
         for s in (0.0, 0.25, 1.0):
             gap = np.abs(mids - s)
             assert np.all(gap >= widths / 2 - 1e-15)
@@ -137,10 +158,10 @@ class TestGrid:
         assert g.edges[-1] == pytest.approx(2.0 * 2.0)
 
     def test_refinement_increases_cells_near_singularities(self):
-        fine = build_kernel_grid([1.0], COARSE)
+        mids, widths = _cells(build_kernel_grid([1.0], COARSE).edges)
         base_step = 1.0 / COARSE.cells_per_mass
-        near = np.abs(fine.midpoints) < 0.01
-        assert np.all(fine.widths[near] < base_step)
+        near = np.abs(mids) < 0.01
+        assert np.all(widths[near] < base_step)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -222,9 +243,9 @@ class TestNormalization:
         for hv in (0.2, 0.35):
             h = HurstParam(hv)
             c = normalization_const(h, COARSE)
-            g = build_kernel_grid([1.0], COARSE)
-            k = mvn_kernel(1.0, g.midpoints, h)
-            integral = float(np.sum(k * k * g.widths))
+            mids, widths = _cells(build_kernel_grid([1.0], COARSE).edges)
+            k = mvn_kernel(1.0, mids, h)
+            integral = float(np.sum(k * k * widths))
             assert c**2 * integral == pytest.approx(1.0, abs=1e-12)
 
     def test_refinement_oracle(self):
@@ -234,9 +255,9 @@ class TestNormalization:
         h = HurstParam(0.3)
 
         def integral(spec):
-            g = build_kernel_grid([1.0], spec)
-            k = mvn_kernel(1.0, g.midpoints, h)
-            return float(np.sum(k * k * g.widths))
+            mids, widths = _cells(build_kernel_grid([1.0], spec).edges)
+            k = mvn_kernel(1.0, mids, h)
+            return float(np.sum(k * k * widths))
 
         i1, i2 = integral(COARSE.refine(2)), integral(COARSE.refine(4))
         r = 2.0 ** (-2 * h.value)
@@ -370,6 +391,53 @@ class TestBroadcastKernel:
     def test_negative_mass_in_array_rejected(self):
         with pytest.raises(ValueError, match="mass must be non-negative"):
             mvn_kernel(np.array([[0.5], [-1.0]]), np.linspace(-1.0, 1.0, 5), HurstParam(0.3))
+
+
+class TestBlockedQuadrature:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        masses=st.lists(_LEVELS.filter(lambda m: m > 0), min_size=1, max_size=5).map(sorted),
+        hv=st.floats(0.1, 0.5, exclude_max=True),
+        spec=_GRID_SPECS,
+        # the grid's cell count against the block: below, equal, one above,
+        # and several blocks
+        blocks=st.sampled_from(["below", "equal", "one_above", "several"]),
+    )
+    # the module's own block on a grid several blocks long
+    @example(masses=[0.5, 1.0], hv=0.3, spec=GridSpec(cells_per_mass=1024), blocks="module")
+    def test_matches_whole_grid_product(self, masses, hv, spec, blocks):
+        h = HurstParam(hv)
+        n_cells = build_kernel_grid(masses, spec).n_cells
+        block = {
+            "below": n_cells + 1, "equal": n_cells, "one_above": n_cells - 1,
+            "several": max(n_cells // 5, 1), "module": CELL_BLOCK,
+        }[blocks]
+        assert blocks != "module" or n_cells > 4 * CELL_BLOCK
+        want = _whole_grid_gram(masses, h, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intrep, "CELL_BLOCK", block)
+            got = intrep._kernel_gram(np.asarray(masses, dtype=float), h, spec)
+        # a mass a few ulps off a base edge can leave zero-width cells whose
+        # midpoint is the mass: both sums are NaN in that mass's row
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want), initial=0.0) <= 1e-12 * np.nanmax(np.abs(want), initial=0.0)
+
+    def test_memory_flat_in_cell_count(self):
+        # the grid is built and the constant computed beforehand: what is
+        # left is the quadrature, which holds one block whatever the grid
+        h, masses = HurstParam(0.3), [0.8, 0.9, 1.0]
+        peaks = []
+        for cells_per_mass in (512, 2048):
+            spec = GridSpec(cells_per_mass=cells_per_mass)
+            assert build_kernel_grid(masses, spec).n_cells > 2 * CELL_BLOCK
+            normalization_const(h, spec)
+            tracemalloc.start()
+            try:
+                discretized_covariance(masses, h, spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < len(masses) * CELL_BLOCK * 8
 
 
 class TestDiscretizedFactor:
