@@ -6,8 +6,8 @@ representation.  Import names from their modules (``sifbm.gaussian``,
 
 __version__ = "0.1.0"
 
-# numpy >= 2 loads these submodules on first attribute access.  The package
-# uses both (np.random for every random stream; np.unique reads np.ma), so
-# they load with the package rather than inside the first command run.
-import numpy.ma  # noqa: F401
+# numpy >= 2 loads np.random on first attribute access.  Every random stream
+# uses it, so it loads with the package rather than inside the first command
+# run.  np.ma is left to load where it is read: a plain np.unique(x) reads it,
+# np.unique with return_inverse does not.
 import numpy.random  # noqa: F401

@@ -16,19 +16,17 @@ one normal per cell.  One Brownian motion drives every point of a masses
 list; it is never reused across calls, so the representation stays per-flow.
 
 A kernel grid depends on the distinct positive masses and the ``GridSpec``
-only, not on H, so ``build_kernel_grid`` builds each one once per (distinct
-positive masses, spec) and process: the per-H normalization, the variance
-checks and the covariance audits reuse it.  The cache holds the read-only
-edges of at most 16 grids, the most recently used ones.
-``normalization_const`` is computed once per (H, spec) and process, in a
-``functools.cache`` that ``cache_clear`` empties.
-
-Every kernel integral, the normalization's included, is one blocked sum:
-K diag(widths) K^T is added up over consecutive blocks of CELL_BLOCK cells,
-each block's midpoints and widths taken from a slice of the edges, so no
-(masses, cells) array is formed and memory beyond the grid stays one block
-whatever the cell count.  CELL_BLOCK is part of the quadrature's definition,
-as STREAM_BLOCK is part of the draw's: the block sums fix its rounding.
+only, not on H, and none is kept.  Every kernel integral, the
+normalization's included, is one blocked sum: the grid's edges are generated
+CELL_BLOCK cells at a time, and K diag(widths) K^T is added up over those
+consecutive blocks, each block's midpoints and widths taken from its edges.
+So neither a (masses, cells) array nor a whole grid is formed, and memory
+stays a few blocks whatever the cell count.  ``build_kernel_grid`` joins the
+same blocks into the whole grid; the quadrature does not call it.
+CELL_BLOCK is part of the quadrature's definition, as STREAM_BLOCK is part
+of the draw's: the block sums fix its rounding.  ``normalization_const`` is
+computed once per (H, spec) and process, in a ``functools.cache`` that
+``cache_clear`` empties.
 
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
@@ -124,44 +122,90 @@ class KernelGrid:
 
 
 def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> KernelGrid:
-    """The grid for a masses list, built once per (distinct positive masses,
-    spec) and process, since those are all it depends on: zeros, repeats and
-    the sequence type do not make a second grid."""
-    positive = tuple(sorted({float(m) for m in masses if m > 0}))
+    """The whole grid for a masses list: the blocks of ``_kernel_grid_blocks``
+    joined.  The quadrature never forms it."""
+    blocks = list(_kernel_grid_blocks(masses, spec))
+    return KernelGrid(np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])]))
+
+
+def _kernel_grid_blocks(masses, spec: GridSpec):
+    """The edges of the grid for a masses list, in consecutive blocks of
+    CELL_BLOCK cells: each block's last edge is the next one's first, and only
+    the last block may be shorter.  The grid depends on the distinct positive
+    masses and ``spec`` only, so zeros, repeats and the sequence type do not
+    change it.
+
+    The base is ``np.linspace(u_min, u_max, n_base + 1)``, computed CELL_BLOCK
+    base cells at a time with linspace's own operations.  A base edge closer
+    to a singular point (0 or a mass) than 4 * refine_factor ulps of the
+    grid's extent max(-u_min, u_max) is moved onto it, and the other singular
+    points are inserted between base edges.  Every cell within the refinement
+    radius of a singular point is split into ``refine_factor`` equal parts.
+    Each of these steps reads only the cell it acts on, so no block depends
+    on the whole grid."""
+    positive = sorted({float(m) for m in masses if m > 0})
     if not positive:
         raise ValueError("grid needs at least one positive mass")
-    return _kernel_grid(positive, spec)
-
-
-@functools.lru_cache(maxsize=16)
-def _kernel_grid(positive: tuple[float, ...], spec: GridSpec) -> KernelGrid:
     max_mass = positive[-1]
     u_min = -spec.truncation_factor * max_mass
     u_max = (1.0 + spec.margin) * max_mass
-    step = max_mass / spec.cells_per_mass
-    n_base = int(round((u_max - u_min) / step))
-    base = np.linspace(u_min, u_max, n_base + 1)
+    n_base = int(round((u_max - u_min) / (max_mass / spec.cells_per_mass)))
+    step = (u_max - u_min) / n_base
     crit = np.array((0.0, *positive))
-    # insert the singular points into the sorted base, skipping those on it
-    at = np.searchsorted(base, crit)
-    new = base[at] != crit
-    edges = np.insert(base, at[new], crit[new])
-    # a cell [lo, hi] is near c when lo <= c + radius and hi >= c - radius;
-    # for each c those cells are one run, and the runs are merged by counting
+    # base edges are rounded to about an ulp of the extent, so the one nearest
+    # a singular point is moved onto it when that close: left beside it, the
+    # sliver between them would be split into pieces of a few ulps, which can
+    # have zero width or a midpoint on the point
+    nearest = np.clip(np.rint((crit - u_min) / step), 0, n_base).astype(np.intp)
+    edge = np.where(nearest == n_base, u_max, nearest * step + u_min)
+    snap = np.abs(edge - crit) <= 4 * spec.refine_factor * np.spacing(max(-u_min, u_max))
+    snap_at, snap_to = nearest[snap], crit[snap]
     radius = spec.refine_radius_frac * max_mass
-    first = np.maximum(np.searchsorted(edges, crit - radius) - 1, 0)
-    stop = np.minimum(np.searchsorted(edges, crit + radius, side="right"), edges.size - 1)
+    pending = np.empty(0)
+    for b0 in range(0, n_base, CELL_BLOCK):
+        b1 = min(b0 + CELL_BLOCK, n_base)
+        base = np.arange(b0, b1 + 1, dtype=float) * step + u_min
+        if b1 == n_base:
+            base[-1] = u_max
+        hit = (snap_at >= b0) & (snap_at <= b1)
+        base[snap_at[hit] - b0] = snap_to[hit]
+        # the stretch's first edge is the last one pending
+        pending = np.concatenate([pending[:-1], _refined(base, crit, radius, spec.refine_factor)])
+        while pending.size > CELL_BLOCK:
+            yield pending[:CELL_BLOCK + 1]
+            pending = pending[CELL_BLOCK:]
+    if pending.size > 1:
+        yield pending
+
+
+def _refined(base: np.ndarray, crit: np.ndarray, radius: float, refine_factor: int) -> np.ndarray:
+    """A stretch of base edges with the singular points ``crit`` inside it
+    inserted, and each cell within ``radius`` of one of them split into
+    ``refine_factor`` equal parts."""
+    # insert the singular points inside the stretch, skipping those on it
+    c = crit[(crit > base[0]) & (crit < base[-1])]
+    at = np.searchsorted(base, c)
+    new = base[at] != c
+    edges = np.insert(base, at[new], c[new]) if new.any() else base
+    # a cell [lo, hi] is near c when lo <= c + radius and hi >= c - radius;
+    # most stretches of a grid are near no c and stay as they are
+    reach_lo, reach_hi = crit - radius, crit + radius
+    touch = (reach_lo <= edges[-1]) & (reach_hi >= edges[0])
+    if refine_factor == 1 or not touch.any():
+        return edges
+    # for each c the near cells are one run, and the runs are merged by counting
+    first = np.maximum(np.searchsorted(edges, reach_lo[touch]) - 1, 0)
+    stop = np.minimum(np.searchsorted(edges, reach_hi[touch], side="right"), edges.size - 1)
     depth = np.zeros(edges.size, dtype=np.intp)
     np.add.at(depth, first, 1)
     np.add.at(depth, stop, -1)
     near = np.flatnonzero(np.cumsum(depth[:-1]))
     # split each near cell at lo + (hi - lo) / refine_factor * j for
     # j = 1..refine_factor-1; every cell keeps its exact edges
-    j = np.arange(1, spec.refine_factor)
+    j = np.arange(1, refine_factor)
     lo, hi = edges[near], edges[near + 1]
-    sub = lo[:, None] + ((hi - lo) / spec.refine_factor)[:, None] * j
-    out = np.insert(edges, np.repeat(near + 1, j.size), sub.ravel())
-    return KernelGrid(out)
+    sub = lo[:, None] + ((hi - lo) / refine_factor)[:, None] * j
+    return np.insert(edges, np.repeat(near + 1, j.size), sub.ravel())
 
 
 def mvn_kernel(mass, u, h: HurstParam):
@@ -184,10 +228,8 @@ def mvn_kernel(mass, u, h: HurstParam):
 def _kernel_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T on the grid of ``masses``, summed over blocks of
     CELL_BLOCK cells in order."""
-    edges = build_kernel_grid(masses, spec).edges
     gram = np.zeros((masses.size, masses.size))
-    for start in range(0, edges.size - 1, CELL_BLOCK):
-        e = edges[start:start + CELL_BLOCK + 1]
+    for e in _kernel_grid_blocks(masses, spec):
         k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
         gram += (k * np.diff(e)) @ k.T
     return gram

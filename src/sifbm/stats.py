@@ -80,7 +80,7 @@ def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:
     if n < 1000:
         raise ValueError("need at least 1000 samples for a stable estimate")
     theta = np.asarray(tc.values)
-    if len(np.unique(theta)) < 8:
+    if len(set(theta.tolist())) < 8:
         raise DegenerateDataError("need at least 8 distinct time-change values")
     dtheta = np.diff(theta)
     keep = dtheta > 0

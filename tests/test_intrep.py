@@ -35,7 +35,10 @@ COARSE = GridSpec(cells_per_mass=512)
 
 
 def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
-    """The np.unique grid builder that ``build_kernel_grid`` replaced."""
+    """The grid in one piece, through np.unique: a whole linspace base, each
+    singular point's nearest base edge moved onto it when within
+    4 * refine_factor ulps of the extent, and every cell near a singular
+    point split."""
     masses = [float(m) for m in masses]
     max_mass = max(masses)
     u_min = -spec.truncation_factor * max_mass
@@ -44,6 +47,10 @@ def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
     n_base = int(round((u_max - u_min) / step))
     base = np.linspace(u_min, u_max, n_base + 1)
     crit = np.array(sorted({0.0} | {m for m in masses if m > 0}))
+    for c in crit:
+        i = np.argmin(np.abs(base - c))
+        if abs(base[i] - c) <= 4 * spec.refine_factor * np.spacing(max(-u_min, u_max)):
+            base[i] = c
     edges = np.unique(np.concatenate([base, crit]))
     radius = spec.refine_radius_frac * max_mass
     lo, hi = edges[:-1], edges[1:]
@@ -169,72 +176,82 @@ class TestGrid:
             lambda m: m[-1] > 0
         ),
         spec=_GRID_SPECS,
+        # small blocks put windows and singular points across block edges
+        block=st.one_of(st.integers(1, 40), st.just(CELL_BLOCK)),
     )
     # zero and duplicate masses; dyadic masses on base edges
-    @example(masses=[0.0, 0.0, 0.5, 0.5, 1.0], spec=GridSpec(cells_per_mass=16))
+    @example(masses=[0.0, 0.0, 0.5, 0.5, 1.0], spec=GridSpec(cells_per_mass=16), block=CELL_BLOCK)
     # c - radius and c + radius exactly on base edges (step and radius 1/16)
-    @example(masses=[0.5, 1.0], spec=GridSpec(cells_per_mass=16, refine_radius_frac=1 / 16))
+    @example(masses=[0.5, 1.0], spec=GridSpec(cells_per_mass=16, refine_radius_frac=1 / 16),
+             block=CELL_BLOCK)
     # overlapping windows, and no subdivision at all
-    @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_radius_frac=0.3))
-    @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_factor=1))
+    @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_radius_frac=0.3),
+             block=CELL_BLOCK)
+    @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_factor=1),
+             block=CELL_BLOCK)
     # windows past both ends of the grid
     @example(masses=[1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
-                                         cells_per_mass=8, refine_radius_frac=100.0))
-    def test_matches_unique_builder(self, masses, spec):
-        got = build_kernel_grid(masses, spec).edges
+                                         cells_per_mass=8, refine_radius_frac=100.0),
+             block=CELL_BLOCK)
+    # blocks of 5 base cells at step 1/8 start at 0.125 and 0.75: windows
+    # straddling both, and singular points on both
+    @example(masses=[0.5, 1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
+                                              cells_per_mass=8, refine_radius_frac=0.3), block=5)
+    @example(masses=[0.125, 0.75, 1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
+                                                      cells_per_mass=8, refine_factor=1), block=5)
+    def test_matches_unique_builder(self, masses, spec, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intrep, "CELL_BLOCK", block)
+            blocks = list(intrep._kernel_grid_blocks(masses, spec))
+            got = build_kernel_grid(masses, spec).edges
+        assert all(b.size == block + 1 for b in blocks[:-1])
+        assert 1 < blocks[-1].size <= block + 1
+        assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert np.array_equal(np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])]), got)
         want = _unique_kernel_edges(masses, spec)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        masses=st.lists(st.integers(1, 199).map(lambda k: k / 100), min_size=1, max_size=4).map(sorted),
+        hv=st.floats(0.05, 0.5, exclude_max=True),
+        spec=st.builds(
+            GridSpec,
+            truncation_factor=st.sampled_from([0.5, 2.0, 50.0]),
+            margin=st.sampled_from([0.25, 1.0]),
+            cells_per_mass=st.sampled_from([8, 256, 1024]),
+            refine_factor=st.sampled_from([1, 3, 4, 8]),
+            refine_radius_frac=st.sampled_from([0.0, 0.01, 0.3]),
+        ),
+    )
+    # a base edge one ulp off the mass: before base edges were moved onto
+    # singular points, these grids had zero-width cells and a NaN Gram
+    @example(masses=[0.3], hv=0.3, spec=GridSpec(truncation_factor=0.5, margin=0.25, cells_per_mass=256))
+    @example(masses=[0.1, 0.17], hv=0.3, spec=GridSpec(cells_per_mass=256, refine_factor=4))
+    # a base edge 37 of the mass's ulps off it: a rounding sliver of the base
+    @example(masses=[0.1, 1.87], hv=0.3, spec=GridSpec(cells_per_mass=4096))
+    def test_cells_have_width_and_grams_are_finite(self, masses, hv, spec):
+        # no cell is a sliver of a few ulps, let alone of zero width
+        edges = build_kernel_grid(masses, spec).edges
+        assert np.all(np.diff(edges) > 2 * np.spacing(max(-edges[0], edges[-1])))
+        assert np.all(np.isfinite(intrep._kernel_gram(np.asarray(masses), HurstParam(hv), spec)))
 
-class TestGridCache:
-    def test_same_key_same_grid(self):
-        spec = GridSpec(cells_per_mass=64)
-        g = build_kernel_grid([0.5, 1.0], spec)
-        assert build_kernel_grid([0.5, 1.0], spec) is g
+    def test_edges_read_only(self):
+        g = build_kernel_grid([0.5, 1.0], GridSpec(cells_per_mass=64))
         with pytest.raises(ValueError, match="read-only"):
             g.edges[0] = 0.0
 
-    def test_sequence_types_share_one_entry(self):
+    def test_sequence_types_zeros_and_repeats_give_one_grid(self):
         spec = GridSpec(cells_per_mass=48)
-        intrep._kernel_grid.cache_clear()
-        g = build_kernel_grid([0.5, 1.0], spec)
-        assert build_kernel_grid((0.5, 1.0), spec) is g
-        assert build_kernel_grid(np.array([0.5, 1.0]), spec) is g
-        assert intrep._kernel_grid.cache_info().currsize == 1
+        want = build_kernel_grid([0.5, 1.0], spec).edges
+        for masses in ((0.5, 1.0), np.array([0.5, 1.0]), [0.0, 0.5, 0.5, 1.0], (1.0, 0.5, 0.0)):
+            got = build_kernel_grid(masses, spec).edges
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_size_bounded(self):
-        maxsize = intrep._kernel_grid.cache_info().maxsize
-        assert maxsize == 16
-        for k in range(2 * maxsize):
-            build_kernel_grid([1.0 + k / 8], GridSpec(cells_per_mass=8))
-            assert intrep._kernel_grid.cache_info().currsize <= maxsize
-
-    def test_zeros_and_repeats_share_one_grid(self):
-        # discretized_covariance asks for the grid of the whole list and
-        # discretized_factor for that of its distinct positive masses
-        h, masses = HurstParam(0.3), (0.0, 0.5, 0.5, 1.0)
-        normalization_const(h, COARSE)  # its unit-mass grids are not counted
-        intrep._kernel_grid.cache_clear()
-        discretized_covariance(masses, h, COARSE)
-        discretized_factor(masses, h, COARSE)
-        info = intrep._kernel_grid.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    def test_no_positive_mass_rejected(self):
         with pytest.raises(ValueError, match="at least one positive mass"):
             build_kernel_grid([0.0, 0.0], COARSE)
-
-    def test_verify_intrep_cold_equals_warm(self):
-        ir = IntRepConfig(
-            masses=(0.5, 0.75, 1.0),
-            variance_masses=(0.25, 1.0),
-            hursts=(0.3, 0.35),
-            n_samples=300,
-            grid=GridSpec(cells_per_mass=64, refine_factor=2),
-        )
-        first = verify_intrep(ir, seed=3).to_dict()
-        normalization_const.cache_clear()
-        intrep._kernel_grid.cache_clear()
-        assert verify_intrep(ir, seed=3).to_dict() == first
 
 
 class TestNormalization:
@@ -283,6 +300,18 @@ class TestNormalization:
         for _ in range(2):
             with pytest.raises(ValueError, match="not converged"):
                 normalization_const(h, GridSpec(cells_per_mass=8, refine_factor=1))
+
+    def test_verify_intrep_cold_equals_warm(self):
+        ir = IntRepConfig(
+            masses=(0.5, 0.75, 1.0),
+            variance_masses=(0.25, 1.0),
+            hursts=(0.3, 0.35),
+            n_samples=300,
+            grid=GridSpec(cells_per_mass=64, refine_factor=2),
+        )
+        first = verify_intrep(ir, seed=3).to_dict()
+        normalization_const.cache_clear()
+        assert verify_intrep(ir, seed=3).to_dict() == first
 
 
 class TestSimulate:
@@ -417,27 +446,26 @@ class TestBlockedQuadrature:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intrep, "CELL_BLOCK", block)
             got = intrep._kernel_gram(np.asarray(masses, dtype=float), h, spec)
-        # a mass a few ulps off a base edge can leave zero-width cells whose
-        # midpoint is the mass: both sums are NaN in that mass's row
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.nanmax(np.abs(got - want), initial=0.0) <= 1e-12 * np.nanmax(np.abs(want), initial=0.0)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_memory_flat_in_cell_count(self):
-        # the grid is built and the constant computed beforehand: what is
-        # left is the quadrature, which holds one block whatever the grid
-        h, masses = HurstParam(0.3), [0.8, 0.9, 1.0]
+        # the quadrature builds its grid block by block as it sums, so its
+        # peak holds a few blocks whatever the grid
+        h, masses = HurstParam(0.3), np.array([0.8, 0.9, 1.0])
         peaks = []
         for cells_per_mass in (512, 2048):
             spec = GridSpec(cells_per_mass=cells_per_mass)
-            assert build_kernel_grid(masses, spec).n_cells > 2 * CELL_BLOCK
-            normalization_const(h, spec)
             tracemalloc.start()
             try:
-                discretized_covariance(masses, h, spec)
+                intrep._kernel_gram(masses, h, spec)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] < len(masses) * CELL_BLOCK * 8
+            assert build_kernel_grid(masses, spec).n_cells > 2 * CELL_BLOCK
+        # one block's edges is CELL_BLOCK * 8 bytes; the 2048 grid's edges
+        # alone are about 13 times that
+        assert peaks[1] - peaks[0] < CELL_BLOCK * 8
 
 
 class TestDiscretizedFactor:
