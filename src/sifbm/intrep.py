@@ -104,28 +104,15 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class KernelGrid:
-    """Concrete integration cells, given by their read-only edges.  Singular
-    points (0 and every mass) sit on cell edges, so midpoint evaluation stays
-    at least half a cell away from every singularity."""
-
-    edges: np.ndarray
-
-    def __post_init__(self):
-        self.edges.flags.writeable = False
-
-    @property
-    def n_cells(self) -> int:
-        """The cell count, which ``benchmark/tracing.py`` reads."""
-        return self.edges.size - 1
-
-
-def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> KernelGrid:
-    """The whole grid for a masses list: the blocks of ``_kernel_grid_blocks``
-    joined.  The quadrature never forms it."""
+def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> np.ndarray:
+    """The read-only edges of the whole grid for a masses list: the blocks of
+    ``_kernel_grid_blocks`` joined.  Singular points (0 and every mass, up to
+    the snap tolerance) sit on cell edges, so midpoint evaluation stays about
+    half a cell away from every singularity.  The quadrature never forms it."""
     blocks = list(_kernel_grid_blocks(masses, spec))
-    return KernelGrid(np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])]))
+    edges = np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])])
+    edges.flags.writeable = False
+    return edges
 
 
 def _kernel_grid_blocks(masses, spec: GridSpec):
@@ -139,8 +126,10 @@ def _kernel_grid_blocks(masses, spec: GridSpec):
     base cells at a time with linspace's own operations.  A base edge closer
     to a singular point (0 or a mass) than 4 * refine_factor ulps of the
     grid's extent max(-u_min, u_max) is moved onto it, and the other singular
-    points are inserted between base edges.  Every cell within the refinement
-    radius of a singular point is split into ``refine_factor`` equal parts.
+    points are inserted between base edges.  A mass that close to the
+    singular point kept below it is not one itself.  Every cell within the
+    refinement radius of a singular point is split into ``refine_factor``
+    equal parts.
     Each of these steps reads only the cell it acts on, so no block depends
     on the whole grid."""
     positive = sorted({float(m) for m in masses if m > 0})
@@ -151,14 +140,20 @@ def _kernel_grid_blocks(masses, spec: GridSpec):
     u_max = (1.0 + spec.margin) * max_mass
     n_base = int(round((u_max - u_min) / (max_mass / spec.cells_per_mass)))
     step = (u_max - u_min) / n_base
-    crit = np.array((0.0, *positive))
     # base edges are rounded to about an ulp of the extent, so the one nearest
     # a singular point is moved onto it when that close: left beside it, the
     # sliver between them would be split into pieces of a few ulps, which can
-    # have zero width or a midpoint on the point
+    # have zero width or a midpoint on the point.  A singular point that close
+    # to the previous one kept is dropped, for the same reason.
+    tol = 4 * spec.refine_factor * np.spacing(max(-u_min, u_max))
+    crit = [0.0]
+    for m in positive:
+        if m - crit[-1] > tol:
+            crit.append(m)
+    crit = np.array(crit)
     nearest = np.clip(np.rint((crit - u_min) / step), 0, n_base).astype(np.intp)
     edge = np.where(nearest == n_base, u_max, nearest * step + u_min)
-    snap = np.abs(edge - crit) <= 4 * spec.refine_factor * np.spacing(max(-u_min, u_max))
+    snap = np.abs(edge - crit) <= tol
     snap_at, snap_to = nearest[snap], crit[snap]
     radius = spec.refine_radius_frac * max_mass
     pending = np.empty(0)

@@ -6,7 +6,8 @@ flow characterization of the field:
   1. psi(U) = (E[X_U^2])^{1/(2H)} recovers a set function on boxes from
      ensemble variances (or analytically, from Lebesgue measure).
   2. psi extends to left-neighborhoods C = U \\ (U_1 u ... u U_n) by
-     inclusion-exclusion, and is additive on disjoint pieces.
+     inclusion-exclusion.  On a nested split V = (V \\ U) u U that extension
+     is additive for any table, measure or not, so nothing tests it there.
   3. A finite cover family yields an outer measure: the minimum of
      sum psi(C_i) over sub-families covering the target (every sub-family
      enumerated as arrays, family capped at 16 elements).
@@ -14,7 +15,7 @@ flow characterization of the field:
      are measurable (additive inside/outside splits), and the analytic
      variance of set differences is outer-continuous along shrinking
      sequences.
-  5. ``recover_measure`` bundles the recovery, additivity and extension
+  5. ``recover_measure`` bundles the recovery, monotonicity and extension
      checks into a pass/fail report; ``characterize`` adds flow variance
      profiles, Gaussianity diagnostics and the covariance comparison.
 
@@ -44,7 +45,6 @@ from .rects import (
     rect_contains,
     rect_measure,
     region_disjoint_ae,
-    region_equal_ae,
     region_subset_ae,
     symdiff_measure,
 )
@@ -130,27 +130,6 @@ def psi_on_C_with_se(table: PreMeasureTable, c: LeftNeighborhood) -> tuple[float
         total += sign * v
         var += se**2
     return total, float(np.sqrt(var))
-
-
-def check_additivity(
-    table: PreMeasureTable,
-    c1: LeftNeighborhood,
-    c2: LeftNeighborhood,
-    union_expr: LeftNeighborhood,
-) -> tuple[float, float]:
-    """Residual |psi(c1 u c2) - psi(c1) - psi(c2) + psi(c1 n c2)|, with the
-    standard errors of the four pieces added in quadrature.
-
-    The caller supplies the union as a left-neighborhood; it is verified (up
-    to null sets) to actually equal c1 u c2.  The intersection is computed in
-    closed form, since the class is closed under intersections.
-    """
-    if not region_equal_ae([c1, c2], union_expr):
-        raise ValueError("union_expr does not equal c1 u c2 (up to null sets)")
-    parts = [psi_on_C_with_se(table, p) for p in (union_expr, c1, c2, c1.intersect(c2))]
-    (union, _), (a, _), (b, _), (inter, _) = parts
-    resid = abs(union - a - b + inter)
-    return resid, float(np.sqrt(sum(se**2 for _, se in parts)))
 
 
 @dataclass(frozen=True)
@@ -333,6 +312,8 @@ class Thresholds:
     a 95% pass fraction, 4-sigma moment z-tests, 3-sigma monotonicity and
     extension bands, and a recovery tolerance of max(5% relative,
     4 propagated standard errors) on indices with measure >= psi_floor.
+    Nested splits are additive for any table, so no band tests them; the
+    extension band is the one that tests that psi is a measure.
     """
 
     profile_se_mult: float = 4.0
@@ -342,7 +323,6 @@ class Thresholds:
     psi_recovery_se_mult: float = 4.0
     psi_floor: float = 0.1
     monotonicity_se_mult: float = 3.0
-    additivity_se_mult: float = 3.0
     extension_se_mult: float = 3.0
     covariance_se_mult: float = 3.0
     covariance_pass_fraction: float = 0.99
@@ -464,32 +444,6 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
     ]
 
 
-def _comparable_pairs(indices, limit=20):
-    """The first ``limit`` pairs (u, v), in ``itertools.combinations`` order,
-    with u inside v and 0 < m(u) < m(v)."""
-    m = np.array([rect_measure(u) for u in indices])
-    ok = _containment(indices) & (m[:, None] > 0) & (m[None] > m[:, None])
-    a, b = np.nonzero(np.triu(ok, 1))
-    return [(indices[i], indices[j]) for i, j in zip(a[:limit], b[:limit])]
-
-
-def _additivity_criterion(table, thr) -> CriterionResult:
-    worst, detail, passed, count = 0.0, "", True, 0
-    for u, v in _comparable_pairs(table.boxes):
-        c1 = LeftNeighborhood(v, (u,))
-        c2 = LeftNeighborhood(u)
-        union_expr = LeftNeighborhood(v)
-        resid, se = check_additivity(table, c1, c2, union_expr)
-        count += 1
-        if resid > thr.additivity_se_mult * se:
-            passed = False
-        if resid > worst:
-            worst, detail = resid, f"{u!r} inside {v!r}"
-    return CriterionResult(
-        "additivity", passed, worst, 0.0, f"worst residual over {count} splits ({detail})"
-    )
-
-
 def _extension_criterion(table, covers, thr) -> CriterionResult:
     arr = CellArrangement([table.boxes, covers.elements])
     uncovered = ~arr.mask(covers.elements)
@@ -563,13 +517,12 @@ def recover_measure(
     thresholds: Thresholds | None = None,
     table_indices=None,
 ) -> tuple[CharacterizationReport, PreMeasureTable]:
-    """Measure-recovery verdict: psi recovery and monotonicity,
-    inclusion-exclusion additivity and outer-measure extension, together
-    with the recovered table they were computed from."""
+    """Measure-recovery verdict: psi recovery and monotonicity and
+    outer-measure extension, together with the recovered table they were
+    computed from."""
     thr = thresholds or Thresholds()
     table = PreMeasureTable.from_ensemble(e, table_indices)
     criteria = _psi_criteria(table, thr)
-    criteria.append(_additivity_criterion(table, thr))
     criteria.append(_extension_criterion(table, covers, thr))
     return CharacterizationReport(tuple(criteria)), table
 

@@ -213,13 +213,6 @@ class LeftNeighborhood:
             _check_same_dim(self.base, s)
         object.__setattr__(self, "subtracted", subs)
 
-    def intersect(self, other: "LeftNeighborhood") -> "LeftNeighborhood":
-        """(U \\ uA) n (V \\ uB) = (U n V) \\ u(A u B)."""
-        return LeftNeighborhood(
-            rect_intersection(self.base, other.base),
-            self.subtracted + other.subtracted,
-        )
-
     def intersect_rect(self, r: Rect) -> "LeftNeighborhood":
         return LeftNeighborhood(rect_intersection(self.base, r), self.subtracted)
 
@@ -319,8 +312,3 @@ def region_disjoint_ae(a: Region | Iterable[Region], b: Region | Iterable[Region
     arr = CellArrangement([a, b])
     return not np.any(arr.mask(a) & arr.mask(b))
 
-
-def region_equal_ae(a: Region | Iterable[Region], b: Region | Iterable[Region]) -> bool:
-    """True if a and b differ only by a Lebesgue-null set."""
-    arr = CellArrangement([a, b])
-    return np.array_equal(arr.mask(a), arr.mask(b))

@@ -423,6 +423,16 @@ class TestCli:
         assert main(["verify-intrep", "--config", str(path), "--jobs", "8"]) == 0
         assert (out / "intrep.json").read_bytes() == one
 
+    def test_masses_ulps_apart_give_finite_intrep(self, tmp_path):
+        rep = dict(BASE_CONFIG["integral_rep"], masses=[0.3, 0.30000000000000004])
+        path, _ = make_config(tmp_path, integral_rep=rep)
+        # refinement compares two errors at the round-off floor here, as it
+        # does for a single mass, so the exit code is not pinned
+        assert main(["verify-intrep", "--config", str(path)]) in (0, 2)
+        text = (tmp_path / "out" / "intrep.json").read_text()
+        report = json.loads(text, parse_constant=pytest.fail)
+        assert {c["name"]: c["passed"] for c in report["criteria"]}["covariance_H0.3"]
+
     def test_seed_changes_artifacts(self, tmp_path):
         path, _ = make_config(tmp_path)
         out = tmp_path / "out"
@@ -676,11 +686,12 @@ class TestCli:
         # acceptance config are loaded by the tests that use them
         load_config(SRC.parents[1] / config)
 
-    def test_removed_analytic_tol_is_config_error(self, tmp_path, capsys):
-        path, _ = make_config(tmp_path, thresholds={"analytic_tol": 1e-12})
+    @pytest.mark.parametrize("key", ["analytic_tol", "additivity_se_mult"])
+    def test_removed_threshold_is_config_error(self, tmp_path, capsys, key):
+        path, _ = make_config(tmp_path, thresholds={key: 1e-12})
         assert main(["recover-measure", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("sifbm: config error:") and "analytic_tol" in err
+        assert err.startswith("sifbm: config error:") and f"thresholds.{key}" in err
 
     def test_cover_element_without_base_is_config_error(self, tmp_path, capsys):
         covers = {"elements": [{"subtract": [[1.0, 1.0]]}]}

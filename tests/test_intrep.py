@@ -37,8 +37,9 @@ COARSE = GridSpec(cells_per_mass=512)
 def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
     """The grid in one piece, through np.unique: a whole linspace base, each
     singular point's nearest base edge moved onto it when within
-    4 * refine_factor ulps of the extent, and every cell near a singular
-    point split."""
+    4 * refine_factor ulps of the extent (a mass that close to the singular
+    point kept below it is dropped), and every cell near a singular point
+    split."""
     masses = [float(m) for m in masses]
     max_mass = max(masses)
     u_min = -spec.truncation_factor * max_mass
@@ -46,10 +47,15 @@ def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
     step = max_mass / spec.cells_per_mass
     n_base = int(round((u_max - u_min) / step))
     base = np.linspace(u_min, u_max, n_base + 1)
-    crit = np.array(sorted({0.0} | {m for m in masses if m > 0}))
+    tol = 4 * spec.refine_factor * np.spacing(max(-u_min, u_max))
+    crit = [0.0]
+    for m in sorted(m for m in masses if m > 0):
+        if m > crit[-1] + tol:
+            crit.append(m)
+    crit = np.array(crit)
     for c in crit:
         i = np.argmin(np.abs(base - c))
-        if abs(base[i] - c) <= 4 * spec.refine_factor * np.spacing(max(-u_min, u_max)):
+        if abs(base[i] - c) <= tol:
             base[i] = c
     edges = np.unique(np.concatenate([base, crit]))
     radius = spec.refine_radius_frac * max_mass
@@ -75,7 +81,7 @@ def _cells(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _loop_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T with one ``mvn_kernel`` call per mass, summed over
     the quadrature's blocks of CELL_BLOCK cells."""
-    edges = build_kernel_grid(masses, spec).edges
+    edges = build_kernel_grid(masses, spec)
     gram = np.zeros((len(masses), len(masses)))
     for start in range(0, edges.size - 1, CELL_BLOCK):
         mids, widths = _cells(edges[start:start + CELL_BLOCK + 1])
@@ -97,7 +103,7 @@ def _loop_normalization_const(h: HurstParam, spec: GridSpec) -> float:
 
 def _whole_grid_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T in one product over every cell of the grid."""
-    mids, widths = _cells(build_kernel_grid(masses, spec).edges)
+    mids, widths = _cells(build_kernel_grid(masses, spec))
     kmat = mvn_kernel(np.asarray(masses, dtype=float)[:, None], mids, h)
     return (kmat * widths) @ kmat.T
 
@@ -149,23 +155,23 @@ class TestKernel:
 
 class TestGrid:
     def test_singularities_on_edges(self):
-        g = build_kernel_grid([0.25, 1.0], COARSE)
+        edges = build_kernel_grid([0.25, 1.0], COARSE)
         for s in (0.0, 0.25, 1.0):
-            assert np.min(np.abs(g.edges - s)) == 0.0
+            assert np.min(np.abs(edges - s)) == 0.0
 
     def test_midpoints_off_singularities(self):
-        mids, widths = _cells(build_kernel_grid([0.25, 1.0], COARSE).edges)
+        mids, widths = _cells(build_kernel_grid([0.25, 1.0], COARSE))
         for s in (0.0, 0.25, 1.0):
             gap = np.abs(mids - s)
             assert np.all(gap >= widths / 2 - 1e-15)
 
     def test_truncation_bounds(self):
-        g = build_kernel_grid([2.0], COARSE)
-        assert g.edges[0] == pytest.approx(-50.0 * 2.0)
-        assert g.edges[-1] == pytest.approx(2.0 * 2.0)
+        edges = build_kernel_grid([2.0], COARSE)
+        assert edges[0] == pytest.approx(-50.0 * 2.0)
+        assert edges[-1] == pytest.approx(2.0 * 2.0)
 
     def test_refinement_increases_cells_near_singularities(self):
-        mids, widths = _cells(build_kernel_grid([1.0], COARSE).edges)
+        mids, widths = _cells(build_kernel_grid([1.0], COARSE))
         base_step = 1.0 / COARSE.cells_per_mass
         near = np.abs(mids) < 0.01
         assert np.all(widths[near] < base_step)
@@ -203,7 +209,7 @@ class TestGrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intrep, "CELL_BLOCK", block)
             blocks = list(intrep._kernel_grid_blocks(masses, spec))
-            got = build_kernel_grid(masses, spec).edges
+            got = build_kernel_grid(masses, spec)
         assert all(b.size == block + 1 for b in blocks[:-1])
         assert 1 < blocks[-1].size <= block + 1
         assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
@@ -231,22 +237,27 @@ class TestGrid:
     @example(masses=[0.1, 0.17], hv=0.3, spec=GridSpec(cells_per_mass=256, refine_factor=4))
     # a base edge 37 of the mass's ulps off it: a rounding sliver of the base
     @example(masses=[0.1, 1.87], hv=0.3, spec=GridSpec(cells_per_mass=4096))
+    # masses an ulp apart: the upper one, inserted beside the lower as a
+    # singular point, made zero-width cells and a NaN Gram
+    @example(masses=[0.3, np.nextafter(0.3, 1)], hv=0.3, spec=GridSpec(cells_per_mass=256))
     def test_cells_have_width_and_grams_are_finite(self, masses, hv, spec):
         # no cell is a sliver of a few ulps, let alone of zero width
-        edges = build_kernel_grid(masses, spec).edges
+        edges = build_kernel_grid(masses, spec)
         assert np.all(np.diff(edges) > 2 * np.spacing(max(-edges[0], edges[-1])))
-        assert np.all(np.isfinite(intrep._kernel_gram(np.asarray(masses), HurstParam(hv), spec)))
+        gram = intrep._kernel_gram(np.asarray(masses), HurstParam(hv), spec)
+        assert np.all(np.isfinite(gram))
+        assert np.min(np.linalg.eigvalsh(gram)) >= -1e-12 * np.max(gram)
 
     def test_edges_read_only(self):
-        g = build_kernel_grid([0.5, 1.0], GridSpec(cells_per_mass=64))
+        edges = build_kernel_grid([0.5, 1.0], GridSpec(cells_per_mass=64))
         with pytest.raises(ValueError, match="read-only"):
-            g.edges[0] = 0.0
+            edges[0] = 0.0
 
     def test_sequence_types_zeros_and_repeats_give_one_grid(self):
         spec = GridSpec(cells_per_mass=48)
-        want = build_kernel_grid([0.5, 1.0], spec).edges
+        want = build_kernel_grid([0.5, 1.0], spec)
         for masses in ((0.5, 1.0), np.array([0.5, 1.0]), [0.0, 0.5, 0.5, 1.0], (1.0, 0.5, 0.0)):
-            got = build_kernel_grid(masses, spec).edges
+            got = build_kernel_grid(masses, spec)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_no_positive_mass_rejected(self):
@@ -260,7 +271,7 @@ class TestNormalization:
         for hv in (0.2, 0.35):
             h = HurstParam(hv)
             c = normalization_const(h, COARSE)
-            mids, widths = _cells(build_kernel_grid([1.0], COARSE).edges)
+            mids, widths = _cells(build_kernel_grid([1.0], COARSE))
             k = mvn_kernel(1.0, mids, h)
             integral = float(np.sum(k * k * widths))
             assert c**2 * integral == pytest.approx(1.0, abs=1e-12)
@@ -272,7 +283,7 @@ class TestNormalization:
         h = HurstParam(0.3)
 
         def integral(spec):
-            mids, widths = _cells(build_kernel_grid([1.0], spec).edges)
+            mids, widths = _cells(build_kernel_grid([1.0], spec))
             k = mvn_kernel(1.0, mids, h)
             return float(np.sum(k * k * widths))
 
@@ -436,7 +447,7 @@ class TestBlockedQuadrature:
     @example(masses=[0.5, 1.0], hv=0.3, spec=GridSpec(cells_per_mass=1024), blocks="module")
     def test_matches_whole_grid_product(self, masses, hv, spec, blocks):
         h = HurstParam(hv)
-        n_cells = build_kernel_grid(masses, spec).n_cells
+        n_cells = len(build_kernel_grid(masses, spec)) - 1
         block = {
             "below": n_cells + 1, "equal": n_cells, "one_above": n_cells - 1,
             "several": max(n_cells // 5, 1), "module": CELL_BLOCK,
@@ -462,7 +473,7 @@ class TestBlockedQuadrature:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert build_kernel_grid(masses, spec).n_cells > 2 * CELL_BLOCK
+            assert len(build_kernel_grid(masses, spec)) - 1 > 2 * CELL_BLOCK
         # one block's edges is CELL_BLOCK * 8 bytes; the 2048 grid's edges
         # alone are about 13 times that
         assert peaks[1] - peaks[0] < CELL_BLOCK * 8
