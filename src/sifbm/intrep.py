@@ -21,12 +21,16 @@ normalization's included, is one blocked sum: the grid's edges are generated
 CELL_BLOCK cells at a time, and K diag(widths) K^T is added up over those
 consecutive blocks, each block's midpoints and widths taken from its edges.
 So neither a (masses, cells) array nor a whole grid is formed, and memory
-stays a few blocks whatever the cell count.  ``build_kernel_grid`` joins the
-same blocks into the whole grid; the quadrature does not call it.
-CELL_BLOCK is part of the quadrature's definition, as STREAM_BLOCK is part
-of the draw's: the block sums fix its rounding.  ``normalization_const`` is
-computed once per (H, spec) and process, in a ``functools.cache`` that
-``cache_clear`` empties.
+stays a few blocks whatever the cell count.  One walk of a grid serves every
+H: ``_kernel_grams`` adds each block to the Gram of each H asked for, and
+each Gram is bit for bit the one a walk for its H alone gives.
+``verify_intrep`` asks for each grid it needs once, for all its H, so no
+Gram is computed twice there.  ``build_kernel_grid`` joins the same blocks
+into the whole grid; the quadrature does not call it.  CELL_BLOCK is part of
+the quadrature's definition, as STREAM_BLOCK is part of the draw's: the
+block sums fix its rounding.  ``normalization_const`` is computed once per
+(H, spec) and process, in a ``functools.cache`` that ``cache_clear``
+empties; ``verify_intrep`` derives its constants from its own Grams.
 
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
@@ -51,6 +55,11 @@ from .recovery import CharacterizationReport, CriterionResult
 # Eigenvalues of the discretized covariance below this fraction of the largest
 # are round-off of a rank-deficient matrix and are clipped to zero.
 _EIG_CLIP = 1e-12
+
+# A discretization error at most this fraction of the largest covariance is
+# round-off, which refinement cannot be expected to reduce: single-mass
+# variances are exact by scaling.
+_ROUND_OFF = 1e-12
 
 # Cells per block of the kernel quadrature's sum; see the module docstring.
 CELL_BLOCK = 8192
@@ -220,18 +229,22 @@ def mvn_kernel(mass, u, h: HurstParam):
     return np.abs(mass - u) ** a - np.abs(u) ** a
 
 
-def _kernel_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    """K diag(widths) K^T on the grid of ``masses``, summed over blocks of
-    CELL_BLOCK cells in order."""
-    gram = np.zeros((masses.size, masses.size))
+def _kernel_grams(masses: np.ndarray, hs, spec: GridSpec) -> list[np.ndarray]:
+    """K diag(widths) K^T on the grid of ``masses`` for each H of ``hs``, in
+    one pass over the grid: each block of CELL_BLOCK cells has its midpoints
+    and widths taken once and is added to every H's Gram, so each Gram is
+    the sum over the blocks in order."""
+    grams = [np.zeros((masses.size, masses.size)) for _ in hs]
     for e in _kernel_grid_blocks(masses, spec):
-        k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
-        gram += (k * np.diff(e)) @ k.T
-    return gram
+        u, w = 0.5 * (e[:-1] + e[1:]), np.diff(e)
+        for h, gram in zip(hs, grams):
+            k = mvn_kernel(masses[:, None], u, h)
+            gram += (k * w) @ k.T
+    return grams
 
 
 def _unit_integral(h: HurstParam, spec: GridSpec) -> float:
-    return float(_kernel_gram(np.ones(1), h, spec)[0, 0])
+    return float(_kernel_grams(np.ones(1), (h,), spec)[0][0, 0])
 
 
 @functools.cache
@@ -248,8 +261,12 @@ def normalization_const(h: HurstParam, spec: GridSpec) -> float:
     grids (small H, few cells per mass) stay usable.  Each (h, spec) is
     computed once per process; a raised error is not cached.
     """
-    integral = _unit_integral(h, spec)
-    refined = _unit_integral(h, spec.refine(2))
+    return _checked_const(h, _unit_integral(h, spec), _unit_integral(h, spec.refine(2)))
+
+
+def _checked_const(h: HurstParam, integral: float, refined: float) -> float:
+    """C(H) from the unit-mass integral on a spec and on the spec refined by
+    2; ResolutionError when the two differ by more than 5e-2 relative."""
     err = abs(integral - refined) / refined
     # The singular-cell quadrature deficit scales like cell^{2H}, so small H
     # needs dense refinement; past 5% the constant would no longer track the
@@ -313,7 +330,7 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
 
 
 def _kernel_covariance(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    return normalization_const(h, spec) ** 2 * _kernel_gram(masses, h, spec)
+    return normalization_const(h, spec) ** 2 * _kernel_grams(masses, (h,), spec)[0]
 
 
 def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:
@@ -337,12 +354,22 @@ def discretized_factor(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np
     if h.is_half:
         raise HalfCaseError()
     distinct, inverse = np.unique(masses, return_inverse=True)
+    positive = distinct[distinct > 0]
+    cov = _kernel_covariance(positive, h, spec) if positive.size else np.zeros((0, 0))
+    return _distinct_factor(distinct, cov)[inverse]
+
+
+def _distinct_factor(distinct: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The factor's rows for the sorted distinct masses ``distinct``, from
+    ``cov``, the covariance of their positive ones: an eigendecomposition
+    with eigenvalues below _EIG_CLIP of the largest clipped to 0, and a zero
+    row for a zero mass."""
     positive = distinct > 0
     fd = np.zeros((distinct.size, int(np.count_nonzero(positive))))
     if positive.any():
-        lam, vec = np.linalg.eigh(_kernel_covariance(distinct[positive], h, spec))
+        lam, vec = np.linalg.eigh(cov)
         fd[positive] = vec * np.sqrt(np.where(lam > _EIG_CLIP * lam[-1], lam, 0.0))
-    return fd[inverse]
+    return fd
 
 
 def fbm_covariance(masses, h: HurstParam) -> np.ndarray:
@@ -368,36 +395,76 @@ def _worst_sigma(paths: np.ndarray, want: np.ndarray) -> float:
 def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
     """Verdict on the moving-average representation: per H, single-mass
     variances against theta^{2H}, the covariance along ``ir.masses`` against
-    the closed form, and a refinement that reduces the discretization error;
-    then the H = 1/2 Brownian covariance.  Every draw has its own seed,
-    derived from ``seed`` and its position in this list."""
+    the closed form, and a refinement that reduces the discretization error
+    (or starts from round-off); then the H = 1/2 Brownian covariance.  Every
+    draw has its own seed, derived from ``seed`` and its position in this
+    list.
+
+    Each kernel grid the checks need is walked once, for every H at once,
+    and no Gram is computed twice.  The normalization constants, draws and
+    variance factors are bit for bit those of ``normalization_const``,
+    ``simulate_via_integral`` and ``discretized_factor``; the refinement's
+    covariances are the draw's, over the distinct positive masses, put on
+    ``ir.masses``."""
     tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
+    hs = [HurstParam(hv) for hv in ir.hursts]
+    specs = (ir.grid, ir.grid.refine_overall(2))
+    walked = {}
+
+    def grams(masses, spec: GridSpec) -> list[np.ndarray]:
+        """Every H's Gram of ``masses`` (sorted distinct positive) on ``spec``."""
+        key = (tuple(masses), spec)
+        if key not in walked:
+            walked[key] = (
+                _kernel_grams(np.array(masses, dtype=float), hs, spec)
+                if len(masses) else [np.zeros((0, 0))] * len(hs)
+            )
+        return walked[key]
+
+    masses = validate_masses(ir.masses)
+    distinct, inverse = np.unique(masses, return_inverse=True)
+    positive = distinct > 0
+
+    def on_masses(cov: np.ndarray) -> np.ndarray:
+        """A covariance of the distinct positive masses, on ``ir.masses``."""
+        full = np.zeros((distinct.size, distinct.size))
+        full[np.ix_(positive, positive)] = cov
+        return full[np.ix_(inverse, inverse)]
+
     out = []
-    for hi, hv in enumerate(ir.hursts):
-        h = HurstParam(hv)
+    for hi, (hv, h) in enumerate(zip(ir.hursts, hs)):
+        c2 = [
+            _checked_const(h, float(grams([1.0], s)[hi][0, 0]),
+                           float(grams([1.0], s.refine(2))[hi][0, 0])) ** 2
+            for s in specs
+        ]
         for ti, theta in enumerate(ir.variance_masses):
-            paths = simulate_via_integral([theta], _derived_seed(seed, 1, hi, ti), ir.n_samples, h, ir.grid)
+            f = _distinct_factor(np.array([theta]), c2[0] * grams([theta], ir.grid)[hi])
+            paths = block_draw(_derived_seed(seed, 1, hi, ti), ir.n_samples, f.T)
             var = float(np.mean(paths[:, 0] ** 2))
             want = theta ** (2 * hv)
             rel = abs(var - want) / want
             name = f"variance_H{hv}_theta{theta}"
             detail = f"relative error of the sample variance against {want:.6g}"
             out.append(CriterionResult(name, rel <= tol, rel, tol, detail))
-        paths = simulate_via_integral(ir.masses, _derived_seed(seed, 2, hi), ir.n_samples, h, ir.grid)
-        want = fbm_covariance(ir.masses, h)
+        base_cov, fine_cov = (c * grams(distinct[positive], s)[hi] for c, s in zip(c2, specs))
+        f = _distinct_factor(distinct, base_cov)
+        paths = block_draw(_derived_seed(seed, 2, hi), ir.n_samples, f.T)[:, inverse]
+        want = fbm_covariance(masses, h)
         worst = _worst_sigma(paths, want)
         detail = "worst sample covariance entry against fBm, in standard errors"
         out.append(CriterionResult(f"covariance_H{hv}", worst <= se_mult, worst, se_mult, detail))
         base_err, fine_err = (
-            float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
-            for spec in (ir.grid, ir.grid.refine_overall(2))
+            float(np.max(np.abs(on_masses(cov) - want))) for cov in (base_cov, fine_cov)
         )
+        round_off = base_err <= _ROUND_OFF * float(np.max(np.abs(want)))
         detail = "max covariance error of the doubled grid, against the grid's own"
-        passed = fine_err < base_err
+        if round_off and not fine_err < base_err:
+            detail += f", which is round-off (at most {_ROUND_OFF:g} of the largest covariance)"
+        passed = fine_err < base_err or round_off
         out.append(CriterionResult(f"refinement_H{hv}", passed, fine_err, base_err, detail))
     paths = half_case_simulate(ir.masses, seed=_derived_seed(seed, 3), n_samples=ir.n_samples)
-    m = np.asarray(ir.masses)
-    worst = _worst_sigma(paths, np.minimum(m[:, None], m[None, :]))
+    worst = _worst_sigma(paths, np.minimum(masses[:, None], masses[None, :]))
     detail = "worst sample covariance entry against min(s, t), in standard errors"
     out.append(CriterionResult("half_case_covariance", worst <= se_mult, worst, se_mult, detail))
     return CharacterizationReport(tuple(out))

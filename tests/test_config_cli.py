@@ -426,12 +426,25 @@ class TestCli:
     def test_masses_ulps_apart_give_finite_intrep(self, tmp_path):
         rep = dict(BASE_CONFIG["integral_rep"], masses=[0.3, 0.30000000000000004])
         path, _ = make_config(tmp_path, integral_rep=rep)
-        # refinement compares two errors at the round-off floor here, as it
-        # does for a single mass, so the exit code is not pinned
+        # the upper mass is not a singular point of the grid, and both
+        # refinement errors sit near 1.8e-10 of the covariance: above the
+        # round-off floor, but so close that the doubled grid need not be
+        # the smaller, so the exit code is not pinned
         assert main(["verify-intrep", "--config", str(path)]) in (0, 2)
         text = (tmp_path / "out" / "intrep.json").read_text()
         report = json.loads(text, parse_constant=pytest.fail)
         assert {c["name"]: c["passed"] for c in report["criteria"]}["covariance_H0.3"]
+
+    @pytest.mark.parametrize("masses", [[0.3], [1.0], [1.0, 1.0]])
+    def test_single_distinct_mass_passes_refinement(self, tmp_path, masses):
+        # one distinct mass is exact by scaling on every grid, so both
+        # refinement errors are round-off and the criterion passes on the floor
+        rep = dict(BASE_CONFIG["integral_rep"], masses=masses)
+        path, _ = make_config(tmp_path, integral_rep=rep)
+        assert main(["verify-intrep", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "intrep.json").read_text())
+        (refinement,) = [c for c in report["criteria"] if c["name"] == "refinement_H0.3"]
+        assert refinement["passed"] and refinement["threshold"] <= 1e-12
 
     def test_seed_changes_artifacts(self, tmp_path):
         path, _ = make_config(tmp_path)

@@ -6,6 +6,7 @@ tolerances; the acceptance suite exercises the default grid.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from sifbm.flows import flow_weights, flows_through, project, time_change
 from sifbm.gaussian import STREAM_BLOCK, HurstParam, build_cov_matrix, cholesky, sample_ensemble
 from sifbm import intrep
+from sifbm.config import load_config
 from sifbm.intrep import (
     CELL_BLOCK,
     GridSpec,
@@ -29,9 +31,11 @@ from sifbm.intrep import (
     simulate_via_integral,
     verify_intrep,
 )
+from sifbm.recovery import CriterionResult
 from sifbm.rects import rect
 
 COARSE = GridSpec(cells_per_mass=512)
+INTREP_COARSE = Path(__file__).resolve().parents[1] / "benchmark" / "configs" / "intrep_coarse.json"
 
 
 def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
@@ -244,7 +248,7 @@ class TestGrid:
         # no cell is a sliver of a few ulps, let alone of zero width
         edges = build_kernel_grid(masses, spec)
         assert np.all(np.diff(edges) > 2 * np.spacing(max(-edges[0], edges[-1])))
-        gram = intrep._kernel_gram(np.asarray(masses), HurstParam(hv), spec)
+        gram = intrep._kernel_grams(np.asarray(masses), (HurstParam(hv),), spec)[0]
         assert np.all(np.isfinite(gram))
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-12 * np.max(gram)
 
@@ -456,7 +460,7 @@ class TestBlockedQuadrature:
         want = _whole_grid_gram(masses, h, spec)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intrep, "CELL_BLOCK", block)
-            got = intrep._kernel_gram(np.asarray(masses, dtype=float), h, spec)
+            got = intrep._kernel_grams(np.asarray(masses, dtype=float), (h,), spec)[0]
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -469,7 +473,7 @@ class TestBlockedQuadrature:
             spec = GridSpec(cells_per_mass=cells_per_mass)
             tracemalloc.start()
             try:
-                intrep._kernel_gram(masses, h, spec)
+                intrep._kernel_grams(masses, (h,), spec)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -477,6 +481,137 @@ class TestBlockedQuadrature:
         # one block's edges is CELL_BLOCK * 8 bytes; the 2048 grid's edges
         # alone are about 13 times that
         assert peaks[1] - peaks[0] < CELL_BLOCK * 8
+
+
+def _per_h_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """K diag(widths) K^T for one H, summed over the quadrature's blocks in
+    order: one walk of the grid per H."""
+    gram = np.zeros((masses.size, masses.size))
+    for e in intrep._kernel_grid_blocks(masses, spec):
+        k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
+        gram += (k * np.diff(e)) @ k.T
+    return gram
+
+
+class TestKernelGrams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        masses=st.lists(_LEVELS, min_size=1, max_size=6).map(sorted).filter(lambda m: m[-1] > 0),
+        hvs=st.lists(st.floats(0.01, 0.5, exclude_max=True), min_size=1, max_size=3),
+        spec=st.builds(
+            GridSpec,
+            truncation_factor=st.sampled_from([0.5, 2.0]),
+            margin=st.sampled_from([0.25, 1.0]),
+            cells_per_mass=st.sampled_from([8, 16, 64]),
+            refine_factor=st.sampled_from([1, 2, 4]),
+            refine_radius_frac=st.sampled_from([0.0, 0.01, 0.3]),
+        ),
+        # small blocks make every Gram a sum over several blocks
+        block=st.one_of(st.integers(1, 40), st.just(CELL_BLOCK)),
+    )
+    # repeated H values, and zero and repeated masses
+    @example(masses=[0.0, 0.5, 0.5, 1.0], hvs=[0.3, 0.3, 0.1], spec=GridSpec(cells_per_mass=16),
+             block=7)
+    def test_each_gram_equals_its_own_walk(self, masses, hvs, spec, block):
+        masses, hs = np.asarray(masses), [HurstParam(hv) for hv in hvs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intrep, "CELL_BLOCK", block)
+            got = intrep._kernel_grams(masses, hs, spec)
+            want = [_per_h_gram(masses, h, spec) for h in hs]
+        assert len(got) == len(hs)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def _reference_verify(ir: IntRepConfig, seed: int) -> list[CriterionResult]:
+    """The variance, covariance and refinement criteria of ``verify_intrep``
+    from the public functions, which walk each grid once per call and H."""
+    out = []
+    for hi, hv in enumerate(ir.hursts):
+        h = HurstParam(hv)
+        for ti, theta in enumerate(ir.variance_masses):
+            paths = simulate_via_integral([theta], intrep._derived_seed(seed, 1, hi, ti),
+                                          ir.n_samples, h, ir.grid)
+            want = theta ** (2 * hv)
+            rel = abs(float(np.mean(paths[:, 0] ** 2)) - want) / want
+            out.append(CriterionResult(f"variance_H{hv}_theta{theta}", rel <= ir.variance_rel_tol,
+                                       rel, ir.variance_rel_tol))
+        paths = simulate_via_integral(ir.masses, intrep._derived_seed(seed, 2, hi),
+                                      ir.n_samples, h, ir.grid)
+        want = fbm_covariance(ir.masses, h)
+        worst = intrep._worst_sigma(paths, want)
+        out.append(CriterionResult(f"covariance_H{hv}", worst <= ir.covariance_se_mult, worst,
+                                   ir.covariance_se_mult))
+        base_err, fine_err = (
+            float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
+            for spec in (ir.grid, ir.grid.refine_overall(2))
+        )
+        out.append(CriterionResult(f"refinement_H{hv}", fine_err < base_err, fine_err, base_err))
+    return out
+
+
+class TestVerifyIntrep:
+    def test_walks_each_grid_once(self, monkeypatch):
+        # per H: two unit-mass grids for each of the two specs' constants,
+        # each variance mass and the masses on the configured grid, and the
+        # masses on the doubled one; the unit mass is also variance mass 1.0
+        ir = load_config(INTREP_COARSE).intrep
+        assert ir.masses == (0.8, 0.9, 1.0) and 1.0 in ir.variance_masses
+        assert len(ir.variance_masses) == 3 and len(ir.hursts) == 2
+        walks, cells = [], []
+        blocks = intrep._kernel_grid_blocks
+
+        def counted(masses, spec):
+            walks.append((tuple(masses), spec))
+            for e in blocks(masses, spec):
+                cells.append(e.size - 1)
+                yield e
+
+        monkeypatch.setattr(intrep, "_kernel_grid_blocks", counted)
+        verify_intrep(ir, seed=7)
+        assert len(walks) == 8 and len(set(walks)) == 8
+        assert sum(cells) == 291_426
+
+    @pytest.mark.parametrize(
+        "masses",
+        [(0.5, 0.75, 1.0), (1.0,), (0.3,), (0.0, 0.5, 0.5, 1.0), (0.0, 0.0)],
+    )
+    def test_matches_public_functions(self, masses):
+        # the draws are bit for bit those of simulate_via_integral; the
+        # refinement's covariances are the draw's, which are bit for bit
+        # discretized_covariance when the masses are distinct and positive
+        ir = IntRepConfig(
+            masses=masses,
+            variance_masses=(0.25, 1.0),
+            hursts=(0.3, 0.35),
+            n_samples=300,
+            grid=GridSpec(cells_per_mass=64, refine_factor=2),
+        )
+        got = verify_intrep(ir, seed=3).criteria[:-1]
+        want = _reference_verify(ir, seed=3)
+        assert [c.name for c in got] == [c.name for c in want]
+        exact = len(set(masses)) == len(masses) and min(masses) > 0
+        for g, w in zip(got, want):
+            if g.name.startswith("refinement") and not exact:
+                assert g.statistic == pytest.approx(w.statistic, rel=1e-12, abs=1e-15)
+                assert g.threshold == pytest.approx(w.threshold, rel=1e-12, abs=1e-15)
+            else:
+                assert (g.statistic, g.threshold) == (w.statistic, w.threshold)
+            if not g.name.startswith("refinement"):
+                assert g.passed == w.passed
+
+    def test_refinement_passes_at_round_off(self):
+        # one mass: the variance is exact by scaling on every grid, so both
+        # errors are round-off and refinement cannot reduce them
+        ir = IntRepConfig(
+            masses=(1.0,), variance_masses=(), hursts=(0.3,), n_samples=10,
+            grid=GridSpec(cells_per_mass=256, refine_factor=4),
+        )
+        (refinement,) = [c for c in verify_intrep(ir, seed=7).criteria if c.name == "refinement_H0.3"]
+        assert refinement.passed and refinement.threshold <= 1e-12
+        # the detail names the round-off floor whenever it is what passed
+        by_floor = not refinement.statistic < refinement.threshold
+        assert ("round-off" in refinement.detail) == by_floor
 
 
 class TestDiscretizedFactor:
