@@ -2,9 +2,10 @@
 """Discretization-accuracy sweep for the moving-average representation.
 
 Prints, per Hurst value, the exact (quadrature-implied, noise-free) covariance
-error of the scheme against the closed-form fBm covariance, across joint
-refinement levels of the integration grid.  This is the table to consult when
-choosing grid parameters for a new mass range.
+error of the scheme against the closed-form fBm covariance, across step
+refinement levels of the integration grid (the window stays; the tails beyond
+it are exact).  This is the table to consult when choosing grid parameters
+for a new mass range.
 """
 
 import sys
@@ -25,7 +26,7 @@ def run(hursts=(0.1, 0.2, 0.3, 0.35, 0.45), masses=(0.5, 0.75, 1.0), levels=3):
         want = fbm_covariance(masses, h)
         errs = []
         for k in range(levels):
-            spec = GridSpec().refine_overall(2**k)
+            spec = GridSpec().refine(2**k)
             got = discretized_covariance(masses, h, spec)
             errs.append(np.max(np.abs(got - want)))
         print(f"{hv:<5}  " + "  ".join(f"{e:12.3e}" for e in errs))

@@ -292,7 +292,8 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 def _parse_grid(spec: dict) -> GridSpec:
     _only(spec, [f.name for f in fields(GridSpec)], "integral_rep.grid.")
     values = {
-        f.name: _get(spec, f.name, type(f.default), "integral_rep.grid.", default=f.default)
+        f.name: _get(spec, f.name, type(f.default), "integral_rep.grid.", default=f.default,
+                     least=f.metadata["least"])
         for f in fields(GridSpec)
     }
     return _built("integral_rep.grid", GridSpec, **values)

@@ -1,19 +1,24 @@
 """Discretized moving-average representation of the projected field.
 
 Along a flow with time-change values theta_1 <= ... <= theta_k, the
-representation on a truncated, singularity-refined grid of cells is
+representation on a window of singularity-refined cells is
 
     path(i) = C(H) * sum_cells  ( |theta_i - u|^{H-1/2} - |u|^{H-1/2} ) dW(u),
 
-with u the cell midpoints and dW ~ N(0, du).  The printed moving-average
-kernel only reproduces the target variance up to a constant, so the
-normalization C(H) is computed from the same quadrature on a unit-mass grid,
-which makes the variance of a single-mass simulation exactly theta^{2H} by
-scaling.  The cell sum is exactly N(0, C(H)^2 K diag(widths) K^T), so the
-quadrature enters only through ``discretized_covariance``: samples are exact
-draws from that law through a factor over the distinct positive masses, not
-one normal per cell.  One Brownian motion drives every point of a masses
-list; it is never reused across calls, so the representation stays per-flow.
+with u the cell midpoints and dW ~ N(0, du), plus the same integral over
+the line beyond the window, which enters the covariance in closed form
+(``_tails``): there the kernel is a convergent binomial series.  So the
+window only has to keep the masses inside it, and a wider one at the same
+step only trades exact tails for cells.  The printed moving-average kernel
+only reproduces the target variance up to a constant, so the normalization
+C(H) is computed from the same quadrature on a unit-mass grid, which makes
+the variance of a single-mass simulation exactly theta^{2H} by scaling.  The
+representation is exactly N(0, C(H)^2 G), G the Gram K diag(widths) K^T plus
+the tails, so the quadrature enters only through ``discretized_covariance``:
+samples are exact draws from that law through a factor over the distinct
+positive masses, not one normal per cell.  One Brownian motion drives every
+point of a masses list; it is never reused across calls, so the
+representation stays per-flow.
 
 A kernel grid depends on the distinct positive masses and the ``GridSpec``
 only, not on H, and none is kept.  Every kernel integral, the
@@ -22,13 +27,13 @@ CELL_BLOCK cells at a time, and K diag(widths) K^T is added up over those
 consecutive blocks, each block's midpoints and widths taken from its edges.
 So neither a (masses, cells) array nor a whole grid is formed, and memory
 stays a few blocks whatever the cell count.  One walk of a grid serves every
-H: ``_kernel_grams`` adds each block to the Gram of each H asked for, and
-each Gram is bit for bit the one a walk for its H alone gives.
-``verify_intrep`` asks for each grid it needs once, for all its H, so no
-Gram is computed twice there.  ``build_kernel_grid`` joins the same blocks
-into the whole grid; the quadrature does not call it.  CELL_BLOCK is part of
-the quadrature's definition, as STREAM_BLOCK is part of the draw's: the
-block sums fix its rounding.  ``normalization_const`` is computed once per
+H: ``_kernel_grams`` adds each block to the Gram of each H asked for, then
+each H's tails, and each Gram is bit for bit the one a walk for its H alone
+gives.  ``verify_intrep`` asks for each grid it needs once, for all its H,
+so no Gram is computed twice there.  ``build_kernel_grid`` joins the same
+blocks into the whole grid; the quadrature does not call it.  CELL_BLOCK is
+part of the quadrature's definition, as STREAM_BLOCK is part of the draw's:
+the block sums fix its rounding.  ``normalization_const`` is computed once per
 (H, spec) and process, in a ``functools.cache`` that ``cache_clear``
 empties; ``verify_intrep`` derives its constants from its own Grams.
 
@@ -45,7 +50,7 @@ exactly from cumulative increments at the mass points.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,41 +81,33 @@ class HalfCaseError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Relative truncation/refinement parameters; concrete grids scale with
-    the largest mass simulated."""
+    """Relative window and refinement parameters; concrete grids scale with
+    the largest mass simulated.  The quadrature covers the window with cells
+    and adds the kernel's tails beyond it in closed form (``_tails``), so the
+    window only has to keep every mass inside it: the tail series converges
+    like (max_mass / |edge|)^j, which the floors of truncation_factor and
+    margin hold to at most 0.8.  Each field's floor is its ``least``
+    metadata."""
 
-    truncation_factor: float = 50.0   # left truncation at -factor * max_mass
-    margin: float = 1.0               # right truncation at (1 + margin) * max_mass
-    cells_per_mass: int = 4096        # base step = max_mass / cells_per_mass
-    refine_factor: int = 8            # subdivision near singularities
-    refine_radius_frac: float = 0.01  # refinement window = frac * max_mass
+    # the window is [-truncation_factor, 1 + margin] * max_mass, the base step
+    # max_mass / cells_per_mass; each cell within refine_radius_frac * max_mass
+    # of a singular point is split into refine_factor
+    truncation_factor: float = field(default=2.0, metadata={"least": 1.25})
+    margin: float = field(default=1.0, metadata={"least": 0.25})
+    cells_per_mass: int = field(default=4096, metadata={"least": 8})
+    refine_factor: int = field(default=8, metadata={"least": 1})
+    refine_radius_frac: float = field(default=0.01, metadata={"least": 0.0})
 
     def __post_init__(self):
-        if self.truncation_factor <= 0 or self.margin <= 0:
-            raise ValueError("truncation bounds must be positive")
-        if self.cells_per_mass < 8 or self.refine_factor < 1:
-            raise ValueError("grid resolution parameters out of range")
-        if self.refine_radius_frac < 0:
-            raise ValueError(f"refine_radius_frac must be >= 0, got {self.refine_radius_frac}")
+        for f in fields(self):
+            value, least = getattr(self, f.name), f.metadata["least"]
+            # negated, so that NaN is rejected too
+            if not value >= least:
+                raise ValueError(f"{f.name} must be >= {least}, got {value}")
 
     def refine(self, factor: int = 2) -> "GridSpec":
-        """Denser cells at the same truncation (quadrature-only refinement)."""
+        """Denser cells on the same window."""
         return replace(self, cells_per_mass=self.cells_per_mass * factor)
-
-    def refine_overall(self, factor: int = 2) -> "GridSpec":
-        """Halve the step and widen the truncation window together.
-
-        Step-only refinement converges to a truncation-limited error floor
-        (and can cross it non-monotonically, since the quadrature deficit and
-        the truncation surplus have opposite signs); refining both is what
-        drives the discretized covariance to the closed form.
-        """
-        return replace(
-            self,
-            truncation_factor=self.truncation_factor * factor,
-            margin=self.margin * factor,
-            cells_per_mass=self.cells_per_mass * factor,
-        )
 
 
 def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> np.ndarray:
@@ -230,17 +227,46 @@ def mvn_kernel(mass, u, h: HurstParam):
 
 
 def _kernel_grams(masses: np.ndarray, hs, spec: GridSpec) -> list[np.ndarray]:
-    """K diag(widths) K^T on the grid of ``masses`` for each H of ``hs``, in
-    one pass over the grid: each block of CELL_BLOCK cells has its midpoints
-    and widths taken once and is added to every H's Gram, so each Gram is
-    the sum over the blocks in order."""
+    """K diag(widths) K^T on the grid of ``masses`` for each H of ``hs``,
+    plus the integral of k k^T beyond the grid (``_tails``), in one pass over
+    the grid: each block of CELL_BLOCK cells has its midpoints and widths
+    taken once and is added to every H's Gram, so each Gram is the sum over
+    the blocks in order, and then its tails."""
     grams = [np.zeros((masses.size, masses.size)) for _ in hs]
+    lo = None  # the grid's first edge; its last is the last block's
     for e in _kernel_grid_blocks(masses, spec):
         u, w = 0.5 * (e[:-1] + e[1:]), np.diff(e)
         for h, gram in zip(hs, grams):
             k = mvn_kernel(masses[:, None], u, h)
             gram += (k * w) @ k.T
+        lo = e[0] if lo is None else lo
+    for h, gram in zip(hs, grams):
+        gram += _tails(masses, h, lo, e[-1])
     return grams
+
+
+def _tails(masses: np.ndarray, h: HurstParam, lo: float, hi: float) -> np.ndarray:
+    """The integral of k k^T, k the kernel of ``masses``, over u < lo < 0 and
+    u > hi > max(masses), in closed form.
+
+    With a = H - 1/2, there |m - u|^a - |u|^a = |u|^a sum_{j>=1} C(a, j)
+    (-m/u)^j, and integrating the product of two such series term by term
+    from the edge e outwards gives |e|^{2a+1} A D A^T, with
+    A[i, j] = C(a, j) (-m_i/e)^j and D[j, k] = 1 / (j + k - 2a - 1).  The
+    terms fall like (max_mass / |e|)^j, and the series is summed until that
+    is below 1e-18: 60 terms at GridSpec's default left edge, and at most
+    about 190 at its floors."""
+    alpha = h.value - 0.5
+    out = np.zeros((masses.size, masses.size))
+    for edge in (lo, hi):
+        x = -masses / edge
+        n = int(np.ceil(np.log(1e-18) / np.log(np.max(np.abs(x)))))
+        j = np.arange(1, n + 1)
+        # C(a, j) = prod_{i<j} (a - i) / (i + 1)
+        a = np.cumprod((alpha - (j - 1)) / j) * x[:, None] ** j
+        d = 1.0 / (j[:, None] + j - 2 * alpha - 1)
+        out += abs(edge) ** (2 * alpha + 1) * (a @ d @ a.T)
+    return out
 
 
 def _unit_integral(h: HurstParam, spec: GridSpec) -> float:
@@ -408,7 +434,7 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
     ``ir.masses``."""
     tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
     hs = [HurstParam(hv) for hv in ir.hursts]
-    specs = (ir.grid, ir.grid.refine_overall(2))
+    specs = (ir.grid, ir.grid.refine(2))
     walked = {}
 
     def grams(masses, spec: GridSpec) -> list[np.ndarray]:

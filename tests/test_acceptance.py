@@ -242,7 +242,7 @@ def test_criterion_08_integral_representation():
             assert worst <= 3.0, f"H={hv}: covariance worst {worst:.2f} sigma"
             base_err = float(np.max(np.abs(discretized_covariance(masses, h, spec) - want)))
             fine_err = float(
-                np.max(np.abs(discretized_covariance(masses, h, spec.refine_overall(2)) - want))
+                np.max(np.abs(discretized_covariance(masses, h, spec.refine(2)) - want))
             )
             assert fine_err < base_err, (
                 f"H={hv}: refinement did not reduce error ({base_err} -> {fine_err})"

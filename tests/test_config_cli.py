@@ -632,6 +632,11 @@ class TestCli:
             ("verify-intrep", ("integral_rep", "n_samples"), -5, "integral_rep.n_samples"),
             # SeedSequence takes no negative seed
             ("simulate", ("seed",), -3, "seed"),
+            # a mass at or beyond the window's edge would make the kernel's
+            # tail series diverge and give a wrong Gram with no error
+            ("verify-intrep", ("integral_rep", "grid", "truncation_factor"), 1.0,
+             "integral_rep.grid.truncation_factor"),
+            ("verify-intrep", ("integral_rep", "grid", "margin"), 0.2, "integral_rep.grid.margin"),
         ],
     )
     def test_bad_numeric_field_is_config_error(self, tmp_path, capsys, command, path, value, field):
@@ -653,7 +658,9 @@ class TestCli:
         path, _ = make_config(tmp_path, integral_rep=ir)
         assert main(["verify-intrep", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("sifbm: config error: field 'integral_rep.grid': refine_radius_frac")
+        assert err.startswith(
+            "sifbm: config error: field 'integral_rep.grid.refine_radius_frac' must be >= 0"
+        )
 
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         path, _ = make_config(tmp_path)

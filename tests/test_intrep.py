@@ -84,7 +84,8 @@ def _cells(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _loop_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T with one ``mvn_kernel`` call per mass, summed over
-    the quadrature's blocks of CELL_BLOCK cells."""
+    the quadrature's blocks of CELL_BLOCK cells, then the tails beyond the
+    grid."""
     edges = build_kernel_grid(masses, spec)
     gram = np.zeros((len(masses), len(masses)))
     for start in range(0, edges.size - 1, CELL_BLOCK):
@@ -93,6 +94,7 @@ def _loop_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
         for i, m in enumerate(masses):
             kmat[i] = mvn_kernel(float(m), mids, h)
         gram += (kmat * widths) @ kmat.T
+    gram += _tails(masses, h, edges)
     return gram
 
 
@@ -106,10 +108,17 @@ def _loop_normalization_const(h: HurstParam, spec: GridSpec) -> float:
 
 
 def _whole_grid_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    """K diag(widths) K^T in one product over every cell of the grid."""
-    mids, widths = _cells(build_kernel_grid(masses, spec))
+    """K diag(widths) K^T in one product over every cell of the grid, plus
+    the tails beyond it."""
+    edges = build_kernel_grid(masses, spec)
+    mids, widths = _cells(edges)
     kmat = mvn_kernel(np.asarray(masses, dtype=float)[:, None], mids, h)
-    return (kmat * widths) @ kmat.T
+    return (kmat * widths) @ kmat.T + _tails(masses, h, edges)
+
+
+def _tails(masses, h: HurstParam, edges: np.ndarray) -> np.ndarray:
+    """The quadrature's closed-form tails beyond the grid ``edges``."""
+    return intrep._tails(np.asarray(masses, dtype=float), h, edges[0], edges[-1])
 
 
 # grid masses: zero, repeats, dyadic values on base edges, and values off them
@@ -117,7 +126,7 @@ _GRID_MASSES = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.3, 0.5, 0.5, 0.77, 1.0,
 # dyadic steps and radii put c +- radius on base edges for dyadic masses
 _GRID_SPECS = st.builds(
     GridSpec,
-    truncation_factor=st.sampled_from([0.5, 2.0, 50.0]),
+    truncation_factor=st.sampled_from([1.25, 2.0, 50.0]),
     margin=st.sampled_from([0.25, 1.0, 3.0]),
     cells_per_mass=st.sampled_from([8, 16, 64, 256]),
     refine_factor=st.sampled_from([1, 2, 3, 8]),
@@ -171,7 +180,7 @@ class TestGrid:
 
     def test_truncation_bounds(self):
         edges = build_kernel_grid([2.0], COARSE)
-        assert edges[0] == pytest.approx(-50.0 * 2.0)
+        assert edges[0] == pytest.approx(-2.0 * 2.0)
         assert edges[-1] == pytest.approx(2.0 * 2.0)
 
     def test_refinement_increases_cells_near_singularities(self):
@@ -200,14 +209,14 @@ class TestGrid:
     @example(masses=[0.25, 0.3, 1.0], spec=GridSpec(cells_per_mass=8, refine_factor=1),
              block=CELL_BLOCK)
     # windows past both ends of the grid
-    @example(masses=[1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
+    @example(masses=[1.0], spec=GridSpec(truncation_factor=1.25, margin=0.25,
                                          cells_per_mass=8, refine_radius_frac=100.0),
              block=CELL_BLOCK)
-    # blocks of 5 base cells at step 1/8 start at 0.125 and 0.75: windows
-    # straddling both, and singular points on both
-    @example(masses=[0.5, 1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
+    # blocks of 5 base cells at step 1/8 from -1.75 start at 0.125 and 0.75:
+    # windows straddling both, and singular points on both
+    @example(masses=[0.5, 1.0], spec=GridSpec(truncation_factor=1.75, margin=0.25,
                                               cells_per_mass=8, refine_radius_frac=0.3), block=5)
-    @example(masses=[0.125, 0.75, 1.0], spec=GridSpec(truncation_factor=0.5, margin=0.25,
+    @example(masses=[0.125, 0.75, 1.0], spec=GridSpec(truncation_factor=1.75, margin=0.25,
                                                       cells_per_mass=8, refine_factor=1), block=5)
     def test_matches_unique_builder(self, masses, spec, block):
         with pytest.MonkeyPatch.context() as mp:
@@ -228,7 +237,7 @@ class TestGrid:
         hv=st.floats(0.05, 0.5, exclude_max=True),
         spec=st.builds(
             GridSpec,
-            truncation_factor=st.sampled_from([0.5, 2.0, 50.0]),
+            truncation_factor=st.sampled_from([1.25, 2.0, 50.0]),
             margin=st.sampled_from([0.25, 1.0]),
             cells_per_mass=st.sampled_from([8, 256, 1024]),
             refine_factor=st.sampled_from([1, 3, 4, 8]),
@@ -237,7 +246,8 @@ class TestGrid:
     )
     # a base edge one ulp off the mass: before base edges were moved onto
     # singular points, these grids had zero-width cells and a NaN Gram
-    @example(masses=[0.3], hv=0.3, spec=GridSpec(truncation_factor=0.5, margin=0.25, cells_per_mass=256))
+    @example(masses=[0.3], hv=0.3,
+             spec=GridSpec(truncation_factor=1.25, margin=0.25, cells_per_mass=256))
     @example(masses=[0.1, 0.17], hv=0.3, spec=GridSpec(cells_per_mass=256, refine_factor=4))
     # a base edge 37 of the mass's ulps off it: a rounding sliver of the base
     @example(masses=[0.1, 1.87], hv=0.3, spec=GridSpec(cells_per_mass=4096))
@@ -268,6 +278,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="at least one positive mass"):
             build_kernel_grid([0.0, 0.0], COARSE)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("truncation_factor", 1.0), ("truncation_factor", 1.2),
+         ("truncation_factor", float("nan")), ("margin", 0.2), ("margin", 0.0)],
+    )
+    def test_window_floor_rejected(self, key, value):
+        # the tail series diverges for a mass at or beyond the window's edge;
+        # the floors keep max_mass / |edge| at most 0.8
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            GridSpec(**{key: value})
+        GridSpec(truncation_factor=1.25, margin=0.25)
+
 
 class TestNormalization:
     def test_definition_self_check(self):
@@ -275,9 +297,10 @@ class TestNormalization:
         for hv in (0.2, 0.35):
             h = HurstParam(hv)
             c = normalization_const(h, COARSE)
-            mids, widths = _cells(build_kernel_grid([1.0], COARSE))
+            edges = build_kernel_grid([1.0], COARSE)
+            mids, widths = _cells(edges)
             k = mvn_kernel(1.0, mids, h)
-            integral = float(np.sum(k * k * widths))
+            integral = float(np.sum(k * k * widths) + _tails([1.0], h, edges)[0, 0])
             assert c**2 * integral == pytest.approx(1.0, abs=1e-12)
 
     def test_refinement_oracle(self):
@@ -287,9 +310,10 @@ class TestNormalization:
         h = HurstParam(0.3)
 
         def integral(spec):
-            mids, widths = _cells(build_kernel_grid([1.0], spec))
+            edges = build_kernel_grid([1.0], spec)
+            mids, widths = _cells(edges)
             k = mvn_kernel(1.0, mids, h)
-            return float(np.sum(k * k * widths))
+            return float(np.sum(k * k * widths) + _tails([1.0], h, edges)[0, 0])
 
         i1, i2 = integral(COARSE.refine(2)), integral(COARSE.refine(4))
         r = 2.0 ** (-2 * h.value)
@@ -301,8 +325,8 @@ class TestNormalization:
         assert abs(c_def - c_ext) / c_ext < 2.5e-3
 
     def test_tail_insensitive(self):
-        # the |.|-kernel tail decays like |u|^{2H-3}, so widening the window
-        # moves the constant at the sub-percent level, not below
+        # the tails beyond the window are added in closed form, so widening
+        # the window only trades them for cells
         h = HurstParam(0.3)
         wide = GridSpec(truncation_factor=100.0, margin=3.0, cells_per_mass=512)
         c0 = normalization_const(h, COARSE)
@@ -400,16 +424,45 @@ class TestDiscretizedCovariance:
                 assert got == pytest.approx(theta ** (2 * hv), rel=1e-10)
 
     def test_error_decreases_under_refinement(self):
-        # two joint refinement steps (step halved, truncation widened): the
-        # covariance error against the closed form drops monotonically
+        # two refinement steps (step halved, same window): the covariance
+        # error against the closed form drops monotonically
         h = HurstParam(0.3)
         masses = [0.5, 0.75, 1.0]
         want = fbm_covariance(masses, h)
         errs = []
-        for spec in (COARSE, COARSE.refine_overall(2), COARSE.refine_overall(4)):
+        for spec in (COARSE, COARSE.refine(2), COARSE.refine(4)):
             got = discretized_covariance(masses, h, spec)
             errs.append(float(np.max(np.abs(got - want))))
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("hv", [0.15, 0.2, 0.3, 0.35, 0.45])
+    @pytest.mark.parametrize(
+        "masses", [[0.8, 0.9, 1.0], [0.25, 1.0, 4.0], [0.1, 0.37, 1.0], [0.3, 0.31, 0.9]]
+    )
+    @pytest.mark.parametrize("spec", [COARSE, GridSpec(cells_per_mass=256, refine_factor=4)])
+    def test_step_refinement_is_monotone(self, masses, hv, spec):
+        # with the tails exact there is no truncation floor, so halving the
+        # step alone reduces the error; with a window of 50 and no tails it
+        # did not for three of these lists
+        h = HurstParam(hv)
+        want = fbm_covariance(masses, h)
+        base, fine = (
+            float(np.max(np.abs(discretized_covariance(masses, h, s) - want)))
+            for s in (spec, spec.refine(2))
+        )
+        assert fine < base
+
+    @pytest.mark.parametrize("hv", [0.15, 0.3, 0.45])
+    @pytest.mark.parametrize("masses", [[0.8, 0.9, 1.0], [0.25, 1.0, 4.0]])
+    def test_window_independent(self, masses, hv):
+        # the cells beyond a narrow window only approximate what the tails
+        # give exactly, so a wider window at the same step moves nothing
+        h = HurstParam(hv)
+        narrow = discretized_covariance(masses, h, COARSE)
+        for wide in (GridSpec(truncation_factor=16.0, cells_per_mass=512),
+                     GridSpec(margin=4.0, cells_per_mass=512)):
+            got = discretized_covariance(masses, h, wide)
+            assert np.max(np.abs(got - narrow)) <= 1e-6 * np.max(np.abs(narrow))
 
 
 # nondecreasing mass lists with zeros and repeats: a few levels, each repeated
@@ -448,7 +501,8 @@ class TestBlockedQuadrature:
         blocks=st.sampled_from(["below", "equal", "one_above", "several"]),
     )
     # the module's own block on a grid several blocks long
-    @example(masses=[0.5, 1.0], hv=0.3, spec=GridSpec(cells_per_mass=1024), blocks="module")
+    @example(masses=[0.5, 1.0], hv=0.3, spec=GridSpec(truncation_factor=50.0, cells_per_mass=1024),
+             blocks="module")
     def test_matches_whole_grid_product(self, masses, hv, spec, blocks):
         h = HurstParam(hv)
         n_cells = len(build_kernel_grid(masses, spec)) - 1
@@ -470,7 +524,7 @@ class TestBlockedQuadrature:
         h, masses = HurstParam(0.3), np.array([0.8, 0.9, 1.0])
         peaks = []
         for cells_per_mass in (512, 2048):
-            spec = GridSpec(cells_per_mass=cells_per_mass)
+            spec = GridSpec(truncation_factor=50.0, cells_per_mass=cells_per_mass)
             tracemalloc.start()
             try:
                 intrep._kernel_grams(masses, (h,), spec)
@@ -485,11 +539,13 @@ class TestBlockedQuadrature:
 
 def _per_h_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T for one H, summed over the quadrature's blocks in
-    order: one walk of the grid per H."""
+    order, then the tails beyond the grid: one walk of the grid per H."""
     gram = np.zeros((masses.size, masses.size))
-    for e in intrep._kernel_grid_blocks(masses, spec):
+    blocks = list(intrep._kernel_grid_blocks(masses, spec))
+    for e in blocks:
         k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
         gram += (k * np.diff(e)) @ k.T
+    gram += intrep._tails(masses, h, blocks[0][0], blocks[-1][-1])
     return gram
 
 
@@ -500,7 +556,7 @@ class TestKernelGrams:
         hvs=st.lists(st.floats(0.01, 0.5, exclude_max=True), min_size=1, max_size=3),
         spec=st.builds(
             GridSpec,
-            truncation_factor=st.sampled_from([0.5, 2.0]),
+            truncation_factor=st.sampled_from([1.25, 2.0]),
             margin=st.sampled_from([0.25, 1.0]),
             cells_per_mass=st.sampled_from([8, 16, 64]),
             refine_factor=st.sampled_from([1, 2, 4]),
@@ -521,6 +577,35 @@ class TestKernelGrams:
         assert len(got) == len(hs)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def _strip_gram(masses: np.ndarray, h: HurstParam, edge: float) -> np.ndarray:
+    """The integral of k k^T beyond ``edge`` by the midpoint rule on 4 * 10^5
+    geometric cells from |edge| to |edge| * 1e7; what lies past that is about
+    1e-7 of the whole at H near 1/2 and far less below."""
+    e = np.geomspace(abs(edge), abs(edge) * 1e7, 400_001)
+    k = mvn_kernel(masses[:, None], np.sign(edge) * 0.5 * (e[:-1] + e[1:]), h)
+    return (k * np.diff(e)) @ k.T
+
+
+class TestTails:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        masses=st.lists(_LEVELS, min_size=1, max_size=5).map(sorted).filter(lambda m: m[-1] > 0),
+        # nearer 1/2 the kernel is the difference of two powers within
+        # |H - 1/2| of 1, so the reference's own round-off swamps it
+        hv=st.floats(0.01, 0.4999),
+        # max_mass / |edge| on each side, up to the GridSpec floors' 0.8
+        ratios=st.tuples(st.floats(0.05, 0.8), st.floats(0.05, 0.8)),
+    )
+    @example(masses=[0.0, 0.3, 0.3, 1.5], hv=0.2, ratios=(0.8, 0.8))
+    @example(masses=[1.0], hv=0.4999, ratios=(0.5, 0.5))
+    def test_matches_strip_reference(self, masses, hv, ratios):
+        masses, h = np.asarray(masses), HurstParam(hv)
+        lo, hi = -masses[-1] / ratios[0], masses[-1] / ratios[1]
+        got = intrep._tails(masses, h, lo, hi)
+        want = _strip_gram(masses, h, lo) + _strip_gram(masses, h, hi)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def _reference_verify(ir: IntRepConfig, seed: int) -> list[CriterionResult]:
@@ -544,7 +629,7 @@ def _reference_verify(ir: IntRepConfig, seed: int) -> list[CriterionResult]:
                                    ir.covariance_se_mult))
         base_err, fine_err = (
             float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
-            for spec in (ir.grid, ir.grid.refine_overall(2))
+            for spec in (ir.grid, ir.grid.refine(2))
         )
         out.append(CriterionResult(f"refinement_H{hv}", fine_err < base_err, fine_err, base_err))
     return out
@@ -552,9 +637,10 @@ def _reference_verify(ir: IntRepConfig, seed: int) -> list[CriterionResult]:
 
 class TestVerifyIntrep:
     def test_walks_each_grid_once(self, monkeypatch):
-        # per H: two unit-mass grids for each of the two specs' constants,
-        # each variance mass and the masses on the configured grid, and the
-        # masses on the doubled one; the unit mass is also variance mass 1.0
+        # the unit mass on the configured grid and on it refined by 2 and 4
+        # (each of the two specs' constants needs its spec and its spec
+        # refined by 2), each other variance mass and the masses on the
+        # configured grid, and the masses on the refined one
         ir = load_config(INTREP_COARSE).intrep
         assert ir.masses == (0.8, 0.9, 1.0) and 1.0 in ir.variance_masses
         assert len(ir.variance_masses) == 3 and len(ir.hursts) == 2
@@ -569,8 +655,8 @@ class TestVerifyIntrep:
 
         monkeypatch.setattr(intrep, "_kernel_grid_blocks", counted)
         verify_intrep(ir, seed=7)
-        assert len(walks) == 8 and len(set(walks)) == 8
-        assert sum(cells) == 291_426
+        assert len(walks) == 7 and len(set(walks)) == 7
+        assert sum(cells) == 12_826
 
     @pytest.mark.parametrize(
         "masses",
