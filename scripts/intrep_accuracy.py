@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from sifbm.gaussian import HurstParam
-from sifbm.intrep import GridSpec, discretized_covariance, fbm_covariance
+from sifbm.intrep import GridSpec, KernelLaw, fbm_covariance
 
 
 def run(hursts=(0.1, 0.2, 0.3, 0.35, 0.45), masses=(0.5, 0.75, 1.0), levels=3):
@@ -21,14 +21,11 @@ def run(hursts=(0.1, 0.2, 0.3, 0.35, 0.45), masses=(0.5, 0.75, 1.0), levels=3):
     print(f"masses = {masses}")
     header = "H      " + "  ".join(f"level {k} (x{2**k})" for k in range(levels))
     print(header)
-    for hv in hursts:
-        h = HurstParam(hv)
+    law = KernelLaw(HurstParam(hv) for hv in hursts)
+    got = [law.covariances(masses, GridSpec().refine(2**k)) for k in range(levels)]
+    for hi, (hv, h) in enumerate(zip(hursts, law.hs)):
         want = fbm_covariance(masses, h)
-        errs = []
-        for k in range(levels):
-            spec = GridSpec().refine(2**k)
-            got = discretized_covariance(masses, h, spec)
-            errs.append(np.max(np.abs(got - want)))
+        errs = [np.max(np.abs(level[hi] - want)) for level in got]
         print(f"{hv:<5}  " + "  ".join(f"{e:12.3e}" for e in errs))
 
 

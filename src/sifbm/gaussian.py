@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rects import Rect, corner_array, rect_measure, symdiff_measure
+from .rects import Rect, corner_array
 
 # Jitter multipliers tried in order, scaled by max(diag).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -79,13 +79,6 @@ def covariance_from_measures(m_u, m_v, m_symdiff, h: HurstParam):
     that broadcast; a negative symmetric-difference round-off counts as 0."""
     p = h.two_h
     return 0.5 * (m_u**p + m_v**p - np.maximum(m_symdiff, 0.0) ** p)
-
-
-def covariance(u: Rect, v: Rect, h: HurstParam) -> float:
-    """Covariance of the field at two box indices."""
-    return float(covariance_from_measures(
-        rect_measure(u), rect_measure(v), symdiff_measure(u, v), h
-    ))
 
 
 @dataclass(frozen=True)

@@ -14,28 +14,25 @@ only reproduces the target variance up to a constant, so the normalization
 C(H) is computed from the same quadrature on a unit-mass grid, which makes
 the variance of a single-mass simulation exactly theta^{2H} by scaling.  The
 representation is exactly N(0, C(H)^2 G), G the Gram K diag(widths) K^T plus
-the tails, so the quadrature enters only through ``discretized_covariance``:
-samples are exact draws from that law through a factor over the distinct
-positive masses, not one normal per cell.  One Brownian motion drives every
-point of a masses list; it is never reused across calls, so the
-representation stays per-flow.
+the tails, so the quadrature enters only through ``KernelLaw``, and
+``draw`` takes exact samples from that law through a factor over the
+distinct positive masses, not one normal per cell.  One Brownian motion
+drives every point of a masses list; it is never reused across calls, so
+the representation stays per-flow.
 
 A kernel grid depends on the distinct positive masses and the ``GridSpec``
-only, not on H, and none is kept.  Every kernel integral, the
-normalization's included, is one blocked sum: the grid's edges are generated
-CELL_BLOCK cells at a time, and K diag(widths) K^T is added up over those
-consecutive blocks, each block's midpoints and widths taken from its edges.
-So neither a (masses, cells) array nor a whole grid is formed, and memory
-stays a few blocks whatever the cell count.  One walk of a grid serves every
-H: ``_kernel_grams`` adds each block to the Gram of each H asked for, then
-each H's tails, and each Gram is bit for bit the one a walk for its H alone
-gives.  ``verify_intrep`` asks for each grid it needs once, for all its H,
-so no Gram is computed twice there.  ``build_kernel_grid`` joins the same
-blocks into the whole grid; the quadrature does not call it.  CELL_BLOCK is
-part of the quadrature's definition, as STREAM_BLOCK is part of the draw's:
-the block sums fix its rounding.  ``normalization_const`` is computed once per
-(H, spec) and process, in a ``functools.cache`` that ``cache_clear``
-empties; ``verify_intrep`` derives its constants from its own Grams.
+only, not on H.  Every kernel integral, the normalization's included, is one
+blocked sum: the grid's edges are generated CELL_BLOCK cells at a time, and
+K diag(widths) K^T is added up over those consecutive blocks, each block's
+midpoints and widths taken from its edges.  So neither a (masses, cells)
+array nor a whole grid is formed, and memory stays a few blocks whatever the
+cell count.  One walk of a grid serves every H: ``_kernel_grams`` adds each
+block to the Gram of each H asked for, then each H's tails, and each Gram is
+bit for bit the one a walk for its H alone gives.  A ``KernelLaw`` keeps the
+Grams it has walked for its own life, so ``verify_intrep``, which makes one,
+walks each grid it needs once.  CELL_BLOCK is part of the quadrature's
+definition, as STREAM_BLOCK is part of the draw's: the block sums fix its
+rounding.
 
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
@@ -49,7 +46,6 @@ exactly from cumulative increments at the mass points.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -108,17 +104,6 @@ class GridSpec:
     def refine(self, factor: int = 2) -> "GridSpec":
         """Denser cells on the same window."""
         return replace(self, cells_per_mass=self.cells_per_mass * factor)
-
-
-def build_kernel_grid(masses, spec: GridSpec = GridSpec()) -> np.ndarray:
-    """The read-only edges of the whole grid for a masses list: the blocks of
-    ``_kernel_grid_blocks`` joined.  Singular points (0 and every mass, up to
-    the snap tolerance) sit on cell edges, so midpoint evaluation stays about
-    half a cell away from every singularity.  The quadrature never forms it."""
-    blocks = list(_kernel_grid_blocks(masses, spec))
-    edges = np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])])
-    edges.flags.writeable = False
-    return edges
 
 
 def _kernel_grid_blocks(masses, spec: GridSpec):
@@ -269,41 +254,53 @@ def _tails(masses: np.ndarray, h: HurstParam, lo: float, hi: float) -> np.ndarra
     return out
 
 
-def _unit_integral(h: HurstParam, spec: GridSpec) -> float:
-    return float(_kernel_grams(np.ones(1), (h,), spec)[0][0, 0])
+class KernelLaw:
+    """The discretized laws N(0, C(H)^2 G) of the representation for every H
+    of ``hs``.  A grid is walked once for all H, and its Grams are kept for
+    the object's life, so one object serves one verification."""
 
+    def __init__(self, hs):
+        self.hs = tuple(hs)
+        self._grams = {}
 
-@functools.cache
-def normalization_const(h: HurstParam, spec: GridSpec) -> float:
-    """C(H) = (integral of the squared unit-mass kernel)^{-1/2}, computed by
-    the same midpoint quadrature the simulation uses (unit-mass grid of the
-    same spec), so single-mass variances come out exact by scaling.
+    def _walk(self, masses: tuple, spec: GridSpec) -> list[np.ndarray]:
+        key = (masses, spec)
+        if key not in self._grams:
+            self._grams[key] = _kernel_grams(np.array(masses, dtype=float), self.hs, spec)
+        return self._grams[key]
 
-    A doubling refinement estimates the quadrature error.  Past 5e-2 relative
-    the grid is too coarse near the singularities and an error is raised
-    instead of returning the constant.  The bound is loose on purpose: the
-    constant cancels against the same quadrature in the simulation, so a
-    refinement error below it does not bias single-mass variances, and coarse
-    grids (small H, few cells per mass) stay usable.  Each (h, spec) is
-    computed once per process; a raised error is not cached.
-    """
-    return _checked_const(h, _unit_integral(h, spec), _unit_integral(h, spec.refine(2)))
+    def covariances(self, masses, spec: GridSpec) -> list[np.ndarray]:
+        """C(H)^2 G on ``masses`` for each H, on the grid ``spec`` gives
+        them; zeros when no mass is positive.
 
-
-def _checked_const(h: HurstParam, integral: float, refined: float) -> float:
-    """C(H) from the unit-mass integral on a spec and on the spec refined by
-    2; ResolutionError when the two differ by more than 5e-2 relative."""
-    err = abs(integral - refined) / refined
-    # The singular-cell quadrature deficit scales like cell^{2H}, so small H
-    # needs dense refinement; past 5% the constant would no longer track the
-    # simulation quadrature it is meant to cancel against.
-    if err > 5e-2:
-        raise ResolutionError(
-            f"normalization quadrature not converged: refinement changes the "
-            f"integral by {err:.2e} relative (grid too coarse near the "
-            f"singularities for H={h.value})"
-        )
-    return integral**-0.5
+        C(H) = (integral of the squared unit-mass kernel)^{-1/2}, by the same
+        quadrature on the unit-mass grid of ``spec``, so single-mass
+        variances come out exact by scaling.  The same integral on ``spec``
+        refined by 2 estimates the quadrature error, and past 5e-2 relative
+        the grid is too coarse near the singularities: ResolutionError.  The
+        bound is loose on purpose: the constant cancels against the same
+        quadrature in the Gram, so a refinement error below it does not bias
+        single-mass variances, and coarse grids (small H, few cells per mass)
+        stay usable."""
+        masses = tuple(float(m) for m in masses)
+        unit, finer = self._walk((1.0,), spec), self._walk((1.0,), spec.refine(2))
+        zero = [np.zeros((len(masses),) * 2)] * len(self.hs)
+        grams = self._walk(masses, spec) if any(masses) else zero
+        out = []
+        for h, u, f, gram in zip(self.hs, unit, finer, grams):
+            integral, refined = float(u[0, 0]), float(f[0, 0])
+            err = abs(integral - refined) / refined
+            # The singular-cell quadrature deficit scales like cell^{2H}, so
+            # small H needs dense refinement; past 5% the constant would no
+            # longer track the quadrature it is meant to cancel against.
+            if err > 5e-2:
+                raise ResolutionError(
+                    f"normalization quadrature not converged: refinement changes the "
+                    f"integral by {err:.2e} relative (grid too coarse near the "
+                    f"singularities for H={h.value})"
+                )
+            out.append((integral**-0.5) ** 2 * gram)
+        return out
 
 
 @dataclass(frozen=True)
@@ -332,20 +329,6 @@ def validate_masses(masses) -> np.ndarray:
     return masses
 
 
-def simulate_via_integral(
-    masses, seed: int, n_samples: int, h: HurstParam, spec: GridSpec = GridSpec()
-) -> np.ndarray:
-    """Draw paths of the discretized representation along a masses list,
-    (n_samples, len(masses)): one normal per distinct positive mass from the
-    streams of ``seed``, through ``discretized_factor`` on ``spec``.  Equal
-    masses give bit-equal columns."""
-    masses = validate_masses(masses)
-    distinct, inverse = np.unique(masses, return_inverse=True)
-    f = discretized_factor(distinct, h, spec)
-    paths = block_draw(seed, n_samples, f.T)
-    return paths[:, inverse]
-
-
 def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
     """H = 1/2 path: W([0, theta_i]) from exact cumulative Gaussian
     increments at the mass points (the indicator-kernel limit of the
@@ -355,47 +338,20 @@ def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
     return np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
 
 
-def _kernel_covariance(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    return normalization_const(h, spec) ** 2 * _kernel_grams(masses, (h,), spec)[0]
-
-
-def discretized_covariance(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:
-    """The exact covariance implied by the discretization (no sampling):
-    C(H)^2 * K diag(widths) K^T.  This is the law ``simulate_via_integral``
-    draws from, so quadrature/truncation accuracy can be audited without
-    Monte Carlo noise."""
-    masses = validate_masses(masses)
-    if float(masses.max()) == 0.0:
-        return np.zeros((masses.size, masses.size))
-    return _kernel_covariance(masses, h, spec)
-
-
-def discretized_factor(masses, h: HurstParam, spec: GridSpec = GridSpec()) -> np.ndarray:
-    """F of shape (k, d), d the number of distinct positive masses, with
-    F F^T = discretized_covariance(masses): an eigendecomposition factor over
-    the distinct positive masses with round-off eigenvalues clipped to 0,
-    whose rows are mapped onto the masses (equal masses get bit-equal rows,
-    zero masses zero rows)."""
-    masses = validate_masses(masses)
-    if h.is_half:
-        raise HalfCaseError()
-    distinct, inverse = np.unique(masses, return_inverse=True)
-    positive = distinct[distinct > 0]
-    cov = _kernel_covariance(positive, h, spec) if positive.size else np.zeros((0, 0))
-    return _distinct_factor(distinct, cov)[inverse]
-
-
-def _distinct_factor(distinct: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The factor's rows for the sorted distinct masses ``distinct``, from
-    ``cov``, the covariance of their positive ones: an eigendecomposition
-    with eigenvalues below _EIG_CLIP of the largest clipped to 0, and a zero
-    row for a zero mass."""
+def draw(masses, cov: np.ndarray, seed: int, n_samples: int) -> np.ndarray:
+    """Paths (n_samples, len(masses)) along a masses list, with ``cov`` the
+    covariance of its distinct positive masses in increasing order: one
+    normal per distinct positive mass from the streams of ``seed``, through
+    an eigendecomposition factor of ``cov`` whose eigenvalues below
+    _EIG_CLIP of the largest are clipped to 0.  Equal masses give bit-equal
+    columns, zero masses zero columns."""
+    distinct, inverse = np.unique(validate_masses(masses), return_inverse=True)
     positive = distinct > 0
-    fd = np.zeros((distinct.size, int(np.count_nonzero(positive))))
+    f = np.zeros((distinct.size, int(np.count_nonzero(positive))))
     if positive.any():
         lam, vec = np.linalg.eigh(cov)
-        fd[positive] = vec * np.sqrt(np.where(lam > _EIG_CLIP * lam[-1], lam, 0.0))
-    return fd
+        f[positive] = vec * np.sqrt(np.where(lam > _EIG_CLIP * lam[-1], lam, 0.0))
+    return block_draw(seed, n_samples, f.T)[:, inverse]
 
 
 def fbm_covariance(masses, h: HurstParam) -> np.ndarray:
@@ -426,27 +382,11 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
     draw has its own seed, derived from ``seed`` and its position in this
     list.
 
-    Each kernel grid the checks need is walked once, for every H at once,
-    and no Gram is computed twice.  The normalization constants, draws and
-    variance factors are bit for bit those of ``normalization_const``,
-    ``simulate_via_integral`` and ``discretized_factor``; the refinement's
-    covariances are the draw's, over the distinct positive masses, put on
-    ``ir.masses``."""
+    One ``KernelLaw`` serves every check, so each kernel grid they need is
+    walked once, for every H at once.  The refinement's covariances are the
+    draw's, over the distinct positive masses, put on ``ir.masses``."""
     tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
-    hs = [HurstParam(hv) for hv in ir.hursts]
-    specs = (ir.grid, ir.grid.refine(2))
-    walked = {}
-
-    def grams(masses, spec: GridSpec) -> list[np.ndarray]:
-        """Every H's Gram of ``masses`` (sorted distinct positive) on ``spec``."""
-        key = (tuple(masses), spec)
-        if key not in walked:
-            walked[key] = (
-                _kernel_grams(np.array(masses, dtype=float), hs, spec)
-                if len(masses) else [np.zeros((0, 0))] * len(hs)
-            )
-        return walked[key]
-
+    law = KernelLaw(HurstParam(hv) for hv in ir.hursts)
     masses = validate_masses(ir.masses)
     distinct, inverse = np.unique(masses, return_inverse=True)
     positive = distinct > 0
@@ -458,24 +398,20 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
         return full[np.ix_(inverse, inverse)]
 
     out = []
-    for hi, (hv, h) in enumerate(zip(ir.hursts, hs)):
-        c2 = [
-            _checked_const(h, float(grams([1.0], s)[hi][0, 0]),
-                           float(grams([1.0], s.refine(2))[hi][0, 0])) ** 2
-            for s in specs
-        ]
+    for hi, (hv, h) in enumerate(zip(ir.hursts, law.hs)):
         for ti, theta in enumerate(ir.variance_masses):
-            f = _distinct_factor(np.array([theta]), c2[0] * grams([theta], ir.grid)[hi])
-            paths = block_draw(_derived_seed(seed, 1, hi, ti), ir.n_samples, f.T)
+            cov = law.covariances([theta], ir.grid)[hi]
+            paths = draw([theta], cov, _derived_seed(seed, 1, hi, ti), ir.n_samples)
             var = float(np.mean(paths[:, 0] ** 2))
             want = theta ** (2 * hv)
             rel = abs(var - want) / want
             name = f"variance_H{hv}_theta{theta}"
             detail = f"relative error of the sample variance against {want:.6g}"
             out.append(CriterionResult(name, rel <= tol, rel, tol, detail))
-        base_cov, fine_cov = (c * grams(distinct[positive], s)[hi] for c, s in zip(c2, specs))
-        f = _distinct_factor(distinct, base_cov)
-        paths = block_draw(_derived_seed(seed, 2, hi), ir.n_samples, f.T)[:, inverse]
+        base_cov, fine_cov = (
+            law.covariances(distinct[positive], s)[hi] for s in (ir.grid, ir.grid.refine(2))
+        )
+        paths = draw(masses, base_cov, _derived_seed(seed, 2, hi), ir.n_samples)
         want = fbm_covariance(masses, h)
         worst = _worst_sigma(paths, want)
         detail = "worst sample covariance entry against fBm, in standard errors"

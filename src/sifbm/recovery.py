@@ -11,10 +11,11 @@ flow characterization of the field:
   3. A finite cover family yields an outer measure: the minimum of
      sum psi(C_i) over sub-families covering the target (every sub-family
      enumerated as arrays, family capped at 16 elements).
-  4. The outer measure extends psi (outer(U) = psi(U) on boxes), box indices
-     are measurable (additive inside/outside splits), and the analytic
-     variance of set differences is outer-continuous along shrinking
-     sequences.
+  4. The outer measure extends psi (outer(U) = psi(U) on boxes).  That box
+     indices are measurable (additive inside/outside splits) and that the
+     analytic variance of set differences is outer-continuous along
+     shrinking sequences hold for the analytic table alone, so they are
+     checked by the test suite, not here.
   5. ``recover_measure`` bundles the recovery, monotonicity and extension
      checks into a pass/fail report; ``characterize`` adds flow variance
      profiles, Gaussianity diagnostics and the covariance comparison.
@@ -41,12 +42,7 @@ from .rects import (
     LeftNeighborhood,
     Rect,
     corner_array,
-    left_nbhd_measure,
-    rect_contains,
     rect_measure,
-    region_disjoint_ae,
-    region_subset_ae,
-    symdiff_measure,
 )
 from .stats import flow_statistics, gaussianity_check
 
@@ -231,72 +227,6 @@ def extension_residual(table, det: OuterMeasureResult, u: Rect) -> tuple[float, 
     (value,), (stderr,) = table.lookup([u])
     resid = abs(det.value - float(value))
     return resid, float(np.hypot(det.stderr, stderr))
-
-
-def measurability_check(
-    table: PreMeasureTable,
-    covers: CoverFamily,
-    u: Rect,
-    a_inside: LeftNeighborhood,
-    b_outside: LeftNeighborhood,
-) -> float:
-    """Residual |outer(a u b) - outer(a) - outer(b)| with a inside u and b
-    outside u; cover pieces crossing the boundary of u are cut into their
-    inside and outside halves first (both stay in the class)."""
-    if not region_subset_ae(a_inside, u):
-        raise ValueError("a_inside is not contained in u")
-    if not region_disjoint_ae(b_outside, u):
-        raise ValueError("b_outside overlaps u")
-    pieces = []
-    for el in covers.elements:
-        inside = el.intersect_rect(u)
-        outside = el.subtract_rect(u)
-        for p in (inside, outside):
-            if not p.base.is_empty:
-                pieces.append(p)
-    pieces = [p for p in pieces if _nonnull(p)]
-    if len(pieces) > MAX_COVER_ELEMENTS:
-        raise ValueError(
-            f"split cover has {len(pieces)} pieces, exceeding the "
-            f"{MAX_COVER_ELEMENTS}-element search cap"
-        )
-    split = CoverFamily(tuple(pieces))
-    both, a, b = outer_measures(table, split, [[a_inside, b_outside], a_inside, b_outside])
-    return abs(both.value - a.value - b.value)
-
-
-def _nonnull(c: LeftNeighborhood) -> bool:
-    return left_nbhd_measure(c) > 0.0
-
-
-def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
-    """Analytic variance of the difference along a shrinking box sequence:
-    E[(X_{U_n} - X_U)^2] = m(U_n (+) U)^{2H}.
-
-    The corner sequence must decrease componentwise to u's corner; the
-    returned values are then monotone nonincreasing by construction.  When u
-    is degenerate and the final corner is small enough, the final value is
-    additionally asserted below 1e-6 (the regime where the bound is exact).
-    """
-    seq = [Rect(tuple(float(x) for x in c)) for c in corners]
-    if u.is_empty:
-        raise ValueError("limit index must be a box (possibly degenerate), not empty")
-    prev = None
-    for r in seq:
-        if not rect_contains(r, u):
-            raise ValueError(f"sequence element {r!r} does not contain the limit {u!r}")
-        if prev is not None and not rect_contains(prev, r):
-            raise ValueError("corner sequence is not componentwise nonincreasing")
-        prev = r
-    values = np.array([symdiff_measure(r, u) ** h.two_h for r in seq])
-    if np.any(np.diff(values) > 0):
-        raise AssertionError("analytic variance sequence failed to be nonincreasing")
-    if rect_measure(u) == 0.0 and seq:
-        n = len(u.corner)
-        gap_scale = 1e-6 ** (1.0 / (h.two_h * n))
-        if max(seq[-1].corner) <= gap_scale:
-            assert values[-1] <= 1e-6
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 left-neighborhoods U \\ (U_1 u ... u U_n), and their Lebesgue measure.
 
 Every set handled here is a finite boolean combination of boxes [0, t].  All
-measure queries reduce to inclusion-exclusion over corner minima.  For the
-containment, disjointness and equality predicates, the corner coordinates cut
-R^N_+ into a grid of cells, and each region becomes a boolean mask over those
-cells; the predicates are array expressions on the masks, exact up to
+measure queries reduce to inclusion-exclusion over corner minima.  For
+containment questions, the corner coordinates cut R^N_+ into a grid of cells,
+and each region becomes a boolean mask over those cells, exact up to
 Lebesgue-null boundaries.
 """
 
@@ -122,13 +121,6 @@ def rect_contains(outer: Rect, inner: Rect) -> bool:
     return all(i <= o for i, o in zip(inner.corner, outer.corner))
 
 
-def symdiff_measure(a: Rect, b: Rect) -> float:
-    """m(a (+) b) = m(a) + m(b) - 2 m(a n b), never negative."""
-    _check_same_dim(a, b)
-    val = rect_measure(a) + rect_measure(b) - 2.0 * rect_measure(rect_intersection(a, b))
-    return max(val, 0.0)
-
-
 @dataclass(frozen=True)
 class RectUnion:
     """A finite union of boxes, stored in canonical form: empty parts and
@@ -213,12 +205,6 @@ class LeftNeighborhood:
             _check_same_dim(self.base, s)
         object.__setattr__(self, "subtracted", subs)
 
-    def intersect_rect(self, r: Rect) -> "LeftNeighborhood":
-        return LeftNeighborhood(rect_intersection(self.base, r), self.subtracted)
-
-    def subtract_rect(self, r: Rect) -> "LeftNeighborhood":
-        return LeftNeighborhood(self.base, self.subtracted + (r,))
-
     def signed_boxes(self) -> list[tuple[float, Rect]]:
         """Inclusion-exclusion expansion 1_C = sum of sign * 1_box: the base
         with sign +1, then the base intersected with each ``signed_terms``
@@ -231,17 +217,8 @@ class LeftNeighborhood:
         return f"LeftNeighborhood({self.base!r} minus {list(self.subtracted)})"
 
 
-def left_nbhd_measure(c: LeftNeighborhood) -> float:
-    """m(C) = m(U) - m(U n (u sub_i)), via inclusion-exclusion; >= 0."""
-    base_m = rect_measure(c.base)
-    if not c.subtracted:
-        return base_m
-    clipped = [rect_intersection(c.base, s) for s in c.subtracted]
-    return max(base_m - union_measure(clipped), 0.0)
-
-
 # ---------------------------------------------------------------------------
-# Exact (up to null sets) predicates on boolean combinations of boxes.
+# Boolean combinations of boxes as masks over cells, exact up to null sets.
 #
 # The corner coordinates of all boxes involved induce a grid of open cells;
 # each cell lies entirely inside or outside every box, so a region is a
@@ -299,16 +276,4 @@ class CellArrangement:
         for r in region:
             out |= self.mask(r)
         return out
-
-
-def region_subset_ae(inner: Region | Iterable[Region], outer: Region | Iterable[Region]) -> bool:
-    """True if inner is contained in outer up to a Lebesgue-null set."""
-    arr = CellArrangement([inner, outer])
-    return not np.any(arr.mask(inner) & ~arr.mask(outer))
-
-
-def region_disjoint_ae(a: Region | Iterable[Region], b: Region | Iterable[Region]) -> bool:
-    """True if a and b overlap only on a Lebesgue-null set."""
-    arr = CellArrangement([a, b])
-    return not np.any(arr.mask(a) & arr.mask(b))
 

@@ -26,19 +26,11 @@ from sifbm.gaussian import (
     cholesky,
     sample_ensemble,
 )
-from sifbm.intrep import (
-    GridSpec,
-    discretized_covariance,
-    fbm_covariance,
-    half_case_simulate,
-    simulate_via_integral,
-)
+from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance, half_case_simulate
 from sifbm.recovery import (
     PreMeasureTable,
     characterize,
     extension_residual,
-    measurability_check,
-    outer_continuity_check,
     outer_measures,
     psi_on_C_with_se,
     tiling_cover,
@@ -46,12 +38,13 @@ from sifbm.recovery import (
 from sifbm.rects import (
     LeftNeighborhood,
     Rect,
-    left_nbhd_measure,
     rect,
     rect_intersection,
     rect_measure,
 )
 from sifbm.stats import flow_statistics, gaussianity_check
+from test_recovery import measurability_check, outer_continuity_check
+from test_rects import left_nbhd_measure
 
 
 @contextmanager
@@ -225,25 +218,25 @@ def test_criterion_08_integral_representation():
     with criterion(8, label):
         n = 20_000
         spec = GridSpec()  # default grid
-        for hi, hv in enumerate((0.2, 0.35)):
-            h = HurstParam(hv)
+        hursts = (0.2, 0.35)
+        law = KernelLaw(HurstParam(hv) for hv in hursts)
+        for hi, (hv, h) in enumerate(zip(hursts, law.hs)):
             for ti, theta in enumerate((0.25, 1.0, 4.0)):
-                paths = simulate_via_integral([theta], 801 + 10 * hi + ti, n, h, spec)
+                paths = draw([theta], law.covariances([theta], spec)[hi], 801 + 10 * hi + ti, n)
                 var = float(np.mean(paths[:, 0] ** 2))
                 want = theta ** (2 * hv)
                 rel = abs(var - want) / want
                 assert rel <= 0.03, f"H={hv} theta={theta}: variance off by {rel:.4f}"
             masses = [0.8, 0.9, 1.0]
-            paths = simulate_via_integral(masses, 851 + hi, n, h, spec)
+            base_cov, fine_cov = (law.covariances(masses, s)[hi] for s in (spec, spec.refine(2)))
+            paths = draw(masses, base_cov, 851 + hi, n)
             emp = (paths.T @ paths) / n
             want = fbm_covariance(masses, h)
             se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
             worst = float(np.max(np.abs(emp - want) / se))
             assert worst <= 3.0, f"H={hv}: covariance worst {worst:.2f} sigma"
-            base_err = float(np.max(np.abs(discretized_covariance(masses, h, spec) - want)))
-            fine_err = float(
-                np.max(np.abs(discretized_covariance(masses, h, spec.refine(2)) - want))
-            )
+            base_err = float(np.max(np.abs(base_cov - want)))
+            fine_err = float(np.max(np.abs(fine_cov - want)))
             assert fine_err < base_err, (
                 f"H={hv}: refinement did not reduce error ({base_err} -> {fine_err})"
             )

@@ -18,7 +18,7 @@ from sifbm.gaussian import (
     SampleEnsemble,
     build_cov_matrix,
     cholesky,
-    covariance,
+    covariance_from_measures,
     sample_ensemble,
 )
 from sifbm.intrep import fbm_covariance
@@ -31,6 +31,7 @@ from sifbm.rects import (
     rect_intersection,
     rect_measure,
 )
+from test_rects import symdiff_measure
 
 corners2 = st.tuples(
     st.floats(0, 5, allow_nan=False, allow_infinity=False),
@@ -38,6 +39,14 @@ corners2 = st.tuples(
 )
 rects2 = corners2.map(Rect)
 hursts = st.floats(0.05, 0.5, allow_nan=False).map(HurstParam)
+
+
+def covariance(u: Rect, v: Rect, h: HurstParam) -> float:
+    """Covariance of the field at two box indices: the scalar reference for
+    ``build_cov_matrix``."""
+    return float(covariance_from_measures(
+        rect_measure(u), rect_measure(v), symdiff_measure(u, v), h
+    ))
 
 
 @st.composite

@@ -1,5 +1,5 @@
-"""Moving-average representation: kernel, normalization, simulation, and the
-H = 1/2 Brownian special case.
+"""Moving-average representation: kernel, grid, the discretized law and its
+draw, and the H = 1/2 Brownian special case.
 
 Unit tests run on a coarsened grid spec with correspondingly relaxed
 tolerances; the acceptance suite exercises the default grid.
@@ -13,7 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sifbm.flows import flow_weights, flows_through, project, time_change
-from sifbm.gaussian import STREAM_BLOCK, HurstParam, build_cov_matrix, cholesky, sample_ensemble
+from sifbm.gaussian import (
+    STREAM_BLOCK,
+    HurstParam,
+    ResolutionError,
+    block_draw,
+    build_cov_matrix,
+    cholesky,
+    sample_ensemble,
+)
 from sifbm import intrep
 from sifbm.config import load_config
 from sifbm.intrep import (
@@ -21,14 +29,11 @@ from sifbm.intrep import (
     GridSpec,
     HalfCaseError,
     IntRepConfig,
-    build_kernel_grid,
-    discretized_covariance,
-    discretized_factor,
+    KernelLaw,
+    draw,
     fbm_covariance,
     half_case_simulate,
     mvn_kernel,
-    normalization_const,
-    simulate_via_integral,
     verify_intrep,
 )
 from sifbm.recovery import CriterionResult
@@ -36,6 +41,13 @@ from sifbm.rects import rect
 
 COARSE = GridSpec(cells_per_mass=512)
 INTREP_COARSE = Path(__file__).resolve().parents[1] / "benchmark" / "configs" / "intrep_coarse.json"
+
+
+def _kernel_grid(masses, spec: GridSpec) -> np.ndarray:
+    """The edges of the whole grid for a masses list: the quadrature's blocks
+    joined, each block's first edge being the previous one's last."""
+    blocks = list(intrep._kernel_grid_blocks(masses, spec))
+    return np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])])
 
 
 def _unique_kernel_edges(masses, spec: GridSpec) -> np.ndarray:
@@ -86,7 +98,7 @@ def _loop_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T with one ``mvn_kernel`` call per mass, summed over
     the quadrature's blocks of CELL_BLOCK cells, then the tails beyond the
     grid."""
-    edges = build_kernel_grid(masses, spec)
+    edges = _kernel_grid(masses, spec)
     gram = np.zeros((len(masses), len(masses)))
     for start in range(0, edges.size - 1, CELL_BLOCK):
         mids, widths = _cells(edges[start:start + CELL_BLOCK + 1])
@@ -99,7 +111,7 @@ def _loop_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
 
 
 def _loop_kernel_covariance(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    """``discretized_covariance`` with one ``mvn_kernel`` call per mass."""
+    """``KernelLaw.covariances`` with one ``mvn_kernel`` call per mass."""
     return _loop_normalization_const(h, spec) ** 2 * _loop_gram(masses, h, spec)
 
 
@@ -110,7 +122,7 @@ def _loop_normalization_const(h: HurstParam, spec: GridSpec) -> float:
 def _whole_grid_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
     """K diag(widths) K^T in one product over every cell of the grid, plus
     the tails beyond it."""
-    edges = build_kernel_grid(masses, spec)
+    edges = _kernel_grid(masses, spec)
     mids, widths = _cells(edges)
     kmat = mvn_kernel(np.asarray(masses, dtype=float)[:, None], mids, h)
     return (kmat * widths) @ kmat.T + _tails(masses, h, edges)
@@ -119,6 +131,47 @@ def _whole_grid_gram(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
 def _tails(masses, h: HurstParam, edges: np.ndarray) -> np.ndarray:
     """The quadrature's closed-form tails beyond the grid ``edges``."""
     return intrep._tails(np.asarray(masses, dtype=float), h, edges[0], edges[-1])
+
+
+def _per_h_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """K diag(widths) K^T for one H, summed over the quadrature's blocks in
+    order, then the tails beyond the grid: one walk of the grid per H."""
+    gram = np.zeros((masses.size, masses.size))
+    blocks = list(intrep._kernel_grid_blocks(masses, spec))
+    for e in blocks:
+        k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
+        gram += (k * np.diff(e)) @ k.T
+    gram += intrep._tails(masses, h, blocks[0][0], blocks[-1][-1])
+    return gram
+
+
+def _normalization_const(h: HurstParam, spec: GridSpec) -> float:
+    """C(H) from the raw walk of the unit mass on ``spec``."""
+    return float(_per_h_gram(np.ones(1), h, spec)[0, 0]) ** -0.5
+
+
+def _covariance(masses, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """The law's covariance of ``masses`` for one H."""
+    return KernelLaw([h]).covariances(masses, spec)[0]
+
+
+def _simulate(masses, seed: int, n_samples: int, h: HurstParam, spec: GridSpec) -> np.ndarray:
+    """Paths along ``masses``, drawn from the law of its distinct positive
+    masses."""
+    m = np.asarray(masses, dtype=float)
+    return draw(masses, _covariance(np.unique(m[m > 0]), h, spec), seed, n_samples)
+
+
+def _factor(distinct: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The draw's factor on the sorted distinct masses ``distinct``, from the
+    covariance ``cov`` of their positive ones: eigenvalues below 1e-12 of the
+    largest clipped to 0, and a zero row for a zero mass."""
+    positive = distinct > 0
+    f = np.zeros((distinct.size, int(np.count_nonzero(positive))))
+    if positive.any():
+        lam, vec = np.linalg.eigh(cov)
+        f[positive] = vec * np.sqrt(np.where(lam > 1e-12 * lam[-1], lam, 0.0))
+    return f
 
 
 # grid masses: zero, repeats, dyadic values on base edges, and values off them
@@ -168,23 +221,23 @@ class TestKernel:
 
 class TestGrid:
     def test_singularities_on_edges(self):
-        edges = build_kernel_grid([0.25, 1.0], COARSE)
+        edges = _kernel_grid([0.25, 1.0], COARSE)
         for s in (0.0, 0.25, 1.0):
             assert np.min(np.abs(edges - s)) == 0.0
 
     def test_midpoints_off_singularities(self):
-        mids, widths = _cells(build_kernel_grid([0.25, 1.0], COARSE))
+        mids, widths = _cells(_kernel_grid([0.25, 1.0], COARSE))
         for s in (0.0, 0.25, 1.0):
             gap = np.abs(mids - s)
             assert np.all(gap >= widths / 2 - 1e-15)
 
     def test_truncation_bounds(self):
-        edges = build_kernel_grid([2.0], COARSE)
+        edges = _kernel_grid([2.0], COARSE)
         assert edges[0] == pytest.approx(-2.0 * 2.0)
         assert edges[-1] == pytest.approx(2.0 * 2.0)
 
     def test_refinement_increases_cells_near_singularities(self):
-        mids, widths = _cells(build_kernel_grid([1.0], COARSE))
+        mids, widths = _cells(_kernel_grid([1.0], COARSE))
         base_step = 1.0 / COARSE.cells_per_mass
         near = np.abs(mids) < 0.01
         assert np.all(widths[near] < base_step)
@@ -222,11 +275,10 @@ class TestGrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(intrep, "CELL_BLOCK", block)
             blocks = list(intrep._kernel_grid_blocks(masses, spec))
-            got = build_kernel_grid(masses, spec)
         assert all(b.size == block + 1 for b in blocks[:-1])
         assert 1 < blocks[-1].size <= block + 1
         assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert np.array_equal(np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])]), got)
+        got = np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])])
         want = _unique_kernel_edges(masses, spec)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -256,27 +308,22 @@ class TestGrid:
     @example(masses=[0.3, np.nextafter(0.3, 1)], hv=0.3, spec=GridSpec(cells_per_mass=256))
     def test_cells_have_width_and_grams_are_finite(self, masses, hv, spec):
         # no cell is a sliver of a few ulps, let alone of zero width
-        edges = build_kernel_grid(masses, spec)
+        edges = _kernel_grid(masses, spec)
         assert np.all(np.diff(edges) > 2 * np.spacing(max(-edges[0], edges[-1])))
         gram = intrep._kernel_grams(np.asarray(masses), (HurstParam(hv),), spec)[0]
         assert np.all(np.isfinite(gram))
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-12 * np.max(gram)
 
-    def test_edges_read_only(self):
-        edges = build_kernel_grid([0.5, 1.0], GridSpec(cells_per_mass=64))
-        with pytest.raises(ValueError, match="read-only"):
-            edges[0] = 0.0
-
     def test_sequence_types_zeros_and_repeats_give_one_grid(self):
         spec = GridSpec(cells_per_mass=48)
-        want = build_kernel_grid([0.5, 1.0], spec)
+        want = _kernel_grid([0.5, 1.0], spec)
         for masses in ((0.5, 1.0), np.array([0.5, 1.0]), [0.0, 0.5, 0.5, 1.0], (1.0, 0.5, 0.0)):
-            got = build_kernel_grid(masses, spec)
+            got = _kernel_grid(masses, spec)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_no_positive_mass_rejected(self):
         with pytest.raises(ValueError, match="at least one positive mass"):
-            build_kernel_grid([0.0, 0.0], COARSE)
+            _kernel_grid([0.0, 0.0], COARSE)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -293,11 +340,13 @@ class TestGrid:
 
 class TestNormalization:
     def test_definition_self_check(self):
-        # C(H)^2 * quadrature integral == 1 by construction
+        # C(H)^2 * quadrature integral == 1 by construction, and so the law's
+        # unit-mass variance is 1
         for hv in (0.2, 0.35):
             h = HurstParam(hv)
-            c = normalization_const(h, COARSE)
-            edges = build_kernel_grid([1.0], COARSE)
+            assert _covariance([1.0], h, COARSE)[0, 0] == pytest.approx(1.0, abs=1e-12)
+            c = _normalization_const(h, COARSE)
+            edges = _kernel_grid([1.0], COARSE)
             mids, widths = _cells(edges)
             k = mvn_kernel(1.0, mids, h)
             integral = float(np.sum(k * k * widths) + _tails([1.0], h, edges)[0, 0])
@@ -310,7 +359,7 @@ class TestNormalization:
         h = HurstParam(0.3)
 
         def integral(spec):
-            edges = build_kernel_grid([1.0], spec)
+            edges = _kernel_grid([1.0], spec)
             mids, widths = _cells(edges)
             k = mvn_kernel(1.0, mids, h)
             return float(np.sum(k * k * widths) + _tails([1.0], h, edges)[0, 0])
@@ -318,10 +367,10 @@ class TestNormalization:
         i1, i2 = integral(COARSE.refine(2)), integral(COARSE.refine(4))
         r = 2.0 ** (-2 * h.value)
         c_ext = (i2 + (i2 - i1) * r / (1 - r)) ** -0.5
-        c0 = normalization_const(h, COARSE)
+        c0 = _normalization_const(h, COARSE)
         assert abs(c0 - c_ext) / c_ext < 1e-2
         # the default grid is 8x denser and correspondingly closer
-        c_def = normalization_const(h, GridSpec())
+        c_def = _normalization_const(h, GridSpec())
         assert abs(c_def - c_ext) / c_ext < 2.5e-3
 
     def test_tail_insensitive(self):
@@ -329,16 +378,16 @@ class TestNormalization:
         # the window only trades them for cells
         h = HurstParam(0.3)
         wide = GridSpec(truncation_factor=100.0, margin=3.0, cells_per_mass=512)
-        c0 = normalization_const(h, COARSE)
-        c1 = normalization_const(h, wide)
+        c0 = _normalization_const(h, COARSE)
+        c1 = _normalization_const(h, wide)
         assert abs(c0 - c1) / c1 < 2e-2
 
     def test_too_coarse_rejected(self):
-        h = HurstParam(0.1)
-        # functools.cache stores no exception, so a second call raises again
+        law = KernelLaw([HurstParam(0.1)])
+        # the law keeps its walks, not the verdict, so a second call raises again
         for _ in range(2):
-            with pytest.raises(ValueError, match="not converged"):
-                normalization_const(h, GridSpec(cells_per_mass=8, refine_factor=1))
+            with pytest.raises(ResolutionError, match="not converged"):
+                law.covariances([1.0], GridSpec(cells_per_mass=8, refine_factor=1))
 
     def test_verify_intrep_cold_equals_warm(self):
         ir = IntRepConfig(
@@ -349,40 +398,46 @@ class TestNormalization:
             grid=GridSpec(cells_per_mass=64, refine_factor=2),
         )
         first = verify_intrep(ir, seed=3).to_dict()
-        normalization_const.cache_clear()
         assert verify_intrep(ir, seed=3).to_dict() == first
+        # a law that has walked its grids gives what a fresh one gives
+        hs = [HurstParam(hv) for hv in ir.hursts]
+        warm = KernelLaw(hs)
+        for spec in (ir.grid, ir.grid.refine(2)):
+            cold = warm.covariances(ir.masses, spec)
+            for law in (warm, KernelLaw(hs)):
+                assert all(np.array_equal(g, c) for g, c in zip(law.covariances(ir.masses, spec), cold))
 
 
 class TestSimulate:
     def test_zero_mass_paths_zero(self):
-        paths = simulate_via_integral([0.0], 1, 50, HurstParam(0.3), COARSE)
+        paths = _simulate([0.0], 1, 50, HurstParam(0.3), COARSE)
         assert np.all(paths == 0.0)
 
     def test_unit_variance(self):
         n = 20_000
-        paths = simulate_via_integral([1.0], 2, n, HurstParam(0.3), COARSE)
+        paths = _simulate([1.0], 2, n, HurstParam(0.3), COARSE)
         var = float(np.mean(paths[:, 0] ** 2))
         assert var == pytest.approx(1.0, rel=0.03)
 
     def test_decreasing_masses_rejected(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            simulate_via_integral([1.0, 0.5], 1, 10, HurstParam(0.3), COARSE)
+            _simulate([1.0, 0.5], 1, 10, HurstParam(0.3), COARSE)
 
     def test_half_redirects(self):
         with pytest.raises(HalfCaseError):
-            simulate_via_integral([1.0], 1, 10, HurstParam(0.5), COARSE)
+            _simulate([1.0], 1, 10, HurstParam(0.5), COARSE)
 
     def test_deterministic(self):
         h, spec = HurstParam(0.35), GridSpec(cells_per_mass=64, refine_factor=2)
-        a = simulate_via_integral([0.5, 1.0], 9, 300, h, spec)
-        b = simulate_via_integral([0.5, 1.0], 9, 300, h, spec)
+        a = _simulate([0.5, 1.0], 9, 300, h, spec)
+        b = _simulate([0.5, 1.0], 9, 300, h, spec)
         assert np.array_equal(a, b)
 
     def test_prefix_stable_across_block_boundary(self):
         assert 300 < 2 * STREAM_BLOCK < 700
         h, spec = HurstParam(0.35), GridSpec(cells_per_mass=64, refine_factor=2)
-        a = simulate_via_integral([0.0, 0.5, 1.0], 9, 300, h, spec)
-        b = simulate_via_integral([0.0, 0.5, 1.0], 9, 700, h, spec)
+        a = _simulate([0.0, 0.5, 1.0], 9, 300, h, spec)
+        b = _simulate([0.0, 0.5, 1.0], 9, 700, h, spec)
         assert np.array_equal(a, b[:300])
         assert np.all(b[:, 0] == 0.0)
 
@@ -390,15 +445,15 @@ class TestSimulate:
         masses = np.linspace(0.1, 1.0, 64)
         h, spec = HurstParam(0.3), GridSpec(cells_per_mass=64, refine_factor=2)
         for n, m in ((10, 300), (300, 700), (257, 1000)):
-            a = simulate_via_integral(masses, 5, n, h, spec)
-            b = simulate_via_integral(masses, 5, m, h, spec)
+            a = _simulate(masses, 5, n, h, spec)
+            b = _simulate(masses, 5, m, h, spec)
             assert np.array_equal(a, b[:n]), (n, m)
 
     def test_covariance_matches_fbm(self):
         h = HurstParam(0.3)
         masses = [0.5, 0.75, 1.0]
         n = 20_000
-        paths = simulate_via_integral(masses, 4, n, h, COARSE)
+        paths = _simulate(masses, 4, n, h, COARSE)
         emp = (paths.T @ paths) / n
         want = fbm_covariance(masses, h)
         se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
@@ -409,8 +464,8 @@ class TestSimulate:
         # (bit-level equality across different lists is not guaranteed, since
         # the factor is recomputed, so compare at fp-roundoff tolerance)
         h = HurstParam(0.3)
-        a = simulate_via_integral([0.5, 1.0], 6, 20, h, COARSE)
-        b = simulate_via_integral([0.5, 1.0, 1.0], 6, 20, h, COARSE)
+        a = _simulate([0.5, 1.0], 6, 20, h, COARSE)
+        b = _simulate([0.5, 1.0, 1.0], 6, 20, h, COARSE)
         assert np.allclose(a[:, 0], b[:, 0], rtol=1e-10, atol=1e-12)
         assert np.array_equal(b[:, 1], b[:, 2])
 
@@ -420,7 +475,7 @@ class TestDiscretizedCovariance:
         # the unit-grid normalization makes single-mass variance exact
         for theta in (0.25, 1.0, 4.0):
             for hv in (0.2, 0.35):
-                got = discretized_covariance([theta], HurstParam(hv), COARSE)[0, 0]
+                got = _covariance([theta], HurstParam(hv), COARSE)[0, 0]
                 assert got == pytest.approx(theta ** (2 * hv), rel=1e-10)
 
     def test_error_decreases_under_refinement(self):
@@ -431,7 +486,7 @@ class TestDiscretizedCovariance:
         want = fbm_covariance(masses, h)
         errs = []
         for spec in (COARSE, COARSE.refine(2), COARSE.refine(4)):
-            got = discretized_covariance(masses, h, spec)
+            got = _covariance(masses, h, spec)
             errs.append(float(np.max(np.abs(got - want))))
         assert errs[0] > errs[1] > errs[2]
 
@@ -447,7 +502,7 @@ class TestDiscretizedCovariance:
         h = HurstParam(hv)
         want = fbm_covariance(masses, h)
         base, fine = (
-            float(np.max(np.abs(discretized_covariance(masses, h, s) - want)))
+            float(np.max(np.abs(_covariance(masses, h, s) - want)))
             for s in (spec, spec.refine(2))
         )
         assert fine < base
@@ -458,10 +513,10 @@ class TestDiscretizedCovariance:
         # the cells beyond a narrow window only approximate what the tails
         # give exactly, so a wider window at the same step moves nothing
         h = HurstParam(hv)
-        narrow = discretized_covariance(masses, h, COARSE)
+        narrow = _covariance(masses, h, COARSE)
         for wide in (GridSpec(truncation_factor=16.0, cells_per_mass=512),
                      GridSpec(margin=4.0, cells_per_mass=512)):
-            got = discretized_covariance(masses, h, wide)
+            got = _covariance(masses, h, wide)
             assert np.max(np.abs(got - narrow)) <= 1e-6 * np.max(np.abs(narrow))
 
 
@@ -478,12 +533,12 @@ class TestBroadcastKernel:
         h = HurstParam(hv)
         spec = GridSpec(cells_per_mass=256)
         want = _loop_kernel_covariance(masses, h, spec)
-        assert normalization_const(h, spec) == _loop_normalization_const(h, spec)
-        assert np.array_equal(discretized_covariance(masses, h, spec), want)
+        assert np.array_equal(_covariance(masses, h, spec), want)
         distinct, inverse = np.unique(masses, return_inverse=True)
-        lam, vec = np.linalg.eigh(_loop_kernel_covariance(distinct, h, spec))
-        fd = vec * np.sqrt(np.where(lam > 1e-12 * lam[-1], lam, 0.0))
-        assert np.array_equal(discretized_factor(masses, h, spec), fd[inverse])
+        cov = _loop_kernel_covariance(distinct, h, spec)
+        assert np.array_equal(_covariance(distinct, h, spec), cov)
+        want = block_draw(5, 40, _factor(distinct, cov).T)[:, inverse]
+        assert np.array_equal(draw(masses, cov, 5, 40), want)
 
     def test_negative_mass_in_array_rejected(self):
         with pytest.raises(ValueError, match="mass must be non-negative"):
@@ -505,7 +560,7 @@ class TestBlockedQuadrature:
              blocks="module")
     def test_matches_whole_grid_product(self, masses, hv, spec, blocks):
         h = HurstParam(hv)
-        n_cells = len(build_kernel_grid(masses, spec)) - 1
+        n_cells = len(_kernel_grid(masses, spec)) - 1
         block = {
             "below": n_cells + 1, "equal": n_cells, "one_above": n_cells - 1,
             "several": max(n_cells // 5, 1), "module": CELL_BLOCK,
@@ -531,22 +586,10 @@ class TestBlockedQuadrature:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(build_kernel_grid(masses, spec)) - 1 > 2 * CELL_BLOCK
+            assert len(_kernel_grid(masses, spec)) - 1 > 2 * CELL_BLOCK
         # one block's edges is CELL_BLOCK * 8 bytes; the 2048 grid's edges
         # alone are about 13 times that
         assert peaks[1] - peaks[0] < CELL_BLOCK * 8
-
-
-def _per_h_gram(masses: np.ndarray, h: HurstParam, spec: GridSpec) -> np.ndarray:
-    """K diag(widths) K^T for one H, summed over the quadrature's blocks in
-    order, then the tails beyond the grid: one walk of the grid per H."""
-    gram = np.zeros((masses.size, masses.size))
-    blocks = list(intrep._kernel_grid_blocks(masses, spec))
-    for e in blocks:
-        k = mvn_kernel(masses[:, None], 0.5 * (e[:-1] + e[1:]), h)
-        gram += (k * np.diff(e)) @ k.T
-    gram += intrep._tails(masses, h, blocks[0][0], blocks[-1][-1])
-    return gram
 
 
 class TestKernelGrams:
@@ -577,6 +620,59 @@ class TestKernelGrams:
         assert len(got) == len(hs)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestKernelLaw:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        masses=st.lists(_LEVELS, min_size=1, max_size=6).map(sorted).filter(lambda m: m[-1] > 0),
+        # below H = 0.2 these grids mostly fail the constant's convergence
+        hvs=st.lists(st.floats(0.2, 0.5, exclude_max=True), min_size=1, max_size=3),
+        spec=st.builds(
+            GridSpec,
+            truncation_factor=st.sampled_from([1.25, 2.0]),
+            margin=st.sampled_from([0.25, 1.0]),
+            cells_per_mass=st.sampled_from([64, 128, 256]),
+            refine_factor=st.sampled_from([2, 4, 8]),
+            refine_radius_frac=st.sampled_from([0.0, 0.01, 0.3]),
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    # repeated H values, and zero and repeated masses
+    @example(masses=[0.0, 0.5, 0.5, 1.0], hvs=[0.3, 0.3, 0.45], spec=GridSpec(cells_per_mass=64),
+             seed=3)
+    # a constant that does not converge
+    @example(masses=[0.5, 1.0], hvs=[0.3, 0.1], spec=GridSpec(cells_per_mass=8, refine_factor=1),
+             seed=3)
+    def test_matches_per_h_walks(self, masses, hvs, spec, seed):
+        # every H's covariance is C(H)^2 times the Gram of a walk for that H
+        # alone, with C(H) from the raw walks of the unit mass; a constant
+        # whose refinement moves it by more than 5e-2 is refused
+        m, hs = np.asarray(masses), [HurstParam(hv) for hv in hvs]
+        consts = []
+        for h in hs:
+            unit, finer = (float(_per_h_gram(np.ones(1), h, s)[0, 0]) for s in (spec, spec.refine(2)))
+            consts.append(None if abs(unit - finer) / finer > 5e-2 else (unit**-0.5) ** 2)
+        law = KernelLaw(hs)
+        if None in consts:
+            with pytest.raises(ResolutionError, match="not converged"):
+                law.covariances(masses, spec)
+            return
+        got = law.covariances(masses, spec)
+        assert len(got) == len(hs)
+        for g, c, h in zip(got, consts, hs):
+            assert np.array_equal(g, c * _per_h_gram(m, h, spec))
+        # the draw is block_draw through the factor of the distinct masses
+        distinct, inverse = np.unique(m, return_inverse=True)
+        for cov in law.covariances(distinct[distinct > 0], spec):
+            want = block_draw(seed, 40, _factor(distinct, cov).T)[:, inverse]
+            assert np.array_equal(draw(masses, cov, seed, 40), want)
+
+    def test_no_positive_mass_gives_zeros(self):
+        law = KernelLaw([HurstParam(0.3), HurstParam(0.2)])
+        for masses in ([], [0.0, 0.0]):
+            for cov in law.covariances(masses, COARSE):
+                assert cov.shape == (len(masses),) * 2 and not cov.any()
 
 
 def _strip_gram(masses: np.ndarray, h: HurstParam, edge: float) -> np.ndarray:
@@ -610,25 +706,28 @@ class TestTails:
 
 def _reference_verify(ir: IntRepConfig, seed: int) -> list[CriterionResult]:
     """The variance, covariance and refinement criteria of ``verify_intrep``
-    from the public functions, which walk each grid once per call and H."""
+    from ``KernelLaw`` and ``draw`` composed here, with the refinement's
+    covariances taken on ``ir.masses`` itself."""
     out = []
-    for hi, hv in enumerate(ir.hursts):
-        h = HurstParam(hv)
+    law = KernelLaw(HurstParam(hv) for hv in ir.hursts)
+    masses = np.asarray(ir.masses)
+    positive = np.unique(masses[masses > 0])
+    for hi, (hv, h) in enumerate(zip(ir.hursts, law.hs)):
         for ti, theta in enumerate(ir.variance_masses):
-            paths = simulate_via_integral([theta], intrep._derived_seed(seed, 1, hi, ti),
-                                          ir.n_samples, h, ir.grid)
+            paths = draw([theta], law.covariances([theta], ir.grid)[hi],
+                         intrep._derived_seed(seed, 1, hi, ti), ir.n_samples)
             want = theta ** (2 * hv)
             rel = abs(float(np.mean(paths[:, 0] ** 2)) - want) / want
             out.append(CriterionResult(f"variance_H{hv}_theta{theta}", rel <= ir.variance_rel_tol,
                                        rel, ir.variance_rel_tol))
-        paths = simulate_via_integral(ir.masses, intrep._derived_seed(seed, 2, hi),
-                                      ir.n_samples, h, ir.grid)
+        paths = draw(ir.masses, law.covariances(positive, ir.grid)[hi],
+                     intrep._derived_seed(seed, 2, hi), ir.n_samples)
         want = fbm_covariance(ir.masses, h)
         worst = intrep._worst_sigma(paths, want)
         out.append(CriterionResult(f"covariance_H{hv}", worst <= ir.covariance_se_mult, worst,
                                    ir.covariance_se_mult))
         base_err, fine_err = (
-            float(np.max(np.abs(discretized_covariance(ir.masses, h, spec) - want)))
+            float(np.max(np.abs(law.covariances(ir.masses, spec)[hi] - want)))
             for spec in (ir.grid, ir.grid.refine(2))
         )
         out.append(CriterionResult(f"refinement_H{hv}", fine_err < base_err, fine_err, base_err))
@@ -663,9 +762,10 @@ class TestVerifyIntrep:
         [(0.5, 0.75, 1.0), (1.0,), (0.3,), (0.0, 0.5, 0.5, 1.0), (0.0, 0.0)],
     )
     def test_matches_public_functions(self, masses):
-        # the draws are bit for bit those of simulate_via_integral; the
-        # refinement's covariances are the draw's, which are bit for bit
-        # discretized_covariance when the masses are distinct and positive
+        # verify_intrep composes KernelLaw and draw as the reference does:
+        # the same seeds, draws and order.  Its refinement's covariances are
+        # the draw's, put on the masses, which are bit for bit the law's
+        # covariances of the masses when they are distinct and positive
         ir = IntRepConfig(
             masses=masses,
             variance_masses=(0.25, 1.0),
@@ -708,17 +808,22 @@ class TestDiscretizedFactor:
         hv=st.floats(0.1, 0.5, exclude_max=True),
     )
     def test_reproduces_discretized_covariance(self, masses, hv):
-        h = HurstParam(hv)
-        sigma = discretized_covariance(masses, h, COARSE)
-        f = discretized_factor(masses, h, COARSE)
+        # the draw's factor, over the distinct positive masses and put on the
+        # masses, reproduces the law's covariance of the masses
+        h, m = HurstParam(hv), np.asarray(masses)
+        sigma = _covariance(masses, h, COARSE)
+        distinct, inverse = np.unique(m, return_inverse=True)
+        cov = _covariance(distinct[distinct > 0], h, COARSE)
+        f = _factor(distinct, cov)[inverse]
         assert f.shape == (len(masses), len(set(masses) - {0.0}))
         assert np.max(np.abs(f @ f.T - sigma)) <= 1e-10 * np.max(np.abs(sigma))
-        m = np.asarray(masses)
+        paths = draw(masses, cov, 5, 40)
+        assert np.array_equal(paths, block_draw(5, 40, _factor(distinct, cov).T)[:, inverse])
         for i in range(m.size):
             for j in range(i + 1, m.size):
                 if m[i] == m[j]:
-                    assert np.array_equal(f[i], f[j])
-        assert np.all(f[m == 0.0] == 0.0)
+                    assert np.array_equal(paths[:, i], paths[:, j])
+        assert np.all(paths[:, m == 0.0] == 0.0)
 
 
 class TestHalfCase:
@@ -762,7 +867,7 @@ class TestCrossValidation:
         idx = flow_weights(f)[0]
         e = sample_ensemble(cholesky(build_cov_matrix(idx, HurstParam(h))), n, seed=51)
         proj = project(e, f)
-        rep = simulate_via_integral(tc.values, 52, n, HurstParam(h), COARSE)
+        rep = _simulate(tc.values, 52, n, HurstParam(h), COARSE)
         for j in (1, 4, 7):
             inc_a = proj[:, j] - proj[:, 0]
             inc_b = rep[:, j] - rep[:, 0]

@@ -20,6 +20,7 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.recovery import (
+    MAX_COVER_ELEMENTS,
     CharacterizationReport,
     CoverError,
     CoverFamily,
@@ -28,8 +29,6 @@ from sifbm.recovery import (
     Thresholds,
     characterize,
     extension_residual,
-    measurability_check,
-    outer_continuity_check,
     outer_measures,
     psi_on_C_with_se,
     recover_measure,
@@ -43,12 +42,76 @@ from sifbm.rects import (
     CellArrangement,
     LeftNeighborhood,
     Rect,
-    left_nbhd_measure,
     rect,
     rect_contains,
     rect_intersection,
     rect_measure,
 )
+from test_rects import left_nbhd_measure, region_disjoint_ae, region_subset_ae, symdiff_measure
+
+# Checks that hold for the analytic table alone, so only the tests and
+# acceptance criteria 6 and 7 run them.
+
+
+def measurability_check(
+    table: PreMeasureTable,
+    covers: CoverFamily,
+    u: Rect,
+    a_inside: LeftNeighborhood,
+    b_outside: LeftNeighborhood,
+) -> float:
+    """Residual |outer(a u b) - outer(a) - outer(b)| with a inside u and b
+    outside u; cover pieces crossing the boundary of u are cut into their
+    inside and outside halves first (both stay in the class)."""
+    if not region_subset_ae(a_inside, u):
+        raise ValueError("a_inside is not contained in u")
+    if not region_disjoint_ae(b_outside, u):
+        raise ValueError("b_outside overlaps u")
+    pieces = []
+    for el in covers.elements:
+        inside = LeftNeighborhood(rect_intersection(el.base, u), el.subtracted)
+        outside = LeftNeighborhood(el.base, el.subtracted + (u,))
+        for p in (inside, outside):
+            if not p.base.is_empty and left_nbhd_measure(p) > 0.0:
+                pieces.append(p)
+    if len(pieces) > MAX_COVER_ELEMENTS:
+        raise ValueError(
+            f"split cover has {len(pieces)} pieces, exceeding the "
+            f"{MAX_COVER_ELEMENTS}-element search cap"
+        )
+    split = CoverFamily(tuple(pieces))
+    both, a, b = outer_measures(table, split, [[a_inside, b_outside], a_inside, b_outside])
+    return abs(both.value - a.value - b.value)
+
+
+def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
+    """Analytic variance of the difference along a shrinking box sequence:
+    E[(X_{U_n} - X_U)^2] = m(U_n (+) U)^{2H}.
+
+    The corner sequence must decrease componentwise to u's corner; the
+    returned values are then monotone nonincreasing by construction.  When u
+    is degenerate and the final corner is small enough, the final value is
+    additionally asserted below 1e-6 (the regime where the bound is exact).
+    """
+    seq = [Rect(tuple(float(x) for x in c)) for c in corners]
+    if u.is_empty:
+        raise ValueError("limit index must be a box (possibly degenerate), not empty")
+    prev = None
+    for r in seq:
+        if not rect_contains(r, u):
+            raise ValueError(f"sequence element {r!r} does not contain the limit {u!r}")
+        if prev is not None and not rect_contains(prev, r):
+            raise ValueError("corner sequence is not componentwise nonincreasing")
+        prev = r
+    values = np.array([symdiff_measure(r, u) ** h.two_h for r in seq])
+    if np.any(np.diff(values) > 0):
+        raise AssertionError("analytic variance sequence failed to be nonincreasing")
+    if rect_measure(u) == 0.0 and seq:
+        n = len(u.corner)
+        gap_scale = 1e-6 ** (1.0 / (h.two_h * n))
+        if max(seq[-1].corner) <= gap_scale:
+            assert values[-1] <= 1e-6
+    return values
 
 
 def lattice(nx=3, ny=3, sx=1.0, sy=1.0):
