@@ -13,7 +13,9 @@ tree, the outputs in a temporary directory.  Then it compares:
 - the exit code of every command;
 - every artifact other than the manifests, byte for byte; a CSV or JSON
   artifact that differs is listed with the largest relative difference of
-  its numbers, so a change that moves only the last bits shows as such;
+  its numbers, so a change that moves only the last bits shows as such, the
+  first text field that differs with both values, and for JSON whether any
+  ``passed``, ``verdict`` or ``overall`` value differs;
 - the manifests as JSON, with ``wall_time_s`` removed;
 - CHANGE's ``ensemble.sifb`` against the one a ``simulate --jobs 2`` run
   under CHANGE writes, byte for byte: the data must not depend on --jobs.
@@ -71,15 +73,21 @@ def compare(base: Path, change: Path) -> list[str]:
             if manifest(a) != manifest(b):
                 diffs.append(f"{name}: manifests differ beyond wall_time_s")
         elif a.read_bytes() != b.read_bytes():
-            diffs.append(f"{name}: bytes differ{numeric_gap(a, b)}")
+            diffs.append(f"{name}: bytes differ{difference_note(a, b)}")
     return diffs
 
 
-def tokens(path: Path) -> list:
-    """The fields of a CSV artifact, or the keys and values of a JSON one in
-    sorted-key order, each a float where it is a number and text otherwise."""
+# JSON keys whose values are verdicts: a change to one is a flipped outcome
+VERDICT_KEYS = ("passed", "verdict", "overall")
+
+
+def fields(path: Path) -> dict:
+    """Where -> value of each field of a CSV artifact, by line and column, or
+    of each leaf of a JSON one, by its key path in sorted-key order (an empty
+    object or list is a leaf); a float where the value is a number and text
+    otherwise."""
     def token(x):
-        if isinstance(x, bool) or x is None:
+        if isinstance(x, bool) or x is None or x == [] or x == {}:
             return json.dumps(x)
         try:
             return float(x)
@@ -88,44 +96,52 @@ def tokens(path: Path) -> list:
 
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
-            return [token(x) for row in csv.reader(fh) for x in row]
-    out = []
+            return {
+                f"line {i + 1} field {j + 1}": token(x)
+                for i, row in enumerate(csv.reader(fh)) for j, x in enumerate(row)
+            }
+    out = {}
 
-    def walk(x):
-        if isinstance(x, dict):
+    def walk(x, where):
+        if isinstance(x, dict) and x:
             for k in sorted(x):
-                out.append(k)
-                walk(x[k])
-        elif isinstance(x, list):
-            for v in x:
-                walk(v)
+                walk(x[k], f"{where}.{k}" if where else k)
+        elif isinstance(x, list) and x:
+            for i, v in enumerate(x):
+                walk(v, f"{where}[{i}]")
         else:
-            out.append(token(x))
+            out[where] = token(x)
 
-    walk(json.loads(path.read_text()))
+    walk(json.loads(path.read_text()), "")
     return out
 
 
-def numeric_gap(a: Path, b: Path) -> str:
-    """For CSV and JSON artifacts, the largest relative difference of their
-    numbers, |x - y| / max(|x|, |y|), or a note that more than numbers differ."""
+def difference_note(a: Path, b: Path) -> str:
+    """For CSV and JSON artifacts: the largest relative difference of their
+    numbers, |x - y| / max(|x|, |y|); the first field that differs otherwise,
+    with its value on each side; and for JSON, whether a ``VERDICT_KEYS``
+    value differs."""
     if a.suffix not in (".csv", ".json"):
         return ""
     try:
-        ta, tb = tokens(a), tokens(b)
+        fa, fb = fields(a), fields(b)
     except ValueError:
         return " (not parseable)"
-    if len(ta) != len(tb) or any(
-        isinstance(x, str) != isinstance(y, str) or (isinstance(x, str) and x != y)
-        for x, y in zip(ta, tb)
-    ):
-        return " (more than numbers differ)"
-    gap = 0.0
-    for x, y in zip(ta, tb):
-        if isinstance(x, float) and x != y and not (math.isnan(x) and math.isnan(y)):
-            rel = abs(x - y) / max(abs(x), abs(y))
-            gap = math.inf if math.isnan(rel) else max(gap, rel)
-    return f" (largest relative difference of numbers {gap:.3g})"
+    gap, text, flip = 0.0, None, None
+    for where in [*fa, *(w for w in fb if w not in fa)]:
+        x, y = fa.get(where, "<absent>"), fb.get(where, "<absent>")
+        if isinstance(x, float) and isinstance(y, float):
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                rel = abs(x - y) / max(abs(x), abs(y))
+                gap = math.inf if math.isnan(rel) else max(gap, rel)
+        elif x != y:
+            text = text or f"first text difference at {where}: {x!r} in BASE, {y!r} in CHANGE"
+            if where.rsplit(".", 1)[-1] in VERDICT_KEYS:
+                flip = flip or where
+    notes = [f"largest relative difference of numbers {gap:.3g}"] + [text] * (text is not None)
+    if a.suffix == ".json":
+        notes.append(f"a verdict differs at {flip}" if flip else "no passed, verdict or overall value differs")
+    return f" ({'; '.join(notes)})"
 
 
 def main(argv=None) -> int:

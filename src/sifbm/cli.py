@@ -27,8 +27,7 @@ from .recovery import CharacterizationReport, characterize, recover_measure
 from .stats import DegenerateDataError, flow_statistics, gaussianity_check, hurst_estimate
 from .storage import (
     ArtifactError,
-    load_ensemble,
-    read_ensemble_blocks,
+    StoredEnsemble,
     read_json,
     rect_to_json,
     write_ensemble_binary,
@@ -92,9 +91,9 @@ def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
     }
 
 
-def _checked_ensemble(cfg: ExperimentConfig, out: Path):
-    """The stored ensemble's path and the indices it holds, once the simulate
-    manifest shows it was drawn from this config."""
+def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
+    """The stored ensemble, once the simulate manifest shows it was drawn
+    from this config."""
     path, manifest = out / ENSEMBLE_BIN, out / SIMULATE_MANIFEST
     if not path.exists():
         raise FileNotFoundError(
@@ -114,12 +113,7 @@ def _checked_ensemble(cfg: ExperimentConfig, out: Path):
             f"{path}: simulated with {stale} {got[stale]!r}, but the config gives "
             f"{want[stale]!r}; rerun 'sifbm simulate' with this config"
         )
-    return path, idx
-
-
-def _load_ensemble(cfg: ExperimentConfig, out: Path):
-    path, idx = _checked_ensemble(cfg, out)
-    return load_ensemble(path, idx, cfg.hurst, cfg.n_samples)
+    return StoredEnsemble(path, tuple(idx), cfg.hurst, cfg.n_samples)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
@@ -135,9 +129,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 
 def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
-    path, idx = _checked_ensemble(cfg, out)
-    n = cfg.n_samples
-    stats = flow_statistics(read_ensemble_blocks(path, (n, len(idx))), idx, cfg.flows, cfg.hurst)
+    e = _checked_ensemble(cfg, out)
+    n = e.n_samples
+    stats = flow_statistics(e.row_blocks(), e.indices, cfg.flows, cfg.hurst)
     files, report = [], {}
     for name, fs in zip(cfg.flow_names, stats):
         vp = fs.profile
@@ -164,7 +158,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 
 def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> Outcome:
-    e = _load_ensemble(cfg, out)
+    e = _checked_ensemble(cfg, out)
     report, table = recover_measure(e, cfg.covers, cfg.thresholds, cfg.table_indices)
     psi = {
         repr(list(u.corner)): {"value": v, "stderr": se}
@@ -178,7 +172,7 @@ def cmd_verify_intrep(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 
 def cmd_characterize(cfg: ExperimentConfig, out: Path) -> Outcome:
-    e = _load_ensemble(cfg, out)
+    e = _checked_ensemble(cfg, out)
     report = characterize(
         e, list(cfg.flows), cfg.hurst, cfg.covers, cfg.thresholds, cfg.table_indices
     )

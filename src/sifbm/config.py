@@ -27,7 +27,7 @@ class ConfigError(ValueError):
     """Configuration is structurally or semantically invalid."""
 
 
-def _get(d: dict, key: str, kind, where: str, default=None, required=False, least=None):
+def _get(d: dict, key: str, kind, where: str, default=None, required=False, least=None, most=None):
     if key not in d:
         if required:
             raise ConfigError(f"missing required field '{where}{key}'")
@@ -35,7 +35,19 @@ def _get(d: dict, key: str, kind, where: str, default=None, required=False, leas
     val = _typed(d[key], kind, f"{where}{key}")
     if least is not None and val < least:
         raise ConfigError(f"field '{where}{key}' must be >= {least}")
+    if most is not None and val > most:
+        raise ConfigError(f"field '{where}{key}' must be <= {most}")
     return val
+
+
+def _ranged(spec: dict, cls, where: str) -> dict:
+    """Each field of dataclass ``cls`` with a ``least`` (and maybe a ``most``) in its
+    metadata, from ``spec`` or its default, typed as its default and held to that range."""
+    return {
+        f.name: _get(spec, f.name, type(f.default), where, default=f.default,
+                     least=f.metadata["least"], most=f.metadata.get("most"))
+        for f in fields(cls) if "least" in f.metadata
+    }
 
 
 def _typed(val, kind, name: str):
@@ -256,8 +268,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         hursts=_items(ir, "hursts", float, where, default=[0.2, 0.35]),
         n_samples=_get(ir, "n_samples", int, where, default=n_samples, least=1),
         grid=_parse_grid(_get(ir, "grid", dict, where, default={})),
-        variance_rel_tol=_get(ir, "variance_rel_tol", float, where, default=0.03),
-        covariance_se_mult=_get(ir, "covariance_se_mult", float, where, default=3.0),
+        **_ranged(ir, IntRepConfig, where),
     )
     _built("integral_rep.masses", validate_masses, intrep.masses)
     if any(m <= 0 for m in intrep.variance_masses):
@@ -271,7 +282,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
     thr_spec = _get(resolved, "thresholds", dict, "", default={})
     _only(thr_spec, [f.name for f in fields(Thresholds)], "thresholds.")
-    thresholds = Thresholds(**{key: _get(thr_spec, key, float, "thresholds.") for key in thr_spec})
+    thresholds = Thresholds(**_ranged(thr_spec, Thresholds, "thresholds."))
 
     return ExperimentConfig(
         hurst=hurst,
@@ -291,12 +302,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
 def _parse_grid(spec: dict) -> GridSpec:
     _only(spec, [f.name for f in fields(GridSpec)], "integral_rep.grid.")
-    values = {
-        f.name: _get(spec, f.name, type(f.default), "integral_rep.grid.", default=f.default,
-                     least=f.metadata["least"])
-        for f in fields(GridSpec)
-    }
-    return _built("integral_rep.grid", GridSpec, **values)
+    return _built("integral_rep.grid", GridSpec, **_ranged(spec, GridSpec, "integral_rep.grid."))
 
 
 def load_config(path, seed_override: int | None = None, jobs: int = 1) -> ExperimentConfig:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix
+from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix, columns
 from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, signed_terms, union_measure
 
 DEFAULT_FLOW_POINTS = 64
@@ -217,7 +217,7 @@ def project(e: SampleEnsemble, f: Flow) -> np.ndarray:
     a stream of blocks, so the two give the same bits whatever kernel the
     BLAS picks for a block's shape."""
     boxes, a = flow_weights(f)
-    cols = e.positions(boxes)
+    cols = columns(e.indices, boxes)
     out = np.empty((e.n_samples, a.shape[1]))
     for start in range(0, e.n_samples, STREAM_BLOCK):
         out[start:start + STREAM_BLOCK] = block_paths(e.samples[start:start + STREAM_BLOCK], cols, a)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +153,17 @@ def cholesky(c: CovMatrix, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
     )
 
 
+def columns(indices, rects) -> list[int]:
+    """Column of each box of ``rects`` in an ensemble over ``indices``, in
+    order; a repeated index reads its first column.  Raises
+    MissingIndexError naming every absent box, sorted by corner."""
+    pos = {u: i for i, u in reversed(list(enumerate(indices)))}
+    missing = {r for r in rects if r not in pos}
+    if missing:
+        raise MissingIndexError(sorted(missing, key=lambda r: r.corner))
+    return [pos[r] for r in rects]
+
+
 @dataclass(frozen=True)
 class SampleEnsemble:
     """n_samples independent draws of the field over a fixed index list."""
@@ -169,22 +179,8 @@ class SampleEnsemble:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    @cached_property
-    def _position(self) -> dict[Rect, int]:
-        # the first occurrence of a repeated index wins
-        return {u: i for i, u in reversed(list(enumerate(self.indices)))}
-
-    def positions(self, rects: list[Rect]) -> list[int]:
-        """Column of each box, in order.  Raises MissingIndexError naming
-        every absent box, sorted by corner."""
-        pos = self._position
-        missing = {r for r in rects if r not in pos}
-        if missing:
-            raise MissingIndexError(sorted(missing, key=lambda r: r.corner))
-        return [pos[r] for r in rects]
-
     def column(self, u: Rect) -> np.ndarray:
-        return self.samples[:, self.positions([u])[0]]
+        return self.samples[:, columns(self.indices, [u])[0]]
 
     def row_blocks(self) -> Iterator[np.ndarray]:
         """The samples as views of at most STREAM_BLOCK rows, in order: the

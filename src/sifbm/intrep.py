@@ -312,8 +312,8 @@ class IntRepConfig:
     hursts: tuple[float, ...]
     n_samples: int
     grid: GridSpec
-    variance_rel_tol: float = 0.03
-    covariance_se_mult: float = 3.0
+    variance_rel_tol: float = field(default=0.03, metadata={"least": 0.0})
+    covariance_se_mult: float = field(default=3.0, metadata={"least": 0.0})
 
 
 def validate_masses(masses) -> np.ndarray:

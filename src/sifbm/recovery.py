@@ -20,6 +20,9 @@ flow characterization of the field:
      checks into a pass/fail report; ``characterize`` adds flow variance
      profiles, Gaussianity diagnostics and the covariance comparison.
 
+An ensemble ``e`` is read only through its ``row_blocks()``, so a
+``gaussian.SampleEnsemble`` and a ``storage.StoredEnsemble`` give the same bits.
+
 Empirical psi entries carry delta-method standard errors:
 d psi / d s = (1/(2H)) s^{1/(2H)-1} applied to the standard error of the
 mean square.  Propagated errors for alternating sums add in quadrature
@@ -30,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .flows import Flow
-from .gaussian import HurstParam, ResolutionError, SampleEnsemble, covariance_from_measures
+from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures
 from .rects import (
     CellArrangement,
     LeftNeighborhood,
@@ -47,6 +50,7 @@ from .rects import (
 from .stats import flow_statistics, gaussianity_check
 
 MAX_COVER_ELEMENTS = 16
+_AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
 
 
 class MissingPsiError(KeyError):
@@ -64,26 +68,37 @@ class CoverError(ValueError):
 @dataclass(frozen=True)
 class PreMeasureTable:
     """Recovered pre-measure over a box list: ``value[i]`` is psi of
-    ``boxes[i]`` and ``stderr[i]`` its delta-method standard error.
-    ``boxes=None`` is the analytic table: Lebesgue measure, with zero error,
-    on every box."""
+    ``boxes[i]`` and ``stderr[i]`` its delta-method standard error; an
+    empirical table keeps ``gram``, the second moments G = X^T X / n of its
+    boxes' columns over ``n_samples`` samples.  ``boxes=None`` is the
+    analytic table: Lebesgue measure, with zero error, on every box."""
 
     boxes: tuple[Rect, ...] | None = None
     value: np.ndarray | None = None
     stderr: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    n_samples: int = 0
 
     @classmethod
-    def from_ensemble(cls, e: SampleEnsemble, boxes=None) -> "PreMeasureTable":
-        """Plug-in recovery of each box, (mean of X_U^2)^{1/(2H)}, from the
-        ensemble's columns (all of them by default), repeated boxes once."""
-        if e.n_samples < 100:
-            raise ResolutionError(
-                f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}"
-            )
+    def from_ensemble(cls, e, boxes=None) -> "PreMeasureTable":
+        """Plug-in recovery of each box, diag(G)^{1/(2H)}, from the columns of
+        ``e`` (all of them by default), repeated boxes once, in one pass over
+        its row blocks that adds up X^T X and the column sums S4 of X^4.  The
+        standard error of the mean square s is the sample SD of X^2 over
+        sqrt(n), sqrt(max(S4 - n s^2, 0) / ((n - 1) n)): 0, not NaN, on a
+        constant column."""
+        n = e.n_samples
+        if n < 100:
+            raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {n}")
         boxes = tuple(dict.fromkeys(e.indices if boxes is None else boxes))
-        # one contiguous row per box, so each row reduces as its column did
-        sq = np.ascontiguousarray(e.samples[:, e.positions(boxes)].T) ** 2
-        s = np.mean(sq, axis=1)
+        cols = columns(e.indices, boxes)
+        gram, s4 = np.zeros((len(boxes), len(boxes))), np.zeros(len(boxes))
+        for block in e.row_blocks():
+            x = block[:, cols]
+            gram += x.T @ x
+            s4 += np.sum((x * x) ** 2, axis=0)
+        gram /= n
+        s = np.diag(gram)
         flat = [u for u, z in zip(boxes, s == 0.0) if z and rect_measure(u) > 0]
         if flat:
             warnings.warn(f"zero empirical variance for non-degenerate indices {flat}", stacklevel=2)
@@ -92,8 +107,8 @@ class PreMeasureTable:
         # bit for about one value in twenty
         value = np.array([x**inv for x in s.tolist()])
         slope = np.array([x ** (inv - 1.0) for x in s.tolist()])
-        se_s = np.std(sq, axis=1, ddof=1) / np.sqrt(e.n_samples)
-        return cls(boxes, value, inv * slope * se_s)
+        se_s = np.sqrt(np.maximum(s4 - n * s**2, 0.0) / ((n - 1) * n))
+        return cls(boxes, value, inv * slope * se_s, gram, n)
 
     @cached_property
     def _position(self) -> dict[Rect, int]:
@@ -243,19 +258,20 @@ class Thresholds:
     extension bands, and a recovery tolerance of max(5% relative,
     4 propagated standard errors) on indices with measure >= psi_floor.
     Nested splits are additive for any table, so no band tests them; the
-    extension band is the one that tests that psi is a measure.
+    extension band is the one that tests that psi is a measure.  The config
+    holds each field to its metadata range: pass fractions in [0, 1], the rest >= 0.
     """
 
-    profile_se_mult: float = 4.0
-    profile_pass_fraction: float = 0.95
-    gaussianity_z: float = 4.0
-    psi_recovery_rel: float = 0.05
-    psi_recovery_se_mult: float = 4.0
-    psi_floor: float = 0.1
-    monotonicity_se_mult: float = 3.0
-    extension_se_mult: float = 3.0
-    covariance_se_mult: float = 3.0
-    covariance_pass_fraction: float = 0.99
+    profile_se_mult: float = field(default=4.0, metadata=_AT_LEAST_0)
+    profile_pass_fraction: float = field(default=0.95, metadata=_FRACTION)
+    gaussianity_z: float = field(default=4.0, metadata=_AT_LEAST_0)
+    psi_recovery_rel: float = field(default=0.05, metadata=_AT_LEAST_0)
+    psi_recovery_se_mult: float = field(default=4.0, metadata=_AT_LEAST_0)
+    psi_floor: float = field(default=0.1, metadata=_AT_LEAST_0)
+    monotonicity_se_mult: float = field(default=3.0, metadata=_AT_LEAST_0)
+    extension_se_mult: float = field(default=3.0, metadata=_AT_LEAST_0)
+    covariance_se_mult: float = field(default=3.0, metadata=_AT_LEAST_0)
+    covariance_pass_fraction: float = field(default=0.99, metadata=_FRACTION)
 
 
 @dataclass(frozen=True)
@@ -347,7 +363,7 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
     recovery_pass = not np.any(tested & (err > tol))
     rel = np.divide(err, m, out=np.zeros_like(m), where=tested)
     worst_rel = float(np.max(rel, initial=0.0))
-    worst_detail = repr(table.boxes[np.argmax(rel)]) if worst_rel > 0 else ""
+    worst_detail = f"at {table.boxes[np.argmax(rel)]!r}" if worst_rel > 0 else "is 0"
     # every comparable pair once, the smaller box first
     inside = _containment(table.boxes)
     a, b = np.nonzero(np.triu(inside | inside.T, 1))
@@ -362,7 +378,7 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
             recovery_pass,
             worst_rel,
             thr.psi_recovery_rel,
-            f"worst relative recovery error at {worst_detail}",
+            f"worst relative recovery error {worst_detail}",
         ),
         CriterionResult(
             "psi_monotonicity",
@@ -385,27 +401,22 @@ def _extension_criterion(table, covers, thr) -> CriterionResult:
         return CriterionResult(
             "extension", False, np.inf, 0.0, "no coverable index to test"
         )
-    worst, detail, passed = 0.0, "", True
+    worst, detail, passed = 0.0, "is 0", True
     for u, det in zip(targets, outer_measures(table, covers, targets)):
         resid, se = extension_residual(table, det, u)
         if resid > thr.extension_se_mult * se:
             passed = False
         if resid > worst:
-            worst, detail = resid, repr(u)
+            worst, detail = resid, f"({u!r})"
     return CriterionResult(
-        "extension", passed, worst, 0.0,
-        f"worst residual over {len(targets)} targets ({detail})",
+        "extension", passed, worst, 0.0, f"worst residual over {len(targets)} targets {detail}"
     )
 
 
-def _covariance_criterion(e, table, h, thr) -> CriterionResult:
+def _covariance_criterion(table, h, thr) -> CriterionResult:
     # usable pairs: both boxes and their intersection have recovered entries
-    idx = table.boxes
-    x = e.samples[:, e.positions(idx)]
-    n = e.n_samples
-    emp = (x.T @ x) / n
-    diag = np.diag(emp)
-    corners = corner_array(idx)
+    emp, n = table.gram, table.n_samples
+    corners = corner_array(table.boxes)
     t, dim = corners.shape
     inter = np.minimum(corners[:, None], corners[None, :]).reshape(t * t, dim)
     # table row of each pairwise intersection, -1 where the table lacks it
@@ -415,10 +426,9 @@ def _covariance_criterion(e, table, h, thr) -> CriterionResult:
     row[ids[:t]] = np.arange(t)
     k = row[ids[t:]].reshape(t, t)
     i, j = np.nonzero(np.triu(k >= 0))
-    psi = table.value
-    mu, mv, mi = psi[i], psi[j], psi[k[i, j]]
+    mu, mv, mi = table.value[i], table.value[j], table.value[k[i, j]]
     pred = covariance_from_measures(mu, mv, mu + mv - 2 * mi, h)
-    se = np.sqrt((diag[i] * diag[j] + emp[i, j] ** 2) / n)
+    se = np.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2) / n)
     dev = np.abs(emp[i, j] - pred)
     banded = se > 0
     total = len(i)
@@ -442,7 +452,7 @@ def _covariance_criterion(e, table, h, thr) -> CriterionResult:
 
 
 def recover_measure(
-    e: SampleEnsemble,
+    e,
     covers: CoverFamily,
     thresholds: Thresholds | None = None,
     table_indices=None,
@@ -458,7 +468,7 @@ def recover_measure(
 
 
 def characterize(
-    e: SampleEnsemble,
+    e,
     flows: list[Flow],
     h: HurstParam,
     covers: CoverFamily,
@@ -478,5 +488,5 @@ def characterize(
     recovered, table = recover_measure(e, covers, thr, table_indices)
     criteria = _flow_criteria(e, flows, h, thr)
     criteria += recovered.criteria
-    criteria.append(_covariance_criterion(e, table, h, thr))
+    criteria.append(_covariance_criterion(table, h, thr))
     return CharacterizationReport(tuple(criteria))

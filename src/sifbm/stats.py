@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import TimeChange, block_paths, flow_weights, predicted_increment_moment, time_change
-from .gaussian import HurstParam, SampleEnsemble
+from .gaussian import HurstParam, columns
 
 
 class DegenerateDataError(ValueError):
@@ -109,7 +109,7 @@ class FlowStatistics:
 def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistics]:
     """One ``FlowStatistics`` per flow from one pass over ``blocks``, the row
     blocks of an ensemble over ``indices`` (``SampleEnsemble.row_blocks``,
-    ``storage.read_ensemble_blocks``).
+    ``storage.StoredEnsemble.row_blocks``).
 
     Each flow's columns B_f and weights A_f are looked up once.  Each block
     P_b = X_b[:, B_f] A_f is formed by ``block_paths``, as ``project`` forms
@@ -118,10 +118,7 @@ def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistic
     every increment moment along the flow is read from it.  Beyond one block
     and the k x k moment matrices, only the end and middle columns are held:
     no (n, n_indices) or (n, k) array is formed."""
-    indices = tuple(indices)
-    # the ensemble's column lookup, with no rows
-    layout = SampleEnsemble(indices, np.empty((0, len(indices))), h)
-    reads = [(layout.positions(boxes), a) for boxes, a in map(flow_weights, flows)]
+    reads = [(columns(indices, boxes), a) for boxes, a in map(flow_weights, flows)]
     sums = [np.zeros((a.shape[1], a.shape[1])) for _, a in reads]
     ends, mids = [[] for _ in flows], [[] for _ in flows]
     n = 0

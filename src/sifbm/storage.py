@@ -4,7 +4,8 @@ The binary ensemble format is magic bytes "SIFB", one version byte, two
 little-endian uint64 counts (rows, columns), then row-major little-endian
 float64 samples.  ``write_ensemble_binary`` writes it block by block as the
 draw arrives, so ``sifbm simulate`` never holds the whole ensemble, and
-``read_ensemble_blocks`` reads it back the same way for ``sifbm project``.
+``read_ensemble_blocks`` reads it back the same way: it is the one reader,
+behind ``StoredEnsemble``, through which every command reads the ensemble.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import json
 import os
 import struct
 from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble
+from .gaussian import STREAM_BLOCK, HurstParam
 from .rects import Rect
 from .stats import VarianceProfile
 
@@ -92,41 +94,36 @@ def _check_header(fh, path, shape=(None, None)) -> tuple[int, int]:
     return rows, cols
 
 
-def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
-    """The next ``rows`` rows of ``fh`` as a read-only, aligned float64 array."""
-    try:
-        out = np.empty((rows, cols), "<f8")
-    except ValueError:
-        raise ArtifactError(f"{path}: unsupported shape {rows} x {cols}") from None
-    got = fh.readinto(out)
-    if got != out.nbytes:
-        raise ArtifactError(f"{path}: truncated payload, {got} bytes for {rows} x {cols} doubles")
-    out.flags.writeable = False
-    return out
-
-
-def read_matrix_binary(path, shape=(None, None)) -> np.ndarray:
-    """Parse a SIFB file into a read-only, aligned float64 array; any
-    malformed input, or a (rows, columns) other than ``shape`` where given,
-    raises ``ArtifactError``."""
-    with open(path, "rb") as fh:
-        return _read_rows(fh, path, *_check_header(fh, path, shape))
-
-
-def read_ensemble_blocks(path, shape) -> Iterator[np.ndarray]:
-    """The rows of a SIFB ensemble of (rows, columns) ``shape`` in order, as
-    read-only blocks of at most STREAM_BLOCK rows, read as they are
-    consumed: the whole matrix is never held.  The header is checked as by
-    ``read_matrix_binary`` when the first block is asked for."""
+def read_ensemble_blocks(path, shape=(None, None)) -> Iterator[np.ndarray]:
+    """The rows of a SIFB ensemble in order, as read-only, aligned float64
+    blocks of at most STREAM_BLOCK rows, read as they are consumed: the whole
+    matrix is never held.  The header is checked, against the (rows,
+    columns) ``shape`` where given, when the first block is asked for; any
+    malformed input raises ``ArtifactError``."""
     with open(path, "rb") as fh:
         rows, cols = _check_header(fh, path, shape)
         for start in range(0, rows, STREAM_BLOCK):
-            yield _read_rows(fh, path, min(STREAM_BLOCK, rows - start), cols)
+            block = np.empty((min(STREAM_BLOCK, rows - start), cols), "<f8")
+            got = fh.readinto(block)
+            if got != block.nbytes:
+                raise ArtifactError(f"{path}: truncated payload, {got} bytes for {len(block)} x {cols} doubles")
+            block.flags.writeable = False
+            yield block
 
 
-def load_ensemble(binary_path, indices, hurst: HurstParam, n_samples: int) -> SampleEnsemble:
-    samples = read_matrix_binary(binary_path, (n_samples, len(indices)))
-    return SampleEnsemble(tuple(indices), samples, hurst)
+@dataclass(frozen=True)
+class StoredEnsemble:
+    """A SIFB ensemble on disk with the reading side of ``SampleEnsemble``:
+    ``row_blocks`` reads the file anew on each call, checking that it holds
+    ``n_samples`` rows of one column per index."""
+
+    path: Path
+    indices: tuple[Rect, ...]
+    hurst: HurstParam
+    n_samples: int
+
+    def row_blocks(self) -> Iterator[np.ndarray]:
+        return read_ensemble_blocks(self.path, (self.n_samples, len(self.indices)))
 
 
 def write_profile_csv(profile: VarianceProfile, path):

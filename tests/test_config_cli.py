@@ -3,6 +3,7 @@
 import ast
 import copy
 import importlib.util
+import itertools
 import json
 import tempfile
 import time
@@ -31,9 +32,7 @@ from sifbm.storage import (
     MAGIC,
     VERSION,
     ArtifactError,
-    load_ensemble,
     read_ensemble_blocks,
-    read_matrix_binary,
     write_ensemble_binary,
 )
 
@@ -78,11 +77,21 @@ def make_config(tmp_path, **overrides):
 
 
 def frombuffer_reference(path) -> np.ndarray:
-    """The parse ``read_matrix_binary`` replaced: a view of the file's bytes
-    at the 21-byte header offset, so its data is not 8-byte aligned."""
+    """The parse the SIFB reader replaced: a view of the file's bytes at the
+    21-byte header offset, so its data is not 8-byte aligned."""
     raw = Path(path).read_bytes()
     _, _, rows, cols = _HEADER.unpack_from(raw)
     return np.frombuffer(raw, "<f8", offset=_HEADER.size).reshape(rows, cols)
+
+
+def read_all(path, shape=(None, None)) -> np.ndarray:
+    """Every row of a SIFB file: the blocks ``read_ensemble_blocks`` yields,
+    each checked read-only and aligned, joined."""
+    blocks = list(read_ensemble_blocks(path, shape))
+    assert all(not b.flags.writeable and b.flags.aligned for b in blocks)
+    with open(path, "rb") as fh:
+        cols = _HEADER.unpack(fh.read(_HEADER.size))[3]
+    return np.concatenate(blocks) if blocks else np.empty((0, cols))
 
 
 class TestStorage:
@@ -96,9 +105,7 @@ class TestStorage:
         e = self._ensemble()
         p = tmp_path / "e.sifb"
         write_ensemble_binary(ensemble_blocks(self._factor(), 20, seed=3), p, e.samples.shape)
-        got = read_matrix_binary(p)
-        assert np.array_equal(got, e.samples)
-        assert not got.flags.writeable
+        assert np.array_equal(read_all(p), e.samples)
 
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (257, 5)])
     def test_loaded_samples_aligned_and_bit_equal_to_frombuffer(self, tmp_path, shape):
@@ -106,10 +113,7 @@ class TestStorage:
         bits = np.random.default_rng(11).integers(0, 2**64, shape, dtype=np.uint64)
         p = tmp_path / "e.sifb"
         write_ensemble_binary((bits.view(np.float64),), p, shape)
-        idx = [rect(i + 1, 1) for i in range(shape[1])]
-        got = load_ensemble(p, idx, HurstParam(0.3), shape[0]).samples
-        assert got.flags.aligned and not got.flags.writeable
-        assert got.tobytes() == frombuffer_reference(p).tobytes()
+        assert read_all(p, shape).tobytes() == frombuffer_reference(p).tobytes()
 
     def test_failed_stream_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "ensemble.sifb"
@@ -191,8 +195,8 @@ class TestStorage:
         write_ensemble_binary((m,), p, m.shape)
         want = _HEADER.pack(MAGIC, VERSION, *m.shape) + np.asarray(m, "<f8").tobytes()
         assert p.read_bytes() == want
-        got = read_matrix_binary(p)
-        assert got.dtype == np.float64 and not got.flags.writeable
+        got = read_all(p)
+        assert got.dtype == np.float64
         assert np.array_equal(got, wide, equal_nan=True)
 
     def test_blocks_read_in_order_and_short_read_named(self, tmp_path):
@@ -219,10 +223,9 @@ class TestStorage:
     def test_shape_checked_against_config(self, tmp_path, shape, match):
         p = tmp_path / "m.sifb"
         write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
-        for read in (read_matrix_binary, lambda p, shape: next(read_ensemble_blocks(p, shape))):
-            with pytest.raises(ArtifactError, match=match) as ei:
-                read(p, shape)
-            assert str(p) in str(ei.value)
+        with pytest.raises(ArtifactError, match=match) as ei:
+            next(read_ensemble_blocks(p, shape))
+        assert str(p) in str(ei.value)
 
     def test_binary_header(self, tmp_path):
         p = tmp_path / "m.sifb"
@@ -237,7 +240,7 @@ class TestStorage:
         p = tmp_path / "bad.sifb"
         p.write_bytes(b"nope" + bytes(20))
         with pytest.raises(ValueError, match="not a SIFB"):
-            read_matrix_binary(p)
+            next(read_ensemble_blocks(p))
 
     @pytest.mark.parametrize("size", [4, 12, 21, 30])
     def test_binary_truncated_named(self, tmp_path, size):
@@ -245,7 +248,7 @@ class TestStorage:
         write_ensemble_binary((np.arange(6.0).reshape(2, 3),), p, (2, 3))
         p.write_bytes(p.read_bytes()[:size])
         with pytest.raises(ArtifactError, match="truncated") as ei:
-            read_matrix_binary(p)
+            list(read_ensemble_blocks(p))
         assert str(p) in str(ei.value)
 
     @settings(max_examples=300, deadline=None)
@@ -269,14 +272,17 @@ class TestStorage:
     def test_binary_any_bytes_parse_or_artifact_error(self, tmp_path_factory, raw):
         p = tmp_path_factory.getbasetemp() / "fuzz.sifb"
         p.write_bytes(raw)
+        # the payload holds at most 20 doubles, so a file with a column has
+        # one block; the bound stops a zero-column header of 2^63 rows from
+        # walking 2^55 empty blocks
         try:
-            mat = read_matrix_binary(p)
+            blocks = list(itertools.islice(read_ensemble_blocks(p), 2))
         except ArtifactError as exc:
             assert str(p) in str(exc)
         else:
             assert raw[:5] == b"SIFB\x01"
-            assert mat.dtype == np.float64 and mat.ndim == 2
-            assert 21 + 8 * mat.size == len(raw)
+            assert all(b.dtype == np.float64 and b.ndim == 2 for b in blocks)
+            assert 21 + 8 * sum(b.size for b in blocks) == len(raw)
 
 
 class TestConfig:
@@ -398,7 +404,7 @@ class TestCli:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        matrix = read_matrix_binary(tmp_path / "out" / "ensemble.sifb")
+        matrix = read_all(tmp_path / "out" / "ensemble.sifb")
         assert peak < matrix.nbytes / 4
 
     def test_simulate_writes_no_csv(self, tmp_path):
@@ -498,7 +504,7 @@ class TestCli:
         assert "hurst" in capsys.readouterr().err
         # independent columns of the same shape: variance profile must fail
         ens = out / "ensemble.sifb"
-        shape = read_matrix_binary(ens).shape
+        shape = read_all(ens).shape
         write_ensemble_binary((np.random.default_rng(5).standard_normal(shape),), ens, shape)
         assert main(["characterize", "--config", str(path)]) == 2
         rep2 = json.loads((out / "characterization.json").read_text())
@@ -527,7 +533,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path)]) == 0
         ens = out / "ensemble.sifb"
-        cut = read_matrix_binary(ens)[:1200]
+        cut = read_all(ens)[:1200]
         write_ensemble_binary((cut,), ens, cut.shape)
         capsys.readouterr()
         assert main([command, "--config", str(path)]) == 1
@@ -648,6 +654,27 @@ class TestCli:
         assert main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sifbm: config error:") and f"'{field}'" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, bound",
+        [
+            ("thresholds", "covariance_pass_fraction", 1.5, "<= 1.0"),
+            ("thresholds", "profile_pass_fraction", -0.5, ">= 0.0"),
+            ("thresholds", "gaussianity_z", -1, ">= 0.0"),
+            ("thresholds", "psi_floor", -0.1, ">= 0.0"),
+            ("integral_rep", "covariance_se_mult", -1, ">= 0.0"),
+            ("integral_rep", "variance_rel_tol", -0.01, ">= 0.0"),
+        ],
+    )
+    def test_out_of_range_band_is_config_error(self, tmp_path, capsys, section, key, value, bound):
+        # these used to run and fail a criterion, exit 2, or pass every one
+        raw = copy.deepcopy({**BASE_CONFIG, "thresholds": {}})
+        raw[section][key] = value
+        config, _ = make_config(tmp_path, **raw)
+        assert main(["characterize", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"sifbm: config error: field '{section}.{key}' must be {bound}"
+        )
 
     def test_negative_refine_radius_is_config_error(self, tmp_path, capsys):
         # a negative window used to refine nearly the cells of its absolute

@@ -24,6 +24,7 @@ from sifbm.gaussian import (
     SampleEnsemble,
     build_cov_matrix,
     cholesky,
+    columns,
     sample_ensemble,
 )
 from sifbm.rects import EMPTY, Rect, RectUnion, rect, rect_intersection, signed_terms
@@ -350,7 +351,7 @@ def additive_extend(e, target: RectUnion) -> np.ndarray:
         return np.zeros(e.n_samples)
     terms = [(sign, r) for sign, r in signed_terms(target.parts) if not r.is_empty]
     out = np.zeros(e.n_samples)
-    for (sign, _), j in zip(terms, e.positions([r for _, r in terms])):
+    for (sign, _), j in zip(terms, columns(e.indices, [r for _, r in terms])):
         out += sign * e.samples[:, j]
     return out
 
@@ -359,7 +360,7 @@ def column_projection(e, f) -> np.ndarray:
     if isinstance(f, ElementaryFlow):
         nonempty = [j for j, v in enumerate(f.values) if not v.is_empty]
         cols = np.zeros((e.n_samples, len(f.values)))
-        for j, col in zip(nonempty, e.positions([f.values[j] for j in nonempty])):
+        for j, col in zip(nonempty, columns(e.indices, [f.values[j] for j in nonempty])):
             cols[:, j] = e.samples[:, col]
         return cols
     _, values = f.grid_and_values()
@@ -422,7 +423,7 @@ class TestFlowWeights:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         (fs,) = flow_statistics(e.row_blocks(), e.indices, [f], HurstParam(hv))
         gram = (want.T @ want) / n
-        x = e.samples[:, e.positions(boxes)]
+        x = e.samples[:, columns(e.indices, boxes)]
         m = a.T @ ((x.T @ x) / n) @ a
         assert np.max(np.abs(m - gram)) <= 1e-12 * np.max(np.abs(gram))
         assert np.max(np.abs(fs.moments - gram)) <= 1e-12 * np.max(np.abs(gram))

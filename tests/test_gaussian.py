@@ -18,6 +18,7 @@ from sifbm.gaussian import (
     SampleEnsemble,
     build_cov_matrix,
     cholesky,
+    columns,
     covariance_from_measures,
     sample_ensemble,
 )
@@ -278,13 +279,13 @@ class TestPositions:
 
     def test_first_occurrence_of_a_repeated_index(self):
         e = self._ensemble()
-        assert e.positions([rect(1, 1), rect(1, 2), rect(2, 1)]) == [3, 0, 1]
+        assert columns(e.indices, [rect(1, 1), rect(1, 2), rect(2, 1)]) == [3, 0, 1]
         assert np.array_equal(e.column(rect(1, 2)), e.samples[:, 0])
 
     def test_missing_boxes_named_once_and_sorted(self):
         e = self._ensemble()
         with pytest.raises(MissingIndexError) as ei:
-            e.positions([rect(3, 1), rect(1, 2), rect(0, 5), rect(3, 1)])
+            columns(e.indices, [rect(3, 1), rect(1, 2), rect(0, 5), rect(3, 1)])
         assert ei.value.missing == [rect(0, 5), rect(3, 1)]
 
     def test_column_of_missing_box(self):

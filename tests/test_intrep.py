@@ -826,6 +826,27 @@ class TestDiscretizedFactor:
         assert np.all(paths[:, m == 0.0] == 0.0)
 
 
+    def test_clip_keeps_ratio_1e10_and_drops_ratio_1e14(self, monkeypatch):
+        # eigenvalues 4, 4e-10 and 4e-14: ratios 1e-10 and 1e-14 to the
+        # largest, on either side of the 1e-12 clip, in a rotated basis
+        q = np.eye(3) - 2.0 / 3.0  # the reflection across the plane normal to (1, 1, 1)
+        cov = q @ np.diag([4e-10, 4.0, 4e-14]) @ q.T
+        factors = []
+
+        def recorded(seed, n_rows, right):
+            factors.append(right.T)
+            return block_draw(seed, n_rows, right)
+
+        monkeypatch.setattr(intrep, "block_draw", recorded)
+        draw([0.5, 1.0, 2.0], cov, 3, 10)
+        # the factor's columns are eigenvectors scaled by the roots of the
+        # kept eigenvalues, smallest first
+        kept = np.sum(factors[0] ** 2, axis=0)
+        assert kept[0] == 0.0
+        assert kept[1] == pytest.approx(4e-10, rel=1e-3)
+        assert kept[2] == pytest.approx(4.0, rel=1e-12)
+
+
 class TestHalfCase:
     def test_zero_mass(self):
         paths = half_case_simulate([0.0], seed=1, n_samples=20)
