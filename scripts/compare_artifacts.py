@@ -13,9 +13,11 @@ tree, the outputs in a temporary directory.  Then it compares:
 - the exit code of every command;
 - every artifact other than the manifests, byte for byte; a CSV or JSON
   artifact that differs is listed with the largest relative difference of
-  its numbers, so a change that moves only the last bits shows as such, the
-  first text field that differs with both values, and for JSON whether any
-  ``passed``, ``verdict`` or ``overall`` value differs;
+  its nonzero numbers and where it is, so a change that moves only the last
+  bits shows as such, the numbers that move to or from 0 apart (their
+  relative difference is 1 whatever their size), the first text field that
+  differs with both values, and for JSON whether any ``passed``, ``verdict``
+  or ``overall`` value differs;
 - the manifests as JSON, with ``wall_time_s`` removed;
 - CHANGE's ``ensemble.sifb`` against the one a ``simulate --jobs 2`` run
   under CHANGE writes, byte for byte: the data must not depend on --jobs.
@@ -118,27 +120,37 @@ def fields(path: Path) -> dict:
 
 def difference_note(a: Path, b: Path) -> str:
     """For CSV and JSON artifacts: the largest relative difference of their
-    numbers, |x - y| / max(|x|, |y|); the first field that differs otherwise,
-    with its value on each side; and for JSON, whether a ``VERDICT_KEYS``
-    value differs."""
+    numbers where neither is 0, |x - y| / max(|x|, |y|), with its field; how
+    many numbers move to or from 0, with the first; the first field that
+    differs otherwise, with its value on each side; and for JSON, whether a
+    ``VERDICT_KEYS`` value differs."""
     if a.suffix not in (".csv", ".json"):
         return ""
     try:
         fa, fb = fields(a), fields(b)
     except ValueError:
         return " (not parseable)"
-    gap, text, flip = 0.0, None, None
+    gap, gap_at, zeros, text, flip = 0.0, None, [], None, None
     for where in [*fa, *(w for w in fb if w not in fa)]:
         x, y = fa.get(where, "<absent>"), fb.get(where, "<absent>")
         if isinstance(x, float) and isinstance(y, float):
-            if x != y and not (math.isnan(x) and math.isnan(y)):
-                rel = abs(x - y) / max(abs(x), abs(y))
-                gap = math.inf if math.isnan(rel) else max(gap, rel)
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            if x == 0 or y == 0:
+                zeros.append(f"{where}: {x!r} in BASE, {y!r} in CHANGE")
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y))
+            rel = math.inf if math.isnan(rel) else rel
+            if rel > gap:
+                gap, gap_at = rel, where
         elif x != y:
             text = text or f"first text difference at {where}: {x!r} in BASE, {y!r} in CHANGE"
             if where.rsplit(".", 1)[-1] in VERDICT_KEYS:
                 flip = flip or where
-    notes = [f"largest relative difference of numbers {gap:.3g}"] + [text] * (text is not None)
+    notes = [f"largest relative difference of numbers {gap:.3g}" + (f" at {gap_at}" if gap_at else "")]
+    if zeros:
+        notes.append(f"{len(zeros)} number(s) move to or from 0, first at {zeros[0]}")
+    notes += [text] * (text is not None)
     if a.suffix == ".json":
         notes.append(f"a verdict differs at {flip}" if flip else "no passed, verdict or overall value differs")
     return f" ({'; '.join(notes)})"

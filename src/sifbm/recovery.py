@@ -40,13 +40,7 @@ import numpy as np
 
 from .flows import Flow
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures
-from .rects import (
-    CellArrangement,
-    LeftNeighborhood,
-    Rect,
-    corner_array,
-    rect_measure,
-)
+from .rects import CellArrangement, LeftNeighborhood, Rect, corner_array, rect_measure
 from .stats import flow_statistics, gaussianity_check
 
 MAX_COVER_ELEMENTS = 16

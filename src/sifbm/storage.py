@@ -42,8 +42,11 @@ def rect_to_json(r: Rect):
 
 def write_ensemble_binary(blocks, path, shape):
     """Write row blocks as one (rows, columns) ``shape`` matrix through a file that
-    replaces ``path`` after the last block; blocks that miss ``shape`` raise."""
+    replaces ``path`` after the last block; blocks that miss ``shape``, and rows
+    without columns, raise."""
     rows, cols = shape
+    if cols == 0 and rows > 0:
+        raise ValueError(f"{path}: {rows} rows of 0 columns")
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -65,8 +68,9 @@ def write_ensemble_binary(blocks, path, shape):
 
 def _check_header(fh, path, shape=(None, None)) -> tuple[int, int]:
     """Read and check the header of the SIFB file open as ``fh``: magic,
-    version, and a payload size that fits it, so no array is allocated before
-    the file is known to hold it; then the (rows, columns) ``shape`` expected,
+    version, a payload size that fits it, so no array is allocated before
+    the file is known to hold it, and no rows without columns, so reading
+    never walks empty blocks; then the (rows, columns) ``shape`` expected,
     where given.  Returns (rows, columns); any mismatch raises
     ``ArtifactError``."""
     head = fh.read(_HEADER.size)
@@ -80,6 +84,8 @@ def _check_header(fh, path, shape=(None, None)) -> tuple[int, int]:
     payload = os.fstat(fh.fileno()).st_size - _HEADER.size
     if payload != 8 * rows * cols:
         raise ArtifactError(f"{path}: truncated payload, {payload} bytes for {rows} x {cols} doubles")
+    if cols == 0 and rows > 0:
+        raise ArtifactError(f"{path}: {rows} rows of 0 columns")
     want_rows, want_cols = shape
     if want_cols is not None and cols != want_cols:
         raise ArtifactError(

@@ -50,6 +50,17 @@ def test_changed_text_is_printed_with_both_values(tmp_path):
     assert line.endswith("; no passed, verdict or overall value differs)")
 
 
+def test_move_to_zero_does_not_hide_the_round_off_gap(tmp_path):
+    def change(report):
+        report["criteria"][0]["statistic"] = 0.25 * (1 + 2**-50)
+        report["criteria"][1]["statistic"] = 0.0
+        return report
+
+    (line,) = compare_artifacts.compare(*write_pair(tmp_path, change))
+    assert "largest relative difference of numbers 8.88e-16 at criteria[0].statistic;" in line
+    assert "1 number(s) move to or from 0, first at criteria[1].statistic: 1.5 in BASE, 0.0 in CHANGE;" in line
+
+
 def test_flipped_verdict_is_named(tmp_path):
     def flip(report):
         report["criteria"][0]["passed"] = False
