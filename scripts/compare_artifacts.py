@@ -11,8 +11,10 @@ fresh interpreter per command, one BLAS thread, the config read from that
 tree, the outputs in a temporary directory.  Then it compares:
 
 - the exit code of every command;
-- every artifact other than the manifests, byte for byte; a CSV or JSON
-  artifact that differs is listed with the largest relative difference of
+- every artifact other than the manifests, byte for byte; an
+  ``ensemble.sifb`` that differs is listed with the largest absolute
+  difference of its samples and where it is, and a CSV or JSON
+  artifact that differs with the largest relative difference of
   its nonzero numbers and where it is, so a change that moves only the last
   bits shows as such, the numbers that move to or from 0 apart (their
   relative difference is 1 whatever their size), the first text field that
@@ -31,14 +33,18 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 CONFIGS = ("configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json")
 COMMANDS = ("simulate", "project", "recover-measure", "verify-intrep", "characterize", "report")
 ENSEMBLE = "ensemble.sifb"
+SIFB_HEADER = struct.Struct("<4sBQQ")  # magic, version, rows, columns
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -123,7 +129,9 @@ def difference_note(a: Path, b: Path) -> str:
     numbers where neither is 0, |x - y| / max(|x|, |y|), with its field; how
     many numbers move to or from 0, with the first; the first field that
     differs otherwise, with its value on each side; and for JSON, whether a
-    ``VERDICT_KEYS`` value differs."""
+    ``VERDICT_KEYS`` value differs.  For SIFB ensembles, ``sifb_note``."""
+    if a.suffix == ".sifb":
+        return sifb_note(a, b)
     if a.suffix not in (".csv", ".json"):
         return ""
     try:
@@ -154,6 +162,19 @@ def difference_note(a: Path, b: Path) -> str:
     if a.suffix == ".json":
         notes.append(f"a verdict differs at {flip}" if flip else "no passed, verdict or overall value differs")
     return f" ({'; '.join(notes)})"
+
+
+def sifb_note(a: Path, b: Path) -> str:
+    """The largest absolute difference of two SIFB ensembles' samples, with
+    its row and column, if their headers and sizes agree."""
+    raw = [p.read_bytes() for p in (a, b)]
+    if raw[0][:SIFB_HEADER.size] != raw[1][:SIFB_HEADER.size] or len(raw[0]) != len(raw[1]):
+        return " (headers or sizes differ)"
+    _, _, rows, cols = SIFB_HEADER.unpack_from(raw[0])
+    x, y = (np.frombuffer(r, "<f8", rows * cols, SIFB_HEADER.size).reshape(rows, cols) for r in raw)
+    gap = np.abs(x - y)
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    return f" (largest absolute difference of samples {gap[i, j]:.3g} at row {i} column {j})"
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
-from .intrep import GridSpec, IntRepConfig, validate_masses
+from .intrep import KERNEL_H_MAX, GridSpec, IntRepConfig, validate_masses
 from .recovery import CoverFamily, Thresholds, tiling_cover
 from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect
 
@@ -274,10 +274,10 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     if any(m <= 0 for m in intrep.variance_masses):
         raise ConfigError("field 'integral_rep.variance_masses' entries must be > 0")
     for hv in intrep.hursts:
-        if _built("integral_rep.hursts", HurstParam, hv).is_half:
+        if _built("integral_rep.hursts", HurstParam, hv).value > KERNEL_H_MAX:
             raise ConfigError(
-                "field 'integral_rep.hursts': the kernel vanishes at H = 1/2, "
-                "which half_case_covariance already checks"
+                f"field 'integral_rep.hursts': {hv} is within 1e-6 of 1/2, where the kernel "
+                "vanishes or loses its digits; half_case_covariance checks H = 1/2"
             )
 
     thr_spec = _get(resolved, "thresholds", dict, "", default={})

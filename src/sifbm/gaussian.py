@@ -6,7 +6,8 @@ The covariance of the field over box indices is
 
 with m Lebesgue measure, (+) the symmetric difference, H in (0, 1/2], and the
 convention 0^{2H} = 0.  At H = 1/2 this reduces to m(U n V).  Ensembles are
-drawn by Cholesky factorization with a recorded jitter ladder.
+drawn through the Cholesky factor over the indices of positive variance, so
+degenerate boxes get exactly-zero columns (``cholesky``).
 
 Stream contract (``draw_blocks``, shared with the moving-average draws of
 ``sifbm.intrep``): rows come in fixed blocks of STREAM_BLOCK, each with its
@@ -110,45 +111,38 @@ def build_cov_matrix(indices, h: HurstParam) -> CovMatrix:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with L L^T ~= C + jitter*I.
-
-    ``zero_variance`` marks indices whose theoretical variance is exactly 0;
-    sampled columns for those indices are forced to 0 so degenerate boxes
-    stay degenerate even when jitter was applied.
-    """
+    """Lower-triangular factor L with L L^T = C + jitter*I on the indices of
+    positive variance; the rows of zero-variance indices are 0, so their
+    sampled columns are exactly 0."""
 
     indices: tuple[Rect, ...]
     lower: np.ndarray
     jitter: float
     hurst: HurstParam
-    zero_variance: np.ndarray
 
     def __post_init__(self):
         self.lower.flags.writeable = False
-        self.zero_variance.flags.writeable = False
 
 
-def cholesky(c: CovMatrix, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
-    """Factorize, escalating through the jitter ladder until it succeeds;
-    the applied jitter is recorded on the factor."""
+def cholesky(c: CovMatrix) -> CholeskyFactor:
+    """Factorize C over its indices of nonzero variance, escalating through
+    JITTER_LADDER until that succeeds (a repeated index needs jitter) and
+    recording the jitter.  A zero-variance index has zero covariance with
+    every index, so the factor is exact without it; a negative variance fails."""
     mat = c.matrix
-    if not np.allclose(mat, mat.T, rtol=0, atol=1e-12 * max(1.0, np.abs(mat).max())):
-        raise ValueError("covariance matrix is not symmetric")
     diag = np.diag(mat)
-    zero_var = diag == 0.0
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0:
-        # all indices degenerate: the field is identically zero
-        return CholeskyFactor(c.indices, np.zeros_like(mat), 0.0, c.hurst, zero_var)
-    for mult in jitter_ladder:
-        eps = mult * scale
+    keep = np.flatnonzero(diag != 0.0)
+    for mult in JITTER_LADDER:
+        eps = mult * diag.max()
         try:
-            lower = np.linalg.cholesky(mat + eps * np.eye(mat.shape[0]))
+            part = np.linalg.cholesky(mat[np.ix_(keep, keep)] + eps * np.eye(keep.size))
         except np.linalg.LinAlgError:
             continue
-        return CholeskyFactor(c.indices, lower, eps, c.hurst, zero_var)
+        lower = np.zeros_like(mat)
+        lower[np.ix_(keep, keep)] = part
+        return CholeskyFactor(c.indices, lower, eps, c.hurst)
     raise NotPSDError(
-        f"not PSD within jitter budget {jitter_ladder[-1]:g}*max(diag); "
+        f"not PSD within jitter budget {JITTER_LADDER[-1]:g}*max(diag); "
         "the covariance is invalid"
     )
 
@@ -188,9 +182,9 @@ class SampleEnsemble:
         return (self.samples[i:i + STREAM_BLOCK] for i in range(0, self.n_samples, STREAM_BLOCK))
 
 
-def draw_blocks(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=()) -> Iterator[np.ndarray]:
+def draw_blocks(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> Iterator[np.ndarray]:
     """Rows z @ right, z standard normal, under the stream contract: blocks of
-    at most STREAM_BLOCK rows in order, with columns ``zero`` set to 0.
+    at most STREAM_BLOCK rows in order.
 
     Each block draws a full STREAM_BLOCK x right.shape[0] normal matrix from
     its own stream and multiplies all of it, so the product runs the same
@@ -202,9 +196,7 @@ def draw_blocks(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=(
     def draw(block: int) -> np.ndarray:
         stream = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
         z = np.random.Generator(stream).standard_normal((STREAM_BLOCK, right.shape[0]))
-        rows = (z @ right)[: n_rows - block * STREAM_BLOCK]
-        rows[:, zero] = 0.0
-        return rows
+        return (z @ right)[: n_rows - block * STREAM_BLOCK]
 
     def windowed():
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -218,21 +210,21 @@ def draw_blocks(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=(
     return map(draw, blocks) if jobs == 1 else windowed()
 
 
-def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1, zero=()) -> np.ndarray:
+def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> np.ndarray:
     """All rows of ``draw_blocks`` in one array."""
     out = np.empty((n_rows, right.shape[1]))
-    for block, rows in enumerate(draw_blocks(seed, n_rows, right, jobs, zero)):
+    for block, rows in enumerate(draw_blocks(seed, n_rows, right, jobs)):
         out[block * STREAM_BLOCK:(block + 1) * STREAM_BLOCK] = rows
     return out
 
 
 def ensemble_blocks(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> Iterator[np.ndarray]:
     """The rows of ``sample_ensemble``, drawn block by block as they are read."""
-    return draw_blocks(seed, n_samples, factor.lower.T.copy(), jobs, np.flatnonzero(factor.zero_variance))
+    return draw_blocks(seed, n_samples, factor.lower.T.copy(), jobs)
 
 
 def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
     """Draw rows L @ z with z standard normal from the streams of ``seed``."""
-    out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs, np.flatnonzero(factor.zero_variance))
+    out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs)
     return SampleEnsemble(factor.indices, out, factor.hurst)
 

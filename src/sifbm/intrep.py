@@ -65,6 +65,10 @@ _ROUND_OFF = 1e-12
 # Cells per block of the kernel quadrature's sum; see the module docstring.
 CELL_BLOCK = 8192
 
+# Largest H a config may ask of the kernel: |m - u|^a - |u|^a, a = H - 1/2,
+# loses about 1e-16/|a| of its value to cancellation, 5e-10 at this H.
+KERNEL_H_MAX = 0.5 - 1e-6
+
 
 class HalfCaseError(ValueError):
     """The moving-average kernel is degenerate at H = 1/2."""

@@ -307,26 +307,26 @@ class CharacterizationReport:
 
 def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
     out = []
-    worst_frac, worst_detail = 1.0, ""
-    gauss_worst, gauss_detail = 0.0, ""
+    worst_frac, worst_detail = 1.0, "every pair of every flow within band"
+    gauss_worst, gauss_detail = 0.0, "no series varies, so none was tested"
     for fi, fs in enumerate(flow_statistics(e.row_blocks(), e.indices, flows, h)):
         frac = fs.profile.fraction_within(thr.profile_se_mult)
         if frac < worst_frac:
-            worst_frac, worst_detail = frac, f"flow {fi}"
+            worst_frac, worst_detail = frac, f"worst within-band fraction at flow {fi}"
         for label, series in (("end value", fs.end), ("half increment", fs.half_increment)):
             if np.std(series) == 0:
                 continue
             rep = gaussianity_check(series, z_limit=thr.gaussianity_z)
             z = max(abs(rep.skewness_z), abs(rep.excess_kurtosis_z))
-            if z > gauss_worst:
-                gauss_worst, gauss_detail = z, f"flow {fi} {label}"
+            if z >= gauss_worst:
+                gauss_worst, gauss_detail = z, f"worst moment z at flow {fi} {label}"
     out.append(
         CriterionResult(
             "variance_profile",
             worst_frac >= thr.profile_pass_fraction,
             worst_frac,
             thr.profile_pass_fraction,
-            f"worst within-band fraction at {worst_detail}",
+            worst_detail,
         )
     )
     out.append(
@@ -335,7 +335,7 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
             gauss_worst < thr.gaussianity_z,
             gauss_worst,
             thr.gaussianity_z,
-            f"worst moment z at {gauss_detail}",
+            gauss_detail,
         )
     )
     return out

@@ -4,6 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from sifbm.storage import write_ensemble_binary
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_artifacts", ROOT / "scripts" / "compare_artifacts.py")
 compare_artifacts = importlib.util.module_from_spec(_spec)
@@ -94,3 +98,16 @@ def test_manifests_compare_without_wall_time(tmp_path):
     assert compare_artifacts.compare(base, change) == [
         "manifest_characterize.json: manifests differ beyond wall_time_s"
     ]
+
+
+def test_ensemble_difference_is_located(tmp_path):
+    dirs = [tmp_path / side for side in ("base", "change")]
+    x = np.arange(12.0).reshape(4, 3)
+    for d, data in zip(dirs, (x, x + np.where(np.arange(12).reshape(4, 3) == 7, 2.5e-10, 0.0))):
+        d.mkdir()
+        write_ensemble_binary([data], d / "ensemble.sifb", data.shape)
+    (line,) = compare_artifacts.compare(*dirs)
+    assert line == "ensemble.sifb: bytes differ (largest absolute difference of samples 2.5e-10 at row 2 column 1)"
+    write_ensemble_binary([x[:3]], dirs[1] / "ensemble.sifb", (3, 3))
+    (line,) = compare_artifacts.compare(*dirs)
+    assert line == "ensemble.sifb: bytes differ (headers or sizes differ)"

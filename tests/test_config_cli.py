@@ -25,6 +25,7 @@ from sifbm.gaussian import (
     ensemble_blocks,
     sample_ensemble,
 )
+from sifbm.intrep import KERNEL_H_MAX
 from sifbm.rects import EMPTY, rect
 from sifbm.storage import (
     _HEADER,
@@ -772,6 +773,20 @@ class TestCli:
         path, _ = make_config(tmp_path, integral_rep=ir)
         assert main(["verify-intrep", "--config", str(path)]) == 1
         assert "integral_rep.hursts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hv", [0.5 - 1e-7, 0.49999999999999994])
+    def test_hurst_near_half_in_intrep_exits_1(self, tmp_path, capsys, hv):
+        # the kernel loses its digits to cancellation as H nears 1/2
+        ir = {**BASE_CONFIG["integral_rep"], "hursts": [0.3, hv]}
+        path, _ = make_config(tmp_path, integral_rep=ir)
+        assert main(["verify-intrep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "'integral_rep.hursts'" in err and "within 1e-6 of 1/2" in err
+
+    def test_hurst_at_the_kernel_bound_loads(self, tmp_path):
+        ir = {**BASE_CONFIG["integral_rep"], "hursts": [KERNEL_H_MAX]}
+        path, _ = make_config(tmp_path, integral_rep=ir)
+        assert load_config(path).intrep.hursts == (KERNEL_H_MAX,)
 
     def test_grid_too_coarse_for_normalization_exits_1(self, tmp_path, capsys):
         ir = {

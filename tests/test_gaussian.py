@@ -136,7 +136,8 @@ class TestCovMatrix:
         # corner-array assembly against the scalar per-pair reference
         got = build_cov_matrix(idx, h).matrix
         want = np.array([[covariance(u, v, h) for v in idx] for u in idx])
-        assert np.array_equal(got, got.T)
+        # symmetric bit for bit: ``cholesky`` reads one triangle, unchecked
+        assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.diag(want))
 
     @given(index_lists(), hursts)
@@ -197,9 +198,32 @@ class TestCholesky:
     def test_duplicated_index_needs_jitter_but_factorizes(self):
         idx = [rect(1, 1), rect(1, 1), rect(2, 1)]
         f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
+        assert f.jitter > 0.0
         recon = f.lower @ f.lower.T
         cm = build_cov_matrix(idx, HurstParam(0.3))
         assert np.allclose(recon, cm.matrix, atol=1e-7)
+
+    @given(index_lists(), hursts, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_factor_of_the_positive_variance_indices(self, idx, h, data):
+        # boxes, degenerate boxes, EMPTY and repeated indices: L L^T is C +
+        # jitter*I where the variance is positive, and 0 elsewhere
+        idx = idx + data.draw(st.lists(st.sampled_from(idx), max_size=3))
+        cm = build_cov_matrix(idx, h)
+        c, f = cm.matrix, cholesky(cm)
+        pos = np.diag(c) > 0.0
+        want = np.where(np.outer(pos, pos), c + f.jitter * np.eye(len(idx)), 0.0)
+        assert np.max(np.abs(f.lower @ f.lower.T - want)) <= 1e-12 * np.max(np.diag(c))
+        assert np.all(f.lower[~pos] == 0.0)
+        e = sample_ensemble(f, 3, seed=1)
+        assert np.all(e.samples[:, ~pos] == 0.0)
+
+    @pytest.mark.parametrize(
+        "config", ["configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json"]
+    )
+    def test_shipped_configs_factor_without_jitter(self, config):
+        cfg = load_config(Path(__file__).resolve().parents[1] / config)
+        assert cholesky(build_cov_matrix(cfg.ensemble_indices(), cfg.hurst)).jitter == 0.0
 
     def test_not_psd_rejected(self):
         from sifbm.gaussian import CovMatrix
@@ -251,6 +275,7 @@ class TestSampling:
     def test_degenerate_columns_zero_even_with_jitter(self):
         idx = [rect(0, 1), rect(1, 1), rect(1, 1)]  # duplicate forces jitter
         f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
+        assert f.jitter > 0.0
         e = sample_ensemble(f, 50, seed=8)
         assert np.all(e.samples[:, 0] == 0.0)
 

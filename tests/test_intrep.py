@@ -6,6 +6,7 @@ tolerances; the acceptance suite exercises the default grid.
 """
 
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from sifbm import intrep
 from sifbm.config import load_config
 from sifbm.intrep import (
     CELL_BLOCK,
+    KERNEL_H_MAX,
     GridSpec,
     HalfCaseError,
     IntRepConfig,
@@ -203,6 +205,25 @@ class TestKernel:
         got = mvn_kernel(1.0, -1.0, HurstParam(0.3))
         assert got == pytest.approx(2 ** (-0.2) - 1)
         assert got == pytest.approx(-0.12945, abs=5e-6)
+
+    def test_accurate_at_the_largest_accepted_h(self):
+        # against |m - u|^a - |u|^a in 60-digit decimal arithmetic from the
+        # same float inputs, away from the kernel's zero at u = m/2; the
+        # cancellation costs about 1e-16/|a|, 5e-10 at KERNEL_H_MAX
+        h = HurstParam(KERNEL_H_MAX)
+        masses = np.array([0.125, 0.8, 1.0, 4.0])
+        t = np.array([-3.1, -1.3, -0.7, -0.21, -0.013, 0.004, 0.17, 0.33, 0.41,
+                      0.62, 0.77, 0.96, 0.999, 1.02, 1.4, 2.6, 5.3])
+        u = masses[:, None] * t
+        got = mvn_kernel(masses[:, None], u, h)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = Decimal(h.value) - Decimal("0.5")
+            want = np.array([
+                [float(abs(Decimal(m) - Decimal(x)) ** a - abs(Decimal(x)) ** a) for x in row]
+                for m, row in zip(masses.tolist(), u.tolist())
+            ])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-9
 
     def test_half_redirects(self):
         with pytest.raises(HalfCaseError):

@@ -35,6 +35,7 @@ from sifbm.recovery import (
     tiling_cover,
     _covariance_criterion,
     _extension_criterion,
+    _flow_criteria,
     _outer_measure_search,
     _psi_criteria,
 )
@@ -708,6 +709,22 @@ class TestCharacterize:
             "extension",
             "covariance_comparison",
         ]
+
+    def test_flow_details_name_what_they_found(self):
+        # a fraction of 1.0 on every flow, or no varying series, names no
+        # flow: the details say so instead of ending in "at "
+        e, flows = battery_and_indices(self.H, 2_000, 108, self.LATTICE)
+        wide = Thresholds(profile_se_mult=1e6)
+        prof, gauss = _flow_criteria(e, flows, e.hurst, wide)
+        assert (prof.passed, prof.statistic) == (True, 1.0)
+        assert prof.detail == "every pair of every flow within band"
+        assert gauss.detail.startswith("worst moment z at flow ")
+        prof, gauss = _flow_criteria(e, [], e.hurst, wide)
+        assert prof.detail == "every pair of every flow within band"
+        assert (gauss.passed, gauss.statistic) == (True, 0.0)
+        assert gauss.detail == "no series varies, so none was tested"
+        prof, _ = _flow_criteria(e, flows, e.hurst, Thresholds(profile_se_mult=0.0))
+        assert prof.statistic < 1.0 and prof.detail.startswith("worst within-band fraction at flow ")
 
     def test_composes_flow_recovery_and_covariance_criteria(self):
         e, flows = battery_and_indices(self.H, 2_000, 107, self.LATTICE)
