@@ -16,10 +16,13 @@ tree, the outputs in a temporary directory.  Then it compares:
   difference of its samples and where it is, and a CSV or JSON
   artifact that differs with the largest relative difference of
   its nonzero numbers and where it is, so a change that moves only the last
-  bits shows as such, the numbers that move to or from 0 apart (their
-  relative difference is 1 whatever their size), the first text field that
-  differs with both values, and for JSON whether any ``passed``, ``verdict``
-  or ``overall`` value differs;
+  bits shows as such; counted apart are the numbers that move to or from 0
+  (their relative difference is 1 whatever their size) and those that move
+  by at most ``ROUND_OFF`` times the largest |number| of the two files (a
+  round-off value's relative move can be large and would hide the moves
+  that matter); then the first text field that differs with both values,
+  and for JSON whether any ``passed``, ``verdict`` or ``overall`` value
+  differs;
 - the manifests as JSON, with ``wall_time_s`` removed;
 - CHANGE's ``ensemble.sifb`` against the one a ``simulate --jobs 2`` run
   under CHANGE writes, byte for byte: the data must not depend on --jobs.
@@ -87,6 +90,9 @@ def compare(base: Path, change: Path) -> list[str]:
 
 # JSON keys whose values are verdicts: a change to one is a flipped outcome
 VERDICT_KEYS = ("passed", "verdict", "overall")
+# a number that moves by at most this times the largest |number| in the two
+# files moves at round-off scale: its relative difference is not ranked
+ROUND_OFF = 1e-12
 
 
 def fields(path: Path) -> dict:
@@ -126,8 +132,10 @@ def fields(path: Path) -> dict:
 
 def difference_note(a: Path, b: Path) -> str:
     """For CSV and JSON artifacts: the largest relative difference of their
-    numbers where neither is 0, |x - y| / max(|x|, |y|), with its field; how
-    many numbers move to or from 0, with the first; the first field that
+    numbers where neither is 0, |x - y| / max(|x|, |y|), with its field,
+    over the numbers that move by more than ``ROUND_OFF`` times the largest
+    finite |number| of the two files; how many numbers move to or from 0,
+    and how many move by less, each with the first; the first field that
     differs otherwise, with its value on each side; and for JSON, whether a
     ``VERDICT_KEYS`` value differs.  For SIFB ensembles, ``sifb_note``."""
     if a.suffix == ".sifb":
@@ -138,7 +146,9 @@ def difference_note(a: Path, b: Path) -> str:
         fa, fb = fields(a), fields(b)
     except ValueError:
         return " (not parseable)"
-    gap, gap_at, zeros, text, flip = 0.0, None, [], None, None
+    numbers = [abs(v) for f in (fa, fb) for v in f.values() if isinstance(v, float)]
+    floor = ROUND_OFF * max((v for v in numbers if math.isfinite(v)), default=0.0)
+    gap, gap_at, zeros, small, text, flip = 0.0, None, [], [], None, None
     for where in [*fa, *(w for w in fb if w not in fa)]:
         x, y = fa.get(where, "<absent>"), fb.get(where, "<absent>")
         if isinstance(x, float) and isinstance(y, float):
@@ -146,6 +156,9 @@ def difference_note(a: Path, b: Path) -> str:
                 continue
             if x == 0 or y == 0:
                 zeros.append(f"{where}: {x!r} in BASE, {y!r} in CHANGE")
+                continue
+            if abs(x - y) <= floor:
+                small.append(f"{where}: {x!r} in BASE, {y!r} in CHANGE")
                 continue
             rel = abs(x - y) / max(abs(x), abs(y))
             rel = math.inf if math.isnan(rel) else rel
@@ -158,6 +171,11 @@ def difference_note(a: Path, b: Path) -> str:
     notes = [f"largest relative difference of numbers {gap:.3g}" + (f" at {gap_at}" if gap_at else "")]
     if zeros:
         notes.append(f"{len(zeros)} number(s) move to or from 0, first at {zeros[0]}")
+    if small:
+        notes.append(
+            f"{len(small)} number(s) move by at most {floor:.3g} ({ROUND_OFF:g} of the largest "
+            f"|number|), first at {small[0]}"
+        )
     notes += [text] * (text is not None)
     if a.suffix == ".json":
         notes.append(f"a verdict differs at {flip}" if flip else "no passed, verdict or overall value differs")

@@ -159,7 +159,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _checked_ensemble(cfg, out)
-    report, table = recover_measure(e, cfg.covers, cfg.thresholds, cfg.table_indices)
+    report, table = recover_measure(e, cfg.thresholds, cfg.table_indices)
     psi = {
         repr(list(u.corner)): {"value": v, "stderr": se}
         for u, v, se in zip(table.boxes, table.value.tolist(), table.stderr.tolist())
@@ -173,10 +173,7 @@ def cmd_verify_intrep(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 def cmd_characterize(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _checked_ensemble(cfg, out)
-    report = characterize(
-        e, list(cfg.flows), cfg.hurst, cfg.covers, cfg.thresholds, cfg.table_indices
-    )
-    return _verdict(report)
+    return _verdict(characterize(e, list(cfg.flows), cfg.hurst, cfg.thresholds, cfg.table_indices))
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> Outcome:

@@ -19,8 +19,8 @@ import numpy as np
 from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
 from .intrep import KERNEL_H_MAX, GridSpec, IntRepConfig, validate_masses
-from .recovery import CoverFamily, Thresholds, tiling_cover
-from .rects import MAX_UNION_PARTS, LeftNeighborhood, Rect
+from .recovery import Thresholds
+from .rects import Rect
 
 
 class ConfigError(ValueError):
@@ -134,14 +134,6 @@ def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> ElementaryFl
     return _built(where, make_elementary_flow, grid, corners)
 
 
-def cover_closure_rects(covers: CoverFamily) -> set[Rect]:
-    """Every box the inclusion-exclusion extension of the cover pieces can
-    look up: intersections of each base with subsets of its subtracted boxes."""
-    return {
-        box for el in covers.elements for _, box in el.signed_boxes() if not box.is_empty
-    }
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     hurst: HurstParam
@@ -151,7 +143,6 @@ class ExperimentConfig:
     lattice_indices: tuple[Rect, ...]
     flows: tuple
     flow_names: tuple[str, ...]
-    covers: CoverFamily
     intrep: IntRepConfig
     thresholds: Thresholds
     jobs: int = 1
@@ -159,10 +150,9 @@ class ExperimentConfig:
 
     @property
     def table_indices(self) -> list[Rect]:
-        """Indices the recovered-measure table is built over: the lattice
-        plus whatever the cover pieces need."""
-        out = set(self.lattice_indices) | cover_closure_rects(self.covers)
-        return sorted(out, key=lambda r: r.corner)
+        """Indices the recovered-measure table is built over: the lattice,
+        each box once, sorted by corner."""
+        return sorted(set(self.lattice_indices), key=lambda r: r.corner)
 
     def ensemble_indices(self) -> list[Rect]:
         """Deterministic index list for simulation: table indices plus every
@@ -184,6 +174,8 @@ def canonical_hash(obj) -> str:
 def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
+    # "covers" is accepted and not read: configs that name a cover family for
+    # the extension test, as the benchmark's do, still load
     _only(raw, ("dimension", "hurst", "seed", "n_samples", "output_dir", "indices", "flows",
                 "covers", "integral_rep", "thresholds"), "")
     resolved = dict(raw)
@@ -223,42 +215,6 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     if len(set(names)) != len(names):
         raise ConfigError("field 'flows': names must be unique")
 
-    cov_spec = _get(resolved, "covers", dict, "", default=None)
-    if cov_spec is None:
-        corner = tuple(float(x) for x in lattice[-1].corner) if lattice else (1.0,) * dim
-        covers = tiling_cover(corner, (2,) * dim)
-    elif "tiling" in cov_spec:
-        _only(cov_spec, ("tiling",), "covers.")
-        t = _get(cov_spec, "tiling", dict, "covers.")
-        _only(t, ("corner", "divisions"), "covers.tiling.")
-        corner = _corner(_get(t, "corner", list, "covers.tiling.", required=True), dim, "covers.tiling.corner")
-        divisions = _items(t, "divisions", int, "covers.tiling.", required=True)
-        if len(divisions) != dim:
-            raise ConfigError("field 'covers.tiling.divisions' must match dimension")
-        covers = _built("covers.tiling", tiling_cover, corner, divisions)
-    elif "elements" in cov_spec:
-        _only(cov_spec, ("elements",), "covers.")
-        els = []
-        for i, el in enumerate(_get(cov_spec, "elements", list, "covers.")):
-            where = f"covers.elements[{i}]."
-            _typed(el, dict, where[:-1])
-            _only(el, ("base", "subtract"), where)
-            base = _corner(_get(el, "base", list, where, required=True), dim, f"{where}base")
-            base = _built(f"{where}base", Rect, base)
-            subs = tuple(
-                _built(f"{where}subtract", Rect, _corner(s, dim, f"{where}subtract"))
-                for s in _get(el, "subtract", list, where, default=[])
-            )
-            if len(subs) > MAX_UNION_PARTS:
-                raise ConfigError(
-                    f"field 'covers.elements[{i}].subtract' has {len(subs)} boxes, "
-                    f"more than the inclusion-exclusion cap of {MAX_UNION_PARTS}"
-                )
-            els.append(LeftNeighborhood(base, subs))
-        covers = _built("covers.elements", CoverFamily, tuple(els))
-    else:
-        raise ConfigError("field 'covers' needs 'tiling' or 'elements'")
-
     ir = _get(resolved, "integral_rep", dict, "", default={})
     where = "integral_rep."
     _only(ir, [f.name for f in fields(IntRepConfig)], where)
@@ -292,7 +248,6 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         lattice_indices=tuple(lattice),
         flows=tuple(flows),
         flow_names=tuple(names),
-        covers=covers,
         intrep=intrep,
         thresholds=thresholds,
         jobs=jobs,

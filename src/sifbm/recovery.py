@@ -4,18 +4,19 @@ The pipeline mirrors, at desk scale, the constructive argument behind the
 flow characterization of the field:
 
   1. psi(U) = (E[X_U^2])^{1/(2H)} recovers a set function on boxes from
-     ensemble variances (or analytically, from Lebesgue measure).
+     ensemble variances.
   2. psi extends to left-neighborhoods C = U \\ (U_1 u ... u U_n) by
      inclusion-exclusion.  On a nested split V = (V \\ U) u U that extension
      is additive for any table, measure or not, so nothing tests it there.
-  3. A finite cover family yields an outer measure: the minimum of
-     sum psi(C_i) over sub-families covering the target (every sub-family
-     enumerated as arrays, family capped at 16 elements).
-  4. The outer measure extends psi (outer(U) = psi(U) on boxes).  That box
-     indices are measurable (additive inside/outside splits) and that the
-     analytic variance of set differences is outer-continuous along
-     shrinking sequences hold for the analytic table alone, so they are
-     checked by the test suite, not here.
+  3. The grid cells of the table's corners are the left-neighborhoods that
+     decide the rest: psi extends to a measure on the boxes if and only if
+     its increment over every cell, the signed sum of psi over the cell's
+     2^N corner boxes, is non-negative (the distribution-function criterion).
+     The ``extension`` criterion tests each cell whose corner boxes are all in
+     the table or on an axis, one-sided against its propagated error.
+  4. That the analytic variance of set differences is outer-continuous along
+     shrinking sequences holds for the Lebesgue table alone, so the test
+     suite checks it, not this module.
   5. ``recover_measure`` bundles the recovery, monotonicity and extension
      checks into a pass/fail report; ``characterize`` adds flow variance
      profiles, Gaussianity diagnostics and the covariance comparison.
@@ -31,45 +32,29 @@ mean square.  Propagated errors for alternating sums add in quadrature
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .flows import Flow
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures
-from .rects import CellArrangement, LeftNeighborhood, Rect, corner_array, rect_measure
+from .rects import Rect, cell_corners, corner_array, grid_lower, rect_measure
 from .stats import flow_statistics, gaussianity_check
 
-MAX_COVER_ELEMENTS = 16
 _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
-
-
-class MissingPsiError(KeyError):
-    """A required pre-measure entry is absent from the table."""
-
-    def __init__(self, missing):
-        self.missing = list(missing)
-        super().__init__(f"missing pre-measure entries: {self.missing}")
-
-
-class CoverError(ValueError):
-    """No sub-family of the covers contains the target."""
 
 
 @dataclass(frozen=True)
 class PreMeasureTable:
     """Recovered pre-measure over a box list: ``value[i]`` is psi of
     ``boxes[i]`` and ``stderr[i]`` its delta-method standard error; an
-    empirical table keeps ``gram``, the second moments G = X^T X / n of its
-    boxes' columns over ``n_samples`` samples.  ``boxes=None`` is the
-    analytic table: Lebesgue measure, with zero error, on every box."""
+    table drawn from an ensemble keeps ``gram``, the second moments
+    G = X^T X / n of its boxes' columns over ``n_samples`` samples."""
 
-    boxes: tuple[Rect, ...] | None = None
-    value: np.ndarray | None = None
-    stderr: np.ndarray | None = None
+    boxes: tuple[Rect, ...]
+    value: np.ndarray
+    stderr: np.ndarray
     gram: np.ndarray | None = None
     n_samples: int = 0
 
@@ -104,138 +89,35 @@ class PreMeasureTable:
         se_s = np.sqrt(np.maximum(s4 - n * s**2, 0.0) / ((n - 1) * n))
         return cls(boxes, value, inv * slope * se_s, gram, n)
 
-    @cached_property
-    def _position(self) -> dict[Rect, int]:
-        return {u: i for i, u in enumerate(self.boxes)}
 
-    def lookup(self, rects) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, standard error) of each box: 0 with 0 error on the empty
-        set.  Raises MissingPsiError naming every other box the table lacks,
-        sorted by corner."""
-        rects = list(rects)
-        if self.boxes is None:
-            return np.array([rect_measure(r) for r in rects]), np.zeros(len(rects))
-        pos = self._position
-        missing = {r for r in rects if not r.is_empty and r not in pos}
-        if missing:
-            raise MissingPsiError(sorted(missing, key=lambda r: r.corner))
-        # the empty set reads the 0 appended after the last box
-        at = [-1 if r.is_empty else pos[r] for r in rects]
-        return np.append(self.value, 0.0)[at], np.append(self.stderr, 0.0)[at]
+def _table_rows(table, corners) -> np.ndarray:
+    """Row of the table's boxes at each of ``corners``, an (n, N) array, and
+    -1 where the table lacks the box."""
+    own = corner_array(table.boxes)
+    t = len(own)
+    distinct, ids = np.unique(np.concatenate([own, corners]), axis=0, return_inverse=True)
+    ids = ids.ravel()
+    row = np.full(len(distinct), -1)
+    row[ids[:t]] = np.arange(t)
+    return row[ids[t:]]
 
 
-def psi_on_C_with_se(table: PreMeasureTable, c: LeftNeighborhood) -> tuple[float, float]:
-    """Inclusion-exclusion extension of the pre-measure to a left-neighborhood,
-    with the standard errors of its terms added in quadrature."""
-    signs, boxes = zip(*c.signed_boxes())
-    value, stderr = table.lookup(boxes)
-    # summed in term order over Python floats, whose bits the reports carry
-    total, var = 0.0, 0.0
-    for sign, v, se in zip(signs, value.tolist(), stderr.tolist()):
-        total += sign * v
-        var += se**2
-    return total, float(np.sqrt(var))
-
-
-@dataclass(frozen=True)
-class CoverFamily:
-    """Candidate left-neighborhood pieces for finite-cover infima."""
-
-    elements: tuple[LeftNeighborhood, ...]
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("cover family must be non-empty")
-        if len(self.elements) > MAX_COVER_ELEMENTS:
-            raise ValueError(
-                f"cover family capped at {MAX_COVER_ELEMENTS} elements, "
-                f"got {len(self.elements)}"
-            )
-
-
-def tiling_cover(corner, divisions) -> CoverFamily:
-    """Grid tiling of [0, corner] into half-open cells, each expressed as a
-    left-neighborhood (the canonical way to build covers on box families)."""
-    corner = tuple(float(c) for c in corner)
-    divisions = tuple(int(d) for d in divisions)
-    edges = [np.linspace(0.0, c, d + 1) for c, d in zip(corner, divisions)]
-    tiles = []
-    for cell in itertools.product(*(range(d) for d in divisions)):
-        hi = Rect(tuple(edges[i][k + 1] for i, k in enumerate(cell)))
-        subs = []
-        for i, k in enumerate(cell):
-            # degenerate subtracted boxes (a zero coordinate) only remove a
-            # null set and have pre-measure 0 both ways; skip them
-            if edges[i][k] > 0.0:
-                lo_corner = list(hi.corner)
-                lo_corner[i] = edges[i][k]
-                subs.append(Rect(tuple(lo_corner)))
-        tiles.append(LeftNeighborhood(hi, tuple(subs)))
-    return CoverFamily(tuple(tiles))
-
-
-@dataclass(frozen=True)
-class OuterMeasureResult:
-    value: float
-    chosen: tuple[int, ...]
-    stderr: float
-
-
-def _outer_measure_search(costs, cover) -> tuple[float, tuple[int, ...]]:
-    """Minimum-cost covering sub-family, over all 2^n of them: row i of
-    ``cover`` marks the target cells element i covers, and bit i of a
-    sub-family's number says it takes element i.  Summed costs add in index
-    order.  Equal-cost ties break to the lexicographically smallest index
-    tuple."""
-    n = len(costs)
-    # each cell's family: the set of elements covering it, as a bitmask
-    families = np.unique(cover.T @ (1 << np.arange(n)))
-    if families[0] == 0:
-        raise CoverError("no sub-family of the covers contains the target")
-    total = np.zeros(1)
-    for c in costs:
-        total = np.concatenate([total, total + c])
-    subsets = np.arange(1 << n)
-    covering = np.ones(1 << n, dtype=bool)
-    for fam in families:
-        covering &= (subsets & fam) != 0
-    best = total[covering].min()
-    ties = subsets[covering & (total == best)]
-    return best, min(tuple(i for i in range(n) if s >> i & 1) for s in ties.tolist())
-
-
-def outer_measures(table, covers, targets) -> list[OuterMeasureResult]:
-    """Finite-cover outer measure of each target region: the minimum over
-    covering sub-families of the summed pre-measure of the pieces, with the
-    chosen sub-family and its propagated standard error.  All targets and the
-    covers share one cell arrangement (row i of ``cover`` marks the cells
-    cover element i covers); the covers' costs are looked up once, if any
-    target is not null."""
-    arr = CellArrangement([targets, covers.elements])
-    insides = [arr.mask(t) for t in targets]
-    null = OuterMeasureResult(0.0, (), 0.0)
-    if not any(inside.any() for inside in insides):
-        return [null] * len(targets)
-    cover = np.array([arr.mask(el) for el in covers.elements])
-    costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
-    results = []
-    for inside in insides:
-        if not inside.any():
-            results.append(null)
-            continue
-        value, chosen = _outer_measure_search(costs, cover[:, inside])
-        stderr = float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))
-        results.append(OuterMeasureResult(float(value), tuple(chosen), stderr))
-    return results
-
-
-def extension_residual(table, det: OuterMeasureResult, u: Rect) -> tuple[float, float]:
-    """(|outer(u) - psi(u)|, propagated stderr of outer(u) and psi(u)
-    combined), with ``det`` the outer measure of u: the finite shadow of the
-    statement that the outer measure extends the pre-measure on boxes."""
-    (value,), (stderr,) = table.lookup([u])
-    resid = abs(det.value - float(value))
-    return resid, float(np.hypot(det.stderr, stderr))
+def psi_on_cells(table, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, standard error, tested) of each grid cell (lower[k], upper[k]]:
+    the signed sum of psi over its 2^N corner boxes (``rects.cell_corners``),
+    with their standard errors added in quadrature.  A corner box on an axis
+    has psi 0; a cell with a corner box neither on an axis nor in the table
+    is not tested, and reads 0 with error 0."""
+    signs, lowered = cell_corners(upper.shape[1])
+    corners = np.where(lowered[:, None], lower, upper)
+    on_axis = np.any(corners == 0.0, axis=2)
+    rows = _table_rows(table, corners.reshape(-1, upper.shape[1])).reshape(on_axis.shape)
+    tested = np.all(on_axis | (rows >= 0), axis=0)
+    # the absent and on-axis boxes read the 0 appended after the last box
+    rows[on_axis | ~tested] = -1
+    value = np.append(table.value, 0.0)[rows]
+    var = np.append(table.stderr, 0.0)[rows] ** 2
+    return (signs[:, None] * value).sum(axis=0), np.sqrt(var.sum(axis=0)), tested
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +134,9 @@ class Thresholds:
     extension bands, and a recovery tolerance of max(5% relative,
     4 propagated standard errors) on indices with measure >= psi_floor.
     Nested splits are additive for any table, so no band tests them; the
-    extension band is the one that tests that psi is a measure.  The config
+    extension band is the one that tests that psi is a measure: every tested
+    grid cell's psi must be at least -extension_se_mult times its propagated
+    standard error (one-sided).  The config
     holds each field to its metadata range: pass fractions in [0, 1], the rest >= 0.
     """
 
@@ -384,26 +268,29 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
     ]
 
 
-def _extension_criterion(table, covers, thr) -> CriterionResult:
-    arr = CellArrangement([table.boxes, covers.elements])
-    uncovered = ~arr.mask(covers.elements)
-    targets = [
-        u for u in table.boxes
-        if not (rect_measure(u) < thr.psi_floor or np.any(arr.mask(u) & uncovered))
-    ]
-    if not targets:
+def _cell_criterion(table, thr) -> CriterionResult:
+    # the cell below each table box off the axes, on the grid of the table's corners
+    corners = corner_array(table.boxes)
+    off_axes = np.all(corners > 0.0, axis=1)
+    lower, upper = grid_lower(corners)[off_axes], corners[off_axes]
+    value, se, tested = psi_on_cells(table, lower, upper)
+    lower, upper, value, se = (x[tested] for x in (lower, upper, value, se))
+    if not len(value):
         return CriterionResult(
-            "extension", False, np.inf, 0.0, "no coverable index to test"
+            "extension", True, 0.0, 0.0,
+            "no cell has every corner box in the table, so none was tested",
         )
-    worst, detail, passed = 0.0, "is 0", True
-    for u, det in zip(targets, outer_measures(table, covers, targets)):
-        resid, se = extension_residual(table, det, u)
-        if resid > thr.extension_se_mult * se:
-            passed = False
-        if resid > worst:
-            worst, detail = resid, f"({u!r})"
+    viol = -value - thr.extension_se_mult * se
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = value / se
+    worst = int(np.argmin(np.where(np.isnan(z), np.inf, z)))
     return CriterionResult(
-        "extension", passed, worst, 0.0, f"worst residual over {len(targets)} targets {detail}"
+        "extension",
+        not np.any(viol > 0),
+        float(np.max(viol, initial=0.0)),
+        0.0,
+        f"cells tested: {len(value)}; smallest z {z[worst]:.2f} in "
+        f"({lower[worst].tolist()}, {upper[worst].tolist()}]",
     )
 
 
@@ -413,12 +300,7 @@ def _covariance_criterion(table, h, thr) -> CriterionResult:
     corners = corner_array(table.boxes)
     t, dim = corners.shape
     inter = np.minimum(corners[:, None], corners[None, :]).reshape(t * t, dim)
-    # table row of each pairwise intersection, -1 where the table lacks it
-    distinct, ids = np.unique(np.concatenate([corners, inter]), axis=0, return_inverse=True)
-    ids = ids.ravel()
-    row = np.full(len(distinct), -1)
-    row[ids[:t]] = np.arange(t)
-    k = row[ids[t:]].reshape(t, t)
+    k = _table_rows(table, inter).reshape(t, t)
     i, j = np.nonzero(np.triu(k >= 0))
     mu, mv, mi = table.value[i], table.value[j], table.value[k[i, j]]
     pred = covariance_from_measures(mu, mv, mu + mv - 2 * mi, h)
@@ -447,17 +329,16 @@ def _covariance_criterion(table, h, thr) -> CriterionResult:
 
 def recover_measure(
     e,
-    covers: CoverFamily,
     thresholds: Thresholds | None = None,
     table_indices=None,
 ) -> tuple[CharacterizationReport, PreMeasureTable]:
-    """Measure-recovery verdict: psi recovery and monotonicity and
-    outer-measure extension, together with the recovered table they were
+    """Measure-recovery verdict: psi recovery, monotonicity and the
+    cell-increment extension test, together with the recovered table they were
     computed from."""
     thr = thresholds or Thresholds()
     table = PreMeasureTable.from_ensemble(e, table_indices)
     criteria = _psi_criteria(table, thr)
-    criteria.append(_extension_criterion(table, covers, thr))
+    criteria.append(_cell_criterion(table, thr))
     return CharacterizationReport(tuple(criteria)), table
 
 
@@ -465,7 +346,6 @@ def characterize(
     e,
     flows: list[Flow],
     h: HurstParam,
-    covers: CoverFamily,
     thresholds: Thresholds | None = None,
     table_indices=None,
 ) -> CharacterizationReport:
@@ -479,7 +359,7 @@ def characterize(
     if e.n_samples < 1000:
         raise ResolutionError(f"characterize needs at least 1000 samples, got {e.n_samples}")
     thr = thresholds or Thresholds()
-    recovered, table = recover_measure(e, covers, thr, table_indices)
+    recovered, table = recover_measure(e, thr, table_indices)
     criteria = _flow_criteria(e, flows, h, thr)
     criteria += recovered.criteria
     criteria.append(_covariance_criterion(table, h, thr))

@@ -1,11 +1,8 @@
 """Rectangle index family: origin-anchored boxes in R^N_+, their finite unions,
-left-neighborhoods U \\ (U_1 u ... u U_n), and their Lebesgue measure.
+the grid cells their corners cut, and their Lebesgue measure.
 
 Every set handled here is a finite boolean combination of boxes [0, t].  All
-measure queries reduce to inclusion-exclusion over corner minima.  For
-containment questions, the corner coordinates cut R^N_+ into a grid of cells,
-and each region becomes a boolean mask over those cells, exact up to
-Lebesgue-null boundaries.
+measure queries reduce to inclusion-exclusion over corner minima.
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,92 +185,36 @@ def union_measure(parts: RectUnion | Sequence[Rect]) -> float:
     return max(total, 0.0)
 
 
-@dataclass(frozen=True)
-class LeftNeighborhood:
-    """The set C = base \\ (sub_1 u ... u sub_n) with base and sub_i boxes.
-
-    An empty subtracted list means C = base.  Intersections of two
-    left-neighborhoods stay in the class; unions generally do not.
-    """
-
-    base: Rect
-    subtracted: tuple[Rect, ...] = ()
-
-    def __post_init__(self):
-        subs = tuple(s for s in self.subtracted if not s.is_empty)
-        for s in subs:
-            _check_same_dim(self.base, s)
-        object.__setattr__(self, "subtracted", subs)
-
-    def signed_boxes(self) -> list[tuple[float, Rect]]:
-        """Inclusion-exclusion expansion 1_C = sum of sign * 1_box: the base
-        with sign +1, then the base intersected with each ``signed_terms``
-        intersection of the subtracted boxes, with the opposite sign."""
-        return [(1.0, self.base)] + [
-            (-sign, rect_intersection(self.base, r)) for sign, r in signed_terms(self.subtracted)
-        ]
-
-    def __repr__(self):
-        return f"LeftNeighborhood({self.base!r} minus {list(self.subtracted)})"
-
-
 # ---------------------------------------------------------------------------
-# Boolean combinations of boxes as masks over cells, exact up to null sets.
+# Grid cells: the atoms a measure on boxes is tested on.
 #
-# The corner coordinates of all boxes involved induce a grid of open cells;
-# each cell lies entirely inside or outside every box, so a region is a
-# boolean mask over the cells.  Consecutive edges differ, so every cell has
-# positive width on each axis and positive Lebesgue measure (its float volume
-# may still underflow to 0.0), and comparing masks is comparing sets up to
-# null sets.
+# The corner coordinates of a box family, with 0, cut each axis into
+# intervals, and a grid cell is a product of such intervals: the half-open
+# box (lower, upper], which is [0, upper] minus the N boxes just below it, one
+# per axis.  Inclusion-exclusion writes its indicator as a signed sum over its
+# 2^N corner boxes, which take the lower or the upper coordinate on each axis,
+# so a function on boxes extends to a measure only if that signed sum of its
+# values is non-negative on every cell.
 # ---------------------------------------------------------------------------
 
-Region = Rect | RectUnion | LeftNeighborhood
+
+def grid_lower(corners: np.ndarray) -> np.ndarray:
+    """Lower corner of the grid cell below each row of ``corners``, an
+    (n, N) array: on each axis, the largest coordinate of ``corners``, or 0,
+    below the row's own; 0 where the row's own is 0."""
+    lower = np.zeros_like(corners)
+    for i, col in enumerate(corners.T):
+        edges = np.unique(np.append(col, 0.0))
+        lower[:, i] = edges[np.maximum(np.searchsorted(edges, col) - 1, 0)]
+    return lower
 
 
-def _region_rects(region: Region | Iterable[Region]) -> list[Rect]:
-    if isinstance(region, Rect):
-        return [] if region.is_empty else [region]
-    if isinstance(region, RectUnion):
-        return list(region.parts)
-    if isinstance(region, LeftNeighborhood):
-        out = [] if region.base.is_empty else [region.base]
-        return out + list(region.subtracted)
-    out = []
-    for r in region:
-        out.extend(_region_rects(r))
-    return out
-
-
-class CellArrangement:
-    """Grid-cell decomposition of R^N_+ induced by the box corners of some
-    regions.  The cells are the open boxes between consecutive edges on each
-    axis, in C order; ``upper`` holds their upper corners, shape
-    (n_cells, N), and ``volumes`` their volumes."""
-
-    def __init__(self, regions: Region | Iterable[Region]):
-        corners = corner_array(_region_rects(regions))
-        edges = [np.unique(np.append(col, 0.0)) for col in corners.T]
-        grids = np.meshgrid(*(e[1:] for e in edges), indexing="ij")
-        self.upper = np.stack([g.ravel() for g in grids], axis=1)
-        volumes = np.ones(())
-        for e in edges:
-            volumes = np.multiply.outer(volumes, np.diff(e))
-        self.volumes = volumes.ravel()
-
-    def mask(self, region: Region | Iterable[Region]) -> np.ndarray:
-        """bool[n_cells]: the cells whose interior lies in the region.  Every
-        box of the region must be among those the arrangement was built on."""
-        if isinstance(region, Rect):
-            if region.is_empty:
-                return np.zeros(len(self.volumes), dtype=bool)
-            return np.all(self.upper <= region.corner, axis=1)
-        if isinstance(region, RectUnion):
-            return self.mask(region.parts)
-        if isinstance(region, LeftNeighborhood):
-            return self.mask(region.base) & ~self.mask(region.subtracted)
-        out = np.zeros(len(self.volumes), dtype=bool)
-        for r in region:
-            out |= self.mask(r)
-        return out
-
+def cell_corners(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, lowered) with 1_(lower, upper] = sum_k signs[k] 1_[0, c_k],
+    where corner box c_k takes the lower coordinate on the axes
+    ``lowered[k]`` and the upper one elsewhere: [0, upper] with sign +1, then
+    the ``signed_terms`` of the N boxes just below it with the opposite
+    sign.  Capped, as ``signed_terms`` is, at MAX_UNION_PARTS axes."""
+    below = [Rect(tuple(float(j != i) for j in range(dim))) for i in range(dim)]
+    terms = [(1.0, Rect((1.0,) * dim))] + [(-sign, r) for sign, r in signed_terms(below)]
+    return np.array([sign for sign, _ in terms]), corner_array([r for _, r in terms]) == 0.0

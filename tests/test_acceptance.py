@@ -27,24 +27,17 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance, half_case_simulate
-from sifbm.recovery import (
-    PreMeasureTable,
-    characterize,
-    extension_residual,
-    outer_measures,
-    psi_on_C_with_se,
-    tiling_cover,
-)
-from sifbm.rects import (
-    LeftNeighborhood,
-    Rect,
-    rect,
-    rect_intersection,
-    rect_measure,
-)
+from sifbm.recovery import PreMeasureTable, Thresholds, _cell_criterion, characterize, psi_on_cells
+from sifbm.rects import Rect, rect, rect_intersection, rect_measure
 from sifbm.stats import flow_statistics, gaussianity_check
-from test_recovery import measurability_check, outer_continuity_check
-from test_rects import left_nbhd_measure
+from test_recovery import (
+    cell_measure,
+    entry,
+    lebesgue_table,
+    measurability_check,
+    outer_continuity_check,
+)
+from test_rects import LeftNeighborhood, left_nbhd_measure
 
 
 @contextmanager
@@ -140,60 +133,69 @@ def test_criterion_04_psi_recovery():
             m = rect_measure(u)
             if m < 0.1:
                 continue
-            (got,), _ = table.lookup([u])
+            got, _ = entry(table, u)
             assert abs(got - m) / m <= 0.05, f"{u!r}: {got} vs {m}"
         for u, v in itertools.combinations(lattice, 2):
-            (pu, pv), (su, sv) = table.lookup([u, v])
+            (pu, su), (pv, sv) = entry(table, u), entry(table, v)
             if all(a <= b for a, b in zip(u.corner, v.corner)):
                 slack = 3 * float(np.hypot(su, sv))
                 assert pu <= pv + slack, f"monotonicity broke at {u!r} <= {v!r}"
 
 
+def grid_tiles(corner, divisions) -> list[LeftNeighborhood]:
+    """The grid cells of [0, corner] cut into divisions^N equal tiles, each
+    its upper box minus the boxes just below it (off the axes)."""
+    edges = [np.linspace(0.0, c, divisions + 1) for c in corner]
+    tiles = []
+    for cell in itertools.product(range(divisions), repeat=len(corner)):
+        hi = tuple(e[k + 1] for e, k in zip(edges, cell))
+        below = [hi[:i] + (e[k],) + hi[i + 1:] for i, (e, k) in enumerate(zip(edges, cell)) if k]
+        tiles.append(LeftNeighborhood(Rect(hi), tuple(map(Rect, below))))
+    return tiles
+
+
 def test_criterion_05_inclusion_exclusion_and_additivity():
     with criterion(5, "inclusion-exclusion matches Lebesgue (1e-12)"):
-        table = PreMeasureTable()
         rng = np.random.default_rng(505)
         for _ in range(100):
-            base = Rect(tuple(rng.uniform(0.5, 3, 2)))
-            subs = tuple(
-                Rect(tuple(rng.uniform(0, 3, 2))) for _ in range(int(rng.integers(0, 4)))
-            )
-            c = LeftNeighborhood(base, subs)
-            want = left_nbhd_measure(c)
-            got, _ = psi_on_C_with_se(table, c)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            upper = rng.uniform(0.5, 3, 2)
+            lower = upper * rng.uniform(0, 1, 2) * rng.integers(0, 2, 2)
+            corners = [np.where(pick, lower, upper) for pick in itertools.product((0, 1), repeat=2)]
+            table = lebesgue_table([Rect(tuple(c)) for c in corners])
+            (got,), _, (tested,) = psi_on_cells(table, lower[None], upper[None])
+            subs = tuple(Rect(tuple(c)) for c in corners[1:3])
+            want = left_nbhd_measure(LeftNeighborhood(Rect(tuple(upper)), subs))
+            assert tested and abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_criterion_06_outer_measure_extension_and_measurability():
-    label = "outer measure extends psi (1e-12 analytic, 3 SE empirical); measurable splits"
+    label = "cell measure extends psi (1e-12 analytic, 3 SE empirical); measurable splits"
     with criterion(6, label):
         h = HurstParam(0.3)
-        analytic = PreMeasureTable()
         u = rect(2, 2)
-        for divs in ((2, 2), (4, 4)):
-            covers = tiling_cover((2, 2), divs)
-            resid, _ = extension_residual(analytic, outer_measures(analytic, covers, [u])[0], u)
-            assert resid <= 1e-12, f"analytic tiling {divs}: residual {resid}"
-        # empirical table over the coarse-tiling closure
+        for divs in (2, 4):
+            analytic = lebesgue_table(t.base for t in grid_tiles((2.0, 2.0), divs))
+            resid = abs(cell_measure(analytic, u)[0] - rect_measure(u))
+            assert resid <= 1e-12, f"analytic grid {divs}: residual {resid}"
+        # empirical table over the coarse grid: each cell within 3 SE of a
+        # measure, and the cells below u add up to psi(u)
         lattice = [rect(i, j) for i in (1, 2) for j in (1, 2)]
         e = exact_ensemble(lattice, h.value, 20_000, seed=601)
         table = PreMeasureTable.from_ensemble(e)
-        covers = tiling_cover((2, 2), (2, 2))
-        resid, se = extension_residual(table, outer_measures(table, covers, [u])[0], u)
+        ext = _cell_criterion(table, Thresholds(extension_se_mult=3.0))
+        assert ext.passed, f"empirical cell test: {ext.detail}"
+        total, se = cell_measure(table, u)
+        resid = abs(total - entry(table, u)[0])
         assert resid <= 3 * se, f"empirical extension: {resid} > 3*{se}"
         # 25 disjoint inside/outside pairs across the boundary of [0,(2,2)]
-        covers44 = tiling_cover((4, 4), (4, 4))
-        inside, outside = [], []
-        for el in covers44.elements:
-            hi = el.base.corner
-            if hi[0] <= 2 and hi[1] <= 2:
-                inside.append(el)
-            else:
-                outside.append(el)
+        tiles = grid_tiles((4.0, 4.0), 4)
+        analytic = lebesgue_table(t.base for t in tiles)
+        inside = [t for t in tiles if max(t.base.corner) <= 2]
+        outside = [t for t in tiles if max(t.base.corner) > 2]
         pairs = list(itertools.product(inside, outside))[:25]
         assert len(pairs) == 25
         for a, b in pairs:
-            resid = measurability_check(analytic, covers44, u, a, b)
+            resid = measurability_check(analytic, u, a, b)
             assert resid <= 1e-12, f"measurability residual {resid}"
 
 
@@ -267,7 +269,6 @@ def test_criterion_09_characterization_discrimination():
         n = 20_000
         battery = flow_battery(points=24)
         lattice = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-        covers = tiling_cover((3, 3), (3, 3))
         idx = set(lattice)
         for f in battery:
             idx.update(flow_weights(f)[0])
@@ -277,23 +278,23 @@ def test_criterion_09_characterization_discrimination():
         for seed in (901, 902, 903, 904, 905):
             rng = np.random.default_rng(seed)
             exact = sample_ensemble(base_factor, n, seed=seed)
-            rep = characterize(exact, battery, h, covers, table_indices=lattice)
+            rep = characterize(exact, battery, h, table_indices=lattice)
             assert rep.verdict, f"seed {seed}: exact input failed {rep.failed}"
             wrong_h = sample_ensemble(wrong_factor, n, seed=seed)
             wrong_h = SampleEnsemble(wrong_h.indices, wrong_h.samples, h)
-            rep = characterize(wrong_h, battery, h, covers, table_indices=lattice)
+            rep = characterize(wrong_h, battery, h, table_indices=lattice)
             assert not rep.verdict and "variance_profile" in rep.failed, (
                 f"seed {seed}: H-shift not caught ({rep.failed})"
             )
             rep = characterize(
-                _corrupt(exact, "independent", rng), battery, h, covers,
+                _corrupt(exact, "independent", rng), battery, h,
                 table_indices=lattice,
             )
             assert not rep.verdict and "variance_profile" in rep.failed, (
                 f"seed {seed}: independent columns not caught ({rep.failed})"
             )
             rep = characterize(
-                _corrupt(exact, "mean_shift", rng), battery, h, covers,
+                _corrupt(exact, "mean_shift", rng), battery, h,
                 table_indices=lattice,
             )
             assert not rep.verdict and "psi_recovery" in rep.failed, (

@@ -48,7 +48,10 @@ def test_changed_text_is_printed_with_both_values(tmp_path):
     (line,) = compare_artifacts.compare(
         *write_pair(tmp_path, edit(detail="worst residual (Rect((1.0,)))", statistic=0.25 * (1 + 2**-50)))
     )
-    assert line.startswith("characterization.json: bytes differ (largest relative difference of numbers 8.88e-16")
+    # the statistic moves by 2.2e-16, below 1e-12 of the file's largest |number|
+    assert line.startswith("characterization.json: bytes differ (largest relative difference of numbers 0; "
+                           "1 number(s) move by at most 1.5e-12 (1e-12 of the largest |number|), "
+                           "first at criteria[0].statistic: 0.25 in BASE, 0.2500000000000002 in CHANGE;")
     assert ("first text difference at criteria[0].detail: 'worst residual is 0' in BASE, "
             "'worst residual (Rect((1.0,)))' in CHANGE") in line
     assert line.endswith("; no passed, verdict or overall value differs)")
@@ -61,8 +64,28 @@ def test_move_to_zero_does_not_hide_the_round_off_gap(tmp_path):
         return report
 
     (line,) = compare_artifacts.compare(*write_pair(tmp_path, change))
-    assert "largest relative difference of numbers 8.88e-16 at criteria[0].statistic;" in line
     assert "1 number(s) move to or from 0, first at criteria[1].statistic: 1.5 in BASE, 0.0 in CHANGE;" in line
+    assert "1 number(s) move by at most 1.5e-12 (1e-12 of the largest |number|), first at criteria[0].statistic:" in line
+
+
+def test_round_off_move_does_not_hide_a_real_one(tmp_path):
+    # a round-off statistic doubling (relative difference 0.5) beside a psi
+    # value moving by 2.2e-11 relative: the psi move is ranked, the
+    # statistic counted apart, and the file still listed, so the script exits 1
+    def change(report):
+        report["criteria"][0]["statistic"] = 1.8e-15
+        report["psi"] = 64.0 * (1 + 2.2e-11)
+        return report
+
+    base = {**REPORT, "psi": 64.0}
+    base["criteria"] = [{**REPORT["criteria"][0], "statistic": 8.9e-16}, REPORT["criteria"][1]]
+    dirs = [tmp_path / side for side in ("base", "change")]
+    for d, report in zip(dirs, (base, change(json.loads(json.dumps(base))))):
+        d.mkdir()
+        (d / "recovery.json").write_text(json.dumps(report, sort_keys=True))
+    (line,) = compare_artifacts.compare(*dirs)
+    assert line.startswith("recovery.json: bytes differ (largest relative difference of numbers 2.2e-11 at psi; ")
+    assert "1 number(s) move by at most 6.4e-11 (1e-12 of the largest |number|), first at criteria[0].statistic:" in line
 
 
 def test_flipped_verdict_is_named(tmp_path):

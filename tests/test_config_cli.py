@@ -53,7 +53,6 @@ BASE_CONFIG = {
             ],
         },
     ],
-    "covers": {"tiling": {"corner": [2.0, 2.0], "divisions": [2, 2]}},
     "integral_rep": {
         "masses": [0.8, 1.0],
         "variance_masses": [1.0],
@@ -302,7 +301,6 @@ class TestConfig:
         assert cfg.hurst.value == 0.3
         assert len(cfg.lattice_indices) == 4
         assert len(cfg.flows) == 2
-        assert len(cfg.covers.elements) == 4
 
     def test_ensemble_indices_cover_flows_and_tiles(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -329,13 +327,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="flows\\[0\\]"):
             load_config(path)
 
-    def test_cover_subtract_cap_named(self, tmp_path):
-        path, raw = make_config(tmp_path)
-        subs = [[2.0, 0.1 * k] for k in range(1, 22)]
-        raw["covers"] = {"elements": [{"base": [2.0, 2.0], "subtract": subs}]}
-        path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError, match="covers.elements\\[0\\].subtract"):
-            load_config(path)
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            {"tiling": {"corner": [2.0, 2.0], "divisions": [2, 2]}},
+            {"elements": [{"base": [2.0, 2.0]}, {"base": [3.0, 1.0]}]},
+            {"tiling": {"corner": [2.0, 2.0], "divisions": [None, 2]}},
+            {"elements": [{"base": [-1.0, 2.0]}]},
+            {"elements": [{"base": [2.0, 2.0], "subtract": [[1.0, -1.0]]}]},
+            {"tiling": {"corner": [2.0, 2.0], "divsions": [2, 2]}},
+            {"elements": [{"base": [2.0, 2.0], "subtarct": []}]},
+            {"elements": [{"subtract": [[1.0, 1.0]]}]},
+            {"elements": [{"base": [2.0, 2.0], "subtract": [[2.0, 0.1 * k] for k in range(1, 22)]}]},
+            5,
+        ],
+        ids=["tiling", "overlapping-elements", "divisions-not-int", "negative-base",
+             "negative-subtract", "misspelled-tiling-key", "misspelled-element-key",
+             "element-without-base", "subtract-over-cap", "not-an-object"],
+    )
+    def test_covers_key_is_ignored(self, tmp_path, covers):
+        # "covers" named the cover family of the extension test that the
+        # grid-cell test replaced: any value still loads, and changes no index
+        path, _ = make_config(tmp_path)
+        want = load_config(path)
+        path, _ = make_config(tmp_path, covers=covers)
+        got = load_config(path)
+        assert got.ensemble_indices() == want.ensemble_indices()
+        assert got.table_indices == want.table_indices
 
     def test_seed_override_changes_hash(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -606,8 +624,7 @@ class TestCli:
             ("simulate", ("indices", "lattice", "shape", 0), "2", "indices.lattice.shape[0]"),
             ("simulate", ("indices", "lattice", "spacing", 1), None,
              "indices.lattice.spacing[1]"),
-            ("simulate", ("covers", "tiling", "divisions", 0), None,
-             "covers.tiling.divisions[0]"),
+            ("simulate", ("dimension",), 0, "dimension"),
             ("project", ("flows", 0, "to", 0), "a", "flows[0].to[0]"),
             ("project", ("flows", 1, "segments", 0, "span"), ["a", "b"],
              "flows[1].segments[0].span[0]"),
@@ -623,10 +640,8 @@ class TestCli:
             ("simulate", ("indices", "lattice", "spacing", 0), -1.0, "indices.lattice.spacing"),
             ("simulate", ("indices",), {"corners": [[1.0, 1.0], [2.0, -1.0]]},
              "indices.corners[1]"),
-            ("simulate", ("covers",), {"elements": [{"base": [-1.0, 2.0]}]},
-             "covers.elements[0].base"),
-            ("simulate", ("covers",), {"elements": [{"base": [2.0, 2.0], "subtract": [[1.0, -1.0]]}]},
-             "covers.elements[0].subtract"),
+            ("project", ("flows", 0, "points"), 1, "flows[0].points"),
+            ("simulate", ("hurst",), "0.3", "hurst"),
             ("verify-intrep", ("integral_rep", "masses"), [1.0, 0.5], "integral_rep.masses"),
             ("verify-intrep", ("integral_rep", "masses"), [], "integral_rep.masses"),
             ("verify-intrep", ("integral_rep", "variance_masses"), [-1.0],
@@ -714,9 +729,9 @@ class TestCli:
             (("flows", 0, "exponents"), [2.0, 1.0], "flows[0].exponents"),
             (("flows", 1, "points"), 4, "flows[1].points"),
             (("flows", 1, "segments", 0, "name"), "a", "flows[1].segments[0].name"),
-            (("covers", "tiling", "divsions"), [2, 2], "covers.tiling.divsions"),
-            (("covers",), {"elements": [{"base": [2.0, 2.0], "subtarct": []}]},
-             "covers.elements[0].subtarct"),
+            (("cover",), {}, "cover"),
+            (("flows", 1, "segments", 0, "exponents"), [1.0, 1.0],
+             "flows[1].segments[0].exponents"),
             (("integral_rep", "varaince_rel_tol"), 0.1, "integral_rep.varaince_rel_tol"),
             (("integral_rep", "grid", "cells_per_mas"), 256, "integral_rep.grid.cells_per_mas"),
             (("thresholds", "psi_flor"), 0.1, "thresholds.psi_flor"),
@@ -748,13 +763,6 @@ class TestCli:
         assert main(["recover-measure", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sifbm: config error:") and f"thresholds.{key}" in err
-
-    def test_cover_element_without_base_is_config_error(self, tmp_path, capsys):
-        covers = {"elements": [{"subtract": [[1.0, 1.0]]}]}
-        path, _ = make_config(tmp_path, covers=covers)
-        assert main(["simulate", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("sifbm: config error:") and "'covers.elements[0].base'" in err
 
     def test_corners_not_a_list_is_config_error(self, tmp_path, capsys):
         path, _ = make_config(tmp_path, indices={"corners": 5})
@@ -833,6 +841,18 @@ class TestCli:
         rep = json.loads((out / "recovery.json").read_text())
         assert rep["verdict"] == "pass"
         assert rep["psi"]
+
+    def test_recover_measure_on_small_boxes(self, tmp_path):
+        # every box lies below psi_floor, which left the cover search no
+        # index to test: it failed exact data with exit 2
+        path, _ = make_config(
+            tmp_path, n_samples=4000, flows=[], indices={"corners": [[0.2, 0.2], [0.3, 0.25]]}
+        )
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert main(["recover-measure", "--config", str(path)]) == 0
+        rep = json.loads((tmp_path / "out" / "recovery.json").read_text())
+        ext = next(c for c in rep["criteria"] if c["name"] == "extension")
+        assert ext["passed"] and ext["detail"].startswith("cells tested: 1;")
 
     def test_verify_intrep_small_grid(self, tmp_path):
         path, _ = make_config(tmp_path)

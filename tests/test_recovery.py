@@ -1,14 +1,19 @@
-"""Pre-measure recovery, inclusion-exclusion extension, outer measure,
-measurability splits, outer continuity, and the characterization verdict."""
+"""Pre-measure recovery, psi on grid cells and the extension test, the
+measure the cell increments give, measurability splits, outer continuity,
+and the characterization verdict."""
 
 import itertools
+import json
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sifbm.config import parse_config
 from sifbm.flows import flow_weights, flows_through
 from sifbm.gaussian import (
     HurstParam,
@@ -20,71 +25,102 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.recovery import (
-    MAX_COVER_ELEMENTS,
     CharacterizationReport,
-    CoverError,
-    CoverFamily,
-    MissingPsiError,
     PreMeasureTable,
     Thresholds,
     characterize,
-    extension_residual,
-    outer_measures,
-    psi_on_C_with_se,
+    psi_on_cells,
     recover_measure,
-    tiling_cover,
+    _cell_criterion,
     _covariance_criterion,
-    _extension_criterion,
     _flow_criteria,
-    _outer_measure_search,
     _psi_criteria,
 )
 from sifbm.rects import (
     EMPTY,
-    CellArrangement,
-    LeftNeighborhood,
+    MAX_UNION_PARTS,
     Rect,
+    corner_array,
     rect,
     rect_contains,
     rect_intersection,
     rect_measure,
+    union_measure,
 )
 from sifbm.storage import StoredEnsemble, write_ensemble_binary
-from test_rects import left_nbhd_measure, region_disjoint_ae, region_subset_ae, symdiff_measure
+from test_rects import (
+    LeftNeighborhood,
+    boxes_of,
+    member,
+    region_disjoint_ae,
+    region_subset_ae,
+    symdiff_measure,
+)
 
-# Checks that hold for the analytic table alone, so only the tests and
+ROOT = Path(__file__).resolve().parents[1]
+
+# Checks that hold for the Lebesgue table alone, so only the tests and
 # acceptance criteria 6 and 7 run them.
+
+
+def lebesgue_table(boxes) -> PreMeasureTable:
+    """The analytic table: psi is Lebesgue measure, with zero error."""
+    boxes = tuple(boxes)
+    m = np.array([rect_measure(u) for u in boxes])
+    return PreMeasureTable(boxes, m, np.zeros(len(boxes)))
+
+
+def entry(table, u) -> tuple[float, float]:
+    """(psi, standard error) of table box u."""
+    i = table.boxes.index(u)
+    return float(table.value[i]), float(table.stderr[i])
+
+
+def on_cells(table, cells):
+    """``psi_on_cells`` over (lower, upper) corner pairs."""
+    lower, upper = (np.array(c, dtype=float) for c in zip(*cells))
+    return psi_on_cells(table, lower, upper)
+
+
+def cell_measure(table, region) -> tuple[float, float]:
+    """(measure, propagated standard error) that psi's cell increments give
+    a region: the sum of psi over the grid cells of the table's corners whose
+    interior lies in it, errors in quadrature.  Every box of the region must
+    have its corner on that grid, and every cell in it every corner box in
+    the table or on an axis; otherwise ValueError."""
+    edges = [sorted(set(col) | {0.0}) for col in corner_array(table.boxes).T.tolist()]
+    for b in boxes_of(region):
+        if len(b.corner) != len(edges) or any(c not in e for c, e in zip(b.corner, edges)):
+            raise ValueError(f"{b!r} is not a union of grid cells of the table")
+    cells = itertools.product(*(zip(e, e[1:]) for e in edges))
+    # exact midpoints: a float one can round onto a cell edge
+    inside = [
+        (lo, hi) for lo, hi in (zip(*c) for c in cells)
+        if member([(Fraction(a) + Fraction(b)) / 2 for a, b in zip(lo, hi)], region)
+    ]
+    if not inside:
+        return 0.0, 0.0
+    value, se, tested = on_cells(table, inside)
+    if not tested.all():
+        raise ValueError("a cell of the region has a corner box the table lacks")
+    return float(value.sum()), float(np.sqrt(np.sum(se**2)))
 
 
 def measurability_check(
     table: PreMeasureTable,
-    covers: CoverFamily,
     u: Rect,
     a_inside: LeftNeighborhood,
     b_outside: LeftNeighborhood,
 ) -> float:
-    """Residual |outer(a u b) - outer(a) - outer(b)| with a inside u and b
-    outside u; cover pieces crossing the boundary of u are cut into their
-    inside and outside halves first (both stay in the class)."""
+    """Residual |mu(a u b) - mu(a) - mu(b)| of the measure mu the table's
+    cell increments give, with a inside u and b outside u: u splits the
+    union additively."""
     if not region_subset_ae(a_inside, u):
         raise ValueError("a_inside is not contained in u")
     if not region_disjoint_ae(b_outside, u):
         raise ValueError("b_outside overlaps u")
-    pieces = []
-    for el in covers.elements:
-        inside = LeftNeighborhood(rect_intersection(el.base, u), el.subtracted)
-        outside = LeftNeighborhood(el.base, el.subtracted + (u,))
-        for p in (inside, outside):
-            if not p.base.is_empty and left_nbhd_measure(p) > 0.0:
-                pieces.append(p)
-    if len(pieces) > MAX_COVER_ELEMENTS:
-        raise ValueError(
-            f"split cover has {len(pieces)} pieces, exceeding the "
-            f"{MAX_COVER_ELEMENTS}-element search cap"
-        )
-    split = CoverFamily(tuple(pieces))
-    both, a, b = outer_measures(table, split, [[a_inside, b_outside], a_inside, b_outside])
-    return abs(both.value - a.value - b.value)
+    both, a, b = (cell_measure(table, r)[0] for r in ([a_inside, b_outside], a_inside, b_outside))
+    return abs(both - a - b)
 
 
 def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
@@ -225,344 +261,293 @@ class TestEstimatePsi:
 
 
 class TestPsiOnC:
+    # C is a grid cell (lower, upper]: [0, upper] minus the boxes just below it
+
     def test_self_subtraction_cancels(self):
-        t = PreMeasureTable()
-        u = rect(2, 1)
-        assert psi_on_C_with_se(t, LeftNeighborhood(u, (u,)))[0] == 0.0
+        # lower == upper: a box minus itself
+        value, se, tested = on_cells(lebesgue_table([rect(2, 1)]), [((2, 1), (2, 1))])
+        assert tested[0] and (value[0], se[0]) == (0.0, 0.0)
 
     def test_corner_cell(self):
-        t = PreMeasureTable()
-        c = LeftNeighborhood(rect(2, 2), (rect(1, 2), rect(2, 1)))
         # 4 - 2 - 2 + 1
-        assert psi_on_C_with_se(t, c)[0] == pytest.approx(1.0)
+        value, _, _ = on_cells(lebesgue_table(lattice(2, 2)), [((1, 1), (2, 2))])
+        assert value[0] == pytest.approx(1.0)
 
     def test_no_subtraction(self):
-        t = PreMeasureTable()
+        # every box below [0, u] lies on an axis
         u = rect(1.5, 2)
-        assert psi_on_C_with_se(t, LeftNeighborhood(u))[0] == rect_measure(u)
+        value, _, tested = on_cells(lebesgue_table([u]), [((0, 0), u.corner)])
+        assert tested[0] and value[0] == rect_measure(u)
 
     def test_matches_lebesgue_on_random_neighborhoods(self):
-        t = PreMeasureTable()
         rng = np.random.default_rng(42)
         for _ in range(100):
-            base = Rect(tuple(rng.uniform(0.5, 3, 2)))
-            subs = tuple(
-                Rect(tuple(rng.uniform(0, 3, 2))) for _ in range(rng.integers(0, 4))
-            )
-            c = LeftNeighborhood(base, subs)
-            want = left_nbhd_measure(c)
-            assert psi_on_C_with_se(t, c)[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            upper = rng.uniform(0.5, 3, 2)
+            lower = upper * rng.uniform(0, 1, 2) * rng.integers(0, 2, 2)
+            boxes = [Rect(tuple(np.where(pick, lower, upper)))
+                     for pick in itertools.product((False, True), repeat=2)]
+            value, _, tested = on_cells(lebesgue_table(boxes), [(lower, upper)])
+            want = float(np.prod(upper - lower))
+            assert tested[0] and value[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_empirical_terms_add_in_quadrature(self):
         e = exact_ensemble(lattice(2, 2), 0.3, 200, seed=5)
         t = PreMeasureTable.from_ensemble(e)
-        (v22, v12), (s22, s12) = t.lookup([rect(2, 2), rect(1, 2)])
-        got = psi_on_C_with_se(t, LeftNeighborhood(rect(2, 2), (rect(1, 2),)))
-        assert got == (v22 - v12, float(np.sqrt(s22**2 + s12**2)))
+        (v22, s22), (v12, s12), (v21, s21), (v11, s11) = (
+            entry(t, u) for u in (rect(2, 2), rect(1, 2), rect(2, 1), rect(1, 1))
+        )
+        value, se, _ = on_cells(t, [((1, 1), (2, 2))])
+        assert value[0] == pytest.approx(v22 - v12 - v21 + v11, rel=1e-12)
+        assert se[0] == pytest.approx(np.sqrt(s22**2 + s12**2 + s21**2 + s11**2), rel=1e-12)
 
     def test_missing_entries_listed(self):
-        e = exact_ensemble([rect(1, 2), rect(2, 1)], 0.3, 200, seed=5)
+        # the cell below (2, 2) needs (1, 1), which the table lacks: it is
+        # listed as not tested and reads 0 with error 0
+        e = exact_ensemble([rect(1, 2), rect(2, 1), rect(2, 2)], 0.3, 200, seed=5)
         t = PreMeasureTable.from_ensemble(e)
-        c = LeftNeighborhood(rect(1, 2), (rect(2, 1),))
-        with pytest.raises(MissingPsiError) as ei:
-            psi_on_C_with_se(t, c)
-        assert rect(1, 1) in ei.value.missing
+        value, se, tested = on_cells(t, [((1, 1), (2, 2)), ((0, 1), (1, 2))])
+        assert tested.tolist() == [False, False]
+        assert (value.tolist(), se.tolist()) == ([0.0, 0.0], [0.0, 0.0])
+        value, _, tested = on_cells(t, [((1, 0), (2, 1)), ((0, 0), (2, 2))])
+        assert tested.tolist() == [False, True] and value[1] == entry(t, rect(2, 2))[0]
 
 
-def brute_force_cover_min(table, covers, target_rect, n_pts=4000, seed=0):
-    """Independent oracle: minimum cover cost by full subset enumeration with
-    Monte Carlo point-membership coverage."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0, 1, (n_pts, len(target_rect.corner))) * np.asarray(
-        target_rect.corner
-    )
-
-    def in_nbhd(c, p):
-        if c.base.is_empty or not np.all(p <= c.base.corner):
-            return False
-        return not any(np.all(p <= s.corner) for s in c.subtracted)
-
-    member = np.array(
-        [[in_nbhd(el, p) for el in covers.elements] for p in pts], dtype=bool
-    )
-    best = np.inf
-    for k in range(len(covers.elements) + 1):
-        for combo in itertools.combinations(range(len(covers.elements)), k):
-            if not combo:
-                covered = not member.shape[0]
-            else:
-                covered = bool(np.all(member[:, list(combo)].any(axis=1)))
-            if covered:
-                cost = sum(psi_on_C_with_se(table, covers.elements[i])[0] for i in combo)
-                best = min(best, cost)
-    return best
-
-
-def branch_and_bound_search(costs, masks, universe):
-    """The recursive reference the array search replaced: bit c of masks[i]
-    says element i covers target cell c; prunes when all costs are
-    non-negative; equal-cost ties break to the lexicographically smallest
-    index tuple."""
-    n = len(costs)
-    can_prune = all(c >= 0 for c in costs)
-    best = [np.inf, None]
-
-    def consider(cost, chosen):
-        if cost < best[0] or (cost == best[0] and (best[1] is None or chosen < best[1])):
-            best[0], best[1] = cost, chosen
-
-    def dfs(i, mask, cost, chosen):
-        if mask & universe == universe:
-            consider(cost, tuple(chosen))
-            if can_prune:
-                return
-        if i == n:
-            return
-        if can_prune and cost > best[0]:
-            return
-        chosen.append(i)
-        dfs(i + 1, mask | masks[i], cost + costs[i], chosen)
-        chosen.pop()
-        dfs(i + 1, mask, cost, chosen)
-
-    dfs(0, 0, 0.0, [])
-    if best[1] is None:
-        raise CoverError("no sub-family of the covers contains the target")
-    return best[0], best[1]
-
-
-@st.composite
-def cover_instances(draw):
-    """Costs from a small pool (negative, zero and repeated values) or
-    continuous, and a random cover matrix whose cells may have no element."""
-    n = draw(st.integers(1, 12))
-    cells = draw(st.integers(1, 8))
-    pool = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    cost = pool | st.floats(-2.0, 5.0, allow_nan=False)
-    costs = draw(st.lists(cost, min_size=n, max_size=n))
-    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
-    bits = draw(st.lists(st.floats(0, 1), min_size=n * cells, max_size=n * cells))
-    return costs, np.array(bits).reshape(n, cells) < density
-
-
-class TestOuterMeasureSearch:
-    @given(cover_instances())
-    # an element covering no cell still counts: a negative cost lowers the
-    # value, and a zero cost wins the tie-break
-    @example(instance=([1.0, -0.5], np.array([[True], [False]])))
-    @example(instance=([0.0, 1.0], np.array([[False], [True]])))
-    @settings(deadline=None, max_examples=300)
-    def test_matches_branch_and_bound(self, instance):
-        costs, cover = instance
-        masks = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in cover]
-        universe = (1 << cover.shape[1]) - 1
-        try:
-            want = branch_and_bound_search(costs, masks, universe)
-        except CoverError:
-            with pytest.raises(CoverError):
-                _outer_measure_search(costs, cover)
-            return
-        value, chosen = _outer_measure_search(costs, cover)
-        assert (value, chosen) == want
-        assert type(chosen[0]) is int
-
-
-def per_target_outer_measures(table, covers, targets) -> list[tuple]:
-    """The per-target path that one shared cell arrangement replaced: each
-    target gets its own arrangement with the covers, and a null target
-    (empty or of measure 0) is (0, (), 0) without one."""
-
-    def target_cover(target):
-        if isinstance(target, Rect) and target.is_empty:
-            return None
-        arr = CellArrangement([target, covers.elements])
-        inside = arr.mask(target)
-        if not inside.any():
-            return None
-        return np.array([arr.mask(el)[inside] for el in covers.elements])
-
-    cover_masks = [target_cover(t) for t in targets]
-    if all(cover is None for cover in cover_masks):
-        return [(0.0, (), 0.0)] * len(targets)
-    costs, ses = zip(*(psi_on_C_with_se(table, el) for el in covers.elements))
+def cell_reference(table):
+    """The scalar path, one table box at a time: (lower, upper, psi,
+    stderr) of the grid cell below each box off the axes, psi and stderr
+    None when a corner box is neither on an axis nor in the table.  The
+    corner boxes come from a loop over itertools.product of the corner picks;
+    the grid's edges are every table corner coordinate and 0."""
+    boxes = [u for u in table.boxes if not u.is_empty]
+    pos = {u.corner: i for i, u in enumerate(table.boxes) if not u.is_empty}
+    dim = len(boxes[0].corner) if boxes else 1
+    edges = [{u.corner[i] for u in boxes} | {0.0} for i in range(dim)]
     out = []
-    for cover in cover_masks:
-        if cover is None:
-            out.append((0.0, (), 0.0))
+    for u in boxes:
+        if min(u.corner) == 0.0:
             continue
-        value, chosen = _outer_measure_search(costs, cover)
-        out.append((float(value), tuple(chosen), float(np.sqrt(sum(ses[i] ** 2 for i in chosen)))))
+        lower = tuple(max(x for x in e if x < c) for e, c in zip(edges, u.corner))
+        total, var = 0.0, 0.0
+        for picks in itertools.product((False, True), repeat=dim):
+            corner = tuple(lo if p else hi for p, lo, hi in zip(picks, lower, u.corner))
+            if min(corner) == 0.0:
+                continue
+            if corner not in pos:
+                total = var = None
+                break
+            total += (-1.0) ** sum(picks) * float(table.value[pos[corner]])
+            var += float(table.stderr[pos[corner]]) ** 2
+        out.append((lower, u.corner, total, None if var is None else var**0.5))
     return out
 
 
 @st.composite
-def outer_measure_cases(draw):
-    """Cover pieces and targets on a coarse grid with zero, as in
-    ``criterion_cases``: targets are boxes (degenerate ones included), the
-    empty set, left-neighborhoods and unions of these; a seed for the table."""
+def cell_tables(draw):
+    """A table in 1..3 dimensions over a lattice of drawn coordinates or
+    scattered corners, with degenerate boxes, EMPTY and repeats (kept once,
+    as ``from_ensemble`` keeps them); psi is Lebesgue measure with zero
+    error, or a multiple in [0.5, 1.5] of it with errors in [0, 0.3]."""
     dim = draw(st.integers(1, 3))
-    box = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])] * dim).map(Rect)
-    nbhd = st.builds(LeftNeighborhood, box, st.lists(box, max_size=2).map(tuple))
-    elements = draw(st.lists(nbhd, min_size=1, max_size=6))
+    coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 3, allow_nan=False)
     if draw(st.booleans()):
-        elements.append(LeftNeighborhood(Rect((2.0,) * dim)))
-    region = box | st.just(EMPTY) | nbhd
-    targets = draw(st.lists(region | st.lists(region, min_size=1, max_size=3), min_size=1, max_size=5))
-    return CoverFamily(tuple(elements)), targets, draw(st.integers(0, 2**32 - 1))
+        axes = [draw(st.lists(coord, min_size=1, max_size=3)) for _ in range(dim)]
+        boxes = [Rect(c) for c in itertools.product(*axes)]
+        boxes = [u for u in boxes if draw(st.integers(0, 5))]  # drop about one in six
+    else:
+        boxes = draw(st.lists(st.tuples(*[coord] * dim).map(Rect), max_size=10))
+    boxes += draw(st.lists(st.sampled_from(boxes) | st.just(EMPTY), max_size=3)) if boxes else []
+    boxes = tuple(dict.fromkeys(boxes))
+    m = np.array([rect_measure(u) for u in boxes])
+    if draw(st.booleans()):
+        return PreMeasureTable(boxes, m, np.zeros(len(boxes))), True
+    factor = draw(st.lists(st.floats(0.5, 1.5), min_size=len(boxes), max_size=len(boxes)))
+    stderr = draw(st.lists(st.floats(0, 0.3), min_size=len(boxes), max_size=len(boxes)))
+    return PreMeasureTable(boxes, m * np.array(factor), np.array(stderr)), False
 
 
-class TestSharedArrangement:
-    @given(outer_measure_cases())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_per_target_arrangements(self, case):
-        covers, targets, seed = case
-        boxes = tuple(dict.fromkeys(
-            b for el in covers.elements for _, b in el.signed_boxes() if not b.is_empty
-        ))
-        rng = np.random.default_rng(seed)
-        # signed and tied costs, and non-zero standard errors
-        value = rng.choice([-0.5, 0.0, 0.5, 1.0, 2.5], len(boxes))
-        table = PreMeasureTable(boxes, value, rng.uniform(0.0, 0.1, len(boxes)))
-        try:
-            want = per_target_outer_measures(table, covers, targets)
-        except CoverError:
-            with pytest.raises(CoverError):
-                outer_measures(table, covers, targets)
+class TestCellCriterion:
+    @given(cell_tables())
+    @example(case=(lebesgue_table([EMPTY]), True))
+    @example(case=(lebesgue_table([rect(0.2, 0.2), rect(0.3, 0.25)]), True))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_per_cell_reference(self, case):
+        table, lebesgue = case
+        ref = cell_reference(table)
+        thr = Thresholds()
+        got = _cell_criterion(table, thr)
+        tested = [r for r in ref if r[2] is not None]
+        if ref:
+            value, se, ok = on_cells(table, [(lo, hi) for lo, hi, _, _ in ref])
+            # a cell is skipped exactly when a corner box is missing
+            assert ok.tolist() == [r[2] is not None for r in ref]
+            scale = 1e-12 * max(1.0, float(np.max(np.abs(table.value))))
+            for (lo, hi, want, want_se), v, s in zip(ref, value, se):
+                if want is None:
+                    continue
+                assert abs(v - want) <= scale and abs(s - want_se) <= 1e-12 * max(1.0, want_se)
+                if lebesgue:
+                    assert abs(v - float(np.prod(np.subtract(hi, lo)))) <= scale
+        if not tested:
+            assert (got.passed, got.statistic) == (True, 0.0)
+            assert got.detail == "no cell has every corner box in the table, so none was tested"
             return
-        got = outer_measures(table, covers, targets)
-        assert [(r.value, r.chosen, r.stderr) for r in got] == want
+        assert got.detail.startswith(f"cells tested: {len(tested)};")
+        viol = [-v - thr.extension_se_mult * s for _, _, v, s in tested]
+        assert got.statistic == pytest.approx(max(max(viol), 0.0), abs=1e-12)
+        if all(abs(x) > 1e-9 for x in viol):
+            assert got.passed == (max(viol) <= 0)
+
+    def test_rejects_non_measure_tables(self):
+        # the 9 demo boxes, psi a random multiple in [0.5, 1.5] of each box's
+        # measure with standard errors 1% of it: 187 of 200 tables failed the
+        # cover-search test this criterion replaced
+        boxes = tuple(lattice(3, 3))
+        m = np.array([rect_measure(u) for u in boxes])
+        rng = np.random.default_rng(0)
+        rejected = 0
+        for _ in range(200):
+            value = m * rng.uniform(0.5, 1.5, len(boxes))
+            table = PreMeasureTable(boxes, value, 0.01 * value)
+            rejected += not _cell_criterion(table, Thresholds()).passed
+        assert rejected >= 187
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            None,
+            {"elements": [{"base": [2.0, 2.0]}, {"base": [3.0, 1.0]}]},
+        ],
+        ids=["omitted", "overlapping"],
+    )
+    def test_exact_data_passes_whatever_the_covers(self, covers):
+        # with these covers the cover search read 1.9-5.4 on exact data and
+        # failed all seven seeds
+        raw = json.loads((ROOT / "configs" / "demo.json").read_text())
+        raw.pop("covers", None)
+        if covers is not None:
+            raw["covers"] = covers
+        cfg = parse_config({**raw, "n_samples": 4000})
+        factor = cholesky(build_cov_matrix(cfg.ensemble_indices(), cfg.hurst))
+        for seed in range(1, 8):
+            e = sample_ensemble(factor, cfg.n_samples, seed=seed)
+            ext = _cell_criterion(PreMeasureTable.from_ensemble(e, cfg.table_indices), cfg.thresholds)
+            assert ext.passed, (seed, ext.detail)
+            assert ext.detail.startswith("cells tested: 9;")
 
 
 class TestOuterMeasure:
+    # the measure mu that psi's cell increments give unions of grid cells
+
     def test_singleton_cover(self):
-        t = PreMeasureTable()
         u = rect(2, 1.5)
-        covers = CoverFamily((LeftNeighborhood(u),))
-        assert outer_measures(t, covers, [u])[0].value == pytest.approx(rect_measure(u))
+        got, se = cell_measure(lebesgue_table([u]), u)
+        assert (got, se) == (pytest.approx(rect_measure(u)), 0.0)
 
     def test_empty_target(self):
-        t = PreMeasureTable()
-        covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        assert outer_measures(t, covers, [EMPTY])[0].value == 0.0
+        t = lebesgue_table(lattice(2, 2))
+        assert cell_measure(t, EMPTY) == cell_measure(t, []) == (0.0, 0.0)
 
     def test_null_target_needs_no_cover_costs(self):
-        # a null target is 0 before any cover element is looked up, so a
-        # table without the covers' entries still answers it
-        t = PreMeasureTable((), np.zeros(0), np.zeros(0))
-        covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        assert outer_measures(t, covers, [EMPTY])[0].value == 0.0
-        assert outer_measures(t, covers, [rect(0, 1)])[0].value == 0.0
-        with pytest.raises(MissingPsiError):
-            outer_measures(t, covers, [rect(1, 1)])[0]
+        # a degenerate box holds no cell, so a table that lacks corner boxes
+        # still answers it
+        t = lebesgue_table([rect(1, 1), rect(2, 2)])
+        assert cell_measure(t, rect(0, 1)) == (0.0, 0.0)
+        assert cell_measure(t, rect(1, 1))[0] == 1.0
+        with pytest.raises(ValueError, match="corner box the table lacks"):
+            cell_measure(t, rect(2, 2))
 
     def test_redundant_expensive_piece_ignored(self):
-        t = PreMeasureTable()
-        target = rect(2, 1)
-        tiles = (
-            LeftNeighborhood(rect(1, 1)),
-            LeftNeighborhood(rect(2, 1), (rect(1, 1),)),
-            LeftNeighborhood(rect(5, 5)),  # covers everything, costs 25
-        )
-        got = outer_measures(t, CoverFamily(tiles), [target])[0].value
+        # a box inside the union adds nothing, and a larger table box that
+        # is not in it costs nothing
+        t = lebesgue_table([rect(1, 1), rect(2, 1), rect(5, 5)])
+        got, _ = cell_measure(t, [rect(2, 1), rect(1, 1)])
         assert got == pytest.approx(2.0)
 
     def test_matches_brute_force_oracle(self):
-        t = PreMeasureTable()
-        target = rect(2, 2)
-        covers = tiling_cover((2, 2), (2, 2))
-        extra = CoverFamily(covers.elements + (LeftNeighborhood(rect(2, 2)),))
-        got = outer_measures(t, extra, [target])[0].value
-        want = brute_force_cover_min(t, extra, target)
-        assert got == pytest.approx(want, rel=1e-9)
+        # inclusion-exclusion over every subset of the union's boxes
+        t = lebesgue_table(lattice(3, 3, 0.5, 0.75))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            parts = [t.boxes[i] for i in rng.choice(9, int(rng.integers(1, 5)), replace=False)]
+            got, _ = cell_measure(t, parts)
+            assert got == pytest.approx(union_measure(parts), rel=1e-9)
 
     def test_no_cover_raises(self):
-        t = PreMeasureTable()
-        covers = CoverFamily((LeftNeighborhood(rect(1, 1)),))
-        with pytest.raises(CoverError):
-            outer_measures(t, covers, [rect(3, 3)])[0]
+        t = lebesgue_table([rect(1, 1)])
+        with pytest.raises(ValueError, match="not a union of grid cells"):
+            cell_measure(t, rect(3, 3))
 
     def test_monotone_in_target(self):
-        t = PreMeasureTable()
-        covers = tiling_cover((3, 3), (3, 3))
-        small = outer_measures(t, covers, [rect(1.5, 1.5)])[0].value
-        big = outer_measures(t, covers, [rect(2.5, 2.5)])[0].value
+        e = exact_ensemble(lattice(3, 3), 0.3, 4000, seed=11)
+        t = PreMeasureTable.from_ensemble(e)
+        small = cell_measure(t, rect(1, 2))[0]
+        big = cell_measure(t, rect(2, 2))[0]
         assert small <= big
 
     def test_subadditive_over_unions(self):
-        t = PreMeasureTable()
-        covers = tiling_cover((3, 3), (3, 3))
+        t = lebesgue_table(lattice(3, 3))
         a = LeftNeighborhood(rect(2, 1))
         b = LeftNeighborhood(rect(1, 2))
-        both, one, other = (
-            outer_measures(t, covers, [target])[0].value for target in ([a, b], a, b)
-        )
+        both, one, other = (cell_measure(t, target)[0] for target in ([a, b], a, b))
         assert both <= one + other + 1e-12
 
-    def test_tie_break_deterministic(self):
-        t = PreMeasureTable()
-        u = rect(1, 1)
-        covers = CoverFamily((LeftNeighborhood(u), LeftNeighborhood(u)))
-        det = outer_measures(t, covers, [u])[0]
-        assert det.chosen == (0,)
-
     def test_family_cap(self):
-        tiles = tuple(
-            LeftNeighborhood(rect(i, 1), (rect(i - 1, 1),)) for i in range(1, 18)
-        )
+        # a cell has 2^N corner boxes, capped as inclusion-exclusion is
+        corner = np.ones((1, MAX_UNION_PARTS + 1))
         with pytest.raises(ValueError, match="capped"):
-            CoverFamily(tiles)
+            psi_on_cells(lebesgue_table([Rect(tuple(corner[0]))]), 0 * corner, corner)
 
 
 class TestVerifyExtension:
     def test_exact_table_reports_a_zero_worst(self):
-        # integer measures: every residual and recovery error is exactly 0,
-        # and the details say so instead of naming no box
+        # integer measures: every cell and recovery error is exact, and the
+        # details say so instead of naming no box
         boxes = tuple(lattice(2, 2))
         m = np.array([rect_measure(u) for u in boxes])
         t = PreMeasureTable(boxes, m, np.zeros(len(boxes)))
-        ext = _extension_criterion(t, tiling_cover((2, 2), (2, 2)), Thresholds())
+        ext = _cell_criterion(t, Thresholds())
         assert (ext.passed, ext.statistic) == (True, 0.0)
-        assert ext.detail == "worst residual over 4 targets is 0"
+        assert ext.detail == "cells tested: 4; smallest z inf in ([0.0, 0.0], [1.0, 1.0]]"
         rec, _ = _psi_criteria(t, Thresholds())
         assert (rec.passed, rec.statistic) == (True, 0.0)
         assert rec.detail == "worst relative recovery error is 0"
 
     def test_self_cover(self):
-        t = PreMeasureTable()
+        # a box alone is its own cell
         u = rect(2, 2)
-        covers = CoverFamily((LeftNeighborhood(u),))
-        assert extension_residual(t, outer_measures(t, covers, [u])[0], u)[0] == 0.0
+        t = lebesgue_table([u])
+        assert cell_measure(t, u)[0] == rect_measure(u)
+        assert _cell_criterion(t, Thresholds()).detail.startswith("cells tested: 1;")
 
     def test_tilings_two_granularities(self):
-        t = PreMeasureTable()
         u = rect(2, 2)
-        for divs in ((2, 2), (3, 3)):
-            covers = tiling_cover((2, 2), divs)
-            assert extension_residual(t, outer_measures(t, covers, [u])[0], u)[0] <= 1e-12
+        for k in (2, 3):
+            t = lebesgue_table(lattice(k, k, 2 / k, 2 / k))
+            assert abs(cell_measure(t, u)[0] - rect_measure(u)) <= 1e-12
+            ext = _cell_criterion(t, Thresholds())
+            assert ext.passed and ext.detail.startswith(f"cells tested: {k * k};")
 
     def test_empirical_within_tolerance(self):
         h = 0.35
         idx = sorted(set(lattice(2, 2)), key=lambda r: r.corner)
         e = exact_ensemble(idx, h, 20_000, seed=33)
         t = PreMeasureTable.from_ensemble(e)
-        covers = tiling_cover((2, 2), (2, 2))
-        u = rect(2, 2)
-        resid, se = extension_residual(t, outer_measures(t, covers, [u])[0], u)
-        assert resid <= 3 * se
+        ext = _cell_criterion(t, Thresholds())
+        assert ext.passed and ext.statistic == 0.0
+        value, se, tested = on_cells(t, [((1, 1), (2, 2)), ((0, 1), (1, 2))])
+        assert tested.all() and np.all(value >= -3 * se)
 
 
 class TestMeasurability:
     def test_disjoint_tiles_additive(self):
-        t = PreMeasureTable()
-        covers = tiling_cover((3, 3), (3, 3))
+        t = lebesgue_table(lattice(3, 3))
         u = rect(2, 2)
         a = LeftNeighborhood(rect(1, 1))
         b = LeftNeighborhood(rect(3, 1), (rect(2, 1),))
-        assert measurability_check(t, covers, u, a, b) <= 1e-12
+        assert measurability_check(t, u, a, b) <= 1e-12
 
     def test_random_disjoint_pairs(self):
-        t = PreMeasureTable()
-        covers = tiling_cover((3, 3), (3, 3))
+        t = lebesgue_table(lattice(3, 3))
         u = rect(2, 2)
         inside = [
             LeftNeighborhood(rect(1, 1)),
@@ -578,22 +563,20 @@ class TestMeasurability:
         ]
         for a in inside:
             for b in outside:
-                assert measurability_check(t, covers, u, a, b) <= 1e-12
+                assert measurability_check(t, u, a, b) <= 1e-12
 
     def test_containment_violated(self):
-        t = PreMeasureTable()
-        covers = tiling_cover((3, 3), (3, 3))
+        t = lebesgue_table(lattice(3, 3))
         with pytest.raises(ValueError, match="not contained"):
             measurability_check(
-                t, covers, rect(1, 1), LeftNeighborhood(rect(2, 2)), LeftNeighborhood(rect(3, 3), (rect(1, 1),))
+                t, rect(1, 1), LeftNeighborhood(rect(2, 2)), LeftNeighborhood(rect(3, 3), (rect(1, 1),))
             )
 
     def test_overlap_violated(self):
-        t = PreMeasureTable()
-        covers = tiling_cover((3, 3), (3, 3))
+        t = lebesgue_table(lattice(3, 3))
         with pytest.raises(ValueError, match="overlaps"):
             measurability_check(
-                t, covers, rect(2, 2), LeftNeighborhood(rect(1, 1)), LeftNeighborhood(rect(3, 3))
+                t, rect(2, 2), LeftNeighborhood(rect(1, 1)), LeftNeighborhood(rect(3, 3))
             )
 
 
@@ -650,14 +633,12 @@ def battery_and_indices(h, n, seed, lattice_pts):
 class TestCharacterize:
     H = 0.3
     LATTICE = lattice(3, 3)
-    COVERS = tiling_cover((3, 3), (3, 3))
 
     def _run(self, e, flows, h=None):
         return characterize(
             e,
             flows,
             HurstParam(h or self.H),
-            self.COVERS,
             table_indices=self.LATTICE,
         )
 
@@ -729,7 +710,7 @@ class TestCharacterize:
     def test_composes_flow_recovery_and_covariance_criteria(self):
         e, flows = battery_and_indices(self.H, 2_000, 107, self.LATTICE)
         rep = self._run(e, flows)
-        recovered, table = recover_measure(e, self.COVERS, table_indices=self.LATTICE)
+        recovered, table = recover_measure(e, table_indices=self.LATTICE)
         assert list(table.boxes) == self.LATTICE
         assert [c.name for c in rep.criteria] == (
             ["variance_profile", "gaussianity"]
@@ -746,14 +727,14 @@ class TestStoredEnsemble:
         path = tmp_path / "ensemble.sifb"
         write_ensemble_binary(e.row_blocks(), path, e.samples.shape)
         stored = StoredEnsemble(path, e.indices, e.hurst, e.n_samples)
-        covers, idx = tiling_cover((3, 3), (3, 3)), lattice(3, 3)
+        idx = lattice(3, 3)
         (mem, mem_t), (disk, disk_t) = (
-            recover_measure(x, covers, table_indices=idx) for x in (e, stored)
+            recover_measure(x, table_indices=idx) for x in (e, stored)
         )
         assert repr(disk.to_dict()) == repr(mem.to_dict())
         for name in ("value", "stderr", "gram"):
             assert getattr(disk_t, name).tobytes() == getattr(mem_t, name).tobytes()
-        mem, disk = (characterize(x, flows, e.hurst, covers, table_indices=idx) for x in (e, stored))
+        mem, disk = (characterize(x, flows, e.hurst, table_indices=idx) for x in (e, stored))
         assert repr(disk.to_dict()) == repr(mem.to_dict())
 
 
@@ -770,7 +751,7 @@ def covariance_criterion_reference(e, table, h, mult):
             inter = rect_intersection(u, v)
             if u not in table_set or v not in table_set or inter not in table_set:
                 continue
-            mu, mv, mi = table.lookup([u, v, inter])[0].tolist()
+            (mu, _), (mv, _), (mi, _) = (entry(table, w) for w in (u, v, inter))
             pred = covariance_from_measures(mu, mv, max(mu + mv - 2 * mi, 0.0), h)
             se = np.sqrt((diag[i] * diag[j] + emp[i, j] ** 2) / e.n_samples)
             dev = abs(emp[i, j] - pred)
@@ -817,8 +798,7 @@ def pair_scan_reference(table, thr):
     array expressions replaced: (psi_recovery passed, worst relative error
     and where it is, psi_monotonicity passed and worst violation)."""
     idx = list(table.boxes)
-    value, stderr = table.lookup(idx)
-    entry = dict(zip(idx, zip(value.tolist(), stderr.tolist())))
+    entry = dict(zip(idx, zip(table.value.tolist(), table.stderr.tolist())))
     recovered, worst_rel, worst_detail = True, 0.0, "is 0"
     for u in idx:
         m = rect_measure(u)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 from sifbm.rects import (
     EMPTY,
-    CellArrangement,
     DimensionMismatchError,
-    LeftNeighborhood,
     Rect,
     RectUnion,
+    cell_corners,
     corner_array,
+    grid_lower,
     rect,
     rect_contains,
     rect_intersection,
@@ -26,8 +27,63 @@ from sifbm.rects import (
 )
 
 
-# Scalar references for tests and acceptance criteria 5-7; the CLI needs none
+# Exact references for tests and acceptance criteria 5-7; the CLI needs none
 # of them.
+
+
+@dataclass(frozen=True)
+class LeftNeighborhood:
+    """The set C = base \\ (sub_1 u ... u sub_n) with base and sub_i boxes; a
+    grid cell is one, with the boxes just below its upper corner subtracted."""
+
+    base: Rect
+    subtracted: tuple[Rect, ...] = ()
+
+
+def boxes_of(region):
+    """Every non-empty box a region (or a list of regions) is built from."""
+    if isinstance(region, Rect):
+        return [] if region.is_empty else [region]
+    if isinstance(region, RectUnion):
+        return list(region.parts)
+    if isinstance(region, LeftNeighborhood):
+        return boxes_of(region.base) + [s for s in region.subtracted if not s.is_empty]
+    return [b for r in region for b in boxes_of(r)]
+
+
+class CellArrangement:
+    """Grid-cell decomposition of R^N_+ induced by the box corners of some
+    regions: the open boxes between consecutive edges on each axis, in C
+    order, with ``upper`` their upper corners, shape (n_cells, N), and
+    ``volumes`` their volumes.  Each cell lies inside or outside every
+    region, so a region is a boolean mask over the cells, exact up to
+    Lebesgue-null boundaries."""
+
+    def __init__(self, regions):
+        corners = corner_array(boxes_of(regions))
+        edges = [np.unique(np.append(col, 0.0)) for col in corners.T]
+        grids = np.meshgrid(*(e[1:] for e in edges), indexing="ij")
+        self.upper = np.stack([g.ravel() for g in grids], axis=1)
+        volumes = np.ones(())
+        for e in edges:
+            volumes = np.multiply.outer(volumes, np.diff(e))
+        self.volumes = volumes.ravel()
+
+    def mask(self, region) -> np.ndarray:
+        """bool[n_cells]: the cells whose interior lies in the region, whose
+        boxes must be among those the arrangement was built on."""
+        if isinstance(region, Rect):
+            if region.is_empty:
+                return np.zeros(len(self.volumes), dtype=bool)
+            return np.all(self.upper <= region.corner, axis=1)
+        if isinstance(region, RectUnion):
+            return self.mask(region.parts)
+        if isinstance(region, LeftNeighborhood):
+            return self.mask(region.base) & ~self.mask(region.subtracted)
+        out = np.zeros(len(self.volumes), dtype=bool)
+        for r in region:
+            out |= self.mask(r)
+        return out
 
 
 def symdiff_measure(a: Rect, b: Rect) -> float:
@@ -259,6 +315,44 @@ class TestCornerArray:
             corner_array([rect(1, 1), rect(1, 1, 1)])
 
 
+def grid_lower_reference(corners):
+    """Per row and axis: the largest coordinate of the column, or 0, below
+    the row's own, and 0 where the row's own is 0."""
+    return [
+        [max([0.0] + [x for x in col if x < c]) for c, col in zip(row, zip(*corners))]
+        for row in corners
+    ]
+
+
+@st.composite
+def corner_grids(draw):
+    """(n, N) corners in 1..3 dimensions: a lattice of drawn coordinates or
+    scattered rows, with zeros (degenerate boxes) and repeated rows."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        axes = [draw(st.lists(coords, min_size=1, max_size=3)) for _ in range(dim)]
+        rows = list(itertools.product(*axes))
+    else:
+        rows = draw(st.lists(st.tuples(*[coords] * dim), max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
+class TestGridCells:
+    @given(corner_grids())
+    def test_grid_lower_matches_scalar_reference(self, corners):
+        want = np.array(grid_lower_reference(corners.tolist())).reshape(corners.shape)
+        assert np.array_equal(grid_lower(corners), want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_cell_corners_are_the_corner_picks(self, dim):
+        # one corner box per subset of lowered axes, with sign (-1)^(its size)
+        signs, lowered = cell_corners(dim)
+        picks = sorted(map(tuple, lowered.tolist()))
+        assert picks == sorted(itertools.product((False, True), repeat=dim))
+        assert np.array_equal(signs, (-1.0) ** lowered.sum(axis=1))
+
+
 class TestRegionPredicates:
     def test_tile_inside_box(self):
         tile = LeftNeighborhood(rect(2, 2), (rect(1, 2), rect(2, 1)))
@@ -303,17 +397,6 @@ class TestRegionPredicates:
             # >= p on every axis is the one containing p
             cell = np.flatnonzero(np.all(arr.upper >= p, axis=1))[0]
             assert inside[cell] == bool(in_c)
-
-
-def boxes_of(region):
-    """Every non-empty box a region is built from."""
-    if isinstance(region, Rect):
-        return [] if region.is_empty else [region]
-    if isinstance(region, RectUnion):
-        return list(region.parts)
-    if isinstance(region, LeftNeighborhood):
-        return boxes_of(region.base) + list(region.subtracted)
-    return [b for r in region for b in boxes_of(r)]
 
 
 def member(p, region) -> bool:
