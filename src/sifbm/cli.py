@@ -40,7 +40,6 @@ EXIT_USAGE = 1
 EXIT_CRITERION = 2
 
 ENSEMBLE_BIN = "ensemble.sifb"
-SIMULATE_MANIFEST = "manifest_simulate.json"
 
 REPORT_FILES = {
     "project": "projections.json",
@@ -74,6 +73,10 @@ def _verdict(report: CharacterizationReport, **extra) -> Outcome:
     return Outcome(report={**report.to_dict(), **extra}, failed=tuple(report.failed))
 
 
+def _manifest(out: Path, command: str) -> Path:
+    return out / f"manifest_{command.replace('-', '_')}.json"
+
+
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(os.environ.get("SIFBM_OUT", cfg.output_dir))
     out.mkdir(parents=True, exist_ok=True)
@@ -94,7 +97,7 @@ def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
 def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
     """The stored ensemble, once the simulate manifest shows it was drawn
     from this config."""
-    path, manifest = out / ENSEMBLE_BIN, out / SIMULATE_MANIFEST
+    path, manifest = out / ENSEMBLE_BIN, _manifest(out, "simulate")
     if not path.exists():
         raise FileNotFoundError(
             f"missing input artifact {path}; run 'sifbm simulate' with this config first"
@@ -189,15 +192,24 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> Outcome:
             payload = read_json(path)
             if not isinstance(payload, dict):
                 raise TypeError
-            if command == "project":  # the one report without a verdict
-                summary[command] = {"status": "informational"}
-                continue
-            verdict = payload["verdict"]
-            names = [c["name"] for c in payload["criteria"] if not c["passed"]]
+            entry = {"status": "informational"} if command == "project" else {  # no verdict
+                "status": payload["verdict"],
+                "failed": [c["name"] for c in payload["criteria"] if not c["passed"]],
+            }
         except (ValueError, LookupError, TypeError):
             raise ArtifactError(f"{path}: malformed report; rerun 'sifbm {command}'") from None
-        summary[command] = {"status": verdict, "failed": names}
-        if verdict != "pass":
+        # the hash covers the resolved seed, so a report under another seed fails here too
+        try:
+            same = read_json(_manifest(out, command))["config_hash"] == cfg.config_hash()
+        except (OSError, ValueError, LookupError, TypeError):
+            same = False
+        if not same:
+            raise ArtifactError(
+                f"{path}: its manifest does not show this config made it; "
+                f"rerun 'sifbm {command}' with this config and seed"
+            )
+        summary[command] = entry
+        if entry["status"] not in ("pass", "informational"):
             failed.append(command)
     if all(s["status"] == "missing" for s in summary.values()):
         raise FileNotFoundError(f"no verification artifacts in {out}")
@@ -240,7 +252,7 @@ def run(command: str, cfg: ExperimentConfig, out: Path) -> int:
             "artifacts": sorted(files),
             **res.manifest,
         },
-        out / f"manifest_{command.replace('-', '_')}.json",
+        _manifest(out, command),
     )
     status = f"FAIL ({', '.join(res.failed)})" if res.failed else res.note
     print(f"{command}: {status} -> {out}")

@@ -20,7 +20,7 @@ from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flo
 from .gaussian import HurstParam
 from .intrep import KERNEL_H_MAX, GridSpec, IntRepConfig, validate_masses
 from .recovery import Thresholds
-from .rects import Rect
+from .rects import MAX_UNION_PARTS, Rect, corner_array, measure
 
 
 class ConfigError(ValueError):
@@ -91,17 +91,28 @@ def _built(where: str, make, *args, **kwargs):
         raise ConfigError(f"field '{where}': {exc}") from exc
 
 
+def _finite_measure(values, where: str):
+    """Refuse measures, or bounds on them, beyond the float range."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"field '{where}': a measure is beyond the float range")
+
+
 def _build_flow(spec: dict, dim: int, where: str):
     _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
     if kind == "simple":
         _only(spec, ("name", "kind", "segments"), where)
         segs = _get(spec, "segments", list, where, required=True)
-        if not segs:
-            raise ConfigError(f"field '{where}segments' must be non-empty")
+        # a value on segment i is a union of i + 1 boxes, expanded over its subsets
+        if not 0 < len(segs) <= MAX_UNION_PARTS:
+            raise ConfigError(f"field '{where}segments' must hold 1 to {MAX_UNION_PARTS} segments")
         built = tuple(
             _segment_flow(s, dim, f"{where}segments[{i}].") for i, s in enumerate(segs)
         )
+        # a union of k segment values sums < 2^k terms, each at most the
+        # largest segment end's measure, so this bound keeps every sum finite
+        top = measure(corner_array([seg.values[-1] for seg in built])).max()
+        _finite_measure(2.0 ** len(built) * float(top), f"{where}segments")
         return _built(f"{where}segments", SimpleFlow, built)
     return _segment_flow(spec, dim, where, "name")
 
@@ -116,6 +127,8 @@ def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> ElementaryFl
         raise ConfigError(f"field '{where}span' must be [a, b] with a < b")
     points = _get(spec, "points", int, where, default=64, least=2)
     to = _corner(_get(spec, "to", list, where, required=True), dim, f"{where}to")
+    # the flow's values lie in [0, to], so no measure along it exceeds this one
+    _finite_measure(measure(to), f"{where}to")
     a, b = span
     grid = np.linspace(a, b, points)
     frac = (grid - a) / (b - a)
@@ -181,7 +194,8 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     resolved = dict(raw)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
-    dim = _get(resolved, "dimension", int, "", required=True, least=1)
+    # a grid cell is a signed sum over the subsets of its dim lower faces
+    dim = _get(resolved, "dimension", int, "", required=True, least=1, most=MAX_UNION_PARTS)
     hurst = _built("hurst", HurstParam, _get(resolved, "hurst", float, "", required=True))
     seed = _get(resolved, "seed", int, "", required=True, least=0)
     n_samples = _get(resolved, "n_samples", int, "", required=True, least=1)
@@ -200,10 +214,13 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         for combo in itertools.product(*(range(1, s + 1) for s in shape)):
             corner = tuple(c * sp for c, sp in zip(combo, spacing))
             lattice.append(_built("indices.lattice.spacing", Rect, corner))
+        _finite_measure(measure(corner_array(lattice)), "indices.lattice")
     elif "corners" in idx_spec:
         for i, c in enumerate(_get(idx_spec, "corners", list, "indices.")):
             where = f"indices.corners[{i}]"
-            lattice.append(_built(where, Rect, _corner(c, dim, where)))
+            corner = _corner(c, dim, where)
+            _finite_measure(measure(corner), where)
+            lattice.append(_built(where, Rect, corner))
     else:
         raise ConfigError("field 'indices' needs either 'lattice' or 'corners'")
 

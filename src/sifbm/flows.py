@@ -8,10 +8,12 @@ of its value at each grid point; projecting an exact field ensemble onto a
 flow yields, in law, a one-parameter fractional Brownian motion evaluated at
 that time change.
 
-Every value along a flow is a fixed signed combination of box values, so a
-flow reads the field through one weight matrix A_f (``flow_weights``): the
-projection of an ensemble is X_B A_f, with X_B its columns at the flow's
-boxes, and every second moment along the flow is a quadratic form in A_f.
+Every value along a flow is a fixed signed combination of box values, its
+inclusion-exclusion expansion (``rects.signed_terms``), so a flow reads the
+field through one weight matrix A_f (``flow_weights``): the projection of an
+ensemble is X_B A_f, with X_B its columns at the flow's boxes, and every
+second moment along the flow is a quadratic form in A_f.  The same expansion
+gives the time change, each value's measure as the signed sum of its terms'.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix, columns
-from .rects import EMPTY, Rect, RectUnion, rect_contains, rect_measure, signed_terms, union_measure
+from .rects import EMPTY, Rect, corner_array, measure, signed_terms
 
 DEFAULT_FLOW_POINTS = 64
 
@@ -40,8 +42,10 @@ class ElementaryFlow:
         self.grid.flags.writeable = False
 
     @cached_property
-    def _weights(self) -> tuple[tuple[Rect, ...], np.ndarray]:
-        return _signed_weights([() if v.is_empty else (v,) for v in self.values])
+    def _expansion(self) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
+        # a box is its own expansion, one +1 term; the empty set has none
+        full = np.flatnonzero([not v.is_empty for v in self.values])
+        return _expand(self.grid, np.ones(full.size), corner_array(self.values)[full], full)
 
 
 @dataclass(frozen=True)
@@ -58,28 +62,42 @@ class SimpleFlow:
             if prev.grid[-1] != nxt.grid[0]:
                 raise ValueError(f"segment grids must chain: {prev.grid[-1]} != {nxt.grid[0]}")
 
-    def grid_and_values(self) -> tuple[np.ndarray, tuple[RectUnion, ...]]:
-        """Merged grid, read-only and built once per flow, with one accumulated
-        union per point (shared breakpoints appear once, valued by the later segment)."""
+    def grid_and_values(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Merged grid, read-only and built once per flow, with the union at
+        each point as the (k, N) corner array of its parts (``_union_parts``;
+        shared breakpoints appear once, valued by the later segment)."""
         return self._merged
 
     @cached_property
-    def _merged(self) -> tuple[np.ndarray, tuple[RectUnion, ...]]:
+    def _merged(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        dim = corner_array([v for seg in self.segments for v in seg.values]).shape[1]
         grid: list[float] = []
-        values: list[RectUnion] = []
+        values: list[np.ndarray] = []
         for i, seg in enumerate(self.segments):
             if grid:  # the previous segment's end point is this one's start
                 del grid[-1], values[-1]
             ends = [s.values[-1] for s in self.segments[:i]]
             grid += seg.grid.tolist()
-            values += [RectUnion((v, *ends)) for v in seg.values]
+            values += [_union_parts((v, *ends), dim) for v in seg.values]
         grid_array = np.asarray(grid)
         grid_array.flags.writeable = False
         return grid_array, tuple(values)
 
     @cached_property
-    def _weights(self) -> tuple[tuple[Rect, ...], np.ndarray]:
-        return _signed_weights([v.parts for v in self._merged[1]])
+    def _expansion(self) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
+        grid, values = self.grid_and_values()
+        terms = [signed_terms(parts) for parts in values]
+        point = np.repeat(np.arange(len(values)), [len(signs) for signs, _ in terms])
+        signs, corners = (np.concatenate(x) for x in zip(*terms))
+        return _expand(grid, signs, corners, point)
+
+
+def _union_parts(boxes, dim: int) -> np.ndarray:
+    """A union of boxes in canonical form, the (k, N) corner array of its
+    parts: empty boxes and boxes inside another dropped, each box once,
+    sorted by corner.  No parts is the empty set."""
+    c = np.array(sorted({b.corner for b in boxes if not b.is_empty})).reshape(-1, dim)
+    return c[np.all(c[:, None] <= c[None], axis=2).sum(axis=1) == 1]
 
 
 Flow = ElementaryFlow | SimpleFlow
@@ -136,22 +154,25 @@ def make_elementary_flow(grid, corner_path) -> ElementaryFlow:
             values.append(Rect(tuple(v)))
     if len(values) != grid.size:
         raise ValueError("corner_path length must match grid length")
-    for i in range(len(values) - 1):
-        if not rect_contains(values[i + 1], values[i]):
-            raise FlowMonotonicityError(
-                f"flow not increasing between grid points "
-                f"({grid[i]}, {grid[i+1]}): {values[i]!r} is not contained "
-                f"in {values[i+1]!r}"
-            )
+    corners, empty = corner_array(values), np.array([v.is_empty for v in values])
+    # each box lies in the next; the empty set lies in every box, and only
+    # the empty set in the empty set
+    outside = np.any(corners[:-1] > corners[1:], axis=1) | (empty[1:] & ~empty[:-1])
+    if outside.any():
+        i = int(np.flatnonzero(outside)[0])
+        raise FlowMonotonicityError(
+            f"flow not increasing between grid points "
+            f"({grid[i]}, {grid[i+1]}): {values[i]!r} is not contained "
+            f"in {values[i+1]!r}"
+        )
     return ElementaryFlow(grid, tuple(values))
 
 
 def time_change(f: Flow) -> TimeChange:
-    """Measure of the flow value at each grid point."""
-    if isinstance(f, ElementaryFlow):
-        return TimeChange(f.grid, np.array([rect_measure(v) for v in f.values]))
-    grid, values = f.grid_and_values()
-    return TimeChange(grid, np.array([union_measure(v) for v in values]))
+    """Measure of the flow value at each grid point, built once per flow: a
+    box's measure, and a union's the signed measures of its terms added
+    (``_expand``)."""
+    return f._expansion[2]
 
 
 def flows_through(u: Rect, points: int = DEFAULT_FLOW_POINTS) -> ElementaryFlow:
@@ -174,19 +195,30 @@ def flow_weights(f: Flow) -> tuple[tuple[Rect, ...], np.ndarray]:
     flow: the field along the flow is X_B A.  An elementary flow puts one +1
     per non-empty value; a simple flow takes the inclusion-exclusion signs
     of each accumulated union (``signed_terms``)."""
-    return f._weights
+    return f._expansion[:2]
 
 
-def _signed_weights(parts_per_point) -> tuple[tuple[Rect, ...], np.ndarray]:
-    expansions = [signed_terms(parts) for parts in parts_per_point]
-    boxes = sorted({b for ex in expansions for _, b in ex}, key=lambda r: r.corner)
-    pos = {b: i for i, b in enumerate(boxes)}
-    weights = np.zeros((len(boxes), len(expansions)))
-    for j, ex in enumerate(expansions):
-        for sign, b in ex:
-            weights[pos[b], j] += sign
+def _expand(grid, signs, corners, point) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
+    """A flow's boxes, weights and time change from its inclusion-exclusion
+    terms: term k is signs[k] times the box with corner corners[k], at grid
+    point point[k]; the terms run point by point in grid order, each point's
+    in ``signed_terms`` order."""
+    keys = list(map(tuple, corners.tolist()))
+    distinct = sorted(set(keys))
+    row = dict(zip(distinct, range(len(distinct))))
+    weights = np.zeros((len(distinct), grid.size))
+    np.add.at(weights, ([row[k] for k in keys], point), signs)
     weights.flags.writeable = False
-    return tuple(boxes), weights
+    # each point's signed term measures added one after another from 0, so
+    # the round-off is that of the scalar sum; then clipped at 0
+    signed = signs * measure(corners)
+    counts = np.bincount(point, minlength=grid.size)
+    first = np.cumsum(counts) - counts
+    total = np.zeros(grid.size)
+    for j in range(counts.max(initial=0)):
+        has = counts > j
+        total[has] += signed[first[has] + j]
+    return tuple(map(Rect, distinct)), weights, TimeChange(grid, np.maximum(total, 0.0))
 
 
 def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:

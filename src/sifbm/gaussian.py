@@ -4,10 +4,11 @@ The covariance of the field over box indices is
 
     Cov(X_U, X_V) = 0.5 * [ m(U)^{2H} + m(V)^{2H} - m(U (+) V)^{2H} ],
 
-with m Lebesgue measure, (+) the symmetric difference, H in (0, 1/2], and the
-convention 0^{2H} = 0.  At H = 1/2 this reduces to m(U n V).  Ensembles are
-drawn through the Cholesky factor over the indices of positive variance, so
-degenerate boxes get exactly-zero columns (``cholesky``).
+with m Lebesgue measure (``rects.measure``), (+) the symmetric difference,
+H in (0, 1/2], and the convention 0^{2H} = 0.  At H = 1/2 this reduces to
+m(U n V).  Ensembles are drawn through the Cholesky factor over the indices
+of positive variance, so degenerate boxes get exactly-zero columns
+(``cholesky``).
 
 Stream contract (``draw_blocks``, shared with the moving-average draws of
 ``sifbm.intrep``): rows come in fixed blocks of STREAM_BLOCK, each with its
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rects import Rect, corner_array
+from .rects import Rect, corner_array, measure
 
 # Jitter multipliers tried in order, scaled by max(diag).
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -38,7 +39,8 @@ STREAM_BLOCK = 256
 
 
 class ResolutionError(ValueError):
-    """Too few samples, or too coarse a grid, for the computation asked of it."""
+    """Too few samples, too coarse a grid, or too small a Hurst parameter
+    for the float range, for the computation asked of it."""
 
 
 class NotPSDError(ValueError):
@@ -93,17 +95,14 @@ class CovMatrix:
 
 def build_cov_matrix(indices, h: HurstParam) -> CovMatrix:
     """Dense symmetric covariance over an ordered index list, computed on the
-    (n, N) corner array: m(U n V) is the product over axes of corner minima,
-    multiplied in the same axis order as ``rect_measure``."""
+    (n, N) corner array: m(U n V) is the ``rects.measure`` of the corner
+    minimum of U and V."""
     indices = tuple(indices)
     if not indices:
         raise ValueError("index list must be non-empty")
-    n = len(indices)
-    meas = np.ones(n)
-    inter = np.ones((n, n))
-    for c in corner_array(indices).T:
-        meas *= c
-        inter *= np.minimum.outer(c, c)
+    corners = corner_array(indices)
+    meas = measure(corners)
+    inter = measure(np.minimum(corners[:, None], corners[None]))
     # the diagonal's symmetric difference is exactly 0, so its entries are m^{2H}
     mat = covariance_from_measures(meas[:, None], meas, np.add.outer(meas, meas) - 2.0 * inter, h)
     return CovMatrix(indices, mat, h)

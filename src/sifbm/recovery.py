@@ -39,7 +39,7 @@ import numpy as np
 
 from .flows import Flow
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures
-from .rects import Rect, cell_corners, corner_array, grid_lower, rect_measure
+from .rects import Rect, cell_corners, corner_array, grid_lower, measure
 from .stats import flow_statistics, gaussianity_check
 
 _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
@@ -78,14 +78,19 @@ class PreMeasureTable:
             s4 += np.sum((x * x) ** 2, axis=0)
         gram /= n
         s = np.diag(gram)
-        flat = [u for u, z in zip(boxes, s == 0.0) if z and rect_measure(u) > 0]
+        flat = [u for u, z in zip(boxes, (s == 0.0) & (measure(corner_array(boxes)) > 0)) if z]
         if flat:
             warnings.warn(f"zero empirical variance for non-degenerate indices {flat}", stacklevel=2)
         inv = 1.0 / e.hurst.two_h
         # Python's float pow: numpy's array power differs from it in the last
         # bit for about one value in twenty
-        value = np.array([x**inv for x in s.tolist()])
-        slope = np.array([x ** (inv - 1.0) for x in s.tolist()])
+        try:
+            value = np.array([x**inv for x in s.tolist()])
+            slope = np.array([x ** (inv - 1.0) for x in s.tolist()])
+        except OverflowError:
+            raise ResolutionError(
+                f"psi = variance^(1/(2H)) overflows a float at hurst {e.hurst.value}"
+            ) from None
         se_s = np.sqrt(np.maximum(s4 - n * s**2, 0.0) / ((n - 1) * n))
         return cls(boxes, value, inv * slope * se_s, gram, n)
 
@@ -234,7 +239,7 @@ def _containment(indices) -> np.ndarray:
 def _psi_criteria(table, thr) -> list[CriterionResult]:
     value, se = table.value, table.stderr
     # recovery, on the boxes of measure at least psi_floor
-    m = np.array([rect_measure(u) for u in table.boxes])
+    m = measure(corner_array(table.boxes))
     tested = m >= thr.psi_floor
     err = np.abs(value - m)
     tol = np.maximum(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * se)

@@ -1,8 +1,12 @@
 """Rectangle index family: origin-anchored boxes in R^N_+, their finite unions,
 the grid cells their corners cut, and their Lebesgue measure.
 
-Every set handled here is a finite boolean combination of boxes [0, t].  All
-measure queries reduce to inclusion-exclusion over corner minima.
+A box [0, t] is named by its upper corner t.  ``Rect`` is a box's hashable
+identity (config, ensemble columns, JSON); every computation runs on (n, N)
+arrays of corners, which ``corner_array`` builds from Rects.  ``measure`` is
+the measure of a box, and ``signed_terms`` the one inclusion-exclusion
+engine: a finite union, or a grid cell, is a signed sum of boxes whose
+corners are the minima of subsets of its parts' corners.
 """
 
 from __future__ import annotations
@@ -67,22 +71,17 @@ def rect(*coords: float) -> Rect:
     return Rect(tuple(coords))
 
 
-def _check_same_dim(a: Rect, b: Rect):
-    if a.is_empty or b.is_empty:
-        return
-    if len(a.corner) != len(b.corner):
-        raise DimensionMismatchError(
-            f"rectangles live in R^{len(a.corner)} and R^{len(b.corner)}"
-        )
-
-
-def rect_measure(r: Rect) -> float:
-    """Lebesgue measure of [0, t]: the product of the corner coordinates."""
-    if r.is_empty:
-        return 0.0
-    out = 1.0
-    for c in r.corner:
-        out *= c
+def measure(corners) -> np.ndarray:
+    """Lebesgue measure of each box [0, t] of an (..., N) array of upper
+    corners t: the product of the coordinates over the last axis, multiplied
+    in axis order.  The one place the measure of a box is written down.  A
+    product that leaves the float range is inf, or nan if a 0 follows, with
+    no warning: the config tests for it and refuses such boxes."""
+    corners = np.asarray(corners, dtype=float)
+    out = np.ones(corners.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in np.moveaxis(corners, -1, 0):
+            out = out * c
     return out
 
 
@@ -100,89 +99,25 @@ def corner_array(rects: Sequence[Rect]) -> np.ndarray:
     return out
 
 
-def rect_intersection(a: Rect, b: Rect) -> Rect:
-    """Componentwise minimum of corners; empty if either operand is empty."""
-    if a.is_empty or b.is_empty:
-        return EMPTY
-    _check_same_dim(a, b)
-    return Rect(tuple(min(x, y) for x, y in zip(a.corner, b.corner)))
-
-
-def rect_contains(outer: Rect, inner: Rect) -> bool:
-    """Set containment inner <= outer (empty set is contained in everything)."""
-    if inner.is_empty:
-        return True
-    if outer.is_empty:
-        return False
-    _check_same_dim(outer, inner)
-    return all(i <= o for i, o in zip(inner.corner, outer.corner))
-
-
-@dataclass(frozen=True)
-class RectUnion:
-    """A finite union of boxes, stored in canonical form: empty parts and
-    parts contained in another part are dropped.  An empty part list is the
-    empty set."""
-
-    parts: tuple[Rect, ...]
-
-    def __post_init__(self):
-        kept: list[Rect] = []
-        for p in self.parts:
-            if p.is_empty:
-                continue
-            if any(rect_contains(q, p) for q in kept):
-                continue
-            kept = [q for q in kept if not rect_contains(p, q)]
-            kept.append(p)
-        kept.sort(key=lambda r: r.corner)
-        object.__setattr__(self, "parts", tuple(kept))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def __repr__(self):
-        return f"RectUnion({list(self.parts)})"
-
-
-def signed_terms(parts: Sequence[Rect]) -> list[tuple[float, Rect]]:
-    """Inclusion-exclusion expansion: (sign, intersection of S) for every
-    non-empty subset S of the parts, sign = (-1)^{|S|+1}, in
-    ``itertools.combinations`` order (all singletons, then all pairs, ...).
+def signed_terms(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusion-exclusion expansion of the union of the boxes ``parts``, a
+    (k, N) corner array: (signs, corners) with one term per non-empty subset
+    S of the parts, sign (-1)^{|S|+1} and corner the minimum of S's corners
+    (the corner of its intersection), in ``itertools.combinations`` order
+    (all singletons, then all pairs, ...).  No parts, no terms.
 
     The one place subsets are enumerated: exact, capped at MAX_UNION_PARTS
-    parts, and every part must share one dimension.
+    parts.
     """
-    parts = tuple(parts)
-    if len(parts) > MAX_UNION_PARTS:
-        raise ValueError(
-            f"inclusion-exclusion capped at {MAX_UNION_PARTS} parts, got {len(parts)}"
-        )
-    for r in parts[1:]:
-        _check_same_dim(parts[0], r)
-    terms = []
-    for k in range(1, len(parts) + 1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for combo in itertools.combinations(parts, k):
-            inter = combo[0]
-            for r in combo[1:]:
-                inter = rect_intersection(inter, r)
-            terms.append((sign, inter))
-    return terms
-
-
-def union_measure(parts: RectUnion | Sequence[Rect]) -> float:
-    """Measure of a finite union by inclusion-exclusion over all non-empty
-    subsets (exact; at most MAX_UNION_PARTS parts)."""
-    if isinstance(parts, RectUnion):
-        rects = parts.parts
-    else:
-        rects = tuple(p for p in parts if not p.is_empty)
-    total = 0.0
-    for sign, inter in signed_terms(rects):
-        total += sign * rect_measure(inter)
-    return max(total, 0.0)
+    k, dim = parts.shape
+    if k > MAX_UNION_PARTS:
+        raise ValueError(f"inclusion-exclusion capped at {MAX_UNION_PARTS} parts, got {k}")
+    signs, corners = [], [np.zeros((0, dim))]
+    for size in range(1, k + 1):
+        subsets = list(itertools.combinations(range(k), size))
+        corners.append(parts[subsets].min(axis=1))
+        signs += [1.0 if size % 2 == 1 else -1.0] * len(subsets)
+    return np.array(signs), np.concatenate(corners)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +150,5 @@ def cell_corners(dim: int) -> tuple[np.ndarray, np.ndarray]:
     ``lowered[k]`` and the upper one elsewhere: [0, upper] with sign +1, then
     the ``signed_terms`` of the N boxes just below it with the opposite
     sign.  Capped, as ``signed_terms`` is, at MAX_UNION_PARTS axes."""
-    below = [Rect(tuple(float(j != i) for j in range(dim))) for i in range(dim)]
-    terms = [(1.0, Rect((1.0,) * dim))] + [(-sign, r) for sign, r in signed_terms(below)]
-    return np.array([sign for sign, _ in terms]), corner_array([r for _, r in terms]) == 0.0
+    signs, corners = signed_terms(1.0 - np.eye(dim))
+    return np.append(1.0, -signs), np.vstack([np.ones(dim), corners]) == 0.0

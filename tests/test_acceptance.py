@@ -28,7 +28,7 @@ from sifbm.gaussian import (
 )
 from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance, half_case_simulate
 from sifbm.recovery import PreMeasureTable, Thresholds, _cell_criterion, characterize, psi_on_cells
-from sifbm.rects import Rect, rect, rect_intersection, rect_measure
+from sifbm.rects import Rect, measure, rect
 from sifbm.stats import flow_statistics, gaussianity_check
 from test_recovery import (
     cell_measure,
@@ -79,7 +79,7 @@ def test_criterion_01_half_case_covariance_identity():
         pts = [rect(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
         cm = build_cov_matrix(pts, HurstParam(0.5))
         want = np.array(
-            [[rect_measure(rect_intersection(u, v)) for v in pts] for u in pts]
+            [[measure(np.minimum(u.corner, v.corner)) for v in pts] for u in pts]
         )
         dev = float(np.max(np.abs(cm.matrix - want)))
         assert dev <= 1e-12, f"max deviation {dev}"
@@ -130,7 +130,7 @@ def test_criterion_04_psi_recovery():
         e = exact_ensemble(lattice, hv, n, seed=401)
         table = PreMeasureTable.from_ensemble(e)
         for u in lattice:
-            m = rect_measure(u)
+            m = measure(u.corner)
             if m < 0.1:
                 continue
             got, _ = entry(table, u)
@@ -175,7 +175,7 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         u = rect(2, 2)
         for divs in (2, 4):
             analytic = lebesgue_table(t.base for t in grid_tiles((2.0, 2.0), divs))
-            resid = abs(cell_measure(analytic, u)[0] - rect_measure(u))
+            resid = abs(cell_measure(analytic, u)[0] - measure(u.corner))
             assert resid <= 1e-12, f"analytic grid {divs}: residual {resid}"
         # empirical table over the coarse grid: each cell within 3 SE of a
         # measure, and the cells below u add up to psi(u)

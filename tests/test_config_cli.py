@@ -26,7 +26,7 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import KERNEL_H_MAX
-from sifbm.rects import EMPTY, rect
+from sifbm.rects import EMPTY, MAX_UNION_PARTS, rect
 from sifbm.storage import (
     _HEADER,
     MAGIC,
@@ -892,6 +892,86 @@ class TestCli:
     def test_report_without_artifacts_exits_1(self, tmp_path):
         path, _ = make_config(tmp_path)
         assert main(["report", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("change", ["hurst", "seed", "no manifest"])
+    def test_report_refuses_verdicts_of_another_config(self, tmp_path, capsys, change):
+        # config A (H = 0.3) leaves its verdicts; then config B, the same with
+        # H = 0.2, simulates into the same directory and reports; or A reports
+        # under another seed, or with a verdict's manifest gone
+        path, _ = make_config(tmp_path, n_samples=4000)
+        for command in ("simulate", "recover-measure", "characterize"):
+            assert main([command, "--config", str(path)]) == 0
+        argv = ["report", "--config", str(path)]
+        if change == "hurst":
+            path, _ = make_config(tmp_path, n_samples=4000, hurst=0.2)
+            assert main(["simulate", "--config", str(path)]) == 0
+        elif change == "seed":
+            argv += ["--seed", "8"]
+        else:
+            (tmp_path / "out" / "manifest_recover_measure.json").unlink()
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "recovery.json: its manifest does not show this config" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "recover-measure", "characterize"])
+    def test_dimension_above_the_part_cap_is_config_error(self, tmp_path, capsys, command):
+        # a grid cell in dimension N is a signed sum over 2^N corner boxes
+        dim = MAX_UNION_PARTS + 1
+        path, _ = make_config(tmp_path, dimension=dim, flows=[], indices={"corners": [[1.0] * dim]})
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "'dimension'" in err
+
+    def test_simple_flow_above_the_part_cap_is_config_error(self, tmp_path, capsys):
+        # an antichain of segment ends, so the last value keeps every one as a part
+        def fan(k):
+            segments = [
+                {"span": [i, i + 1], "kind": "linear", "to": [i + 1.0, k - i], "points": 2}
+                for i in range(k)
+            ]
+            return [{"name": "fan", "kind": "simple", "segments": segments}]
+
+        path, _ = make_config(tmp_path, flows=fan(MAX_UNION_PARTS))
+        load_config(path)
+        path, _ = make_config(tmp_path, flows=fan(MAX_UNION_PARTS + 1))
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and "'flows[0].segments'" in err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"indices": {"corners": [[1.0, 1.0], [1e200, 1e200]]}}, "indices.corners[1]"),
+            ({"indices": {"lattice": {"shape": [1, 2], "spacing": [1e200, 1e200]}}}, "indices.lattice"),
+            ({"flows": [{"name": "far", "kind": "linear", "to": [1e200, 1e200]}]}, "flows[0].to"),
+            ({"flows": [{"name": "far", "kind": "simple", "segments": [
+                {"span": [0, 1], "kind": "linear", "to": [1.0, 1.0]},
+                {"span": [1, 2], "kind": "power", "to": [1e200, 1e200], "exponents": [1, 2]},
+            ]}]}, "flows[0].segments[1].to"),
+            # each box measures 1.7e308, their union's terms add up beyond the float range
+            ({"flows": [{"name": "far", "kind": "simple", "segments": [
+                {"span": [0, 1], "kind": "linear", "to": [1e154, 1.7e154]},
+                {"span": [1, 2], "kind": "linear", "to": [1.7e154, 1e154]},
+            ]}]}, "flows[0].segments"),
+        ],
+    )
+    def test_non_finite_measure_is_config_error(self, tmp_path, capsys, override, field):
+        path, _ = make_config(tmp_path, **override)
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sifbm: config error:") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("command", ["recover-measure", "characterize"])
+    def test_tiny_hurst_recovery_exits_1(self, tmp_path, capsys, command):
+        # psi = variance^(1/(2H)) takes each sample variance, all near 1, to
+        # the power 500,000: a 0.15% excess overflows
+        lattice = {"lattice": {"shape": [3, 3], "spacing": [1.0, 1.0]}}
+        path, _ = make_config(tmp_path, hurst=1e-6, n_samples=1000, indices=lattice)
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 1
+        assert "overflows a float at hurst 1e-06" in capsys.readouterr().err
 
 
 def _private(name: str) -> bool:

@@ -27,7 +27,7 @@ from sifbm.gaussian import (
     columns,
     sample_ensemble,
 )
-from sifbm.rects import EMPTY, Rect, RectUnion, rect, rect_intersection, signed_terms
+from sifbm.rects import EMPTY, Rect, rect, signed_terms
 from sifbm.stats import flow_statistics
 from sifbm.storage import read_ensemble_blocks, write_ensemble_binary
 
@@ -175,8 +175,8 @@ class TestSimpleFlow:
         sf = self._two_segment()
         grid, values = sf.grid_and_values()
         assert grid.size == 9
-        # last value is union of both segment endpoints
-        assert values[-1] == RectUnion((rect(2, 0.5), rect(0.5, 2)))
+        # last value is union of both segment endpoints, its parts sorted by corner
+        assert values[-1].tolist() == [[0.5, 2.0], [2.0, 0.5]]
 
     def test_grid_and_values_built_once(self, monkeypatch):
         # flow_weights, time_change and so project and
@@ -189,9 +189,9 @@ class TestSimpleFlow:
         assert not grid.flags.writeable and isinstance(values, tuple)
 
         def no_new_union(*args):
-            raise AssertionError("grid_and_values built a new RectUnion")
+            raise AssertionError("grid_and_values built a new union")
 
-        monkeypatch.setattr(flows, "RectUnion", no_new_union)
+        monkeypatch.setattr(flows, "_union_parts", no_new_union)
         again = sf.grid_and_values()
         assert again[0] is grid and again[1] is values
         flow_weights(sf)
@@ -271,10 +271,8 @@ class TestProjection:
         e = SampleEnsemble(idx, x, HurstParam(0.35))
         paths = project(e, sf)
         # per-sample oracle at the final point: X_A + X_B - X_{AnB}
-        a, b = rect(2, 0.5), rect(1, 2)
-        want = (
-            e.column(a) + e.column(b) - e.column(rect_intersection(a, b))
-        )
+        a, b, ab = rect(2, 0.5), rect(1, 2), rect(1, 0.5)
+        want = e.column(a) + e.column(b) - e.column(ab)
         assert np.allclose(paths[:, -1], want, rtol=0, atol=0)
 
     def test_breakpoint_continuity_with_last_segment(self):
@@ -346,12 +344,11 @@ class TestProjection:
 # value summed from its inclusion-exclusion terms in ``signed_terms`` order.
 
 
-def additive_extend(e, target: RectUnion) -> np.ndarray:
-    if target.is_empty:
-        return np.zeros(e.n_samples)
-    terms = [(sign, r) for sign, r in signed_terms(target.parts) if not r.is_empty]
+def additive_extend(e, parts: np.ndarray) -> np.ndarray:
+    """The field on the union of the boxes with corners ``parts``."""
+    signs, corners = signed_terms(parts)
     out = np.zeros(e.n_samples)
-    for (sign, _), j in zip(terms, columns(e.indices, [r for _, r in terms])):
+    for sign, j in zip(signs, columns(e.indices, [Rect(tuple(c)) for c in corners.tolist()])):
         out += sign * e.samples[:, j]
     return out
 
@@ -371,7 +368,7 @@ def required_boxes(f) -> set:
     """Every column the reference projection reads."""
     if isinstance(f, ElementaryFlow):
         return {v for v in f.values if not v.is_empty}
-    return {r for v in f.grid_and_values()[1] for _, r in signed_terms(v.parts)}
+    return {Rect(tuple(c)) for v in f.grid_and_values()[1] for c in signed_terms(v)[1].tolist()}
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sifbm.config import load_config
-from sifbm.flows import SimpleFlow, make_elementary_flow, project
+from sifbm.flows import project
 from sifbm.gaussian import (
     STREAM_BLOCK,
     CholeskyFactor,
@@ -23,16 +23,8 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import fbm_covariance
-from sifbm.rects import (
-    EMPTY,
-    DimensionMismatchError,
-    Rect,
-    corner_array,
-    rect,
-    rect_intersection,
-    rect_measure,
-)
-from test_rects import symdiff_measure
+from sifbm.rects import EMPTY, DimensionMismatchError, Rect, corner_array, measure, rect
+from test_rects import box_measure, symdiff_measure, union_flow
 
 corners2 = st.tuples(
     st.floats(0, 5, allow_nan=False, allow_infinity=False),
@@ -46,7 +38,7 @@ def covariance(u: Rect, v: Rect, h: HurstParam) -> float:
     """Covariance of the field at two box indices: the scalar reference for
     ``build_cov_matrix``."""
     return float(covariance_from_measures(
-        rect_measure(u), rect_measure(v), symdiff_measure(u, v), h
+        box_measure(u), box_measure(v), symdiff_measure(u, v), h
     ))
 
 
@@ -99,7 +91,7 @@ class TestCovariance:
     def test_half_identity(self, u, v):
         # at H = 1/2 the covariance is exactly the intersection measure
         got = covariance(u, v, HurstParam(0.5))
-        want = rect_measure(rect_intersection(u, v))
+        want = measure(np.minimum(u.corner, v.corner))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -118,7 +110,7 @@ class TestCovMatrix:
         pts = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
         cm = build_cov_matrix(pts, HurstParam(0.5))
         want = np.array(
-            [[rect_measure(rect_intersection(u, v)) for v in pts] for u in pts]
+            [[measure(np.minimum(u.corner, v.corner)) for v in pts] for u in pts]
         )
         assert np.max(np.abs(cm.matrix - want)) < 1e-12
 
@@ -158,7 +150,7 @@ class TestCovMatrix:
         assert np.array_equal(build_cov_matrix(idx, h).matrix, want)
         # and fbm_covariance's, with the sorted box measures as one flow's
         # time-change values
-        t = np.array(sorted(rect_measure(u) for u in idx))
+        t = np.sort(measure(corner_array(idx)))
         want = 0.5 * (t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p)
         assert np.array_equal(fbm_covariance(t, h), want)
 
@@ -319,19 +311,12 @@ class TestPositions:
         assert ei.value.missing == [EMPTY]
 
 
-def union_flow(*parts: Rect) -> SimpleFlow:
-    """A simple flow whose last value is the union of the parts: segment i
-    holds part i over its whole span."""
-    return SimpleFlow(tuple(make_elementary_flow([i, i + 1], [p, p]) for i, p in enumerate(parts)))
-
-
 class TestAdditiveExtend:
     """The field on a finite union of boxes is the inclusion-exclusion sum of
     its box columns; ``project`` reads it at a union-valued flow point."""
 
     def _ensemble(self):
-        a, b = rect(1, 2), rect(2, 1)
-        ab = rect_intersection(a, b)
+        a, b, ab = rect(1, 2), rect(2, 1), rect(1, 1)
         idx = [a, b, ab]
         f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
         return sample_ensemble(f, 500, seed=9), a, b, ab
@@ -348,8 +333,7 @@ class TestAdditiveExtend:
 
     def test_two_part_expansion(self):
         # small-integer samples: every summation order is exact
-        a, b = rect(1, 2), rect(2, 1)
-        ab = rect_intersection(a, b)
+        a, b, ab = rect(1, 2), rect(2, 1), rect(1, 1)
         x = np.random.default_rng(9).integers(-8, 9, (500, 3)).astype(float)
         e = SampleEnsemble((a, b, ab), x, HurstParam(0.3))
         got = project(e, union_flow(a, b))[:, -1]
@@ -362,7 +346,7 @@ class TestAdditiveExtend:
         e = sample_ensemble(f, 10, seed=4)
         with pytest.raises(MissingIndexError) as ei:
             project(e, union_flow(a, b))
-        assert rect_intersection(a, b) in ei.value.missing
+        assert rect(1, 1) in ei.value.missing
 
     def test_empty_union_is_zero(self):
         e, *_ = self._ensemble()

@@ -42,22 +42,29 @@ from sifbm.rects import (
     Rect,
     corner_array,
     rect,
-    rect_contains,
-    rect_intersection,
-    rect_measure,
-    union_measure,
+    measure,
 )
 from sifbm.storage import StoredEnsemble, write_ensemble_binary
 from test_rects import (
     LeftNeighborhood,
+    box_measure,
     boxes_of,
     member,
     region_disjoint_ae,
     region_subset_ae,
     symdiff_measure,
+    union_measure,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def inside(outer: Rect, inner: Rect) -> bool:
+    """inner lies in outer: the empty set in every set, a box in every box
+    whose corner is above its own."""
+    if inner.is_empty:
+        return True
+    return not outer.is_empty and all(i <= o for i, o in zip(inner.corner, outer.corner))
 
 # Checks that hold for the Lebesgue table alone, so only the tests and
 # acceptance criteria 6 and 7 run them.
@@ -66,7 +73,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def lebesgue_table(boxes) -> PreMeasureTable:
     """The analytic table: psi is Lebesgue measure, with zero error."""
     boxes = tuple(boxes)
-    m = np.array([rect_measure(u) for u in boxes])
+    m = measure(corner_array(boxes))
     return PreMeasureTable(boxes, m, np.zeros(len(boxes)))
 
 
@@ -137,15 +144,15 @@ def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
         raise ValueError("limit index must be a box (possibly degenerate), not empty")
     prev = None
     for r in seq:
-        if not rect_contains(r, u):
+        if not inside(r, u):
             raise ValueError(f"sequence element {r!r} does not contain the limit {u!r}")
-        if prev is not None and not rect_contains(prev, r):
+        if prev is not None and not inside(prev, r):
             raise ValueError("corner sequence is not componentwise nonincreasing")
         prev = r
     values = np.array([symdiff_measure(r, u) ** h.two_h for r in seq])
     if np.any(np.diff(values) > 0):
         raise AssertionError("analytic variance sequence failed to be nonincreasing")
-    if rect_measure(u) == 0.0 and seq:
+    if box_measure(u) == 0.0 and seq:
         n = len(u.corner)
         gap_scale = 1e-6 ** (1.0 / (h.two_h * n))
         if max(seq[-1].corner) <= gap_scale:
@@ -175,7 +182,7 @@ def psi_entry(e, u, h):
     s = float(np.mean(sq))
     n = e.n_samples
     if s == 0.0:
-        if not u.is_empty and rect_measure(u) > 0:
+        if box_measure(u) > 0:
             warnings.warn(f"zero empirical variance for non-degenerate index {u!r}")
         return 0.0, 0.0
     inv = 1.0 / h.two_h
@@ -202,7 +209,7 @@ def psi_ensembles(draw):
     scale = draw(st.sampled_from([1.0, 1.9, 1e-3, 1e3]))
     zeroed = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sd = np.sqrt([rect_measure(u) for u in boxes]) * np.logical_not(zeroed)
+    sd = np.sqrt(measure(corner_array(boxes))) * np.logical_not(zeroed)
     samples = scale * rng.standard_normal((n, len(boxes))) * sd
     e = SampleEnsemble(tuple(boxes), samples, HurstParam(draw(st.sampled_from([0.1, 0.3, 0.5]))))
     want = draw(st.none() | st.lists(st.sampled_from(boxes), max_size=10))
@@ -277,7 +284,7 @@ class TestPsiOnC:
         # every box below [0, u] lies on an axis
         u = rect(1.5, 2)
         value, _, tested = on_cells(lebesgue_table([u]), [((0, 0), u.corner)])
-        assert tested[0] and value[0] == rect_measure(u)
+        assert tested[0] and value[0] == box_measure(u)
 
     def test_matches_lebesgue_on_random_neighborhoods(self):
         rng = np.random.default_rng(42)
@@ -357,7 +364,7 @@ def cell_tables(draw):
         boxes = draw(st.lists(st.tuples(*[coord] * dim).map(Rect), max_size=10))
     boxes += draw(st.lists(st.sampled_from(boxes) | st.just(EMPTY), max_size=3)) if boxes else []
     boxes = tuple(dict.fromkeys(boxes))
-    m = np.array([rect_measure(u) for u in boxes])
+    m = measure(corner_array(boxes))
     if draw(st.booleans()):
         return PreMeasureTable(boxes, m, np.zeros(len(boxes))), True
     factor = draw(st.lists(st.floats(0.5, 1.5), min_size=len(boxes), max_size=len(boxes)))
@@ -402,7 +409,7 @@ class TestCellCriterion:
         # measure with standard errors 1% of it: 187 of 200 tables failed the
         # cover-search test this criterion replaced
         boxes = tuple(lattice(3, 3))
-        m = np.array([rect_measure(u) for u in boxes])
+        m = measure(corner_array(boxes))
         rng = np.random.default_rng(0)
         rejected = 0
         for _ in range(200):
@@ -441,7 +448,7 @@ class TestOuterMeasure:
     def test_singleton_cover(self):
         u = rect(2, 1.5)
         got, se = cell_measure(lebesgue_table([u]), u)
-        assert (got, se) == (pytest.approx(rect_measure(u)), 0.0)
+        assert (got, se) == (pytest.approx(box_measure(u)), 0.0)
 
     def test_empty_target(self):
         t = lebesgue_table(lattice(2, 2))
@@ -503,7 +510,7 @@ class TestVerifyExtension:
         # integer measures: every cell and recovery error is exact, and the
         # details say so instead of naming no box
         boxes = tuple(lattice(2, 2))
-        m = np.array([rect_measure(u) for u in boxes])
+        m = measure(corner_array(boxes))
         t = PreMeasureTable(boxes, m, np.zeros(len(boxes)))
         ext = _cell_criterion(t, Thresholds())
         assert (ext.passed, ext.statistic) == (True, 0.0)
@@ -516,14 +523,14 @@ class TestVerifyExtension:
         # a box alone is its own cell
         u = rect(2, 2)
         t = lebesgue_table([u])
-        assert cell_measure(t, u)[0] == rect_measure(u)
+        assert cell_measure(t, u)[0] == box_measure(u)
         assert _cell_criterion(t, Thresholds()).detail.startswith("cells tested: 1;")
 
     def test_tilings_two_granularities(self):
         u = rect(2, 2)
         for k in (2, 3):
             t = lebesgue_table(lattice(k, k, 2 / k, 2 / k))
-            assert abs(cell_measure(t, u)[0] - rect_measure(u)) <= 1e-12
+            assert abs(cell_measure(t, u)[0] - box_measure(u)) <= 1e-12
             ext = _cell_criterion(t, Thresholds())
             assert ext.passed and ext.detail.startswith(f"cells tested: {k * k};")
 
@@ -748,7 +755,7 @@ def covariance_criterion_reference(e, table, h, mult):
     for i, u in enumerate(e.indices):
         for j in range(i, len(e.indices)):
             v = e.indices[j]
-            inter = rect_intersection(u, v)
+            inter = EMPTY if EMPTY in (u, v) else Rect(tuple(map(min, u.corner, v.corner)))
             if u not in table_set or v not in table_set or inter not in table_set:
                 continue
             (mu, _), (mv, _), (mi, _) = (entry(table, w) for w in (u, v, inter))
@@ -781,7 +788,7 @@ class TestCovarianceCriterion:
         h = HurstParam(hv)
         # independent columns scaled to the box measure: diagonal entries
         # match their prediction, nested pairs do not
-        scale = np.sqrt([rect_measure(b) for b in boxes])
+        scale = np.sqrt(measure(corner_array(boxes)))
         samples = np.random.default_rng(seed).standard_normal((200, len(boxes))) * scale
         e = SampleEnsemble(tuple(boxes), samples, h)
         table = PreMeasureTable.from_ensemble(e, table_idx)
@@ -801,7 +808,7 @@ def pair_scan_reference(table, thr):
     entry = dict(zip(idx, zip(table.value.tolist(), table.stderr.tolist())))
     recovered, worst_rel, worst_detail = True, 0.0, "is 0"
     for u in idx:
-        m = rect_measure(u)
+        m = box_measure(u)
         if m < thr.psi_floor:
             continue
         got, se = entry[u]
@@ -813,9 +820,9 @@ def pair_scan_reference(table, thr):
             worst_rel, worst_detail = rel, f"at {u!r}"
     passed, worst = True, 0.0
     for u, v in itertools.combinations(idx, 2):
-        if rect_contains(v, u):
+        if inside(v, u):
             small, big = u, v
-        elif rect_contains(u, v):
+        elif inside(u, v):
             small, big = v, u
         else:
             continue
@@ -835,7 +842,7 @@ def psi_tables(draw):
     coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 2, allow_nan=False)
     box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
     boxes = draw(st.lists(box, max_size=14, unique=True))
-    value = [rect_measure(u) * draw(st.floats(0.5, 1.5)) for u in boxes]
+    value = [box_measure(u) * draw(st.floats(0.5, 1.5)) for u in boxes]
     stderr = [draw(st.floats(0, 0.3)) for _ in boxes]
     return PreMeasureTable(tuple(boxes), np.array(value), np.array(stderr))
 

@@ -10,21 +10,76 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sifbm.flows import SimpleFlow, make_elementary_flow, time_change
 from sifbm.rects import (
     EMPTY,
+    MAX_UNION_PARTS,
     DimensionMismatchError,
     Rect,
-    RectUnion,
     cell_corners,
     corner_array,
     grid_lower,
+    measure,
     rect,
-    rect_contains,
-    rect_intersection,
-    rect_measure,
     signed_terms,
-    union_measure,
 )
+
+
+# Scalar references for the corner-array engine: one subset, one box, one
+# coordinate at a time, in the order the engine must reproduce bit for bit.
+
+
+def measure_reference(corner) -> float:
+    out = 1.0
+    for c in corner:
+        out *= c
+    return out
+
+
+def terms_reference(parts) -> list:
+    """(sign, corner) for every non-empty subset of the corner tuples
+    ``parts``, in ``itertools.combinations`` order, the corner the
+    coordinatewise minimum over the subset."""
+    return [
+        (1.0 if k % 2 == 1 else -1.0, tuple(min(xs) for xs in zip(*combo)))
+        for k in range(1, len(parts) + 1)
+        for combo in itertools.combinations(parts, k)
+    ]
+
+
+def union_measure_reference(parts) -> float:
+    """Measure of the union of the boxes with corners ``parts``: the signed
+    term measures added one after another from 0, clipped at 0."""
+    total = 0.0
+    for sign, corner in terms_reference(parts):
+        total += sign * measure_reference(corner)
+    return max(total, 0.0)
+
+
+def canonical_reference(boxes) -> list:
+    """Corners of a union's parts: no empty box, no box inside another, each
+    box once, sorted."""
+    kept = {b.corner for b in boxes if not b.is_empty}
+    return sorted(
+        a for a in kept if not any(a != b and all(map(float.__le__, a, b)) for b in kept)
+    )
+
+
+def box_measure(u: Rect) -> float:
+    """``measure`` of one box, the empty set as the zero corner."""
+    return float(measure(corner_array([u]))[0])
+
+
+def union_flow(*parts: Rect) -> SimpleFlow:
+    """A simple flow whose segment i holds parts[i] constant, so its last
+    value is the union of all of them."""
+    return SimpleFlow(tuple(make_elementary_flow([i, i + 1], [p, p]) for i, p in enumerate(parts)))
+
+
+def union_measure(boxes) -> float:
+    """The program's measure of a union of boxes (none: the empty set): the
+    end of a ``union_flow``'s time change."""
+    return float(time_change(union_flow(*boxes or [EMPTY])).values[-1])
 
 
 # Exact references for tests and acceptance criteria 5-7; the CLI needs none
@@ -41,11 +96,10 @@ class LeftNeighborhood:
 
 
 def boxes_of(region):
-    """Every non-empty box a region (or a list of regions) is built from."""
+    """Every non-empty box a region (or a list of regions, such as a union of
+    boxes) is built from."""
     if isinstance(region, Rect):
         return [] if region.is_empty else [region]
-    if isinstance(region, RectUnion):
-        return list(region.parts)
     if isinstance(region, LeftNeighborhood):
         return boxes_of(region.base) + [s for s in region.subtracted if not s.is_empty]
     return [b for r in region for b in boxes_of(r)]
@@ -76,8 +130,6 @@ class CellArrangement:
             if region.is_empty:
                 return np.zeros(len(self.volumes), dtype=bool)
             return np.all(self.upper <= region.corner, axis=1)
-        if isinstance(region, RectUnion):
-            return self.mask(region.parts)
         if isinstance(region, LeftNeighborhood):
             return self.mask(region.base) & ~self.mask(region.subtracted)
         out = np.zeros(len(self.volumes), dtype=bool)
@@ -87,19 +139,28 @@ class CellArrangement:
 
 
 def symdiff_measure(a: Rect, b: Rect) -> float:
-    """m(a (+) b) = m(a) + m(b) - 2 m(a n b), never negative; boxes of two
-    dimensions raise in ``rect_intersection``."""
-    val = rect_measure(a) + rect_measure(b) - 2.0 * rect_measure(rect_intersection(a, b))
-    return max(val, 0.0)
+    """m(a (+) b) = m(a) + m(b) - 2 m(a n b), never negative, with a n b the
+    corner minimum; boxes of two dimensions raise in ``corner_array``."""
+    c = corner_array([a, b])
+    val = measure(c[0]) + measure(c[1]) - 2.0 * measure(c.min(axis=0))
+    return max(float(val), 0.0)
+
+
+def clip(base: Rect, boxes) -> list:
+    """Corners of base n b for each non-empty box b of ``boxes``, none if
+    base is empty."""
+    subs = [b for b in boxes if not b.is_empty]
+    if base.is_empty or not subs:
+        return []
+    return [tuple(c) for c in np.minimum(base.corner, corner_array(subs)).tolist()]
 
 
 def left_nbhd_measure(c: LeftNeighborhood) -> float:
     """m(C) = m(U) - m(U n (u sub_i)), via inclusion-exclusion; >= 0."""
-    base_m = rect_measure(c.base)
+    base_m = box_measure(c.base)
     if not c.subtracted:
         return base_m
-    clipped = [rect_intersection(c.base, s) for s in c.subtracted]
-    return max(base_m - union_measure(clipped), 0.0)
+    return max(base_m - union_measure_reference(clip(c.base, c.subtracted)), 0.0)
 
 
 def region_subset_ae(inner, outer) -> bool:
@@ -134,18 +195,18 @@ def box_families(draw, max_parts=5):
 
 class TestRectBasics:
     def test_measure_empty(self):
-        assert rect_measure(EMPTY) == 0.0
+        assert measure(corner_array([EMPTY])).tolist() == [0.0]
 
     def test_measure_unit_square(self):
-        assert rect_measure(rect(1, 1)) == 1.0
+        assert measure(rect(1, 1).corner) == 1.0
 
     def test_measure_product(self):
         # product oracle: 2 * 0.5 * 3
-        assert rect_measure(rect(2, 0.5, 3)) == pytest.approx(2 * 0.5 * 3)
+        assert measure(rect(2, 0.5, 3).corner) == pytest.approx(2 * 0.5 * 3)
 
     def test_degenerate_rect_is_not_empty(self):
         r = rect(0, 5)
-        assert rect_measure(r) == 0.0
+        assert measure(r.corner) == 0.0
         assert not r.is_empty
         assert r != EMPTY
 
@@ -153,19 +214,40 @@ class TestRectBasics:
         with pytest.raises(ValueError):
             rect(1, -0.5)
 
+    # a n b is the corner minimum, the corner of the pair term of signed_terms
+
     def test_intersection_idempotent(self):
         u = rect(1, 1)
-        assert rect_intersection(u, u) == u
+        assert signed_terms(corner_array([u, u]))[1][-1].tolist() == list(u.corner)
 
     def test_intersection_componentwise_min(self):
-        assert rect_intersection(rect(1, 2), rect(2, 1)) == rect(1, 1)
+        assert signed_terms(corner_array([rect(1, 2), rect(2, 1)]))[1][-1].tolist() == [1.0, 1.0]
 
     def test_intersection_with_empty(self):
-        assert rect_intersection(rect(1, 1), EMPTY) == EMPTY
+        # the empty set's zero corner meets every box in a box of measure 0
+        _, corners = signed_terms(corner_array([rect(1, 1), EMPTY]))
+        assert measure(corners[-1]) == 0.0
 
     def test_intersection_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            rect_intersection(rect(1, 1), rect(1, 1, 1))
+            corner_array([rect(1, 1), rect(1, 1, 1)])
+
+
+class TestMeasure:
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.tuples(*[coords | st.floats(0, 1e200)] * dim), min_size=1, max_size=6)))
+    def test_matches_coordinate_product(self, rows):
+        # bit for bit, an overflow's inf and an inf times 0's nan included
+        def same(got, want):
+            want = np.array(want)
+            return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+                np.signbit(got), np.signbit(want))
+
+        assert same(measure(np.array(rows)), [measure_reference(r) for r in rows])
+        # over the last axis of any shape, as build_cov_matrix reads it
+        pairs = np.minimum(np.array(rows)[:, None], np.array(rows)[None])
+        want = [[measure_reference(np.minimum(a, b).tolist()) for b in rows] for a in rows]
+        assert same(measure(pairs), want)
 
 
 class TestSymdiff:
@@ -203,9 +285,8 @@ class TestUnionMeasure:
         assert union_measure([rect(1, 2), rect(2, 1)]) == pytest.approx(3.0)
 
     def test_part_cap(self):
-        parts = [rect(1, 1)] * 21
         with pytest.raises(ValueError, match="capped"):
-            union_measure(parts)
+            signed_terms(np.ones((MAX_UNION_PARTS + 1, 2)))
 
     @given(st.lists(rects2, min_size=1, max_size=4))
     def test_monotone_in_parts(self, parts):
@@ -239,7 +320,7 @@ class TestLeftNeighborhood:
 
     def test_nothing_subtracted(self):
         u = rect(1.5, 2)
-        assert left_nbhd_measure(LeftNeighborhood(u)) == rect_measure(u)
+        assert left_nbhd_measure(LeftNeighborhood(u)) == measure(u.corner)
 
     def test_corner_cell(self):
         # 4 - 2 - 2 + 1
@@ -250,9 +331,8 @@ class TestLeftNeighborhood:
     def test_complement_identity(self, base, subs):
         # m(C) + m(U n union(subs)) == m(U) exactly (1e-12 relative)
         c = LeftNeighborhood(base, tuple(subs))
-        clipped = [rect_intersection(base, s) for s in subs]
-        total = left_nbhd_measure(c) + union_measure(clipped)
-        assert total == pytest.approx(rect_measure(base), rel=1e-12, abs=1e-12)
+        total = left_nbhd_measure(c) + union_measure([Rect(c) for c in clip(base, subs)])
+        assert total == pytest.approx(measure(base.corner), rel=1e-12, abs=1e-12)
 
 
 class TestMonotonicity:
@@ -260,46 +340,108 @@ class TestMonotonicity:
     def test_measure_monotone(self, a, b):
         lo = Rect(tuple(min(x, y) for x, y in zip(a, b)))
         hi = Rect(tuple(max(x, y) for x, y in zip(a, b)))
-        assert rect_measure(lo) <= rect_measure(hi)
-        assert rect_contains(hi, lo)
+        assert measure(lo.corner) <= measure(hi.corner)
+        # lo lies in hi, so a flow may step from one to the other
+        make_elementary_flow([0, 1], [lo, hi])
+
+
+def union_parts(*boxes: Rect) -> list:
+    """The corners of the parts a simple flow keeps for a union of boxes."""
+    return union_flow(*boxes).grid_and_values()[1][-1].tolist()
 
 
 class TestRectUnionCanonical:
     def test_drops_dominated_parts(self):
-        u = RectUnion((rect(1, 1), rect(2, 2), EMPTY))
-        assert u.parts == (rect(2, 2),)
+        assert union_parts(rect(1, 1), rect(2, 2), EMPTY) == [[2.0, 2.0]]
 
     def test_empty_union(self):
-        assert RectUnion(()).is_empty
-        assert union_measure(RectUnion(())) == 0.0
+        assert union_parts(EMPTY, EMPTY) == []
+        assert union_measure([EMPTY]) == 0.0
 
     def test_duplicates_collapse(self):
-        u = RectUnion((rect(1, 2), rect(1, 2)))
-        assert u.parts == (rect(1, 2),)
+        assert union_parts(rect(1, 2), rect(1, 2)) == [[1.0, 2.0]]
+
+    @given(box_families(max_parts=6))
+    def test_matches_scalar_reference(self, parts):
+        assert union_parts(*parts or [EMPTY]) == [list(c) for c in canonical_reference(parts)]
+
+
+@st.composite
+def part_arrays(draw):
+    """(k, N) corner arrays, k in 0..8 and N in 1..4, with zero coordinates
+    and repeated and nested parts."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[coords] * dim), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from([1.0, 0.5, 0.0]))
+        rows[draw(st.integers(0, len(rows) - 1))] = tuple(scale * x for x in row)
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
 class TestSignedTerms:
     def test_combinations_order_and_signs(self):
-        a, b, c = rect(1, 3), rect(2, 2), rect(3, 1)
-        want = [(1.0, a), (1.0, b), (1.0, c)]
-        want += [(-1.0, rect_intersection(x, y)) for x, y in itertools.combinations((a, b, c), 2)]
-        want += [(1.0, rect(1, 1))]
-        assert signed_terms([a, b, c]) == want
+        a, b, c = (1.0, 3.0), (2.0, 2.0), (3.0, 1.0)
+        signs, corners = signed_terms(np.array([a, b, c]))
+        assert signs.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0]
+        assert corners.tolist() == [[1, 3], [2, 2], [3, 1], [1, 2], [1, 1], [2, 1], [1, 1]]
 
     def test_no_parts(self):
-        assert signed_terms([]) == []
+        signs, corners = signed_terms(np.zeros((0, 2)))
+        assert signs.shape == (0,) and corners.shape == (0, 2)
 
     def test_dimension_mismatch(self):
+        # the engine's parts come from corner_array, which refuses the mix
         with pytest.raises(DimensionMismatchError):
-            signed_terms([rect(1, 1), EMPTY, rect(1, 1, 1)])
+            corner_array([rect(1, 1), EMPTY, rect(1, 1, 1)])
 
     @given(box_families())
     def test_measure_sum_matches_cell_volumes(self, parts):
         # inclusion-exclusion against the exact cell decomposition
-        total = sum(sign * rect_measure(r) for sign, r in signed_terms(parts))
+        signs, corners = signed_terms(corner_array([p for p in parts if not p.is_empty]))
+        total = float(np.sum(signs * measure(corners)))
         arr = CellArrangement(parts)
         want = arr.volumes[arr.mask(parts)].sum()
         assert total == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @given(part_arrays())
+    @example(np.zeros((0, 3)))
+    def test_matches_scalar_reference(self, parts):
+        signs, corners = signed_terms(parts)
+        want = terms_reference([tuple(r) for r in parts.tolist()])
+        assert signs.tolist() == [sign for sign, _ in want]
+        assert corners.shape == (len(want), parts.shape[1])
+        assert corners.tolist() == [list(c) for _, c in want]
+
+
+@st.composite
+def simple_flows(draw):
+    """Simple flows of 1..8 segments in 1..4 dimensions, each a two-point
+    step from a box to a larger one, drawn from a small pool so that ends
+    repeat and nest; zero coordinates and empty starts included."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=4))
+    segments = []
+    for i in range(draw(st.integers(1, 8))):
+        hi = draw(st.sampled_from(pool))
+        lo = draw(st.sampled_from([None, tuple(0.5 * x for x in hi), hi]))
+        segments.append(make_elementary_flow([i, i + 1], [lo, hi]))
+    return SimpleFlow(tuple(segments))
+
+
+class TestUnionTimeChange:
+    @given(simple_flows())
+    @settings(deadline=None)
+    def test_matches_scalar_reference(self, f):
+        # each value the union of the current box and the earlier ends,
+        # measured by the scalar expansion, then the running maximum
+        want = []
+        for i, seg in enumerate(f.segments):
+            ends = [s.values[-1] for s in f.segments[:i]]
+            want = want[:-1] + [
+                union_measure_reference(canonical_reference([v, *ends])) for v in seg.values
+            ]
+        assert time_change(f).values.tolist() == np.maximum.accumulate(want).tolist()
 
 
 class TestCornerArray:
@@ -378,7 +520,7 @@ class TestRegionPredicates:
     def test_cell_volumes_tile_measure(self):
         rects = [rect(1, 2), rect(2, 1), rect(1.5, 1.5)]
         arr = CellArrangement(rects)
-        total = arr.volumes[arr.mask(RectUnion(tuple(rects)))].sum()
+        total = arr.volumes[arr.mask(rects)].sum()
         assert total == pytest.approx(union_measure(rects), rel=1e-12)
 
     def test_exhaustive_vs_pointwise_membership(self):
@@ -403,8 +545,6 @@ def member(p, region) -> bool:
     """Pointwise membership straight from each region's definition."""
     if isinstance(region, Rect):
         return not region.is_empty and all(x <= c for x, c in zip(p, region.corner))
-    if isinstance(region, RectUnion):
-        return any(member(p, q) for q in region.parts)
     if isinstance(region, LeftNeighborhood):
         return member(p, region.base) and not any(member(p, q) for q in region.subtracted)
     return any(member(p, r) for r in region)
@@ -413,13 +553,14 @@ def member(p, region) -> bool:
 @st.composite
 def region_families(draw):
     """1..3 regions of one dimension in 1..3: boxes (EMPTY and degenerate
-    ones included), unions, left-neighborhoods and lists of those."""
+    ones included), unions (lists of boxes), left-neighborhoods and lists of
+    those."""
     dim = draw(st.integers(1, 3))
     box = st.tuples(*[coords] * dim).map(Rect) | st.just(EMPTY)
     boxes = st.lists(box, max_size=3)
     region = (
         box
-        | boxes.map(lambda ps: RectUnion(tuple(ps)))
+        | boxes
         | st.builds(lambda b, subs: LeftNeighborhood(b, tuple(subs)), box, boxes)
     )
     return draw(st.lists(region | st.lists(region, max_size=3), min_size=1, max_size=3))
@@ -455,16 +596,16 @@ class TestCellMasks:
         for region in regions:
             got = arr.volumes[arr.mask(region)].sum()
             if isinstance(region, Rect):
-                want = rect_measure(region)
-            elif isinstance(region, RectUnion):
-                want = union_measure(region)
+                want = box_measure(region)
             elif isinstance(region, LeftNeighborhood):
                 want = left_nbhd_measure(region)
+            elif all(isinstance(r, Rect) for r in region):
+                want = union_measure(region)
             else:
                 continue
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_boxes_no_cells(self):
-        arr = CellArrangement([EMPTY, RectUnion(())])
+        arr = CellArrangement([EMPTY, []])
         assert arr.mask([EMPTY, LeftNeighborhood(EMPTY)]).shape == (0,)
-        assert np.array_equal(arr.mask(EMPTY), arr.mask(RectUnion(())))
+        assert np.array_equal(arr.mask(EMPTY), arr.mask([]))
