@@ -143,7 +143,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
         files.append(fname)
         entry = {
             "fraction_within_band": vp.fraction_within(cfg.thresholds.profile_se_mult),
-            "n_pairs": len(vp.rows),
+            "n_pairs": vp.observed.size,
         }
         try:
             entry["hurst_estimate"] = hurst_estimate(fs.moments, n, fs.time_change)

@@ -92,9 +92,9 @@ def _built(where: str, make, *args, **kwargs):
 
 
 def _finite_measure(values, where: str):
-    """Refuse measures, or bounds on them, beyond the float range."""
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"field '{where}': a measure is beyond the float range")
+    """Refuse measures, or bounds on them, that the covariance's sum of two would overflow."""
+    if not np.all(np.asarray(values) <= np.finfo(float).max / 2):
+        raise ConfigError(f"field '{where}': a measure is beyond half the float range")
 
 
 def _build_flow(spec: dict, dim: int, where: str):

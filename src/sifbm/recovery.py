@@ -91,7 +91,11 @@ class PreMeasureTable:
             raise ResolutionError(
                 f"psi = variance^(1/(2H)) overflows a float at hurst {e.hurst.value}"
             ) from None
-        se_s = np.sqrt(np.maximum(s4 - n * s**2, 0.0) / ((n - 1) * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = s4 - n * s**2
+        if not np.all(np.isfinite(spread)):
+            raise ResolutionError(f"the X^4 sums of {boxes[np.argmin(np.isfinite(spread))]} overflow a float")
+        se_s = np.sqrt(np.maximum(spread, 0.0) / ((n - 1) * n))
         return cls(boxes, value, inv * slope * se_s, gram, n)
 
 

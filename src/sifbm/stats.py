@@ -22,28 +22,29 @@ class DegenerateDataError(ValueError):
     """Input carries no usable variation (constant paths, constant theta)."""
 
 
-PROFILE_DTYPE = np.dtype(
-    [(name, np.float64) for name in
-     ("s", "t", "theta_s", "theta_t", "predicted", "observed", "stderr")]
-)
-
-
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Increment second moments against their predicted law.
+    """Increment second moments against their predicted law, one per grid
+    pair (s, t) of ``time_change`` with s before t, in row-major pair order:
+    ``predicted`` and ``observed`` are read-only vectors over those pairs,
+    ``observed`` read from ``n`` samples.  A pair's chi-square plug-in
+    standard error is observed*sqrt(2/n)."""
 
-    ``rows`` is a read-only ``PROFILE_DTYPE`` array, one row per grid pair
-    (s, t) with s before t, in row-major pair order.  ``stderr`` is the
-    chi-square plug-in standard error observed*sqrt(2/n).
-    """
+    time_change: TimeChange
+    n: int
+    predicted: np.ndarray
+    observed: np.ndarray
 
-    rows: np.ndarray
+    @property
+    def rows(self) -> np.ndarray:
+        """The (pairs, 2) grid indices (i, j), i < j, of each pair in order."""
+        return np.column_stack(np.triu_indices(len(self.time_change.grid), 1))
 
     def fraction_within(self, k: float = 4.0) -> float:
         """Fraction of pairs with |observed - predicted| <= k * stderr."""
-        r = self.rows
-        ok = np.count_nonzero(np.abs(r["observed"] - r["predicted"]) <= k * r["stderr"])
-        return float(ok / len(r)) if len(r) else 1.0
+        stderr = self.observed * np.sqrt(2.0 / self.n)
+        ok = np.count_nonzero(np.abs(self.observed - self.predicted) <= k * stderr)
+        return float(ok / self.observed.size) if self.observed.size else 1.0
 
 
 def variance_profile(m: np.ndarray, n: int, tc: TimeChange, predicted: np.ndarray) -> VarianceProfile:
@@ -55,18 +56,13 @@ def variance_profile(m: np.ndarray, n: int, tc: TimeChange, predicted: np.ndarra
     k = m.shape[0]
     if k < 2:
         raise ValueError("need a grid of length >= 2")
-    theta = tc.values
     # E[(X_t - X_s)^2] = M_tt + M_ss - 2 M_ts
     d = np.diag(m)
     i, j = np.triu_indices(k, 1)
-    rows = np.empty(len(i), PROFILE_DTYPE)
-    rows["s"], rows["t"] = tc.grid[i], tc.grid[j]
-    rows["theta_s"], rows["theta_t"] = theta[i], theta[j]
-    rows["predicted"] = predicted[i, j]
-    rows["observed"] = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
-    rows["stderr"] = rows["observed"] * np.sqrt(2.0 / n)
-    rows.flags.writeable = False
-    return VarianceProfile(rows)
+    observed = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
+    predicted = predicted[i, j]
+    observed.flags.writeable = predicted.flags.writeable = False
+    return VarianceProfile(tc, n, predicted, observed)
 
 
 def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:

@@ -133,24 +133,22 @@ class StoredEnsemble:
 
 
 def write_profile_csv(profile: VarianceProfile, path):
-    """A header line, then one line per grid pair: comma-separated ``repr``
-    of each float, so values round-trip, and CRLF line ends.  The bytes are
-    those the csv module writes, as no field holds a comma or a quote.
-
-    In each block of ``PROFILE_BLOCK_ROWS`` rows, each column formats each
-    distinct float64 bit pattern once (bits, not values: -0.0 and 0.0 format
-    differently)."""
-    rows = profile.rows
+    """A header line, then one line per grid pair: s, t, theta_s, theta_t,
+    predicted and observed, each the ``repr`` of its float, so values
+    round-trip, and CRLF line ends: the bytes the csv module writes, as no
+    field holds a comma or a quote.  Each grid and time-change value is
+    formatted once, and each pair's moments once, in blocks of
+    ``PROFILE_BLOCK_ROWS`` pairs."""
+    tc = profile.time_change
+    grid, theta = ([repr(x) for x in v.tolist()] for v in (tc.grid, tc.values))
+    cols = (*profile.rows.T, profile.predicted, profile.observed)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(rows.dtype.names) + "\r\n")
-        for start in range(0, len(rows), PROFILE_BLOCK_ROWS):
-            block = rows[start:start + PROFILE_BLOCK_ROWS]
-            cols = []
-            for name in rows.dtype.names:
-                bits, inverse = np.unique(block[name].view(np.uint64), return_inverse=True)
-                text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-                cols.append(text[inverse].tolist())
-            fh.writelines(",".join(line) + "\r\n" for line in zip(*cols))
+        fh.write("s,t,theta_s,theta_t,predicted,observed\r\n")
+        for start in range(0, len(profile.observed), PROFILE_BLOCK_ROWS):
+            block = (c[start:start + PROFILE_BLOCK_ROWS].tolist() for c in cols)
+            fh.write("".join(
+                f"{grid[i]},{grid[j]},{theta[i]},{theta[j]},{p!r},{o!r}\r\n" for i, j, p, o in zip(*block)
+            ))
 
 
 def write_json(obj, path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sifbm.cli
@@ -949,11 +949,13 @@ class TestCli:
                 {"span": [0, 1], "kind": "linear", "to": [1.0, 1.0]},
                 {"span": [1, 2], "kind": "power", "to": [1e200, 1e200], "exponents": [1, 2]},
             ]}]}, "flows[0].segments[1].to"),
-            # each box measures 1.7e308, their union's terms add up beyond the float range
+            # each box measures 8e307, their union's terms add up beyond the float range
             ({"flows": [{"name": "far", "kind": "simple", "segments": [
-                {"span": [0, 1], "kind": "linear", "to": [1e154, 1.7e154]},
-                {"span": [1, 2], "kind": "linear", "to": [1.7e154, 1e154]},
+                {"span": [0, 1], "kind": "linear", "to": [1e154, 0.8e154]},
+                {"span": [1, 2], "kind": "linear", "to": [0.8e154, 1e154]},
             ]}]}, "flows[0].segments"),
+            # each box measures 1.1e308, but the covariance adds two of them
+            ({"indices": {"corners": [[1e154, 1.1e154], [1.1e154, 1e154]]}}, "indices.corners[0]"),
         ],
     )
     def test_non_finite_measure_is_config_error(self, tmp_path, capsys, override, field):
@@ -972,6 +974,17 @@ class TestCli:
         capsys.readouterr()
         assert main([command, "--config", str(path)]) == 1
         assert "overflows a float at hurst 1e-06" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["recover-measure", "characterize"])
+    def test_overflowing_fourth_moments_exit_1(self, tmp_path, capsys, command):
+        # a variance of 1e154 is a float, its samples' X^4 sums are not
+        lattice = {"lattice": {"shape": [1], "spacing": [1e154]}}
+        path, _ = make_config(tmp_path, dimension=1, hurst=0.5, n_samples=1000, indices=lattice, flows=[])
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 1
+        assert "the X^4 sums of Rect([1e+154]) overflow a float" in capsys.readouterr().err
 
 
 def _private(name: str) -> bool:
@@ -1027,3 +1040,69 @@ def test_full_pipeline_quick_leaves_no_temp_files(monkeypatch, tmp_path):
     assert script.run(["full_pipeline.py", str(root / "configs" / "demo.json"), "--quick"]) == 0
     assert calls == [(cmd, 4000) for cmd in script.COMMANDS]
     assert list(tmp_path.iterdir()) == []
+
+
+# Coordinates and measures across the float range: the extremes the config
+# must refuse or the commands must carry without a NaN.
+EXTREME = st.sampled_from([1e-300, 1e-150, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e150, 1e154, 1.1e154, 1e300])
+COORD = EXTREME | st.floats(1e-300, 1e300)
+
+
+@st.composite
+def edge_configs(draw):
+    """Raw configs of small boxes and samples with extreme corners and H:
+    most load, some are refused as config errors."""
+    dim = draw(st.sampled_from([1, 2, 3, 21]))
+    def corner():
+        return draw(st.lists(COORD, min_size=dim, max_size=dim))
+    flows = []
+    for i in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            flows.append({"name": f"f{i}", "kind": "linear", "to": corner(),
+                          "points": draw(st.integers(2, 6))})
+        else:
+            flows.append({"name": f"f{i}", "kind": "simple", "segments": [
+                {"span": [0.0, 1.0], "kind": "linear", "to": corner(), "points": 3},
+                {"span": [1.0, 2.0], "kind": "power", "to": corner(), "points": 3,
+                 "exponents": [draw(st.sampled_from([0.5, 1.0, 2.0]))] * dim},
+            ]})
+    if draw(st.booleans()):
+        indices = {"corners": [corner() for _ in range(draw(st.integers(1, 5)))]}
+    else:
+        indices = {"lattice": {"shape": [draw(st.integers(1, 2))] * dim, "spacing": corner()}}
+    hurst = draw(st.sampled_from([1e-8, 1e-6, 0.01, 0.3, 0.5]) | st.floats(1e-8, 0.5))
+    n = draw(st.sampled_from([1, 99, 100, 999]) | st.integers(1000, 2000))
+    return {"dimension": dim, "hurst": hurst, "seed": draw(st.integers(0, 2**32 - 1)),
+            "n_samples": n, "indices": indices, "flows": flows}
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+# numpy warns of the overflows and underflows that extreme boxes meet on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(edge_configs())
+# two measures whose sum overflows; a variance whose X^4 sums overflow
+@example({"dimension": 2, "hurst": 0.3, "seed": 0, "n_samples": 100, "flows": [],
+          "indices": {"corners": [[1e154, 1.1e154], [1.1e154, 1e154]]}})
+@example({"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 100, "flows": [],
+          "indices": {"lattice": {"shape": [1], "spacing": [1e154]}}})
+@settings(deadline=None, max_examples=100)
+def test_accepted_configs_exit_cleanly(raw):
+    """Every command on an edge config exits 0, 1 or 2 and raises nothing
+    else, and no verdict it writes holds a NaN."""
+    with tempfile.TemporaryDirectory() as d:
+        raw["output_dir"] = str(Path(d) / "out")
+        path = Path(d) / "config.json"
+        path.write_text(json.dumps(raw))
+        for command in ("simulate", "project", "recover-measure", "characterize", "report"):
+            assert main([command, "--config", str(path)]) in (0, 1, 2)
+        for fname in ("recovery.json", "characterization.json", "summary.json"):
+            report = Path(raw["output_dir"]) / fname
+            if report.exists():
+                assert not any(np.isnan(_numbers(json.loads(report.read_text())))), fname

@@ -482,7 +482,8 @@ class TestStreamedFlowStatistics:
         stored = flow_statistics(read_ensemble_blocks(p, (n, len(idx))), e.indices, flows, e.hurst)
         for a, b in zip(streamed, stored):
             assert a.moments.tobytes() == b.moments.tobytes()
-            assert a.profile.rows.tobytes() == b.profile.rows.tobytes()
+            assert a.profile.predicted.tobytes() == b.profile.predicted.tobytes()
+            assert a.profile.observed.tobytes() == b.profile.observed.tobytes()
             assert a.end.tobytes() == b.end.tobytes()
             assert a.half_increment.tobytes() == b.half_increment.tobytes()
 

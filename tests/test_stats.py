@@ -1,6 +1,7 @@
 """Hurst estimation, Gaussianity z-tests, and variance profiles."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sifbm.flows import (
+    SimpleFlow,
     TimeChange,
     flow_weights,
     flows_through,
@@ -26,10 +28,10 @@ from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemb
 from sifbm.rects import rect
 from sifbm.storage import PROFILE_BLOCK_ROWS, write_profile_csv
 from sifbm.stats import (
-    PROFILE_DTYPE,
     DegenerateDataError,
     GaussianityReport,
     VarianceProfile,
+    flow_statistics,
     gaussianity_check,
     hurst_estimate,
     variance_profile,
@@ -205,20 +207,15 @@ def scalar_profile(paths, tc, h, predicted=None):
     return rows
 
 
-def default_branch_rows(m, n, tc, h):
-    """The rows ``variance_profile`` built when it was passed no prediction,
-    before the prediction became required: the power law
-    |theta_t - theta_s|^{2H} on each grid pair, in array arithmetic."""
+def default_branch(m, tc, h):
+    """The (predicted, observed) vectors ``variance_profile`` built when it
+    was passed no prediction, before the prediction became required: the
+    power law |theta_t - theta_s|^{2H} on each grid pair, in array
+    arithmetic."""
     theta = tc.values
     d = np.diag(m)
     i, j = np.triu_indices(m.shape[0], 1)
-    rows = np.empty(len(i), PROFILE_DTYPE)
-    rows["s"], rows["t"] = tc.grid[i], tc.grid[j]
-    rows["theta_s"], rows["theta_t"] = theta[i], theta[j]
-    rows["predicted"] = np.abs(theta[j] - theta[i]) ** h.two_h
-    rows["observed"] = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
-    rows["stderr"] = rows["observed"] * np.sqrt(2.0 / n)
-    return rows
+    return np.abs(theta[j] - theta[i]) ** h.two_h, np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
 
 
 def power_law(tc, h):
@@ -243,24 +240,58 @@ def elementary_flows(draw):
 
 
 def write_rows_csv(rows, path):
-    """The per-row profile writer the record-array writer replaced."""
+    """The per-row profile writer the record-array writer replaced, over
+    the six columns of ``scalar_profile``'s rows that are written."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["s", "t", "theta_s", "theta_t", "predicted", "observed", "stderr"])
+        w.writerow(["s", "t", "theta_s", "theta_t", "predicted", "observed"])
         for r in rows:
-            w.writerow(repr(v) for v in r)
+            w.writerow(repr(v) for v in r[:6])
 
 
-def write_profile_reference(rows, path):
-    """The csv-module profile writer that formatting each distinct float once
-    replaced."""
+def write_six_columns(profile, path):
+    """The csv-module profile writer over the six columns: the grid pairs in
+    row-major order, each with its grid and time-change values."""
+    grid, theta = profile.time_change.grid.tolist(), profile.time_change.values.tolist()
+    pairs = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["s", "t", "theta_s", "theta_t", "predicted", "observed"])
+        w.writerows(
+            (grid[i], grid[j], theta[i], theta[j], p, o)
+            for (i, j), p, o in zip(pairs, profile.predicted.tolist(), profile.observed.tolist())
+        )
+
+
+# The seven-column record rows and csv-module writer that the six-column
+# profile writer replaced: its files are these without their last field.
+SEVEN_COLUMNS = np.dtype(
+    [(name, np.float64) for name in
+     ("s", "t", "theta_s", "theta_t", "predicted", "observed", "stderr")]
+)
+
+
+def seven_column_rows(m, n, tc, predicted):
+    theta = tc.values
+    d = np.diag(m)
+    i, j = np.triu_indices(m.shape[0], 1)
+    rows = np.empty(len(i), SEVEN_COLUMNS)
+    rows["s"], rows["t"] = tc.grid[i], tc.grid[j]
+    rows["theta_s"], rows["theta_t"] = theta[i], theta[j]
+    rows["predicted"] = predicted[i, j]
+    rows["observed"] = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
+    rows["stderr"] = rows["observed"] * np.sqrt(2.0 / n)
+    return rows
+
+
+def write_seven_columns(rows, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(rows.dtype.names)
         w.writerows(rows.tolist())
 
 
-# Values the dedup must keep apart or format specially: both zeros, NaNs
+# Values the writer must format as the csv module does: both zeros, NaNs
 # with other payloads and signs, infinities and the extreme subnormals.
 SPECIAL_FLOATS = [0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324, 2.2250738585072014e-308]
 SPECIAL_FLOATS += np.array(
@@ -268,22 +299,30 @@ SPECIAL_FLOATS += np.array(
 ).view(np.float64).tolist()
 
 
+def profile_of(grid, theta, n, predicted, observed) -> VarianceProfile:
+    return VarianceProfile(TimeChange(np.asarray(grid), np.asarray(theta)), n,
+                           np.asarray(predicted), np.asarray(observed))
+
+
 @st.composite
-def profile_records(draw):
-    """``PROFILE_DTYPE`` records of any float64s, repeats from a small pool
-    mixed in, and a column holding both 0.0 and -0.0 whenever there are two
-    rows."""
-    n = draw(st.integers(0, 40))
+def profiles(draw):
+    """Profiles whose ``predicted`` and ``observed`` hold any float64s, special
+    ones mixed in, both zeros whenever there are two pairs; the grid any
+    floats and the time change any finite nondecreasing ones, both zeros
+    and subnormals included."""
+    k = draw(st.integers(2, 10))
+    pairs = k * (k - 1) // 2
     floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-    pool = draw(st.lists(floats, min_size=1, max_size=4)) + SPECIAL_FLOATS
-    flat = draw(hnp.arrays(np.float64, (n, 7), elements=floats | st.sampled_from(pool)))
-    if n >= 2:
-        col = draw(st.integers(0, 6))
-        i, j = draw(st.permutations(range(n)))[:2]
-        flat[i, col], flat[j, col] = 0.0, -0.0
-    rows = np.empty(n, PROFILE_DTYPE)
-    rows.view(np.float64).reshape(n, 7)[:] = flat
-    return rows
+    values = floats | st.sampled_from(SPECIAL_FLOATS)
+    grid = draw(hnp.arrays(np.float64, k, elements=values))
+    theta = np.sort(draw(hnp.arrays(np.float64, k, elements=st.floats(0, allow_infinity=False)
+                                    | st.sampled_from([0.0, -0.0, 5e-324]))))
+    flat = draw(hnp.arrays(np.float64, (2, pairs), elements=values))
+    if pairs >= 2:
+        col = draw(st.integers(0, 1))
+        i, j = draw(st.permutations(range(pairs)))[:2]
+        flat[col, i], flat[col, j] = 0.0, -0.0
+    return profile_of(grid, theta, draw(st.integers(1, 10**6)), *flat)
 
 
 @st.composite
@@ -308,32 +347,47 @@ class TestVarianceProfile:
         paths, tc, h, predicted = args
         vp = variance_profile(*moments(paths), tc, power_law(tc, h) if predicted is None else predicted)
         want = scalar_profile(paths, tc, h, predicted)
-        assert vp.rows.dtype == PROFILE_DTYPE and not vp.rows.flags.writeable
-        assert len(vp.rows) == len(want)
+        assert vp.time_change is tc and vp.n == len(paths)
+        assert not (vp.predicted.flags.writeable or vp.observed.flags.writeable)
+        assert vp.rows.shape == (len(want), 2) and len(vp.observed) == len(want)
         want = np.array(want, dtype=np.float64).reshape(len(want), 7)
-        got = vp.rows.copy().view(np.float64).reshape(len(want), 7)
+        i, j = vp.rows.T
+        got = np.column_stack([tc.grid[i], tc.grid[j], tc.values[i], tc.values[j],
+                               vp.predicted, vp.observed])
         if predicted is None:
             # an array power may differ from the scalar one in the last bit
             np.testing.assert_array_max_ulp(got[:, 4], want[:, 4], maxulp=1)
             got[:, 4] = want[:, 4]
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want[:, :6])
         for k in (0.5, 4.0):
             frac = vp.fraction_within(k)
             ok = sum(1 for r in want if abs(r[5] - r[4]) <= k * r[6])
             assert type(frac) is float and frac == ok / len(want)
 
+    @given(profiles(), st.sampled_from([0.0, 0.5, 3.0, 4.0, np.inf]))
+    # |observed - predicted| is k * (observed * sqrt(2/n)) exactly, one ulp
+    # above (k * observed) * sqrt(2/n): the band holds in the first order only
+    @example(profile_of([0.0, 1.0], [0.0, 1.0], 1, [-17.821348530325917], [5.495936876730595]), 3.0)
+    @settings(deadline=None, max_examples=100)
+    def test_fraction_within_matches_scalar_reference(self, vp, k):
+        se = [o * math.sqrt(2.0 / vp.n) for o in vp.observed.tolist()]
+        ok = sum(1 for p, o, e in zip(vp.predicted.tolist(), vp.observed.tolist(), se)
+                 if abs(o - p) <= k * e)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert vp.fraction_within(k) == ok / len(se)
+
     @given(elementary_flows(), st.floats(0.01, 0.5), st.integers(1, 30), st.integers(0, 2**32 - 1))
     @settings(deadline=None)
     def test_flow_prediction_matches_default_branch(self, f, hv, n, seed):
         # an elementary flow's own law is the power law, so the required
-        # prediction leaves every profile row as the default branch built it
+        # prediction leaves every profile value as the default branch built it
         h = HurstParam(hv)
         tc = time_change(f)
         paths = np.random.default_rng(seed).standard_normal((n, len(f.grid)))
         m = moments(paths)[0]
-        got = variance_profile(m, n, tc, predicted_increment_moment(f, h)).rows
-        want = default_branch_rows(m, n, tc, h)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = variance_profile(m, n, tc, predicted_increment_moment(f, h))
+        for a, b in zip((got.predicted, got.observed), default_branch(m, tc, h)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @given(profile_inputs())
     @settings(deadline=None, max_examples=50)
@@ -348,35 +402,60 @@ class TestVarianceProfile:
             write_rows_csv(scalar_profile(paths, tc, h, predicted), old)
             assert new.read_bytes() == old.read_bytes()
 
-    @given(profile_records())
-    @example(np.zeros(0, PROFILE_DTYPE))
-    @example(np.array([(0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0)], PROFILE_DTYPE))
+    @given(profiles())
+    @example(profile_of([0.0, -0.0], [0.0, np.inf], 1, [np.nan], [5e-324]))
+    @example(profile_of([np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1.0], 3,
+                        [-0.0, np.inf, SPECIAL_FLOATS[-1]], [SPECIAL_FLOATS[-2], -np.inf, 0.0]))
     @settings(deadline=None, max_examples=200)
-    def test_csv_bytes_match_csv_module(self, rows):
+    def test_csv_bytes_match_csv_module(self, vp):
         with tempfile.TemporaryDirectory() as d:
             new, ref = Path(d) / "new.csv", Path(d) / "ref.csv"
-            write_profile_csv(VarianceProfile(rows), new)
-            write_profile_reference(rows, ref)
+            write_profile_csv(vp, new)
+            write_six_columns(vp, ref)
             assert new.read_bytes() == ref.read_bytes()
 
     def test_csv_bytes_match_csv_module_across_blocks(self, tmp_path):
-        # blocks format their distinct values apart: repeats, both zeros and
-        # NaN straddle the block boundaries
-        n = 2 * PROFILE_BLOCK_ROWS + 3
+        # a grid whose pairs fill two blocks and part of a third, values
+        # from the special pool
+        k = 131
+        assert 2 * PROFILE_BLOCK_ROWS < k * (k - 1) // 2 < 3 * PROFILE_BLOCK_ROWS
+        rng = np.random.default_rng(5)
         pool = np.array(SPECIAL_FLOATS + [0.1, 1 / 3, 2.0])
-        flat = np.random.default_rng(5).choice(pool, size=(n, 7))
-        flat[:, 4] = np.random.default_rng(6).standard_normal(n)
-        rows = np.empty(n, PROFILE_DTYPE)
-        rows.view(np.float64).reshape(n, 7)[:] = flat
-        write_profile_csv(VarianceProfile(rows), tmp_path / "new.csv")
-        write_profile_reference(rows, tmp_path / "ref.csv")
+        pred, obs = rng.choice(pool, size=(2, k * (k - 1) // 2))
+        obs[::7] = rng.standard_normal(obs[::7].size)
+        vp = profile_of(np.linspace(0, 1, k), np.sort(np.abs(rng.standard_normal(k))), 9, pred, obs)
+        write_profile_csv(vp, tmp_path / "new.csv")
+        write_six_columns(vp, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_is_the_seven_column_file_without_stderr(self, tmp_path):
+        # real flows, elementary and simple, from one exact ensemble of a
+        # grid long enough to span blocks
+        h = HurstParam(0.3)
+        flows = [
+            flows_through(rect(2.0, 1.5), points=100),
+            make_elementary_flow(np.linspace(0, 1, 40), [(t * t, t) for t in np.linspace(0, 1, 40)]),
+            SimpleFlow((
+                make_elementary_flow([0.0, 0.5, 1.0], [(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]),
+                make_elementary_flow([1.0, 1.5, 2.0], [(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]),
+            )),
+        ]
+        assert 100 * 99 // 2 > PROFILE_BLOCK_ROWS
+        idx = sorted({u for f in flows for u in flow_weights(f)[0]}, key=lambda r: r.corner)
+        e = sample_ensemble(cholesky(build_cov_matrix(idx, h)), 300, seed=3)
+        for n, (f, fs) in enumerate(zip(flows, flow_statistics(e.row_blocks(), e.indices, flows, h))):
+            new, ref = tmp_path / f"new{n}.csv", tmp_path / f"ref{n}.csv"
+            write_profile_csv(fs.profile, new)
+            rows = seven_column_rows(fs.moments, 300, fs.time_change, predicted_increment_moment(f, h))
+            write_seven_columns(rows, ref)
+            lines = ref.read_bytes().split(b"\r\n")
+            assert new.read_bytes() == b"\r\n".join(line.rpartition(b",")[0] for line in lines)
 
     def test_constant_flow_all_zero(self):
         tc = TimeChange(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         paths = np.tile(np.random.default_rng(1).standard_normal((500, 1)), (1, 2))
         vp = variance_profile(*moments(paths), tc, power_law(tc, HurstParam(0.3)))
-        assert np.all(vp.rows["predicted"] == 0) and np.all(vp.rows["observed"] == 0)
+        assert np.all(vp.predicted == 0) and np.all(vp.observed == 0)
         assert vp.fraction_within() == 1.0
 
     def test_exact_field_within_bands(self):
@@ -390,16 +469,16 @@ class TestVarianceProfile:
         paths = fbm_paths(0.5, theta, 20_000, seed=17)
         tc = TimeChange(theta, theta)
         vp = variance_profile(*moments(paths), tc, power_law(tc, HurstParam(0.5)))
-        r = vp.rows
-        assert r["predicted"] == pytest.approx(np.abs(r["theta_t"] - r["theta_s"]))
+        i, j = vp.rows.T
+        assert vp.predicted == pytest.approx(np.abs(theta[j] - theta[i]))
         assert vp.fraction_within(4.0) >= 0.95
 
     def test_predicted_zero_iff_theta_equal(self):
         tc = TimeChange(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]))
         paths = np.random.default_rng(0).standard_normal((100, 3))
         vp = variance_profile(*moments(paths), tc, power_law(tc, HurstParam(0.3)))
-        r = vp.rows
-        assert np.array_equal(r["predicted"] == 0, r["theta_s"] == r["theta_t"])
+        i, j = vp.rows.T
+        assert np.array_equal(vp.predicted == 0, tc.values[i] == tc.values[j])
 
     def test_wrong_h_detected(self):
         # data at H=0.2 against a prediction at H=0.45 blows the bands
