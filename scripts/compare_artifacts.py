@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two source trees write the same artifacts.
 
-Usage: python scripts/compare_artifacts.py BASE CHANGE [--seed 7]
+Usage: python scripts/compare_artifacts.py BASE CHANGE [--seed 7 [--seed 11 ...]]
 
 BASE and CHANGE are checkouts of this repository (a ``git archive`` or
 ``git clone`` of each commit).  For each of ``configs/demo.json``,
@@ -27,8 +27,9 @@ tree, the outputs in a temporary directory.  Then it compares:
 - CHANGE's ``ensemble.sifb`` against the one a ``simulate --jobs 2`` run
   under CHANGE writes, byte for byte: the data must not depend on --jobs.
 
-Prints one line per difference and exits 1 if there is any, else prints a
-summary line and exits 0.
+Each ``--seed`` runs all of this at that seed (7 when none is given).
+Prints one line per difference, led by its seed, and exits 1 if there is
+any, else prints a summary line and exits 0.
 """
 
 import argparse
@@ -195,36 +196,51 @@ def sifb_note(a: Path, b: Path) -> str:
     return f" (largest absolute difference of samples {gap[i, j]:.3g} at row {i} column {j})"
 
 
+def compare_seed(base: Path, change: Path, seed: int, tmp: Path) -> tuple[list[str], int]:
+    """The difference lines of the three configs at one seed, and the
+    number of artifacts CHANGE wrote, with the outputs under ``tmp``."""
+    diffs, n_files = [], 0
+    for config in CONFIGS:
+        outs = [tmp / side / Path(config).stem for side in ("base", "change")]
+        codes = [
+            run_pipeline(tree.resolve(), config, seed, out)
+            for tree, out in zip((base, change), outs)
+        ]
+        for command, a, b in zip(COMMANDS, *codes):
+            if a != b:
+                diffs.append(f"{config}: {command} exits {a} in BASE, {b} in CHANGE")
+        diffs += [f"{config}: {line}" for line in compare(*outs)]
+        jobs_out = tmp / "jobs2" / Path(config).stem
+        run_command(change.resolve(), "simulate", config, seed, jobs_out, "--jobs", "2")
+        ensembles = [out / ENSEMBLE for out in (outs[1], jobs_out)]
+        if not all(p.exists() for p in ensembles) or len({p.read_bytes() for p in ensembles}) != 1:
+            diffs.append(f"{config}: {ENSEMBLE} of simulate --jobs 2 differs from --jobs 1 in CHANGE")
+        n_files += len(list(outs[1].iterdir()))
+        print(f"seed {seed}: {config}: exit codes {codes[1]}", file=sys.stderr)
+    return diffs, n_files
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, action="append", help="seed to run at; repeat for more (default 7)")
     args = parser.parse_args(argv)
+    seeds = args.seed or [7]
     diffs, n_files = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        for config in CONFIGS:
-            outs = [Path(tmp) / side / Path(config).stem for side in ("base", "change")]
-            codes = [
-                run_pipeline(tree.resolve(), config, args.seed, out)
-                for tree, out in zip((args.base, args.change), outs)
-            ]
-            for command, a, b in zip(COMMANDS, *codes):
-                if a != b:
-                    diffs.append(f"{config}: {command} exits {a} in BASE, {b} in CHANGE")
-            diffs += [f"{config}: {line}" for line in compare(*outs)]
-            jobs_out = Path(tmp) / "jobs2" / Path(config).stem
-            run_command(args.change.resolve(), "simulate", config, args.seed, jobs_out, "--jobs", "2")
-            ensembles = [out / ENSEMBLE for out in (outs[1], jobs_out)]
-            if not all(p.exists() for p in ensembles) or len({p.read_bytes() for p in ensembles}) != 1:
-                diffs.append(f"{config}: {ENSEMBLE} of simulate --jobs 2 differs from --jobs 1 in CHANGE")
-            n_files += len(list(outs[1].iterdir()))
-            print(f"{config}: exit codes {codes[1]}", file=sys.stderr)
+        for seed in seeds:
+            lines, n = compare_seed(args.base, args.change, seed, Path(tmp) / f"seed{seed}")
+            diffs += [f"seed {seed}: {line}" for line in lines]
+            n_files += n
     for line in diffs:
         print(line)
     if diffs:
         return 1
-    print(f"no differences: {len(CONFIGS)} configs, {len(COMMANDS)} commands, {n_files} artifacts, --jobs 2 ensembles equal")
+    print(
+        f"no differences: {len(seeds)} seed(s), {len(CONFIGS)} configs, {len(COMMANDS)} commands, "
+        f"{n_files} artifacts, --jobs 2 ensembles equal"
+    )
     return 0
 
 

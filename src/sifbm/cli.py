@@ -94,6 +94,15 @@ def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
     }
 
 
+def _manifest_field(out: Path, command: str, key: str):
+    """``key`` of the manifest ``command`` left in ``out``, or None when that
+    manifest is missing, unreadable or not an object holding it."""
+    try:
+        return read_json(_manifest(out, command))[key]
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
 def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
     """The stored ensemble, once the simulate manifest shows it was drawn
     from this config."""
@@ -103,14 +112,10 @@ def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
             f"missing input artifact {path}; run 'sifbm simulate' with this config first"
         )
     idx = cfg.ensemble_indices()
-    want = _simulation_record(cfg, idx)
-    try:
-        got = read_json(manifest)["simulation"]
-        stale = next((k for k in want if got[k] != want[k]), None)
-    except (OSError, ValueError, LookupError, TypeError):
-        raise ArtifactError(
-            f"{manifest}: no simulation record; rerun 'sifbm simulate' with this config"
-        ) from None
+    want, got = _simulation_record(cfg, idx), _manifest_field(out, "simulate", "simulation")
+    if not (isinstance(got, dict) and want.keys() <= got.keys()):
+        raise ArtifactError(f"{manifest}: no simulation record; rerun 'sifbm simulate' with this config")
+    stale = next((k for k in want if got[k] != want[k]), None)
     if stale:
         raise ArtifactError(
             f"{path}: simulated with {stale} {got[stale]!r}, but the config gives "
@@ -146,10 +151,10 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
             "n_pairs": vp.observed.size,
         }
         try:
-            entry["hurst_estimate"] = hurst_estimate(fs.moments, n, fs.time_change)
+            entry["hurst_estimate"] = hurst_estimate(fs.moments, n, vp.time_change)
         except (DegenerateDataError, ValueError) as exc:
             entry["hurst_estimate_error"] = str(exc)
-        if np.std(fs.end) > 0 and n >= 1000:
+        if np.ptp(fs.end) > 0 and n >= 1000:
             g = gaussianity_check(fs.end, z_limit=cfg.thresholds.gaussianity_z)
             entry["gaussianity"] = {
                 "skewness_z": g.skewness_z,
@@ -199,11 +204,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> Outcome:
         except (ValueError, LookupError, TypeError):
             raise ArtifactError(f"{path}: malformed report; rerun 'sifbm {command}'") from None
         # the hash covers the resolved seed, so a report under another seed fails here too
-        try:
-            same = read_json(_manifest(out, command))["config_hash"] == cfg.config_hash()
-        except (OSError, ValueError, LookupError, TypeError):
-            same = False
-        if not same:
+        if _manifest_field(out, command, "config_hash") != cfg.config_hash():
             raise ArtifactError(
                 f"{path}: its manifest does not show this config made it; "
                 f"rerun 'sifbm {command}' with this config and seed"

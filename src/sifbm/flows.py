@@ -203,22 +203,14 @@ def _expand(grid, signs, corners, point) -> tuple[tuple[Rect, ...], np.ndarray, 
     terms: term k is signs[k] times the box with corner corners[k], at grid
     point point[k]; the terms run point by point in grid order, each point's
     in ``signed_terms`` order."""
-    keys = list(map(tuple, corners.tolist()))
-    distinct = sorted(set(keys))
-    row = dict(zip(distinct, range(len(distinct))))
+    distinct, row = np.unique(corners, axis=0, return_inverse=True)
     weights = np.zeros((len(distinct), grid.size))
-    np.add.at(weights, ([row[k] for k in keys], point), signs)
+    np.add.at(weights, (row.ravel(), point), signs)
     weights.flags.writeable = False
-    # each point's signed term measures added one after another from 0, so
-    # the round-off is that of the scalar sum; then clipped at 0
-    signed = signs * measure(corners)
-    counts = np.bincount(point, minlength=grid.size)
-    first = np.cumsum(counts) - counts
-    total = np.zeros(grid.size)
-    for j in range(counts.max(initial=0)):
-        has = counts > j
-        total[has] += signed[first[has] + j]
-    return tuple(map(Rect, distinct)), weights, TimeChange(grid, np.maximum(total, 0.0))
+    # bincount adds each point's signed term measures one after another from
+    # 0, so the round-off is that of the scalar sum; then clipped at 0
+    total = np.bincount(point, weights=signs * measure(corners), minlength=grid.size)
+    return tuple(map(Rect, distinct.tolist())), weights, TimeChange(grid, np.maximum(total, 0.0))
 
 
 def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
@@ -235,9 +227,15 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
         th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
     boxes, a = flow_weights(f)
-    second = a.T @ build_cov_matrix(boxes, h).matrix @ a
-    d = np.diag(second)
-    return np.maximum(d[:, None] + d[None, :] - 2.0 * second, 0.0)
+    return increments(a.T @ build_cov_matrix(boxes, h).matrix @ a)
+
+
+def increments(m: np.ndarray) -> np.ndarray:
+    """E[(X_t - X_s)^2] = M_ss + M_tt - 2 M_st for every pair of grid points
+    from the second-moment matrix M along the grid, clipped at 0: the one
+    place an increment moment is read from second moments."""
+    d = np.diag(m)
+    return np.maximum(d[:, None] + d[None, :] - 2.0 * m, 0.0)
 
 
 def project(e: SampleEnsemble, f: Flow) -> np.ndarray:

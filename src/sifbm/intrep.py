@@ -37,11 +37,6 @@ rounding.
 Normals come from ``gaussian.block_draw`` under its stream contract: blocks
 of STREAM_BLOCK samples keyed (seed, block), so the first n samples of a call
 are the same for every larger n (prefix-stable).
-
-H = 1/2 is a separate path: the kernel degenerates there, but splitting the
-integration line into negative and positive parts leaves the indicator kernel
-on [0, theta], i.e. plain Brownian motion, which ``half_case_simulate`` draws
-exactly from cumulative increments at the mass points.
 """
 
 from __future__ import annotations
@@ -52,6 +47,7 @@ import numpy as np
 
 from .gaussian import HurstParam, ResolutionError, block_draw, covariance_from_measures
 from .recovery import CharacterizationReport, CriterionResult
+from .stats import isserlis_z
 
 # Eigenvalues of the discretized covariance below this fraction of the largest
 # are round-off of a rank-deficient matrix and are clipped to zero.
@@ -72,11 +68,6 @@ KERNEL_H_MAX = 0.5 - 1e-6
 
 class HalfCaseError(ValueError):
     """The moving-average kernel is degenerate at H = 1/2."""
-
-    def __init__(self):
-        super().__init__(
-            "kernel vanishes at H = 1/2; use half_case_simulate instead"
-        )
 
 
 @dataclass(frozen=True)
@@ -207,7 +198,7 @@ def mvn_kernel(mass, u, h: HurstParam):
     here guarantee a half-cell offset.
     """
     if h.is_half:
-        raise HalfCaseError()
+        raise HalfCaseError("kernel vanishes at H = 1/2; draw with the min(s, t) covariance instead")
     if np.any(np.asarray(mass) < 0):
         raise ValueError("mass must be non-negative")
     a = h.value - 0.5
@@ -333,15 +324,6 @@ def validate_masses(masses) -> np.ndarray:
     return masses
 
 
-def half_case_simulate(masses, seed: int, n_samples: int) -> np.ndarray:
-    """H = 1/2 path: W([0, theta_i]) from exact cumulative Gaussian
-    increments at the mass points (the indicator-kernel limit of the
-    representation on the positive half-line)."""
-    masses = validate_masses(masses)
-    sds = np.sqrt(np.diff(masses, prepend=0.0))
-    return np.cumsum(block_draw(seed, n_samples, np.diag(sds)), axis=1)
-
-
 def draw(masses, cov: np.ndarray, seed: int, n_samples: int) -> np.ndarray:
     """Paths (n_samples, len(masses)) along a masses list, with ``cov`` the
     covariance of its distinct positive masses in increasing order: one
@@ -369,13 +351,11 @@ def _derived_seed(seed: int, *key: int) -> int:
 
 
 def _worst_sigma(paths: np.ndarray, want: np.ndarray) -> float:
-    """Largest |sample second moment - want| in plug-in standard errors
-    sqrt((want_ii want_jj + want_ij^2) / n); a zero band divides by 1."""
+    """Largest |sample second moment - want| in the Isserlis standard errors
+    of second moments ``want`` (``stats.isserlis_z``)."""
     n = paths.shape[0]
-    emp = (paths.T @ paths) / n
     d = np.diag(want)
-    se = np.sqrt((np.outer(d, d) + want**2) / n)
-    return float(np.max(np.abs(emp - want) / np.where(se > 0, se, 1.0)))
+    return float(np.max(isserlis_z((paths.T @ paths) / n - want, d[:, None], d, want, n)))
 
 
 def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
@@ -429,8 +409,10 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
             detail += f", which is round-off (at most {_ROUND_OFF:g} of the largest covariance)"
         passed = fine_err < base_err or round_off
         out.append(CriterionResult(f"refinement_H{hv}", passed, fine_err, base_err, detail))
-    paths = half_case_simulate(ir.masses, seed=_derived_seed(seed, 3), n_samples=ir.n_samples)
-    worst = _worst_sigma(paths, np.minimum(masses[:, None], masses[None, :]))
+    # at H = 1/2 the kernel is the indicator of [0, theta]: Brownian motion
+    p = distinct[positive]
+    paths = draw(masses, np.minimum.outer(p, p), _derived_seed(seed, 3), ir.n_samples)
+    worst = _worst_sigma(paths, np.minimum.outer(masses, masses))
     detail = "worst sample covariance entry against min(s, t), in standard errors"
     out.append(CriterionResult("half_case_covariance", worst <= se_mult, worst, se_mult, detail))
     return CharacterizationReport(tuple(out))

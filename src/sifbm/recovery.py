@@ -40,7 +40,7 @@ import numpy as np
 from .flows import Flow
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures
 from .rects import Rect, cell_corners, corner_array, grid_lower, measure
-from .stats import flow_statistics, gaussianity_check
+from .stats import flow_statistics, gaussianity_check, isserlis_z
 
 _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
 
@@ -60,12 +60,9 @@ class PreMeasureTable:
 
     @classmethod
     def from_ensemble(cls, e, boxes=None) -> "PreMeasureTable":
-        """Plug-in recovery of each box, diag(G)^{1/(2H)}, from the columns of
-        ``e`` (all of them by default), repeated boxes once, in one pass over
-        its row blocks that adds up X^T X and the column sums S4 of X^4.  The
-        standard error of the mean square s is the sample SD of X^2 over
-        sqrt(n), sqrt(max(S4 - n s^2, 0) / ((n - 1) n)): 0, not NaN, on a
-        constant column."""
+        """``from_moments`` over the columns of ``e``, all of them by default,
+        repeated boxes once, from one pass over its row blocks that adds up
+        X^T X and the column sums S4 of X^4."""
         n = e.n_samples
         if n < 100:
             raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {n}")
@@ -76,21 +73,32 @@ class PreMeasureTable:
             x = block[:, cols]
             gram += x.T @ x
             s4 += np.sum((x * x) ** 2, axis=0)
-        gram /= n
+        return cls.from_moments(boxes, gram / n, s4, n, e.hurst)
+
+    @classmethod
+    def from_moments(cls, boxes, gram, s4, n: int, h: HurstParam) -> "PreMeasureTable":
+        """Plug-in recovery of each box, diag(G)^{1/(2H)}, from the second
+        moments G of ``n`` samples of the boxes' columns and the column sums
+        S4 of X^4; G = C and S4 = 3 n diag(C)^2 give the exact field's table.
+        The standard error of the mean square s is the sample SD of X^2 over
+        sqrt(n), sqrt(max(S4 - n s^2, 0) / ((n - 1) n)): 0, not NaN, on a
+        constant column.  A psi beyond the float range, or 0 from a positive
+        variance, is a ResolutionError."""
         s = np.diag(gram)
         flat = [u for u, z in zip(boxes, (s == 0.0) & (measure(corner_array(boxes)) > 0)) if z]
         if flat:
-            warnings.warn(f"zero empirical variance for non-degenerate indices {flat}", stacklevel=2)
-        inv = 1.0 / e.hurst.two_h
+            warnings.warn(f"zero empirical variance for non-degenerate indices {flat}", stacklevel=3)
+        inv = 1.0 / h.two_h
         # Python's float pow: numpy's array power differs from it in the last
         # bit for about one value in twenty
         try:
             value = np.array([x**inv for x in s.tolist()])
             slope = np.array([x ** (inv - 1.0) for x in s.tolist()])
         except OverflowError:
-            raise ResolutionError(
-                f"psi = variance^(1/(2H)) overflows a float at hurst {e.hurst.value}"
-            ) from None
+            raise ResolutionError(f"psi = variance^(1/(2H)) overflows a float at hurst {h.value}") from None
+        if np.any((value == 0) & (s > 0)):
+            lost = boxes[np.argmax((value == 0) & (s > 0))]
+            raise ResolutionError(f"psi = variance^(1/(2H)) of {lost} underflows to 0 at hurst {h.value}")
         with np.errstate(over="ignore", invalid="ignore"):
             spread = s4 - n * s**2
         if not np.all(np.isfinite(spread)):
@@ -207,7 +215,7 @@ def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"worst within-band fraction at flow {fi}"
         for label, series in (("end value", fs.end), ("half increment", fs.half_increment)):
-            if np.std(series) == 0:
+            if np.ptp(series) == 0:
                 continue
             rep = gaussianity_check(series, z_limit=thr.gaussianity_z)
             z = max(abs(rep.skewness_z), abs(rep.excess_kurtosis_z))
@@ -303,23 +311,25 @@ def _cell_criterion(table, thr) -> CriterionResult:
     )
 
 
-def _covariance_criterion(table, h, thr) -> CriterionResult:
-    # usable pairs: both boxes and their intersection have recovered entries
-    emp, n = table.gram, table.n_samples
+def covariance_deviations(table, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, G_ij - covariance rebuilt from psi) over the pairs i <= j of
+    table boxes whose intersection the table holds too."""
     corners = corner_array(table.boxes)
     t, dim = corners.shape
     inter = np.minimum(corners[:, None], corners[None, :]).reshape(t * t, dim)
     k = _table_rows(table, inter).reshape(t, t)
     i, j = np.nonzero(np.triu(k >= 0))
     mu, mv, mi = table.value[i], table.value[j], table.value[k[i, j]]
-    pred = covariance_from_measures(mu, mv, mu + mv - 2 * mi, h)
-    se = np.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2) / n)
-    dev = np.abs(emp[i, j] - pred)
-    banded = se > 0
+    return i, j, table.gram[i, j] - covariance_from_measures(mu, mv, mu + mv - 2 * mi, h)
+
+
+def _covariance_criterion(table, h, thr) -> CriterionResult:
+    i, j, dev = covariance_deviations(table, h)
+    g = table.gram
+    z = isserlis_z(dev, g[i, i], g[j, j], g[i, j], table.n_samples)
     total = len(i)
-    ok = int(np.count_nonzero(dev[banded] <= thr.covariance_se_mult * se[banded]))
-    ok += int(np.count_nonzero(dev[~banded] == 0))
-    worst = float(np.max(dev[banded] / se[banded], initial=0.0))
+    ok = int(np.count_nonzero(z <= thr.covariance_se_mult))
+    worst = float(np.max(z, initial=0.0))
     if total == 0:
         return CriterionResult(
             "covariance_comparison", False, 0.0, thr.covariance_pass_fraction,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import TimeChange, block_paths, flow_weights, predicted_increment_moment, time_change
+from .flows import TimeChange, block_paths, flow_weights, increments, predicted_increment_moment, time_change
 from .gaussian import HurstParam, columns
 
 
@@ -56,11 +56,8 @@ def variance_profile(m: np.ndarray, n: int, tc: TimeChange, predicted: np.ndarra
     k = m.shape[0]
     if k < 2:
         raise ValueError("need a grid of length >= 2")
-    # E[(X_t - X_s)^2] = M_tt + M_ss - 2 M_ts
-    d = np.diag(m)
     i, j = np.triu_indices(k, 1)
-    observed = np.maximum(d[i] + d[j] - 2.0 * m[i, j], 0.0)
-    predicted = predicted[i, j]
+    observed, predicted = increments(m)[i, j], predicted[i, j]
     observed.flags.writeable = predicted.flags.writeable = False
     return VarianceProfile(tc, n, predicted, observed)
 
@@ -80,8 +77,7 @@ def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:
         raise DegenerateDataError("need at least 8 distinct time-change values")
     dtheta = np.diff(theta)
     keep = dtheta > 0
-    d = np.diag(m)
-    v = (d[:-1] + d[1:] - 2.0 * np.diagonal(m, 1))[keep]
+    v = np.diagonal(increments(m), 1)[keep]
     if np.any(v <= 0):
         raise DegenerateDataError("zero variance increment")
     if v.size < 2:
@@ -96,7 +92,6 @@ class FlowStatistics:
     profile read from it, and the two series the Gaussianity check tests."""
 
     moments: np.ndarray         # M = paths^T paths / n
-    time_change: TimeChange
     profile: VarianceProfile
     end: np.ndarray             # the field at the last grid point
     half_increment: np.ndarray  # the last value minus the middle one
@@ -130,11 +125,19 @@ def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistic
     out = []
     for f, m, end, mid in zip(flows, sums, ends, mids):
         m /= n
-        tc = time_change(f)
-        profile = variance_profile(m, n, tc, predicted_increment_moment(f, h))
+        profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
         end = np.concatenate(end)
-        out.append(FlowStatistics(m, tc, profile, end, end - np.concatenate(mid)))
+        out.append(FlowStatistics(m, profile, end, end - np.concatenate(mid)))
     return out
+
+
+def isserlis_z(dev, g_ii, g_jj, g_ij, n: int) -> np.ndarray:
+    """|dev| in Isserlis (1918) standard errors of the sample second moment
+    of n centered Gaussian samples with second moments g, which tiny g do not
+    underflow; z is 0 where dev is 0, and inf where only the band is 0."""
+    se = np.hypot(np.sqrt(g_ii) * np.sqrt(g_jj), g_ij) / np.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dev == 0, 0.0, np.abs(dev) / se)
 
 
 @dataclass(frozen=True)
@@ -151,9 +154,12 @@ def gaussianity_check(samples: np.ndarray, z_limit: float = 4.0) -> GaussianityR
     n = x.size
     if n < 1000:
         raise ValueError("need at least 1000 samples")
-    if np.std(x) == 0:
+    if np.ptp(x) == 0:
         raise DegenerateDataError("zero variance sample")
     d = x - x.mean()
+    # scaled by a power of 2 to a largest |d| in [1/2, 1): the ratios below do
+    # not change, and the moments can neither overflow nor all underflow
+    d = np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
     m2, m3, m4 = (np.mean(d**k) for k in (2, 3, 4))
     # biased sample skewness and excess kurtosis (central moments, no
     # small-sample correction)

@@ -26,7 +26,7 @@ from sifbm.gaussian import (
     cholesky,
     sample_ensemble,
 )
-from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance, half_case_simulate
+from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance
 from sifbm.recovery import PreMeasureTable, Thresholds, _cell_criterion, characterize, psi_on_cells
 from sifbm.rects import Rect, measure, rect
 from sifbm.stats import flow_statistics, gaussianity_check
@@ -242,11 +242,10 @@ def test_criterion_08_integral_representation():
             assert fine_err < base_err, (
                 f"H={hv}: refinement did not reduce error ({base_err} -> {fine_err})"
             )
-        masses = [0.25, 0.7, 1.6]
-        paths = half_case_simulate(masses, seed=871, n_samples=n)
+        m = np.array([0.25, 0.7, 1.6])
+        want = np.minimum.outer(m, m)
+        paths = draw(m, want, 871, n)
         emp = (paths.T @ paths) / n
-        m = np.asarray(masses)
-        want = np.minimum(m[:, None], m[None, :])
         se = np.sqrt((np.outer(m, m) + want**2) / n)
         assert np.all(np.abs(emp - want) <= 3 * se), "half-case covariance off"
 

@@ -134,3 +134,20 @@ def test_ensemble_difference_is_located(tmp_path):
     write_ensemble_binary([x[:3]], dirs[1] / "ensemble.sifb", (3, 3))
     (line,) = compare_artifacts.compare(*dirs)
     assert line == "ensemble.sifb: bytes differ (headers or sizes differ)"
+
+
+def test_each_seed_reports_its_own_differences(tmp_path, monkeypatch, capsys):
+    runs = []
+
+    def compare_seed(base, change, seed, tmp):
+        runs.append((seed, tmp.name))
+        return ([f"configs/demo.json: intrep.json: bytes differ at seed {seed}"] if seed == 11 else []), 10
+
+    monkeypatch.setattr(compare_artifacts, "compare_seed", compare_seed)
+    assert compare_artifacts.main([str(tmp_path), str(tmp_path), "--seed", "7", "--seed", "11"]) == 1
+    assert runs == [(7, "seed7"), (11, "seed11")]
+    assert capsys.readouterr().out == "seed 11: configs/demo.json: intrep.json: bytes differ at seed 11\n"
+    runs.clear()
+    assert compare_artifacts.main([str(tmp_path), str(tmp_path)]) == 0
+    assert runs == [(7, "seed7")]
+    assert capsys.readouterr().out.startswith("no differences: 1 seed(s), 3 configs, 6 commands, 10 artifacts")

@@ -1072,8 +1072,26 @@ def edge_configs(draw):
         indices = {"lattice": {"shape": [draw(st.integers(1, 2))] * dim, "spacing": corner()}}
     hurst = draw(st.sampled_from([1e-8, 1e-6, 0.01, 0.3, 0.5]) | st.floats(1e-8, 0.5))
     n = draw(st.sampled_from([1, 99, 100, 999]) | st.integers(1000, 2000))
+    # a moving-average check over extreme masses, on a grid coarse enough to
+    # take milliseconds
+    masses = sorted(draw(st.lists(COORD, min_size=1, max_size=3)))
+    integral_rep = {"masses": masses, "variance_masses": masses[-1:],
+                    "hursts": [draw(st.sampled_from([1e-8, 0.01, 0.3, 0.49]))],
+                    "grid": {"cells_per_mass": 64, "refine_factor": 4}}
     return {"dimension": dim, "hurst": hurst, "seed": draw(st.integers(0, 2**32 - 1)),
-            "n_samples": n, "indices": indices, "flows": flows}
+            "n_samples": n, "indices": indices, "flows": flows, "integral_rep": integral_rep}
+
+
+# exact data that failed: a [2, 2] lattice whose covariance bands underflowed
+# to 0; a psi that underflowed to 0 from a variance below 1; a flow whose end
+# variance of 1e250 overflowed the Gaussianity moments to NaN
+TINY_BANDS = {"dimension": 2, "hurst": 0.3, "seed": 1, "n_samples": 1000, "flows": [],
+              "indices": {"lattice": {"shape": [2, 2], "spacing": [3.7e16, 1e-300]}}}
+PSI_UNDERFLOW = {"dimension": 1, "hurst": 1e-8, "seed": 7, "n_samples": 1000, "flows": [],
+                 "indices": {"corners": [[1e-300]]}}
+HUGE_END = {"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 1000,
+            "flows": [{"name": "f", "kind": "linear", "to": [1e250], "points": 3}],
+            "indices": {"corners": [[1.0]]}}
 
 
 def _numbers(obj):
@@ -1087,22 +1105,56 @@ def _numbers(obj):
 # numpy warns of the overflows and underflows that extreme boxes meet on the way
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(edge_configs())
-# two measures whose sum overflows; a variance whose X^4 sums overflow
+# two measures whose sum overflows; a variance whose X^4 sums overflow; Isserlis
+# bands that underflowed; a psi that underflows to 0; moment powers that overflowed
 @example({"dimension": 2, "hurst": 0.3, "seed": 0, "n_samples": 100, "flows": [],
           "indices": {"corners": [[1e154, 1.1e154], [1.1e154, 1e154]]}})
 @example({"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 100, "flows": [],
           "indices": {"lattice": {"shape": [1], "spacing": [1e154]}}})
+@example(TINY_BANDS)
+@example(PSI_UNDERFLOW)
+@example(HUGE_END)
 @settings(deadline=None, max_examples=100)
 def test_accepted_configs_exit_cleanly(raw):
     """Every command on an edge config exits 0, 1 or 2 and raises nothing
-    else, and no verdict it writes holds a NaN."""
+    else, and no report it writes holds a NaN."""
     with tempfile.TemporaryDirectory() as d:
-        raw["output_dir"] = str(Path(d) / "out")
+        raw = {**raw, "output_dir": str(Path(d) / "out")}
         path = Path(d) / "config.json"
         path.write_text(json.dumps(raw))
-        for command in ("simulate", "project", "recover-measure", "characterize", "report"):
+        for command in ("simulate", "project", "recover-measure", "verify-intrep", "characterize", "report"):
             assert main([command, "--config", str(path)]) in (0, 1, 2)
-        for fname in ("recovery.json", "characterization.json", "summary.json"):
+        for fname in ("projections.json", "recovery.json", "intrep.json", "characterization.json", "summary.json"):
             report = Path(raw["output_dir"]) / fname
             if report.exists():
                 assert not any(np.isnan(_numbers(json.loads(report.read_text())))), fname
+
+
+def _exit_codes(raw, out: Path, *commands) -> list[int]:
+    path = out.with_suffix(".json")
+    path.write_text(json.dumps({**raw, "output_dir": str(out)}))
+    return [main([command, "--config", str(path)]) for command in commands]
+
+
+def test_tiny_covariances_keep_their_bands(tmp_path):
+    # the Isserlis band is formed from square roots: G_ii G_jj = 1e-340
+    # underflowed to 0, and exact data failed covariance_comparison
+    for seed in (1, 2, 3):
+        raw = {**TINY_BANDS, "seed": seed}
+        assert _exit_codes(raw, tmp_path / f"s{seed}", "simulate", "characterize") == [0, 0]
+
+
+def test_psi_underflow_is_a_resolution_error(tmp_path, capsys):
+    # variance^(1/(2H)) at H = 1e-8 is 0 for a variance just below 1; it
+    # failed covariance_comparison at seed 7, and overflows at seeds 1-6
+    codes = _exit_codes(PSI_UNDERFLOW, tmp_path / "out", "simulate", "recover-measure", "characterize")
+    assert codes == [0, 1, 1]
+    assert "psi = variance^(1/(2H)) of Rect([1e-300]) underflows to 0 at hurst 1e-08" in capsys.readouterr().err
+
+
+def test_huge_flow_values_have_finite_moment_z(tmp_path):
+    assert _exit_codes(HUGE_END, tmp_path / "out", "simulate", "project", "characterize") == [0, 0, 0]
+    g = json.loads((tmp_path / "out" / "projections.json").read_text())["f"]["gaussianity"]
+    assert np.isfinite([g["skewness_z"], g["excess_kurtosis_z"]]).all()
+    criteria = json.loads((tmp_path / "out" / "characterization.json").read_text())["criteria"]
+    assert next(c for c in criteria if c["name"] == "gaussianity")["detail"].startswith("worst moment z at flow 0")

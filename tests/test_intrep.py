@@ -34,7 +34,6 @@ from sifbm.intrep import (
     KernelLaw,
     draw,
     fbm_covariance,
-    half_case_simulate,
     mvn_kernel,
     verify_intrep,
 )
@@ -868,33 +867,40 @@ class TestDiscretizedFactor:
         assert kept[2] == pytest.approx(4.0, rel=1e-12)
 
 
+def brownian(masses, seed: int, n_samples: int) -> np.ndarray:
+    """H = 1/2 as ``verify_intrep`` draws it: ``draw`` with the min(s, t)
+    covariance of the distinct positive masses."""
+    p = np.unique([m for m in masses if m > 0])
+    return draw(masses, np.minimum.outer(p, p), seed, n_samples)
+
+
 class TestHalfCase:
     def test_zero_mass(self):
-        paths = half_case_simulate([0.0], seed=1, n_samples=20)
+        paths = brownian([0.0], seed=1, n_samples=20)
         assert np.all(paths == 0.0)
 
     def test_unit_variance(self):
         n = 20_000
-        paths = half_case_simulate([1.0], seed=2, n_samples=n)
+        paths = brownian([1.0], seed=2, n_samples=n)
         var = float(np.mean(paths[:, 0] ** 2))
         assert var == pytest.approx(1.0, rel=0.03)
 
     def test_covariance_is_min(self):
         n = 20_000
         s, t = 0.4, 1.3
-        paths = half_case_simulate([s, t], seed=3, n_samples=n)
+        paths = brownian([s, t], seed=3, n_samples=n)
         cov = float(np.mean(paths[:, 0] * paths[:, 1]))
         se = np.sqrt((s * t + s**2) / n)
         assert abs(cov - s) <= 3 * se
 
     def test_deterministic(self):
-        a = half_case_simulate([0.5, 1.0], seed=11, n_samples=40)
-        b = half_case_simulate([0.5, 1.0], seed=11, n_samples=40)
+        a = brownian([0.5, 1.0], seed=11, n_samples=40)
+        b = brownian([0.5, 1.0], seed=11, n_samples=40)
         assert np.array_equal(a, b)
 
     def test_prefix_stable_across_block_boundary(self):
-        a = half_case_simulate([0.5, 1.0], seed=11, n_samples=300)
-        b = half_case_simulate([0.5, 1.0], seed=11, n_samples=700)
+        a = brownian([0.5, 1.0], seed=11, n_samples=300)
+        b = brownian([0.5, 1.0], seed=11, n_samples=700)
         assert np.array_equal(a, b[:300])
 
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sifbm.config import parse_config
-from sifbm.flows import flow_weights, flows_through
+from sifbm.config import load_config, parse_config
+from sifbm.flows import flow_weights, flows_through, predicted_increment_moment, time_change
 from sifbm.gaussian import (
     HurstParam,
     ResolutionError,
@@ -35,15 +35,18 @@ from sifbm.recovery import (
     _covariance_criterion,
     _flow_criteria,
     _psi_criteria,
+    covariance_deviations,
 )
 from sifbm.rects import (
     EMPTY,
     MAX_UNION_PARTS,
     Rect,
     corner_array,
+    grid_lower,
     rect,
     measure,
 )
+from sifbm.stats import variance_profile
 from sifbm.storage import StoredEnsemble, write_ensemble_binary
 from test_rects import (
     LeftNeighborhood,
@@ -861,3 +864,31 @@ class TestPairScans:
         assert (rec.passed, rec.statistic) == (recovered, worst_rel)
         assert rec.detail == f"worst relative recovery error {worst_detail}"
         assert (mono.passed, mono.statistic) == (passed, worst)
+
+
+SHIPPED = ("configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json")
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_exact_gram_is_exact_throughout(config):
+    """G = C, the exact covariance, in place of the sample second moments:
+    every deviation the verdicts read is round-off."""
+    cfg = load_config(ROOT / config)
+    h, n = cfg.hurst, cfg.n_samples
+    for f in cfg.flows:
+        boxes, a = flow_weights(f)
+        m = a.T @ build_cov_matrix(boxes, h).matrix @ a
+        vp = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
+        assert np.all(np.abs(vp.observed - vp.predicted) <= 1e-12 * vp.predicted)
+    boxes = tuple(cfg.table_indices)
+    c = build_cov_matrix(boxes, h).matrix
+    table = PreMeasureTable.from_moments(boxes, c, 3 * n * np.diag(c) ** 2, n, h)
+    m = measure(corner_array(boxes))
+    assert np.all(np.abs(table.value - m) <= 1e-12 * m)
+    i, j, dev = covariance_deviations(table, h)
+    assert len(i) >= len(boxes) and np.max(np.abs(dev)) <= 1e-12 * np.max(np.abs(c))
+    assert _covariance_criterion(table, h, Thresholds()).statistic == 1.0
+    corners = corner_array(boxes)
+    off_axes = np.all(corners > 0, axis=1)
+    value, _, tested = psi_on_cells(table, grid_lower(corners)[off_axes], corners[off_axes])
+    assert tested.any() and np.min(value[tested]) >= -1e-12 * np.max(m)

@@ -34,6 +34,7 @@ from sifbm.stats import (
     flow_statistics,
     gaussianity_check,
     hurst_estimate,
+    isserlis_z,
     variance_profile,
 )
 
@@ -174,6 +175,35 @@ class TestGaussianity:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             gaussianity_check(np.random.default_rng(0).standard_normal(100))
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_rescaled_series_same_z(self, k):
+        # skewness and kurtosis do not change when the series is rescaled: at
+        # scale 2^k no moment power overflows, or underflows to 0, on the way
+        x = np.random.default_rng(5).standard_normal(2000)
+        assert gaussianity_check(np.ldexp(x, k)) == gaussianity_check(x)
+
+
+class TestIsserlisZ:
+    def test_matches_the_isserlis_variance(self):
+        # Var(mean of X_i X_j) = (G_ii G_jj + G_ij^2) / n for centered Gaussians
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((4, 4))
+        g, dev = b @ b.T, rng.standard_normal((4, 4))
+        d = np.diag(g)
+        want = np.abs(dev) / np.sqrt((np.outer(d, d) + g**2) / 500)
+        got = isserlis_z(dev, d[:, None], d, g, 500)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_tiny_moments_keep_their_band(self):
+        # G_ii G_jj = 1e-340 underflows to 0, sqrt(G_ii) sqrt(G_jj) does not
+        g = 1e-170
+        assert isserlis_z(g / 100, g, g, g, 10_000) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+
+    def test_zero_band(self):
+        # 0 where the deviation is 0, inf where only the band is
+        z = isserlis_z(np.array([0.0, 1e-300, -2.0]), 0.0, 0.0, 0.0, 100)
+        assert z.tolist() == [0.0, math.inf, math.inf]
 
 
 def test_import_leaves_scipy_unloaded():
@@ -446,7 +476,7 @@ class TestVarianceProfile:
         for n, (f, fs) in enumerate(zip(flows, flow_statistics(e.row_blocks(), e.indices, flows, h))):
             new, ref = tmp_path / f"new{n}.csv", tmp_path / f"ref{n}.csv"
             write_profile_csv(fs.profile, new)
-            rows = seven_column_rows(fs.moments, 300, fs.time_change, predicted_increment_moment(f, h))
+            rows = seven_column_rows(fs.moments, 300, fs.profile.time_change, predicted_increment_moment(f, h))
             write_seven_columns(rows, ref)
             lines = ref.read_bytes().split(b"\r\n")
             assert new.read_bytes() == b"\r\n".join(line.rpartition(b",")[0] for line in lines)
