@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_hash, load_config
-from .gaussian import ResolutionError, build_cov_matrix, cholesky, ensemble_blocks
+from .flows import SimpleFlow
+from .gaussian import NotPSDError, ResolutionError, build_cov_matrix, cholesky, draw_blocks
 from .intrep import verify_intrep
 from .recovery import CharacterizationReport, characterize, recover_measure
 from .stats import DegenerateDataError, flow_statistics, gaussianity_check, hurst_estimate
@@ -126,11 +127,11 @@ def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
     idx = cfg.ensemble_indices()
-    factor = cholesky(build_cov_matrix(idx, cfg.hurst))
-    blocks = ensemble_blocks(factor, cfg.n_samples, seed=cfg.seed, jobs=cfg.jobs)
+    lower, jitter = cholesky(build_cov_matrix(idx, cfg.hurst))
+    blocks = draw_blocks(cfg.seed, cfg.n_samples, lower.T.copy(), cfg.jobs)
     write_ensemble_binary(blocks, out / ENSEMBLE_BIN, (cfg.n_samples, len(idx)))
     return Outcome(
-        note=f"{cfg.n_samples} samples over {len(idx)} indices (jitter {factor.jitter:g})",
+        note=f"{cfg.n_samples} samples over {len(idx)} indices (jitter {jitter:g})",
         files=(ENSEMBLE_BIN,),
         manifest={"simulation": _simulation_record(cfg, idx)},
     )
@@ -141,7 +142,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
     n = e.n_samples
     stats = flow_statistics(e.row_blocks(), e.indices, cfg.flows, cfg.hurst)
     files, report = [], {}
-    for name, fs in zip(cfg.flow_names, stats):
+    for name, f, fs in zip(cfg.flow_names, cfg.flows, stats):
         vp = fs.profile
         fname = f"profile_{name}.csv"
         write_profile_csv(vp, out / fname)
@@ -150,10 +151,16 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
             "fraction_within_band": vp.fraction_within(cfg.thresholds.profile_se_mult),
             "n_pairs": vp.observed.size,
         }
-        try:
-            entry["hurst_estimate"] = hurst_estimate(fs.moments, n, vp.time_change)
-        except (DegenerateDataError, ValueError) as exc:
-            entry["hurst_estimate_error"] = str(exc)
+        if isinstance(f, SimpleFlow):
+            entry["hurst_estimate_error"] = (
+                "not estimated on a simple flow: its increment moments are "
+                "A^T C A, not the power law in the time change the estimate fits"
+            )
+        else:
+            try:
+                entry["hurst_estimate"] = hurst_estimate(fs.moments, n, vp.time_change)
+            except (DegenerateDataError, ValueError) as exc:
+                entry["hurst_estimate_error"] = str(exc)
         if np.ptp(fs.end) > 0 and n >= 1000:
             g = gaussianity_check(fs.end, z_limit=cfg.thresholds.gaussianity_z)
             entry["gaussianity"] = {
@@ -279,7 +286,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"sifbm: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArtifactError, FileNotFoundError, ResolutionError) as exc:
+    except (ArtifactError, FileNotFoundError, NotPSDError, ResolutionError) as exc:
         print(f"sifbm: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix, columns
+from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix, columns, increments
 from .rects import EMPTY, Rect, corner_array, measure, signed_terms
 
 DEFAULT_FLOW_POINTS = 64
@@ -227,15 +227,7 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
         th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
     boxes, a = flow_weights(f)
-    return increments(a.T @ build_cov_matrix(boxes, h).matrix @ a)
-
-
-def increments(m: np.ndarray) -> np.ndarray:
-    """E[(X_t - X_s)^2] = M_ss + M_tt - 2 M_st for every pair of grid points
-    from the second-moment matrix M along the grid, clipped at 0: the one
-    place an increment moment is read from second moments."""
-    d = np.diag(m)
-    return np.maximum(d[:, None] + d[None, :] - 2.0 * m, 0.0)
+    return increments(a.T @ build_cov_matrix(boxes, h) @ a)
 
 
 def project(e: SampleEnsemble, f: Flow) -> np.ndarray:

@@ -6,9 +6,10 @@ The covariance of the field over box indices is
 
 with m Lebesgue measure (``rects.measure``), (+) the symmetric difference,
 H in (0, 1/2], and the convention 0^{2H} = 0.  At H = 1/2 this reduces to
-m(U n V).  Ensembles are drawn through the Cholesky factor over the indices
-of positive variance, so degenerate boxes get exactly-zero columns
-(``cholesky``).
+m(U n V).  Every Gaussian draw of the package, the ensembles here and the
+moving-average laws of ``sifbm.intrep``, goes through one factor:
+``cholesky`` of a plain covariance array over its indices of positive
+variance, so degenerate boxes get exactly-zero columns.
 
 Stream contract (``draw_blocks``, shared with the moving-average draws of
 ``sifbm.intrep``): rows come in fixed blocks of STREAM_BLOCK, each with its
@@ -29,7 +30,7 @@ import numpy as np
 
 from .rects import Rect, corner_array, measure
 
-# Jitter multipliers tried in order, scaled by max(diag).
+# Jitter multipliers tried in order, each scaling every positive variance.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 # Rows per random stream and per matrix product.  Part of the stream
@@ -83,65 +84,50 @@ def covariance_from_measures(m_u, m_v, m_symdiff, h: HurstParam):
     return 0.5 * (m_u**p + m_v**p - np.maximum(m_symdiff, 0.0) ** p)
 
 
-@dataclass(frozen=True)
-class CovMatrix:
-    indices: tuple[Rect, ...]
-    matrix: np.ndarray
-    hurst: HurstParam
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
+def increments(m: np.ndarray) -> np.ndarray:
+    """m_ss + m_tt - 2 m_st for every pair (s, t), clipped at 0: the increment
+    moments E[(X_t - X_s)^2] of a second-moment matrix, and the symmetric
+    difference measures of an intersection-measure matrix."""
+    d = np.diag(m)
+    return np.maximum(d[:, None] + d[None, :] - 2.0 * m, 0.0)
 
 
-def build_cov_matrix(indices, h: HurstParam) -> CovMatrix:
-    """Dense symmetric covariance over an ordered index list, computed on the
-    (n, N) corner array: m(U n V) is the ``rects.measure`` of the corner
-    minimum of U and V."""
+def build_cov_matrix(indices, h: HurstParam) -> np.ndarray:
+    """Dense symmetric covariance over an ordered index list, read-only,
+    computed on the (n, N) corner array: m(U n V) is the ``rects.measure`` of
+    the corner minimum of U and V, and m(U (+) V) its ``increments``."""
     indices = tuple(indices)
     if not indices:
         raise ValueError("index list must be non-empty")
     corners = corner_array(indices)
-    meas = measure(corners)
     inter = measure(np.minimum(corners[:, None], corners[None]))
+    meas = np.diag(inter)
     # the diagonal's symmetric difference is exactly 0, so its entries are m^{2H}
-    mat = covariance_from_measures(meas[:, None], meas, np.add.outer(meas, meas) - 2.0 * inter, h)
-    return CovMatrix(indices, mat, h)
+    mat = covariance_from_measures(meas[:, None], meas, increments(inter), h)
+    mat.flags.writeable = False
+    return mat
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L^T = C + jitter*I on the indices of
-    positive variance; the rows of zero-variance indices are 0, so their
-    sampled columns are exactly 0."""
-
-    indices: tuple[Rect, ...]
-    lower: np.ndarray
-    jitter: float
-    hurst: HurstParam
-
-    def __post_init__(self):
-        self.lower.flags.writeable = False
-
-
-def cholesky(c: CovMatrix) -> CholeskyFactor:
-    """Factorize C over its indices of nonzero variance, escalating through
-    JITTER_LADDER until that succeeds (a repeated index needs jitter) and
-    recording the jitter.  A zero-variance index has zero covariance with
-    every index, so the factor is exact without it; a negative variance fails."""
-    mat = c.matrix
-    diag = np.diag(mat)
+def cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """(L, jitter): the lower-triangular factor of a covariance over its
+    indices of nonzero variance, L L^T = C + jitter * diag(C) there, with the
+    zero-variance indices' rows 0 (their covariances are all 0, so nothing is
+    lost); jitter is the first multiplier of JITTER_LADDER that factors, 0
+    (the exact law) unless C is singular there, as for a repeated index.  It
+    scales each variance by itself, so no index's scale matters."""
+    diag = np.diag(cov)
     keep = np.flatnonzero(diag != 0.0)
-    for mult in JITTER_LADDER:
-        eps = mult * diag.max()
+    block = cov[np.ix_(keep, keep)]
+    for jitter in JITTER_LADDER:
         try:
-            part = np.linalg.cholesky(mat[np.ix_(keep, keep)] + eps * np.eye(keep.size))
+            part = np.linalg.cholesky(block + np.diag(jitter * diag[keep]))
         except np.linalg.LinAlgError:
             continue
-        lower = np.zeros_like(mat)
+        lower = np.zeros(cov.shape)
         lower[np.ix_(keep, keep)] = part
-        return CholeskyFactor(c.indices, lower, eps, c.hurst)
+        return lower, jitter
     raise NotPSDError(
-        f"not PSD within jitter budget {JITTER_LADDER[-1]:g}*max(diag); "
+        f"not PSD within jitter budget {JITTER_LADDER[-1]:g}*diag; "
         "the covariance is invalid"
     )
 
@@ -217,13 +203,10 @@ def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> np.n
     return out
 
 
-def ensemble_blocks(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> Iterator[np.ndarray]:
-    """The rows of ``sample_ensemble``, drawn block by block as they are read."""
-    return draw_blocks(seed, n_samples, factor.lower.T.copy(), jobs)
-
-
-def sample_ensemble(factor: CholeskyFactor, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
-    """Draw rows L @ z with z standard normal from the streams of ``seed``."""
-    out = block_draw(seed, n_samples, factor.lower.T.copy(), jobs)
-    return SampleEnsemble(factor.indices, out, factor.hurst)
-
+def sample_ensemble(indices, h: HurstParam, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
+    """n_samples draws of the field over ``indices`` from the streams of
+    ``seed``: rows z @ L^T, L the ``cholesky`` factor of the covariance, the
+    rows ``sifbm simulate`` writes for the same fields."""
+    indices = tuple(indices)
+    lower, _ = cholesky(build_cov_matrix(indices, h))
+    return SampleEnsemble(indices, block_draw(seed, n_samples, lower.T.copy(), jobs), h)

@@ -15,8 +15,10 @@ C(H) is computed from the same quadrature on a unit-mass grid, which makes
 the variance of a single-mass simulation exactly theta^{2H} by scaling.  The
 representation is exactly N(0, C(H)^2 G), G the Gram K diag(widths) K^T plus
 the tails, so the quadrature enters only through ``KernelLaw``, and
-``draw`` takes exact samples from that law through a factor over the
-distinct positive masses, not one normal per cell.  One Brownian motion
+``draw`` takes exact samples from that law through its ``gaussian.cholesky``
+factor over the distinct positive masses, not one normal per cell.  That is
+the factor the field's ensembles are drawn through, and it is scale-free, so
+a small mass keeps its variance beside a large one.  One Brownian motion
 drives every point of a masses list; it is never reused across calls, so
 the representation stays per-flow.
 
@@ -45,13 +47,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .gaussian import HurstParam, ResolutionError, block_draw, covariance_from_measures
+from .gaussian import HurstParam, ResolutionError, block_draw, cholesky, covariance_from_measures
 from .recovery import CharacterizationReport, CriterionResult
 from .stats import isserlis_z
-
-# Eigenvalues of the discretized covariance below this fraction of the largest
-# are round-off of a rank-deficient matrix and are clipped to zero.
-_EIG_CLIP = 1e-12
 
 # A discretization error at most this fraction of the largest covariance is
 # round-off, which refinement cannot be expected to reduce: single-mass
@@ -328,15 +326,12 @@ def draw(masses, cov: np.ndarray, seed: int, n_samples: int) -> np.ndarray:
     """Paths (n_samples, len(masses)) along a masses list, with ``cov`` the
     covariance of its distinct positive masses in increasing order: one
     normal per distinct positive mass from the streams of ``seed``, through
-    an eigendecomposition factor of ``cov`` whose eigenvalues below
-    _EIG_CLIP of the largest are clipped to 0.  Equal masses give bit-equal
-    columns, zero masses zero columns."""
+    the ``gaussian.cholesky`` factor of ``cov``.  Equal masses give bit-equal
+    columns, zero masses and masses of zero variance zero columns."""
     distinct, inverse = np.unique(validate_masses(masses), return_inverse=True)
     positive = distinct > 0
     f = np.zeros((distinct.size, int(np.count_nonzero(positive))))
-    if positive.any():
-        lam, vec = np.linalg.eigh(cov)
-        f[positive] = vec * np.sqrt(np.where(lam > _EIG_CLIP * lam[-1], lam, 0.0))
+    f[positive] = cholesky(cov)[0]
     return block_draw(seed, n_samples, f.T)[:, inverse]
 
 

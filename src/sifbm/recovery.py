@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import Flow
-from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures
+from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures, increments
 from .rects import Rect, cell_corners, corner_array, grid_lower, measure
 from .stats import flow_statistics, gaussianity_check, isserlis_z
 
@@ -319,8 +319,9 @@ def covariance_deviations(table, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     inter = np.minimum(corners[:, None], corners[None, :]).reshape(t * t, dim)
     k = _table_rows(table, inter).reshape(t, t)
     i, j = np.nonzero(np.triu(k >= 0))
-    mu, mv, mi = table.value[i], table.value[j], table.value[k[i, j]]
-    return i, j, table.gram[i, j] - covariance_from_measures(mu, mv, mu + mv - 2 * mi, h)
+    # psi of each intersection, 0 where the table lacks it; its diagonal is psi
+    psi = np.append(table.value, 0.0)[k]
+    return i, j, table.gram[i, j] - covariance_from_measures(psi[i, i], psi[j, j], increments(psi)[i, j], h)
 
 
 def _covariance_criterion(table, h, thr) -> CriterionResult:

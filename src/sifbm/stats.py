@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import TimeChange, block_paths, flow_weights, increments, predicted_increment_moment, time_change
-from .gaussian import HurstParam, columns
+from .flows import TimeChange, block_paths, flow_weights, predicted_increment_moment, time_change
+from .gaussian import HurstParam, columns, increments
 
 
 class DegenerateDataError(ValueError):

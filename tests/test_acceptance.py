@@ -23,7 +23,6 @@ from sifbm.gaussian import (
     HurstParam,
     SampleEnsemble,
     build_cov_matrix,
-    cholesky,
     sample_ensemble,
 )
 from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance
@@ -52,7 +51,7 @@ def criterion(num: int, label: str):
 
 def exact_ensemble(indices, h, n, seed):
     idx = sorted(set(indices), key=lambda r: r.corner)
-    return sample_ensemble(cholesky(build_cov_matrix(idx, HurstParam(h))), n, seed=seed)
+    return sample_ensemble(idx, HurstParam(h), n, seed=seed)
 
 
 def flow_battery(points=64):
@@ -81,7 +80,7 @@ def test_criterion_01_half_case_covariance_identity():
         want = np.array(
             [[measure(np.minimum(u.corner, v.corner)) for v in pts] for u in pts]
         )
-        dev = float(np.max(np.abs(cm.matrix - want)))
+        dev = float(np.max(np.abs(cm - want)))
         assert dev <= 1e-12, f"max deviation {dev}"
 
 
@@ -94,8 +93,8 @@ def test_criterion_02_psd_random_index_sets():
             idx = [Rect(tuple(rng.uniform(0, 3, dim))) for _ in range(k)]
             for hv in (0.1, 0.2, 0.35, 0.5):
                 cm = build_cov_matrix(idx, HurstParam(hv))
-                mineig = float(np.linalg.eigvalsh(cm.matrix).min())
-                bound = -1e-10 * float(cm.matrix.diagonal().max())
+                mineig = float(np.linalg.eigvalsh(cm).min())
+                bound = -1e-10 * float(cm.diagonal().max())
                 assert mineig >= bound, f"min eig {mineig} < {bound} at H={hv}"
 
 
@@ -272,14 +271,12 @@ def test_criterion_09_characterization_discrimination():
         for f in battery:
             idx.update(flow_weights(f)[0])
         idx = sorted(idx, key=lambda r: r.corner)
-        base_factor = cholesky(build_cov_matrix(idx, h))
-        wrong_factor = cholesky(build_cov_matrix(idx, HurstParam(hv + 0.15)))
         for seed in (901, 902, 903, 904, 905):
             rng = np.random.default_rng(seed)
-            exact = sample_ensemble(base_factor, n, seed=seed)
+            exact = sample_ensemble(idx, h, n, seed=seed)
             rep = characterize(exact, battery, h, table_indices=lattice)
             assert rep.verdict, f"seed {seed}: exact input failed {rep.failed}"
-            wrong_h = sample_ensemble(wrong_factor, n, seed=seed)
+            wrong_h = sample_ensemble(idx, HurstParam(hv + 0.15), n, seed=seed)
             wrong_h = SampleEnsemble(wrong_h.indices, wrong_h.samples, h)
             rep = characterize(wrong_h, battery, h, table_indices=lattice)
             assert not rep.verdict and "variance_profile" in rep.failed, (

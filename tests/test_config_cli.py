@@ -22,7 +22,7 @@ from sifbm.gaussian import (
     HurstParam,
     build_cov_matrix,
     cholesky,
-    ensemble_blocks,
+    draw_blocks,
     sample_ensemble,
 )
 from sifbm.intrep import KERNEL_H_MAX
@@ -94,16 +94,13 @@ def read_all(path, shape=(None, None)) -> np.ndarray:
 
 
 class TestStorage:
-    def _factor(self):
-        return cholesky(build_cov_matrix([EMPTY, rect(1, 1), rect(2, 1)], HurstParam(0.3)))
-
     def _ensemble(self, n=20):
-        return sample_ensemble(self._factor(), n, seed=3)
+        return sample_ensemble([EMPTY, rect(1, 1), rect(2, 1)], HurstParam(0.3), n, seed=3)
 
     def test_binary_round_trip(self, tmp_path):
         e = self._ensemble()
         p = tmp_path / "e.sifb"
-        write_ensemble_binary(ensemble_blocks(self._factor(), 20, seed=3), p, e.samples.shape)
+        write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
         assert np.array_equal(read_all(p), e.samples)
 
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (257, 5)])
@@ -161,10 +158,11 @@ class TestStorage:
         # makes the covariance singular, so the factor needs jitter
         idx = [rect(*c) for c in corners]
         idx += [EMPTY] * with_empty + idx[:1] * duplicate
-        factor = cholesky(build_cov_matrix(idx, HurstParam(h)))
+        # the blocks ``sifbm simulate`` streams, against the in-memory draw
+        lower, _ = cholesky(build_cov_matrix(idx, HurstParam(h)))
         p = tmp_path_factory.getbasetemp() / "stream.sifb"
-        write_ensemble_binary(ensemble_blocks(factor, n, seed, jobs), p, (n, len(idx)))
-        ref = sample_ensemble(factor, n, seed).samples.astype("<f8").tobytes()
+        write_ensemble_binary(draw_blocks(seed, n, lower.T.copy(), jobs), p, (n, len(idx)))
+        ref = sample_ensemble(idx, HurstParam(h), n, seed).samples.astype("<f8").tobytes()
         assert p.read_bytes() == _HEADER.pack(MAGIC, VERSION, n, len(idx)) + ref
 
     @settings(max_examples=200, deadline=None)
@@ -502,6 +500,20 @@ class TestCli:
         assert (out / "profile_diag.csv").exists()
         assert (out / "profile_branch.csv").exists()
         assert (out / "projections.json").exists()
+
+    def test_simple_flow_gets_no_hurst_estimate(self, tmp_path):
+        # the regression fits the power law in the time change, which a
+        # simple flow's increments leave where its branches interact: on
+        # exact moments at H = 0.3 it read 0.3175 on the demo's two_branch
+        flows = copy.deepcopy(BASE_CONFIG["flows"])
+        for seg in flows[1]["segments"]:
+            seg["points"] = 8
+        _, raw = make_config(tmp_path, n_samples=2000, flows=flows)
+        assert _exit_codes(raw, tmp_path / "out", "simulate", "project") == [0, 0]
+        report = json.loads((tmp_path / "out" / "projections.json").read_text())
+        assert "hurst_estimate" in report["diag"] and "hurst_estimate_error" not in report["diag"]
+        assert "hurst_estimate" not in report["branch"]
+        assert report["branch"]["hurst_estimate_error"].startswith("not estimated on a simple flow")
 
     def test_manifest_contents(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -1092,6 +1104,13 @@ PSI_UNDERFLOW = {"dimension": 1, "hurst": 1e-8, "seed": 7, "n_samples": 1000, "f
 HUGE_END = {"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 1000,
             "flows": [{"name": "f", "kind": "linear", "to": [1e250], "points": 3}],
             "indices": {"corners": [[1.0]]}}
+# a moving-average law that is not positive semidefinite: 64 cells per mass
+# of 1e150 cannot tell the masses 1e-8 and 0.5 apart, and their correlation
+# reads 1.00000013, beyond the jitter ladder
+UNRESOLVED_LAW = {"dimension": 1, "hurst": 1e-8, "seed": 0, "n_samples": 1, "flows": [],
+                  "indices": {"lattice": {"shape": [1], "spacing": [1e-300]}},
+                  "integral_rep": {"masses": [1e-8, 0.5, 1e150], "variance_masses": [1e150],
+                                   "hursts": [0.3], "grid": {"cells_per_mass": 64, "refine_factor": 4}}}
 
 
 def _numbers(obj):
@@ -1114,6 +1133,7 @@ def _numbers(obj):
 @example(TINY_BANDS)
 @example(PSI_UNDERFLOW)
 @example(HUGE_END)
+@example(UNRESOLVED_LAW)
 @settings(deadline=None, max_examples=100)
 def test_accepted_configs_exit_cleanly(raw):
     """Every command on an edge config exits 0, 1 or 2 and raises nothing
@@ -1150,6 +1170,11 @@ def test_psi_underflow_is_a_resolution_error(tmp_path, capsys):
     codes = _exit_codes(PSI_UNDERFLOW, tmp_path / "out", "simulate", "recover-measure", "characterize")
     assert codes == [0, 1, 1]
     assert "psi = variance^(1/(2H)) of Rect([1e-300]) underflows to 0 at hurst 1e-08" in capsys.readouterr().err
+
+
+def test_law_beyond_the_jitter_ladder_exits_1(tmp_path, capsys):
+    assert _exit_codes(UNRESOLVED_LAW, tmp_path / "out", "verify-intrep") == [1]
+    assert "not PSD within jitter budget" in capsys.readouterr().err
 
 
 def test_huge_flow_values_have_finite_moment_z(tmp_path):

@@ -23,7 +23,6 @@ from sifbm.gaussian import (
     MissingIndexError,
     SampleEnsemble,
     build_cov_matrix,
-    cholesky,
     columns,
     sample_ensemble,
 )
@@ -218,8 +217,7 @@ class TestSimpleFlow:
 class TestProjection:
     def _exact_ensemble(self, flow, h=0.35, n=200, seed=5, extra=()):
         idx = sorted(set(flow_weights(flow)[0]) | set(extra), key=lambda r: r.corner)
-        f = cholesky(build_cov_matrix(idx, HurstParam(h)))
-        return sample_ensemble(f, n, seed=seed)
+        return sample_ensemble(idx, HurstParam(h), n, seed=seed)
 
     def test_constant_flow_reproduces_column(self):
         u = rect(1, 1)
@@ -239,8 +237,7 @@ class TestProjection:
     def test_missing_index_listed(self):
         f = diag_flow(5)
         idx = [v for v in f.values if v != rect(0.5, 0.5) and not v.is_empty]
-        fac = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
-        e = sample_ensemble(fac, 10, seed=1)
+        e = sample_ensemble(idx, HurstParam(0.3), 10, seed=1)
         with pytest.raises(MissingIndexError) as ei:
             project(e, f)
         assert rect(0.5, 0.5) in ei.value.missing
@@ -438,7 +435,7 @@ class TestFlowWeights:
         # every elementary flow, with no sampling
         h = HurstParam(hv)
         boxes, a = flow_weights(f)
-        second = a.T @ build_cov_matrix(boxes, h).matrix @ a
+        second = a.T @ build_cov_matrix(boxes, h) @ a
         d = np.diag(second)
         inc = d[:, None] + d[None, :] - 2.0 * second
         want = predicted_increment_moment(f, h)

@@ -11,7 +11,6 @@ from sifbm.config import load_config
 from sifbm.flows import project
 from sifbm.gaussian import (
     STREAM_BLOCK,
-    CholeskyFactor,
     HurstParam,
     MissingIndexError,
     NotPSDError,
@@ -22,7 +21,7 @@ from sifbm.gaussian import (
     covariance_from_measures,
     sample_ensemble,
 )
-from sifbm.intrep import fbm_covariance
+from sifbm.intrep import KernelLaw, fbm_covariance
 from sifbm.rects import EMPTY, DimensionMismatchError, Rect, corner_array, measure, rect
 from test_rects import box_measure, symdiff_measure, union_flow
 
@@ -49,6 +48,18 @@ def index_lists(draw):
     coord = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 4, allow_nan=False)
     box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
     return draw(st.lists(box, min_size=1, max_size=12))
+
+
+@st.composite
+def grams(draw):
+    """Gram matrices A A^T of 1..9 small-integer rows, some repeated and some
+    0, with each index rescaled by a power of ten from 1e-150 to 1e150."""
+    r = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=5))
+    a += draw(st.lists(st.sampled_from(a), max_size=2)) + [[0] * r] * draw(st.integers(0, 2))
+    a = np.array(draw(st.permutations(a)), dtype=float)
+    scale = 10.0 ** np.array(draw(st.lists(st.floats(-150, 150), min_size=len(a), max_size=len(a))))
+    return np.outer(scale, scale) * (a @ a.T)
 
 
 class TestHurstParam:
@@ -98,13 +109,13 @@ class TestCovariance:
 class TestCovMatrix:
     def test_single_index(self):
         cm = build_cov_matrix([rect(1, 1)], HurstParam(0.3))
-        assert cm.matrix.shape == (1, 1)
-        assert cm.matrix[0, 0] == pytest.approx(1.0)
+        assert cm.shape == (1, 1)
+        assert cm[0, 0] == pytest.approx(1.0)
 
     def test_empty_index_row_zero(self):
         cm = build_cov_matrix([EMPTY, rect(1, 1)], HurstParam(0.3))
-        assert np.all(cm.matrix[0] == 0.0)
-        assert np.all(cm.matrix[:, 0] == 0.0)
+        assert np.all(cm[0] == 0.0)
+        assert np.all(cm[:, 0] == 0.0)
 
     def test_half_grid_equals_intersections(self):
         pts = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
@@ -112,7 +123,7 @@ class TestCovMatrix:
         want = np.array(
             [[measure(np.minimum(u.corner, v.corner)) for v in pts] for u in pts]
         )
-        assert np.max(np.abs(cm.matrix - want)) < 1e-12
+        assert np.max(np.abs(cm - want)) < 1e-12
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +137,8 @@ class TestCovMatrix:
     @settings(max_examples=200)
     def test_matches_scalar_covariance(self, idx, h):
         # corner-array assembly against the scalar per-pair reference
-        got = build_cov_matrix(idx, h).matrix
+        got = build_cov_matrix(idx, h)
+        assert not got.flags.writeable
         want = np.array([[covariance(u, v, h) for v in idx] for u in idx])
         # symmetric bit for bit: ``cholesky`` reads one triangle, unchecked
         assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
@@ -147,7 +159,7 @@ class TestCovMatrix:
         mp = meas**p
         want = 0.5 * (np.add.outer(mp, mp) - sd**p)
         np.fill_diagonal(want, mp)
-        assert np.array_equal(build_cov_matrix(idx, h).matrix, want)
+        assert np.array_equal(build_cov_matrix(idx, h), want)
         # and fbm_covariance's, with the sorted box measures as one flow's
         # time-change values
         t = np.sort(measure(corner_array(idx)))
@@ -162,90 +174,110 @@ class TestCovMatrix:
                 k = int(rng.integers(2, 13))
                 idx = [Rect(tuple(rng.uniform(0, 3, dim))) for _ in range(k)]
                 cm = build_cov_matrix(idx, HurstParam(h))
-                mineig = np.linalg.eigvalsh(cm.matrix).min()
-                assert mineig >= -1e-10 * cm.matrix.diagonal().max()
+                mineig = np.linalg.eigvalsh(cm).min()
+                assert mineig >= -1e-10 * cm.diagonal().max()
 
 
 class TestCholesky:
     def test_identity(self):
         cm = build_cov_matrix([rect(1, 1)], HurstParam(0.3))
-        f = cholesky(cm)
-        assert f.jitter == 0.0
-        assert f.lower[0, 0] == pytest.approx(1.0)
+        lower, jitter = cholesky(cm)
+        assert jitter == 0.0
+        assert lower[0, 0] == pytest.approx(1.0)
 
     def test_1x1_scalar(self):
         cm = build_cov_matrix([rect(2, 2)], HurstParam(0.5))  # variance 4
-        f = cholesky(cm)
-        assert f.lower[0, 0] == pytest.approx(2.0)
+        assert cholesky(cm)[0][0, 0] == pytest.approx(2.0)
 
     def test_random_set_small_jitter(self):
         rng = np.random.default_rng(5)
         idx = [Rect(tuple(rng.uniform(0.2, 3, 2))) for _ in range(6)]
         cm = build_cov_matrix(idx, HurstParam(0.2))
         # eigenvalue oracle: matrix is PSD up to fp noise before any jitter
-        assert np.linalg.eigvalsh(cm.matrix).min() >= -1e-12
-        f = cholesky(cm)
-        assert f.jitter <= 1e-10 * cm.matrix.diagonal().max()
+        assert np.linalg.eigvalsh(cm).min() >= -1e-12
+        assert cholesky(cm)[1] <= 1e-10
 
     def test_duplicated_index_needs_jitter_but_factorizes(self):
         idx = [rect(1, 1), rect(1, 1), rect(2, 1)]
-        f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
-        assert f.jitter > 0.0
-        recon = f.lower @ f.lower.T
         cm = build_cov_matrix(idx, HurstParam(0.3))
-        assert np.allclose(recon, cm.matrix, atol=1e-7)
+        lower, jitter = cholesky(cm)
+        assert jitter > 0.0
+        assert np.allclose(lower @ lower.T, cm, atol=1e-7)
 
     @given(index_lists(), hursts, st.data())
     @settings(max_examples=200, deadline=None)
     def test_factor_of_the_positive_variance_indices(self, idx, h, data):
         # boxes, degenerate boxes, EMPTY and repeated indices: L L^T is C +
-        # jitter*I where the variance is positive, and 0 elsewhere
+        # jitter*diag(C) where the variance is positive, and 0 elsewhere
         idx = idx + data.draw(st.lists(st.sampled_from(idx), max_size=3))
-        cm = build_cov_matrix(idx, h)
-        c, f = cm.matrix, cholesky(cm)
+        c = build_cov_matrix(idx, h)
+        lower, jitter = cholesky(c)
         pos = np.diag(c) > 0.0
-        want = np.where(np.outer(pos, pos), c + f.jitter * np.eye(len(idx)), 0.0)
-        assert np.max(np.abs(f.lower @ f.lower.T - want)) <= 1e-12 * np.max(np.diag(c))
-        assert np.all(f.lower[~pos] == 0.0)
-        e = sample_ensemble(f, 3, seed=1)
+        want = np.where(np.outer(pos, pos), c + jitter * np.diag(np.diag(c)), 0.0)
+        assert np.max(np.abs(lower @ lower.T - want)) <= 1e-12 * np.max(np.diag(c))
+        assert np.all(lower[~pos] == 0.0)
+        e = sample_ensemble(idx, h, 3, seed=1)
         assert np.all(e.samples[:, ~pos] == 0.0)
+
+    @given(grams())
+    @settings(max_examples=300, deadline=None)
+    def test_factor_of_any_rescaled_gram(self, c):
+        # repeated rows need the ladder; its jitter scales each variance by
+        # itself, so a rescaled index changes nothing but its own scale
+        lower, jitter = cholesky(c)
+        d = np.diag(c)
+        pos = d > 0
+        want = c + jitter * np.diag(d)
+        band = 1e-12 * np.outer(np.sqrt(d), np.sqrt(d))  # d_i d_j can underflow
+        assert np.all(np.abs(lower @ lower.T - want)[np.ix_(pos, pos)] <= band[np.ix_(pos, pos)])
+        assert np.all(lower[~pos] == 0.0) and np.all(lower[:, ~pos] == 0.0)
+        if jitter == 0.0:
+            keep = np.flatnonzero(pos)
+            want = np.linalg.cholesky(c[np.ix_(keep, keep)])
+            assert np.array_equal(lower[np.ix_(keep, keep)], want)
 
     @pytest.mark.parametrize(
         "config", ["configs/demo.json", "benchmark/configs/wide.json", "benchmark/configs/intrep_coarse.json"]
     )
     def test_shipped_configs_factor_without_jitter(self, config):
+        # every law a shipped config draws from: the field's over its
+        # ensemble indices, and verify-intrep's over the distinct positive
+        # masses, the kernel laws on the base and the refined grid for every
+        # H and the min(s, t) law
         cfg = load_config(Path(__file__).resolve().parents[1] / config)
-        assert cholesky(build_cov_matrix(cfg.ensemble_indices(), cfg.hurst)).jitter == 0.0
+        assert cholesky(build_cov_matrix(cfg.ensemble_indices(), cfg.hurst))[1] == 0.0
+        ir = cfg.intrep
+        p = np.unique([m for m in ir.masses if m > 0])
+        law = KernelLaw(HurstParam(hv) for hv in ir.hursts)
+        laws = [np.minimum.outer(p, p)]
+        laws += [cov for spec in (ir.grid, ir.grid.refine(2)) for cov in law.covariances(p, spec)]
+        assert len(laws) == 1 + 2 * len(ir.hursts)
+        assert [cholesky(cov)[1] for cov in laws] == [0.0] * len(laws)
 
     def test_not_psd_rejected(self):
-        from sifbm.gaussian import CovMatrix
-
-        base = build_cov_matrix([rect(1, 1), rect(2, 2)], HurstParam(0.3))
-        mat = base.matrix.copy()
+        mat = build_cov_matrix([rect(1, 1), rect(2, 2)], HurstParam(0.3)).copy()
         mat[0, 1] = mat[1, 0] = 10.0  # impossible correlation
         with pytest.raises(NotPSDError):
-            cholesky(CovMatrix(base.indices, mat, base.hurst))
+            cholesky(mat)
 
 
 class TestSampling:
     def test_deterministic(self):
-        f = cholesky(build_cov_matrix([rect(1, 1), rect(2, 1)], HurstParam(0.3)))
-        a = sample_ensemble(f, 5, seed=42)
-        b = sample_ensemble(f, 5, seed=42)
+        idx, h = [rect(1, 1), rect(2, 1)], HurstParam(0.3)
+        a = sample_ensemble(idx, h, 5, seed=42)
+        b = sample_ensemble(idx, h, 5, seed=42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_jobs_do_not_change_bits(self):
         idx = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-        f = cholesky(build_cov_matrix(idx, HurstParam(0.35)))
-        a = sample_ensemble(f, 700, seed=3, jobs=1)
-        b = sample_ensemble(f, 700, seed=3, jobs=8)
+        a = sample_ensemble(idx, HurstParam(0.35), 700, seed=3, jobs=1)
+        b = sample_ensemble(idx, HurstParam(0.35), 700, seed=3, jobs=8)
         assert np.array_equal(a.samples, b.samples)
 
     def test_prefix_stability(self):
         # first rows do not depend on how many rows are drawn
-        f = cholesky(build_cov_matrix([rect(1, 1)], HurstParam(0.3)))
-        a = sample_ensemble(f, 10, seed=11)
-        b = sample_ensemble(f, 1000, seed=11)
+        a = sample_ensemble([rect(1, 1)], HurstParam(0.3), 10, seed=11)
+        b = sample_ensemble([rect(1, 1)], HurstParam(0.3), 1000, seed=11)
         assert np.array_equal(a.samples, b.samples[:10])
 
     def test_prefix_stable_across_block_boundary_at_demo_width(self):
@@ -254,36 +286,31 @@ class TestSampling:
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
         idx = cfg.ensemble_indices()
         assert len(idx) == 266 and 300 < 2 * STREAM_BLOCK < 700
-        f = cholesky(build_cov_matrix(idx, cfg.hurst))
-        a = sample_ensemble(f, 300, seed=7)
-        b = sample_ensemble(f, 700, seed=7)
+        a = sample_ensemble(idx, cfg.hurst, 300, seed=7)
+        b = sample_ensemble(idx, cfg.hurst, 700, seed=7)
         assert np.array_equal(a.samples, b.samples[:300])
 
     def test_zero_matrix_factor(self):
-        f = cholesky(build_cov_matrix([rect(0, 1), rect(0, 2)], HurstParam(0.3)))
-        e = sample_ensemble(f, 20, seed=1)
+        e = sample_ensemble([rect(0, 1), rect(0, 2)], HurstParam(0.3), 20, seed=1)
         assert np.all(e.samples == 0.0)
 
     def test_degenerate_columns_zero_even_with_jitter(self):
         idx = [rect(0, 1), rect(1, 1), rect(1, 1)]  # duplicate forces jitter
-        f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
-        assert f.jitter > 0.0
-        e = sample_ensemble(f, 50, seed=8)
+        assert cholesky(build_cov_matrix(idx, HurstParam(0.3)))[1] > 0.0
+        e = sample_ensemble(idx, HurstParam(0.3), 50, seed=8)
         assert np.all(e.samples[:, 0] == 0.0)
 
     def test_n_zero_rejected(self):
-        f = cholesky(build_cov_matrix([rect(1, 1)], HurstParam(0.3)))
         with pytest.raises(ValueError):
-            sample_ensemble(f, 0, seed=1)
+            sample_ensemble([rect(1, 1)], HurstParam(0.3), 0, seed=1)
 
     def test_monte_carlo_covariance(self):
         # empirical second moments within 3 CLT standard errors, entrywise
         idx = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-        cm = build_cov_matrix(idx, HurstParam(0.35))
+        c = build_cov_matrix(idx, HurstParam(0.35))
         n = 20_000
-        e = sample_ensemble(cholesky(cm), n, seed=2024)
+        e = sample_ensemble(idx, HurstParam(0.35), n, seed=2024)
         emp = e.samples.T @ e.samples / n
-        c = cm.matrix
         se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c**2) / n)
         frac = np.mean(np.abs(emp - c) <= 3 * se)
         assert frac >= 0.99
@@ -318,8 +345,7 @@ class TestAdditiveExtend:
     def _ensemble(self):
         a, b, ab = rect(1, 2), rect(2, 1), rect(1, 1)
         idx = [a, b, ab]
-        f = cholesky(build_cov_matrix(idx, HurstParam(0.3)))
-        return sample_ensemble(f, 500, seed=9), a, b, ab
+        return sample_ensemble(idx, HurstParam(0.3), 500, seed=9), a, b, ab
 
     def test_single_part_passthrough(self):
         e, a, *_ = self._ensemble()
@@ -342,8 +368,7 @@ class TestAdditiveExtend:
 
     def test_missing_intersection_reported(self):
         a, b = rect(1, 2), rect(2, 1)
-        f = cholesky(build_cov_matrix([a, b], HurstParam(0.3)))
-        e = sample_ensemble(f, 10, seed=4)
+        e = sample_ensemble([a, b], HurstParam(0.3), 10, seed=4)
         with pytest.raises(MissingIndexError) as ei:
             project(e, union_flow(a, b))
         assert rect(1, 1) in ei.value.missing

@@ -19,8 +19,6 @@ from sifbm.gaussian import (
     HurstParam,
     ResolutionError,
     block_draw,
-    build_cov_matrix,
-    cholesky,
     sample_ensemble,
 )
 from sifbm import intrep
@@ -165,13 +163,13 @@ def _simulate(masses, seed: int, n_samples: int, h: HurstParam, spec: GridSpec) 
 
 def _factor(distinct: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """The draw's factor on the sorted distinct masses ``distinct``, from the
-    covariance ``cov`` of their positive ones: eigenvalues below 1e-12 of the
-    largest clipped to 0, and a zero row for a zero mass."""
+    covariance ``cov`` of their positive ones: ``np.linalg.cholesky`` of the
+    block of positive variance, with zero rows for a zero mass and for a
+    mass of zero variance."""
     positive = distinct > 0
     f = np.zeros((distinct.size, int(np.count_nonzero(positive))))
-    if positive.any():
-        lam, vec = np.linalg.eigh(cov)
-        f[positive] = vec * np.sqrt(np.where(lam > 1e-12 * lam[-1], lam, 0.0))
+    keep = np.flatnonzero(np.diag(cov) > 0)
+    f[np.flatnonzero(positive)[keep, None], keep] = np.linalg.cholesky(cov[np.ix_(keep, keep)])
     return f
 
 
@@ -846,11 +844,18 @@ class TestDiscretizedFactor:
         assert np.all(paths[:, m == 0.0] == 0.0)
 
 
-    def test_clip_keeps_ratio_1e10_and_drops_ratio_1e14(self, monkeypatch):
-        # eigenvalues 4, 4e-10 and 4e-14: ratios 1e-10 and 1e-14 to the
-        # largest, on either side of the 1e-12 clip, in a rotated basis
-        q = np.eye(3) - 2.0 / 3.0  # the reflection across the plane normal to (1, 1, 1)
-        cov = q @ np.diag([4e-10, 4.0, 4e-14]) @ q.T
+    def test_factor_keeps_every_variance_of_the_law(self, monkeypatch):
+        # a mass far below the largest keeps its variance: 1e-300 beside
+        # 1e300 under the min(s, t) law, and 1e-20 beside 1 and 1 + 2.2e-16
+        # under the kernel law, which is singular at that step and needs the
+        # ladder's first jitter, 1e-12 of each variance (an eigendecomposition
+        # clipped at 1e-12 of the largest eigenvalue kept none of the first
+        # and 3.4% of the second)
+        kernel = [1e-20, 1.0, 1.0 + 2.2e-16]
+        laws = [
+            ([1e-300, 1e300], np.minimum.outer([1e-300, 1e300], [1e-300, 1e300])),
+            (kernel, _covariance(kernel, HurstParam(0.3), GridSpec(cells_per_mass=256, refine_factor=4))),
+        ]
         factors = []
 
         def recorded(seed, n_rows, right):
@@ -858,13 +863,11 @@ class TestDiscretizedFactor:
             return block_draw(seed, n_rows, right)
 
         monkeypatch.setattr(intrep, "block_draw", recorded)
-        draw([0.5, 1.0, 2.0], cov, 3, 10)
-        # the factor's columns are eigenvectors scaled by the roots of the
-        # kept eigenvalues, smallest first
-        kept = np.sum(factors[0] ** 2, axis=0)
-        assert kept[0] == 0.0
-        assert kept[1] == pytest.approx(4e-10, rel=1e-3)
-        assert kept[2] == pytest.approx(4.0, rel=1e-12)
+        for masses, cov in laws:
+            draw(masses, cov, 3, 10)
+            d = np.diag(cov)
+            # the jitter step and round-off
+            assert np.all(np.abs(np.sum(factors[-1] ** 2, axis=1) - d) <= 2e-12 * d)
 
 
 def brownian(masses, seed: int, n_samples: int) -> np.ndarray:
@@ -913,7 +916,7 @@ class TestCrossValidation:
         f = flows_through(rect(1.2, 0.9), points=8)
         tc = time_change(f)
         idx = flow_weights(f)[0]
-        e = sample_ensemble(cholesky(build_cov_matrix(idx, HurstParam(h))), n, seed=51)
+        e = sample_ensemble(idx, HurstParam(h), n, seed=51)
         proj = project(e, f)
         rep = _simulate(tc.values, 52, n, HurstParam(h), COARSE)
         for j in (1, 4, 7):

@@ -20,7 +20,6 @@ from sifbm.gaussian import (
     ResolutionError,
     SampleEnsemble,
     build_cov_matrix,
-    cholesky,
     covariance_from_measures,
     sample_ensemble,
 )
@@ -168,8 +167,7 @@ def lattice(nx=3, ny=3, sx=1.0, sy=1.0):
 
 
 def exact_ensemble(indices, h, n, seed):
-    f = cholesky(build_cov_matrix(sorted(indices, key=lambda r: r.corner), HurstParam(h)))
-    return sample_ensemble(f, n, seed=seed)
+    return sample_ensemble(sorted(indices, key=lambda r: r.corner), HurstParam(h), n, seed=seed)
 
 
 def psi_entry(e, u, h):
@@ -437,9 +435,8 @@ class TestCellCriterion:
         if covers is not None:
             raw["covers"] = covers
         cfg = parse_config({**raw, "n_samples": 4000})
-        factor = cholesky(build_cov_matrix(cfg.ensemble_indices(), cfg.hurst))
         for seed in range(1, 8):
-            e = sample_ensemble(factor, cfg.n_samples, seed=seed)
+            e = sample_ensemble(cfg.ensemble_indices(), cfg.hurst, cfg.n_samples, seed=seed)
             ext = _cell_criterion(PreMeasureTable.from_ensemble(e, cfg.table_indices), cfg.thresholds)
             assert ext.passed, (seed, ext.detail)
             assert ext.detail.startswith("cells tested: 9;")
@@ -877,11 +874,11 @@ def test_exact_gram_is_exact_throughout(config):
     h, n = cfg.hurst, cfg.n_samples
     for f in cfg.flows:
         boxes, a = flow_weights(f)
-        m = a.T @ build_cov_matrix(boxes, h).matrix @ a
+        m = a.T @ build_cov_matrix(boxes, h) @ a
         vp = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
         assert np.all(np.abs(vp.observed - vp.predicted) <= 1e-12 * vp.predicted)
     boxes = tuple(cfg.table_indices)
-    c = build_cov_matrix(boxes, h).matrix
+    c = build_cov_matrix(boxes, h)
     table = PreMeasureTable.from_moments(boxes, c, 3 * n * np.diag(c) ** 2, n, h)
     m = measure(corner_array(boxes))
     assert np.all(np.abs(table.value - m) <= 1e-12 * m)

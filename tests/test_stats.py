@@ -24,7 +24,7 @@ from sifbm.flows import (
     project,
     time_change,
 )
-from sifbm.gaussian import HurstParam, build_cov_matrix, cholesky, sample_ensemble
+from sifbm.gaussian import HurstParam, sample_ensemble
 from sifbm.rects import rect
 from sifbm.storage import PROFILE_BLOCK_ROWS, write_profile_csv
 from sifbm.stats import (
@@ -41,8 +41,7 @@ from sifbm.stats import (
 
 def exact_projection(h, points=16, n=20_000, seed=100, corner=(1.0, 1.0)):
     f = flows_through(rect(*corner), points=points)
-    fac = cholesky(build_cov_matrix(flow_weights(f)[0], HurstParam(h)))
-    e = sample_ensemble(fac, n, seed=seed)
+    e = sample_ensemble(flow_weights(f)[0], HurstParam(h), n, seed=seed)
     return project(e, f), time_change(f)
 
 
@@ -472,7 +471,7 @@ class TestVarianceProfile:
         ]
         assert 100 * 99 // 2 > PROFILE_BLOCK_ROWS
         idx = sorted({u for f in flows for u in flow_weights(f)[0]}, key=lambda r: r.corner)
-        e = sample_ensemble(cholesky(build_cov_matrix(idx, h)), 300, seed=3)
+        e = sample_ensemble(idx, h, 300, seed=3)
         for n, (f, fs) in enumerate(zip(flows, flow_statistics(e.row_blocks(), e.indices, flows, h))):
             new, ref = tmp_path / f"new{n}.csv", tmp_path / f"ref{n}.csv"
             write_profile_csv(fs.profile, new)
