@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, build_cov_matrix, columns, increments
+from .gaussian import HurstParam, SampleEnsemble, build_cov_matrix, columns, increments
 from .rects import EMPTY, Rect, corner_array, measure, signed_terms
 
 DEFAULT_FLOW_POINTS = 64
@@ -231,23 +231,8 @@ def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
 
 
 def project(e: SampleEnsemble, f: Flow) -> np.ndarray:
-    """Each sample of the field along the flow, (n_samples, n_points): X_B A.
-
-    Every box the flow reads, intersections of accumulated union parts
-    included, must be an ensemble column.  The product runs one
-    STREAM_BLOCK-row block at a time, as ``stats.flow_statistics`` runs it on
-    a stream of blocks, so the two give the same bits whatever kernel the
-    BLAS picks for a block's shape."""
+    """Each sample of the field along the flow, (n_samples, n_points): the
+    one product X_B A.  Every box the flow reads, intersections of
+    accumulated union parts included, must be an ensemble column."""
     boxes, a = flow_weights(f)
-    cols = columns(e.indices, boxes)
-    out = np.empty((e.n_samples, a.shape[1]))
-    for start in range(0, e.n_samples, STREAM_BLOCK):
-        out[start:start + STREAM_BLOCK] = block_paths(e.samples[start:start + STREAM_BLOCK], cols, a)
-    return out
-
-
-def block_paths(rows: np.ndarray, cols: list[int], a: np.ndarray) -> np.ndarray:
-    """The field along a flow in one row block, rows[:, cols] @ A, with
-    ``cols`` the ensemble columns of the flow's boxes and A its weights: the
-    one product ``project`` and ``stats.flow_statistics`` form."""
-    return rows[:, cols] @ a
+    return e.samples[:, columns(e.indices, boxes)] @ a

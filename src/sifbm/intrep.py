@@ -43,11 +43,11 @@ are the same for every larger n (prefix-stable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .gaussian import HurstParam, ResolutionError, block_draw, cholesky, covariance_from_measures
+from .gaussian import HurstParam, NotPSDError, ResolutionError, block_draw, cholesky, covariance_from_measures
 from .recovery import CharacterizationReport, CriterionResult
 from .stats import isserlis_z
 
@@ -363,7 +363,8 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
 
     One ``KernelLaw`` serves every check, so each kernel grid they need is
     walked once, for every H at once.  The refinement's covariances are the
-    draw's, over the distinct positive masses, put on ``ir.masses``."""
+    draw's, over the distinct positive masses, put on ``ir.masses``.  A law
+    the grid leaves not positive semidefinite is a ResolutionError."""
     tol, se_mult = ir.variance_rel_tol, ir.covariance_se_mult
     law = KernelLaw(HurstParam(hv) for hv in ir.hursts)
     masses = validate_masses(ir.masses)
@@ -390,7 +391,13 @@ def verify_intrep(ir: IntRepConfig, seed: int) -> CharacterizationReport:
         base_cov, fine_cov = (
             law.covariances(distinct[positive], s)[hi] for s in (ir.grid, ir.grid.refine(2))
         )
-        paths = draw(masses, base_cov, _derived_seed(seed, 2, hi), ir.n_samples)
+        try:
+            paths = draw(masses, base_cov, _derived_seed(seed, 2, hi), ir.n_samples)
+        except NotPSDError:
+            raise ResolutionError(
+                f"the moving-average law at H={hv} on masses {list(ir.masses)} is not a covariance "
+                f"on integral_rep.grid {asdict(ir.grid)}: its cells do not resolve the smaller masses"
+            ) from None
         want = fbm_covariance(masses, h)
         worst = _worst_sigma(paths, want)
         detail = "worst sample covariance entry against fBm, in standard errors"

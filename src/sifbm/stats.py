@@ -4,8 +4,9 @@ Everything here treats the field as centered, so "variance" means the raw
 second moment throughout; mean-subtraction would only add estimator noise and
 would hide mean-corruption defects.  The profile and the Hurst regression
 read a flow's second-moment matrix M (M_st = mean of X_s X_t over samples),
-which ``flow_statistics`` accumulates for every flow in one pass over the
-ensemble's row blocks.
+which ``flow_statistics`` reads as A_f^T G_B A_f from the Gram G_B of the
+flow's boxes, added up for every flow in one pass over the ensemble's row
+blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import TimeChange, block_paths, flow_weights, predicted_increment_moment, time_change
+from .flows import TimeChange, flow_weights, predicted_increment_moment, time_change
 from .gaussian import HurstParam, columns, increments
 
 
@@ -91,7 +92,7 @@ class FlowStatistics:
     """An ensemble along one flow: its second-moment matrix, the variance
     profile read from it, and the two series the Gaussianity check tests."""
 
-    moments: np.ndarray         # M = paths^T paths / n
+    moments: np.ndarray         # M = A_f^T (X_B^T X_B / n) A_f
     profile: VarianceProfile
     end: np.ndarray             # the field at the last grid point
     half_increment: np.ndarray  # the last value minus the middle one
@@ -102,32 +103,38 @@ def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistic
     blocks of an ensemble over ``indices`` (``SampleEnsemble.row_blocks``,
     ``storage.StoredEnsemble.row_blocks``).
 
-    Each flow's columns B_f and weights A_f are looked up once.  Each block
-    P_b = X_b[:, B_f] A_f is formed by ``block_paths``, as ``project`` forms
-    a whole ensemble's in the same blocks; P_b^T P_b is added into the
-    flow's moment matrix, divided by the row count once at the end, and
-    every increment moment along the flow is read from it.  Beyond one block
-    and the k x k moment matrices, only the end and middle columns are held:
-    no (n, n_indices) or (n, k) array is formed."""
-    reads = [(columns(indices, boxes), a) for boxes, a in map(flow_weights, flows)]
-    sums = [np.zeros((a.shape[1], a.shape[1])) for _, a in reads]
-    ends, mids = [[] for _ in flows], [[] for _ in flows]
+    Each flow reads the columns X_B of its boxes B through its weights A_f
+    (``flow_weights``), looked up once.  Each block's X_b^T X_b is added into
+    the flow's box Gram G_B, the sum ``PreMeasureTable.from_ensemble`` adds
+    for the table, and the moment matrix is read once at the end as
+    A_f^T (G_B / n) A_f.  The two Gaussianity series are X_b times A_f's
+    middle and last columns, summed term by term in box order (``einsum``
+    over the boxes those columns weight), so their bits do not depend on how
+    the rows are split into blocks.  Beyond one block, the box Grams and the
+    two series, no (n, n_indices) or (n, k) array is formed."""
+    reads = []
+    for boxes, a in map(flow_weights, flows):
+        cols = np.array(columns(indices, boxes), dtype=np.intp)
+        w = a[:, [a.shape[1] // 2, -1]]
+        terms = np.flatnonzero(w.any(axis=1))
+        reads.append((cols, a, cols[terms], w[terms]))
+    grams = [np.zeros((cols.size, cols.size)) for cols, *_ in reads]
+    series = [[] for _ in flows]
     n = 0
     for block in blocks:
         n += block.shape[0]
-        for (cols, a), m, end, mid in zip(reads, sums, ends, mids):
-            p = block_paths(block, cols, a)
-            m += p.T @ p
-            end.append(p[:, -1].copy())  # copies: the block's paths are freed
-            mid.append(p[:, p.shape[1] // 2].copy())
+        for (cols, _, ends, w), g, s in zip(reads, grams, series):
+            x = block[:, cols]
+            g += x.T @ x
+            s.append(np.einsum("nk,kc->cn", block[:, ends], w))
     if n == 0:
         raise ValueError("no samples to project")
     out = []
-    for f, m, end, mid in zip(flows, sums, ends, mids):
-        m /= n
+    for f, (_, a, _, _), g, s in zip(flows, reads, grams, series):
+        m = a.T @ (g / n) @ a
         profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
-        end = np.concatenate(end)
-        out.append(FlowStatistics(m, profile, end, end - np.concatenate(mid)))
+        mid, end = np.concatenate(s, axis=1)
+        out.append(FlowStatistics(m, profile, end, end - mid))
     return out
 
 

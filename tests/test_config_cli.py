@@ -1173,8 +1173,12 @@ def test_psi_underflow_is_a_resolution_error(tmp_path, capsys):
 
 
 def test_law_beyond_the_jitter_ladder_exits_1(tmp_path, capsys):
+    # a resolution error that names the law and the grid, not a bare PSD failure
     assert _exit_codes(UNRESOLVED_LAW, tmp_path / "out", "verify-intrep") == [1]
-    assert "not PSD within jitter budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("sifbm: the moving-average law at H=0.3 on masses [1e-08, 0.5, 1e+150] ")
+    assert "integral_rep.grid {" in err and "'cells_per_mass': 64, 'refine_factor': 4" in err
+    assert "jitter" not in err
 
 
 def test_huge_flow_values_have_finite_moment_z(tmp_path):

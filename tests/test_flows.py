@@ -443,16 +443,96 @@ class TestFlowWeights:
 
 
 # The whole-ensemble statistics that the block stream replaced, kept as the
-# reference: every path at once, then its moment matrix and the two series.
+# reference: every path at once and its moment matrix, and the two series as
+# the whole ensemble times the flow's middle and last weight columns over the
+# boxes they weight, summed in box order as ``flow_statistics`` sums each
+# block's.
 
 
 def whole_ensemble_statistics(e, f):
+    boxes, a = flow_weights(f)
     paths = project(e, f)
-    mid = paths.shape[1] // 2
-    return (paths.T @ paths) / e.n_samples, paths[:, -1], paths[:, -1] - paths[:, mid]
+    w = a[:, [a.shape[1] // 2, -1]]
+    terms = np.flatnonzero(w.any(axis=1))
+    x = e.samples[:, columns(e.indices, [boxes[t] for t in terms])]
+    mid, end = np.einsum("nk,kc->cn", x, w[terms])
+    return (paths.T @ paths) / e.n_samples, end, end - mid
+
+
+# The per-block path product that the box Grams replaced, kept as the
+# reference: each block's paths P_b = X_b[:, B] A, P_b^T P_b added up and
+# divided by n once, and the middle and last columns of each P_b.
+
+
+def per_block_statistics(blocks, indices, f):
+    boxes, a = flow_weights(f)
+    cols = columns(indices, boxes)
+    m, ends, n = np.zeros((a.shape[1],) * 2), [], 0
+    for block in blocks:
+        p = block[:, cols] @ a
+        m += p.T @ p
+        ends.append(p[:, [p.shape[1] // 2, -1]])
+        n += block.shape[0]
+    mid, end = np.concatenate(ends).T
+    return m / n, mid, end
+
+
+def random_ensemble(flows, n: int, hv: float, seed: int) -> SampleEnsemble:
+    """Normal samples over the boxes the flows read and one box none reads,
+    in a shuffled column order."""
+    rng = np.random.default_rng(seed)
+    idx = sorted({b for f in flows for b in flow_weights(f)[0]}, key=lambda r: (len(r.corner), r.corner))
+    idx = [*idx, Rect((99.0,))]
+    idx = [idx[i] for i in rng.permutation(len(idx))]
+    return SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), HurstParam(hv))
+
+
+# an empty prefix, a box repeated along one flow, and a simple flow whose
+# segments share boxes
+REPEATS = [
+    make_elementary_flow(np.linspace(0, 1, 6), [None, None, (1, 1), (1, 1), (2, 1), (2, 1)]),
+    SimpleFlow((
+        make_elementary_flow([0.0, 0.5, 1.0], [None, (2, 1), (2, 1)]),
+        make_elementary_flow([1.0, 1.5, 2.0], [(1, 1), (1, 2), (1, 2)]),
+    )),
+]
 
 
 class TestStreamedFlowStatistics:
+    @given(
+        flows=st.lists(lattice_flows(), min_size=1, max_size=3),
+        n=st.sampled_from([1, 255, 256, 257, 3 * STREAM_BLOCK + 5]),
+        stored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(flows=REPEATS, n=257, stored=False, seed=0)
+    @example(flows=REPEATS, n=3 * STREAM_BLOCK + 5, stored=True, seed=1)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_per_block_path_products(self, tmp_path_factory, flows, n, stored, seed):
+        e = random_ensemble(flows, n, 0.3, seed)
+        p = tmp_path_factory.getbasetemp() / "reference.sifb"
+        if stored:
+            write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
+
+        def blocks():
+            return read_ensemble_blocks(p, e.samples.shape) if stored else e.row_blocks()
+
+        for f, fs in zip(flows, flow_statistics(blocks(), e.indices, flows, e.hurst)):
+            m, mid, end = per_block_statistics(blocks(), e.indices, f)
+            if isinstance(f, ElementaryFlow):
+                # the paths select columns, so the series are the same bits and
+                # each moment the same dot product of two columns; the BLAS
+                # sums a dot product in an order it picks per product shape
+                assert fs.end.tobytes() == end.tobytes()
+                assert fs.half_increment.tobytes() == (end - mid).tobytes()
+                tol = STREAM_BLOCK * np.finfo(float).eps * np.max(np.abs(m))
+            else:
+                tol = 1e-12 * np.max(np.abs(m))
+                scale = 1e-12 * np.max(np.abs([mid, end]))
+                assert np.max(np.abs(fs.end - end)) <= scale
+                assert np.max(np.abs(fs.half_increment - (end - mid))) <= 2 * scale
+            assert np.max(np.abs(fs.moments - m)) <= tol
+
     @given(
         flows=st.lists(lattice_flows(), min_size=1, max_size=3),
         n=st.sampled_from([1, 255, 256, 257, 3 * STREAM_BLOCK + 5]),
@@ -461,11 +541,8 @@ class TestStreamedFlowStatistics:
     )
     @settings(deadline=None, max_examples=60)
     def test_block_sums_match_whole_ensemble(self, tmp_path_factory, flows, n, hv, seed):
-        rng = np.random.default_rng(seed)
-        idx = sorted({b for f in flows for b in flow_weights(f)[0]}, key=lambda r: (len(r.corner), r.corner))
-        idx = [*idx, Rect((99.0,))]  # a column no flow reads
-        idx = [idx[i] for i in rng.permutation(len(idx))]
-        e = SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), HurstParam(hv))
+        e = random_ensemble(flows, n, hv, seed)
+        idx = e.indices
         streamed = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
         assert len(streamed) == len(flows)
         for f, fs in zip(flows, streamed):
@@ -483,22 +560,6 @@ class TestStreamedFlowStatistics:
             assert a.profile.observed.tobytes() == b.profile.observed.tobytes()
             assert a.end.tobytes() == b.end.tobytes()
             assert a.half_increment.tobytes() == b.half_increment.tobytes()
-
-    @pytest.mark.parametrize("n", [257, 3 * STREAM_BLOCK + 5, 3000])
-    def test_project_multiplies_in_stream_blocks(self, n):
-        # a three-branch flow sums up to seven signed terms per point, so the
-        # bits of X_B A depend on the kernel the BLAS picks for the product's
-        # shape; project must pick the one a row block gets
-        grids = [np.linspace(i / 3, (i + 1) / 3, 24) for i in range(3)]
-        ends = [(8.0, 1.0), (1.0, 8.0), (5.0, 5.0)]
-        sf = SimpleFlow(tuple(
-            make_elementary_flow(g, [tuple(t * c for c in end) for t in np.linspace(0, 1, len(g))])
-            for g, end in zip(grids, ends)
-        ))
-        boxes = flow_weights(sf)[0]
-        e = SampleEnsemble(boxes, np.random.default_rng(n).standard_normal((n, len(boxes))), HurstParam(0.3))
-        blocks = [project(SampleEnsemble(boxes, b, e.hurst), sf) for b in e.row_blocks()]
-        assert project(e, sf).tobytes() == np.concatenate(blocks).tobytes()
 
     def test_no_rows_rejected(self):
         f = diag_flow(4)

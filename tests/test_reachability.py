@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sifbm"
 ALLOWED = {
     "gaussian.sample_ensemble": "an ensemble in memory, without the CLI's artifact files",
     "gaussian.SampleEnsemble.column": "one index's samples, read by tests of every layer",
-    "flows.project": "one flow's paths from an ensemble in memory",
+    "flows.project": "one flow's paths X_B A from an ensemble in memory, the reference for its statistics",
     "flows.flows_through": "the diagonal flow through a box, the tests' standard flow",
     "rects.rect": "the shorthand box constructor every test uses",
 }
