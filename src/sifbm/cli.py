@@ -14,7 +14,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +161,10 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
                 entry["hurst_estimate"] = hurst_estimate(fs.moments, n, vp.time_change)
             except (DegenerateDataError, ValueError) as exc:
                 entry["hurst_estimate_error"] = str(exc)
-        if np.ptp(fs.end) > 0 and n >= 1000:
-            g = gaussianity_check(fs.end, z_limit=cfg.thresholds.gaussianity_z)
-            entry["gaussianity"] = {
-                "skewness_z": g.skewness_z,
-                "excess_kurtosis_z": g.excess_kurtosis_z,
-                "passed": g.passed,
-            }
+        m2, m3, m4 = fs.series_moments[0]
+        if m2 > 0 and n >= 1000:
+            g = gaussianity_check(n, m2, m3, m4, z_limit=cfg.thresholds.gaussianity_z)
+            entry["gaussianity"] = asdict(g)
         report[name] = entry
     return Outcome(note=f"{len(cfg.flows)} flows", files=tuple(files), report=report)
 

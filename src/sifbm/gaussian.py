@@ -113,14 +113,21 @@ def cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
     indices of nonzero variance, L L^T = C + jitter * diag(C) there, with the
     zero-variance indices' rows 0 (their covariances are all 0, so nothing is
     lost); jitter is the first multiplier of JITTER_LADDER that factors, 0
-    (the exact law) unless C is singular there, as for a repeated index.  It
-    scales each variance by itself, so no index's scale matters."""
+    (the exact law, factored as C itself) unless C is singular there, as for
+    a repeated index.  A step above 0 factors the correlation matrix
+    D^-1/2 C D^-1/2 + jitter * I and scales its rows by sqrt(d), so the
+    jitter cannot underflow, and no index's scale matters."""
     diag = np.diag(cov)
     keep = np.flatnonzero(diag != 0.0)
     block = cov[np.ix_(keep, keep)]
     for jitter in JITTER_LADDER:
         try:
-            part = np.linalg.cholesky(block + np.diag(jitter * diag[keep]))
+            if jitter == 0.0:
+                part = np.linalg.cholesky(block)
+            else:
+                # a negative variance reads -1 in the correlation matrix, which fails
+                sd = np.sqrt(np.abs(diag[keep]))
+                part = sd[:, None] * np.linalg.cholesky(block / sd[:, None] / sd + jitter * np.eye(keep.size))
         except np.linalg.LinAlgError:
             continue
         lower = np.zeros(cov.shape)

@@ -22,7 +22,9 @@ flow characterization of the field:
      profiles, Gaussianity diagnostics and the covariance comparison.
 
 An ensemble ``e`` is read only through its ``row_blocks()``, so a
-``gaussian.SampleEnsemble`` and a ``storage.StoredEnsemble`` give the same bits.
+``gaussian.SampleEnsemble`` and a ``storage.StoredEnsemble`` give the same bits,
+and each verdict walks them once (``stats.ensemble_sums``): ``characterize``
+reads the table's sums and every flow's from the same pass.
 
 Empirical psi entries carry delta-method standard errors:
 d psi / d s = (1/(2H)) s^{1/(2H)-1} applied to the standard error of the
@@ -40,7 +42,7 @@ import numpy as np
 from .flows import Flow
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures, increments
 from .rects import Rect, cell_corners, corner_array, grid_lower, measure
-from .stats import flow_statistics, gaussianity_check, isserlis_z
+from .stats import ensemble_sums, flow_columns, flow_results, gaussianity_check, isserlis_z
 
 _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
 
@@ -62,17 +64,12 @@ class PreMeasureTable:
     def from_ensemble(cls, e, boxes=None) -> "PreMeasureTable":
         """``from_moments`` over the columns of ``e``, all of them by default,
         repeated boxes once, from one pass over its row blocks that adds up
-        X^T X and the column sums S4 of X^4."""
+        X^T X and the column sums S4 of X^4 (``stats.ensemble_sums``)."""
         n = e.n_samples
         if n < 100:
             raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {n}")
         boxes = tuple(dict.fromkeys(e.indices if boxes is None else boxes))
-        cols = columns(e.indices, boxes)
-        gram, s4 = np.zeros((len(boxes), len(boxes))), np.zeros(len(boxes))
-        for block in e.row_blocks():
-            x = block[:, cols]
-            gram += x.T @ x
-            s4 += np.sum((x * x) ** 2, axis=0)
+        _, gram, s4, _, _ = ensemble_sums(e.row_blocks(), [], columns(e.indices, boxes))
         return cls.from_moments(boxes, gram / n, s4, n, e.hurst)
 
     @classmethod
@@ -206,18 +203,18 @@ class CharacterizationReport:
         }
 
 
-def _flow_criteria(e, flows, h, thr) -> list[CriterionResult]:
+def _flow_criteria(stats, thr) -> list[CriterionResult]:
     out = []
     worst_frac, worst_detail = 1.0, "every pair of every flow within band"
     gauss_worst, gauss_detail = 0.0, "no series varies, so none was tested"
-    for fi, fs in enumerate(flow_statistics(e.row_blocks(), e.indices, flows, h)):
+    for fi, fs in enumerate(stats):
         frac = fs.profile.fraction_within(thr.profile_se_mult)
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"worst within-band fraction at flow {fi}"
-        for label, series in (("end value", fs.end), ("half increment", fs.half_increment)):
-            if np.ptp(series) == 0:
+        for label, (m2, m3, m4) in zip(("end value", "half increment"), fs.series_moments):
+            if not m2 > 0:
                 continue
-            rep = gaussianity_check(series, z_limit=thr.gaussianity_z)
+            rep = gaussianity_check(fs.profile.n, m2, m3, m4, z_limit=thr.gaussianity_z)
             z = max(abs(rep.skewness_z), abs(rep.excess_kurtosis_z))
             if z >= gauss_worst:
                 gauss_worst, gauss_detail = z, f"worst moment z at flow {fi} {label}"
@@ -374,13 +371,18 @@ def characterize(
 
     Runs flow variance profiles and Gaussianity z-tests, the
     ``recover_measure`` criteria, and the final covariance comparison against
-    the covariance rebuilt from the recovered measure.
+    the covariance rebuilt from the recovered measure.  One pass over the
+    row blocks adds up the table's sums and every flow's
+    (``stats.ensemble_sums``).
     """
     if e.n_samples < 1000:
         raise ResolutionError(f"characterize needs at least 1000 samples, got {e.n_samples}")
     thr = thresholds or Thresholds()
-    recovered, table = recover_measure(e, thr, table_indices)
-    criteria = _flow_criteria(e, flows, h, thr)
-    criteria += recovered.criteria
-    criteria.append(_covariance_criterion(table, h, thr))
+    boxes = tuple(dict.fromkeys(e.indices if table_indices is None else table_indices))
+    sets = flow_columns(e.indices, flows)
+    n, gram, s4, grams, central = ensemble_sums(e.row_blocks(), sets, columns(e.indices, boxes))
+    table = PreMeasureTable.from_moments(boxes, gram / n, s4, n, e.hurst)
+    criteria = _flow_criteria(flow_results(flows, h, n, grams, central), thr)
+    criteria += _psi_criteria(table, thr)
+    criteria += [_cell_criterion(table, thr), _covariance_criterion(table, h, thr)]
     return CharacterizationReport(tuple(criteria))

@@ -5,8 +5,10 @@ second moment throughout; mean-subtraction would only add estimator noise and
 would hide mean-corruption defects.  The profile and the Hurst regression
 read a flow's second-moment matrix M (M_st = mean of X_s X_t over samples),
 which ``flow_statistics`` reads as A_f^T G_B A_f from the Gram G_B of the
-flow's boxes, added up for every flow in one pass over the ensemble's row
-blocks.
+flow's boxes.  ``ensemble_sums`` is the one pass over an ensemble's row
+blocks: it adds up the Gram of each box set, the table's and each flow's,
+and the power sums the Gaussianity check reads, so no length-n series is
+kept.
 """
 
 from __future__ import annotations
@@ -90,52 +92,110 @@ def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:
 @dataclass(frozen=True)
 class FlowStatistics:
     """An ensemble along one flow: its second-moment matrix, the variance
-    profile read from it, and the two series the Gaussianity check tests."""
+    profile read from it, and the central moments the Gaussianity check
+    reads of two series, the field at the last grid point and the last value
+    minus the middle one."""
 
     moments: np.ndarray         # M = A_f^T (X_B^T X_B / n) A_f
     profile: VarianceProfile
-    end: np.ndarray             # the field at the last grid point
-    half_increment: np.ndarray  # the last value minus the middle one
+    series_moments: np.ndarray  # (m2, m3, m4) of the end value, then of the half increment
+
+
+# A series is scaled by 2^-scale with scale at least _MIN_SCALE, so that
+# 2^-scale is a float; _FLOOR is the deviation of that frexp exponent.
+_MIN_SCALE = -1022
+_FLOOR = np.ldexp(0.5, _MIN_SCALE)
+
+
+def ensemble_sums(blocks, sets, table=()) -> tuple[int, np.ndarray, np.ndarray, list, np.ndarray]:
+    """(n, gram, s4, grams, central) from one pass over ``blocks``, an
+    ensemble's row blocks.  For the columns ``table`` it adds the Gram X^T X
+    and the column sums S4 of X^4; for each (columns, weights) pair of
+    ``sets`` it adds the Gram of the columns and the power sums S1..S4 of
+    the series X @ weights, whose central moments m2, m3 and m4 ``central``
+    holds, one column per series in order.  Each series is shifted by its
+    first value and scaled by the power of 2 that keeps its largest
+    deviation so far in [1/2, 1), or by 2^1022, rescaling its sums when a
+    block raises it: a constant series has m2 exactly 0, no power overflows
+    or all underflow, and a series rescaled by a power of 2 keeps its bits.
+    Cancellation costs about 4 log10(r) digits when the first value lies r
+    standard deviations from the mean."""
+    reads = [(table, None), *((c, np.ascontiguousarray(w.T)) for c, w in sets)]
+    grams = [np.zeros((len(c), len(c))) for c, _ in reads]
+    s4 = np.zeros(len(table))
+    k = sum(len(wt) for _, wt in reads[1:])
+    power, shift, scale = np.zeros((4, k)), None, np.full(k, _MIN_SCALE)
+    factor = np.ldexp(1.0, -scale)[:, None]
+    n = 0
+    with np.errstate(over="ignore"):  # a sum that overflows is inf
+        for block in blocks:
+            n += len(block)
+            rows = []
+            for (c, wt), g in zip(reads, grams):
+                x = block[:, c]
+                g += x.T @ x
+                if wt is None:
+                    s4 += np.sum((x * x) ** 2, axis=0)
+                else:
+                    rows.append(wt @ x.T)  # one row per series
+            if not k:
+                continue
+            d = np.concatenate(rows)
+            shift = d[:, :1].copy() if shift is None else shift
+            d -= shift
+            top = np.frexp(np.maximum(np.abs(d).max(axis=1), _FLOOR))[1]
+            grow = np.maximum(top - scale, 0)
+            if grow.any():
+                power = np.ldexp(power, -grow * np.arange(1, 5)[:, None])
+                scale += grow
+                factor = np.ldexp(1.0, -scale)[:, None]
+            d *= factor
+            d2 = d * d
+            power += [d.sum(axis=1), d2.sum(axis=1), (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1)]
+    if n == 0:
+        raise ValueError("no samples in the ensemble")
+    mu, a2, a3, a4 = power / n
+    return n, grams[0], s4, grams[1:], np.array([
+        a2 - mu * mu,
+        a3 - mu * (3.0 * a2 - 2.0 * mu * mu),
+        a4 - mu * (4.0 * a3 - mu * (6.0 * a2 - 3.0 * mu * mu)),
+    ])
+
+
+def flow_columns(indices, flows) -> list[tuple]:
+    """The (columns, weights) pair of each flow for ``ensemble_sums``: the
+    columns of its boxes in an ensemble over ``indices`` and the weights of
+    its two Gaussianity series, A_f's last column and its last minus its
+    middle one (``flow_weights``)."""
+    pairs = []
+    for boxes, a in map(flow_weights, flows):
+        end = a[:, -1]
+        pairs.append((columns(indices, boxes), np.column_stack([end, end - a[:, a.shape[1] // 2]])))
+    return pairs
+
+
+def flow_results(flows, h: HurstParam, n: int, grams, central) -> list[FlowStatistics]:
+    """One ``FlowStatistics`` per flow from what ``ensemble_sums`` added up
+    for ``flow_columns`` over ``n`` samples: the moment matrix is read once
+    from the box Gram G_B as A_f^T (G_B / n) A_f."""
+    out = []
+    for i, (f, g) in enumerate(zip(flows, grams)):
+        a = flow_weights(f)[1]
+        m = a.T @ (g / n) @ a
+        profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
+        out.append(FlowStatistics(m, profile, central[:, 2 * i:2 * i + 2].T.copy()))
+    return out
 
 
 def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistics]:
     """One ``FlowStatistics`` per flow from one pass over ``blocks``, the row
     blocks of an ensemble over ``indices`` (``SampleEnsemble.row_blocks``,
-    ``storage.StoredEnsemble.row_blocks``).
-
-    Each flow reads the columns X_B of its boxes B through its weights A_f
-    (``flow_weights``), looked up once.  Each block's X_b^T X_b is added into
-    the flow's box Gram G_B, the sum ``PreMeasureTable.from_ensemble`` adds
-    for the table, and the moment matrix is read once at the end as
-    A_f^T (G_B / n) A_f.  The two Gaussianity series are X_b times A_f's
-    middle and last columns, summed term by term in box order (``einsum``
-    over the boxes those columns weight), so their bits do not depend on how
-    the rows are split into blocks.  Beyond one block, the box Grams and the
-    two series, no (n, n_indices) or (n, k) array is formed."""
-    reads = []
-    for boxes, a in map(flow_weights, flows):
-        cols = np.array(columns(indices, boxes), dtype=np.intp)
-        w = a[:, [a.shape[1] // 2, -1]]
-        terms = np.flatnonzero(w.any(axis=1))
-        reads.append((cols, a, cols[terms], w[terms]))
-    grams = [np.zeros((cols.size, cols.size)) for cols, *_ in reads]
-    series = [[] for _ in flows]
-    n = 0
-    for block in blocks:
-        n += block.shape[0]
-        for (cols, _, ends, w), g, s in zip(reads, grams, series):
-            x = block[:, cols]
-            g += x.T @ x
-            s.append(np.einsum("nk,kc->cn", block[:, ends], w))
-    if n == 0:
-        raise ValueError("no samples to project")
-    out = []
-    for f, (_, a, _, _), g, s in zip(flows, reads, grams, series):
-        m = a.T @ (g / n) @ a
-        profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
-        mid, end = np.concatenate(s, axis=1)
-        out.append(FlowStatistics(m, profile, end, end - mid))
-    return out
+    ``storage.StoredEnsemble.row_blocks``), which adds up each flow's box
+    Gram, the sum ``PreMeasureTable.from_ensemble`` adds for the table, and
+    its series' power sums (``ensemble_sums``).  Beyond a few blocks and the
+    box Grams, no array grows with n."""
+    n, _, _, grams, central = ensemble_sums(blocks, flow_columns(indices, flows))
+    return flow_results(flows, h, n, grams, central)
 
 
 def isserlis_z(dev, g_ii, g_jj, g_ij, n: int) -> np.ndarray:
@@ -154,20 +214,15 @@ class GaussianityReport:
     passed: bool
 
 
-def gaussianity_check(samples: np.ndarray, z_limit: float = 4.0) -> GaussianityReport:
-    """Moment z-tests: skewness against sqrt(6/n), excess kurtosis against
-    sqrt(24/n); closed-form thresholds, no critical-value tables."""
-    x = np.asarray(samples, dtype=float)
-    n = x.size
+def gaussianity_check(n: int, m2: float, m3: float, m4: float, z_limit: float = 4.0) -> GaussianityReport:
+    """Moment z-tests on the central moments m2, m3 and m4 of ``n`` samples
+    (of a series scaled by any factor, as ``ensemble_sums`` gives them):
+    skewness against sqrt(6/n), excess kurtosis against sqrt(24/n);
+    closed-form thresholds, no critical-value tables."""
     if n < 1000:
         raise ValueError("need at least 1000 samples")
-    if np.ptp(x) == 0:
+    if not m2 > 0:
         raise DegenerateDataError("zero variance sample")
-    d = x - x.mean()
-    # scaled by a power of 2 to a largest |d| in [1/2, 1): the ratios below do
-    # not change, and the moments can neither overflow nor all underflow
-    d = np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
-    m2, m3, m4 = (np.mean(d**k) for k in (2, 3, 4))
     # biased sample skewness and excess kurtosis (central moments, no
     # small-sample correction)
     skew_z = m3 / m2**1.5 / np.sqrt(6.0 / n)

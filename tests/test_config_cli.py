@@ -600,8 +600,8 @@ class TestCli:
 
     def test_project_memory_flat_in_n_samples(self, tmp_path):
         # project streams the stored ensemble: from n to 8n samples its traced
-        # peak grows by the end and half-increment series, a few blocks, not by
-        # the (n, n_indices) matrix and its per-flow copies
+        # peak grows by less than a few blocks, not by the (n, n_indices)
+        # matrix, its per-flow copies or a length-n series
         lattice = {"lattice": {"shape": [8, 8], "spacing": [1.0, 1.0]}}
         peaks = []
         for n in (4 * STREAM_BLOCK, 32 * STREAM_BLOCK):

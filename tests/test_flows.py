@@ -1,5 +1,7 @@
 """Flow construction, time changes, and projection of sampled fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from sifbm.gaussian import (
 from sifbm.rects import EMPTY, Rect, rect, signed_terms
 from sifbm.stats import flow_statistics
 from sifbm.storage import read_ensemble_blocks, write_ensemble_binary
+from test_stats import two_pass_moments
 
 
 def diag_flow(points=9, scale=1.0):
@@ -421,12 +424,6 @@ class TestFlowWeights:
         m = a.T @ ((x.T @ x) / n) @ a
         assert np.max(np.abs(m - gram)) <= 1e-12 * np.max(np.abs(gram))
         assert np.max(np.abs(fs.moments - gram)) <= 1e-12 * np.max(np.abs(gram))
-        mid = want.shape[1] // 2
-        assert np.allclose(fs.end, want[:, -1], rtol=0, atol=1e-12 * np.max(np.abs(want)))
-        assert np.allclose(
-            fs.half_increment, want[:, -1] - want[:, mid],
-            rtol=0, atol=1e-12 * np.max(np.abs(want)),
-        )
 
     @given(lattice_flows(kinds=("elementary",)), st.sampled_from([0.1, 0.25, 0.4, 0.5]))
     @settings(deadline=None, max_examples=150)
@@ -443,38 +440,40 @@ class TestFlowWeights:
 
 
 # The whole-ensemble statistics that the block stream replaced, kept as the
-# reference: every path at once and its moment matrix, and the two series as
-# the whole ensemble times the flow's middle and last weight columns over the
-# boxes they weight, summed in box order as ``flow_statistics`` sums each
-# block's.
+# reference: every path at once and its moment matrix, and the two
+# Gaussianity series as the whole ensemble times the flow's last weight
+# column and its last minus its middle one, over the boxes they weight,
+# whose moments the two-pass reference gives.
 
 
 def whole_ensemble_statistics(e, f):
     boxes, a = flow_weights(f)
     paths = project(e, f)
-    w = a[:, [a.shape[1] // 2, -1]]
+    w = np.column_stack([a[:, -1], a[:, -1] - a[:, a.shape[1] // 2]])
     terms = np.flatnonzero(w.any(axis=1))
     x = e.samples[:, columns(e.indices, [boxes[t] for t in terms])]
-    mid, end = np.einsum("nk,kc->cn", x, w[terms])
-    return (paths.T @ paths) / e.n_samples, end, end - mid
+    return (paths.T @ paths) / e.n_samples, np.einsum("nk,kc->cn", x, w[terms])
+
+
+def shape_ratios(m2, m3, m4):
+    """Skewness and kurtosis, the scale-free ratios of the central moments."""
+    return m3 / m2**1.5, m4 / m2**2
 
 
 # The per-block path product that the box Grams replaced, kept as the
-# reference: each block's paths P_b = X_b[:, B] A, P_b^T P_b added up and
-# divided by n once, and the middle and last columns of each P_b.
+# reference: each block's paths P_b = X_b[:, B] A and P_b^T P_b added up and
+# divided by n once.
 
 
-def per_block_statistics(blocks, indices, f):
+def per_block_moments(blocks, indices, f):
     boxes, a = flow_weights(f)
     cols = columns(indices, boxes)
-    m, ends, n = np.zeros((a.shape[1],) * 2), [], 0
+    m, n = np.zeros((a.shape[1],) * 2), 0
     for block in blocks:
         p = block[:, cols] @ a
         m += p.T @ p
-        ends.append(p[:, [p.shape[1] // 2, -1]])
         n += block.shape[0]
-    mid, end = np.concatenate(ends).T
-    return m / n, mid, end
+    return m / n
 
 
 def random_ensemble(flows, n: int, hv: float, seed: int) -> SampleEnsemble:
@@ -518,19 +517,14 @@ class TestStreamedFlowStatistics:
             return read_ensemble_blocks(p, e.samples.shape) if stored else e.row_blocks()
 
         for f, fs in zip(flows, flow_statistics(blocks(), e.indices, flows, e.hurst)):
-            m, mid, end = per_block_statistics(blocks(), e.indices, f)
+            m = per_block_moments(blocks(), e.indices, f)
             if isinstance(f, ElementaryFlow):
-                # the paths select columns, so the series are the same bits and
-                # each moment the same dot product of two columns; the BLAS
-                # sums a dot product in an order it picks per product shape
-                assert fs.end.tobytes() == end.tobytes()
-                assert fs.half_increment.tobytes() == (end - mid).tobytes()
+                # the paths select columns, so each moment is the same dot
+                # product of two columns; the BLAS sums a dot product in an
+                # order it picks per product shape
                 tol = STREAM_BLOCK * np.finfo(float).eps * np.max(np.abs(m))
             else:
                 tol = 1e-12 * np.max(np.abs(m))
-                scale = 1e-12 * np.max(np.abs([mid, end]))
-                assert np.max(np.abs(fs.end - end)) <= scale
-                assert np.max(np.abs(fs.half_increment - (end - mid))) <= 2 * scale
             assert np.max(np.abs(fs.moments - m)) <= tol
 
     @given(
@@ -546,10 +540,15 @@ class TestStreamedFlowStatistics:
         streamed = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
         assert len(streamed) == len(flows)
         for f, fs in zip(flows, streamed):
-            gram, end, half = whole_ensemble_statistics(e, f)
+            gram, series = whole_ensemble_statistics(e, f)
             assert np.max(np.abs(fs.moments - gram)) <= 1e-12 * np.max(np.abs(gram))
-            assert fs.end.tobytes() == end.tobytes()
-            assert fs.half_increment.tobytes() == half.tobytes()
+            for x, (m2, m3, m4) in zip(series, fs.series_moments):
+                # a constant series reads m2 exactly 0, and any other the
+                # reference's skewness and kurtosis
+                assert (m2 == 0.0) == (np.ptp(x) == 0.0)
+                if m2 != 0.0:
+                    got, want = shape_ratios(m2, m3, m4), shape_ratios(*two_pass_moments(x))
+                    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
         # the same blocks read from a stored ensemble give the same bits
         p = tmp_path_factory.getbasetemp() / "flows.sifb"
         write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
@@ -558,8 +557,27 @@ class TestStreamedFlowStatistics:
             assert a.moments.tobytes() == b.moments.tobytes()
             assert a.profile.predicted.tobytes() == b.profile.predicted.tobytes()
             assert a.profile.observed.tobytes() == b.profile.observed.tobytes()
-            assert a.end.tobytes() == b.end.tobytes()
-            assert a.half_increment.tobytes() == b.half_increment.tobytes()
+            assert a.series_moments.tobytes() == b.series_moments.tobytes()
+
+    def test_memory_flat_in_n_samples(self, tmp_path):
+        # the series are added up as power sums, so streamed blocks leave a
+        # peak of a few blocks and the box Grams, whatever n is
+        flows = [diag_flow(16), *REPEATS]
+        peaks = []
+        for n in (3_000, 20_000):
+            e = random_ensemble(flows, n, 0.3, seed=n)
+            p = tmp_path / f"{n}.sifb"
+            write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
+            shape, indices = e.samples.shape, e.indices
+            del e
+            tracemalloc.start()
+            try:
+                flow_statistics(read_ensemble_blocks(p, shape), indices, flows, HurstParam(0.3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block = STREAM_BLOCK * len(indices) * 8
+        assert abs(peaks[1] - peaks[0]) < block
 
     def test_no_rows_rejected(self):
         f = diag_flow(4)

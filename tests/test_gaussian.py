@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sifbm.config import load_config
 from sifbm.flows import project
 from sifbm.gaussian import (
+    JITTER_LADDER,
     STREAM_BLOCK,
     HurstParam,
     MissingIndexError,
@@ -212,12 +213,22 @@ class TestCholesky:
         idx = idx + data.draw(st.lists(st.sampled_from(idx), max_size=3))
         c = build_cov_matrix(idx, h)
         lower, jitter = cholesky(c)
-        pos = np.diag(c) > 0.0
-        want = np.where(np.outer(pos, pos), c + jitter * np.diag(np.diag(c)), 0.0)
-        assert np.max(np.abs(lower @ lower.T - want)) <= 1e-12 * np.max(np.diag(c))
+        d = np.diag(c)
+        pos = d > 0.0
+        want = np.where(np.outer(pos, pos), c + jitter * np.diag(d), 0.0)
+        band = 1e-12 * np.outer(np.sqrt(d), np.sqrt(d))  # d_i d_j can underflow
+        assert np.all(np.abs(lower @ lower.T - want) <= band)
         assert np.all(lower[~pos] == 0.0)
         e = sample_ensemble(idx, h, 3, seed=1)
         assert np.all(e.samples[:, ~pos] == 0.0)
+
+    def test_subnormal_repeated_variance_factors_on_the_ladder(self):
+        # a box of corner 5e-324 twice at H = 1/2: jitter * diag(C) underflows
+        # to 0 at every step, jitter * I on the correlation matrix does not
+        c = np.full((2, 2), 5e-324)
+        lower, jitter = cholesky(c)
+        assert jitter == JITTER_LADDER[1]
+        assert np.array_equal(lower @ lower.T, c + jitter * np.diag(np.diag(c)))
 
     @given(grams())
     @settings(max_examples=300, deadline=None)

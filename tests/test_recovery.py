@@ -45,7 +45,7 @@ from sifbm.rects import (
     rect,
     measure,
 )
-from sifbm.stats import variance_profile
+from sifbm.stats import flow_statistics, variance_profile
 from sifbm.storage import StoredEnsemble, write_ensemble_binary
 from test_rects import (
     LeftNeighborhood,
@@ -703,15 +703,16 @@ class TestCharacterize:
         # flow: the details say so instead of ending in "at "
         e, flows = battery_and_indices(self.H, 2_000, 108, self.LATTICE)
         wide = Thresholds(profile_se_mult=1e6)
-        prof, gauss = _flow_criteria(e, flows, e.hurst, wide)
+        stats = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
+        prof, gauss = _flow_criteria(stats, wide)
         assert (prof.passed, prof.statistic) == (True, 1.0)
         assert prof.detail == "every pair of every flow within band"
         assert gauss.detail.startswith("worst moment z at flow ")
-        prof, gauss = _flow_criteria(e, [], e.hurst, wide)
+        prof, gauss = _flow_criteria([], wide)
         assert prof.detail == "every pair of every flow within band"
         assert (gauss.passed, gauss.statistic) == (True, 0.0)
         assert gauss.detail == "no series varies, so none was tested"
-        prof, _ = _flow_criteria(e, flows, e.hurst, Thresholds(profile_se_mult=0.0))
+        prof, _ = _flow_criteria(stats, Thresholds(profile_se_mult=0.0))
         assert prof.statistic < 1.0 and prof.detail.startswith("worst within-band fraction at flow ")
 
     def test_composes_flow_recovery_and_covariance_criteria(self):
@@ -725,6 +726,47 @@ class TestCharacterize:
             + ["covariance_comparison"]
         )
         assert rep.criteria[2:-1] == recovered.criteria
+
+
+class CountingEnsemble:
+    """An ensemble that counts the passes made over its rows."""
+
+    def __init__(self, e):
+        self.e, self.walks = e, 0
+
+    def __getattr__(self, name):
+        return getattr(self.e, name)
+
+    def row_blocks(self):
+        self.walks += 1
+        return self.e.row_blocks()
+
+
+class TestOneWalk:
+    def test_each_verdict_walks_the_ensemble_once(self):
+        # characterize reads the table's sums and every flow's from one pass
+        e, flows = battery_and_indices(0.3, 2_000, 109, lattice(3, 3))
+        idx = lattice(3, 3)
+        counted = CountingEnsemble(e)
+        rep = characterize(counted, flows, e.hurst, table_indices=idx)
+        assert counted.walks == 1
+        assert repr(rep.to_dict()) == repr(characterize(e, flows, e.hurst, table_indices=idx).to_dict())
+        counted = CountingEnsemble(e)
+        rep, _ = recover_measure(counted, table_indices=idx)
+        assert counted.walks == 1
+        assert repr(rep.to_dict()) == repr(recover_measure(e, table_indices=idx)[0].to_dict())
+
+    def test_characterize_reads_the_tables_and_flows_sums(self):
+        # the shared walk gives the bits of the table's own walk and of
+        # flow_statistics' own walk
+        e, flows = battery_and_indices(0.3, 2_000, 110, lattice(3, 3))
+        idx = lattice(3, 3)
+        rep = characterize(e, flows, e.hurst, table_indices=idx)
+        recovered, table = recover_measure(e, table_indices=idx)
+        stats = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
+        want = [*_flow_criteria(stats, Thresholds()), *recovered.criteria,
+                _covariance_criterion(table, e.hurst, Thresholds())]
+        assert repr(rep.to_dict()) == repr(CharacterizationReport(tuple(want)).to_dict())
 
 
 class TestStoredEnsemble:

@@ -24,13 +24,14 @@ from sifbm.flows import (
     project,
     time_change,
 )
-from sifbm.gaussian import HurstParam, sample_ensemble
+from sifbm.gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, sample_ensemble
 from sifbm.rects import rect
-from sifbm.storage import PROFILE_BLOCK_ROWS, write_profile_csv
+from sifbm.storage import PROFILE_BLOCK_ROWS, read_ensemble_blocks, write_ensemble_binary, write_profile_csv
 from sifbm.stats import (
     DegenerateDataError,
     GaussianityReport,
     VarianceProfile,
+    ensemble_sums,
     flow_statistics,
     gaussianity_check,
     hurst_estimate,
@@ -148,39 +149,112 @@ class TestHurstMoments:
         assert hurst_estimate(*moments(paths), tc) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+# The two-pass moments that the streamed power sums replaced, kept as the
+# reference: centre on the mean, centre again on the mean of the deviations
+# (the rounded mean of a series far from 0 is off by more than the
+# skewness's round-off), scale by a power of 2, then average the powers.
+
+
+def two_pass_moments(x):
+    d = x - x.mean()
+    d = d - d.mean()
+    top = np.max(np.abs(d))
+    d = np.ldexp(d, -np.frexp(top)[1]) if top > 0 else d
+    return [float(np.mean(d**k)) for k in (2, 3, 4)]
+
+
+def series_blocks(x, path=None):
+    """The series x as the 256-row blocks of a one-column ensemble, read
+    back from a stored ensemble at ``path`` when given."""
+    e = SampleEnsemble((rect(1.0),), x[:, None], HurstParam(0.5))
+    if path is None:
+        return e.row_blocks()
+    write_ensemble_binary(e.row_blocks(), path, e.samples.shape)
+    return read_ensemble_blocks(path, e.samples.shape)
+
+
+def streamed_moments(x, path=None):
+    """(n, m2, m3, m4) of the series x from one pass over its blocks."""
+    n, _, _, _, central = ensemble_sums(series_blocks(x, path), [([0], np.ones((1, 1)))])
+    return (n, *central[:, 0].tolist())
+
+
+def streamed_check(x, **kw):
+    return gaussianity_check(*streamed_moments(x), **kw)
+
+
 class TestGaussianity:
     def test_exact_gaussian_passes(self):
         x = np.random.default_rng(3).standard_normal(20_000)
-        assert gaussianity_check(x).passed
+        assert streamed_check(x).passed
 
     def test_exponential_fails_on_skewness(self):
         # exponential skewness is 2, far beyond 4*sqrt(6/n)
         x = np.random.default_rng(4).exponential(size=20_000)
-        rep = gaussianity_check(x)
+        rep = streamed_check(x)
         assert not rep.passed
         assert abs(rep.skewness_z) > 4
 
     def test_bernoulli_closed_form(self):
         # Bernoulli(1/4): skewness 2/sqrt(3), excess kurtosis -2/3
         x = np.array([0.0, 0.0, 0.0, 1.0] * 300)
-        rep = gaussianity_check(x)
+        rep = streamed_check(x)
         assert rep.skewness_z * np.sqrt(6.0 / x.size) == pytest.approx(2 / np.sqrt(3), abs=1e-12)
         assert rep.excess_kurtosis_z * np.sqrt(24.0 / x.size) == pytest.approx(-2 / 3, abs=1e-12)
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateDataError):
-            gaussianity_check(np.ones(2000))
+            streamed_check(np.ones(2000))
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
-            gaussianity_check(np.random.default_rng(0).standard_normal(100))
+            streamed_check(np.random.default_rng(0).standard_normal(100))
 
     @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
     def test_rescaled_series_same_z(self, k):
         # skewness and kurtosis do not change when the series is rescaled: at
         # scale 2^k no moment power overflows, or underflows to 0, on the way
         x = np.random.default_rng(5).standard_normal(2000)
-        assert gaussianity_check(np.ldexp(x, k)) == gaussianity_check(x)
+        assert streamed_check(np.ldexp(x, k)) == streamed_check(x)
+
+
+class TestStreamedMoments:
+    @given(
+        n=st.sampled_from([1000, 1023, 1024, 1025]),
+        kind=st.sampled_from(["normal", "exponential", "constant", "constant_prefix"]),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        offset=st.sampled_from([0.0, 1e6]),
+        stored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1025, kind="constant_prefix", scale=1e150, offset=0.0, stored=True, seed=0)
+    @example(n=1024, kind="normal", scale=1e-150, offset=1e6, stored=False, seed=0)
+    @settings(deadline=None, max_examples=80)
+    def test_matches_two_pass_reference(self, tmp_path_factory, n, kind, scale, offset, stored, seed):
+        # offset is in standard deviations; a series constant over its first
+        # block, then varying, sets its scale from a later block
+        rng = np.random.default_rng(seed)
+        z = rng.exponential(size=n) if kind == "exponential" else rng.standard_normal(n)
+        if kind == "constant":
+            z[:] = z[0]
+        elif kind == "constant_prefix":
+            z[:STREAM_BLOCK] = z[STREAM_BLOCK]
+        x = (z + offset) * scale
+        path = tmp_path_factory.getbasetemp() / "series.sifb" if stored else None
+        got = streamed_moments(x, path)
+        assert got[0] == n
+        assert (got[1] == 0.0) == (np.ptp(x) == 0.0)
+        if np.ptp(x) == 0.0:
+            return
+        a, b = gaussianity_check(*got), gaussianity_check(n, *two_pass_moments(x))
+        assert abs(a.skewness_z - b.skewness_z) <= 1e-9
+        assert abs(a.excess_kurtosis_z - b.excess_kurtosis_z) <= 1e-9
+        # streamed and stored blocks are the same bits
+        assert got == streamed_moments(x, None if stored else tmp_path_factory.getbasetemp() / "other.sifb")
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            ensemble_sums(iter(()), [([0], np.ones((1, 1)))])
 
 
 class TestIsserlisZ:
