@@ -20,7 +20,8 @@ tree, the outputs in a temporary directory.  Then it compares:
   (their relative difference is 1 whatever their size) and those that move
   by at most ``ROUND_OFF`` times the largest |number| of the two files (a
   round-off value's relative move can be large and would hide the moves
-  that matter); then the first text field that differs with both values,
+  that matter), with the largest of those moves and where it is; then the
+  first text field that differs with both values,
   and for JSON whether any ``passed``, ``verdict`` or ``overall`` value
   differs;
 - the manifests as JSON, with ``wall_time_s`` removed;
@@ -136,7 +137,8 @@ def difference_note(a: Path, b: Path) -> str:
     numbers where neither is 0, |x - y| / max(|x|, |y|), with its field,
     over the numbers that move by more than ``ROUND_OFF`` times the largest
     finite |number| of the two files; how many numbers move to or from 0,
-    and how many move by less, each with the first; the first field that
+    and how many move by less, each with the first, and the largest of
+    those smaller moves with its field; the first field that
     differs otherwise, with its value on each side; and for JSON, whether a
     ``VERDICT_KEYS`` value differs.  For SIFB ensembles, ``sifb_note``."""
     if a.suffix == ".sifb":
@@ -150,6 +152,7 @@ def difference_note(a: Path, b: Path) -> str:
     numbers = [abs(v) for f in (fa, fb) for v in f.values() if isinstance(v, float)]
     floor = ROUND_OFF * max((v for v in numbers if math.isfinite(v)), default=0.0)
     gap, gap_at, zeros, small, text, flip = 0.0, None, [], [], None, None
+    move, move_at = 0.0, None
     for where in [*fa, *(w for w in fb if w not in fa)]:
         x, y = fa.get(where, "<absent>"), fb.get(where, "<absent>")
         if isinstance(x, float) and isinstance(y, float):
@@ -160,6 +163,8 @@ def difference_note(a: Path, b: Path) -> str:
                 continue
             if abs(x - y) <= floor:
                 small.append(f"{where}: {x!r} in BASE, {y!r} in CHANGE")
+                if abs(x - y) > move:
+                    move, move_at = abs(x - y), where
                 continue
             rel = abs(x - y) / max(abs(x), abs(y))
             rel = math.inf if math.isnan(rel) else rel
@@ -177,6 +182,7 @@ def difference_note(a: Path, b: Path) -> str:
             f"{len(small)} number(s) move by at most {floor:.3g} ({ROUND_OFF:g} of the largest "
             f"|number|), first at {small[0]}"
         )
+        notes.append(f"the largest of them moves by {move:.3g} at {move_at}")
     notes += [text] * (text is not None)
     if a.suffix == ".json":
         notes.append(f"a verdict differs at {flip}" if flip else "no passed, verdict or overall value differs")

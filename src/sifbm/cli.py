@@ -21,16 +21,14 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_hash, load_config
-from .flows import SimpleFlow
 from .gaussian import NotPSDError, ResolutionError, build_cov_matrix, cholesky, draw_blocks
 from .intrep import verify_intrep
-from .recovery import CharacterizationReport, characterize, recover_measure
-from .stats import DegenerateDataError, flow_statistics, gaussianity_check, hurst_estimate
+from .recovery import CharacterizationReport, characterize, read_ensemble, recover_measure
+from .stats import DegenerateDataError, gaussianity_check, hurst_estimate
 from .storage import (
     ArtifactError,
     StoredEnsemble,
     read_json,
-    rect_to_json,
     write_ensemble_binary,
     write_json,
     write_profile_csv,
@@ -91,7 +89,7 @@ def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
         "hurst": cfg.hurst.value,
         "seed": cfg.seed,
         "n_samples": cfg.n_samples,
-        "indices_sha256": canonical_hash([rect_to_json(u) for u in idx]),
+        "indices_sha256": canonical_hash([list(u.corner) for u in idx]),
     }
 
 
@@ -140,7 +138,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
 def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _checked_ensemble(cfg, out)
     n = e.n_samples
-    stats = flow_statistics(e.row_blocks(), e.indices, cfg.flows, cfg.hurst)
+    _, stats = read_ensemble(e, flows=cfg.flows)
     files, report = [], {}
     for name, f, fs in zip(cfg.flow_names, cfg.flows, stats):
         vp = fs.profile
@@ -151,7 +149,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
             "fraction_within_band": vp.fraction_within(cfg.thresholds.profile_se_mult),
             "n_pairs": vp.observed.size,
         }
-        if isinstance(f, SimpleFlow):
+        if len(f.segments) > 1:
             entry["hurst_estimate_error"] = (
                 "not estimated on a simple flow: its increment moments are "
                 "A^T C A, not the power law in the time change the estimate fits"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .flows import ElementaryFlow, SimpleFlow, flow_weights, make_elementary_flow
+from .flows import Flow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
 from .intrep import KERNEL_H_MAX, GridSpec, IntRepConfig, validate_masses
 from .recovery import Thresholds
@@ -107,17 +107,17 @@ def _build_flow(spec: dict, dim: int, where: str):
         if not 0 < len(segs) <= MAX_UNION_PARTS:
             raise ConfigError(f"field '{where}segments' must hold 1 to {MAX_UNION_PARTS} segments")
         built = tuple(
-            _segment_flow(s, dim, f"{where}segments[{i}].") for i, s in enumerate(segs)
+            _segment_flow(s, dim, f"{where}segments[{i}].").segments[0] for i, s in enumerate(segs)
         )
         # a union of k segment values sums < 2^k terms, each at most the
         # largest segment end's measure, so this bound keeps every sum finite
-        top = measure(corner_array([seg.values[-1] for seg in built])).max()
+        top = measure(np.array([seg.corners[-1] for seg in built])).max()
         _finite_measure(2.0 ** len(built) * float(top), f"{where}segments")
-        return _built(f"{where}segments", SimpleFlow, built)
+        return _built(f"{where}segments", Flow, built)
     return _segment_flow(spec, dim, where, "name")
 
 
-def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> ElementaryFlow:
+def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> Flow:
     _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
     power = ("exponents",) if kind == "power" else ()

@@ -1,12 +1,15 @@
 """Discretized increasing set paths and the projection of sampled fields.
 
-An elementary flow is a grid of parameter values with a box value at each
-point, nondecreasing under set inclusion.  A simple flow chains elementary
-segments, accumulating the union of earlier segment endpoints, so its values
-live among finite unions of boxes.  The time change of a flow is the measure
-of its value at each grid point; projecting an exact field ensemble onto a
-flow yields, in law, a one-parameter fractional Brownian motion evaluated at
-that time change.
+A flow is a chain of segments.  A segment is a grid of parameter values
+with a box value at each point, nondecreasing under set inclusion, held as
+the (points, N) array of the boxes' upper corners and a mask of the points
+valued the empty set.  On segment i the flow's value is the segment's box
+joined with the final boxes of all earlier segments, so its values live
+among finite unions of boxes; a flow of one segment is an elementary flow,
+whose values are boxes.  The time change of a flow is the measure of its
+value at each grid point; projecting an exact field ensemble onto an
+elementary flow yields, in law, a one-parameter fractional Brownian motion
+evaluated at that time change.
 
 Every value along a flow is a fixed signed combination of box values, its
 inclusion-exclusion expansion (``rects.signed_terms``), so a flow reads the
@@ -14,17 +17,19 @@ field through one weight matrix A_f (``flow_weights``): the projection of an
 ensemble is X_B A_f, with X_B its columns at the flow's boxes, and every
 second moment along the flow is a quadratic form in A_f.  The same expansion
 gives the time change, each value's measure as the signed sum of its terms'.
+A flow is expanded once, on first use, in one batched pass over its points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .gaussian import HurstParam, SampleEnsemble, build_cov_matrix, columns, increments
-from .rects import EMPTY, Rect, corner_array, measure, signed_terms
+from .rects import EMPTY, DimensionMismatchError, Rect, corner_array, measure, signed_terms
 
 DEFAULT_FLOW_POINTS = 64
 
@@ -33,74 +38,107 @@ class FlowMonotonicityError(ValueError):
     """Flow values must be nondecreasing under set inclusion along the grid."""
 
 
-@dataclass(frozen=True)
-class ElementaryFlow:
-    grid: np.ndarray            # strictly increasing parameter values
-    values: tuple[Rect, ...]    # one box (possibly empty) per grid point
+class Segment(NamedTuple):
+    """One elementary piece of a flow: a strictly increasing ``grid``, the
+    (points, N) upper ``corners`` of its box values, and ``empty``, True
+    where the value is the empty set, whose corner row is 0."""
 
-    def __post_init__(self):
-        self.grid.flags.writeable = False
-
-    @cached_property
-    def _expansion(self) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
-        # a box is its own expansion, one +1 term; the empty set has none
-        full = np.flatnonzero([not v.is_empty for v in self.values])
-        return _expand(self.grid, np.ones(full.size), corner_array(self.values)[full], full)
+    grid: np.ndarray
+    corners: np.ndarray
+    empty: np.ndarray
 
 
 @dataclass(frozen=True)
-class SimpleFlow:
-    """Piecewise-elementary flow; on segment i the value is the current
-    segment's box joined with the final boxes of all earlier segments."""
+class Flow:
+    """Segments chained end to start; at a shared breakpoint the later
+    segment's value holds.  A segment valued the empty set throughout takes
+    the dimension of the others."""
 
-    segments: tuple[ElementaryFlow, ...]
+    segments: tuple[Segment, ...]
 
     def __post_init__(self):
         if not self.segments:
-            raise ValueError("simple flow needs at least one segment")
+            raise ValueError("a flow needs at least one segment")
         for prev, nxt in zip(self.segments[:-1], self.segments[1:]):
             if prev.grid[-1] != nxt.grid[0]:
                 raise ValueError(f"segment grids must chain: {prev.grid[-1]} != {nxt.grid[0]}")
-
-    def grid_and_values(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Merged grid, read-only and built once per flow, with the union at
-        each point as the (k, N) corner array of its parts (``_union_parts``;
-        shared breakpoints appear once, valued by the later segment)."""
-        return self._merged
-
-    @cached_property
-    def _merged(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        dim = corner_array([v for seg in self.segments for v in seg.values]).shape[1]
-        grid: list[float] = []
-        values: list[np.ndarray] = []
-        for i, seg in enumerate(self.segments):
-            if grid:  # the previous segment's end point is this one's start
-                del grid[-1], values[-1]
-            ends = [s.values[-1] for s in self.segments[:i]]
-            grid += seg.grid.tolist()
-            values += [_union_parts((v, *ends), dim) for v in seg.values]
-        grid_array = np.asarray(grid)
-        grid_array.flags.writeable = False
-        return grid_array, tuple(values)
+        dims = {s.corners.shape[1] for s in self.segments if not s.empty.all()}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
+        dim = dims.pop() if dims else 1
+        segments = tuple(
+            s if s.corners.shape[1] == dim else s._replace(corners=np.zeros((len(s.grid), dim)))
+            for s in self.segments
+        )
+        for array in (a for s in segments for a in s):
+            array.flags.writeable = False
+        object.__setattr__(self, "segments", segments)
 
     @cached_property
     def _expansion(self) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
-        grid, values = self.grid_and_values()
-        terms = [signed_terms(parts) for parts in values]
-        point = np.repeat(np.arange(len(values)), [len(signs) for signs, _ in terms])
-        signs, corners = (np.concatenate(x) for x in zip(*terms))
-        return _expand(grid, signs, corners, point)
+        # the union at each point: its own box and the earlier segments' ends
+        grids, corner_arrays, empties = zip(*self.segments)
+        size = [len(g) - 1 for g in grids[:-1]] + [len(grids[-1])]
+        grid, corners, empty = (
+            np.concatenate([a[:k] for a, k in zip(arrays, size)]) for arrays in (grids, corner_arrays, empties)
+        )
+        ends, ended = (np.array([a[-1] for a in arrays])[:-1] for arrays in (corner_arrays, empties))
+        earlier = np.arange(len(ends)) < np.repeat(np.arange(len(size)), size)[:, None]
+        unions = np.concatenate([corners[:, None], ends[None].repeat(len(grid), axis=0)], axis=1)
+        return _expand(grid, unions, np.concatenate([~empty[:, None], earlier & ~ended], axis=1))
 
 
-def _union_parts(boxes, dim: int) -> np.ndarray:
-    """A union of boxes in canonical form, the (k, N) corner array of its
-    parts: empty boxes and boxes inside another dropped, each box once,
-    sorted by corner.  No parts is the empty set."""
-    c = np.array(sorted({b.corner for b in boxes if not b.is_empty})).reshape(-1, dim)
-    return c[np.all(c[:, None] <= c[None], axis=2).sum(axis=1) == 1]
+def canonical_unions(unions, present) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The union of the boxes ``unions[p]`` where ``present[p]``, for each p
+    of a (P, m, N) corner array, in canonical form: its parts once, none
+    inside another, sorted by corner.  Returns (rows, parts) for each part
+    count k > 0 that occurs, k rising: the rows p whose union has k parts
+    and the (len(rows), k, N) stack of their parts."""
+    m, dim = unions.shape[1:]
+    # drop a part inside another, or equal to an earlier one
+    inside = np.all(unions[:, :, None] <= unions[:, None], axis=3) & present[:, None]
+    same = inside & inside.transpose(0, 2, 1)
+    keep = present & ~np.any(inside & (~same | np.tri(m, k=-1, dtype=bool)), axis=2)
+    counts = keep.sum(axis=1)
+    out = []
+    for k in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == k)
+        parts = unions[rows][keep[rows]].reshape(len(rows), k, dim)
+        if k > 1:
+            order = np.lexsort(np.moveaxis(parts[..., ::-1], -1, 0), axis=-1)
+            parts = np.take_along_axis(parts, order[..., None], axis=1)
+        out.append((rows, parts))
+    return out
 
 
-Flow = ElementaryFlow | SimpleFlow
+def _expand(grid, unions, present) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
+    """A flow's boxes, weights and time change from the union at each grid
+    point (``canonical_unions``, whose order of parts fixes the round-off of
+    its measure): the unions of k parts expand together (``signed_terms``),
+    each point's terms in ``signed_terms`` order."""
+    signs, corners, point = [np.zeros(0)], [np.zeros((0, unions.shape[2]))], [np.zeros(0, int)]
+    for rows, parts in canonical_unions(unions, present):
+        s, c = signed_terms(parts)
+        signs.append(np.repeat(s[None], len(rows), axis=0).ravel())
+        corners.append(c.reshape(-1, c.shape[-1]))
+        point.append(np.repeat(rows, len(s)))
+    signs, corners, point = map(np.concatenate, (signs, corners, point))
+    # the distinct boxes sorted by corner, and the row of each term's box:
+    # np.unique(axis=0) gives the same, at the cost of the rest of the
+    # expansion of a 64-point elementary flow
+    order = np.lexsort(corners.T[::-1])
+    ordered = corners[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    distinct, row = ordered[new], np.empty(len(order), int)
+    row[order] = np.cumsum(new) - 1
+    weights = np.zeros((len(distinct), grid.size))
+    np.add.at(weights, (row, point), signs)
+    weights.flags.writeable = False
+    # bincount adds each point's signed term measures one after another from
+    # 0, so the round-off is that of the scalar sum; then clipped at 0
+    total = np.bincount(point, weights=signs * measure(corners), minlength=grid.size)
+    return tuple(map(Rect, distinct.tolist())), weights, TimeChange(grid, np.maximum(total, 0.0))
 
 
 @dataclass(frozen=True)
@@ -131,27 +169,20 @@ class TimeChange:
         self.values.flags.writeable = False
 
 
-def make_elementary_flow(grid, corner_path) -> ElementaryFlow:
-    """Validate and build an elementary flow.
+def make_elementary_flow(grid, corner_path) -> Flow:
+    """Validate and build an elementary flow, a flow of one segment.
 
     ``corner_path`` is a sequence of box values: corner tuples, Rects, or
     None/empty for the empty set (allowed only as a prefix, since the values
     must be nondecreasing under inclusion).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         i = int(np.flatnonzero(np.diff(grid) <= 0)[0])
         raise ValueError(f"grid not strictly increasing at ({grid[i]}, {grid[i+1]})")
-    values = []
-    for v in corner_path:
-        if v is None:
-            values.append(EMPTY)
-        elif isinstance(v, Rect):
-            values.append(v)
-        else:
-            values.append(Rect(tuple(v)))
+    values = [EMPTY if v is None else v if isinstance(v, Rect) else Rect(tuple(v)) for v in corner_path]
     if len(values) != grid.size:
         raise ValueError("corner_path length must match grid length")
     corners, empty = corner_array(values), np.array([v.is_empty for v in values])
@@ -165,7 +196,7 @@ def make_elementary_flow(grid, corner_path) -> ElementaryFlow:
             f"({grid[i]}, {grid[i+1]}): {values[i]!r} is not contained "
             f"in {values[i+1]!r}"
         )
-    return ElementaryFlow(grid, tuple(values))
+    return Flow((Segment(grid, corners, empty),))
 
 
 def time_change(f: Flow) -> TimeChange:
@@ -175,7 +206,7 @@ def time_change(f: Flow) -> TimeChange:
     return f._expansion[2]
 
 
-def flows_through(u: Rect, points: int = DEFAULT_FLOW_POINTS) -> ElementaryFlow:
+def flows_through(u: Rect, points: int = DEFAULT_FLOW_POINTS) -> Flow:
     """Canonical elementary flow reaching u at parameter 1: linear corner
     interpolation from the degenerate origin box, f(t) = [0, t*corner]."""
     if u.is_empty:
@@ -183,47 +214,31 @@ def flows_through(u: Rect, points: int = DEFAULT_FLOW_POINTS) -> ElementaryFlow:
     if points < 2:
         raise ValueError("need at least 2 grid points")
     grid = np.linspace(0.0, 1.0, points)
-    corner = np.asarray(u.corner)
-    values = [Rect(tuple(t * corner)) for t in grid]
-    values[-1] = u  # exact endpoint
-    return ElementaryFlow(grid, tuple(values))
+    corners = grid[:, None] * np.asarray(u.corner)
+    corners[-1] = u.corner  # exact endpoint
+    return Flow((Segment(grid, corners, np.zeros(points, dtype=bool)),))
 
 
 def flow_weights(f: Flow) -> tuple[tuple[Rect, ...], np.ndarray]:
     """The boxes a flow reads, sorted by corner, and its read-only weight
     matrix A (one row per box, one column per grid point), built once per
-    flow: the field along the flow is X_B A.  An elementary flow puts one +1
-    per non-empty value; a simple flow takes the inclusion-exclusion signs
-    of each accumulated union (``signed_terms``)."""
+    flow: the field along the flow is X_B A.  Each column holds the
+    inclusion-exclusion signs of the union at its point (``signed_terms``):
+    one +1 for a box, none for the empty set."""
     return f._expansion[:2]
-
-
-def _expand(grid, signs, corners, point) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
-    """A flow's boxes, weights and time change from its inclusion-exclusion
-    terms: term k is signs[k] times the box with corner corners[k], at grid
-    point point[k]; the terms run point by point in grid order, each point's
-    in ``signed_terms`` order."""
-    distinct, row = np.unique(corners, axis=0, return_inverse=True)
-    weights = np.zeros((len(distinct), grid.size))
-    np.add.at(weights, (row.ravel(), point), signs)
-    weights.flags.writeable = False
-    # bincount adds each point's signed term measures one after another from
-    # 0, so the round-off is that of the scalar sum; then clipped at 0
-    total = np.bincount(point, weights=signs * measure(corners), minlength=grid.size)
-    return tuple(map(Rect, distinct.tolist())), weights, TimeChange(grid, np.maximum(total, 0.0))
 
 
 def predicted_increment_moment(f: Flow, h: HurstParam) -> np.ndarray:
     """E[(X^f_t - X^f_s)^2] for the exact field, over all grid pairs.
 
-    Elementary flows obey the time-changed power law
-    |theta_t - theta_s|^{2H}.  Simple flows take values among finite unions,
+    Elementary flows (one segment) obey the time-changed power law
+    |theta_t - theta_s|^{2H}.  Flows of several segments take values among finite unions,
     where the field is the additive inclusion-exclusion combination of box
     values; their second moments are A^T C_B A, which deviates from the power
     law exactly where the branches interact, so it is the correct prediction
     to test against.
     """
-    if isinstance(f, ElementaryFlow):
+    if len(f.segments) == 1:
         th = time_change(f).values
         return np.abs(th[:, None] - th[None, :]) ** h.two_h
     boxes, a = flow_weights(f)

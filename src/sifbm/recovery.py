@@ -23,8 +23,9 @@ flow characterization of the field:
 
 An ensemble ``e`` is read only through its ``row_blocks()``, so a
 ``gaussian.SampleEnsemble`` and a ``storage.StoredEnsemble`` give the same bits,
-and each verdict walks them once (``stats.ensemble_sums``): ``characterize``
-reads the table's sums and every flow's from the same pass.
+and only by ``read_ensemble``, which walks them once (``stats.ensemble_sums``)
+for the table and every flow a command reads: ``characterize`` reads both
+from the same pass.
 
 Empirical psi entries carry delta-method standard errors:
 d psi / d s = (1/(2H)) s^{1/(2H)-1} applied to the standard error of the
@@ -39,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import Flow
+from .flows import Flow, flow_weights, predicted_increment_moment, time_change
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures, increments
 from .rects import Rect, cell_corners, corner_array, grid_lower, measure
-from .stats import ensemble_sums, flow_columns, flow_results, gaussianity_check, isserlis_z
+from .stats import FlowStatistics, ensemble_sums, gaussianity_check, isserlis_z, variance_profile
 
 _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
 
@@ -50,27 +51,16 @@ _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
 @dataclass(frozen=True)
 class PreMeasureTable:
     """Recovered pre-measure over a box list: ``value[i]`` is psi of
-    ``boxes[i]`` and ``stderr[i]`` its delta-method standard error; an
-    table drawn from an ensemble keeps ``gram``, the second moments
-    G = X^T X / n of its boxes' columns over ``n_samples`` samples."""
+    ``boxes[i]`` and ``stderr[i]`` its delta-method standard error; a
+    table read from an ensemble (``read_ensemble``) keeps ``gram``, the
+    second moments G = X^T X / n of its boxes' columns over ``n_samples``
+    samples."""
 
     boxes: tuple[Rect, ...]
     value: np.ndarray
     stderr: np.ndarray
     gram: np.ndarray | None = None
     n_samples: int = 0
-
-    @classmethod
-    def from_ensemble(cls, e, boxes=None) -> "PreMeasureTable":
-        """``from_moments`` over the columns of ``e``, all of them by default,
-        repeated boxes once, from one pass over its row blocks that adds up
-        X^T X and the column sums S4 of X^4 (``stats.ensemble_sums``)."""
-        n = e.n_samples
-        if n < 100:
-            raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {n}")
-        boxes = tuple(dict.fromkeys(e.indices if boxes is None else boxes))
-        _, gram, s4, _, _ = ensemble_sums(e.row_blocks(), [], columns(e.indices, boxes))
-        return cls.from_moments(boxes, gram / n, s4, n, e.hurst)
 
     @classmethod
     def from_moments(cls, boxes, gram, s4, n: int, h: HurstParam) -> "PreMeasureTable":
@@ -102,6 +92,37 @@ class PreMeasureTable:
             raise ResolutionError(f"the X^4 sums of {boxes[np.argmin(np.isfinite(spread))]} overflow a float")
         se_s = np.sqrt(np.maximum(spread, 0.0) / ((n - 1) * n))
         return cls(boxes, value, inv * slope * se_s, gram, n)
+
+
+def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
+                  ) -> tuple[PreMeasureTable | None, list[FlowStatistics]]:
+    """What the verdicts read of an ensemble ``e``, from one pass over its
+    row blocks that adds up the Grams of the table's columns and of each
+    flow's boxes, the table's X^4 sums and the flows' series' power sums
+    (``stats.ensemble_sums``); beyond a few blocks and the Grams, no array
+    grows with n.  Returns the table of ``boxes``, each once
+    (``from_moments``; None when ``boxes`` is None), and one
+    ``FlowStatistics`` per flow: its moment matrix A_f^T (G_B / n) A_f,
+    read once from the Gram G_B of its boxes (``flow_weights``), its profile
+    against the law with parameter ``h`` (the ensemble's by default), and
+    its two series, A_f's last column and its last minus its middle one."""
+    if boxes is not None:
+        if e.n_samples < 100:
+            raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}")
+        boxes = tuple(dict.fromkeys(boxes))
+    sets = []
+    for fb, a in map(flow_weights, flows):
+        end = a[:, -1]
+        sets.append((columns(e.indices, fb), np.column_stack([end, end - a[:, a.shape[1] // 2]])))
+    n, gram, s4, grams, central = ensemble_sums(e.row_blocks(), sets, columns(e.indices, boxes or ()))
+    table = None if boxes is None else PreMeasureTable.from_moments(boxes, gram / n, s4, n, e.hurst)
+    stats = []
+    for i, (f, g) in enumerate(zip(flows, grams)):
+        a = flow_weights(f)[1]
+        m = a.T @ (g / n) @ a
+        profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h or e.hurst))
+        stats.append(FlowStatistics(m, profile, central[:, 2 * i:2 * i + 2].T.copy()))
+    return table, stats
 
 
 def _table_rows(table, corners) -> np.ndarray:
@@ -353,7 +374,7 @@ def recover_measure(
     cell-increment extension test, together with the recovered table they were
     computed from."""
     thr = thresholds or Thresholds()
-    table = PreMeasureTable.from_ensemble(e, table_indices)
+    table, _ = read_ensemble(e, e.indices if table_indices is None else table_indices)
     criteria = _psi_criteria(table, thr)
     criteria.append(_cell_criterion(table, thr))
     return CharacterizationReport(tuple(criteria)), table
@@ -371,18 +392,13 @@ def characterize(
 
     Runs flow variance profiles and Gaussianity z-tests, the
     ``recover_measure`` criteria, and the final covariance comparison against
-    the covariance rebuilt from the recovered measure.  One pass over the
-    row blocks adds up the table's sums and every flow's
-    (``stats.ensemble_sums``).
+    the covariance rebuilt from the recovered measure, all read in one pass
+    over the row blocks (``read_ensemble``).
     """
     if e.n_samples < 1000:
         raise ResolutionError(f"characterize needs at least 1000 samples, got {e.n_samples}")
     thr = thresholds or Thresholds()
-    boxes = tuple(dict.fromkeys(e.indices if table_indices is None else table_indices))
-    sets = flow_columns(e.indices, flows)
-    n, gram, s4, grams, central = ensemble_sums(e.row_blocks(), sets, columns(e.indices, boxes))
-    table = PreMeasureTable.from_moments(boxes, gram / n, s4, n, e.hurst)
-    criteria = _flow_criteria(flow_results(flows, h, n, grams, central), thr)
-    criteria += _psi_criteria(table, thr)
+    table, stats = read_ensemble(e, e.indices if table_indices is None else table_indices, flows, h)
+    criteria = _flow_criteria(stats, thr) + _psi_criteria(table, thr)
     criteria += [_cell_criterion(table, thr), _covariance_criterion(table, h, thr)]
     return CharacterizationReport(tuple(criteria))

@@ -101,23 +101,25 @@ def corner_array(rects: Sequence[Rect]) -> np.ndarray:
 
 def signed_terms(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inclusion-exclusion expansion of the union of the boxes ``parts``, a
-    (k, N) corner array: (signs, corners) with one term per non-empty subset
-    S of the parts, sign (-1)^{|S|+1} and corner the minimum of S's corners
-    (the corner of its intersection), in ``itertools.combinations`` order
-    (all singletons, then all pairs, ...).  No parts, no terms.
+    (..., k, N) corner array, a stack of unions of k parts each: (signs,
+    corners) with one term per non-empty subset S of the parts, sign
+    (-1)^{|S|+1} and corner the minimum of S's corners (the corner of its
+    intersection), in ``itertools.combinations`` order (all singletons, then
+    all pairs, ...).  ``signs`` has one entry per term, shared by every union
+    of the stack, and ``corners`` is (..., terms, N).  No parts, no terms.
 
     The one place subsets are enumerated: exact, capped at MAX_UNION_PARTS
     parts.
     """
-    k, dim = parts.shape
+    *stack, k, dim = parts.shape
     if k > MAX_UNION_PARTS:
         raise ValueError(f"inclusion-exclusion capped at {MAX_UNION_PARTS} parts, got {k}")
-    signs, corners = [], [np.zeros((0, dim))]
+    signs, corners = [], [np.zeros((*stack, 0, dim))]
     for size in range(1, k + 1):
-        subsets = list(itertools.combinations(range(k), size))
-        corners.append(parts[subsets].min(axis=1))
+        subsets = np.array(list(itertools.combinations(range(k), size)))
+        corners.append(parts[..., subsets, :].min(axis=-2))
         signs += [1.0 if size % 2 == 1 else -1.0] * len(subsets)
-    return np.array(signs), np.concatenate(corners)
+    return np.array(signs), np.concatenate(corners, axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Everything here treats the field as centered, so "variance" means the raw
 second moment throughout; mean-subtraction would only add estimator noise and
 would hide mean-corruption defects.  The profile and the Hurst regression
 read a flow's second-moment matrix M (M_st = mean of X_s X_t over samples),
-which ``flow_statistics`` reads as A_f^T G_B A_f from the Gram G_B of the
-flow's boxes.  ``ensemble_sums`` is the one pass over an ensemble's row
-blocks: it adds up the Gram of each box set, the table's and each flow's,
-and the power sums the Gaussianity check reads, so no length-n series is
-kept.
+which ``recovery.read_ensemble`` reads as A_f^T G_B A_f from the Gram G_B
+of the flow's boxes.  ``ensemble_sums`` is the one pass over an ensemble's
+row blocks: it adds up the Gram of each box set, the table's and each
+flow's, and the power sums the Gaussianity check reads, so no length-n
+series is kept.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import TimeChange, flow_weights, predicted_increment_moment, time_change
-from .gaussian import HurstParam, columns, increments
+from .flows import TimeChange
+from .gaussian import increments
 
 
 class DegenerateDataError(ValueError):
@@ -160,42 +160,6 @@ def ensemble_sums(blocks, sets, table=()) -> tuple[int, np.ndarray, np.ndarray, 
         a3 - mu * (3.0 * a2 - 2.0 * mu * mu),
         a4 - mu * (4.0 * a3 - mu * (6.0 * a2 - 3.0 * mu * mu)),
     ])
-
-
-def flow_columns(indices, flows) -> list[tuple]:
-    """The (columns, weights) pair of each flow for ``ensemble_sums``: the
-    columns of its boxes in an ensemble over ``indices`` and the weights of
-    its two Gaussianity series, A_f's last column and its last minus its
-    middle one (``flow_weights``)."""
-    pairs = []
-    for boxes, a in map(flow_weights, flows):
-        end = a[:, -1]
-        pairs.append((columns(indices, boxes), np.column_stack([end, end - a[:, a.shape[1] // 2]])))
-    return pairs
-
-
-def flow_results(flows, h: HurstParam, n: int, grams, central) -> list[FlowStatistics]:
-    """One ``FlowStatistics`` per flow from what ``ensemble_sums`` added up
-    for ``flow_columns`` over ``n`` samples: the moment matrix is read once
-    from the box Gram G_B as A_f^T (G_B / n) A_f."""
-    out = []
-    for i, (f, g) in enumerate(zip(flows, grams)):
-        a = flow_weights(f)[1]
-        m = a.T @ (g / n) @ a
-        profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
-        out.append(FlowStatistics(m, profile, central[:, 2 * i:2 * i + 2].T.copy()))
-    return out
-
-
-def flow_statistics(blocks, indices, flows, h: HurstParam) -> list[FlowStatistics]:
-    """One ``FlowStatistics`` per flow from one pass over ``blocks``, the row
-    blocks of an ensemble over ``indices`` (``SampleEnsemble.row_blocks``,
-    ``storage.StoredEnsemble.row_blocks``), which adds up each flow's box
-    Gram, the sum ``PreMeasureTable.from_ensemble`` adds for the table, and
-    its series' power sums (``ensemble_sums``).  Beyond a few blocks and the
-    box Grams, no array grows with n."""
-    n, _, _, grams, central = ensemble_sums(blocks, flow_columns(indices, flows))
-    return flow_results(flows, h, n, grams, central)
 
 
 def isserlis_z(dev, g_ii, g_jj, g_ij, n: int) -> np.ndarray:

@@ -36,10 +36,6 @@ class ArtifactError(ValueError):
     message starts with the artifact's path."""
 
 
-def rect_to_json(r: Rect):
-    return None if r.is_empty else list(r.corner)
-
-
 def write_ensemble_binary(blocks, path, shape):
     """Write row blocks as one (rows, columns) ``shape`` matrix through a file that
     replaces ``path`` after the last block; blocks that miss ``shape``, and rows

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from sifbm.cli import main
-from sifbm.flows import (
-    SimpleFlow,
-    flow_weights,
-    flows_through,
-    make_elementary_flow,
-)
+from sifbm.flows import flow_weights, flows_through, make_elementary_flow
 from sifbm.gaussian import (
     HurstParam,
     SampleEnsemble,
@@ -26,9 +21,9 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance
-from sifbm.recovery import PreMeasureTable, Thresholds, _cell_criterion, characterize, psi_on_cells
+from sifbm.recovery import Thresholds, _cell_criterion, characterize, psi_on_cells, read_ensemble
 from sifbm.rects import Rect, measure, rect
-from sifbm.stats import flow_statistics, gaussianity_check
+from sifbm.stats import gaussianity_check
 from test_recovery import (
     cell_measure,
     entry,
@@ -36,7 +31,7 @@ from test_recovery import (
     measurability_check,
     outer_continuity_check,
 )
-from test_rects import LeftNeighborhood, left_nbhd_measure
+from test_rects import LeftNeighborhood, chain, left_nbhd_measure
 
 
 @contextmanager
@@ -64,11 +59,9 @@ def flow_battery(points=64):
     half = points // 2
     g1 = np.linspace(0, 0.5, half)
     g2 = np.linspace(0.5, 1, half)
-    simple = SimpleFlow(
-        (
-            make_elementary_flow(g1, [(2 * t * 3, 2 * t * 1) for t in g1]),
-            make_elementary_flow(g2, [(2 * (t - 0.5) * 1, 2 * (t - 0.5) * 3) for t in g2]),
-        )
+    simple = chain(
+        make_elementary_flow(g1, [(2 * t * 3, 2 * t * 1) for t in g1]),
+        make_elementary_flow(g2, [(2 * (t - 0.5) * 1, 2 * (t - 0.5) * 3) for t in g2]),
     )
     return [diagonal, axis, curved, simple]
 
@@ -109,7 +102,7 @@ def test_criterion_03_flow_projection_law():
                 idx.update(flow_weights(f)[0])
             e = exact_ensemble(idx, hv, n, seed)
             h = HurstParam(hv)
-            for fi, fs in enumerate(flow_statistics(e.row_blocks(), e.indices, battery, h)):
+            for fi, fs in enumerate(read_ensemble(e, flows=battery, h=h)[1]):
                 frac = fs.profile.fraction_within(4.0)
                 assert frac >= 0.95, f"H={hv} flow {fi}: only {frac:.3f} within band"
                 for m2, m3, m4 in fs.series_moments:
@@ -127,7 +120,7 @@ def test_criterion_04_psi_recovery():
         hv, n = 0.35, 20_000
         lattice = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
         e = exact_ensemble(lattice, hv, n, seed=401)
-        table = PreMeasureTable.from_ensemble(e)
+        table = read_ensemble(e, e.indices)[0]
         for u in lattice:
             m = measure(u.corner)
             if m < 0.1:
@@ -180,7 +173,7 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         # measure, and the cells below u add up to psi(u)
         lattice = [rect(i, j) for i in (1, 2) for j in (1, 2)]
         e = exact_ensemble(lattice, h.value, 20_000, seed=601)
-        table = PreMeasureTable.from_ensemble(e)
+        table = read_ensemble(e, e.indices)[0]
         ext = _cell_criterion(table, Thresholds(extension_se_mult=3.0))
         assert ext.passed, f"empirical cell test: {ext.detail}"
         total, se = cell_measure(table, u)

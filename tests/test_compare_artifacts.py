@@ -68,6 +68,19 @@ def test_move_to_zero_does_not_hide_the_round_off_gap(tmp_path):
     assert "1 number(s) move by at most 1.5e-12 (1e-12 of the largest |number|), first at criteria[0].statistic:" in line
 
 
+def test_largest_round_off_move_is_printed(tmp_path):
+    # two round-off moves, the larger one second: the floor is 1.5e-12,
+    # the largest actual move 8.9e-16
+    def change(report):
+        report["criteria"][0]["statistic"] = 0.25 * (1 + 2**-50)
+        report["criteria"][1]["statistic"] = 1.5 + 2**-50
+        return report
+
+    (line,) = compare_artifacts.compare(*write_pair(tmp_path, change))
+    assert "2 number(s) move by at most 1.5e-12 (1e-12 of the largest |number|), first at criteria[0]" in line
+    assert f"; the largest of them moves by {2**-50:.3g} at criteria[1].statistic;" in line
+
+
 def test_round_off_move_does_not_hide_a_real_one(tmp_path):
     # a round-off statistic doubling (relative difference 0.5) beside a psi
     # value moving by 2.2e-11 relative: the psi move is ranked, the

@@ -515,6 +515,32 @@ class TestCli:
         assert "hurst_estimate" not in report["branch"]
         assert report["branch"]["hurst_estimate_error"].startswith("not estimated on a simple flow")
 
+    def test_one_segment_simple_flow_is_elementary(self, tmp_path):
+        # a chain of one segment is an elementary flow: the same profile as
+        # the segment given on its own, and a Hurst estimate
+        seg = {"kind": "linear", "to": [2.0, 1.0], "points": 8}
+        flows = [{"name": "linear", **seg}, {"name": "chain", "kind": "simple", "segments": [seg]}]
+        _, raw = make_config(tmp_path, n_samples=1000, flows=flows)
+        out = tmp_path / "out"
+        assert _exit_codes(raw, out, "simulate", "project") == [0, 0]
+        assert (out / "profile_chain.csv").read_bytes() == (out / "profile_linear.csv").read_bytes()
+        report = json.loads((out / "projections.json").read_text())
+        assert "hurst_estimate" in report["chain"] and report["chain"] == report["linear"]
+
+    def test_verify_intrep_expands_no_flow(self, monkeypatch, tmp_path):
+        # flows are expanded on first use, which verify-intrep never makes
+        import sifbm.flows
+
+        def no_expansion(*args):
+            raise AssertionError("a flow was expanded")
+
+        monkeypatch.setattr(sifbm.flows, "_expand", no_expansion)
+        monkeypatch.setenv("SIFBM_OUT", str(tmp_path))
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+        assert main(["verify-intrep", "--config", config]) == 0
+        with pytest.raises(AssertionError, match="expanded"):
+            sifbm.flows.flow_weights(load_config(config).flows[0])
+
     def test_manifest_contents(self, tmp_path):
         path, _ = make_config(tmp_path)
         out = tmp_path / "out"

@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sifbm.flows import (
-    ElementaryFlow,
     FlowMonotonicityError,
-    SimpleFlow,
     TimeChange,
+    canonical_unions,
     flow_weights,
     flows_through,
     make_elementary_flow,
@@ -28,9 +27,10 @@ from sifbm.gaussian import (
     columns,
     sample_ensemble,
 )
-from sifbm.rects import EMPTY, Rect, rect, signed_terms
-from sifbm.stats import flow_statistics
-from sifbm.storage import read_ensemble_blocks, write_ensemble_binary
+from sifbm.recovery import read_ensemble
+from sifbm.rects import EMPTY, Rect, measure, rect, signed_terms
+from sifbm.storage import StoredEnsemble, write_ensemble_binary
+from test_rects import chain, segment_values
 from test_stats import two_pass_moments
 
 
@@ -42,7 +42,7 @@ def diag_flow(points=9, scale=1.0):
 class TestMakeElementaryFlow:
     def test_diagonal_valid(self):
         f = diag_flow()
-        assert f.values[-1] == rect(1, 1)
+        assert segment_values(f.segments[0])[-1] == rect(1, 1)
 
     def test_decreasing_coordinate_rejected(self):
         grid = np.linspace(0, 1, 5)
@@ -52,7 +52,7 @@ class TestMakeElementaryFlow:
     def test_axis_flow_valid(self):
         grid = np.linspace(0, 1, 5)
         f = make_elementary_flow(grid, [(t, 1.0) for t in grid])
-        assert f.values[0] == rect(0, 1)
+        assert segment_values(f.segments[0])[0] == rect(0, 1)
 
     def test_grid_not_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -61,7 +61,7 @@ class TestMakeElementaryFlow:
     def test_empty_prefix_allowed(self):
         grid = np.linspace(0, 1, 4)
         f = make_elementary_flow(grid, [None, (0.2, 0.2), (0.5, 0.5), (1, 1)])
-        assert f.values[0] is EMPTY
+        assert segment_values(f.segments[0])[0] is EMPTY
 
     def test_empty_after_nonempty_rejected(self):
         grid = np.linspace(0, 1, 3)
@@ -147,7 +147,7 @@ class TestFlowsThrough:
     def test_endpoint_identity(self):
         u = rect(1, 1)
         f = flows_through(u)
-        assert f.values[-1] == u
+        assert segment_values(f.segments[0])[-1] == u
 
     def test_rectangular_target_area(self):
         u = rect(2, 1)
@@ -171,33 +171,33 @@ class TestSimpleFlow:
         seg1 = make_elementary_flow(g1, [(2 * t * 2.0, 2 * t * 0.5) for t in g1])
         g2 = np.linspace(0.5, 1, 5)
         seg2 = make_elementary_flow(g2, [((t - 0.5) * 1.0, (t - 0.5) * 4.0) for t in g2])
-        return SimpleFlow((seg1, seg2))
+        return chain(seg1, seg2)
 
     def test_values_accumulate(self):
         sf = self._two_segment()
-        grid, values = sf.grid_and_values()
-        assert grid.size == 9
-        # last value is union of both segment endpoints, its parts sorted by corner
-        assert values[-1].tolist() == [[0.5, 2.0], [2.0, 0.5]]
+        assert time_change(sf).grid.size == 9
+        # last value is union of both segment endpoints: the two boxes and
+        # minus their intersection
+        boxes, a = flow_weights(sf)
+        last = {u: w for u, w in zip(boxes, a[:, -1].tolist()) if w}
+        assert last == {rect(0.5, 2.0): 1.0, rect(2.0, 0.5): 1.0, rect(0.5, 0.5): -1.0}
 
-    def test_grid_and_values_built_once(self, monkeypatch):
+    def test_expanded_once(self, monkeypatch):
         # flow_weights, time_change and so project and
-        # predicted_increment_moment all read the merged grid; only the first
+        # predicted_increment_moment all read one expansion; only the first
         # call may build unions
         import sifbm.flows as flows
 
         sf = self._two_segment()
-        grid, values = sf.grid_and_values()
-        assert not grid.flags.writeable and isinstance(values, tuple)
+        boxes, a = flow_weights(sf)
+        tc = time_change(sf)
+        assert not tc.grid.flags.writeable and not a.flags.writeable
 
         def no_new_union(*args):
-            raise AssertionError("grid_and_values built a new union")
+            raise AssertionError("the flow was expanded again")
 
-        monkeypatch.setattr(flows, "_union_parts", no_new_union)
-        again = sf.grid_and_values()
-        assert again[0] is grid and again[1] is values
-        flow_weights(sf)
-        time_change(sf)
+        monkeypatch.setattr(flows, "canonical_unions", no_new_union)
+        assert flow_weights(sf)[1] is a and time_change(sf) is tc
 
     def test_time_change_nondecreasing(self):
         tc = time_change(self._two_segment())
@@ -214,7 +214,7 @@ class TestSimpleFlow:
         g2 = np.linspace(0.5, 1, 3)
         seg2 = make_elementary_flow(g2, [(t, t) for t in g2])
         with pytest.raises(ValueError, match="chain"):
-            SimpleFlow((seg1, seg2))
+            chain(seg1, seg2)
 
 
 class TestProjection:
@@ -239,7 +239,7 @@ class TestProjection:
 
     def test_missing_index_listed(self):
         f = diag_flow(5)
-        idx = [v for v in f.values if v != rect(0.5, 0.5) and not v.is_empty]
+        idx = [v for v in segment_values(f.segments[0]) if v != rect(0.5, 0.5) and not v.is_empty]
         e = sample_ensemble(idx, HurstParam(0.3), 10, seed=1)
         with pytest.raises(MissingIndexError) as ei:
             project(e, f)
@@ -264,7 +264,7 @@ class TestProjection:
         seg1 = make_elementary_flow(g1, [(4 * t, t) for t in g1])
         g2 = np.linspace(0.5, 1, 3)
         seg2 = make_elementary_flow(g2, [(2 * (t - 0.5), 4 * (t - 0.5)) for t in g2])
-        sf = SimpleFlow((seg1, seg2))
+        sf = chain(seg1, seg2)
         # small-integer samples: every summation order is exact
         idx = flow_weights(sf)[0]
         x = np.random.default_rng(5).integers(-8, 9, (50, len(idx))).astype(float)
@@ -282,10 +282,10 @@ class TestProjection:
         seg1 = make_elementary_flow(g1, [(2 * t, 2 * t) for t in g1])
         g2 = np.linspace(0.5, 1, 3)
         seg2 = make_elementary_flow(g2, [(t - 0.5, 3 * (t - 0.5)) for t in g2])
-        sf = SimpleFlow((seg1, seg2))
+        sf = chain(seg1, seg2)
         e = self._exact_ensemble(sf, n=40)
         paths = project(e, sf)
-        grid, values = sf.grid_and_values()
+        grid, values = reference_unions(sf)
         k = int(np.flatnonzero(grid == 0.5)[0])
         assert np.array_equal(paths[:, k], additive_extend(e, values[k]))
 
@@ -301,7 +301,7 @@ class TestProjection:
         seg1 = make_elementary_flow(g1, [(4 * t, t) for t in g1])
         g2 = np.linspace(0.5, 1, 4)
         seg2 = make_elementary_flow(g2, [(2 * (t - 0.5), 4 * (t - 0.5)) for t in g2])
-        sf = SimpleFlow((seg1, seg2))
+        sf = chain(seg1, seg2)
         e = self._exact_ensemble(sf, h=h, n=20_000, seed=77)
         paths = project(e, sf)
         pred = predicted_increment_moment(sf, e.hurst)
@@ -339,9 +339,121 @@ class TestProjection:
         assert np.array_equal(pc, pf[:, ::2])
 
 
+# The per-point expansion that the batched one replaced, kept as the
+# reference: the merged grid, each point's union put in canonical form on its
+# own, one ``signed_terms`` call per point, and the terms added up point by
+# point in grid order.
+
+
+def reference_union_parts(boxes, dim: int) -> np.ndarray:
+    """A union of boxes in canonical form, the (k, N) corner array of its
+    parts: empty boxes and boxes inside another dropped, each box once,
+    sorted by corner."""
+    c = np.array(sorted({b.corner for b in boxes if not b.is_empty})).reshape(-1, dim)
+    return c[np.all(c[:, None] <= c[None], axis=2).sum(axis=1) == 1]
+
+
+def candidates(f) -> tuple[np.ndarray, list]:
+    """The merged grid and the boxes whose union is the value at each point:
+    its segment's box and the earlier segments' ends; a shared breakpoint is
+    valued by the later segment."""
+    grid, boxes = [], []
+    for i, seg in enumerate(f.segments):
+        if grid:  # the previous segment's end point is this one's start
+            del grid[-1], boxes[-1]
+        ends = [segment_values(s)[-1] for s in f.segments[:i]]
+        grid += seg.grid.tolist()
+        boxes += [[v, *ends] for v in segment_values(seg)]
+    return np.asarray(grid), boxes
+
+
+def reference_unions(f) -> tuple[np.ndarray, list]:
+    """The merged grid and the union at each point, its parts' corner array."""
+    grid, boxes = candidates(f)
+    return grid, [reference_union_parts(b, f.segments[0].corners.shape[1]) for b in boxes]
+
+
+def reference_expansion(f) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Boxes, weights and time-change values from the per-point terms."""
+    grid, values = reference_unions(f)
+    terms = [signed_terms(parts) for parts in values]
+    point = np.repeat(np.arange(len(values)), [len(signs) for signs, _ in terms])
+    signs, corners = (np.concatenate(x) for x in zip(*terms))
+    distinct, row = np.unique(corners, axis=0, return_inverse=True)
+    weights = np.zeros((len(distinct), grid.size))
+    np.add.at(weights, (row.ravel(), point), signs)
+    total = np.bincount(point, weights=signs * measure(corners), minlength=grid.size)
+    return tuple(map(Rect, distinct.tolist())), weights, TimeChange(grid, np.maximum(total, 0.0)).values
+
+
+@st.composite
+def segment_chains(draw):
+    """Flows of 1..4 segments in 1..3 dimensions: empty prefixes, segments
+    valued the empty set throughout, and segment ends drawn from a small
+    pool with nested copies, so that ends repeat and nest."""
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0, 3, allow_nan=False)
+    pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3))
+    pool += [tuple(0.5 * x for x in c) for c in pool]
+    segments = []
+    for i in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(2, 5))
+        if draw(st.integers(0, 3)) == 0:
+            path = [None] * k
+        else:
+            end = draw(st.sampled_from(pool))
+            scale = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=k, max_size=k)))
+            empty = draw(st.integers(0, k - 1))
+            path = [None] * empty + [tuple(t * x for x in end) for t in scale[empty:]]
+        segments.append(make_elementary_flow(np.linspace(i, i + 1, k), path))
+    return chain(*segments)
+
+
+class TestBatchedExpansion:
+    @given(segment_chains())
+    @example(chain(
+        make_elementary_flow([0, 1], [None, None]),
+        make_elementary_flow([1, 2], [(1.0, 2.0), (2.0, 2.0)]),
+    ))
+    @example(make_elementary_flow([0, 1], [None, None]))
+    @example(chain(
+        make_elementary_flow([0, 1, 2], [None, (1.0, 1.0), (2.0, 1.0)]),
+        make_elementary_flow([2, 3], [(1.0, 1.0), (1.0, 2.0)]),
+        make_elementary_flow([3, 4], [None, (2.0, 1.0)]),
+    ))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_per_point_reference(self, f):
+        # each point's union in canonical form, its parts in the same order
+        dim, m = f.segments[0].corners.shape[1], len(f.segments)
+        rows = [b + [EMPTY] * (m - len(b)) for b in candidates(f)[1]]
+        unions = np.array([[b.corner or (0.0,) * dim for b in row] for row in rows]).reshape(len(rows), m, dim)
+        present = np.array([[not b.is_empty for b in row] for row in rows])
+        got = [np.zeros((0, dim))] * len(rows)
+        for points, parts in canonical_unions(unions, present):
+            for p, union in zip(points, parts):
+                got[p] = union
+        for union, want in zip(got, reference_unions(f)[1]):
+            assert union.shape == want.shape and union.tobytes() == want.tobytes()
+        boxes, weights = flow_weights(f)
+        want_boxes, want_weights, want_theta = reference_expansion(f)
+        assert boxes == want_boxes
+        assert weights.tobytes() == want_weights.tobytes()
+        assert time_change(f).values.tobytes() == want_theta.tobytes()
+        assert weights.shape[1] == len(time_change(f).grid) == len(reference_unions(f)[0])
+
+    def test_empty_segment_takes_the_flows_dimension(self):
+        f = chain(
+            make_elementary_flow([0, 1], [None, None]),
+            make_elementary_flow([1, 2, 3], [(0.5, 0.5), (1, 0.5), (1, 1)]),
+        )
+        assert [s.corners.shape for s in f.segments] == [(2, 2), (3, 2)]
+        assert time_change(f).values.tolist() == [0.0, 0.25, 0.5, 1.0]
+
+
 # The projection that flow_weights replaced, kept as the reference: stored
-# columns copied for an elementary flow, and for a simple flow each union
-# value summed from its inclusion-exclusion terms in ``signed_terms`` order.
+# columns copied for an elementary flow, and for a flow of several segments
+# each union value summed from its inclusion-exclusion terms in
+# ``signed_terms`` order.
 
 
 def additive_extend(e, parts: np.ndarray) -> np.ndarray:
@@ -354,21 +466,22 @@ def additive_extend(e, parts: np.ndarray) -> np.ndarray:
 
 
 def column_projection(e, f) -> np.ndarray:
-    if isinstance(f, ElementaryFlow):
-        nonempty = [j for j, v in enumerate(f.values) if not v.is_empty]
-        cols = np.zeros((e.n_samples, len(f.values)))
-        for j, col in zip(nonempty, columns(e.indices, [f.values[j] for j in nonempty])):
+    if len(f.segments) == 1:
+        values = segment_values(f.segments[0])
+        nonempty = [j for j, v in enumerate(values) if not v.is_empty]
+        cols = np.zeros((e.n_samples, len(values)))
+        for j, col in zip(nonempty, columns(e.indices, [values[j] for j in nonempty])):
             cols[:, j] = e.samples[:, col]
         return cols
-    _, values = f.grid_and_values()
+    _, values = reference_unions(f)
     return np.column_stack([additive_extend(e, v) for v in values])
 
 
 def required_boxes(f) -> set:
     """Every column the reference projection reads."""
-    if isinstance(f, ElementaryFlow):
-        return {v for v in f.values if not v.is_empty}
-    return {Rect(tuple(c)) for v in f.grid_and_values()[1] for c in signed_terms(v)[1].tolist()}
+    if len(f.segments) == 1:
+        return {v for v in segment_values(f.segments[0]) if not v.is_empty}
+    return {Rect(tuple(c)) for v in reference_unions(f)[1] for c in signed_terms(v)[1].tolist()}
 
 
 @st.composite
@@ -387,15 +500,15 @@ def lattice_path(draw, dim: int, k: int) -> list:
 
 @st.composite
 def lattice_flows(draw, kinds=("elementary", "simple")):
-    """An elementary flow, or a simple flow of one to three chained segments
-    on the grids [i, i + 1]."""
+    """An elementary flow, or a chain of one to three segments on the grids
+    [i, i + 1]."""
     dim = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(kinds))
     segments = []
     for i in range(1 if kind == "elementary" else draw(st.integers(1, 3))):
         k = draw(st.integers(2, 6))
         segments.append(make_elementary_flow(np.linspace(i, i + 1, k), draw(lattice_path(dim, k))))
-    return segments[0] if kind == "elementary" else SimpleFlow(tuple(segments))
+    return chain(*segments)
 
 
 class TestFlowWeights:
@@ -414,11 +527,11 @@ class TestFlowWeights:
         e = SampleEnsemble(tuple(idx), rng.standard_normal((n, len(idx))), HurstParam(hv))
         want = column_projection(e, f)
         got = project(e, f)
-        if isinstance(f, ElementaryFlow):
+        if len(f.segments) == 1:
             assert np.array_equal(got, want)
         else:  # the product sums a union's terms in its own order
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        (fs,) = flow_statistics(e.row_blocks(), e.indices, [f], HurstParam(hv))
+        (fs,) = read_ensemble(e, flows=[f], h=HurstParam(hv))[1]
         gram = (want.T @ want) / n
         x = e.samples[:, columns(e.indices, boxes)]
         m = a.T @ ((x.T @ x) / n) @ a
@@ -490,10 +603,10 @@ def random_ensemble(flows, n: int, hv: float, seed: int) -> SampleEnsemble:
 # segments share boxes
 REPEATS = [
     make_elementary_flow(np.linspace(0, 1, 6), [None, None, (1, 1), (1, 1), (2, 1), (2, 1)]),
-    SimpleFlow((
+    chain(
         make_elementary_flow([0.0, 0.5, 1.0], [None, (2, 1), (2, 1)]),
         make_elementary_flow([1.0, 1.5, 2.0], [(1, 1), (1, 2), (1, 2)]),
-    )),
+    ),
 ]
 
 
@@ -512,13 +625,10 @@ class TestStreamedFlowStatistics:
         p = tmp_path_factory.getbasetemp() / "reference.sifb"
         if stored:
             write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
-
-        def blocks():
-            return read_ensemble_blocks(p, e.samples.shape) if stored else e.row_blocks()
-
-        for f, fs in zip(flows, flow_statistics(blocks(), e.indices, flows, e.hurst)):
-            m = per_block_moments(blocks(), e.indices, f)
-            if isinstance(f, ElementaryFlow):
+        source = StoredEnsemble(p, e.indices, e.hurst, n) if stored else e
+        for f, fs in zip(flows, read_ensemble(source, flows=flows)[1]):
+            m = per_block_moments(source.row_blocks(), e.indices, f)
+            if len(f.segments) == 1:
                 # the paths select columns, so each moment is the same dot
                 # product of two columns; the BLAS sums a dot product in an
                 # order it picks per product shape
@@ -537,7 +647,7 @@ class TestStreamedFlowStatistics:
     def test_block_sums_match_whole_ensemble(self, tmp_path_factory, flows, n, hv, seed):
         e = random_ensemble(flows, n, hv, seed)
         idx = e.indices
-        streamed = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
+        streamed = read_ensemble(e, flows=flows)[1]
         assert len(streamed) == len(flows)
         for f, fs in zip(flows, streamed):
             gram, series = whole_ensemble_statistics(e, f)
@@ -552,7 +662,7 @@ class TestStreamedFlowStatistics:
         # the same blocks read from a stored ensemble give the same bits
         p = tmp_path_factory.getbasetemp() / "flows.sifb"
         write_ensemble_binary(e.row_blocks(), p, e.samples.shape)
-        stored = flow_statistics(read_ensemble_blocks(p, (n, len(idx))), e.indices, flows, e.hurst)
+        stored = read_ensemble(StoredEnsemble(p, idx, e.hurst, n), flows=flows)[1]
         for a, b in zip(streamed, stored):
             assert a.moments.tobytes() == b.moments.tobytes()
             assert a.profile.predicted.tobytes() == b.profile.predicted.tobytes()
@@ -572,7 +682,7 @@ class TestStreamedFlowStatistics:
             del e
             tracemalloc.start()
             try:
-                flow_statistics(read_ensemble_blocks(p, shape), indices, flows, HurstParam(0.3))
+                read_ensemble(StoredEnsemble(p, indices, HurstParam(0.3), shape[0]), flows=flows)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -581,5 +691,6 @@ class TestStreamedFlowStatistics:
 
     def test_no_rows_rejected(self):
         f = diag_flow(4)
+        boxes = flow_weights(f)[0]
         with pytest.raises(ValueError, match="no samples"):
-            flow_statistics(iter(()), flow_weights(f)[0], [f], HurstParam(0.3))
+            read_ensemble(SampleEnsemble(boxes, np.zeros((0, len(boxes))), HurstParam(0.3)), flows=[f])

@@ -29,6 +29,7 @@ from sifbm.recovery import (
     Thresholds,
     characterize,
     psi_on_cells,
+    read_ensemble,
     recover_measure,
     _cell_criterion,
     _covariance_criterion,
@@ -45,7 +46,7 @@ from sifbm.rects import (
     rect,
     measure,
 )
-from sifbm.stats import flow_statistics, variance_profile
+from sifbm.stats import variance_profile
 from sifbm.storage import StoredEnsemble, write_ensemble_binary
 from test_rects import (
     LeftNeighborhood,
@@ -171,7 +172,7 @@ def exact_ensemble(indices, h, n, seed):
 
 
 def psi_entry(e, u, h):
-    """The per-column plug-in recovery that ``PreMeasureTable.from_ensemble``
+    """The per-column plug-in recovery that the table of ``read_ensemble``
     replaced: (value, stderr) of one box, (mean of X_U^2)^{1/(2H)} with its
     delta-method standard error."""
     if e.n_samples < 100:
@@ -193,7 +194,7 @@ def psi_entry(e, u, h):
 
 
 def psi_of(e, u):
-    return PreMeasureTable.from_ensemble(e, [u]).value[0]
+    return read_ensemble(e, [u])[0].value[0]
 
 
 @st.composite
@@ -254,7 +255,7 @@ class TestEstimatePsi:
         e, want = case
         with warnings.catch_warnings(record=True) as got_warned:
             warnings.simplefilter("always")
-            table = PreMeasureTable.from_ensemble(e, want)
+            table = read_ensemble(e, e.indices if want is None else want)[0]
         boxes = tuple(dict.fromkeys(e.indices if want is None else want))
         assert table.boxes == boxes
         with warnings.catch_warnings(record=True) as ref_warned:
@@ -300,7 +301,7 @@ class TestPsiOnC:
 
     def test_empirical_terms_add_in_quadrature(self):
         e = exact_ensemble(lattice(2, 2), 0.3, 200, seed=5)
-        t = PreMeasureTable.from_ensemble(e)
+        t = read_ensemble(e, e.indices)[0]
         (v22, s22), (v12, s12), (v21, s21), (v11, s11) = (
             entry(t, u) for u in (rect(2, 2), rect(1, 2), rect(2, 1), rect(1, 1))
         )
@@ -312,7 +313,7 @@ class TestPsiOnC:
         # the cell below (2, 2) needs (1, 1), which the table lacks: it is
         # listed as not tested and reads 0 with error 0
         e = exact_ensemble([rect(1, 2), rect(2, 1), rect(2, 2)], 0.3, 200, seed=5)
-        t = PreMeasureTable.from_ensemble(e)
+        t = read_ensemble(e, e.indices)[0]
         value, se, tested = on_cells(t, [((1, 1), (2, 2)), ((0, 1), (1, 2))])
         assert tested.tolist() == [False, False]
         assert (value.tolist(), se.tolist()) == ([0.0, 0.0], [0.0, 0.0])
@@ -353,7 +354,7 @@ def cell_reference(table):
 def cell_tables(draw):
     """A table in 1..3 dimensions over a lattice of drawn coordinates or
     scattered corners, with degenerate boxes, EMPTY and repeats (kept once,
-    as ``from_ensemble`` keeps them); psi is Lebesgue measure with zero
+    as ``read_ensemble`` keeps them); psi is Lebesgue measure with zero
     error, or a multiple in [0.5, 1.5] of it with errors in [0, 0.3]."""
     dim = draw(st.integers(1, 3))
     coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 3, allow_nan=False)
@@ -437,7 +438,7 @@ class TestCellCriterion:
         cfg = parse_config({**raw, "n_samples": 4000})
         for seed in range(1, 8):
             e = sample_ensemble(cfg.ensemble_indices(), cfg.hurst, cfg.n_samples, seed=seed)
-            ext = _cell_criterion(PreMeasureTable.from_ensemble(e, cfg.table_indices), cfg.thresholds)
+            ext = _cell_criterion(read_ensemble(e, cfg.table_indices)[0], cfg.thresholds)
             assert ext.passed, (seed, ext.detail)
             assert ext.detail.startswith("cells tested: 9;")
 
@@ -486,7 +487,7 @@ class TestOuterMeasure:
 
     def test_monotone_in_target(self):
         e = exact_ensemble(lattice(3, 3), 0.3, 4000, seed=11)
-        t = PreMeasureTable.from_ensemble(e)
+        t = read_ensemble(e, e.indices)[0]
         small = cell_measure(t, rect(1, 2))[0]
         big = cell_measure(t, rect(2, 2))[0]
         assert small <= big
@@ -538,7 +539,7 @@ class TestVerifyExtension:
         h = 0.35
         idx = sorted(set(lattice(2, 2)), key=lambda r: r.corner)
         e = exact_ensemble(idx, h, 20_000, seed=33)
-        t = PreMeasureTable.from_ensemble(e)
+        t = read_ensemble(e, e.indices)[0]
         ext = _cell_criterion(t, Thresholds())
         assert ext.passed and ext.statistic == 0.0
         value, se, tested = on_cells(t, [((1, 1), (2, 2)), ((0, 1), (1, 2))])
@@ -703,7 +704,7 @@ class TestCharacterize:
         # flow: the details say so instead of ending in "at "
         e, flows = battery_and_indices(self.H, 2_000, 108, self.LATTICE)
         wide = Thresholds(profile_se_mult=1e6)
-        stats = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
+        stats = read_ensemble(e, flows=flows)[1]
         prof, gauss = _flow_criteria(stats, wide)
         assert (prof.passed, prof.statistic) == (True, 1.0)
         assert prof.detail == "every pair of every flow within band"
@@ -757,13 +758,13 @@ class TestOneWalk:
         assert repr(rep.to_dict()) == repr(recover_measure(e, table_indices=idx)[0].to_dict())
 
     def test_characterize_reads_the_tables_and_flows_sums(self):
-        # the shared walk gives the bits of the table's own walk and of
-        # flow_statistics' own walk
+        # the shared walk gives the bits of a walk for the table alone and
+        # of one for the flows alone
         e, flows = battery_and_indices(0.3, 2_000, 110, lattice(3, 3))
         idx = lattice(3, 3)
         rep = characterize(e, flows, e.hurst, table_indices=idx)
         recovered, table = recover_measure(e, table_indices=idx)
-        stats = flow_statistics(e.row_blocks(), e.indices, flows, e.hurst)
+        stats = read_ensemble(e, flows=flows)[1]
         want = [*_flow_criteria(stats, Thresholds()), *recovered.criteria,
                 _covariance_criterion(table, e.hurst, Thresholds())]
         assert repr(rep.to_dict()) == repr(CharacterizationReport(tuple(want)).to_dict())
@@ -833,7 +834,7 @@ class TestCovarianceCriterion:
         scale = np.sqrt(measure(corner_array(boxes)))
         samples = np.random.default_rng(seed).standard_normal((200, len(boxes))) * scale
         e = SampleEnsemble(tuple(boxes), samples, h)
-        table = PreMeasureTable.from_ensemble(e, table_idx)
+        table = read_ensemble(e, table_idx)[0]
         thr = Thresholds(covariance_se_mult=mult)
         got = _covariance_criterion(table, h, thr)
         total, ok = covariance_criterion_reference(e, table, h, mult)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sifbm.flows import SimpleFlow, make_elementary_flow, time_change
+from sifbm.flows import Flow, canonical_unions, make_elementary_flow, time_change
 from sifbm.rects import (
     EMPTY,
     MAX_UNION_PARTS,
@@ -70,10 +71,20 @@ def box_measure(u: Rect) -> float:
     return float(measure(corner_array([u]))[0])
 
 
-def union_flow(*parts: Rect) -> SimpleFlow:
-    """A simple flow whose segment i holds parts[i] constant, so its last
-    value is the union of all of them."""
-    return SimpleFlow(tuple(make_elementary_flow([i, i + 1], [p, p]) for i, p in enumerate(parts)))
+def chain(*flows: Flow) -> Flow:
+    """One flow of the segments of ``flows``, in order."""
+    return Flow(tuple(s for f in flows for s in f.segments))
+
+
+def segment_values(seg) -> list:
+    """A segment's value at each grid point as a Rect, EMPTY for the empty set."""
+    return [EMPTY if e else Rect(tuple(c)) for c, e in zip(seg.corners.tolist(), seg.empty)]
+
+
+def union_flow(*parts: Rect) -> Flow:
+    """A flow whose segment i holds parts[i] constant, so its last value is
+    the union of all of them."""
+    return chain(*(make_elementary_flow([i, i + 1], [p, p]) for i, p in enumerate(parts)))
 
 
 def union_measure(boxes) -> float:
@@ -346,8 +357,10 @@ class TestMonotonicity:
 
 
 def union_parts(*boxes: Rect) -> list:
-    """The corners of the parts a simple flow keeps for a union of boxes."""
-    return union_flow(*boxes).grid_and_values()[1][-1].tolist()
+    """The corners of the parts a flow keeps for a union of boxes."""
+    present = np.array([[not b.is_empty for b in boxes]])
+    unions = canonical_unions(corner_array(boxes)[None], present)
+    return unions[0][1][0].tolist() if unions else []
 
 
 class TestRectUnionCanonical:
@@ -404,6 +417,18 @@ class TestSignedTerms:
         want = arr.volumes[arr.mask(parts)].sum()
         assert total == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(1, 3)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=coords)))
+    def test_stack_matches_single_calls(self, stack):
+        # P unions of k parts each, expanded together and one by one
+        signs, corners = signed_terms(stack)
+        p, k, dim = stack.shape
+        assert corners.shape == (p, 2**k - 1, dim)
+        for union, got in zip(stack, corners):
+            want_signs, want = signed_terms(union)
+            assert signs.tolist() == want_signs.tolist()
+            assert got.tobytes() == want.tobytes()
+
     @given(part_arrays())
     @example(np.zeros((0, 3)))
     def test_matches_scalar_reference(self, parts):
@@ -416,9 +441,9 @@ class TestSignedTerms:
 
 @st.composite
 def simple_flows(draw):
-    """Simple flows of 1..8 segments in 1..4 dimensions, each a two-point
-    step from a box to a larger one, drawn from a small pool so that ends
-    repeat and nest; zero coordinates and empty starts included."""
+    """Flows of 1..8 segments in 1..4 dimensions, each a two-point step
+    from a box to a larger one, drawn from a small pool so that ends repeat
+    and nest; zero coordinates and empty starts included."""
     dim = draw(st.integers(1, 4))
     pool = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=4))
     segments = []
@@ -426,7 +451,7 @@ def simple_flows(draw):
         hi = draw(st.sampled_from(pool))
         lo = draw(st.sampled_from([None, tuple(0.5 * x for x in hi), hi]))
         segments.append(make_elementary_flow([i, i + 1], [lo, hi]))
-    return SimpleFlow(tuple(segments))
+    return chain(*segments)
 
 
 class TestUnionTimeChange:
@@ -437,9 +462,9 @@ class TestUnionTimeChange:
         # measured by the scalar expansion, then the running maximum
         want = []
         for i, seg in enumerate(f.segments):
-            ends = [s.values[-1] for s in f.segments[:i]]
+            ends = [segment_values(s)[-1] for s in f.segments[:i]]
             want = want[:-1] + [
-                union_measure_reference(canonical_reference([v, *ends])) for v in seg.values
+                union_measure_reference(canonical_reference([v, *ends])) for v in segment_values(seg)
             ]
         assert time_change(f).values.tolist() == np.maximum.accumulate(want).tolist()
 

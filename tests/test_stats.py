@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sifbm.flows import (
-    SimpleFlow,
     TimeChange,
     flow_weights,
     flows_through,
@@ -25,6 +24,7 @@ from sifbm.flows import (
     time_change,
 )
 from sifbm.gaussian import STREAM_BLOCK, HurstParam, SampleEnsemble, sample_ensemble
+from sifbm.recovery import read_ensemble
 from sifbm.rects import rect
 from sifbm.storage import PROFILE_BLOCK_ROWS, read_ensemble_blocks, write_ensemble_binary, write_profile_csv
 from sifbm.stats import (
@@ -32,12 +32,12 @@ from sifbm.stats import (
     GaussianityReport,
     VarianceProfile,
     ensemble_sums,
-    flow_statistics,
     gaussianity_check,
     hurst_estimate,
     isserlis_z,
     variance_profile,
 )
+from test_rects import chain
 
 
 def exact_projection(h, points=16, n=20_000, seed=100, corner=(1.0, 1.0)):
@@ -486,7 +486,7 @@ class TestVarianceProfile:
         # prediction leaves every profile value as the default branch built it
         h = HurstParam(hv)
         tc = time_change(f)
-        paths = np.random.default_rng(seed).standard_normal((n, len(f.grid)))
+        paths = np.random.default_rng(seed).standard_normal((n, len(tc.grid)))
         m = moments(paths)[0]
         got = variance_profile(m, n, tc, predicted_increment_moment(f, h))
         for a, b in zip((got.predicted, got.observed), default_branch(m, tc, h)):
@@ -538,15 +538,15 @@ class TestVarianceProfile:
         flows = [
             flows_through(rect(2.0, 1.5), points=100),
             make_elementary_flow(np.linspace(0, 1, 40), [(t * t, t) for t in np.linspace(0, 1, 40)]),
-            SimpleFlow((
+            chain(
                 make_elementary_flow([0.0, 0.5, 1.0], [(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]),
                 make_elementary_flow([1.0, 1.5, 2.0], [(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]),
-            )),
+            ),
         ]
         assert 100 * 99 // 2 > PROFILE_BLOCK_ROWS
         idx = sorted({u for f in flows for u in flow_weights(f)[0]}, key=lambda r: r.corner)
         e = sample_ensemble(idx, h, 300, seed=3)
-        for n, (f, fs) in enumerate(zip(flows, flow_statistics(e.row_blocks(), e.indices, flows, h))):
+        for n, (f, fs) in enumerate(zip(flows, read_ensemble(e, flows=flows, h=h)[1])):
             new, ref = tmp_path / f"new{n}.csv", tmp_path / f"ref{n}.csv"
             write_profile_csv(fs.profile, new)
             rows = seven_column_rows(fs.moments, 300, fs.profile.time_change, predicted_increment_moment(f, h))
