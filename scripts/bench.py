@@ -14,7 +14,8 @@ uncommitted changes.  The file holds each workload's reported metrics
 many operations failed, the tier-1 wall time and summary line, its ten
 slowest test phases as pytest's ``--durations=10`` reports them,
 ``src_lines`` (the total line count of the checkout's ``src/sifbm/*.py``,
-as ``wc -l`` counts it), the core count and the numpy and Python versions.
+as ``wc -l`` counts it) and ``src_module_lines`` (each module's count, by
+file name), the core count and the numpy and Python versions.
 Exit 1 when a workload's outputs were incorrect or tier-1 did not pass; the
 file is written either way.
 """
@@ -73,8 +74,9 @@ def run_tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else "", "slowest": slowest}
 
 
-def src_lines(root: Path) -> int:
-    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "sifbm").glob("*.py"))
+def src_lines(root: Path) -> dict[str, int]:
+    """Line count of each ``src/sifbm/*.py`` module, as ``wc -l`` counts it."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((root / "src" / "sifbm").glob("*.py"))}
 
 
 def main(argv=None) -> int:
@@ -96,6 +98,7 @@ def main(argv=None) -> int:
         workloads[wl["name"]] = run_workload(root, wl["name"], args.seed, seconds)
     print("bench: tier-1 ...", file=sys.stderr)
     tier1 = run_tier1(root)
+    modules = src_lines(root)
 
     record = {
         "label": label,
@@ -104,7 +107,8 @@ def main(argv=None) -> int:
         "benchmark": {"seed": args.seed, "seconds": seconds, "trace": 0},
         "workloads": workloads,
         "tier1": tier1,
-        "src_lines": src_lines(root),
+        "src_lines": sum(modules.values()),
+        "src_module_lines": modules,
         "host": {
             "cores": os.cpu_count(),
             "numpy": np.__version__,

@@ -89,7 +89,7 @@ def _simulation_record(cfg: ExperimentConfig, idx) -> dict:
         "hurst": cfg.hurst.value,
         "seed": cfg.seed,
         "n_samples": cfg.n_samples,
-        "indices_sha256": canonical_hash([list(u.corner) for u in idx]),
+        "indices_sha256": canonical_hash(idx.tolist()),
     }
 
 
@@ -110,7 +110,7 @@ def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
         raise FileNotFoundError(
             f"missing input artifact {path}; run 'sifbm simulate' with this config first"
         )
-    idx = cfg.ensemble_indices()
+    idx = cfg.ensemble_boxes()
     want, got = _simulation_record(cfg, idx), _manifest_field(out, "simulate", "simulation")
     if not (isinstance(got, dict) and want.keys() <= got.keys()):
         raise ArtifactError(f"{manifest}: no simulation record; rerun 'sifbm simulate' with this config")
@@ -120,11 +120,11 @@ def _checked_ensemble(cfg: ExperimentConfig, out: Path) -> StoredEnsemble:
             f"{path}: simulated with {stale} {got[stale]!r}, but the config gives "
             f"{want[stale]!r}; rerun 'sifbm simulate' with this config"
         )
-    return StoredEnsemble(path, tuple(idx), cfg.hurst, cfg.n_samples)
+    return StoredEnsemble(path, idx, cfg.hurst, cfg.n_samples)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> Outcome:
-    idx = cfg.ensemble_indices()
+    idx = cfg.ensemble_boxes()
     lower, jitter = cholesky(build_cov_matrix(idx, cfg.hurst))
     blocks = draw_blocks(cfg.seed, cfg.n_samples, lower.T.copy(), cfg.jobs)
     write_ensemble_binary(blocks, out / ENSEMBLE_BIN, (cfg.n_samples, len(idx)))
@@ -171,8 +171,8 @@ def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _checked_ensemble(cfg, out)
     report, table = recover_measure(e, cfg.thresholds, cfg.table_indices)
     psi = {
-        repr(list(u.corner)): {"value": v, "stderr": se}
-        for u, v, se in zip(table.boxes, table.value.tolist(), table.stderr.tolist())
+        repr(corner): {"value": v, "stderr": se}
+        for corner, v, se in zip(table.boxes.tolist(), table.value.tolist(), table.stderr.tolist())
     }
     return _verdict(report, psi=psi)
 

@@ -20,7 +20,7 @@ from .flows import Flow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
 from .intrep import KERNEL_H_MAX, GridSpec, IntRepConfig, validate_masses
 from .recovery import Thresholds
-from .rects import MAX_UNION_PARTS, Rect, corner_array, measure
+from .rects import MAX_UNION_PARTS, Rect, distinct_rows, measure
 
 
 class ConfigError(ValueError):
@@ -97,6 +97,20 @@ def _finite_measure(values, where: str):
         raise ConfigError(f"field '{where}': a measure is beyond half the float range")
 
 
+def _boxes(corners: np.ndarray, where: str) -> np.ndarray:
+    """The boxes of an (n, N) corner array, each once, sorted by corner, and
+    read-only, once no coordinate is negative and no measure is beyond
+    ``_finite_measure``'s bound (an infinite coordinate's measure is); an
+    error names ``where.format(i)``, row i the first refused."""
+    bad = np.any(corners < 0.0, axis=1) | ~(measure(corners) <= np.finfo(float).max / 2)
+    if bad.any():
+        raise ConfigError(f"field '{where.format(np.argmax(bad))}': corner coordinates must be >= 0, "
+                          "and a box's measure within half the float range")
+    corners = corners[distinct_rows(corners)[0]] + 0.0  # -0.0 to 0.0
+    corners.flags.writeable = False
+    return corners
+
+
 def _build_flow(spec: dict, dim: int, where: str):
     _typed(spec, dict, where[:-1])
     kind = _get(spec, "kind", str, where, required=True)
@@ -134,7 +148,7 @@ def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> Flow:
     frac = (grid - a) / (b - a)
     frac[-1] = 1.0
     if kind == "linear":
-        corners = [tuple(f * c for c in to) for f in frac]
+        corners = frac[:, None] * np.array(to)
     elif kind == "power":
         exps = _items(spec, "exponents", float, where, required=True)
         if len(exps) != dim or any(e <= 0 for e in exps):
@@ -153,7 +167,9 @@ class ExperimentConfig:
     seed: int
     n_samples: int
     output_dir: str
-    lattice_indices: tuple[Rect, ...]
+    # the boxes the recovered-measure table is built over: the config's
+    # lattice or corner list, each box once, sorted by corner
+    table_indices: np.ndarray
     flows: tuple
     flow_names: tuple[str, ...]
     intrep: IntRepConfig
@@ -161,19 +177,16 @@ class ExperimentConfig:
     jobs: int = 1
     raw: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def table_indices(self) -> list[Rect]:
-        """Indices the recovered-measure table is built over: the lattice,
-        each box once, sorted by corner."""
-        return sorted(set(self.lattice_indices), key=lambda r: r.corner)
+    def ensemble_boxes(self) -> np.ndarray:
+        """The ensemble's columns: the table's boxes and every box a
+        configured flow reads, each once, sorted by corner."""
+        corners = np.concatenate([self.table_indices, *(flow_weights(f)[0] for f in self.flows)])
+        return corners[distinct_rows(corners)[0]]
 
     def ensemble_indices(self) -> list[Rect]:
-        """Deterministic index list for simulation: table indices plus every
-        column any configured flow projection will read."""
-        out = set(self.table_indices)
-        for f in self.flows:
-            out.update(flow_weights(f)[0])
-        return sorted(out, key=lambda r: r.corner)
+        """``ensemble_boxes`` as Rects, in column order, for readers that
+        take each box's ``.corner``; no command calls it."""
+        return [Rect(c) for c in self.ensemble_boxes().tolist()]
 
     def config_hash(self) -> str:
         return canonical_hash(self.raw)
@@ -203,7 +216,6 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
 
     idx_spec = _get(resolved, "indices", dict, "", required=True)
     _only(idx_spec, ("lattice",) if "lattice" in idx_spec else ("corners",), "indices.")
-    lattice: list[Rect] = []
     if "lattice" in idx_spec:
         lat = _get(idx_spec, "lattice", dict, "indices.")
         _only(lat, ("shape", "spacing"), "indices.lattice.")
@@ -211,16 +223,15 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         spacing = _items(lat, "spacing", float, "indices.lattice.", default=[1.0] * dim)
         if len(shape) != dim or len(spacing) != dim:
             raise ConfigError("field 'indices.lattice': shape/spacing must match dimension")
-        for combo in itertools.product(*(range(1, s + 1) for s in shape)):
-            corner = tuple(c * sp for c, sp in zip(combo, spacing))
-            lattice.append(_built("indices.lattice.spacing", Rect, corner))
-        _finite_measure(measure(corner_array(lattice)), "indices.lattice")
+        if min(spacing) < 0:
+            raise ConfigError("field 'indices.lattice.spacing' entries must be >= 0")
+        combos = np.array(list(itertools.product(*(range(1, s + 1) for s in shape))), dtype=float)
+        with np.errstate(over="ignore"):  # an infinite coordinate fails as a measure
+            table = _boxes(combos.reshape(-1, dim) * spacing, "indices.lattice")
     elif "corners" in idx_spec:
-        for i, c in enumerate(_get(idx_spec, "corners", list, "indices.")):
-            where = f"indices.corners[{i}]"
-            corner = _corner(c, dim, where)
-            _finite_measure(measure(corner), where)
-            lattice.append(_built(where, Rect, corner))
+        corners = _get(idx_spec, "corners", list, "indices.")
+        rows = [_corner(c, dim, f"indices.corners[{i}]") for i, c in enumerate(corners)]
+        table = _boxes(np.array(rows).reshape(-1, dim), "indices.corners[{}]")
     else:
         raise ConfigError("field 'indices' needs either 'lattice' or 'corners'")
 
@@ -262,7 +273,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         seed=seed,
         n_samples=n_samples,
         output_dir=output_dir,
-        lattice_indices=tuple(lattice),
+        table_indices=table,
         flows=tuple(flows),
         flow_names=tuple(names),
         intrep=intrep,

@@ -14,7 +14,8 @@ evaluated at that time change.
 Every value along a flow is a fixed signed combination of box values, its
 inclusion-exclusion expansion (``rects.signed_terms``), so a flow reads the
 field through one weight matrix A_f (``flow_weights``): the projection of an
-ensemble is X_B A_f, with X_B its columns at the flow's boxes, and every
+ensemble is X_B A_f, with X_B its columns at the flow's boxes (a sorted
+corner array, looked up with ``gaussian.columns``), and every
 second moment along the flow is a quadratic form in A_f.  The same expansion
 gives the time change, each value's measure as the signed sum of its terms'.
 A flow is expanded once, on first use, in one batched pass over its points.
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian import HurstParam, SampleEnsemble, build_cov_matrix, columns, increments
-from .rects import EMPTY, DimensionMismatchError, Rect, corner_array, measure, signed_terms
+from .rects import DimensionMismatchError, distinct_rows, measure, signed_terms
 
 DEFAULT_FLOW_POINTS = 64
 
@@ -75,7 +76,7 @@ class Flow:
         object.__setattr__(self, "segments", segments)
 
     @cached_property
-    def _expansion(self) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray, TimeChange]:
         # the union at each point: its own box and the earlier segments' ends
         grids, corner_arrays, empties = zip(*self.segments)
         size = [len(g) - 1 for g in grids[:-1]] + [len(grids[-1])]
@@ -111,7 +112,7 @@ def canonical_unions(unions, present) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _expand(grid, unions, present) -> tuple[tuple[Rect, ...], np.ndarray, TimeChange]:
+def _expand(grid, unions, present) -> tuple[np.ndarray, np.ndarray, TimeChange]:
     """A flow's boxes, weights and time change from the union at each grid
     point (``canonical_unions``, whose order of parts fixes the round-off of
     its measure): the unions of k parts expand together (``signed_terms``),
@@ -123,22 +124,16 @@ def _expand(grid, unions, present) -> tuple[tuple[Rect, ...], np.ndarray, TimeCh
         corners.append(c.reshape(-1, c.shape[-1]))
         point.append(np.repeat(rows, len(s)))
     signs, corners, point = map(np.concatenate, (signs, corners, point))
-    # the distinct boxes sorted by corner, and the row of each term's box:
-    # np.unique(axis=0) gives the same, at the cost of the rest of the
-    # expansion of a 64-point elementary flow
-    order = np.lexsort(corners.T[::-1])
-    ordered = corners[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    distinct, row = ordered[new], np.empty(len(order), int)
-    row[order] = np.cumsum(new) - 1
+    # the distinct boxes sorted by corner, and the row of each term's box
+    first, row = distinct_rows(corners)
+    distinct = corners[first]
     weights = np.zeros((len(distinct), grid.size))
     np.add.at(weights, (row, point), signs)
-    weights.flags.writeable = False
+    weights.flags.writeable = distinct.flags.writeable = False
     # bincount adds each point's signed term measures one after another from
     # 0, so the round-off is that of the scalar sum; then clipped at 0
     total = np.bincount(point, weights=signs * measure(corners), minlength=grid.size)
-    return tuple(map(Rect, distinct.tolist())), weights, TimeChange(grid, np.maximum(total, 0.0))
+    return distinct, weights, TimeChange(grid, np.maximum(total, 0.0))
 
 
 @dataclass(frozen=True)
@@ -172,9 +167,10 @@ class TimeChange:
 def make_elementary_flow(grid, corner_path) -> Flow:
     """Validate and build an elementary flow, a flow of one segment.
 
-    ``corner_path`` is a sequence of box values: corner tuples, Rects, or
-    None/empty for the empty set (allowed only as a prefix, since the values
-    must be nondecreasing under inclusion).
+    ``corner_path`` is a sequence of box values: corner rows, or None for
+    the empty set (allowed only as a prefix, since the values must be
+    nondecreasing under inclusion).  Coordinates must be finite and >= 0;
+    -0.0 reads as 0.0.
     """
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -182,10 +178,15 @@ def make_elementary_flow(grid, corner_path) -> Flow:
     if not np.all(np.diff(grid) > 0):
         i = int(np.flatnonzero(np.diff(grid) <= 0)[0])
         raise ValueError(f"grid not strictly increasing at ({grid[i]}, {grid[i+1]})")
-    values = [EMPTY if v is None else v if isinstance(v, Rect) else Rect(tuple(v)) for v in corner_path]
-    if len(values) != grid.size:
+    if len(corner_path) != grid.size:
         raise ValueError("corner_path length must match grid length")
-    corners, empty = corner_array(values), np.array([v.is_empty for v in values])
+    empty = np.array([v is None for v in corner_path])
+    dim = next((len(v) for v in corner_path if v is not None), 1)
+    # the empty set as the zero corner; -0.0 read as 0.0
+    corners = np.array([(0.0,) * dim if v is None else v for v in corner_path], dtype=float) + 0.0
+    ok = np.isfinite(corners) & (corners >= 0.0)
+    if not ok.all():
+        raise ValueError(f"corner coordinates must be finite and >= 0, got {corners[~ok][0]}")
     # each box lies in the next; the empty set lies in every box, and only
     # the empty set in the empty set
     outside = np.any(corners[:-1] > corners[1:], axis=1) | (empty[1:] & ~empty[:-1])
@@ -193,8 +194,8 @@ def make_elementary_flow(grid, corner_path) -> Flow:
         i = int(np.flatnonzero(outside)[0])
         raise FlowMonotonicityError(
             f"flow not increasing between grid points "
-            f"({grid[i]}, {grid[i+1]}): {values[i]!r} is not contained "
-            f"in {values[i+1]!r}"
+            f"({grid[i]}, {grid[i+1]}): the box {corners[i].tolist()} is not contained "
+            f"in {'the empty set' if empty[i + 1] else corners[i + 1].tolist()}"
         )
     return Flow((Segment(grid, corners, empty),))
 
@@ -206,25 +207,24 @@ def time_change(f: Flow) -> TimeChange:
     return f._expansion[2]
 
 
-def flows_through(u: Rect, points: int = DEFAULT_FLOW_POINTS) -> Flow:
-    """Canonical elementary flow reaching u at parameter 1: linear corner
-    interpolation from the degenerate origin box, f(t) = [0, t*corner]."""
-    if u.is_empty:
-        raise ValueError("cannot build a flow through the empty set")
+def flows_through(corner, points: int = DEFAULT_FLOW_POINTS) -> Flow:
+    """Canonical elementary flow reaching the box with upper corner
+    ``corner`` at parameter 1: linear corner interpolation from the
+    degenerate origin box, f(t) = [0, t*corner]."""
     if points < 2:
         raise ValueError("need at least 2 grid points")
     grid = np.linspace(0.0, 1.0, points)
-    corners = grid[:, None] * np.asarray(u.corner)
-    corners[-1] = u.corner  # exact endpoint
+    corners = grid[:, None] * np.asarray(corner, dtype=float)
+    corners[-1] = corner  # exact endpoint
     return Flow((Segment(grid, corners, np.zeros(points, dtype=bool)),))
 
 
-def flow_weights(f: Flow) -> tuple[tuple[Rect, ...], np.ndarray]:
-    """The boxes a flow reads, sorted by corner, and its read-only weight
-    matrix A (one row per box, one column per grid point), built once per
-    flow: the field along the flow is X_B A.  Each column holds the
-    inclusion-exclusion signs of the union at its point (``signed_terms``):
-    one +1 for a box, none for the empty set."""
+def flow_weights(f: Flow) -> tuple[np.ndarray, np.ndarray]:
+    """The boxes a flow reads, each once, as a read-only corner array sorted
+    by corner, and its read-only weight matrix A (one row per box, one
+    column per grid point), built once per flow: the field along the flow is
+    X_B A.  Each column holds the inclusion-exclusion signs of the union at
+    its point (``signed_terms``): one +1 for a box, none for the empty set."""
     return f._expansion[:2]
 
 

@@ -9,7 +9,10 @@ H in (0, 1/2], and the convention 0^{2H} = 0.  At H = 1/2 this reduces to
 m(U n V).  Every Gaussian draw of the package, the ensembles here and the
 moving-average laws of ``sifbm.intrep``, goes through one factor:
 ``cholesky`` of a plain covariance array over its indices of positive
-variance, so degenerate boxes get exactly-zero columns.
+variance, so degenerate boxes get exactly-zero columns.  An ensemble's
+indices are the rows of an (n, N) corner array, one box per column, and
+``columns`` finds boxes among them with the one row search,
+``rects.find_rows``.
 
 Stream contract (``draw_blocks``, shared with the moving-average draws of
 ``sifbm.intrep``): rows come in fixed blocks of STREAM_BLOCK, each with its
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rects import Rect, corner_array, measure
+from .rects import distinct_rows, find_rows, measure
 
 # Jitter multipliers tried in order, each scaling every positive variance.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -49,10 +52,11 @@ class NotPSDError(ValueError):
 
 
 class MissingIndexError(KeyError):
-    """An operation needed ensemble columns that are not present."""
+    """An operation needed ensemble columns that are not present:
+    ``missing`` lists their corners, each once, sorted."""
 
-    def __init__(self, missing):
-        self.missing = list(missing)
+    def __init__(self, missing: np.ndarray):
+        self.missing = [tuple(c) for c in missing[distinct_rows(missing)[0]].tolist()]
         super().__init__(f"missing index columns: {self.missing}")
 
 
@@ -92,14 +96,13 @@ def increments(m: np.ndarray) -> np.ndarray:
     return np.maximum(d[:, None] + d[None, :] - 2.0 * m, 0.0)
 
 
-def build_cov_matrix(indices, h: HurstParam) -> np.ndarray:
-    """Dense symmetric covariance over an ordered index list, read-only,
-    computed on the (n, N) corner array: m(U n V) is the ``rects.measure`` of
-    the corner minimum of U and V, and m(U (+) V) its ``increments``."""
-    indices = tuple(indices)
-    if not indices:
+def build_cov_matrix(corners, h: HurstParam) -> np.ndarray:
+    """Dense symmetric covariance over the boxes of an (n, N) corner array,
+    in order, read-only: m(U n V) is the ``rects.measure`` of the corner
+    minimum of U and V, and m(U (+) V) its ``increments``."""
+    corners = np.asarray(corners, dtype=float)
+    if not len(corners):
         raise ValueError("index list must be non-empty")
-    corners = corner_array(indices)
     inter = measure(np.minimum(corners[:, None], corners[None]))
     meas = np.diag(inter)
     # the diagonal's symmetric difference is exactly 0, so its entries are m^{2H}
@@ -139,34 +142,38 @@ def cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def columns(indices, rects) -> list[int]:
-    """Column of each box of ``rects`` in an ensemble over ``indices``, in
-    order; a repeated index reads its first column.  Raises
-    MissingIndexError naming every absent box, sorted by corner."""
-    pos = {u: i for i, u in reversed(list(enumerate(indices)))}
-    missing = {r for r in rects if r not in pos}
-    if missing:
-        raise MissingIndexError(sorted(missing, key=lambda r: r.corner))
-    return [pos[r] for r in rects]
+def columns(indices: np.ndarray, boxes) -> np.ndarray:
+    """Column of each box of ``boxes``, an (m, N) corner array, in an
+    ensemble over ``indices``, in order (``rects.find_rows``); a repeated
+    index reads its first column.  Raises MissingIndexError naming every
+    absent box.  No boxes, as of a flow valued the empty set throughout,
+    read no columns, whatever their width."""
+    boxes = np.asarray(boxes, dtype=float)
+    col = find_rows(indices, boxes) if len(boxes) else np.zeros(0, int)
+    if np.any(col < 0):
+        raise MissingIndexError(boxes[col < 0])
+    return col
 
 
 @dataclass(frozen=True)
 class SampleEnsemble:
-    """n_samples independent draws of the field over a fixed index list."""
+    """n_samples independent draws of the field over a fixed index list,
+    the (n_indices, N) corner array ``indices``."""
 
-    indices: tuple[Rect, ...]
+    indices: np.ndarray
     samples: np.ndarray  # (n_samples, n_indices)
     hurst: HurstParam
 
     def __post_init__(self):
-        self.samples.flags.writeable = False
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=float))
+        self.indices.flags.writeable = self.samples.flags.writeable = False
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def column(self, u: Rect) -> np.ndarray:
-        return self.samples[:, columns(self.indices, [u])[0]]
+    def column(self, corner) -> np.ndarray:
+        return self.samples[:, columns(self.indices, [corner])[0]]
 
     def row_blocks(self) -> Iterator[np.ndarray]:
         """The samples as views of at most STREAM_BLOCK rows, in order: the
@@ -211,9 +218,9 @@ def block_draw(seed: int, n_rows: int, right: np.ndarray, jobs: int = 1) -> np.n
 
 
 def sample_ensemble(indices, h: HurstParam, n_samples: int, seed: int, jobs: int = 1) -> SampleEnsemble:
-    """n_samples draws of the field over ``indices`` from the streams of
-    ``seed``: rows z @ L^T, L the ``cholesky`` factor of the covariance, the
-    rows ``sifbm simulate`` writes for the same fields."""
-    indices = tuple(indices)
+    """n_samples draws of the field over the boxes of the corner array
+    ``indices`` from the streams of ``seed``: rows z @ L^T, L the
+    ``cholesky`` factor of the covariance, the rows ``sifbm simulate`` writes
+    for the same fields."""
     lower, _ = cholesky(build_cov_matrix(indices, h))
     return SampleEnsemble(indices, block_draw(seed, n_samples, lower.T.copy(), jobs), h)

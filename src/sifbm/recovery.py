@@ -25,7 +25,9 @@ An ensemble ``e`` is read only through its ``row_blocks()``, so a
 ``gaussian.SampleEnsemble`` and a ``storage.StoredEnsemble`` give the same bits,
 and only by ``read_ensemble``, which walks them once (``stats.ensemble_sums``)
 for the table and every flow a command reads: ``characterize`` reads both
-from the same pass.
+from the same pass.  A table holds its boxes as a sorted corner array, and
+the cell and covariance criteria find the boxes they need in it with
+``rects.find_rows``.
 
 Empirical psi entries carry delta-method standard errors:
 d psi / d s = (1/(2H)) s^{1/(2H)-1} applied to the standard error of the
@@ -42,21 +44,26 @@ import numpy as np
 
 from .flows import Flow, flow_weights, predicted_increment_moment, time_change
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures, increments
-from .rects import Rect, cell_corners, corner_array, grid_lower, measure
+from .rects import cell_corners, distinct_rows, find_rows, grid_lower, measure
 from .stats import FlowStatistics, ensemble_sums, gaussianity_check, isserlis_z, variance_profile
 
 _AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
 
 
+def _named(corner: np.ndarray) -> str:
+    """A box as reports and errors name it: Rect and its corner list."""
+    return f"Rect({corner.tolist()})"
+
+
 @dataclass(frozen=True)
 class PreMeasureTable:
-    """Recovered pre-measure over a box list: ``value[i]`` is psi of
-    ``boxes[i]`` and ``stderr[i]`` its delta-method standard error; a
-    table read from an ensemble (``read_ensemble``) keeps ``gram``, the
-    second moments G = X^T X / n of its boxes' columns over ``n_samples``
-    samples."""
+    """Recovered pre-measure over the boxes of an (n, N) corner array:
+    ``value[i]`` is psi of box ``boxes[i]`` and ``stderr[i]`` its
+    delta-method standard error; a table read from an ensemble
+    (``read_ensemble``) keeps ``gram``, the second moments G = X^T X / n of
+    its boxes' columns over ``n_samples`` samples."""
 
-    boxes: tuple[Rect, ...]
+    boxes: np.ndarray
     value: np.ndarray
     stderr: np.ndarray
     gram: np.ndarray | None = None
@@ -72,9 +79,10 @@ class PreMeasureTable:
         constant column.  A psi beyond the float range, or 0 from a positive
         variance, is a ResolutionError."""
         s = np.diag(gram)
-        flat = [u for u, z in zip(boxes, (s == 0.0) & (measure(corner_array(boxes)) > 0)) if z]
-        if flat:
-            warnings.warn(f"zero empirical variance for non-degenerate indices {flat}", stacklevel=3)
+        flat = (s == 0.0) & (measure(boxes) > 0)
+        if flat.any():
+            warnings.warn(f"zero empirical variance for non-degenerate indices {boxes[flat].tolist()}",
+                          stacklevel=3)
         inv = 1.0 / h.two_h
         # Python's float pow: numpy's array power differs from it in the last
         # bit for about one value in twenty
@@ -84,12 +92,13 @@ class PreMeasureTable:
         except OverflowError:
             raise ResolutionError(f"psi = variance^(1/(2H)) overflows a float at hurst {h.value}") from None
         if np.any((value == 0) & (s > 0)):
-            lost = boxes[np.argmax((value == 0) & (s > 0))]
+            lost = _named(boxes[np.argmax((value == 0) & (s > 0))])
             raise ResolutionError(f"psi = variance^(1/(2H)) of {lost} underflows to 0 at hurst {h.value}")
         with np.errstate(over="ignore", invalid="ignore"):
             spread = s4 - n * s**2
         if not np.all(np.isfinite(spread)):
-            raise ResolutionError(f"the X^4 sums of {boxes[np.argmin(np.isfinite(spread))]} overflow a float")
+            lost = _named(boxes[np.argmin(np.isfinite(spread))])
+            raise ResolutionError(f"the X^4 sums of {lost} overflow a float")
         se_s = np.sqrt(np.maximum(spread, 0.0) / ((n - 1) * n))
         return cls(boxes, value, inv * slope * se_s, gram, n)
 
@@ -100,21 +109,24 @@ def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
     row blocks that adds up the Grams of the table's columns and of each
     flow's boxes, the table's X^4 sums and the flows' series' power sums
     (``stats.ensemble_sums``); beyond a few blocks and the Grams, no array
-    grows with n.  Returns the table of ``boxes``, each once
-    (``from_moments``; None when ``boxes`` is None), and one
-    ``FlowStatistics`` per flow: its moment matrix A_f^T (G_B / n) A_f,
-    read once from the Gram G_B of its boxes (``flow_weights``), its profile
-    against the law with parameter ``h`` (the ensemble's by default), and
-    its two series, A_f's last column and its last minus its middle one."""
+    grows with n.  Returns the table of the corner array ``boxes``, each box
+    once, sorted by corner (``from_moments``; None when ``boxes`` is None),
+    and one ``FlowStatistics`` per flow: its moment matrix A_f^T (G_B / n)
+    A_f, read once from the Gram G_B of its boxes (``flow_weights``), its
+    profile against the law with parameter ``h`` (the ensemble's by
+    default), and its two series, A_f's last column and its last minus its
+    middle one."""
     if boxes is not None:
         if e.n_samples < 100:
             raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}")
-        boxes = tuple(dict.fromkeys(boxes))
+        boxes = np.asarray(boxes, dtype=float)
+        boxes = boxes[distinct_rows(boxes)[0]]
     sets = []
     for fb, a in map(flow_weights, flows):
         end = a[:, -1]
         sets.append((columns(e.indices, fb), np.column_stack([end, end - a[:, a.shape[1] // 2]])))
-    n, gram, s4, grams, central = ensemble_sums(e.row_blocks(), sets, columns(e.indices, boxes or ()))
+    cols = () if boxes is None else columns(e.indices, boxes)
+    n, gram, s4, grams, central = ensemble_sums(e.row_blocks(), sets, cols)
     table = None if boxes is None else PreMeasureTable.from_moments(boxes, gram / n, s4, n, e.hurst)
     stats = []
     for i, (f, g) in enumerate(zip(flows, grams)):
@@ -123,18 +135,6 @@ def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
         profile = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h or e.hurst))
         stats.append(FlowStatistics(m, profile, central[:, 2 * i:2 * i + 2].T.copy()))
     return table, stats
-
-
-def _table_rows(table, corners) -> np.ndarray:
-    """Row of the table's boxes at each of ``corners``, an (n, N) array, and
-    -1 where the table lacks the box."""
-    own = corner_array(table.boxes)
-    t = len(own)
-    distinct, ids = np.unique(np.concatenate([own, corners]), axis=0, return_inverse=True)
-    ids = ids.ravel()
-    row = np.full(len(distinct), -1)
-    row[ids[:t]] = np.arange(t)
-    return row[ids[t:]]
 
 
 def psi_on_cells(table, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,7 +146,7 @@ def psi_on_cells(table, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarra
     signs, lowered = cell_corners(upper.shape[1])
     corners = np.where(lowered[:, None], lower, upper)
     on_axis = np.any(corners == 0.0, axis=2)
-    rows = _table_rows(table, corners.reshape(-1, upper.shape[1])).reshape(on_axis.shape)
+    rows = find_rows(table.boxes, corners.reshape(-1, upper.shape[1])).reshape(on_axis.shape)
     tested = np.all(on_axis | (rows >= 0), axis=0)
     # the absent and on-axis boxes read the 0 appended after the last box
     rows[on_axis | ~tested] = -1
@@ -260,25 +260,19 @@ def _flow_criteria(stats, thr) -> list[CriterionResult]:
     return out
 
 
-def _containment(indices) -> np.ndarray:
-    """inside[a, b]: box a lies in box b."""
-    c = corner_array(indices)
-    return np.all(c[:, None] <= c[None], axis=2)
-
-
 def _psi_criteria(table, thr) -> list[CriterionResult]:
     value, se = table.value, table.stderr
     # recovery, on the boxes of measure at least psi_floor
-    m = measure(corner_array(table.boxes))
+    m = measure(table.boxes)
     tested = m >= thr.psi_floor
     err = np.abs(value - m)
     tol = np.maximum(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * se)
     recovery_pass = not np.any(tested & (err > tol))
     rel = np.divide(err, m, out=np.zeros_like(m), where=tested)
     worst_rel = float(np.max(rel, initial=0.0))
-    worst_detail = f"at {table.boxes[np.argmax(rel)]!r}" if worst_rel > 0 else "is 0"
+    worst_detail = f"at {_named(table.boxes[np.argmax(rel)])}" if worst_rel > 0 else "is 0"
     # every comparable pair once, the smaller box first
-    inside = _containment(table.boxes)
+    inside = np.all(table.boxes[:, None] <= table.boxes[None], axis=2)  # box a lies in box b
     a, b = np.nonzero(np.triu(inside | inside.T, 1))
     small, big = np.where(inside[a, b], a, b), np.where(inside[a, b], b, a)
     slack = thr.monotonicity_se_mult * np.hypot(se[small], se[big])
@@ -305,7 +299,7 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
 
 def _cell_criterion(table, thr) -> CriterionResult:
     # the cell below each table box off the axes, on the grid of the table's corners
-    corners = corner_array(table.boxes)
+    corners = table.boxes
     off_axes = np.all(corners > 0.0, axis=1)
     lower, upper = grid_lower(corners)[off_axes], corners[off_axes]
     value, se, tested = psi_on_cells(table, lower, upper)
@@ -332,10 +326,10 @@ def _cell_criterion(table, thr) -> CriterionResult:
 def covariance_deviations(table, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, G_ij - covariance rebuilt from psi) over the pairs i <= j of
     table boxes whose intersection the table holds too."""
-    corners = corner_array(table.boxes)
+    corners = table.boxes
     t, dim = corners.shape
     inter = np.minimum(corners[:, None], corners[None, :]).reshape(t * t, dim)
-    k = _table_rows(table, inter).reshape(t, t)
+    k = find_rows(corners, inter).reshape(t, t)
     i, j = np.nonzero(np.triu(k >= 0))
     # psi of each intersection, 0 where the table lacks it; its diagonal is psi
     psi = np.append(table.value, 0.0)[k]

@@ -1,20 +1,19 @@
 """Rectangle index family: origin-anchored boxes in R^N_+, their finite unions,
 the grid cells their corners cut, and their Lebesgue measure.
 
-A box [0, t] is named by its upper corner t.  ``Rect`` is a box's hashable
-identity (config, ensemble columns, JSON); every computation runs on (n, N)
-arrays of corners, which ``corner_array`` builds from Rects.  ``measure`` is
-the measure of a box, and ``signed_terms`` the one inclusion-exclusion
-engine: a finite union, or a grid cell, is a signed sum of boxes whose
-corners are the minima of subsets of its parts' corners.
+A box [0, t] is named by its upper corner t, and a family of boxes is an
+(n, N) array of corners, one box per row; every computation runs on such
+arrays.  ``distinct_rows`` sorts a family by corner and finds its repeats,
+and ``find_rows`` is the one search for boxes among a family's rows.
+``measure`` is the measure of a box, and ``signed_terms`` the one
+inclusion-exclusion engine: a finite union, or a grid cell, is a signed sum
+of boxes whose corners are the minima of subsets of its parts' corners.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,46 +28,19 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Rect:
-    """A compact box [0, t] in R^N_+, identified by its upper corner t.
+    """A box [0, t] as an object with its upper corner t, a tuple of floats:
+    what ``ExperimentConfig.ensemble_indices`` returns, for readers that take
+    ``.corner``.  The program itself holds boxes as corner rows."""
 
-    ``corner is None`` encodes the empty set, which is compatible with any
-    dimension.  A corner with some zero coordinates is a valid degenerate
-    index of measure zero, distinct from the empty set.
-    """
-
-    corner: tuple[float, ...] | None
+    corner: tuple[float, ...]
 
     def __post_init__(self):
-        if self.corner is None:
-            return
-        cleaned = []
-        for c in self.corner:
-            c = float(c)
-            if not math.isfinite(c) or c < 0.0:
-                raise ValueError(f"corner coordinates must be finite and >= 0, got {c}")
-            cleaned.append(c + 0.0)  # normalize -0.0
-        object.__setattr__(self, "corner", tuple(cleaned))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.corner is None
-
-    @property
-    def dim(self) -> int | None:
-        return None if self.corner is None else len(self.corner)
-
-    def __repr__(self):
-        if self.corner is None:
-            return "Rect(empty)"
-        return f"Rect({list(self.corner)})"
+        object.__setattr__(self, "corner", tuple(map(float, self.corner)))
 
 
-EMPTY = Rect(None)
-
-
-def rect(*coords: float) -> Rect:
-    """Shorthand constructor: rect(2, 0.5) == Rect((2.0, 0.5))."""
-    return Rect(tuple(coords))
+def rect(*coords: float) -> tuple[float, ...]:
+    """Shorthand for a box's corner row: rect(2, 0.5) == (2.0, 0.5)."""
+    return tuple(map(float, coords))
 
 
 def measure(corners) -> np.ndarray:
@@ -85,18 +57,28 @@ def measure(corners) -> np.ndarray:
     return out
 
 
-def corner_array(rects: Sequence[Rect]) -> np.ndarray:
-    """(n, N) array of upper corners, the empty set as the zero corner (it
-    has measure 0, as does its intersection with every box).  Mixed
-    dimensions raise; an all-empty list gives width 1."""
-    dims = {r.dim for r in rects if not r.is_empty}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
-    out = np.zeros((len(rects), dims.pop() if dims else 1))
-    for i, r in enumerate(rects):
-        if not r.is_empty:
-            out[i] = r.corner
-    return out
+def distinct_rows(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group) of an (n, N) corner array: ``first`` the row of each
+    distinct box's first occurrence, the boxes sorted by corner, and
+    ``group`` the position in ``first`` of each row's box.  Rows compare by
+    value, so -0.0 equals 0.0.  ``corners[first]`` is what np.unique(axis=0)
+    returns, at a fraction of its cost and without loading numpy.ma."""
+    order = np.lexsort(corners.T[::-1])
+    ordered = corners[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    group = np.empty(len(order), int)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
+def find_rows(rows, boxes) -> np.ndarray:
+    """Row of ``rows``, an (n, N) corner array in any order, that holds each
+    box of ``boxes``, an (m, N) one: its first match, or -1 where none
+    does.  The one search for boxes: the stable sort of ``distinct_rows``
+    puts each box's first row in ``rows`` ahead of every other copy."""
+    first, group = distinct_rows(np.concatenate([rows, boxes]))
+    return np.where(first < len(rows), first, -1)[group[len(rows):]]
 
 
 def signed_terms(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +123,8 @@ def grid_lower(corners: np.ndarray) -> np.ndarray:
     below the row's own; 0 where the row's own is 0."""
     lower = np.zeros_like(corners)
     for i, col in enumerate(corners.T):
-        edges = np.unique(np.append(col, 0.0))
+        # the sorted column needs no dedupe: the first of equal values is found
+        edges = np.sort(np.append(col, 0.0))
         lower[:, i] = edges[np.maximum(np.searchsorted(edges, col) - 1, 0)]
     return lower
 

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .gaussian import STREAM_BLOCK, HurstParam
-from .rects import Rect
 from .stats import VarianceProfile
 
 MAGIC = b"SIFB"
@@ -117,10 +116,11 @@ def read_ensemble_blocks(path, shape=(None, None)) -> Iterator[np.ndarray]:
 class StoredEnsemble:
     """A SIFB ensemble on disk with the reading side of ``SampleEnsemble``:
     ``row_blocks`` reads the file anew on each call, checking that it holds
-    ``n_samples`` rows of one column per index."""
+    ``n_samples`` rows of one column per box of the corner array
+    ``indices``."""
 
     path: Path
-    indices: tuple[Rect, ...]
+    indices: np.ndarray
     hurst: HurstParam
     n_samples: int
 

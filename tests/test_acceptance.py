@@ -22,7 +22,7 @@ from sifbm.gaussian import (
 )
 from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance
 from sifbm.recovery import Thresholds, _cell_criterion, characterize, psi_on_cells, read_ensemble
-from sifbm.rects import Rect, measure, rect
+from sifbm.rects import measure, rect
 from sifbm.stats import gaussianity_check
 from test_recovery import (
     cell_measure,
@@ -45,7 +45,7 @@ def criterion(num: int, label: str):
 
 
 def exact_ensemble(indices, h, n, seed):
-    idx = sorted(set(indices), key=lambda r: r.corner)
+    idx = sorted(set(indices))
     return sample_ensemble(idx, HurstParam(h), n, seed=seed)
 
 
@@ -71,7 +71,7 @@ def test_criterion_01_half_case_covariance_identity():
         pts = [rect(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
         cm = build_cov_matrix(pts, HurstParam(0.5))
         want = np.array(
-            [[measure(np.minimum(u.corner, v.corner)) for v in pts] for u in pts]
+            [[measure(np.minimum(u, v)) for v in pts] for u in pts]
         )
         dev = float(np.max(np.abs(cm - want)))
         assert dev <= 1e-12, f"max deviation {dev}"
@@ -83,7 +83,7 @@ def test_criterion_02_psd_random_index_sets():
         for _ in range(50):
             dim = int(rng.integers(1, 4))
             k = int(rng.integers(2, 13))
-            idx = [Rect(tuple(rng.uniform(0, 3, dim))) for _ in range(k)]
+            idx = rng.uniform(0, 3, (k, dim))
             for hv in (0.1, 0.2, 0.35, 0.5):
                 cm = build_cov_matrix(idx, HurstParam(hv))
                 mineig = float(np.linalg.eigvalsh(cm).min())
@@ -99,7 +99,7 @@ def test_criterion_03_flow_projection_law():
         for hv, seed in ((0.2, 301), (0.35, 302), (0.5, 303)):
             idx = set()
             for f in battery:
-                idx.update(flow_weights(f)[0])
+                idx.update(map(tuple, flow_weights(f)[0].tolist()))
             e = exact_ensemble(idx, hv, n, seed)
             h = HurstParam(hv)
             for fi, fs in enumerate(read_ensemble(e, flows=battery, h=h)[1]):
@@ -122,14 +122,14 @@ def test_criterion_04_psi_recovery():
         e = exact_ensemble(lattice, hv, n, seed=401)
         table = read_ensemble(e, e.indices)[0]
         for u in lattice:
-            m = measure(u.corner)
+            m = measure(u)
             if m < 0.1:
                 continue
             got, _ = entry(table, u)
             assert abs(got - m) / m <= 0.05, f"{u!r}: {got} vs {m}"
         for u, v in itertools.combinations(lattice, 2):
             (pu, su), (pv, sv) = entry(table, u), entry(table, v)
-            if all(a <= b for a, b in zip(u.corner, v.corner)):
+            if all(a <= b for a, b in zip(u, v)):
                 slack = 3 * float(np.hypot(su, sv))
                 assert pu <= pv + slack, f"monotonicity broke at {u!r} <= {v!r}"
 
@@ -142,7 +142,7 @@ def grid_tiles(corner, divisions) -> list[LeftNeighborhood]:
     for cell in itertools.product(range(divisions), repeat=len(corner)):
         hi = tuple(e[k + 1] for e, k in zip(edges, cell))
         below = [hi[:i] + (e[k],) + hi[i + 1:] for i, (e, k) in enumerate(zip(edges, cell)) if k]
-        tiles.append(LeftNeighborhood(Rect(hi), tuple(map(Rect, below))))
+        tiles.append(LeftNeighborhood(hi, tuple(below)))
     return tiles
 
 
@@ -153,10 +153,10 @@ def test_criterion_05_inclusion_exclusion_and_additivity():
             upper = rng.uniform(0.5, 3, 2)
             lower = upper * rng.uniform(0, 1, 2) * rng.integers(0, 2, 2)
             corners = [np.where(pick, lower, upper) for pick in itertools.product((0, 1), repeat=2)]
-            table = lebesgue_table([Rect(tuple(c)) for c in corners])
+            table = lebesgue_table([tuple(c) for c in corners])
             (got,), _, (tested,) = psi_on_cells(table, lower[None], upper[None])
-            subs = tuple(Rect(tuple(c)) for c in corners[1:3])
-            want = left_nbhd_measure(LeftNeighborhood(Rect(tuple(upper)), subs))
+            subs = tuple(tuple(c) for c in corners[1:3])
+            want = left_nbhd_measure(LeftNeighborhood(tuple(upper), subs))
             assert tested and abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -167,7 +167,7 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         u = rect(2, 2)
         for divs in (2, 4):
             analytic = lebesgue_table(t.base for t in grid_tiles((2.0, 2.0), divs))
-            resid = abs(cell_measure(analytic, u)[0] - measure(u.corner))
+            resid = abs(cell_measure(analytic, u)[0] - measure(u))
             assert resid <= 1e-12, f"analytic grid {divs}: residual {resid}"
         # empirical table over the coarse grid: each cell within 3 SE of a
         # measure, and the cells below u add up to psi(u)
@@ -182,8 +182,8 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         # 25 disjoint inside/outside pairs across the boundary of [0,(2,2)]
         tiles = grid_tiles((4.0, 4.0), 4)
         analytic = lebesgue_table(t.base for t in tiles)
-        inside = [t for t in tiles if max(t.base.corner) <= 2]
-        outside = [t for t in tiles if max(t.base.corner) > 2]
+        inside = [t for t in tiles if max(t.base) <= 2]
+        outside = [t for t in tiles if max(t.base) > 2]
         pairs = list(itertools.product(inside, outside))[:25]
         assert len(pairs) == 25
         for a, b in pairs:
@@ -247,7 +247,7 @@ def _corrupt(e: SampleEnsemble, mode: str, rng) -> SampleEnsemble:
         return SampleEnsemble(e.indices, rng.standard_normal(e.samples.shape), e.hurst)
     if mode == "mean_shift":
         shifted = e.samples.copy()
-        shifted[:, e.indices.index(rect(2, 2))] += 0.5
+        shifted[:, e.indices.tolist().index([2.0, 2.0])] += 0.5
         return SampleEnsemble(e.indices, shifted, e.hurst)
     raise ValueError(mode)
 
@@ -262,8 +262,8 @@ def test_criterion_09_characterization_discrimination():
         lattice = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
         idx = set(lattice)
         for f in battery:
-            idx.update(flow_weights(f)[0])
-        idx = sorted(idx, key=lambda r: r.corner)
+            idx.update(map(tuple, flow_weights(f)[0].tolist()))
+        idx = sorted(idx)
         for seed in (901, 902, 903, 904, 905):
             rng = np.random.default_rng(seed)
             exact = sample_ensemble(idx, h, n, seed=seed)

@@ -4,6 +4,9 @@ import ast
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -26,7 +29,7 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import KERNEL_H_MAX
-from sifbm.rects import EMPTY, MAX_UNION_PARTS, rect
+from sifbm.rects import MAX_UNION_PARTS, Rect, rect
 from sifbm.storage import (
     _HEADER,
     MAGIC,
@@ -95,7 +98,7 @@ def read_all(path, shape=(None, None)) -> np.ndarray:
 
 class TestStorage:
     def _ensemble(self, n=20):
-        return sample_ensemble([EMPTY, rect(1, 1), rect(2, 1)], HurstParam(0.3), n, seed=3)
+        return sample_ensemble([rect(0, 0), rect(1, 1), rect(2, 1)], HurstParam(0.3), n, seed=3)
 
     def test_binary_round_trip(self, tmp_path):
         e = self._ensemble()
@@ -154,10 +157,10 @@ class TestStorage:
     def test_streamed_bytes_match_in_memory_ensemble(
         self, tmp_path_factory, corners, with_empty, duplicate, n, jobs, seed, h
     ):
-        # the empty box gives a zero-variance column; a duplicated index
-        # makes the covariance singular, so the factor needs jitter
+        # the empty set's zero corner gives a zero-variance column; a
+        # duplicated index makes the covariance singular, so the factor needs jitter
         idx = [rect(*c) for c in corners]
-        idx += [EMPTY] * with_empty + idx[:1] * duplicate
+        idx += [rect(0, 0)] * with_empty + idx[:1] * duplicate
         # the blocks ``sifbm simulate`` streams, against the in-memory draw
         lower, _ = cholesky(build_cov_matrix(idx, HurstParam(h)))
         p = tmp_path_factory.getbasetemp() / "stream.sifb"
@@ -295,17 +298,18 @@ class TestConfig:
     def test_parses(self, tmp_path):
         path, _ = make_config(tmp_path)
         cfg = load_config(path)
-        assert all(len(u.corner) == 2 for u in cfg.lattice_indices)
+        assert cfg.table_indices.shape == (4, 2)
         assert cfg.hurst.value == 0.3
-        assert len(cfg.lattice_indices) == 4
         assert len(cfg.flows) == 2
 
     def test_ensemble_indices_cover_flows_and_tiles(self, tmp_path):
         path, _ = make_config(tmp_path)
         cfg = load_config(path)
-        idx = set(cfg.ensemble_indices())
-        assert set(cfg.lattice_indices) <= idx
+        idx = set(map(tuple, cfg.ensemble_boxes().tolist()))
+        assert set(map(tuple, cfg.table_indices.tolist())) <= idx
         assert rect(1, 1) in idx
+        # what the benchmark reads: each box's .corner, in column order
+        assert [list(u.corner) for u in cfg.ensemble_indices()] == cfg.ensemble_boxes().tolist()
 
     def test_missing_field_named(self, tmp_path):
         path, raw = make_config(tmp_path)
@@ -350,8 +354,8 @@ class TestConfig:
         want = load_config(path)
         path, _ = make_config(tmp_path, covers=covers)
         got = load_config(path)
-        assert got.ensemble_indices() == want.ensemble_indices()
-        assert got.table_indices == want.table_indices
+        assert np.array_equal(got.ensemble_boxes(), want.ensemble_boxes())
+        assert np.array_equal(got.table_indices, want.table_indices)
 
     def test_seed_override_changes_hash(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -640,7 +644,7 @@ class TestCli:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        block = STREAM_BLOCK * len(load_config(path).ensemble_indices()) * 8
+        block = STREAM_BLOCK * len(load_config(path).ensemble_boxes()) * 8
         assert peaks[1] - peaks[0] < 4 * block
 
     @pytest.mark.parametrize(
@@ -1078,6 +1082,41 @@ def test_full_pipeline_quick_leaves_no_temp_files(monkeypatch, tmp_path):
     assert script.run(["full_pipeline.py", str(root / "configs" / "demo.json"), "--quick"]) == 0
     assert calls == [(cmd, 4000) for cmd in script.COMMANDS]
     assert list(tmp_path.iterdir()) == []
+
+
+PIPELINE = ("simulate", "project", "recover-measure", "verify-intrep", "characterize", "report")
+
+
+def test_no_command_builds_a_rect(tmp_path, monkeypatch, capsys):
+    # every command holds boxes as corner rows: with Rect refused, each
+    # exits as it does without the patch
+    path, _ = make_config(tmp_path, n_samples=1000)
+    want = [main([c, "--config", str(path)]) for c in PIPELINE]
+
+    def refused(self):
+        raise AssertionError(f"a command built {self!r}")
+
+    monkeypatch.setattr(Rect, "__post_init__", refused)
+    assert [main([c, "--config", str(path)]) for c in PIPELINE] == want
+    with pytest.raises(AssertionError, match="a command built"):
+        Rect((1.0,))
+
+
+def test_recovery_leaves_numpy_ma_unloaded(tmp_path):
+    # a plain np.unique loads numpy.ma, which costs about 10 ms of a cold run
+    path, _ = make_config(tmp_path, n_samples=1000)
+    assert main(["simulate", "--config", str(path)]) == 0
+    code = (
+        "import sys\n"
+        "from sifbm.cli import main\n"
+        f"print([main([c, '--config', {str(path)!r}]) for c in ('recover-measure', 'characterize')])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "SIFBM_OUT"}
+    out = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=str(SRC.parent)),
+                         capture_output=True, text=True, check=True)
+    codes, loaded = out.stdout.splitlines()[-2:]
+    assert codes == "[0, 0]" and loaded == "False"
 
 
 # Coordinates and measures across the float range: the extremes the config

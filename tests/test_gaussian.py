@@ -23,18 +23,17 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import KernelLaw, fbm_covariance
-from sifbm.rects import EMPTY, DimensionMismatchError, Rect, corner_array, measure, rect
-from test_rects import box_measure, symdiff_measure, union_flow
+from sifbm.rects import find_rows, measure, rect
+from test_rects import EMPTY, box_measure, symdiff_measure, union_flow
 
-corners2 = st.tuples(
+rects2 = st.tuples(
     st.floats(0, 5, allow_nan=False, allow_infinity=False),
     st.floats(0, 5, allow_nan=False, allow_infinity=False),
 )
-rects2 = corners2.map(Rect)
 hursts = st.floats(0.05, 0.5, allow_nan=False).map(HurstParam)
 
 
-def covariance(u: Rect, v: Rect, h: HurstParam) -> float:
+def covariance(u, v, h: HurstParam) -> float:
     """Covariance of the field at two box indices: the scalar reference for
     ``build_cov_matrix``."""
     return float(covariance_from_measures(
@@ -44,10 +43,11 @@ def covariance(u: Rect, v: Rect, h: HurstParam) -> float:
 
 @st.composite
 def index_lists(draw):
-    """1..12 indices of one dimension in 1..3: boxes, degenerate boxes, EMPTY."""
+    """1..12 corner rows of one dimension in 1..3: boxes, degenerate boxes
+    and the zero corner, which is how an index set holds the empty set."""
     dim = draw(st.integers(1, 3))
     coord = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 4, allow_nan=False)
-    box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
+    box = st.tuples(*[coord] * dim) | st.just((0.0,) * dim)
     return draw(st.lists(box, min_size=1, max_size=12))
 
 
@@ -103,7 +103,7 @@ class TestCovariance:
     def test_half_identity(self, u, v):
         # at H = 1/2 the covariance is exactly the intersection measure
         got = covariance(u, v, HurstParam(0.5))
-        want = measure(np.minimum(u.corner, v.corner))
+        want = measure(np.minimum(u, v))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -114,7 +114,8 @@ class TestCovMatrix:
         assert cm[0, 0] == pytest.approx(1.0)
 
     def test_empty_index_row_zero(self):
-        cm = build_cov_matrix([EMPTY, rect(1, 1)], HurstParam(0.3))
+        # the empty set's zero corner
+        cm = build_cov_matrix([rect(0, 0), rect(1, 1)], HurstParam(0.3))
         assert np.all(cm[0] == 0.0)
         assert np.all(cm[:, 0] == 0.0)
 
@@ -122,7 +123,7 @@ class TestCovMatrix:
         pts = [rect(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
         cm = build_cov_matrix(pts, HurstParam(0.5))
         want = np.array(
-            [[measure(np.minimum(u.corner, v.corner)) for v in pts] for u in pts]
+            [[measure(np.minimum(u, v)) for v in pts] for u in pts]
         )
         assert np.max(np.abs(cm - want)) < 1e-12
 
@@ -131,8 +132,8 @@ class TestCovMatrix:
             build_cov_matrix([], HurstParam(0.3))
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            build_cov_matrix([rect(1, 1), EMPTY, rect(1, 1, 1)], HurstParam(0.3))
+        with pytest.raises(ValueError):
+            build_cov_matrix([rect(1, 1), rect(0, 0), rect(1, 1, 1)], HurstParam(0.3))
 
     @given(index_lists(), hursts)
     @settings(max_examples=200)
@@ -152,7 +153,7 @@ class TestCovMatrix:
         # replaced, with its diagonal written as m^{2H}
         meas = np.ones(len(idx))
         inter = np.ones((len(idx), len(idx)))
-        for c in corner_array(idx).T:
+        for c in np.array(idx).T:
             meas *= c
             inter *= np.minimum.outer(c, c)
         p = h.two_h
@@ -163,7 +164,7 @@ class TestCovMatrix:
         assert np.array_equal(build_cov_matrix(idx, h), want)
         # and fbm_covariance's, with the sorted box measures as one flow's
         # time-change values
-        t = np.sort(measure(corner_array(idx)))
+        t = np.sort(measure(idx))
         want = 0.5 * (t[:, None] ** p + t[None, :] ** p - np.abs(t[:, None] - t[None, :]) ** p)
         assert np.array_equal(fbm_covariance(t, h), want)
 
@@ -173,7 +174,7 @@ class TestCovMatrix:
             for _ in range(8):
                 dim = int(rng.integers(1, 4))
                 k = int(rng.integers(2, 13))
-                idx = [Rect(tuple(rng.uniform(0, 3, dim))) for _ in range(k)]
+                idx = rng.uniform(0, 3, (k, dim))
                 cm = build_cov_matrix(idx, HurstParam(h))
                 mineig = np.linalg.eigvalsh(cm).min()
                 assert mineig >= -1e-10 * cm.diagonal().max()
@@ -192,7 +193,7 @@ class TestCholesky:
 
     def test_random_set_small_jitter(self):
         rng = np.random.default_rng(5)
-        idx = [Rect(tuple(rng.uniform(0.2, 3, 2))) for _ in range(6)]
+        idx = rng.uniform(0.2, 3, (6, 2))
         cm = build_cov_matrix(idx, HurstParam(0.2))
         # eigenvalue oracle: matrix is PSD up to fp noise before any jitter
         assert np.linalg.eigvalsh(cm).min() >= -1e-12
@@ -208,7 +209,7 @@ class TestCholesky:
     @given(index_lists(), hursts, st.data())
     @settings(max_examples=200, deadline=None)
     def test_factor_of_the_positive_variance_indices(self, idx, h, data):
-        # boxes, degenerate boxes, EMPTY and repeated indices: L L^T is C +
+        # boxes, degenerate boxes and repeated indices: L L^T is C +
         # jitter*diag(C) where the variance is positive, and 0 elsewhere
         idx = idx + data.draw(st.lists(st.sampled_from(idx), max_size=3))
         c = build_cov_matrix(idx, h)
@@ -256,7 +257,7 @@ class TestCholesky:
         # masses, the kernel laws on the base and the refined grid for every
         # H and the min(s, t) law
         cfg = load_config(Path(__file__).resolve().parents[1] / config)
-        assert cholesky(build_cov_matrix(cfg.ensemble_indices(), cfg.hurst))[1] == 0.0
+        assert cholesky(build_cov_matrix(cfg.ensemble_boxes(), cfg.hurst))[1] == 0.0
         ir = cfg.intrep
         p = np.unique([m for m in ir.masses if m > 0])
         law = KernelLaw(HurstParam(hv) for hv in ir.hursts)
@@ -295,7 +296,7 @@ class TestSampling:
         # the trailing partial block must give the same bits as a full one,
         # although BLAS picks its kernel by the shape of the product
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
-        idx = cfg.ensemble_indices()
+        idx = cfg.ensemble_boxes()
         assert len(idx) == 266 and 300 < 2 * STREAM_BLOCK < 700
         a = sample_ensemble(idx, cfg.hurst, 300, seed=7)
         b = sample_ensemble(idx, cfg.hurst, 700, seed=7)
@@ -334,7 +335,7 @@ class TestPositions:
 
     def test_first_occurrence_of_a_repeated_index(self):
         e = self._ensemble()
-        assert columns(e.indices, [rect(1, 1), rect(1, 2), rect(2, 1)]) == [3, 0, 1]
+        assert columns(e.indices, [rect(1, 1), rect(1, 2), rect(2, 1)]).tolist() == [3, 0, 1]
         assert np.array_equal(e.column(rect(1, 2)), e.samples[:, 0])
 
     def test_missing_boxes_named_once_and_sorted(self):
@@ -345,8 +346,39 @@ class TestPositions:
 
     def test_column_of_missing_box(self):
         with pytest.raises(MissingIndexError) as ei:
-            self._ensemble().column(EMPTY)
-        assert ei.value.missing == [EMPTY]
+            self._ensemble().column(rect(0, 0))
+        assert ei.value.missing == [rect(0, 0)]
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_dict_reference(self, data):
+        # repeated rows, -0.0 against 0.0, 1-D boxes and absent boxes
+        dim = data.draw(st.integers(1, 3))
+        row = st.tuples(*[st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])] * dim)
+        indices = data.draw(st.lists(row, min_size=1, max_size=10))
+        boxes = data.draw(st.lists(st.sampled_from(indices) | row, min_size=1, max_size=10))
+        want, missing = columns_reference(indices, boxes)
+        e = SampleEnsemble(indices, np.zeros((1, len(indices))), HurstParam(0.3))
+        found = find_rows(e.indices, np.array(boxes))
+        assert found.tolist() == [-1 if i is None else i for i in want]
+        if missing:
+            with pytest.raises(MissingIndexError) as ei:
+                columns(e.indices, boxes)
+            assert ei.value.missing == missing
+        else:
+            assert columns(e.indices, boxes).tolist() == want
+
+
+def columns_reference(indices, boxes) -> tuple[list, list]:
+    """The dict-keyed search that ``columns`` replaced, keyed by corner
+    tuples with -0.0 read as 0.0, as ``Rect`` read them: each box's column,
+    a repeated index's first one and None where absent, and the absent boxes
+    once, sorted by corner."""
+    def key(row):
+        return tuple(c + 0.0 for c in row)
+
+    pos = {key(u): i for i, u in reversed(list(enumerate(indices)))}
+    return [pos.get(key(r)) for r in boxes], sorted({key(r) for r in boxes} - pos.keys())
 
 
 class TestAdditiveExtend:

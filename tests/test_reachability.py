@@ -22,6 +22,8 @@ ALLOWED = {
     "flows.project": "one flow's paths X_B A from an ensemble in memory, the reference for its statistics",
     "flows.flows_through": "the diagonal flow through a box, the tests' standard flow",
     "rects.rect": "the shorthand box constructor every test uses",
+    "config.ExperimentConfig.ensemble_indices": "benchmark/run.py check_demo reads u.corner (item 1)",
+    "rects.Rect.__post_init__": "builds the Rects that only ensemble_indices returns (item 1)",
 }
 
 

@@ -37,21 +37,15 @@ from sifbm.recovery import (
     _psi_criteria,
     covariance_deviations,
 )
-from sifbm.rects import (
-    EMPTY,
-    MAX_UNION_PARTS,
-    Rect,
-    corner_array,
-    grid_lower,
-    rect,
-    measure,
-)
+from sifbm.rects import MAX_UNION_PARTS, grid_lower, measure, rect
 from sifbm.stats import variance_profile
 from sifbm.storage import StoredEnsemble, write_ensemble_binary
 from test_rects import (
+    EMPTY,
     LeftNeighborhood,
     box_measure,
     boxes_of,
+    corners_of,
     member,
     region_disjoint_ae,
     region_subset_ae,
@@ -62,12 +56,12 @@ from test_rects import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def inside(outer: Rect, inner: Rect) -> bool:
+def inside(outer, inner) -> bool:
     """inner lies in outer: the empty set in every set, a box in every box
     whose corner is above its own."""
-    if inner.is_empty:
+    if inner is EMPTY:
         return True
-    return not outer.is_empty and all(i <= o for i, o in zip(inner.corner, outer.corner))
+    return outer is not EMPTY and all(i <= o for i, o in zip(inner, outer))
 
 # Checks that hold for the Lebesgue table alone, so only the tests and
 # acceptance criteria 6 and 7 run them.
@@ -75,14 +69,13 @@ def inside(outer: Rect, inner: Rect) -> bool:
 
 def lebesgue_table(boxes) -> PreMeasureTable:
     """The analytic table: psi is Lebesgue measure, with zero error."""
-    boxes = tuple(boxes)
-    m = measure(corner_array(boxes))
-    return PreMeasureTable(boxes, m, np.zeros(len(boxes)))
+    boxes = corners_of(list(boxes))
+    return PreMeasureTable(boxes, measure(boxes), np.zeros(len(boxes)))
 
 
 def entry(table, u) -> tuple[float, float]:
     """(psi, standard error) of table box u."""
-    i = table.boxes.index(u)
+    i = table.boxes.tolist().index(list(u))
     return float(table.value[i]), float(table.stderr[i])
 
 
@@ -98,9 +91,9 @@ def cell_measure(table, region) -> tuple[float, float]:
     interior lies in it, errors in quadrature.  Every box of the region must
     have its corner on that grid, and every cell in it every corner box in
     the table or on an axis; otherwise ValueError."""
-    edges = [sorted(set(col) | {0.0}) for col in corner_array(table.boxes).T.tolist()]
+    edges = [sorted(set(col) | {0.0}) for col in table.boxes.T.tolist()]
     for b in boxes_of(region):
-        if len(b.corner) != len(edges) or any(c not in e for c, e in zip(b.corner, edges)):
+        if len(b) != len(edges) or any(c not in e for c, e in zip(b, edges)):
             raise ValueError(f"{b!r} is not a union of grid cells of the table")
     cells = itertools.product(*(zip(e, e[1:]) for e in edges))
     # exact midpoints: a float one can round onto a cell edge
@@ -118,7 +111,7 @@ def cell_measure(table, region) -> tuple[float, float]:
 
 def measurability_check(
     table: PreMeasureTable,
-    u: Rect,
+    u,
     a_inside: LeftNeighborhood,
     b_outside: LeftNeighborhood,
 ) -> float:
@@ -133,7 +126,7 @@ def measurability_check(
     return abs(both - a - b)
 
 
-def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
+def outer_continuity_check(h: HurstParam, corners, u) -> np.ndarray:
     """Analytic variance of the difference along a shrinking box sequence:
     E[(X_{U_n} - X_U)^2] = m(U_n (+) U)^{2H}.
 
@@ -142,8 +135,8 @@ def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
     is degenerate and the final corner is small enough, the final value is
     additionally asserted below 1e-6 (the regime where the bound is exact).
     """
-    seq = [Rect(tuple(float(x) for x in c)) for c in corners]
-    if u.is_empty:
+    seq = [tuple(float(x) for x in c) for c in corners]
+    if u is EMPTY:
         raise ValueError("limit index must be a box (possibly degenerate), not empty")
     prev = None
     for r in seq:
@@ -156,9 +149,9 @@ def outer_continuity_check(h: HurstParam, corners, u: Rect) -> np.ndarray:
     if np.any(np.diff(values) > 0):
         raise AssertionError("analytic variance sequence failed to be nonincreasing")
     if box_measure(u) == 0.0 and seq:
-        n = len(u.corner)
+        n = len(u)
         gap_scale = 1e-6 ** (1.0 / (h.two_h * n))
-        if max(seq[-1].corner) <= gap_scale:
+        if max(seq[-1]) <= gap_scale:
             assert values[-1] <= 1e-6
     return values
 
@@ -168,7 +161,7 @@ def lattice(nx=3, ny=3, sx=1.0, sy=1.0):
 
 
 def exact_ensemble(indices, h, n, seed):
-    return sample_ensemble(sorted(indices, key=lambda r: r.corner), HurstParam(h), n, seed=seed)
+    return sample_ensemble(sorted(indices), HurstParam(h), n, seed=seed)
 
 
 def psi_entry(e, u, h):
@@ -200,22 +193,22 @@ def psi_of(e, u):
 @st.composite
 def psi_ensembles(draw):
     """Independent columns over distinct boxes of one dimension in 1..3
-    (EMPTY and degenerate boxes included, so zero columns occur), some
-    non-degenerate columns zeroed, at least 100 samples, a scale factor, and
-    the box list to recover: None (every column) or a list with repeats."""
+    (degenerate boxes and the zero corner included, so zero columns occur),
+    some non-degenerate columns zeroed, at least 100 samples, a scale
+    factor, and the boxes to recover: None (every column) or a corner array
+    with repeats."""
     dim = draw(st.integers(1, 3))
     coord = st.sampled_from([0.0, 0.5, 1.0, 2.0])
-    box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
-    boxes = draw(st.lists(box, min_size=1, max_size=8, unique=True))
+    boxes = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8, unique=True))
     n = draw(st.sampled_from([100, 101, 257]))
     scale = draw(st.sampled_from([1.0, 1.9, 1e-3, 1e3]))
     zeroed = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sd = np.sqrt(measure(corner_array(boxes))) * np.logical_not(zeroed)
+    sd = np.sqrt(measure(boxes)) * np.logical_not(zeroed)
     samples = scale * rng.standard_normal((n, len(boxes))) * sd
-    e = SampleEnsemble(tuple(boxes), samples, HurstParam(draw(st.sampled_from([0.1, 0.3, 0.5]))))
+    e = SampleEnsemble(boxes, samples, HurstParam(draw(st.sampled_from([0.1, 0.3, 0.5]))))
     want = draw(st.none() | st.lists(st.sampled_from(boxes), max_size=10))
-    return e, want
+    return e, None if want is None else np.array(want).reshape(-1, dim)
 
 
 class TestEstimatePsi:
@@ -256,8 +249,9 @@ class TestEstimatePsi:
         with warnings.catch_warnings(record=True) as got_warned:
             warnings.simplefilter("always")
             table = read_ensemble(e, e.indices if want is None else want)[0]
-        boxes = tuple(dict.fromkeys(e.indices if want is None else want))
-        assert table.boxes == boxes
+        # each box once, sorted by corner
+        boxes = sorted(set(map(tuple, (e.indices if want is None else want).tolist())))
+        assert table.boxes.tolist() == list(map(list, boxes))
         with warnings.catch_warnings(record=True) as ref_warned:
             warnings.simplefilter("always")
             ref = [psi_entry(e, u, e.hurst) for u in boxes]
@@ -285,7 +279,7 @@ class TestPsiOnC:
     def test_no_subtraction(self):
         # every box below [0, u] lies on an axis
         u = rect(1.5, 2)
-        value, _, tested = on_cells(lebesgue_table([u]), [((0, 0), u.corner)])
+        value, _, tested = on_cells(lebesgue_table([u]), [((0, 0), u)])
         assert tested[0] and value[0] == box_measure(u)
 
     def test_matches_lebesgue_on_random_neighborhoods(self):
@@ -293,7 +287,7 @@ class TestPsiOnC:
         for _ in range(100):
             upper = rng.uniform(0.5, 3, 2)
             lower = upper * rng.uniform(0, 1, 2) * rng.integers(0, 2, 2)
-            boxes = [Rect(tuple(np.where(pick, lower, upper)))
+            boxes = [tuple(np.where(pick, lower, upper))
                      for pick in itertools.product((False, True), repeat=2)]
             value, _, tested = on_cells(lebesgue_table(boxes), [(lower, upper)])
             want = float(np.prod(upper - lower))
@@ -327,18 +321,18 @@ def cell_reference(table):
     None when a corner box is neither on an axis nor in the table.  The
     corner boxes come from a loop over itertools.product of the corner picks;
     the grid's edges are every table corner coordinate and 0."""
-    boxes = [u for u in table.boxes if not u.is_empty]
-    pos = {u.corner: i for i, u in enumerate(table.boxes) if not u.is_empty}
-    dim = len(boxes[0].corner) if boxes else 1
-    edges = [{u.corner[i] for u in boxes} | {0.0} for i in range(dim)]
+    boxes = list(map(tuple, table.boxes.tolist()))
+    pos = {u: i for i, u in enumerate(boxes)}
+    dim = table.boxes.shape[1]
+    edges = [{u[i] for u in boxes} | {0.0} for i in range(dim)]
     out = []
     for u in boxes:
-        if min(u.corner) == 0.0:
+        if min(u) == 0.0:
             continue
-        lower = tuple(max(x for x in e if x < c) for e, c in zip(edges, u.corner))
+        lower = tuple(max(x for x in e if x < c) for e, c in zip(edges, u))
         total, var = 0.0, 0.0
         for picks in itertools.product((False, True), repeat=dim):
-            corner = tuple(lo if p else hi for p, lo, hi in zip(picks, lower, u.corner))
+            corner = tuple(lo if p else hi for p, lo, hi in zip(picks, lower, u))
             if min(corner) == 0.0:
                 continue
             if corner not in pos:
@@ -346,27 +340,27 @@ def cell_reference(table):
                 break
             total += (-1.0) ** sum(picks) * float(table.value[pos[corner]])
             var += float(table.stderr[pos[corner]]) ** 2
-        out.append((lower, u.corner, total, None if var is None else var**0.5))
+        out.append((lower, u, total, None if var is None else var**0.5))
     return out
 
 
 @st.composite
 def cell_tables(draw):
     """A table in 1..3 dimensions over a lattice of drawn coordinates or
-    scattered corners, with degenerate boxes, EMPTY and repeats (kept once,
-    as ``read_ensemble`` keeps them); psi is Lebesgue measure with zero
+    scattered corners, with degenerate boxes, the zero corner and repeats
+    (kept once and sorted, as ``read_ensemble`` keeps them); psi is Lebesgue measure with zero
     error, or a multiple in [0.5, 1.5] of it with errors in [0, 0.3]."""
     dim = draw(st.integers(1, 3))
     coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 3, allow_nan=False)
     if draw(st.booleans()):
         axes = [draw(st.lists(coord, min_size=1, max_size=3)) for _ in range(dim)]
-        boxes = [Rect(c) for c in itertools.product(*axes)]
+        boxes = list(itertools.product(*axes))
         boxes = [u for u in boxes if draw(st.integers(0, 5))]  # drop about one in six
     else:
-        boxes = draw(st.lists(st.tuples(*[coord] * dim).map(Rect), max_size=10))
-    boxes += draw(st.lists(st.sampled_from(boxes) | st.just(EMPTY), max_size=3)) if boxes else []
-    boxes = tuple(dict.fromkeys(boxes))
-    m = measure(corner_array(boxes))
+        boxes = draw(st.lists(st.tuples(*[coord] * dim), max_size=10))
+    boxes += draw(st.lists(st.sampled_from(boxes) | st.just((0.0,) * dim), max_size=3)) if boxes else []
+    boxes = np.array(sorted(set(boxes))).reshape(-1, dim)
+    m = measure(boxes)
     if draw(st.booleans()):
         return PreMeasureTable(boxes, m, np.zeros(len(boxes))), True
     factor = draw(st.lists(st.floats(0.5, 1.5), min_size=len(boxes), max_size=len(boxes)))
@@ -410,8 +404,8 @@ class TestCellCriterion:
         # the 9 demo boxes, psi a random multiple in [0.5, 1.5] of each box's
         # measure with standard errors 1% of it: 187 of 200 tables failed the
         # cover-search test this criterion replaced
-        boxes = tuple(lattice(3, 3))
-        m = measure(corner_array(boxes))
+        boxes = np.array(lattice(3, 3))
+        m = measure(boxes)
         rng = np.random.default_rng(0)
         rejected = 0
         for _ in range(200):
@@ -437,7 +431,7 @@ class TestCellCriterion:
             raw["covers"] = covers
         cfg = parse_config({**raw, "n_samples": 4000})
         for seed in range(1, 8):
-            e = sample_ensemble(cfg.ensemble_indices(), cfg.hurst, cfg.n_samples, seed=seed)
+            e = sample_ensemble(cfg.ensemble_boxes(), cfg.hurst, cfg.n_samples, seed=seed)
             ext = _cell_criterion(read_ensemble(e, cfg.table_indices)[0], cfg.thresholds)
             assert ext.passed, (seed, ext.detail)
             assert ext.detail.startswith("cells tested: 9;")
@@ -476,7 +470,7 @@ class TestOuterMeasure:
         t = lebesgue_table(lattice(3, 3, 0.5, 0.75))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            parts = [t.boxes[i] for i in rng.choice(9, int(rng.integers(1, 5)), replace=False)]
+            parts = [tuple(t.boxes[i]) for i in rng.choice(9, int(rng.integers(1, 5)), replace=False)]
             got, _ = cell_measure(t, parts)
             assert got == pytest.approx(union_measure(parts), rel=1e-9)
 
@@ -503,16 +497,14 @@ class TestOuterMeasure:
         # a cell has 2^N corner boxes, capped as inclusion-exclusion is
         corner = np.ones((1, MAX_UNION_PARTS + 1))
         with pytest.raises(ValueError, match="capped"):
-            psi_on_cells(lebesgue_table([Rect(tuple(corner[0]))]), 0 * corner, corner)
+            psi_on_cells(lebesgue_table([tuple(corner[0])]), 0 * corner, corner)
 
 
 class TestVerifyExtension:
     def test_exact_table_reports_a_zero_worst(self):
         # integer measures: every cell and recovery error is exact, and the
         # details say so instead of naming no box
-        boxes = tuple(lattice(2, 2))
-        m = measure(corner_array(boxes))
-        t = PreMeasureTable(boxes, m, np.zeros(len(boxes)))
+        t = lebesgue_table(lattice(2, 2))
         ext = _cell_criterion(t, Thresholds())
         assert (ext.passed, ext.statistic) == (True, 0.0)
         assert ext.detail == "cells tested: 4; smallest z inf in ([0.0, 0.0], [1.0, 1.0]]"
@@ -537,7 +529,7 @@ class TestVerifyExtension:
 
     def test_empirical_within_tolerance(self):
         h = 0.35
-        idx = sorted(set(lattice(2, 2)), key=lambda r: r.corner)
+        idx = sorted(set(lattice(2, 2)))
         e = exact_ensemble(idx, h, 20_000, seed=33)
         t = read_ensemble(e, e.indices)[0]
         ext = _cell_criterion(t, Thresholds())
@@ -591,7 +583,7 @@ class TestMeasurability:
 class TestOuterContinuity:
     def test_constant_sequence_zero(self):
         u = rect(1, 1)
-        vals = outer_continuity_check(HurstParam(0.3), [u.corner] * 5, u)
+        vals = outer_continuity_check(HurstParam(0.3), [u] * 5, u)
         assert np.all(vals == 0.0)
 
     def test_harmonic_shrink_half(self):
@@ -633,8 +625,8 @@ def battery_and_indices(h, n, seed, lattice_pts):
     ]
     idx = set(lattice_pts)
     for f in flows:
-        idx.update(flow_weights(f)[0])
-    e = exact_ensemble(sorted(idx, key=lambda r: r.corner), h, n, seed)
+        idx.update(map(tuple, flow_weights(f)[0].tolist()))
+    e = exact_ensemble(idx, h, n, seed)
     return e, flows
 
 
@@ -673,7 +665,7 @@ class TestCharacterize:
     def test_mean_shift_fails_on_recovery(self):
         e, flows = battery_and_indices(self.H, 20_000, 104, self.LATTICE)
         shifted = e.samples.copy()
-        col = e.indices.index(rect(2, 2))
+        col = e.indices.tolist().index([2.0, 2.0])
         shifted[:, col] += 0.5
         bad = SampleEnsemble(e.indices, shifted, e.hurst)
         rep = self._run(bad, flows)
@@ -720,7 +712,7 @@ class TestCharacterize:
         e, flows = battery_and_indices(self.H, 2_000, 107, self.LATTICE)
         rep = self._run(e, flows)
         recovered, table = recover_measure(e, table_indices=self.LATTICE)
-        assert list(table.boxes) == self.LATTICE
+        assert list(map(tuple, table.boxes.tolist())) == self.LATTICE
         assert [c.name for c in rep.criteria] == (
             ["variance_profile", "gaussianity"]
             + [c.name for c in recovered.criteria]
@@ -793,12 +785,13 @@ def covariance_criterion_reference(e, table, h, mult):
     both boxes and their intersection are in the table."""
     emp = (e.samples.T @ e.samples) / e.n_samples
     diag = np.diag(emp)
-    table_set = set(table.boxes)
+    table_set = set(map(tuple, table.boxes.tolist()))
+    indices = list(map(tuple, e.indices.tolist()))
     total = ok = 0
-    for i, u in enumerate(e.indices):
-        for j in range(i, len(e.indices)):
-            v = e.indices[j]
-            inter = EMPTY if EMPTY in (u, v) else Rect(tuple(map(min, u.corner, v.corner)))
+    for i, u in enumerate(indices):
+        for j in range(i, len(indices)):
+            v = indices[j]
+            inter = tuple(map(min, u, v))
             if u not in table_set or v not in table_set or inter not in table_set:
                 continue
             (mu, _), (mv, _), (mi, _) = (entry(table, w) for w in (u, v, inter))
@@ -817,7 +810,7 @@ def criterion_cases(draw):
     them as the table, a sample seed and H."""
     dim = draw(st.integers(1, 3))
     coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
-    boxes = draw(st.lists(st.tuples(*[coord] * dim).map(Rect), min_size=1, max_size=14, unique=True))
+    boxes = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=14, unique=True))
     keep = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
     table_idx = [b for b, k in zip(boxes, keep) if k] or boxes[:1]
     return boxes, table_idx, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.05, 0.5))
@@ -831,9 +824,9 @@ class TestCovarianceCriterion:
         h = HurstParam(hv)
         # independent columns scaled to the box measure: diagonal entries
         # match their prediction, nested pairs do not
-        scale = np.sqrt(measure(corner_array(boxes)))
+        scale = np.sqrt(measure(boxes))
         samples = np.random.default_rng(seed).standard_normal((200, len(boxes))) * scale
-        e = SampleEnsemble(tuple(boxes), samples, h)
+        e = SampleEnsemble(boxes, samples, h)
         table = read_ensemble(e, table_idx)[0]
         thr = Thresholds(covariance_se_mult=mult)
         got = _covariance_criterion(table, h, thr)
@@ -847,7 +840,7 @@ def pair_scan_reference(table, thr):
     """The per-box and per-pair scans over itertools.combinations that the
     array expressions replaced: (psi_recovery passed, worst relative error
     and where it is, psi_monotonicity passed and worst violation)."""
-    idx = list(table.boxes)
+    idx = list(map(tuple, table.boxes.tolist()))
     entry = dict(zip(idx, zip(table.value.tolist(), table.stderr.tolist())))
     recovered, worst_rel, worst_detail = True, 0.0, "is 0"
     for u in idx:
@@ -860,7 +853,7 @@ def pair_scan_reference(table, thr):
         if abs(got - m) > tol:
             recovered = False
         if rel > worst_rel:
-            worst_rel, worst_detail = rel, f"at {u!r}"
+            worst_rel, worst_detail = rel, f"at Rect({list(u)})"
     passed, worst = True, 0.0
     for u, v in itertools.combinations(idx, 2):
         if inside(v, u):
@@ -878,23 +871,23 @@ def pair_scan_reference(table, thr):
 
 @st.composite
 def psi_tables(draw):
-    """A table over distinct boxes of one dimension in 1..3 (EMPTY and
-    degenerate boxes included), psi = m(U) times a factor in [0.5, 1.5], so
-    nested pairs can violate monotonicity, with standard errors in [0, 0.3]."""
+    """A table over distinct boxes of one dimension in 1..3 (degenerate
+    boxes and the zero corner included), psi = m(U) times a factor in
+    [0.5, 1.5], so nested pairs can violate monotonicity, with standard
+    errors in [0, 0.3]."""
     dim = draw(st.integers(1, 3))
     coord = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 2, allow_nan=False)
-    box = st.tuples(*[coord] * dim).map(Rect) | st.just(EMPTY)
-    boxes = draw(st.lists(box, max_size=14, unique=True))
+    boxes = draw(st.lists(st.tuples(*[coord] * dim), max_size=14, unique=True))
     value = [box_measure(u) * draw(st.floats(0.5, 1.5)) for u in boxes]
     stderr = [draw(st.floats(0, 0.3)) for _ in boxes]
-    return PreMeasureTable(tuple(boxes), np.array(value), np.array(stderr))
+    return PreMeasureTable(np.array(boxes).reshape(-1, dim), np.array(value), np.array(stderr))
 
 
 class TestPairScans:
     # floors equal to grid measures, so a box sits exactly on the floor
     @given(psi_tables(), st.floats(0, 4), st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 2))
     # a box exactly on the floor is tested, and fails here
-    @example(PreMeasureTable((rect(1.0),), np.array([2.0]), np.array([0.0])), 0.0, 1.0)
+    @example(PreMeasureTable(np.array([rect(1.0)]), np.array([2.0]), np.array([0.0])), 0.0, 1.0)
     @settings(deadline=None)
     def test_match_per_pair_reference(self, table, mult, floor):
         thr = Thresholds(psi_recovery_se_mult=mult, psi_floor=floor, monotonicity_se_mult=mult)
@@ -920,15 +913,14 @@ def test_exact_gram_is_exact_throughout(config):
         m = a.T @ build_cov_matrix(boxes, h) @ a
         vp = variance_profile(m, n, time_change(f), predicted_increment_moment(f, h))
         assert np.all(np.abs(vp.observed - vp.predicted) <= 1e-12 * vp.predicted)
-    boxes = tuple(cfg.table_indices)
+    boxes = cfg.table_indices
     c = build_cov_matrix(boxes, h)
     table = PreMeasureTable.from_moments(boxes, c, 3 * n * np.diag(c) ** 2, n, h)
-    m = measure(corner_array(boxes))
+    m = measure(boxes)
     assert np.all(np.abs(table.value - m) <= 1e-12 * m)
     i, j, dev = covariance_deviations(table, h)
     assert len(i) >= len(boxes) and np.max(np.abs(dev)) <= 1e-12 * np.max(np.abs(c))
     assert _covariance_criterion(table, h, Thresholds()).statistic == 1.0
-    corners = corner_array(boxes)
-    off_axes = np.all(corners > 0, axis=1)
-    value, _, tested = psi_on_cells(table, grid_lower(corners)[off_axes], corners[off_axes])
+    off_axes = np.all(boxes > 0, axis=1)
+    value, _, tested = psi_on_cells(table, grid_lower(boxes)[off_axes], boxes[off_axes])
     assert tested.any() and np.min(value[tested]) >= -1e-12 * np.max(m)

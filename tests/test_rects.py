@@ -13,17 +13,29 @@ from hypothesis.extra import numpy as hnp
 
 from sifbm.flows import Flow, canonical_unions, make_elementary_flow, time_change
 from sifbm.rects import (
-    EMPTY,
     MAX_UNION_PARTS,
     DimensionMismatchError,
-    Rect,
     cell_corners,
-    corner_array,
     grid_lower,
     measure,
     rect,
     signed_terms,
 )
+
+# A box is its corner row, a tuple of floats (``rect``); the references
+# below also take None, the empty set.
+EMPTY = None
+
+
+def corners_of(boxes) -> np.ndarray:
+    """(n, N) array of the corner rows ``boxes``, the empty set as the zero
+    corner (it has measure 0, as does its intersection with every box)."""
+    dim = next((len(b) for b in boxes if b is not None), 1)
+    return np.array([(0.0,) * dim if b is None else b for b in boxes], dtype=float).reshape(len(boxes), dim)
+
+
+def is_box(region) -> bool:
+    return region is None or isinstance(region, tuple)
 
 
 # Scalar references for the corner-array engine: one subset, one box, one
@@ -60,15 +72,15 @@ def union_measure_reference(parts) -> float:
 def canonical_reference(boxes) -> list:
     """Corners of a union's parts: no empty box, no box inside another, each
     box once, sorted."""
-    kept = {b.corner for b in boxes if not b.is_empty}
+    kept = {b for b in boxes if b is not None}
     return sorted(
         a for a in kept if not any(a != b and all(map(float.__le__, a, b)) for b in kept)
     )
 
 
-def box_measure(u: Rect) -> float:
+def box_measure(u) -> float:
     """``measure`` of one box, the empty set as the zero corner."""
-    return float(measure(corner_array([u]))[0])
+    return float(measure(corners_of([u]))[0])
 
 
 def chain(*flows: Flow) -> Flow:
@@ -77,11 +89,11 @@ def chain(*flows: Flow) -> Flow:
 
 
 def segment_values(seg) -> list:
-    """A segment's value at each grid point as a Rect, EMPTY for the empty set."""
-    return [EMPTY if e else Rect(tuple(c)) for c, e in zip(seg.corners.tolist(), seg.empty)]
+    """A segment's value at each grid point as a corner row, EMPTY for the empty set."""
+    return [EMPTY if e else tuple(c) for c, e in zip(seg.corners.tolist(), seg.empty)]
 
 
-def union_flow(*parts: Rect) -> Flow:
+def union_flow(*parts) -> Flow:
     """A flow whose segment i holds parts[i] constant, so its last value is
     the union of all of them."""
     return chain(*(make_elementary_flow([i, i + 1], [p, p]) for i, p in enumerate(parts)))
@@ -102,17 +114,17 @@ class LeftNeighborhood:
     """The set C = base \\ (sub_1 u ... u sub_n) with base and sub_i boxes; a
     grid cell is one, with the boxes just below its upper corner subtracted."""
 
-    base: Rect
-    subtracted: tuple[Rect, ...] = ()
+    base: tuple | None
+    subtracted: tuple = ()
 
 
 def boxes_of(region):
     """Every non-empty box a region (or a list of regions, such as a union of
     boxes) is built from."""
-    if isinstance(region, Rect):
-        return [] if region.is_empty else [region]
+    if is_box(region):
+        return [] if region is None else [region]
     if isinstance(region, LeftNeighborhood):
-        return boxes_of(region.base) + [s for s in region.subtracted if not s.is_empty]
+        return boxes_of(region.base) + [s for s in region.subtracted if s is not None]
     return [b for r in region for b in boxes_of(r)]
 
 
@@ -125,7 +137,7 @@ class CellArrangement:
     Lebesgue-null boundaries."""
 
     def __init__(self, regions):
-        corners = corner_array(boxes_of(regions))
+        corners = corners_of(boxes_of(regions))
         edges = [np.unique(np.append(col, 0.0)) for col in corners.T]
         grids = np.meshgrid(*(e[1:] for e in edges), indexing="ij")
         self.upper = np.stack([g.ravel() for g in grids], axis=1)
@@ -137,33 +149,33 @@ class CellArrangement:
     def mask(self, region) -> np.ndarray:
         """bool[n_cells]: the cells whose interior lies in the region, whose
         boxes must be among those the arrangement was built on."""
-        if isinstance(region, Rect):
-            if region.is_empty:
+        if is_box(region):
+            if region is None:
                 return np.zeros(len(self.volumes), dtype=bool)
-            return np.all(self.upper <= region.corner, axis=1)
+            return np.all(self.upper <= region, axis=1)
         if isinstance(region, LeftNeighborhood):
-            return self.mask(region.base) & ~self.mask(region.subtracted)
+            return self.mask(region.base) & ~self.mask(list(region.subtracted))
         out = np.zeros(len(self.volumes), dtype=bool)
         for r in region:
             out |= self.mask(r)
         return out
 
 
-def symdiff_measure(a: Rect, b: Rect) -> float:
+def symdiff_measure(a, b) -> float:
     """m(a (+) b) = m(a) + m(b) - 2 m(a n b), never negative, with a n b the
-    corner minimum; boxes of two dimensions raise in ``corner_array``."""
-    c = corner_array([a, b])
+    corner minimum."""
+    c = corners_of([a, b])
     val = measure(c[0]) + measure(c[1]) - 2.0 * measure(c.min(axis=0))
     return max(float(val), 0.0)
 
 
-def clip(base: Rect, boxes) -> list:
+def clip(base, boxes) -> list:
     """Corners of base n b for each non-empty box b of ``boxes``, none if
     base is empty."""
-    subs = [b for b in boxes if not b.is_empty]
-    if base.is_empty or not subs:
+    subs = [b for b in boxes if b is not None]
+    if base is None or not subs:
         return []
-    return [tuple(c) for c in np.minimum(base.corner, corner_array(subs)).tolist()]
+    return [tuple(c) for c in np.minimum(base, corners_of(subs)).tolist()]
 
 
 def left_nbhd_measure(c: LeftNeighborhood) -> float:
@@ -189,7 +201,7 @@ corners2 = st.tuples(
     st.floats(0, 10, allow_nan=False, allow_infinity=False),
     st.floats(0, 10, allow_nan=False, allow_infinity=False),
 )
-rects2 = corners2.map(Rect)
+rects2 = corners2
 
 # Coordinates from a small grid (zero included, so degenerate boxes and shared
 # faces are common) mixed with arbitrary floats.
@@ -200,48 +212,49 @@ coords = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0, 3, allow_nan=
 def box_families(draw, max_parts=5):
     """Families of 0..max_parts boxes of one dimension in 1..3, with EMPTY."""
     dim = draw(st.integers(1, 3))
-    box = st.tuples(*[coords] * dim).map(Rect) | st.just(EMPTY)
+    box = st.tuples(*[coords] * dim) | st.just(EMPTY)
     return draw(st.lists(box, max_size=max_parts))
 
 
 class TestRectBasics:
     def test_measure_empty(self):
-        assert measure(corner_array([EMPTY])).tolist() == [0.0]
+        # a flow holds the empty set as the zero corner
+        assert measure(make_elementary_flow([0, 1], [EMPTY, EMPTY]).segments[0].corners).tolist() == [0.0, 0.0]
 
     def test_measure_unit_square(self):
-        assert measure(rect(1, 1).corner) == 1.0
+        assert measure(rect(1, 1)) == 1.0
 
     def test_measure_product(self):
         # product oracle: 2 * 0.5 * 3
-        assert measure(rect(2, 0.5, 3).corner) == pytest.approx(2 * 0.5 * 3)
+        assert measure(rect(2, 0.5, 3)) == pytest.approx(2 * 0.5 * 3)
 
     def test_degenerate_rect_is_not_empty(self):
-        r = rect(0, 5)
-        assert measure(r.corner) == 0.0
-        assert not r.is_empty
-        assert r != EMPTY
+        f = make_elementary_flow([0, 1], [rect(0, 5), rect(0, 5)])
+        assert measure(f.segments[0].corners).tolist() == [0.0, 0.0]
+        assert not f.segments[0].empty.any()
 
     def test_negative_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            rect(1, -0.5)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            make_elementary_flow([0, 1], [rect(1, -0.5), rect(1, 1)])
 
     # a n b is the corner minimum, the corner of the pair term of signed_terms
 
     def test_intersection_idempotent(self):
         u = rect(1, 1)
-        assert signed_terms(corner_array([u, u]))[1][-1].tolist() == list(u.corner)
+        assert signed_terms(corners_of([u, u]))[1][-1].tolist() == list(u)
 
     def test_intersection_componentwise_min(self):
-        assert signed_terms(corner_array([rect(1, 2), rect(2, 1)]))[1][-1].tolist() == [1.0, 1.0]
+        assert signed_terms(corners_of([rect(1, 2), rect(2, 1)]))[1][-1].tolist() == [1.0, 1.0]
 
     def test_intersection_with_empty(self):
         # the empty set's zero corner meets every box in a box of measure 0
-        _, corners = signed_terms(corner_array([rect(1, 1), EMPTY]))
+        _, corners = signed_terms(corners_of([rect(1, 1), EMPTY]))
         assert measure(corners[-1]) == 0.0
 
     def test_intersection_dimension_mismatch(self):
+        # a union's parts come from a flow's segments, which refuse the mix
         with pytest.raises(DimensionMismatchError):
-            corner_array([rect(1, 1), rect(1, 1, 1)])
+            union_flow(rect(1, 1), rect(1, 1, 1))
 
 
 class TestMeasure:
@@ -310,14 +323,14 @@ class TestUnionMeasure:
         for _ in range(10):
             n_parts = rng.integers(1, 5)
             dim = rng.integers(1, 4)
-            parts = [Rect(tuple(rng.uniform(0.1, 2.0, dim))) for _ in range(n_parts)]
-            box = np.max([p.corner for p in parts], axis=0)
+            parts = [tuple(rng.uniform(0.1, 2.0, dim)) for _ in range(n_parts)]
+            box = np.max(parts, axis=0)
             vol_box = float(np.prod(box))
             n = 200_000
             pts = rng.uniform(0, 1, (n, dim)) * box
             hit = np.zeros(n, dtype=bool)
             for p in parts:
-                hit |= np.all(pts <= np.asarray(p.corner), axis=1)
+                hit |= np.all(pts <= np.asarray(p), axis=1)
             p_hat = hit.mean()
             est = p_hat * vol_box
             se = vol_box * np.sqrt(p_hat * (1 - p_hat) / n)
@@ -331,7 +344,7 @@ class TestLeftNeighborhood:
 
     def test_nothing_subtracted(self):
         u = rect(1.5, 2)
-        assert left_nbhd_measure(LeftNeighborhood(u)) == measure(u.corner)
+        assert left_nbhd_measure(LeftNeighborhood(u)) == measure(u)
 
     def test_corner_cell(self):
         # 4 - 2 - 2 + 1
@@ -342,24 +355,24 @@ class TestLeftNeighborhood:
     def test_complement_identity(self, base, subs):
         # m(C) + m(U n union(subs)) == m(U) exactly (1e-12 relative)
         c = LeftNeighborhood(base, tuple(subs))
-        total = left_nbhd_measure(c) + union_measure([Rect(c) for c in clip(base, subs)])
-        assert total == pytest.approx(measure(base.corner), rel=1e-12, abs=1e-12)
+        total = left_nbhd_measure(c) + union_measure(clip(base, subs))
+        assert total == pytest.approx(measure(base), rel=1e-12, abs=1e-12)
 
 
 class TestMonotonicity:
     @given(corners2, corners2)
     def test_measure_monotone(self, a, b):
-        lo = Rect(tuple(min(x, y) for x, y in zip(a, b)))
-        hi = Rect(tuple(max(x, y) for x, y in zip(a, b)))
-        assert measure(lo.corner) <= measure(hi.corner)
+        lo = tuple(min(x, y) for x, y in zip(a, b))
+        hi = tuple(max(x, y) for x, y in zip(a, b))
+        assert measure(lo) <= measure(hi)
         # lo lies in hi, so a flow may step from one to the other
         make_elementary_flow([0, 1], [lo, hi])
 
 
-def union_parts(*boxes: Rect) -> list:
+def union_parts(*boxes) -> list:
     """The corners of the parts a flow keeps for a union of boxes."""
-    present = np.array([[not b.is_empty for b in boxes]])
-    unions = canonical_unions(corner_array(boxes)[None], present)
+    present = np.array([[b is not None for b in boxes]])
+    unions = canonical_unions(corners_of(boxes)[None], present)
     return unions[0][1][0].tolist() if unions else []
 
 
@@ -404,14 +417,14 @@ class TestSignedTerms:
         assert signs.shape == (0,) and corners.shape == (0, 2)
 
     def test_dimension_mismatch(self):
-        # the engine's parts come from corner_array, which refuses the mix
+        # the engine's parts come from a flow's segments, which refuse the mix
         with pytest.raises(DimensionMismatchError):
-            corner_array([rect(1, 1), EMPTY, rect(1, 1, 1)])
+            union_flow(rect(1, 1), EMPTY, rect(1, 1, 1))
 
     @given(box_families())
     def test_measure_sum_matches_cell_volumes(self, parts):
         # inclusion-exclusion against the exact cell decomposition
-        signs, corners = signed_terms(corner_array([p for p in parts if not p.is_empty]))
+        signs, corners = signed_terms(corners_of([p for p in parts if p is not None]))
         total = float(np.sum(signs * measure(corners)))
         arr = CellArrangement(parts)
         want = arr.volumes[arr.mask(parts)].sum()
@@ -470,16 +483,18 @@ class TestUnionTimeChange:
 
 
 class TestCornerArray:
+    # a flow's segment holds its values as one corner array
     def test_empty_is_zero_corner(self):
-        got = corner_array([rect(1, 2), EMPTY, rect(0, 3)])
-        assert np.array_equal(got, [[1.0, 2.0], [0.0, 0.0], [0.0, 3.0]])
+        seg = make_elementary_flow([0, 1, 2], [EMPTY, rect(0, 3), rect(1, 3)]).segments[0]
+        assert np.array_equal(seg.corners, [[0.0, 0.0], [0.0, 3.0], [1.0, 3.0]])
+        assert seg.empty.tolist() == [True, False, False]
 
     def test_all_empty(self):
-        assert np.array_equal(corner_array([EMPTY, EMPTY]), np.zeros((2, 1)))
+        assert np.array_equal(make_elementary_flow([0, 1], [EMPTY, EMPTY]).segments[0].corners, np.zeros((2, 1)))
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            corner_array([rect(1, 1), rect(1, 1, 1)])
+        with pytest.raises(ValueError):
+            make_elementary_flow([0, 1], [rect(1, 1), rect(1, 1, 1)])
 
 
 def grid_lower_reference(corners):
@@ -557,8 +572,8 @@ class TestRegionPredicates:
         inside = arr.mask(c)
         for _ in range(200):
             p = rng.uniform(0.001, 2.0, 2)
-            in_c = np.all(p <= base.corner) and not any(
-                np.all(p <= s.corner) for s in c.subtracted
+            in_c = np.all(p <= base) and not any(
+                np.all(p <= s) for s in c.subtracted
             )
             # cells run in C order, so the first cell whose upper corner is
             # >= p on every axis is the one containing p
@@ -568,8 +583,8 @@ class TestRegionPredicates:
 
 def member(p, region) -> bool:
     """Pointwise membership straight from each region's definition."""
-    if isinstance(region, Rect):
-        return not region.is_empty and all(x <= c for x, c in zip(p, region.corner))
+    if is_box(region):
+        return region is not None and all(x <= c for x, c in zip(p, region))
     if isinstance(region, LeftNeighborhood):
         return member(p, region.base) and not any(member(p, q) for q in region.subtracted)
     return any(member(p, r) for r in region)
@@ -581,7 +596,7 @@ def region_families(draw):
     ones included), unions (lists of boxes), left-neighborhoods and lists of
     those."""
     dim = draw(st.integers(1, 3))
-    box = st.tuples(*[coords] * dim).map(Rect) | st.just(EMPTY)
+    box = st.tuples(*[coords] * dim) | st.just(EMPTY)
     boxes = st.lists(box, max_size=3)
     region = (
         box
@@ -593,11 +608,11 @@ def region_families(draw):
 
 class TestCellMasks:
     @given(region_families())
-    @example(regions=[Rect((0.0, 5e-324)), Rect((0.5, 0.0))])
+    @example(regions=[(0.0, 5e-324), (0.5, 0.0)])
     @settings(deadline=None)
     def test_mask_matches_pointwise_oracle(self, regions):
         arr = CellArrangement(regions)
-        corners = [b.corner for b in boxes_of(regions)]
+        corners = boxes_of(regions)
         dim = len(corners[0]) if corners else 1
         edges = [sorted({c[i] for c in corners} | {0.0}) for i in range(dim)]
         cells = list(itertools.product(*(range(len(e) - 1) for e in edges)))
@@ -620,11 +635,11 @@ class TestCellMasks:
         arr = CellArrangement(regions)
         for region in regions:
             got = arr.volumes[arr.mask(region)].sum()
-            if isinstance(region, Rect):
+            if is_box(region):
                 want = box_measure(region)
             elif isinstance(region, LeftNeighborhood):
                 want = left_nbhd_measure(region)
-            elif all(isinstance(r, Rect) for r in region):
+            elif all(map(is_box, region)):
                 want = union_measure(region)
             else:
                 continue

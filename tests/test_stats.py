@@ -544,7 +544,7 @@ class TestVarianceProfile:
             ),
         ]
         assert 100 * 99 // 2 > PROFILE_BLOCK_ROWS
-        idx = sorted({u for f in flows for u in flow_weights(f)[0]}, key=lambda r: r.corner)
+        idx = sorted({tuple(u) for f in flows for u in flow_weights(f)[0].tolist()})
         e = sample_ensemble(idx, h, 300, seed=3)
         for n, (f, fs) in enumerate(zip(flows, read_ensemble(e, flows=flows, h=h)[1])):
             new, ref = tmp_path / f"new{n}.csv", tmp_path / f"ref{n}.csv"
