@@ -159,10 +159,11 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
                 entry["hurst_estimate"] = hurst_estimate(fs.moments, n, vp.time_change)
             except (DegenerateDataError, ValueError) as exc:
                 entry["hurst_estimate_error"] = str(exc)
-        m2, m3, m4 = fs.series_moments[0]
-        if m2 > 0 and n >= 1000:
-            g = gaussianity_check(n, m2, m3, m4, z_limit=cfg.thresholds.gaussianity_z)
+        try:
+            g = gaussianity_check(n, *fs.series_moments[0], z_limit=cfg.thresholds.gaussianity_z)
             entry["gaussianity"] = asdict(g)
+        except (DegenerateDataError, ValueError) as exc:
+            entry["gaussianity_error"] = str(exc)
         report[name] = entry
     return Outcome(note=f"{len(cfg.flows)} flows", files=tuple(files), report=report)
 

@@ -161,7 +161,7 @@ def _segment_flow(spec: dict, dim: int, where: str, *named: str) -> Flow:
     return _built(where, make_elementary_flow, grid, corners)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     hurst: HurstParam
     seed: int
@@ -175,7 +175,7 @@ class ExperimentConfig:
     intrep: IntRepConfig
     thresholds: Thresholds
     jobs: int = 1
-    raw: dict = field(default_factory=dict, compare=False)
+    raw: dict = field(default_factory=dict)
 
     def ensemble_boxes(self) -> np.ndarray:
         """The ensemble's columns: the table's boxes and every box a

@@ -49,7 +49,7 @@ class Segment(NamedTuple):
     empty: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flow:
     """Segments chained end to start; at a shared breakpoint the later
     segment's value holds.  A segment valued the empty set throughout takes
@@ -136,7 +136,7 @@ def _expand(grid, unions, present) -> tuple[np.ndarray, np.ndarray, TimeChange]:
     return distinct, weights, TimeChange(grid, np.maximum(total, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeChange:
     """theta(t) = m(f(t)) along a flow's grid; always nondecreasing.
 

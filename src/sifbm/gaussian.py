@@ -155,7 +155,7 @@ def columns(indices: np.ndarray, boxes) -> np.ndarray:
     return col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleEnsemble:
     """n_samples independent draws of the field over a fixed index list,
     the (n_indices, N) corner array ``indices``."""

@@ -29,10 +29,12 @@ from the same pass.  A table holds its boxes as a sorted corner array, and
 the cell and covariance criteria find the boxes they need in it with
 ``rects.find_rows``.
 
-Empirical psi entries carry delta-method standard errors:
-d psi / d s = (1/(2H)) s^{1/(2H)-1} applied to the standard error of the
-mean square.  Propagated errors for alternating sums add in quadrature
-(cross-term correlations are ignored; a desk-scale approximation).
+Empirical psi entries carry delta-method standard errors: d psi / d s =
+(1/(2H)) s^{1/(2H)-1} applied to the Isserlis (1918) standard error
+sqrt(2/n) s of the mean square s, so psi's error is (1/(2H)) psi sqrt(2/n),
+read from the table's Gram alone like the profile and covariance bands.
+Propagated errors for alternating sums add in quadrature (cross-term
+correlations are ignored; a desk-scale approximation).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _named(corner: np.ndarray) -> str:
     return f"Rect({corner.tolist()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreMeasureTable:
     """Recovered pre-measure over the boxes of an (n, N) corner array:
     ``value[i]`` is psi of box ``boxes[i]`` and ``stderr[i]`` its
@@ -70,15 +72,18 @@ class PreMeasureTable:
     n_samples: int = 0
 
     @classmethod
-    def from_moments(cls, boxes, gram, s4, n: int, h: HurstParam) -> "PreMeasureTable":
-        """Plug-in recovery of each box, diag(G)^{1/(2H)}, from the second
-        moments G of ``n`` samples of the boxes' columns and the column sums
-        S4 of X^4; G = C and S4 = 3 n diag(C)^2 give the exact field's table.
-        The standard error of the mean square s is the sample SD of X^2 over
-        sqrt(n), sqrt(max(S4 - n s^2, 0) / ((n - 1) n)): 0, not NaN, on a
-        constant column.  A psi beyond the float range, or 0 from a positive
-        variance, is a ResolutionError."""
+    def from_moments(cls, boxes, gram, n: int, h: HurstParam) -> "PreMeasureTable":
+        """Plug-in recovery of each box, psi = G_ii^{1/(2H)}, from the second
+        moments G of ``n`` samples of the boxes' columns; G = C gives the
+        exact field's table.  The standard error is the delta method applied
+        to the Isserlis (1918) band sqrt(2/n) G_ii of a Gaussian mean square,
+        the band every other second moment carries: (1/(2H)) psi sqrt(2/n).
+        A non-finite G_ii, a psi beyond the float range, or 0 from a positive
+        variance is a ResolutionError."""
         s = np.diag(gram)
+        if not np.all(np.isfinite(s)):
+            lost = _named(boxes[np.argmin(np.isfinite(s))])
+            raise ResolutionError(f"the second moment of {lost} overflows a float")
         flat = (s == 0.0) & (measure(boxes) > 0)
         if flat.any():
             warnings.warn(f"zero empirical variance for non-degenerate indices {boxes[flat].tolist()}",
@@ -88,26 +93,19 @@ class PreMeasureTable:
         # bit for about one value in twenty
         try:
             value = np.array([x**inv for x in s.tolist()])
-            slope = np.array([x ** (inv - 1.0) for x in s.tolist()])
         except OverflowError:
             raise ResolutionError(f"psi = variance^(1/(2H)) overflows a float at hurst {h.value}") from None
         if np.any((value == 0) & (s > 0)):
             lost = _named(boxes[np.argmax((value == 0) & (s > 0))])
             raise ResolutionError(f"psi = variance^(1/(2H)) of {lost} underflows to 0 at hurst {h.value}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            spread = s4 - n * s**2
-        if not np.all(np.isfinite(spread)):
-            lost = _named(boxes[np.argmin(np.isfinite(spread))])
-            raise ResolutionError(f"the X^4 sums of {lost} overflow a float")
-        se_s = np.sqrt(np.maximum(spread, 0.0) / ((n - 1) * n))
-        return cls(boxes, value, inv * slope * se_s, gram, n)
+        return cls(boxes, value, inv * value * np.sqrt(2.0 / n), gram, n)
 
 
 def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
                   ) -> tuple[PreMeasureTable | None, list[FlowStatistics]]:
     """What the verdicts read of an ensemble ``e``, from one pass over its
     row blocks that adds up the Grams of the table's columns and of each
-    flow's boxes, the table's X^4 sums and the flows' series' power sums
+    flow's boxes and the flows' series' power sums
     (``stats.ensemble_sums``); beyond a few blocks and the Grams, no array
     grows with n.  Returns the table of the corner array ``boxes``, each box
     once, sorted by corner (``from_moments``; None when ``boxes`` is None),
@@ -116,18 +114,18 @@ def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
     profile against the law with parameter ``h`` (the ensemble's by
     default), and its two series, A_f's last column and its last minus its
     middle one."""
+    sets = []
     if boxes is not None:
         if e.n_samples < 100:
             raise ResolutionError(f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}")
         boxes = np.asarray(boxes, dtype=float)
         boxes = boxes[distinct_rows(boxes)[0]]
-    sets = []
+        sets.append((columns(e.indices, boxes), np.zeros((len(boxes), 0))))
     for fb, a in map(flow_weights, flows):
         end = a[:, -1]
         sets.append((columns(e.indices, fb), np.column_stack([end, end - a[:, a.shape[1] // 2]])))
-    cols = () if boxes is None else columns(e.indices, boxes)
-    n, gram, s4, grams, central = ensemble_sums(e.row_blocks(), sets, cols)
-    table = None if boxes is None else PreMeasureTable.from_moments(boxes, gram / n, s4, n, e.hurst)
+    n, grams, central = ensemble_sums(e.row_blocks(), sets)
+    table = None if boxes is None else PreMeasureTable.from_moments(boxes, grams.pop(0) / n, n, e.hurst)
     stats = []
     for i, (f, g) in enumerate(zip(flows, grams)):
         a = flow_weights(f)[1]

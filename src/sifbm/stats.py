@@ -25,7 +25,7 @@ class DegenerateDataError(ValueError):
     """Input carries no usable variation (constant paths, constant theta)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceProfile:
     """Increment second moments against their predicted law, one per grid
     pair (s, t) of ``time_change`` with s before t, in row-major pair order:
@@ -89,7 +89,7 @@ def hurst_estimate(m: np.ndarray, n: int, tc: TimeChange) -> float:
     return float(slope / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowStatistics:
     """An ensemble along one flow: its second-moment matrix, the variance
     profile read from it, and the central moments the Gaussianity check
@@ -107,23 +107,22 @@ _MIN_SCALE = -1022
 _FLOOR = np.ldexp(0.5, _MIN_SCALE)
 
 
-def ensemble_sums(blocks, sets, table=()) -> tuple[int, np.ndarray, np.ndarray, list, np.ndarray]:
-    """(n, gram, s4, grams, central) from one pass over ``blocks``, an
-    ensemble's row blocks.  For the columns ``table`` it adds the Gram X^T X
-    and the column sums S4 of X^4; for each (columns, weights) pair of
-    ``sets`` it adds the Gram of the columns and the power sums S1..S4 of
-    the series X @ weights, whose central moments m2, m3 and m4 ``central``
-    holds, one column per series in order.  Each series is shifted by its
-    first value and scaled by the power of 2 that keeps its largest
-    deviation so far in [1/2, 1), or by 2^1022, rescaling its sums when a
-    block raises it: a constant series has m2 exactly 0, no power overflows
-    or all underflow, and a series rescaled by a power of 2 keeps its bits.
-    Cancellation costs about 4 log10(r) digits when the first value lies r
-    standard deviations from the mean."""
-    reads = [(table, None), *((c, np.ascontiguousarray(w.T)) for c, w in sets)]
+def ensemble_sums(blocks, sets) -> tuple[int, list, np.ndarray]:
+    """(n, grams, central) from one pass over ``blocks``, an ensemble's row
+    blocks: for each (columns, weights) pair of ``sets`` it adds the Gram
+    X^T X of the columns and the power sums S1..S4 of the series
+    X @ weights, whose central moments m2, m3 and m4 ``central`` holds, one
+    column per series in order; weights with no columns, as the recovered
+    table's, add the Gram alone.  Each series is shifted by its first value
+    and scaled by the power of 2 that keeps its largest deviation so far in
+    [1/2, 1), or by 2^1022, rescaling its sums when a block raises it: a
+    constant series has m2 exactly 0, no power overflows or all underflow,
+    and a series rescaled by a power of 2 keeps its bits.  Cancellation
+    costs about 4 log10(r) digits when the first value lies r standard
+    deviations from the mean."""
+    reads = [(c, np.ascontiguousarray(w.T)) for c, w in sets]
     grams = [np.zeros((len(c), len(c))) for c, _ in reads]
-    s4 = np.zeros(len(table))
-    k = sum(len(wt) for _, wt in reads[1:])
+    k = sum(len(wt) for _, wt in reads)
     power, shift, scale = np.zeros((4, k)), None, np.full(k, _MIN_SCALE)
     factor = np.ldexp(1.0, -scale)[:, None]
     n = 0
@@ -134,10 +133,7 @@ def ensemble_sums(blocks, sets, table=()) -> tuple[int, np.ndarray, np.ndarray, 
             for (c, wt), g in zip(reads, grams):
                 x = block[:, c]
                 g += x.T @ x
-                if wt is None:
-                    s4 += np.sum((x * x) ** 2, axis=0)
-                else:
-                    rows.append(wt @ x.T)  # one row per series
+                rows.append(wt @ x.T)  # one row per series
             if not k:
                 continue
             d = np.concatenate(rows)
@@ -155,7 +151,7 @@ def ensemble_sums(blocks, sets, table=()) -> tuple[int, np.ndarray, np.ndarray, 
     if n == 0:
         raise ValueError("no samples in the ensemble")
     mu, a2, a3, a4 = power / n
-    return n, grams[0], s4, grams[1:], np.array([
+    return n, grams, np.array([
         a2 - mu * mu,
         a3 - mu * (3.0 * a2 - 2.0 * mu * mu),
         a4 - mu * (4.0 * a3 - mu * (6.0 * a2 - 3.0 * mu * mu)),

@@ -112,7 +112,7 @@ def read_ensemble_blocks(path, shape=(None, None)) -> Iterator[np.ndarray]:
             yield block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoredEnsemble:
     """A SIFB ensemble on disk with the reading side of ``SampleEnsemble``:
     ``row_blocks`` reads the file anew on each call, checking that it holds

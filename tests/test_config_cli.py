@@ -357,6 +357,13 @@ class TestConfig:
         assert np.array_equal(got.ensemble_boxes(), want.ensemble_boxes())
         assert np.array_equal(got.table_indices, want.table_indices)
 
+    def test_equality_is_a_bool(self):
+        # == compared array fields element-wise and raised ValueError; the
+        # objects holding arrays compare by identity, the parameters by value
+        a, b = (load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json") for _ in range(2))
+        assert (a == b, a == a, a.flows[0] == b.flows[0], a.flows[0] == a.flows[0]) == (False, True, False, True)
+        assert (a.hurst, a.intrep, a.intrep.grid, a.thresholds) == (b.hurst, b.intrep, b.intrep.grid, b.thresholds)
+
     def test_seed_override_changes_hash(self, tmp_path):
         path, _ = make_config(tmp_path)
         a = load_config(path)
@@ -504,6 +511,13 @@ class TestCli:
         assert (out / "profile_diag.csv").exists()
         assert (out / "profile_branch.csv").exists()
         assert (out / "projections.json").exists()
+
+    def test_project_says_why_a_flow_has_no_gaussianity(self, tmp_path):
+        _, raw = make_config(tmp_path, n_samples=999)
+        assert _exit_codes(raw, tmp_path / "out", "simulate", "project") == [0, 0]
+        report = json.loads((tmp_path / "out" / "projections.json").read_text())
+        for entry in report.values():
+            assert "gaussianity" not in entry and entry["gaussianity_error"] == "need at least 1000 samples"
 
     def test_simple_flow_gets_no_hurst_estimate(self, tmp_path):
         # the regression fits the power law in the time change, which a
@@ -1017,16 +1031,16 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 1
         assert "overflows a float at hurst 1e-06" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", ["recover-measure", "characterize"])
-    def test_overflowing_fourth_moments_exit_1(self, tmp_path, capsys, command):
-        # a variance of 1e154 is a float, its samples' X^4 sums are not
-        lattice = {"lattice": {"shape": [1], "spacing": [1e154]}}
-        path, _ = make_config(tmp_path, dimension=1, hurst=0.5, n_samples=1000, indices=lattice, flows=[])
+    def test_overflowing_gram_exits_1(self, tmp_path, capsys, command):
+        # a measure of half the float range is a variance the covariance
+        # holds, and the sum of its samples' squares overflows
+        path, raw = make_config(tmp_path, **GRAM_OVERFLOW)
         assert main(["simulate", "--config", str(path)]) == 0
         capsys.readouterr()
         assert main([command, "--config", str(path)]) == 1
-        assert "the X^4 sums of Rect([1e+154]) overflow a float" in capsys.readouterr().err
+        assert f"the second moment of Rect([{sys.float_info.max / 2!r}]) overflows a float" in capsys.readouterr().err
+        assert not (Path(raw["output_dir"]) / sifbm.cli.REPORT_FILES[command]).exists()
 
 
 def _private(name: str) -> bool:
@@ -1166,6 +1180,8 @@ TINY_BANDS = {"dimension": 2, "hurst": 0.3, "seed": 1, "n_samples": 1000, "flows
               "indices": {"lattice": {"shape": [2, 2], "spacing": [3.7e16, 1e-300]}}}
 PSI_UNDERFLOW = {"dimension": 1, "hurst": 1e-8, "seed": 7, "n_samples": 1000, "flows": [],
                  "indices": {"corners": [[1e-300]]}}
+GRAM_OVERFLOW = {"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 1000, "flows": [],
+                 "indices": {"corners": [[sys.float_info.max / 2]]}}
 HUGE_END = {"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 1000,
             "flows": [{"name": "f", "kind": "linear", "to": [1e250], "points": 3}],
             "indices": {"corners": [[1.0]]}}
@@ -1189,12 +1205,11 @@ def _numbers(obj):
 # numpy warns of the overflows and underflows that extreme boxes meet on the way
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(edge_configs())
-# two measures whose sum overflows; a variance whose X^4 sums overflow; Isserlis
+# two measures whose sum overflows; a Gram that overflows; Isserlis
 # bands that underflowed; a psi that underflows to 0; moment powers that overflowed
 @example({"dimension": 2, "hurst": 0.3, "seed": 0, "n_samples": 100, "flows": [],
           "indices": {"corners": [[1e154, 1.1e154], [1.1e154, 1e154]]}})
-@example({"dimension": 1, "hurst": 0.5, "seed": 0, "n_samples": 100, "flows": [],
-          "indices": {"lattice": {"shape": [1], "spacing": [1e154]}}})
+@example(GRAM_OVERFLOW)
 @example(TINY_BANDS)
 @example(PSI_UNDERFLOW)
 @example(HUGE_END)

@@ -166,24 +166,21 @@ def exact_ensemble(indices, h, n, seed):
 
 def psi_entry(e, u, h):
     """The per-column plug-in recovery that the table of ``read_ensemble``
-    replaced: (value, stderr) of one box, (mean of X_U^2)^{1/(2H)} with its
-    delta-method standard error."""
+    replaced: (value, stderr) of one box, (mean of X_U^2)^{1/(2H)} with the
+    delta-method image (1/(2H)) s^{1/(2H)-1} sqrt(2/n) s of the Isserlis
+    band of the mean square s."""
     if e.n_samples < 100:
         raise ResolutionError(
             f"need at least 100 samples to estimate the pre-measure, got {e.n_samples}"
         )
-    col = e.column(u)
-    sq = col**2
-    s = float(np.mean(sq))
-    n = e.n_samples
+    s = float(np.mean(e.column(u) ** 2))
     if s == 0.0:
         if box_measure(u) > 0:
             warnings.warn(f"zero empirical variance for non-degenerate index {u!r}")
         return 0.0, 0.0
     inv = 1.0 / h.two_h
     value = s**inv
-    se_s = float(np.std(sq, ddof=1)) / np.sqrt(n)
-    return value, inv * s ** (inv - 1.0) * se_s
+    return value, inv * s ** (inv - 1.0) * np.sqrt(2.0 / e.n_samples) * s
 
 
 def psi_of(e, u):
@@ -241,6 +238,20 @@ class TestEstimatePsi:
         with pytest.warns(UserWarning, match="zero empirical variance"):
             got = psi_of(e, rect(1, 1))
         assert got == 0.0
+
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.5])
+    def test_stderr_matches_monte_carlo_sd(self, h):
+        # the SD of psi over independent ensembles, against the stderr the
+        # exact Gram gives; the SD estimate's own error is
+        # sd sqrt((kurtosis - 1) / (4 R)) over R draws
+        boxes, n, runs = np.array([rect(0.5, 1), rect(1, 1), rect(2, 1.5)]), 2000, 400
+        hp = HurstParam(h)
+        psi = np.array([read_ensemble(sample_ensemble(boxes, hp, n, seed), boxes)[0].value for seed in range(runs)])
+        want = PreMeasureTable.from_moments(boxes, build_cov_matrix(boxes, hp), n, hp).stderr
+        d = psi - psi.mean(axis=0)
+        sd = np.sqrt(np.sum(d**2, axis=0) / (runs - 1))
+        kurtosis = np.mean(d**4, axis=0) / np.mean(d**2, axis=0) ** 2
+        assert np.all(np.abs(sd - want) <= 4 * sd * np.sqrt((kurtosis - 1) / (4 * runs)))
 
     @given(psi_ensembles())
     @settings(deadline=None)
@@ -915,7 +926,7 @@ def test_exact_gram_is_exact_throughout(config):
         assert np.all(np.abs(vp.observed - vp.predicted) <= 1e-12 * vp.predicted)
     boxes = cfg.table_indices
     c = build_cov_matrix(boxes, h)
-    table = PreMeasureTable.from_moments(boxes, c, 3 * n * np.diag(c) ** 2, n, h)
+    table = PreMeasureTable.from_moments(boxes, c, n, h)
     m = measure(boxes)
     assert np.all(np.abs(table.value - m) <= 1e-12 * m)
     i, j, dev = covariance_deviations(table, h)

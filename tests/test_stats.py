@@ -175,7 +175,7 @@ def series_blocks(x, path=None):
 
 def streamed_moments(x, path=None):
     """(n, m2, m3, m4) of the series x from one pass over its blocks."""
-    n, _, _, _, central = ensemble_sums(series_blocks(x, path), [([0], np.ones((1, 1)))])
+    n, _, central = ensemble_sums(series_blocks(x, path), [([0], np.ones((1, 1)))])
     return (n, *central[:, 0].tolist())
 
 
