@@ -146,7 +146,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
         write_profile_csv(vp, out / fname)
         files.append(fname)
         entry = {
-            "fraction_within_band": vp.fraction_within(cfg.thresholds.profile_se_mult),
+            "fraction_within_band": vp.fraction_within(),
             "n_pairs": vp.observed.size,
         }
         if len(f.segments) > 1:
@@ -160,7 +160,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
             except (DegenerateDataError, ValueError) as exc:
                 entry["hurst_estimate_error"] = str(exc)
         try:
-            g = gaussianity_check(n, *fs.series_moments[0], z_limit=cfg.thresholds.gaussianity_z)
+            g = gaussianity_check(n, *fs.series_moments[0])
             entry["gaussianity"] = asdict(g)
         except (DegenerateDataError, ValueError) as exc:
             entry["gaussianity_error"] = str(exc)
@@ -170,7 +170,7 @@ def cmd_project(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 def cmd_recover_measure(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _checked_ensemble(cfg, out)
-    report, table = recover_measure(e, cfg.thresholds, cfg.table_indices)
+    report, table = recover_measure(e, cfg.table_indices)
     psi = {
         repr(corner): {"value": v, "stderr": se}
         for corner, v, se in zip(table.boxes.tolist(), table.value.tolist(), table.stderr.tolist())
@@ -184,7 +184,7 @@ def cmd_verify_intrep(cfg: ExperimentConfig, out: Path) -> Outcome:
 
 def cmd_characterize(cfg: ExperimentConfig, out: Path) -> Outcome:
     e = _checked_ensemble(cfg, out)
-    return _verdict(characterize(e, list(cfg.flows), cfg.hurst, cfg.thresholds, cfg.table_indices))
+    return _verdict(characterize(e, list(cfg.flows), cfg.hurst, cfg.table_indices))
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> Outcome:

@@ -19,7 +19,6 @@ import numpy as np
 from .flows import Flow, flow_weights, make_elementary_flow
 from .gaussian import HurstParam
 from .intrep import KERNEL_H_MAX, GridSpec, IntRepConfig, validate_masses
-from .recovery import Thresholds
 from .rects import MAX_UNION_PARTS, Rect, distinct_rows, measure
 
 
@@ -41,11 +40,10 @@ def _get(d: dict, key: str, kind, where: str, default=None, required=False, leas
 
 
 def _ranged(spec: dict, cls, where: str) -> dict:
-    """Each field of dataclass ``cls`` with a ``least`` (and maybe a ``most``) in its
-    metadata, from ``spec`` or its default, typed as its default and held to that range."""
+    """Each field of dataclass ``cls`` with a ``least`` in its metadata, from
+    ``spec`` or its default, typed as its default and held to that floor."""
     return {
-        f.name: _get(spec, f.name, type(f.default), where, default=f.default,
-                     least=f.metadata["least"], most=f.metadata.get("most"))
+        f.name: _get(spec, f.name, type(f.default), where, default=f.default, least=f.metadata["least"])
         for f in fields(cls) if "least" in f.metadata
     }
 
@@ -173,7 +171,6 @@ class ExperimentConfig:
     flows: tuple
     flow_names: tuple[str, ...]
     intrep: IntRepConfig
-    thresholds: Thresholds
     jobs: int = 1
     raw: dict = field(default_factory=dict)
 
@@ -203,7 +200,7 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
     # "covers" is accepted and not read: configs that name a cover family for
     # the extension test, as the benchmark's do, still load
     _only(raw, ("dimension", "hurst", "seed", "n_samples", "output_dir", "indices", "flows",
-                "covers", "integral_rep", "thresholds"), "")
+                "covers", "integral_rep"), "")
     resolved = dict(raw)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
@@ -264,10 +261,6 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
                 "vanishes or loses its digits; half_case_covariance checks H = 1/2"
             )
 
-    thr_spec = _get(resolved, "thresholds", dict, "", default={})
-    _only(thr_spec, [f.name for f in fields(Thresholds)], "thresholds.")
-    thresholds = Thresholds(**_ranged(thr_spec, Thresholds, "thresholds."))
-
     return ExperimentConfig(
         hurst=hurst,
         seed=seed,
@@ -277,7 +270,6 @@ def parse_config(raw: dict, seed_override: int | None = None, jobs: int = 1) -> 
         flows=tuple(flows),
         flow_names=tuple(names),
         intrep=intrep,
-        thresholds=thresholds,
         jobs=jobs,
         raw=resolved,
     )

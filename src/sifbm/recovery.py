@@ -40,16 +40,15 @@ correlations are ignored; a desk-scale approximation).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .flows import Flow, flow_weights, predicted_increment_moment, time_change
 from .gaussian import HurstParam, ResolutionError, columns, covariance_from_measures, increments
 from .rects import cell_corners, distinct_rows, find_rows, grid_lower, measure
-from .stats import FlowStatistics, ensemble_sums, gaussianity_check, isserlis_z, variance_profile
-
-_AT_LEAST_0, _FRACTION = {"least": 0.0}, {"least": 0.0, "most": 1.0}
+from .stats import (GAUSSIANITY_Z, PROFILE_SE_MULT, FlowStatistics, ensemble_sums, gaussianity_check,
+                    isserlis_z, variance_profile)
 
 
 def _named(corner: np.ndarray) -> str:
@@ -78,12 +77,9 @@ class PreMeasureTable:
         exact field's table.  The standard error is the delta method applied
         to the Isserlis (1918) band sqrt(2/n) G_ii of a Gaussian mean square,
         the band every other second moment carries: (1/(2H)) psi sqrt(2/n).
-        A non-finite G_ii, a psi beyond the float range, or 0 from a positive
-        variance is a ResolutionError."""
+        A psi beyond the float range, or 0 from a positive variance, is a
+        ResolutionError."""
         s = np.diag(gram)
-        if not np.all(np.isfinite(s)):
-            lost = _named(boxes[np.argmin(np.isfinite(s))])
-            raise ResolutionError(f"the second moment of {lost} overflows a float")
         flat = (s == 0.0) & (measure(boxes) > 0)
         if flat.any():
             warnings.warn(f"zero empirical variance for non-degenerate indices {boxes[flat].tolist()}",
@@ -113,7 +109,8 @@ def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
     A_f, read once from the Gram G_B of its boxes (``flow_weights``), its
     profile against the law with parameter ``h`` (the ensemble's by
     default), and its two series, A_f's last column and its last minus its
-    middle one."""
+    middle one.  A box whose second moment is not finite (a NaN or infinite
+    sample, or squares whose sum overflows) is a ResolutionError."""
     sets = []
     if boxes is not None:
         if e.n_samples < 100:
@@ -125,6 +122,10 @@ def read_ensemble(e, boxes=None, flows=(), h: HurstParam | None = None
         end = a[:, -1]
         sets.append((columns(e.indices, fb), np.column_stack([end, end - a[:, a.shape[1] // 2]])))
     n, grams, central = ensemble_sums(e.row_blocks(), sets)
+    for (c, _), g in zip(sets, grams):
+        lost = ~np.isfinite(np.diag(g))
+        if lost.any():
+            raise ResolutionError(f"the second moment of {_named(e.indices[c[np.argmax(lost)]])} is not finite")
     table = None if boxes is None else PreMeasureTable.from_moments(boxes, grams.pop(0) / n, n, e.hurst)
     stats = []
     for i, (f, g) in enumerate(zip(flows, grams)):
@@ -156,33 +157,6 @@ def psi_on_cells(table, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 # End-to-end characterization verdict
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Pass/fail knobs for the characterization verdict.
-
-    Defaults follow the standard desk-scale bands: 4-sigma profile bands with
-    a 95% pass fraction, 4-sigma moment z-tests, 3-sigma monotonicity and
-    extension bands, and a recovery tolerance of max(5% relative,
-    4 propagated standard errors) on indices with measure >= psi_floor.
-    Nested splits are additive for any table, so no band tests them; the
-    extension band is the one that tests that psi is a measure: every tested
-    grid cell's psi must be at least -extension_se_mult times its propagated
-    standard error (one-sided).  The config
-    holds each field to its metadata range: pass fractions in [0, 1], the rest >= 0.
-    """
-
-    profile_se_mult: float = field(default=4.0, metadata=_AT_LEAST_0)
-    profile_pass_fraction: float = field(default=0.95, metadata=_FRACTION)
-    gaussianity_z: float = field(default=4.0, metadata=_AT_LEAST_0)
-    psi_recovery_rel: float = field(default=0.05, metadata=_AT_LEAST_0)
-    psi_recovery_se_mult: float = field(default=4.0, metadata=_AT_LEAST_0)
-    psi_floor: float = field(default=0.1, metadata=_AT_LEAST_0)
-    monotonicity_se_mult: float = field(default=3.0, metadata=_AT_LEAST_0)
-    extension_se_mult: float = field(default=3.0, metadata=_AT_LEAST_0)
-    covariance_se_mult: float = field(default=3.0, metadata=_AT_LEAST_0)
-    covariance_pass_fraction: float = field(default=0.99, metadata=_FRACTION)
 
 
 @dataclass(frozen=True)
@@ -222,49 +196,64 @@ class CharacterizationReport:
         }
 
 
-def _flow_criteria(stats, thr) -> list[CriterionResult]:
+# The verdict bands are constants, so no setting can switch a verdict off.
+# The profile passes when this fraction of each flow's pairs is within band.
+PROFILE_PASS_FRACTION = 0.95
+
+
+def _flow_criteria(stats) -> list[CriterionResult]:
     out = []
     worst_frac, worst_detail = 1.0, "every pair of every flow within band"
     gauss_worst, gauss_detail = 0.0, "no series varies, so none was tested"
     for fi, fs in enumerate(stats):
-        frac = fs.profile.fraction_within(thr.profile_se_mult)
+        frac = fs.profile.fraction_within(PROFILE_SE_MULT)
         if frac < worst_frac:
             worst_frac, worst_detail = frac, f"worst within-band fraction at flow {fi}"
         for label, (m2, m3, m4) in zip(("end value", "half increment"), fs.series_moments):
             if not m2 > 0:
                 continue
-            rep = gaussianity_check(fs.profile.n, m2, m3, m4, z_limit=thr.gaussianity_z)
+            rep = gaussianity_check(fs.profile.n, m2, m3, m4)
             z = max(abs(rep.skewness_z), abs(rep.excess_kurtosis_z))
             if z >= gauss_worst:
                 gauss_worst, gauss_detail = z, f"worst moment z at flow {fi} {label}"
     out.append(
         CriterionResult(
             "variance_profile",
-            worst_frac >= thr.profile_pass_fraction,
+            worst_frac >= PROFILE_PASS_FRACTION,
             worst_frac,
-            thr.profile_pass_fraction,
+            PROFILE_PASS_FRACTION,
             worst_detail,
         )
     )
     out.append(
         CriterionResult(
             "gaussianity",
-            gauss_worst < thr.gaussianity_z,
+            gauss_worst < GAUSSIANITY_Z,
             gauss_worst,
-            thr.gaussianity_z,
+            GAUSSIANITY_Z,
             gauss_detail,
         )
     )
     return out
 
 
-def _psi_criteria(table, thr) -> list[CriterionResult]:
+# psi recovers the measure of each box of measure at least PSI_FLOOR to
+# within max(PSI_RECOVERY_REL relative, PSI_RECOVERY_SE_MULT standard errors),
+# and a box's psi exceeds psi of a box holding it by at most
+# MONOTONICITY_SE_MULT propagated errors.
+PSI_RECOVERY_REL = 0.05
+PSI_RECOVERY_SE_MULT = 4.0
+PSI_FLOOR = 0.1
+MONOTONICITY_SE_MULT = 3.0
+
+
+def _psi_criteria(table) -> list[CriterionResult]:
     value, se = table.value, table.stderr
-    # recovery, on the boxes of measure at least psi_floor
+    # recovery, on the boxes of measure at least PSI_FLOOR
     m = measure(table.boxes)
-    tested = m >= thr.psi_floor
+    tested = m >= PSI_FLOOR
     err = np.abs(value - m)
-    tol = np.maximum(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * se)
+    tol = np.maximum(PSI_RECOVERY_REL * m, PSI_RECOVERY_SE_MULT * se)
     recovery_pass = not np.any(tested & (err > tol))
     rel = np.divide(err, m, out=np.zeros_like(m), where=tested)
     worst_rel = float(np.max(rel, initial=0.0))
@@ -273,7 +262,7 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
     inside = np.all(table.boxes[:, None] <= table.boxes[None], axis=2)  # box a lies in box b
     a, b = np.nonzero(np.triu(inside | inside.T, 1))
     small, big = np.where(inside[a, b], a, b), np.where(inside[a, b], b, a)
-    slack = thr.monotonicity_se_mult * np.hypot(se[small], se[big])
+    slack = MONOTONICITY_SE_MULT * np.hypot(se[small], se[big])
     viol = value[small] - value[big] - slack
     mono_pass = not np.any(viol > 0)
     worst_viol = float(np.max(viol, initial=0.0))
@@ -282,7 +271,7 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
             "psi_recovery",
             recovery_pass,
             worst_rel,
-            thr.psi_recovery_rel,
+            PSI_RECOVERY_REL,
             f"worst relative recovery error {worst_detail}",
         ),
         CriterionResult(
@@ -295,7 +284,13 @@ def _psi_criteria(table, thr) -> list[CriterionResult]:
     ]
 
 
-def _cell_criterion(table, thr) -> CriterionResult:
+# Nested splits are additive for any table, so no band tests them; this one
+# tests that psi is a measure: each tested grid cell's psi is at least
+# -EXTENSION_SE_MULT times its propagated standard error (one-sided).
+EXTENSION_SE_MULT = 3.0
+
+
+def _cell_criterion(table) -> CriterionResult:
     # the cell below each table box off the axes, on the grid of the table's corners
     corners = table.boxes
     off_axes = np.all(corners > 0.0, axis=1)
@@ -307,7 +302,7 @@ def _cell_criterion(table, thr) -> CriterionResult:
             "extension", True, 0.0, 0.0,
             "no cell has every corner box in the table, so none was tested",
         )
-    viol = -value - thr.extension_se_mult * se
+    viol = -value - EXTENSION_SE_MULT * se
     with np.errstate(divide="ignore", invalid="ignore"):
         z = value / se
     worst = int(np.argmin(np.where(np.isnan(z), np.inf, z)))
@@ -334,51 +329,46 @@ def covariance_deviations(table, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return i, j, table.gram[i, j] - covariance_from_measures(psi[i, i], psi[j, j], increments(psi)[i, j], h)
 
 
-def _covariance_criterion(table, h, thr) -> CriterionResult:
+# At least this fraction of the Gram entries lies within this many Isserlis
+# standard errors of the covariance rebuilt from psi.
+COVARIANCE_PASS_FRACTION = 0.99
+COVARIANCE_SE_MULT = 3.0
+
+
+def _covariance_criterion(table, h) -> CriterionResult:
     i, j, dev = covariance_deviations(table, h)
     g = table.gram
     z = isserlis_z(dev, g[i, i], g[j, j], g[i, j], table.n_samples)
     total = len(i)
-    ok = int(np.count_nonzero(z <= thr.covariance_se_mult))
+    ok = int(np.count_nonzero(z <= COVARIANCE_SE_MULT))
     worst = float(np.max(z, initial=0.0))
     if total == 0:
         return CriterionResult(
-            "covariance_comparison", False, 0.0, thr.covariance_pass_fraction,
+            "covariance_comparison", False, 0.0, COVARIANCE_PASS_FRACTION,
             "no intersection-closed pairs available",
         )
     frac = ok / total
     return CriterionResult(
         "covariance_comparison",
-        frac >= thr.covariance_pass_fraction,
+        frac >= COVARIANCE_PASS_FRACTION,
         frac,
-        thr.covariance_pass_fraction,
-        f"fraction of {total} entries within {thr.covariance_se_mult}-sigma bands "
+        COVARIANCE_PASS_FRACTION,
+        f"fraction of {total} entries within {COVARIANCE_SE_MULT}-sigma bands "
         f"(worst {worst:.1f} sigma)",
     )
 
 
-def recover_measure(
-    e,
-    thresholds: Thresholds | None = None,
-    table_indices=None,
-) -> tuple[CharacterizationReport, PreMeasureTable]:
+def recover_measure(e, table_indices=None) -> tuple[CharacterizationReport, PreMeasureTable]:
     """Measure-recovery verdict: psi recovery, monotonicity and the
     cell-increment extension test, together with the recovered table they were
     computed from."""
-    thr = thresholds or Thresholds()
     table, _ = read_ensemble(e, e.indices if table_indices is None else table_indices)
-    criteria = _psi_criteria(table, thr)
-    criteria.append(_cell_criterion(table, thr))
+    criteria = _psi_criteria(table)
+    criteria.append(_cell_criterion(table))
     return CharacterizationReport(tuple(criteria)), table
 
 
-def characterize(
-    e,
-    flows: list[Flow],
-    h: HurstParam,
-    thresholds: Thresholds | None = None,
-    table_indices=None,
-) -> CharacterizationReport:
+def characterize(e, flows: list[Flow], h: HurstParam, table_indices=None) -> CharacterizationReport:
     """Full verdict: does the ensemble behave like the exact field with
     parameter h over this index family?
 
@@ -389,8 +379,7 @@ def characterize(
     """
     if e.n_samples < 1000:
         raise ResolutionError(f"characterize needs at least 1000 samples, got {e.n_samples}")
-    thr = thresholds or Thresholds()
     table, stats = read_ensemble(e, e.indices if table_indices is None else table_indices, flows, h)
-    criteria = _flow_criteria(stats, thr) + _psi_criteria(table, thr)
-    criteria += [_cell_criterion(table, thr), _covariance_criterion(table, h, thr)]
+    criteria = _flow_criteria(stats) + _psi_criteria(table)
+    criteria += [_cell_criterion(table), _covariance_criterion(table, h)]
     return CharacterizationReport(tuple(criteria))

@@ -21,6 +21,12 @@ from .flows import TimeChange
 from .gaussian import increments
 
 
+# Verdict bands: a profile pair within PROFILE_SE_MULT standard errors of
+# the law is within band, and a moment z-test passes below GAUSSIANITY_Z.
+PROFILE_SE_MULT = 4.0
+GAUSSIANITY_Z = 4.0
+
+
 class DegenerateDataError(ValueError):
     """Input carries no usable variation (constant paths, constant theta)."""
 
@@ -43,7 +49,7 @@ class VarianceProfile:
         """The (pairs, 2) grid indices (i, j), i < j, of each pair in order."""
         return np.column_stack(np.triu_indices(len(self.time_change.grid), 1))
 
-    def fraction_within(self, k: float = 4.0) -> float:
+    def fraction_within(self, k: float = PROFILE_SE_MULT) -> float:
         """Fraction of pairs with |observed - predicted| <= k * stderr."""
         stderr = self.observed * np.sqrt(2.0 / self.n)
         ok = np.count_nonzero(np.abs(self.observed - self.predicted) <= k * stderr)
@@ -126,7 +132,9 @@ def ensemble_sums(blocks, sets) -> tuple[int, list, np.ndarray]:
     power, shift, scale = np.zeros((4, k)), None, np.full(k, _MIN_SCALE)
     factor = np.ldexp(1.0, -scale)[:, None]
     n = 0
-    with np.errstate(over="ignore"):  # a sum that overflows is inf
+    # a sum that overflows is inf, and an inf sample makes NaNs: read_ensemble
+    # refuses a box whose second moment is either
+    with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
             n += len(block)
             rows = []
@@ -174,11 +182,11 @@ class GaussianityReport:
     passed: bool
 
 
-def gaussianity_check(n: int, m2: float, m3: float, m4: float, z_limit: float = 4.0) -> GaussianityReport:
+def gaussianity_check(n: int, m2: float, m3: float, m4: float, z_limit: float = GAUSSIANITY_Z) -> GaussianityReport:
     """Moment z-tests on the central moments m2, m3 and m4 of ``n`` samples
     (of a series scaled by any factor, as ``ensemble_sums`` gives them):
     skewness against sqrt(6/n), excess kurtosis against sqrt(24/n);
-    closed-form thresholds, no critical-value tables."""
+    closed-form bands, no critical-value tables."""
     if n < 1000:
         raise ValueError("need at least 1000 samples")
     if not m2 > 0:

@@ -21,7 +21,7 @@ from sifbm.gaussian import (
     sample_ensemble,
 )
 from sifbm.intrep import GridSpec, KernelLaw, draw, fbm_covariance
-from sifbm.recovery import Thresholds, _cell_criterion, characterize, psi_on_cells, read_ensemble
+from sifbm.recovery import _cell_criterion, characterize, psi_on_cells, read_ensemble
 from sifbm.rects import measure, rect
 from sifbm.stats import gaussianity_check
 from test_recovery import (
@@ -174,7 +174,7 @@ def test_criterion_06_outer_measure_extension_and_measurability():
         lattice = [rect(i, j) for i in (1, 2) for j in (1, 2)]
         e = exact_ensemble(lattice, h.value, 20_000, seed=601)
         table = read_ensemble(e, e.indices)[0]
-        ext = _cell_criterion(table, Thresholds(extension_se_mult=3.0))
+        ext = _cell_criterion(table)
         assert ext.passed, f"empirical cell test: {ext.detail}"
         total, se = cell_measure(table, u)
         resid = abs(total - entry(table, u)[0])

@@ -362,7 +362,7 @@ class TestConfig:
         # objects holding arrays compare by identity, the parameters by value
         a, b = (load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json") for _ in range(2))
         assert (a == b, a == a, a.flows[0] == b.flows[0], a.flows[0] == a.flows[0]) == (False, True, False, True)
-        assert (a.hurst, a.intrep, a.intrep.grid, a.thresholds) == (b.hurst, b.intrep, b.intrep.grid, b.thresholds)
+        assert (a.hurst, a.intrep, a.intrep.grid) == (b.hurst, b.intrep, b.intrep.grid)
 
     def test_seed_override_changes_hash(self, tmp_path):
         path, _ = make_config(tmp_path)
@@ -408,6 +408,29 @@ class TestCli:
         assert main(["project", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "ensemble.sifb" in err and "truncated header" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_flow_sample_exits_1(self, tmp_path, capsys, value):
+        # a sample of a column only a flow reads: project wrote an all-NaN
+        # profile and exited 0, and characterize failed variance_profile
+        path, _ = make_config(tmp_path, n_samples=1000)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path)]) == 0
+        cfg = load_config(path)
+        boxes = cfg.ensemble_boxes()
+        col = next(i for i, b in enumerate(boxes) if not (cfg.table_indices == b).all(axis=1).any())
+        ens = out / "ensemble.sifb"
+        samples = read_all(ens).copy()
+        samples[5, col] = value
+        write_ensemble_binary((samples,), ens, samples.shape)
+        capsys.readouterr()
+        for command in ("project", "characterize"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"the second moment of Rect({boxes[col].tolist()}) is not finite" in err
+        assert not list(out.glob("profile_*.csv"))
+        # the table's columns are all finite
+        assert main(["recover-measure", "--config", str(path)]) == 0
 
     def test_simulate_deterministic(self, tmp_path):
         path, raw = make_config(tmp_path)
@@ -664,8 +687,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, path, value, field",
         [
-            ("project", ("thresholds", "profile_se_mult"), "abc", "thresholds.profile_se_mult"),
-            ("recover-measure", ("thresholds", "psi_floor"), None, "thresholds.psi_floor"),
+            ("project", ("flows", 0, "points"), "abc", "flows[0].points"),
+            ("recover-measure", ("n_samples",), None, "n_samples"),
             ("verify-intrep", ("integral_rep", "variance_rel_tol"), "abc",
              "integral_rep.variance_rel_tol"),
             ("verify-intrep", ("integral_rep", "covariance_se_mult"), None,
@@ -689,7 +712,7 @@ class TestCli:
              "flows[0].exponents[0]"),
             # JSON booleans are Python ints, but never numbers in a config
             ("simulate", ("n_samples",), True, "n_samples"),
-            ("recover-measure", ("thresholds", "psi_floor"), True, "thresholds.psi_floor"),
+            ("recover-measure", ("hurst",), True, "hurst"),
             ("verify-intrep", ("integral_rep", "grid", "cells_per_mass"), False,
              "integral_rep.grid.cells_per_mass"),
             # a number that no box, masses list or band admits
@@ -707,8 +730,7 @@ class TestCli:
             # json.dumps writes NaN, which json.load reads back
             ("verify-intrep", ("integral_rep", "grid", "truncation_factor"), float("nan"),
              "integral_rep.grid.truncation_factor"),
-            ("characterize", ("thresholds", "profile_se_mult"), float("nan"),
-             "thresholds.profile_se_mult"),
+            ("characterize", ("hurst",), float("nan"), "hurst"),
             ("verify-intrep", ("integral_rep", "variance_rel_tol"), float("nan"),
              "integral_rep.variance_rel_tol"),
             ("verify-intrep", ("integral_rep", "masses"), [float("nan"), 1.0],
@@ -726,7 +748,7 @@ class TestCli:
         ],
     )
     def test_bad_numeric_field_is_config_error(self, tmp_path, capsys, command, path, value, field):
-        raw = node = copy.deepcopy({**BASE_CONFIG, "thresholds": {}})
+        raw = node = copy.deepcopy(BASE_CONFIG)
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
@@ -738,17 +760,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "section, key, value, bound",
         [
-            ("thresholds", "covariance_pass_fraction", 1.5, "<= 1.0"),
-            ("thresholds", "profile_pass_fraction", -0.5, ">= 0.0"),
-            ("thresholds", "gaussianity_z", -1, ">= 0.0"),
-            ("thresholds", "psi_floor", -0.1, ">= 0.0"),
             ("integral_rep", "covariance_se_mult", -1, ">= 0.0"),
             ("integral_rep", "variance_rel_tol", -0.01, ">= 0.0"),
         ],
     )
     def test_out_of_range_band_is_config_error(self, tmp_path, capsys, section, key, value, bound):
         # these used to run and fail a criterion, exit 2, or pass every one
-        raw = copy.deepcopy({**BASE_CONFIG, "thresholds": {}})
+        raw = copy.deepcopy(BASE_CONFIG)
         raw[section][key] = value
         config, _ = make_config(tmp_path, **raw)
         assert main(["characterize", "--config", str(config)]) == 1
@@ -790,13 +808,12 @@ class TestCli:
              "flows[1].segments[0].exponents"),
             (("integral_rep", "varaince_rel_tol"), 0.1, "integral_rep.varaince_rel_tol"),
             (("integral_rep", "grid", "cells_per_mas"), 256, "integral_rep.grid.cells_per_mas"),
-            (("thresholds", "psi_flor"), 0.1, "thresholds.psi_flor"),
         ],
     )
     def test_unknown_key_is_config_error(self, tmp_path, capsys, path, value, field):
         # misspelled keys, and keys valid elsewhere that this object does not
         # read (a linear flow's exponents, corners beside a lattice)
-        raw = node = copy.deepcopy({**BASE_CONFIG, "thresholds": {}})
+        raw = node = copy.deepcopy(BASE_CONFIG)
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
@@ -813,12 +830,15 @@ class TestCli:
         # acceptance config are loaded by the tests that use them
         load_config(SRC.parents[1] / config)
 
-    @pytest.mark.parametrize("key", ["analytic_tol", "additivity_se_mult"])
+    @pytest.mark.parametrize("key", [None, "psi_floor", "analytic_tol", "additivity_se_mult"])
     def test_removed_threshold_is_config_error(self, tmp_path, capsys, key):
-        path, _ = make_config(tmp_path, thresholds={key: 1e-12})
-        assert main(["recover-measure", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("sifbm: config error:") and f"thresholds.{key}" in err
+        # the verdict bands are constants: the whole block is refused, empty
+        # or naming a band, today's or a retired one
+        path, _ = make_config(tmp_path, thresholds={} if key is None else {key: 1e-12})
+        for command in ("project", "recover-measure", "characterize"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("sifbm: config error: field 'thresholds': unknown key")
 
     def test_corners_not_a_list_is_config_error(self, tmp_path, capsys):
         path, _ = make_config(tmp_path, indices={"corners": 5})
@@ -1039,7 +1059,7 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 0
         capsys.readouterr()
         assert main([command, "--config", str(path)]) == 1
-        assert f"the second moment of Rect([{sys.float_info.max / 2!r}]) overflows a float" in capsys.readouterr().err
+        assert f"the second moment of Rect([{sys.float_info.max / 2!r}]) is not finite" in capsys.readouterr().err
         assert not (Path(raw["output_dir"]) / sifbm.cli.REPORT_FILES[command]).exists()
 
 

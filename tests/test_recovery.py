@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sifbm import recovery
 from sifbm.config import load_config, parse_config
 from sifbm.flows import flow_weights, flows_through, predicted_increment_moment, time_change
 from sifbm.gaussian import (
@@ -26,7 +27,6 @@ from sifbm.gaussian import (
 from sifbm.recovery import (
     CharacterizationReport,
     PreMeasureTable,
-    Thresholds,
     characterize,
     psi_on_cells,
     read_ensemble,
@@ -387,8 +387,7 @@ class TestCellCriterion:
     def test_matches_per_cell_reference(self, case):
         table, lebesgue = case
         ref = cell_reference(table)
-        thr = Thresholds()
-        got = _cell_criterion(table, thr)
+        got = _cell_criterion(table)
         tested = [r for r in ref if r[2] is not None]
         if ref:
             value, se, ok = on_cells(table, [(lo, hi) for lo, hi, _, _ in ref])
@@ -406,7 +405,7 @@ class TestCellCriterion:
             assert got.detail == "no cell has every corner box in the table, so none was tested"
             return
         assert got.detail.startswith(f"cells tested: {len(tested)};")
-        viol = [-v - thr.extension_se_mult * s for _, _, v, s in tested]
+        viol = [-v - recovery.EXTENSION_SE_MULT * s for _, _, v, s in tested]
         assert got.statistic == pytest.approx(max(max(viol), 0.0), abs=1e-12)
         if all(abs(x) > 1e-9 for x in viol):
             assert got.passed == (max(viol) <= 0)
@@ -422,7 +421,7 @@ class TestCellCriterion:
         for _ in range(200):
             value = m * rng.uniform(0.5, 1.5, len(boxes))
             table = PreMeasureTable(boxes, value, 0.01 * value)
-            rejected += not _cell_criterion(table, Thresholds()).passed
+            rejected += not _cell_criterion(table).passed
         assert rejected >= 187
 
     @pytest.mark.parametrize(
@@ -443,7 +442,7 @@ class TestCellCriterion:
         cfg = parse_config({**raw, "n_samples": 4000})
         for seed in range(1, 8):
             e = sample_ensemble(cfg.ensemble_boxes(), cfg.hurst, cfg.n_samples, seed=seed)
-            ext = _cell_criterion(read_ensemble(e, cfg.table_indices)[0], cfg.thresholds)
+            ext = _cell_criterion(read_ensemble(e, cfg.table_indices)[0])
             assert ext.passed, (seed, ext.detail)
             assert ext.detail.startswith("cells tested: 9;")
 
@@ -516,10 +515,10 @@ class TestVerifyExtension:
         # integer measures: every cell and recovery error is exact, and the
         # details say so instead of naming no box
         t = lebesgue_table(lattice(2, 2))
-        ext = _cell_criterion(t, Thresholds())
+        ext = _cell_criterion(t)
         assert (ext.passed, ext.statistic) == (True, 0.0)
         assert ext.detail == "cells tested: 4; smallest z inf in ([0.0, 0.0], [1.0, 1.0]]"
-        rec, _ = _psi_criteria(t, Thresholds())
+        rec, _ = _psi_criteria(t)
         assert (rec.passed, rec.statistic) == (True, 0.0)
         assert rec.detail == "worst relative recovery error is 0"
 
@@ -528,14 +527,14 @@ class TestVerifyExtension:
         u = rect(2, 2)
         t = lebesgue_table([u])
         assert cell_measure(t, u)[0] == box_measure(u)
-        assert _cell_criterion(t, Thresholds()).detail.startswith("cells tested: 1;")
+        assert _cell_criterion(t).detail.startswith("cells tested: 1;")
 
     def test_tilings_two_granularities(self):
         u = rect(2, 2)
         for k in (2, 3):
             t = lebesgue_table(lattice(k, k, 2 / k, 2 / k))
             assert abs(cell_measure(t, u)[0] - box_measure(u)) <= 1e-12
-            ext = _cell_criterion(t, Thresholds())
+            ext = _cell_criterion(t)
             assert ext.passed and ext.detail.startswith(f"cells tested: {k * k};")
 
     def test_empirical_within_tolerance(self):
@@ -543,7 +542,7 @@ class TestVerifyExtension:
         idx = sorted(set(lattice(2, 2)))
         e = exact_ensemble(idx, h, 20_000, seed=33)
         t = read_ensemble(e, e.indices)[0]
-        ext = _cell_criterion(t, Thresholds())
+        ext = _cell_criterion(t)
         assert ext.passed and ext.statistic == 0.0
         value, se, tested = on_cells(t, [((1, 1), (2, 2)), ((0, 1), (1, 2))])
         assert tested.all() and np.all(value >= -3 * se)
@@ -702,21 +701,22 @@ class TestCharacterize:
             "covariance_comparison",
         ]
 
-    def test_flow_details_name_what_they_found(self):
+    def test_flow_details_name_what_they_found(self, monkeypatch):
         # a fraction of 1.0 on every flow, or no varying series, names no
         # flow: the details say so instead of ending in "at "
         e, flows = battery_and_indices(self.H, 2_000, 108, self.LATTICE)
-        wide = Thresholds(profile_se_mult=1e6)
+        monkeypatch.setattr(recovery, "PROFILE_SE_MULT", 1e6)
         stats = read_ensemble(e, flows=flows)[1]
-        prof, gauss = _flow_criteria(stats, wide)
+        prof, gauss = _flow_criteria(stats)
         assert (prof.passed, prof.statistic) == (True, 1.0)
         assert prof.detail == "every pair of every flow within band"
         assert gauss.detail.startswith("worst moment z at flow ")
-        prof, gauss = _flow_criteria([], wide)
+        prof, gauss = _flow_criteria([])
         assert prof.detail == "every pair of every flow within band"
         assert (gauss.passed, gauss.statistic) == (True, 0.0)
         assert gauss.detail == "no series varies, so none was tested"
-        prof, _ = _flow_criteria(stats, Thresholds(profile_se_mult=0.0))
+        monkeypatch.setattr(recovery, "PROFILE_SE_MULT", 0.0)
+        prof, _ = _flow_criteria(stats)
         assert prof.statistic < 1.0 and prof.detail.startswith("worst within-band fraction at flow ")
 
     def test_composes_flow_recovery_and_covariance_criteria(self):
@@ -768,8 +768,7 @@ class TestOneWalk:
         rep = characterize(e, flows, e.hurst, table_indices=idx)
         recovered, table = recover_measure(e, table_indices=idx)
         stats = read_ensemble(e, flows=flows)[1]
-        want = [*_flow_criteria(stats, Thresholds()), *recovered.criteria,
-                _covariance_criterion(table, e.hurst, Thresholds())]
+        want = [*_flow_criteria(stats), *recovered.criteria, _covariance_criterion(table, e.hurst)]
         assert repr(rep.to_dict()) == repr(CharacterizationReport(tuple(want)).to_dict())
 
 
@@ -839,15 +838,16 @@ class TestCovarianceCriterion:
         samples = np.random.default_rng(seed).standard_normal((200, len(boxes))) * scale
         e = SampleEnsemble(boxes, samples, h)
         table = read_ensemble(e, table_idx)[0]
-        thr = Thresholds(covariance_se_mult=mult)
-        got = _covariance_criterion(table, h, thr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recovery, "COVARIANCE_SE_MULT", mult)
+            got = _covariance_criterion(table, h)
         total, ok = covariance_criterion_reference(e, table, h, mult)
         assert f"fraction of {total} entries" in got.detail
         assert got.statistic == ok / total
-        assert got.passed == (ok / total >= thr.covariance_pass_fraction)
+        assert got.passed == (ok / total >= recovery.COVARIANCE_PASS_FRACTION)
 
 
-def pair_scan_reference(table, thr):
+def pair_scan_reference(table, mult, floor):
     """The per-box and per-pair scans over itertools.combinations that the
     array expressions replaced: (psi_recovery passed, worst relative error
     and where it is, psi_monotonicity passed and worst violation)."""
@@ -856,10 +856,10 @@ def pair_scan_reference(table, thr):
     recovered, worst_rel, worst_detail = True, 0.0, "is 0"
     for u in idx:
         m = box_measure(u)
-        if m < thr.psi_floor:
+        if m < floor:
             continue
         got, se = entry[u]
-        tol = max(thr.psi_recovery_rel * m, thr.psi_recovery_se_mult * se)
+        tol = max(recovery.PSI_RECOVERY_REL * m, mult * se)
         rel = abs(got - m) / m
         if abs(got - m) > tol:
             recovered = False
@@ -874,7 +874,7 @@ def pair_scan_reference(table, thr):
         else:
             continue
         (vs, ss), (vb, sb) = entry[small], entry[big]
-        viol = vs - vb - thr.monotonicity_se_mult * float(np.hypot(ss, sb))
+        viol = vs - vb - mult * float(np.hypot(ss, sb))
         if viol > 0:
             passed, worst = False, max(worst, viol)
     return recovered, worst_rel, worst_detail, passed, worst
@@ -901,9 +901,12 @@ class TestPairScans:
     @example(PreMeasureTable(np.array([rect(1.0)]), np.array([2.0]), np.array([0.0])), 0.0, 1.0)
     @settings(deadline=None)
     def test_match_per_pair_reference(self, table, mult, floor):
-        thr = Thresholds(psi_recovery_se_mult=mult, psi_floor=floor, monotonicity_se_mult=mult)
-        recovered, worst_rel, worst_detail, passed, worst = pair_scan_reference(table, thr)
-        rec, mono = _psi_criteria(table, thr)
+        recovered, worst_rel, worst_detail, passed, worst = pair_scan_reference(table, mult, floor)
+        with pytest.MonkeyPatch.context() as mp:
+            for band in ("PSI_RECOVERY_SE_MULT", "MONOTONICITY_SE_MULT"):
+                mp.setattr(recovery, band, mult)
+            mp.setattr(recovery, "PSI_FLOOR", floor)
+            rec, mono = _psi_criteria(table)
         assert rec.name == "psi_recovery" and mono.name == "psi_monotonicity"
         assert (rec.passed, rec.statistic) == (recovered, worst_rel)
         assert rec.detail == f"worst relative recovery error {worst_detail}"
@@ -931,7 +934,7 @@ def test_exact_gram_is_exact_throughout(config):
     assert np.all(np.abs(table.value - m) <= 1e-12 * m)
     i, j, dev = covariance_deviations(table, h)
     assert len(i) >= len(boxes) and np.max(np.abs(dev)) <= 1e-12 * np.max(np.abs(c))
-    assert _covariance_criterion(table, h, Thresholds()).statistic == 1.0
+    assert _covariance_criterion(table, h).statistic == 1.0
     off_axes = np.all(boxes > 0, axis=1)
     value, _, tested = psi_on_cells(table, grid_lower(boxes)[off_axes], boxes[off_axes])
     assert tested.any() and np.min(value[tested]) >= -1e-12 * np.max(m)
